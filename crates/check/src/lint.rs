@@ -1,7 +1,7 @@
 //! Source-level invariant lints.
 //!
 //! A self-contained scanner (no external parser) over the workspace
-//! source enforcing three review rules the compiler cannot:
+//! source enforcing four review rules the compiler cannot:
 //!
 //! - **`wall-clock`** — the identifiers `Instant` and `SystemTime` may
 //!   appear only in `pstm-obs`'s wall-clock seam — the epoch bridge
@@ -23,12 +23,6 @@
 //!   peers in `Committing`; these paths must propagate `PstmError`
 //!   instead. (`assert!` remains legal: it states an invariant and
 //!   documents its panic.)
-//! - **`lock-order`** — any line in `crates/front` that locks a GTM
-//!   shard must sit in `lock_shards_ascending` (the one sanctioned
-//!   multi-shard acquisition path, which asserts ascending order) or in
-//!   a function explicitly allowlisted as a reviewed single-shard /
-//!   lock-release-between acquisition site. Cross-shard deadlock freedom
-//!   rests entirely on this ordering discipline.
 //! - **`wal-seam`** — inside `crates/storage/src/wal.rs`, the log
 //!   buffer may be mutated only by `append` (the one durable-write path,
 //!   which consults the `FaultHook` seam) and the named recovery/chaos
@@ -87,12 +81,10 @@ const PANIC_TOKENS: [&str; 6] = [
 ];
 
 /// Files inside `crates/core/src` subject to `no-panic-commit-path`:
-/// the grant/commit/reconcile/SST/history state machines.
-const CORE_COMMIT_PATH_FILES: [&str; 5] =
-    ["gtm.rs", "reconcile.rs", "sst.rs", "history.rs", "state.rs"];
-
-/// The one function allowed to take several shard locks at once.
-const ORDERED_LOCK_HELPER: &str = "lock_shards_ascending";
+/// the grant/commit/reconcile/SST/history state machines and the commit
+/// coordinator.
+const CORE_COMMIT_PATH_FILES: [&str; 6] =
+    ["gtm.rs", "commit.rs", "reconcile.rs", "sst.rs", "history.rs", "state.rs"];
 
 /// The flight-recorder seam: the only file allowed to touch the raw
 /// recorder file plumbing below.
@@ -139,8 +131,6 @@ pub enum Rule {
     WallClock,
     /// Panicking call on a commit/reconcile/SST path.
     NoPanicCommitPath,
-    /// Shard lock acquisition outside the ordered helper or allowlist.
-    LockOrder,
     /// WAL buffer mutation outside the hooked `append` seam.
     WalSeam,
     /// Recorder file I/O outside `crates/obs/src/recorder.rs`.
@@ -156,7 +146,6 @@ impl Rule {
         match self {
             Rule::WallClock => "wall-clock",
             Rule::NoPanicCommitPath => "no-panic-commit-path",
-            Rule::LockOrder => "lock-order",
             Rule::WalSeam => "wal-seam",
             Rule::RecorderSeam => "recorder-seam",
             Rule::StaleAllowlist => "stale-allowlist",
@@ -407,7 +396,6 @@ struct Scope {
     /// Commit-path timing-token ban (reported under `wall-clock`).
     timing: bool,
     no_panic: bool,
-    lock_order: bool,
     wal_seam: bool,
     recorder_seam: bool,
 }
@@ -418,10 +406,9 @@ fn scope_of(file: &str) -> Scope {
     let no_panic =
         file.strip_prefix("crates/core/src/").is_some_and(|f| CORE_COMMIT_PATH_FILES.contains(&f))
             || file.starts_with("crates/front/src/");
-    let lock_order = file.starts_with("crates/front/src/");
     let wal_seam = file == WAL_SEAM_FILE;
     let recorder_seam = file != RECORDER_SEAM_FILE;
-    Scope { wall_clock, timing, no_panic, lock_order, wal_seam, recorder_seam }
+    Scope { wall_clock, timing, no_panic, wal_seam, recorder_seam }
 }
 
 fn scan_file(file: &str, text: &str, allow: &mut Allowlist, out: &mut Vec<Violation>) {
@@ -429,7 +416,6 @@ fn scan_file(file: &str, text: &str, allow: &mut Allowlist, out: &mut Vec<Violat
     if !scope.wall_clock
         && !scope.timing
         && !scope.no_panic
-        && !scope.lock_order
         && !scope.wal_seam
         && !scope.recorder_seam
     {
@@ -500,14 +486,6 @@ fn scan_file(file: &str, text: &str, allow: &mut Allowlist, out: &mut Vec<Violat
                     break;
                 }
             }
-        }
-        if scope.lock_order
-            && code.contains(".lock()")
-            && contains_word(code, "shards")
-            && current_fn.as_deref() != Some(ORDERED_LOCK_HELPER)
-            && !allow.allows(Rule::LockOrder, file, current_fn.as_deref())
-        {
-            out.push(violation(Rule::LockOrder, file, line_no, &current_fn, raw));
         }
         if scope.wal_seam {
             for token in WAL_BUF_MUTATORS {
@@ -649,7 +627,7 @@ mod tests {
     #[test]
     fn allowlist_roundtrip() {
         let a = Allowlist::parse(
-            "# comment\nlock-order crates/front/src/lib.rs::sleep\nwall-clock a.rs\n",
+            "# comment\nwal-seam crates/storage/src/wal.rs::append_raw\nwall-clock a.rs\n",
         )
         .expect("parses");
         assert_eq!(a.entries.len(), 2);
@@ -736,15 +714,15 @@ mod tests {
 
     #[test]
     fn cfg_test_blocks_are_skipped() {
-        let src = "fn live() { x.lock(); shards; }\n\
-                   #[cfg(test)]\n\
-                   mod tests {\n\
-                       fn t() { shards[0].lock(); }\n\
-                   }\n";
+        let src = concat!(
+            "fn live() { x.unw",
+            "rap(); }\n#[cfg(test)]\nmod tests {\n    fn t() { y.unw",
+            "rap(); }\n}\n"
+        );
         let mut allow = Allowlist::default();
         let mut out = Vec::new();
         scan_file("crates/front/src/lib.rs", src, &mut allow, &mut out);
-        // Only the live fn fires lock-order; the test mod's hit is skipped.
+        // Only the live fn fires no-panic; the test mod's hit is skipped.
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].func.as_deref(), Some("live"));
     }

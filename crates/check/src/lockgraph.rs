@@ -146,7 +146,16 @@ const GUARD_HELPERS: &[(&str, &str, &str)] = &[
     ("lock_shards_ascending", "gtm_shard", "Gtm"),
     ("lock_shard_for", "gtm_shard", "Gtm"),
     ("lock_flush_fences", "flush_fence", ""),
+    ("with_shards", "gtm_shard", ""),
 ];
+
+/// Guard helpers that hold their class only for the call itself — the
+/// commit coordinator's `CommitEnv::with_shards(shards, |held, now| …)`
+/// runs its closure under the shards and releases them on return — so
+/// the guard dies with the statement even when the call's *value* is
+/// `let`-bound. Every environment's `with_shards` counts as shard access,
+/// whether it locks (`pstm-front`) or owns its managers outright.
+const SCOPED_HELPERS: &[&str] = &["with_shards"];
 
 /// Last-resort receiver typing by the workspace's stable field/binding
 /// naming conventions, used only when structural inference (params,
@@ -161,6 +170,8 @@ const FIELD_TYPES: &[(&str, &str)] = &[
     ("rec", "Recorder"),
     ("gtm", "Gtm"),
     ("front", "ShardedFront"),
+    ("env", "CommitEnv"),
+    ("held", "Shards"),
 ];
 
 /// What a guard of `class` dereferences to, for resolving calls made
@@ -204,7 +215,6 @@ fn classify(file: &str, recv: &str, kind: AccessKind) -> Option<String> {
             match recv {
                 "inner" => Some("engine_inner"),
                 "tracer" => Some("engine_tracer"),
-                "injected_faults" => Some("engine_faults"),
                 "apply_latency" => Some("engine_latency"),
                 "fault_hook" => Some("engine_fault_hook"),
                 _ => None,
@@ -223,9 +233,9 @@ pub fn class_level(class: &str) -> Option<u8> {
         "flush_fence" => Some(0),
         "gtm_shard" => Some(1),
         "group_queue" | "mail" | "commit_slot" | "front_fault_hook" | "front_recorder" => Some(2),
-        "engine_inner" | "engine_tracer" | "engine_faults" | "engine_latency"
-        | "engine_fault_hook" | "tracer_inner" | "sink_inner" | "obs_buf" | "recorder_dev"
-        | "prof_slots" | "faults_state" => Some(3),
+        "engine_inner" | "engine_tracer" | "engine_latency" | "engine_fault_hook"
+        | "tracer_inner" | "sink_inner" | "obs_buf" | "recorder_dev" | "prof_slots"
+        | "faults_state" => Some(3),
         _ => None,
     }
 }
@@ -350,7 +360,10 @@ impl<'a> Analyzer<'a> {
                 let idx = fns.len();
                 fns.push((fi, gi));
                 by_name.entry(f.name.clone()).or_default().push(idx);
-                if let Some(t) = &f.impl_type {
+                // A trait impl's fn is reachable under its type *and* under
+                // the trait: a call through a trait-typed receiver
+                // (`env: CommitEnv`) may run any implementor.
+                for t in f.impl_type.iter().chain(&f.impl_trait) {
                     impl_types.insert(t.clone());
                     by_type_name.entry((t.clone(), f.name.clone())).or_default().push(idx);
                 }
@@ -745,9 +758,10 @@ pub fn analyze(files: &[SourceFile], allow: &mut Allowlist) -> LockgraphReport {
                                 )],
                             );
                         }
+                        let scoped = SCOPED_HELPERS.contains(&name.as_str());
                         live.push(LiveGuard {
                             class,
-                            binding: binding.clone(),
+                            binding: binding.clone().filter(|_| !scoped),
                             depth,
                             line: *line,
                             suspended_at: None,

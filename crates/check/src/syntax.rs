@@ -375,6 +375,9 @@ pub struct FnModel {
     pub name: String,
     /// Enclosing `impl` type (last path segment), if any.
     pub impl_type: Option<String>,
+    /// The trait of an enclosing `impl Trait for Type`, if any — calls
+    /// through a trait-typed receiver may reach any implementor.
+    pub impl_trait: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// `pstm-lockgraph:` tags from comments preceding the item.
@@ -406,8 +409,8 @@ pub fn parse_source(path: &str, src: &str) -> SourceFile {
     let (toks, comments) = lex(src);
     let mut fns = Vec::new();
     let mut i = 0;
-    // Stack of (impl type, brace depth at which the impl body closes).
-    let mut impl_stack: Vec<(Option<String>, usize)> = Vec::new();
+    // Stack of (enclosing impl, brace depth at which its body closes).
+    let mut impl_stack: Vec<(ImplOf, usize)> = Vec::new();
     let mut depth = 0usize;
     while i < toks.len() {
         let t = &toks[i];
@@ -434,17 +437,17 @@ pub fn parse_source(path: &str, src: &str) -> SourceFile {
                 }
             }
             TokKind::Ident if t.text == "impl" => {
-                let (ty, body_start) = parse_impl_header(&toks, i);
+                let (ty, tr, body_start) = parse_impl_header(&toks, i);
                 if let Some(start) = body_start {
                     depth += 1;
-                    impl_stack.push((ty, depth));
+                    impl_stack.push(((ty, tr), depth));
                     i = start + 1;
                 } else {
                     i += 1;
                 }
             }
             TokKind::Ident if t.text == "fn" => {
-                let impl_type = impl_stack.last().and_then(|(t, _)| t.clone());
+                let impl_of = impl_stack.last().map(|(of, _)| of.clone()).unwrap_or_default();
                 // A tag comment binds to the *next* item only: comments at
                 // or before the previous item boundary (`{`, `}`, `;`)
                 // are someone else's. Modifiers and attributes between
@@ -455,7 +458,7 @@ pub fn parse_source(path: &str, src: &str) -> SourceFile {
                     .rev()
                     .find(|t| matches!(t.ch, '{' | '}' | ';'))
                     .map_or(0, |t| t.line);
-                let (f, next) = parse_fn(&toks, i, impl_type, path, &comments, floor);
+                let (f, next) = parse_fn(&toks, i, impl_of, path, &comments, floor);
                 if let Some(f) = f {
                     fns.push(f);
                 }
@@ -529,11 +532,13 @@ fn skip_item(toks: &[Tok], start: usize) -> usize {
     i
 }
 
-/// Parses an `impl` header; returns (type name, index of body `{`).
-fn parse_impl_header(toks: &[Tok], at: usize) -> (Option<String>, Option<usize>) {
+/// Parses an `impl` header; returns (type name, trait name of an
+/// `impl Trait for Type`, index of body `{`).
+fn parse_impl_header(toks: &[Tok], at: usize) -> (Option<String>, Option<String>, Option<usize>) {
     let mut i = at + 1;
     let mut last_ident: Option<String> = None;
     let mut after_for: Option<String> = None;
+    let mut trait_name: Option<String> = None;
     let mut angle = 0i32;
     while i < toks.len() {
         let t = &toks[i];
@@ -541,12 +546,12 @@ fn parse_impl_header(toks: &[Tok], at: usize) -> (Option<String>, Option<usize>)
             TokKind::Punct if t.ch == '<' => angle += 1,
             TokKind::Punct if t.ch == '>' => angle -= 1,
             TokKind::Punct if t.ch == '{' && angle <= 0 => {
-                return (after_for.or(last_ident), Some(i));
+                return (after_for.or(last_ident), trait_name, Some(i));
             }
-            TokKind::Punct if t.ch == ';' => return (None, None),
+            TokKind::Punct if t.ch == ';' => return (None, None, None),
             TokKind::Ident if t.text == "for" && angle <= 0 => {
                 // `impl Trait for Type` — the type follows.
-                last_ident = None;
+                trait_name = last_ident.take();
                 i += 1;
                 while i < toks.len() && toks[i].ch != '{' {
                     if toks[i].kind == TokKind::Ident && toks[i].text != "where" {
@@ -564,8 +569,12 @@ fn parse_impl_header(toks: &[Tok], at: usize) -> (Option<String>, Option<usize>)
         }
         i += 1;
     }
-    (None, None)
+    (None, None, None)
 }
+
+/// The `impl` block enclosing a fn: (type, trait of an `impl Trait for
+/// Type`), both by last path segment.
+type ImplOf = (Option<String>, Option<String>);
 
 /// Parses `fn name(params) -> ret { body }` starting at the `fn` token.
 /// Returns the model (None for bodyless trait-method signatures) and the
@@ -573,7 +582,7 @@ fn parse_impl_header(toks: &[Tok], at: usize) -> (Option<String>, Option<usize>)
 fn parse_fn(
     toks: &[Tok],
     at: usize,
-    impl_type: Option<String>,
+    (impl_type, impl_trait): ImplOf,
     _path: &str,
     comments: &[Comment],
     floor: usize,
@@ -626,7 +635,7 @@ fn parse_fn(
         return (None, i);
     }
     let (body, end) = parse_body(toks, i);
-    (Some(FnModel { name, impl_type, line, tags, params, body }), end)
+    (Some(FnModel { name, impl_type, impl_trait, line, tags, params, body }), end)
 }
 
 /// Parses a parenthesized parameter list starting at `(`; returns the

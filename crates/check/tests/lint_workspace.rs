@@ -59,11 +59,6 @@ fn scanner_detects_each_violation_class() {
     );
     write(&dir.join("crates/core/src/gtm.rs"), &panic_src);
 
-    // lock-order scope: front, multi-shard lock outside the helper.
-    let lock_src = "pub fn commit_across(&self) {\n    \
-         let g: Vec<_> = shards.iter().map(|s| s.lock()).collect();\n}\n";
-    write(&dir.join("crates/front/src/lib.rs"), lock_src);
-
     let report = run_lint(&dir).expect("lint run over synthetic tree");
     let fired: Vec<Rule> = report.violations.iter().map(|v| v.rule).collect();
     assert!(fired.contains(&Rule::WallClock), "wall-clock missed:\n{}", report.render());
@@ -72,7 +67,6 @@ fn scanner_detects_each_violation_class() {
         "no-panic-commit-path missed:\n{}",
         report.render()
     );
-    assert!(fired.contains(&Rule::LockOrder), "lock-order missed:\n{}", report.render());
 
     // Violations attribute to the function that contains them.
     let commit = report
@@ -90,7 +84,7 @@ fn stale_allowlist_entries_are_violations() {
     let dir = std::env::temp_dir().join(format!("pstm-check-stale-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     write(&dir.join("crates/demo/src/lib.rs"), "pub fn ok() {}\n");
-    write(&dir.join("pstm-check.allow"), "lock-order crates/front/src/lib.rs::no_such_fn\n");
+    write(&dir.join("pstm-check.allow"), "wal-seam crates/storage/src/wal.rs::no_such_fn\n");
     let report = run_lint(&dir).expect("lint run");
     assert_eq!(report.violations.len(), 1, "{}", report.render());
     assert_eq!(report.violations[0].rule, Rule::StaleAllowlist);

@@ -141,6 +141,55 @@ fn guard_dropped_before_flush_is_clean() {
     assert!(of_rule(&report, LgRule::HoldAcrossFlush).is_empty(), "{:?}", report.violations);
 }
 
+/// The commit coordinator reaches shards through the generic
+/// `CommitEnv::with_shards(shards, |held, now| …)` seam, not through a
+/// guard the analyzer can see being bound. The seam must not be a blind
+/// spot: a coordinator whose flush moved *inside* the shard-access scope
+/// is caught, while the real shape — reconcile in the scope, flush after
+/// it, even with the scope's value `let`-bound — stays clean.
+#[test]
+fn coordinator_flush_inside_the_shard_access_scope_is_caught() {
+    let sst = r#"
+        impl SstBatch {
+            // pstm-lockgraph: flush-point
+            pub fn execute(&self, db: &Database) {}
+        }
+        "#;
+    let coordinator = |flush_inside: bool| {
+        let (inside, after) =
+            if flush_inside { ("batch.execute(db);", "") } else { ("", "batch.execute(db);") };
+        format!(
+            r#"
+        pub fn commit_wave<E: CommitEnv>(env: &mut E, batch: SstBatch, db: &Database) {{
+            let parked = env.with_shards(&shards, |held, now| {{
+                held.gtm(0).commit_local(txn, now);
+                {inside}
+            }});
+            {after}
+            env.with_shards(&shards, |held, now| held.gtm(0).commit_finish(txn, now));
+        }}
+        "#
+        )
+    };
+
+    let bad = coordinator(true);
+    let report = run(&[("crates/core/src/commit.rs", &bad), ("crates/core/src/sst.rs", sst)]);
+    let hits = of_rule(&report, LgRule::HoldAcrossFlush);
+    assert_eq!(hits.len(), 1, "{:?}", report.violations);
+    let v = report.violations.iter().find(|v| v.rule == LgRule::HoldAcrossFlush).unwrap();
+    assert_eq!(v.func.as_deref(), Some("commit_wave"));
+    assert!(v.detail.contains("execute"), "names the offending call: {}", v.detail);
+    assert!(
+        v.path.iter().any(|s| s.contains("flush-point")),
+        "witness reaches the flush point: {:?}",
+        v.path
+    );
+
+    let good = coordinator(false);
+    let report = run(&[("crates/core/src/commit.rs", &good), ("crates/core/src/sst.rs", sst)]);
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+}
+
 #[test]
 fn relaxed_outside_seam_and_unjustified_in_seam_are_caught() {
     let report = run(&[

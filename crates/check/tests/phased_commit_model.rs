@@ -3,7 +3,8 @@
 //! `commit_abort`) — the in-tree stand-in for a loom run, which the
 //! offline build cannot take as a dependency.
 //!
-//! The model mirrors `pstm-front`'s `commit_across`: each coordinator
+//! The model mirrors the commit coordinator (`pstm_core::commit`) in
+//! `pstm-front`'s environment, shards held end to end: each coordinator
 //! acquires its shard locks (ascending, as `lock_shards_ascending`
 //! enforces), runs `commit_local` per shard against a **real** `Gtm`,
 //! executes one SST for the combined write set, then settles every shard
@@ -21,7 +22,7 @@
 //!
 //! A negative control acquires in descending order on one coordinator
 //! and asserts the enumeration *does* find a deadlock — the property
-//! the `lock-order` lint exists to protect.
+//! lockgraph's `multi-shard-path` rule exists to protect.
 
 use pstm_core::gtm::{Gtm, GtmConfig, LocalCommit};
 use pstm_core::sst::Sst;
@@ -59,8 +60,8 @@ struct Plan {
 impl Plan {
     fn steps(&self) -> Vec<Step> {
         let mut v: Vec<Step> = self.lock_order.iter().map(|&s| Step::Lock(s)).collect();
-        // commit_local / settle always walk ascending (guards order in
-        // commit_across); only acquisition order is under test.
+        // commit_local / settle always walk ascending (the coordinator's
+        // member-shard order); only acquisition order is under test.
         let mut asc = self.lock_order.clone();
         asc.sort_unstable();
         v.extend(asc.iter().map(|&s| Step::CommitLocal(s)));
@@ -278,7 +279,7 @@ fn sst_failure_takes_the_commit_abort_path_on_every_shard() {
 fn descending_acquisition_reaches_the_textbook_deadlock() {
     // T1 locks 0 then 1; T2 locks 1 then 0. The enumeration must reach
     // the crossed state where neither can proceed — the bug class the
-    // lock-order lint (and lock_shards_ascending) makes unrepresentable.
+    // `multi-shard-path` rule (and lock_shards_ascending) makes unrepresentable.
     let plans = vec![
         Plan { txn: TxnId(1), lock_order: vec![0, 1], add: 1, sst_fails: false },
         Plan { txn: TxnId(2), lock_order: vec![1, 0], add: 2, sst_fails: false },

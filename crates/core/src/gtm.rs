@@ -22,11 +22,11 @@
 //! queued incompatible work (the starvation this admits is exactly the
 //! §VII problem the [`StarvationPolicy`] extension addresses).
 
+use crate::commit::{commit_one, Member, Owned};
 use crate::dependence::DependenceMap;
 use crate::history::HistoryRecorder;
 use crate::policy::{AdmissionPolicy, StarvationPolicy};
 use crate::reconcile::reconcile;
-use crate::sst::{Sst, SstBatch};
 use crate::state::{ResourceState, TxnRecord, TxnState, WaitEntry};
 use pstm_lock::WaitsForGraph;
 use pstm_obs::prof::{self, CommitPhase};
@@ -185,10 +185,9 @@ pub enum CommitResult {
     Aborted(AbortReason),
 }
 
-/// Result of the local-commit phase ([`Gtm::commit_local`], Algorithm 3)
-/// when commit is driven in phases by an external coordinator — the
-/// sharded front-end's cross-shard commit folds several shards'
-/// `Prepared` writes into one SST.
+/// Result of the local-commit phase ([`Gtm::commit_local`], Algorithm 3),
+/// the per-(shard, txn) primitive [`crate::commit::commit_wave`] drives: a cross-shard
+/// commit folds several shards' `Prepared` writes into one SST.
 #[derive(Clone, Debug, PartialEq)]
 pub enum LocalCommit {
     /// Every touched resource reconciled; these writes await a global
@@ -198,45 +197,6 @@ pub enum LocalCommit {
     /// A local commit failed (reconciliation overflow, zero snapshot,
     /// engine read error); the transaction was aborted and cleaned up.
     Aborted(AbortReason, StepEffects),
-}
-
-/// Result of [`Gtm::commit_group_local`]: the reconcile-and-park half of
-/// a group commit, handed to a coordinator that flushes the fused batch
-/// outside this GTM's lock and then settles it with
-/// [`Gtm::commit_group_finish`].
-#[derive(Debug)]
-pub struct GroupLocal {
-    /// Members that settled during reconciliation (local aborts and
-    /// batch-rejection fallbacks) — final, nothing further owed.
-    pub settled: Vec<(TxnId, CommitResult)>,
-    /// The fused batch of `Prepared` members, parked in `Committing`.
-    /// `None` when every submitted member settled or deferred.
-    pub batch: Option<SstBatch>,
-    /// Members whose write estimate overlapped a batch member; untouched
-    /// and still active — resubmit after the batch's flush settles.
-    pub deferred: Vec<TxnId>,
-    /// Reconciled members whose real writes the batch rejected: parked in
-    /// `Committing`, owed a **solo** flush. The caller must execute each
-    /// outside the lock protecting this GTM and settle it with
-    /// [`Gtm::commit_solo_finish`].
-    pub overflow: Vec<Sst>,
-    /// Merged effects of the settles above (waiter mail, busy time).
-    pub effects: StepEffects,
-}
-
-/// Result of [`Gtm::commit_group_finish`].
-#[derive(Debug)]
-pub struct GroupFinish {
-    /// Members settled by the fused flush's outcome — final.
-    pub settled: Vec<(TxnId, CommitResult)>,
-    /// Members the fused flush could not decide (a constraint violation
-    /// somewhere in the batch): each is still parked and owed a solo
-    /// flush so only the violators abort. The caller must execute each
-    /// outside the lock protecting this GTM and settle it with
-    /// [`Gtm::commit_solo_finish`].
-    pub reflush: Vec<Sst>,
-    /// Merged effects of the settles above.
-    pub effects: StepEffects,
 }
 
 /// Result of [`Gtm::awake`].
@@ -291,11 +251,11 @@ pub struct Gtm {
     resources: BTreeMap<ResourceId, ResourceState>,
     config: GtmConfig,
     dependence: DependenceMap,
-    tracer: Tracer,
+    pub(crate) tracer: Tracer,
     history: HistoryRecorder,
     /// Seeded fault seam consulted at this manager's commit sites
     /// (`commit-local`, `reconcile`); `None` outside chaos runs.
-    fault_hook: Option<SharedFaultHook>,
+    pub(crate) fault_hook: Option<SharedFaultHook>,
     /// Shard index reported in this manager's fault-site labels.
     fault_shard: u32,
 }
@@ -336,23 +296,18 @@ impl Gtm {
     /// be discarded.
     fn fault_check(&self, site: FaultSite, now: Timestamp) -> PstmResult<()> {
         let Some(hook) = self.fault_hook.as_ref() else { return Ok(()) };
-        match hook.decide(site) {
-            FaultDecision::Proceed => Ok(()),
+        let (action, err) = match hook.decide(site) {
+            FaultDecision::Proceed => return Ok(()),
             FaultDecision::Io => {
-                self.tracer.emit(
-                    now,
-                    TraceEvent::FaultInjected { site: site.label(), action: "io".into() },
-                );
-                Err(PstmError::Io(format!("injected fault at {}", site.label())))
+                ("io", PstmError::Io(format!("injected fault at {}", site.label())))
             }
             FaultDecision::Crash | FaultDecision::Torn { .. } => {
-                self.tracer.emit(
-                    now,
-                    TraceEvent::FaultInjected { site: site.label(), action: "crash".into() },
-                );
-                Err(PstmError::Crashed(site.label()))
+                ("crash", PstmError::Crashed(site.label()))
             }
-        }
+        };
+        self.tracer
+            .emit(now, TraceEvent::FaultInjected { site: site.label(), action: action.into() });
+        Err(err)
     }
 
     /// Installs a tracer (event sink + metrics registry). Builder-style;
@@ -400,6 +355,12 @@ impl Gtm {
     #[must_use]
     pub fn bindings(&self) -> &BindingRegistry {
         &self.bindings
+    }
+
+    /// The configuration this manager was built with.
+    #[must_use]
+    pub fn config(&self) -> GtmConfig {
+        self.config
     }
 
     /// Current state of `txn` (`A_state`), if known.
@@ -774,7 +735,8 @@ impl Gtm {
 
     /// Commits `txn`: local commit on every touched resource
     /// (reconciliation, Algorithm 3), then the global commit (Algorithm
-    /// 4) — the SST flushes every `X_new` to the LDBS atomically.
+    /// 4) — the SST flushes every `X_new` to the LDBS atomically. This is
+    /// [`commit_one`] (the wave of one) on a manager the caller owns.
     ///
     /// Transient SST failures (I/O) are retried per
     /// [`GtmConfig::sst_retries`], each attempt charged
@@ -786,75 +748,15 @@ impl Gtm {
         txn: TxnId,
         now: Timestamp,
     ) -> PstmResult<(CommitResult, StepEffects)> {
-        let writes = match self.commit_local(txn, now)? {
-            LocalCommit::Prepared(writes) => writes,
-            LocalCommit::Aborted(reason, effects) => {
-                return Ok((CommitResult::Aborted(reason), effects));
-            }
-        };
-        self.settle_sst(Sst::new(txn, writes), now)
-    }
-
-    /// Global-commit tail shared by [`Gtm::commit`] and the per-member
-    /// fallback of [`Gtm::commit_group`]: attempt the SST (with retries),
-    /// then finish or abort the parked transaction accordingly.
-    fn settle_sst(&mut self, sst: Sst, now: Timestamp) -> PstmResult<(CommitResult, StepEffects)> {
-        // Global commit: one SST for all writes. Transient failures
-        // (I/O) are retried per the recovery policy; constraint
-        // violations are permanent.
-        let txn = sst.origin;
-        let write_count = sst.writes.len() as u32;
-        self.tracer.emit(now, TraceEvent::SstAttempt { txn, writes: write_count });
-        let mut at = now;
-        let mut sst_result = sst.execute(&self.db, &self.bindings);
-        let mut attempts = 0;
-        while attempts < self.config.sst_retries && matches!(sst_result, Err(PstmError::Io(_))) {
-            attempts += 1;
-            // The retry is not free: the LDBS needs its back-off before
-            // the write set is resubmitted, and the committer pays it.
-            at += self.config.sst_retry_delay;
-            self.tracer.emit(at, TraceEvent::SstRetry { txn, attempt: attempts });
-            sst_result = sst.execute(&self.db, &self.bindings);
-        }
-        let busy = at.since(now);
-        let (result, mut effects) = self.commit_solo_finish(&sst, sst_result, at)?;
-        effects.sst_busy = busy;
-        // Phase boundaries for span-emitting coordinators: reconciliation
-        // runs entirely at `now` in virtual time; the SST phase covers the
-        // first attempt through the last retry.
-        effects.reconcile_span = Some((now, now));
-        effects.sst_span = Some((now, at));
-        Ok((result, effects))
-    }
-
-    /// Solo flush for a member whose `SstAttempt` was already announced
-    /// (batch overflow, per-member reflush): execute with the configured
-    /// retries, then settle via [`Gtm::commit_solo_finish`]. Only for
-    /// coordinators that own this GTM outright — lock-holding callers
-    /// must execute the SST themselves, outside the lock.
-    fn solo_flush_settle(
-        &mut self,
-        sst: Sst,
-        now: Timestamp,
-    ) -> PstmResult<(CommitResult, StepEffects)> {
-        let mut at = now;
-        let mut flush = sst.execute(&self.db, &self.bindings);
-        let mut attempts = 0;
-        while attempts < self.config.sst_retries && matches!(flush, Err(PstmError::Io(_))) {
-            attempts += 1;
-            at += self.config.sst_retry_delay;
-            self.tracer.emit(at, TraceEvent::SstRetry { txn: sst.origin, attempt: attempts });
-            flush = sst.execute(&self.db, &self.bindings);
-        }
-        let (result, mut effects) = self.commit_solo_finish(&sst, flush, at)?;
-        effects.sst_busy += at.since(now);
-        Ok((result, effects))
+        let mut env = Owned::new(std::slice::from_mut(self), now);
+        let result = commit_one(&mut env, Member { txn, home: 0, shards: &[0] })?;
+        Ok((result, env.into_effects()))
     }
 
     /// The resources `txn` currently holds **mutating** grants on — the
-    /// conservative write-set estimate a group-commit station needs for
-    /// its disjointness cut *before* reconciliation computes the real
-    /// writes (reconciliation can only shrink the set, never grow it).
+    /// conservative write-set estimate [`crate::commit::commit_wave`] needs for its
+    /// disjointness cut *before* reconciliation computes the real writes
+    /// (reconciliation can only shrink the set, never grow it).
     #[must_use]
     pub fn mutated_resources(&self, txn: TxnId) -> Vec<ResourceId> {
         self.txns
@@ -863,254 +765,6 @@ impl Gtm {
                 rec.classes.iter().filter(|(_, c)| c.is_mutation()).map(|(r, _)| *r).collect()
             })
             .unwrap_or_default()
-    }
-
-    /// Group commit (the batched form of [`Gtm::commit`]): fuses members
-    /// with pairwise-disjoint write sets into [`SstBatch`]es and flushes
-    /// each batch as **one** SST attempt instead of one per member.
-    ///
-    /// The disjointness cut happens *before* any member reconciles, on
-    /// the conservative [`Gtm::mutated_resources`] estimate. Order
-    /// matters: reconciliation (in [`Gtm::commit_local`]) reads the
-    /// current permanent state, so a member whose writes overlap an
-    /// earlier member's must not reconcile until that member's SST has
-    /// applied — cutting only at flush time would fuse a stale
-    /// reconciliation and lose an update. An overlap therefore closes the
-    /// current group; reconcile → flush runs group by group.
-    ///
-    /// Retry accounting is per *batch* attempt: a transiently-failing
-    /// fused flush charges [`GtmConfig::sst_retry_delay`] once per retry
-    /// for the whole group, not once per member. A fused constraint
-    /// violation falls back to settling members individually, so only the
-    /// violating members abort. Returns each member's fate plus the
-    /// merged side effects.
-    pub fn commit_group(
-        &mut self,
-        txns: &[TxnId],
-        now: Timestamp,
-    ) -> PstmResult<(Vec<(TxnId, CommitResult)>, StepEffects)> {
-        let mut results = Vec::with_capacity(txns.len());
-        let mut effects = StepEffects::none();
-        let mut remaining: Vec<TxnId> = txns.to_vec();
-        // `at` advances only by per-*batch* retry charges, so deferred
-        // members reconcile at a time after the flush they overlapped.
-        let mut at = now;
-        while !remaining.is_empty() {
-            let local = self.commit_group_local(&remaining, at)?;
-            results.extend(local.settled);
-            effects.merge(local.effects);
-            // Batch-rejected members get their solo flush here — this
-            // coordinator owns the GTM outright, so there is no lock to
-            // release around the device round-trip.
-            for sst in local.overflow {
-                let txn = sst.origin;
-                let (r, e) = self.solo_flush_settle(sst, at)?;
-                effects.merge(e);
-                results.push((txn, r));
-            }
-            let Some(batch) = local.batch else {
-                // No batch ⇒ nothing parked ⇒ nothing deferred (the cut
-                // only defers against parked members' estimates).
-                debug_assert!(local.deferred.is_empty());
-                break;
-            };
-            let mut flush = batch.execute(&self.db, &self.bindings);
-            let mut attempts = 0;
-            while attempts < self.config.sst_retries && matches!(flush, Err(PstmError::Io(_))) {
-                attempts += 1;
-                at += self.config.sst_retry_delay;
-                self.tracer.emit(at, TraceEvent::SstRetry { txn: batch.leader, attempt: attempts });
-                flush = batch.execute(&self.db, &self.bindings);
-            }
-            let fin = self.commit_group_finish(batch, flush, at)?;
-            results.extend(fin.settled);
-            effects.merge(fin.effects);
-            for sst in fin.reflush {
-                let txn = sst.origin;
-                let (r, e) = self.solo_flush_settle(sst, at)?;
-                effects.merge(e);
-                results.push((txn, r));
-            }
-            remaining = local.deferred;
-        }
-        // Merge (not assign): fallback settles above already folded their
-        // own busy time and spans into `effects`.
-        let mut stamps = StepEffects::none();
-        stamps.sst_busy = at.since(now);
-        stamps.reconcile_span = Some((now, now));
-        stamps.sst_span = Some((now, at));
-        effects.merge(stamps);
-        Ok((results, effects))
-    }
-
-    /// Phase one of a split group commit: the reconcile-and-park half of
-    /// [`Gtm::commit_group`], for coordinators that must flush **outside**
-    /// the lock protecting this GTM (the front-end's group-commit station
-    /// releases the shard while the fused batch pays the device
-    /// round-trip, so waiting committers can keep executing).
-    ///
-    /// Walks `txns` in arrival order: a member whose pre-reconcile write
-    /// estimate ([`Gtm::mutated_resources`]) is disjoint from every
-    /// already-parked member reconciles ([`Gtm::commit_local`]) and joins
-    /// the fused batch; an overlapping member is **deferred** untouched —
-    /// its reconciliation reads permanent state, so it must not run until
-    /// the batch it overlaps has applied. Members that abort during
-    /// reconciliation settle immediately.
-    ///
-    /// The caller owns the returned batch's members (they are parked in
-    /// `Committing`) and MUST settle them with [`Gtm::commit_group_finish`]
-    /// after attempting the flush — on the same GTM, before reconciling
-    /// anything else on it. Deferred transactions stay fully active and
-    /// can be resubmitted once the flush lands.
-    pub fn commit_group_local(&mut self, txns: &[TxnId], now: Timestamp) -> PstmResult<GroupLocal> {
-        let mut settled = Vec::new();
-        let mut effects = StepEffects::none();
-        let mut deferred = Vec::new();
-        let mut overflow = Vec::new();
-        let mut batch: Option<SstBatch> = None;
-        let mut held: Vec<ResourceId> = Vec::new();
-        for &txn in txns {
-            let mutated = self.mutated_resources(txn);
-            if mutated.iter().any(|r| held.contains(r)) {
-                deferred.push(txn);
-                continue;
-            }
-            match self.commit_local(txn, now)? {
-                LocalCommit::Prepared(writes) => {
-                    let sst = Sst::new(txn, writes);
-                    match batch.as_mut() {
-                        // Disjoint by construction: real writes are a
-                        // subset of the mutating grants the cut used.
-                        // Should the estimate ever lie, the member is
-                        // handed back for a solo flush — never executed
-                        // here, under the caller's lock.
-                        Some(b) => {
-                            if let Err(rejected) = b.push(sst) {
-                                self.tracer.emit(
-                                    now,
-                                    TraceEvent::SstAttempt {
-                                        txn,
-                                        writes: rejected.writes.len() as u32,
-                                    },
-                                );
-                                overflow.push(rejected);
-                                held.extend(mutated);
-                                continue;
-                            }
-                        }
-                        None => batch = Some(SstBatch::of(sst)),
-                    }
-                    held.extend(mutated);
-                }
-                LocalCommit::Aborted(reason, e) => {
-                    // An aborted member parks nothing: its resources are
-                    // released, so it constrains no later member.
-                    effects.merge(e);
-                    settled.push((txn, CommitResult::Aborted(reason)));
-                }
-            }
-        }
-        if let Some(b) = &batch {
-            for m in &b.members {
-                self.tracer.emit(
-                    now,
-                    TraceEvent::SstAttempt { txn: m.origin, writes: m.writes.len() as u32 },
-                );
-            }
-            self.tracer
-                .emit(now, TraceEvent::GroupCommit { leader: b.leader, members: b.len() as u32 });
-        }
-        Ok(GroupLocal { settled, batch, deferred, overflow, effects })
-    }
-
-    /// Phase two of a split group commit: settles every member of `batch`
-    /// according to the fused flush's outcome. `Ok` finishes all members;
-    /// a constraint/type violation hands every member back as `reflush` —
-    /// each is owed a solo flush (executed by the caller, outside the
-    /// lock protecting this GTM) so only the violators abort; an I/O
-    /// failure aborts all members with `SstFailure`. A `Crashed` flush
-    /// propagates untouched — the simulated process is dead and the
-    /// members' parked state dies with it, exactly as in the unbatched
-    /// coordinated path.
-    pub fn commit_group_finish(
-        &mut self,
-        batch: SstBatch,
-        flush: PstmResult<()>,
-        now: Timestamp,
-    ) -> PstmResult<GroupFinish> {
-        let mut settled = Vec::with_capacity(batch.len());
-        let mut reflush = Vec::new();
-        let mut effects = StepEffects::none();
-        match flush {
-            Ok(()) => {
-                for m in &batch.members {
-                    if !m.is_empty() {
-                        self.tracer.emit(now, TraceEvent::SstApplied { txn: m.origin });
-                    }
-                    effects.merge(self.commit_finish(m.origin, now)?);
-                    settled.push((m.origin, CommitResult::Committed));
-                }
-            }
-            Err(PstmError::ConstraintViolation { .. }) | Err(PstmError::TypeMismatch { .. }) => {
-                // Per-transaction abort unwind: some member's reconciled
-                // value broke a constraint. Each member needs its own
-                // flush to tell violator from victim — hand them back
-                // rather than paying device round-trips under the lock.
-                for m in batch.members {
-                    self.tracer.emit(
-                        now,
-                        TraceEvent::SstAttempt { txn: m.origin, writes: m.writes.len() as u32 },
-                    );
-                    reflush.push(m);
-                }
-            }
-            Err(PstmError::Io(_)) => {
-                for m in &batch.members {
-                    effects.merge(self.commit_abort(m.origin, AbortReason::SstFailure, now)?);
-                    settled.push((m.origin, CommitResult::Aborted(AbortReason::SstFailure)));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-        Ok(GroupFinish { settled, reflush, effects })
-    }
-
-    /// Settles one parked member from the outcome of a **solo** flush the
-    /// caller executed (the flush itself must run outside the lock
-    /// protecting this GTM — see [`GroupLocal::overflow`] and
-    /// [`GroupFinish::reflush`]). `Ok` finishes the member; a constraint
-    /// or type violation aborts it with `Constraint`; an I/O failure
-    /// aborts it with `SstFailure`; anything else propagates.
-    pub fn commit_solo_finish(
-        &mut self,
-        sst: &Sst,
-        flush: PstmResult<()>,
-        now: Timestamp,
-    ) -> PstmResult<(CommitResult, StepEffects)> {
-        let txn = sst.origin;
-        match flush {
-            Ok(()) => {
-                if !sst.is_empty() {
-                    self.tracer.emit(now, TraceEvent::SstApplied { txn });
-                }
-                Ok((CommitResult::Committed, self.commit_finish(txn, now)?))
-            }
-            Err(PstmError::ConstraintViolation { .. }) | Err(PstmError::TypeMismatch { .. }) => {
-                // §VII problem 2: reconciliation violated an integrity
-                // constraint (or produced a value the column's declared
-                // type rejects) — the transaction aborts.
-                let reason = AbortReason::Constraint;
-                Ok((CommitResult::Aborted(reason), self.commit_abort(txn, reason, now)?))
-            }
-            Err(PstmError::Io(_)) => {
-                // Persistent SST failure: §VII's open problem. Nothing
-                // reached the database (the write set is all-or-nothing),
-                // so cleanup is pure bookkeeping.
-                let reason = AbortReason::SstFailure;
-                Ok((CommitResult::Aborted(reason), self.commit_abort(txn, reason, now)?))
-            }
-            Err(e) => Err(e),
-        }
     }
 
     /// Phase one of a coordinated commit (Algorithm 3): moves the
@@ -1124,17 +778,7 @@ impl Gtm {
         // The whole local commit is the reconcile phase; a failed commit's
         // unwind (abort_internal) carves out its own AbortUnwind time.
         let _phase = prof::PhaseTimer::start(CommitPhase::Reconcile);
-        let record = self.txn_mut(txn)?;
-        if record.state != TxnState::Active {
-            return Err(PstmError::InvalidState {
-                txn,
-                action: "commit",
-                state: record.state.name(),
-            });
-        }
-        record.state = TxnState::Committing;
-        let touched: Vec<(ResourceId, OpClass)> =
-            record.classes.iter().map(|(r, c)| (*r, *c)).collect();
+        let touched = self.touched_in(txn, TxnState::Active, "commit")?;
 
         // Local commits: move pending → committing, reconcile. Any error
         // here (a reconciliation overflow, an engine read failure) aborts
@@ -1147,10 +791,7 @@ impl Gtm {
                 // reconciliation is a separate arrival at the seam.
                 self.fault_check(FaultSite::Reconcile { shard: self.fault_shard }, now)?;
                 let permanent = self.perm(*resource)?;
-                let record = self.txns.get_mut(&txn).ok_or_else(|| {
-                    PstmError::internal(format!("committing {txn} has no record"))
-                })?;
-                let temp = record.temp.remove(resource);
+                let temp = self.txn_mut(txn)?.temp.remove(resource);
                 let rs = self.resources.entry(*resource).or_default();
                 rs.pending.remove(&txn);
                 rs.committing.insert(txn, *class);
@@ -1182,7 +823,7 @@ impl Gtm {
             Err(PstmError::Io(_)) => AbortReason::SstFailure,
             Err(e) => return Err(e),
         };
-        let (_, mut effects) = self.finish_failed_commit(txn, &touched, reason, now)?;
+        let mut effects = self.finish_failed_commit(txn, &touched, reason, now)?;
         // Reconciliation ran (and failed) at `now`.
         effects.reconcile_span = Some((now, now));
         Ok(LocalCommit::Aborted(reason, effects))
@@ -1195,26 +836,14 @@ impl Gtm {
     pub fn commit_finish(&mut self, txn: TxnId, now: Timestamp) -> PstmResult<StepEffects> {
         // History, committed marks, promotions: bookkeeping.
         let _phase = prof::PhaseTimer::start(CommitPhase::OpBookkeeping);
-        let record = self.txn_mut(txn)?;
-        if record.state != TxnState::Committing {
-            return Err(PstmError::InvalidState {
-                txn,
-                action: "commit-finish",
-                state: record.state.name(),
-            });
-        }
-        let touched: Vec<(ResourceId, OpClass)> =
-            record.classes.iter().map(|(r, c)| (*r, *c)).collect();
+        let touched = self.touched_in(txn, TxnState::Committing, "commit-finish")?;
         for (resource, class) in &touched {
             let rs = self.resources.entry(*resource).or_default();
             rs.committing.remove(&txn);
             rs.new.remove(&txn);
             rs.committed.push((txn, *class, now));
         }
-        let record = self
-            .txns
-            .get_mut(&txn)
-            .ok_or_else(|| PstmError::internal(format!("committing {txn} has no record")))?;
+        let record = self.txn_mut(txn)?;
         record.state = TxnState::Committed;
         record.t_sleep = None;
         record.t_wait.clear();
@@ -1235,30 +864,37 @@ impl Gtm {
         reason: AbortReason,
         now: Timestamp,
     ) -> PstmResult<StepEffects> {
-        let record = self.txn_mut(txn)?;
-        if record.state != TxnState::Committing {
-            return Err(PstmError::InvalidState {
-                txn,
-                action: "commit-abort",
-                state: record.state.name(),
-            });
-        }
-        let touched: Vec<(ResourceId, OpClass)> =
-            record.classes.iter().map(|(r, c)| (*r, *c)).collect();
-        let (_, effects) = self.finish_failed_commit(txn, &touched, reason, now)?;
-        Ok(effects)
+        let touched = self.touched_in(txn, TxnState::Committing, "commit-abort")?;
+        self.finish_failed_commit(txn, &touched, reason, now)
     }
 
-    /// Common tail of every failed global commit: clear the committing
-    /// marks, abort the transaction, and report its fate through the
-    /// return value rather than `StepEffects`.
+    /// Entry check shared by the three commit primitives: `txn` must be
+    /// in `state` and leaves this call in `Committing`; returns the
+    /// resources it touched with their classes.
+    fn touched_in(
+        &mut self,
+        txn: TxnId,
+        state: TxnState,
+        action: &'static str,
+    ) -> PstmResult<Vec<(ResourceId, OpClass)>> {
+        let record = self.txn_mut(txn)?;
+        if record.state != state {
+            return Err(PstmError::InvalidState { txn, action, state: record.state.name() });
+        }
+        record.state = TxnState::Committing;
+        Ok(record.classes.iter().map(|(r, c)| (*r, *c)).collect())
+    }
+
+    /// Common tail of every failed commit: clear the committing marks and
+    /// abort the transaction. Its own fate is not in the returned effects
+    /// — the caller reports it through its return value.
     fn finish_failed_commit(
         &mut self,
         txn: TxnId,
         touched: &[(ResourceId, OpClass)],
         reason: AbortReason,
         now: Timestamp,
-    ) -> PstmResult<(CommitResult, StepEffects)> {
+    ) -> PstmResult<StepEffects> {
         for (resource, _) in touched {
             let rs = self.resources.entry(*resource).or_default();
             rs.committing.remove(&txn);
@@ -1266,7 +902,7 @@ impl Gtm {
         }
         let mut effects = self.abort_internal(txn, reason, AbortOrigin::Commit, now)?;
         effects.aborted.retain(|(t, _)| *t != txn);
-        Ok((CommitResult::Aborted(reason), effects))
+        Ok(effects)
     }
 
     // ------------------------------------------------------------------

@@ -10,7 +10,8 @@
 //! * at commit the virtual copies are **reconciled** against the current
 //!   permanent value (eqs. 1–2) — [`reconcile`] — and flushed by a
 //!   **Secure System Transaction** (a short classical transaction against
-//!   the LDBS) — [`sst`];
+//!   the LDBS) — [`sst`]; one coordinator runs that commit for every
+//!   caller shape, solo, cross-shard or grouped — [`commit`];
 //! * disconnected/idle transactions become **sleeping** instead of
 //!   aborted; incompatible work may bypass them, and a sleeper that wakes
 //!   to find incompatible activity is aborted (Algorithm 9) — [`gtm`];
@@ -26,6 +27,7 @@
 
 #![warn(missing_docs)]
 
+pub mod commit;
 pub mod dependence;
 pub mod gtm;
 pub mod history;

@@ -55,22 +55,34 @@ impl Sst {
     /// abort.
     // pstm-lockgraph: flush-point
     pub fn execute(&self, db: &Database, bindings: &BindingRegistry) -> PstmResult<()> {
-        if self.is_empty() {
-            return Ok(());
-        }
-        let mut ws = WriteSet::new();
-        for (resource, value) in &self.writes {
-            let b = bindings.resolve(*resource)?;
-            ws = ws.with(WriteOp::Update {
-                table: b.table,
-                row_id: b.row,
-                column: b.column,
-                value: value.clone(),
-            });
-        }
-        db.apply_write_set(self.engine_txn(), &ws)?;
-        Ok(())
+        apply(db, bindings, self.engine_txn(), self.writes.iter())
     }
+}
+
+/// The one flush body behind [`Sst::execute`] and [`SstBatch::execute`]:
+/// resolves each `(resource, X_new)` pair to its column and applies the
+/// whole set as a single atomic engine write. Empty sets are skipped.
+fn apply<'a>(
+    db: &Database,
+    bindings: &BindingRegistry,
+    engine_txn: TxnId,
+    writes: impl Iterator<Item = &'a (ResourceId, Value)>,
+) -> PstmResult<()> {
+    let mut ws = WriteSet::new();
+    for (resource, value) in writes {
+        let b = bindings.resolve(*resource)?;
+        ws = ws.with(WriteOp::Update {
+            table: b.table,
+            row_id: b.row,
+            column: b.column,
+            value: value.clone(),
+        });
+    }
+    if ws.0.is_empty() {
+        return Ok(());
+    }
+    db.apply_write_set(engine_txn, &ws)?;
+    Ok(())
 }
 
 /// A fused SST batch: N ready commits on one shard flushed as **one**
@@ -149,24 +161,10 @@ impl SstBatch {
     /// applied for *any* member.
     // pstm-lockgraph: flush-point
     pub fn execute(&self, db: &Database, bindings: &BindingRegistry) -> PstmResult<()> {
-        let mut writes: Vec<(ResourceId, Value)> =
-            self.members.iter().flat_map(|m| m.writes.iter().cloned()).collect();
-        if writes.is_empty() {
-            return Ok(());
-        }
+        let mut writes: Vec<&(ResourceId, Value)> =
+            self.members.iter().flat_map(|m| m.writes.iter()).collect();
         writes.sort_by_key(|(r, _)| *r);
-        let mut ws = WriteSet::new();
-        for (resource, value) in &writes {
-            let b = bindings.resolve(*resource)?;
-            ws = ws.with(WriteOp::Update {
-                table: b.table,
-                row_id: b.row,
-                column: b.column,
-                value: value.clone(),
-            });
-        }
-        db.apply_write_set(self.engine_txn(), &ws)?;
-        Ok(())
+        apply(db, bindings, self.engine_txn(), writes.into_iter())
     }
 }
 

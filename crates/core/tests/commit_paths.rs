@@ -1,15 +1,19 @@
-//! Commit-path coverage: the eq. 2 exactness regression, the phased
-//! commit API the sharded front-end drives, and failure-path bookkeeping
-//! (mid-loop reconciliation errors, admission headroom after SST aborts).
+//! Commit-path coverage: the eq. 2 exactness regression, the per-(shard,
+//! txn) primitives and the one coordinator that drives them
+//! (`commit_wave`: fusion, the disjointness cut, per-member unwind, retry
+//! accounting, and a wave-shape × flush-outcome table), and failure-path
+//! bookkeeping (mid-loop reconciliation errors, admission headroom after
+//! SST aborts).
 
+use pstm_core::commit::{commit_wave, Member, Owned};
 use pstm_core::gtm::{CommitResult, Gtm, GtmConfig, LocalCommit};
 use pstm_core::policy::AdmissionPolicy;
 use pstm_core::sst::Sst;
 use pstm_core::TxnState;
 use pstm_storage::{BindingRegistry, ColumnDef, Constraint, Database, Row, TableSchema};
 use pstm_types::{
-    AbortReason, ExecOutcome, MemberId, PstmError, ResourceId, ScalarOp, Timestamp, TxnId, Value,
-    ValueKind,
+    AbortReason, ExecOutcome, MemberId, PstmError, ResourceId, ScalarOp, StepEffects, Timestamp,
+    TxnId, Value, ValueKind,
 };
 use std::sync::Arc;
 
@@ -51,6 +55,25 @@ fn setup(n: usize, initial: i64, config: GtmConfig) -> (Gtm, Vec<ResourceId>) {
 fn value_of(gtm: &Gtm, r: ResourceId) -> Value {
     let b = gtm.bindings().resolve(r).unwrap();
     gtm.database().get_col(b.table, b.row, b.column).unwrap()
+}
+
+/// Commits `txns` as grouped waves on one owned manager, resubmitting the
+/// members the cut deferred until none are left — what a group-commit
+/// station does. Returns every member's fate plus the merged effects.
+fn commit_grouped(
+    gtm: &mut Gtm,
+    txns: &[TxnId],
+    now: Timestamp,
+) -> (Vec<(TxnId, CommitResult)>, StepEffects) {
+    let mut env = Owned::new(std::slice::from_mut(gtm), now);
+    let mut fates = Vec::new();
+    let mut remaining = txns.to_vec();
+    while !remaining.is_empty() {
+        let wave: Vec<Member<'_>> =
+            remaining.iter().map(|&txn| Member { txn, home: 0, shards: &[0] }).collect();
+        remaining = commit_wave(&mut env, &wave, true, &mut fates).unwrap();
+    }
+    (fates, env.into_effects())
 }
 
 #[test]
@@ -224,7 +247,9 @@ fn group_commit_fuses_disjoint_members_and_all_land() {
         gtm.execute(txn, *r, ScalarOp::Sub(Value::Int(i as i64 + 1)), T0).unwrap();
     }
 
-    let (results, fx) = gtm.commit_group(&[t(1), t(2), t(3)], ts(1.0)).unwrap();
+    let engine_commits = gtm.database().stats().commits;
+    let (results, fx) = commit_grouped(&mut gtm, &[t(1), t(2), t(3)], ts(1.0));
+    assert_eq!(gtm.database().stats().commits, engine_commits + 1, "one fused engine commit");
     assert_eq!(results.len(), 3);
     for (txn, r) in &results {
         assert_eq!(*r, CommitResult::Committed, "{txn:?}");
@@ -250,7 +275,7 @@ fn group_commit_overlap_cuts_before_reconciliation_and_loses_no_update() {
     gtm.execute(t(1), x, ScalarOp::Sub(Value::Int(1)), T0).unwrap();
     gtm.execute(t(2), x, ScalarOp::Sub(Value::Int(2)), T0).unwrap();
 
-    let (results, _) = gtm.commit_group(&[t(1), t(2)], ts(1.0)).unwrap();
+    let (results, _) = commit_grouped(&mut gtm, &[t(1), t(2)], ts(1.0));
     for (txn, r) in &results {
         assert_eq!(*r, CommitResult::Committed, "{txn:?}");
     }
@@ -271,7 +296,7 @@ fn group_commit_constraint_violator_aborts_alone() {
     gtm.begin(t(2), T0).unwrap();
     gtm.execute(t(2), res[1], ScalarOp::Sub(Value::Int(150)), T0).unwrap();
 
-    let (results, _) = gtm.commit_group(&[t(1), t(2)], ts(1.0)).unwrap();
+    let (results, _) = commit_grouped(&mut gtm, &[t(1), t(2)], ts(1.0));
     let fate = |txn: TxnId| results.iter().find(|(x, _)| *x == txn).unwrap().1.clone();
     assert_eq!(fate(t(1)), CommitResult::Committed, "innocent member lands");
     assert_eq!(fate(t(2)), CommitResult::Aborted(AbortReason::Constraint));
@@ -304,7 +329,7 @@ fn group_commit_retry_delay_is_charged_once_per_batch_attempt() {
     let injector = Arc::new(FaultInjector::new(FaultPlan::new(7).io_on_sst_apply_each(1_000_000)));
     gtm.database().set_fault_hook(Arc::clone(&injector) as _);
 
-    let (results, fx) = gtm.commit_group(&[t(1), t(2)], ts(1.0)).unwrap();
+    let (results, fx) = commit_grouped(&mut gtm, &[t(1), t(2)], ts(1.0));
     for (txn, r) in &results {
         assert_eq!(*r, CommitResult::Aborted(AbortReason::SstFailure), "{txn:?}");
     }
@@ -316,6 +341,148 @@ fn group_commit_retry_delay_is_charged_once_per_batch_attempt() {
     );
     gtm.database().clear_fault_hook();
     gtm.check_invariants().unwrap();
+}
+
+/// Flush outcomes the table drives a wave through.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Flush {
+    Ok,
+    /// One transient I/O failure, inside the retry budget.
+    IoRetried,
+    /// Every attempt fails with I/O: the retry budget runs out.
+    IoExhausted,
+    /// The shape's last member reconciles to a value the CHECK rejects.
+    Constraint,
+    /// The process dies inside the first SST apply.
+    Crashed,
+}
+
+#[test]
+fn wave_shape_by_flush_outcome_table() {
+    use pstm_faults::{FaultInjector, FaultPlan};
+    use pstm_types::FailNextSstApplies;
+
+    // Resource `i` lives on shard `i % 2`. Each shape lists its members
+    // as (txn, resources); a member's shards follow from its resources.
+    let shapes = [
+        ("1 member x 1 shard", false, vec![(1, vec![0])]),
+        ("1 member x 2 shards", false, vec![(1, vec![0, 1])]),
+        ("3 disjoint members x 1 shard", true, vec![(1, vec![0]), (2, vec![2]), (3, vec![4])]),
+        ("2 overlapping members", true, vec![(1, vec![0]), (2, vec![0])]),
+    ];
+    let flushes =
+        [Flush::Ok, Flush::IoRetried, Flush::IoExhausted, Flush::Constraint, Flush::Crashed];
+    let config = GtmConfig { sst_retries: 2, ..GtmConfig::default() };
+
+    for (shape, grouped, members) in &shapes {
+        for flush in flushes {
+            let case = format!("{shape} / {flush:?}");
+            let (gtm, res) = setup(6, 100, config);
+            let db = Arc::clone(gtm.database());
+            let second = Gtm::new(Arc::clone(&db), gtm.bindings().clone(), config);
+            let mut gtms = vec![gtm, second];
+            let violator = members.last().map(|(txn, _)| *txn);
+            let mut expected = [100i64; 6];
+            let mut shard_sets: Vec<Vec<usize>> = Vec::new();
+            for (txn, resources) in members {
+                let amount =
+                    if flush == Flush::Constraint && Some(*txn) == violator { 150 } else { 1 };
+                let mut shards: Vec<usize> = resources.iter().map(|r| r % 2).collect();
+                shards.dedup();
+                for &s in &shards {
+                    gtms[s].begin(t(*txn), T0).unwrap();
+                }
+                for &r in resources {
+                    gtms[r % 2]
+                        .execute(t(*txn), res[r], ScalarOp::Sub(Value::Int(amount)), T0)
+                        .unwrap();
+                    if amount == 1 && !matches!(flush, Flush::IoExhausted | Flush::Crashed) {
+                        expected[r] -= 1;
+                    }
+                }
+                shard_sets.push(shards);
+            }
+            match flush {
+                Flush::Ok | Flush::Constraint => {}
+                Flush::IoRetried => db.set_fault_hook(FailNextSstApplies::hook(1)),
+                Flush::IoExhausted => db.set_fault_hook(Arc::new(FaultInjector::new(
+                    FaultPlan::new(1).io_on_sst_apply_each(1_000_000),
+                ))),
+                Flush::Crashed => db.set_fault_hook(Arc::new(FaultInjector::new(
+                    FaultPlan::new(1).crash_at_kind("sst-apply", 1),
+                ))),
+            }
+
+            // Drive the coordinator like a station: resubmit what the cut
+            // deferred until nothing is left or the process died.
+            let mut env = Owned::new(&mut gtms, ts(1.0));
+            let mut fates = Vec::new();
+            let mut remaining: Vec<usize> = (0..members.len()).collect();
+            let mut died = None;
+            while !remaining.is_empty() {
+                let wave: Vec<Member<'_>> = remaining
+                    .iter()
+                    .map(|&i| Member {
+                        txn: t(members[i].0),
+                        home: shard_sets[i][0],
+                        shards: &shard_sets[i],
+                    })
+                    .collect();
+                match commit_wave(&mut env, &wave, *grouped, &mut fates) {
+                    Ok(deferred) => remaining.retain(|&i| deferred.contains(&t(members[i].0))),
+                    Err(e) => {
+                        died = Some(e);
+                        break;
+                    }
+                }
+            }
+            drop(env);
+            db.clear_fault_hook();
+
+            if flush == Flush::Crashed {
+                assert_eq!(died, Some(PstmError::Crashed("sst-apply".into())), "{case}");
+                assert!(fates.is_empty(), "{case}: nobody settled before the crash");
+                let parked = gtms[shard_sets[0][0]].state(t(members[0].0));
+                assert_eq!(
+                    parked,
+                    Some(TxnState::Committing),
+                    "{case}: volatile state died parked"
+                );
+                continue;
+            }
+            assert_eq!(died, None, "{case}");
+            assert_eq!(fates.len(), members.len(), "{case}: every member has exactly one fate");
+            for (i, (txn, _)) in members.iter().enumerate() {
+                let want = match flush {
+                    Flush::IoExhausted => CommitResult::Aborted(AbortReason::SstFailure),
+                    Flush::Constraint if Some(*txn) == violator => {
+                        CommitResult::Aborted(AbortReason::Constraint)
+                    }
+                    _ => CommitResult::Committed,
+                };
+                let got = fates.iter().find(|(x, _)| *x == t(*txn)).map(|(_, r)| r.clone());
+                assert_eq!(got, Some(want.clone()), "{case}: fate of txn {txn}");
+                let settled = match want {
+                    CommitResult::Committed => TxnState::Committed,
+                    CommitResult::Aborted(_) => TxnState::Aborted,
+                };
+                for &s in &shard_sets[i] {
+                    assert_eq!(
+                        gtms[s].state(t(*txn)),
+                        Some(settled),
+                        "{case}: txn {txn} on shard {s}"
+                    );
+                }
+            }
+            for (r, want) in expected.iter().enumerate() {
+                assert_eq!(value_of(&gtms[0], res[r]), Value::Int(*want), "{case}: resource {r}");
+            }
+            for gtm in &gtms {
+                gtm.check_invariants().unwrap_or_else(|e| panic!("{case}: {e}"));
+                gtm.verify_serializable().unwrap_or_else(|e| panic!("{case}: {e}"));
+            }
+        }
+    }
 }
 
 #[test]

@@ -3,18 +3,20 @@
 //! recoveries, then proves the two recovery invariants and hands the
 //! stitched trace to `pstm-check` for serializability certification.
 //!
-//! ## Why a dedicated coordinator instead of `pstm-front`
+//! ## Why a dedicated environment instead of `pstm-front`
 //!
-//! The sharded front-end is the *production* phased-commit coordinator,
-//! but it is wall-clocked and multi-threaded — two properties the chaos
-//! matrix cannot afford, because every `(seed, plan)` pair must replay
-//! byte-identically (`pstm-check`'s wall-clock lint exists for the same
-//! reason). The harness therefore replicates the front-end's commit
-//! protocol exactly — lock shards ascending, `commit_local` each, fuse
-//! one [`Sst`], consult the `pre-sst`/`pre-finish` seams, then
-//! `commit_finish`/`commit_abort` — on a virtual clock, one step at a
-//! time. The front-end's own seams are exercised under real threads by
-//! the `sst_exhaustion` integration tests.
+//! The sharded front-end is the *production* environment of the commit
+//! coordinator, but it is wall-clocked and multi-threaded — two
+//! properties the chaos matrix cannot afford, because every `(seed,
+//! plan)` pair must replay byte-identically (`pstm-check`'s wall-clock
+//! lint exists for the same reason). The harness therefore drives the
+//! *same* coordinator ([`commit_wave`]: `commit_local` ascending, one
+//! fused SST between the `pre-sst`/`pre-finish` seams, then
+//! `commit_finish`/`commit_abort`) through its own [`CommitEnv`]: shards
+//! are owned managers, the clock is virtual and ticks per phase, a retry
+//! back-off charges virtual time, and the flush callback records the
+//! in-flight write intents. The front-end's environment is exercised
+//! under real threads by the `sst_exhaustion` integration tests.
 //!
 //! ## The invariant ledger
 //!
@@ -36,15 +38,16 @@
 use crate::injector::{FaultInjector, FiredFault};
 use crate::plan::FaultPlan;
 use pstm_check::{stitch_streams, verify_streams, TraceStream, Verdict};
-use pstm_core::gtm::{CommitResult, Gtm, GtmConfig, LocalCommit};
-use pstm_core::sst::Sst;
+use pstm_core::commit::{commit_wave, CommitEnv, Member, Shards};
+use pstm_core::gtm::{CommitResult, Gtm, GtmConfig};
+use pstm_core::sst::SstBatch;
 use pstm_obs::postmortem::{analyze, Postmortem};
 use pstm_obs::recorder::{read_recorder, Recorder, ENGINE_SHARD};
 use pstm_obs::{RingHandle, RingSink, Sink, TeeSink, TraceEvent, Tracer};
 use pstm_storage::{BindingRegistry, Database};
 use pstm_types::{
-    AbortReason, Duration, ExecOutcome, FaultHook, FaultSite, PstmError, PstmResult, ResourceId,
-    ScalarOp, Timestamp, TxnId, Value,
+    AbortReason, Duration, ExecOutcome, FaultDecision, FaultHook, FaultSite, PstmError, PstmResult,
+    ResourceId, ScalarOp, StepEffects, Timestamp, TxnId, Value,
 };
 use pstm_workload::counter_world;
 use rand::prelude::*;
@@ -78,11 +81,10 @@ pub struct ChaosConfig {
     /// guaranteed to finish (a plan of unbounded crashes would otherwise
     /// never drain the session list).
     pub max_recoveries: u32,
-    /// Commit single-shard sessions through the fused group-commit
-    /// protocol (the front-end station's split
-    /// `commit_group_local`/`commit_group_finish` API) instead of one
-    /// coordinated commit each. Multi-shard sessions still go through the
-    /// cross-shard path, exactly like the production front-end.
+    /// Commit each shard's single-shard sessions as one grouped wave (the
+    /// front-end station's shape) instead of a wave of one each.
+    /// Multi-shard sessions still commit alone, exactly like the
+    /// production front-end.
     pub group_commit: bool,
     /// When set, every epoch's trace streams *also* flow into a durable
     /// flight-recorder file `epoch{N}.rec` under this directory (one file
@@ -191,13 +193,6 @@ struct Epoch {
     engine_ring: RingHandle,
 }
 
-/// Outcome of one session's phased commit (crashes propagate as
-/// `Err(PstmError::Crashed)` instead).
-enum Settle {
-    Committed,
-    Aborted(AbortReason),
-}
-
 struct Chaos {
     db: Arc<Database>,
     bindings: BindingRegistry,
@@ -207,19 +202,16 @@ struct Chaos {
     clock: u64,
     /// Per-resource acknowledged `Sub` total.
     acked: Vec<i64>,
-    /// Write intents (resource index → subs) of the commit in flight, if
-    /// a commit attempt is mid-protocol. For a fused group this is the
+    /// Write intents (resource index → subs) of the last batch submitted
+    /// to the engine ([`ChaosEnv::flushing`]). For a fused group this is the
     /// *union* of the batch members' intents: the batch applies as one
     /// all-or-nothing engine write, so invariant 2 sees one in-flight
     /// unit either fully absent or fully applied.
     in_flight: Option<BTreeMap<usize, i64>>,
-    /// How many sessions the in-flight unit carries (1 for a solo
-    /// commit, the batch size for a fused group) — the reclassification
-    /// quantum when a crashed unit turns out to have survived whole.
-    in_flight_members: u64,
     /// The transactions riding the in-flight unit (the solo committer,
-    /// or the fused batch members' origins) — what the post-mortem's
-    /// in-doubt set is compared against when the unit survives a crash.
+    /// or the fused batch members' origins) — the reclassification
+    /// quantum when a crashed unit turns out to have survived whole, and
+    /// what the post-mortem's in-doubt set is compared against then.
     in_flight_txns: Vec<TxnId>,
     /// The live epoch's flight recorder, when recorder mode is on.
     recorder: Option<Recorder>,
@@ -277,7 +269,13 @@ impl Chaos {
             let ring = RingSink::new(1 << 20);
             shard_rings.push(ring.handle());
             let tracer = Tracer::with_sink(tee(ring, i as u32, &self.recorder));
-            let gtm_config = GtmConfig { sst_retries: 2, ..GtmConfig::default() };
+            // A real retry budget, each retry charged 1 ms of virtual
+            // time by the coordinator's back-off.
+            let gtm_config = GtmConfig {
+                sst_retries: 2,
+                sst_retry_delay: Duration::from_secs_f64(0.001),
+                ..GtmConfig::default()
+            };
             let mut gtm = Gtm::new(Arc::clone(&self.db), self.bindings.clone(), gtm_config)
                 .with_tracer(tracer);
             gtm.set_fault_hook(Arc::clone(&self.injector) as _, i as u32);
@@ -397,237 +395,68 @@ impl Chaos {
         }
         Ok(())
     }
+}
 
-    /// The front-end's coordinated commit, replicated on the virtual
-    /// clock: `commit_local` ascending, one fused SST with transient-I/O
-    /// retries, the `pre-sst`/`pre-finish` seams in their real positions,
-    /// then per-shard settlement.
-    fn commit_session(
+/// The chaos run as the coordinator's environment: shards are the
+/// epoch's owned managers, every phase ticks the virtual clock, a retry
+/// back-off charges it, the injector is the fault seam, and each flush
+/// records what is in flight for the ledger's crash check.
+struct ChaosEnv<'a> {
+    chaos: &'a mut Chaos,
+    gtms: &'a mut [Gtm],
+    wave: &'a [WaveSession],
+}
+
+impl CommitEnv for ChaosEnv<'_> {
+    fn with_shards<R>(
         &mut self,
-        epoch: &mut Epoch,
-        txn: TxnId,
-        shards: &[usize],
-    ) -> PstmResult<Settle> {
-        let now = self.now();
-        let mut writes = Vec::new();
-        let mut failed_at: Option<(usize, AbortReason)> = None;
-        for (i, &s) in shards.iter().enumerate() {
-            match epoch.gtms[s].commit_local(txn, now)? {
-                LocalCommit::Prepared(w) => writes.extend(w),
-                LocalCommit::Aborted(reason, _fx) => {
-                    failed_at = Some((i, reason));
-                    break;
-                }
-            }
-        }
-        if let Some((k, reason)) = failed_at {
-            for (i, &s) in shards.iter().enumerate() {
-                match i.cmp(&k) {
-                    std::cmp::Ordering::Less => {
-                        epoch.gtms[s].commit_abort(txn, reason, now)?;
-                    }
-                    std::cmp::Ordering::Equal => {}
-                    std::cmp::Ordering::Greater => {
-                        epoch.gtms[s].abort(txn, now)?;
-                    }
-                }
-            }
-            return Ok(Settle::Aborted(reason));
-        }
-
-        let sst = Sst::new(txn, writes);
-        let pre_sst_io = match self.injector.decide(FaultSite::PreSst) {
-            pstm_types::FaultDecision::Proceed => false,
-            pstm_types::FaultDecision::Io => true,
-            _ => {
-                // Mirror the front-end: the seam announces itself before
-                // the simulated process dies, so a post-mortem over the
-                // recorder file can name the crash site.
-                epoch.gtms[shards[0]].tracer().emit(
-                    now,
-                    TraceEvent::FaultInjected {
-                        site: FaultSite::PreSst.label(),
-                        action: "crash".into(),
-                    },
-                );
-                return Err(PstmError::Crashed(FaultSite::PreSst.label()));
-            }
-        };
-        let mut sst_result = if pre_sst_io {
-            Err(PstmError::Io("injected pre-SST fault".into()))
-        } else {
-            sst.execute(&self.db, &self.bindings)
-        };
-        let retries = GtmConfig { sst_retries: 2, ..GtmConfig::default() }.sst_retries;
-        let mut attempts = 0;
-        while attempts < retries && matches!(sst_result, Err(PstmError::Io(_))) {
-            attempts += 1;
-            self.clock += Duration::from_secs_f64(0.001).0; // virtual back-off
-            sst_result = sst.execute(&self.db, &self.bindings);
-        }
-
-        let settled_at = self.now();
-        let reason = match sst_result {
-            Ok(()) => {
-                match self.injector.decide(FaultSite::PreFinish) {
-                    pstm_types::FaultDecision::Proceed => {}
-                    _ => {
-                        epoch.gtms[shards[0]].tracer().emit(
-                            settled_at,
-                            TraceEvent::FaultInjected {
-                                site: FaultSite::PreFinish.label(),
-                                action: "crash".into(),
-                            },
-                        );
-                        return Err(PstmError::Crashed(FaultSite::PreFinish.label()));
-                    }
-                }
-                for &s in shards {
-                    epoch.gtms[s].commit_finish(txn, settled_at)?;
-                }
-                return Ok(Settle::Committed);
-            }
-            Err(PstmError::ConstraintViolation { .. }) | Err(PstmError::TypeMismatch { .. }) => {
-                AbortReason::Constraint
-            }
-            Err(PstmError::Io(_)) => AbortReason::SstFailure,
-            Err(e @ PstmError::Crashed(_)) => return Err(e),
-            Err(e) => return Err(e),
-        };
-        for &s in shards {
-            epoch.gtms[s].commit_abort(txn, reason, settled_at)?;
-        }
-        Ok(Settle::Aborted(reason))
+        _shards: &[usize],
+        f: impl FnOnce(&mut dyn Shards, Timestamp) -> R,
+    ) -> R {
+        let now = self.chaos.now();
+        f(&mut &mut *self.gtms, now)
     }
 
-    /// The front-end's group-commit station, replicated on the virtual
-    /// clock: the `pre-sst` seam, [`Gtm::commit_group_local`]'s greedy
-    /// cut, one fused flush with transient-I/O retries, the `pre-finish`
-    /// seam, then [`Gtm::commit_group_finish`] — looping until the
-    /// deferred members (write estimates overlapping an earlier batch)
-    /// drain. Settles append to `settles` incrementally so a crash keeps
-    /// the accounting of members settled by earlier batches.
-    fn commit_group_wave(
-        &mut self,
-        epoch: &mut Epoch,
-        shard: usize,
-        idxs: &[usize],
-        wave: &[WaveSession],
-        settles: &mut Vec<(usize, Settle)>,
-    ) -> PstmResult<()> {
-        let idx_of = |txn: TxnId| idxs.iter().copied().find(|&i| wave[i].0 == txn);
-        let settle_of = |result: CommitResult| match result {
-            CommitResult::Committed => Settle::Committed,
-            CommitResult::Aborted(reason) => Settle::Aborted(reason),
-        };
-        let mut remaining: Vec<usize> = idxs.to_vec();
-        while !remaining.is_empty() {
-            match self.injector.decide(FaultSite::PreSst) {
-                pstm_types::FaultDecision::Proceed => {}
-                _ => {
-                    epoch.gtms[shard].tracer().emit(
-                        self.now(),
-                        TraceEvent::FaultInjected {
-                            site: FaultSite::PreSst.label(),
-                            action: "crash".into(),
-                        },
-                    );
-                    return Err(PstmError::Crashed(FaultSite::PreSst.label()));
-                }
-            }
-            let txns: Vec<TxnId> = remaining.iter().map(|&i| wave[i].0).collect();
-            let now = self.now();
-            let mut local = epoch.gtms[shard].commit_group_local(&txns, now)?;
-            for (txn, result) in &local.settled {
-                if let Some(i) = idx_of(*txn) {
-                    settles.push((i, settle_of(result.clone())));
-                }
-            }
-            let deferred: Vec<usize> = local.deferred.iter().filter_map(|&t| idx_of(t)).collect();
-            // Batch-rejected members: solo flush (no lock here — the
-            // harness owns every GTM), then settle on the outcome.
-            for sst in std::mem::take(&mut local.overflow) {
-                let txn = sst.origin;
-                let flush = sst.execute(&self.db, &self.bindings);
-                let (result, _fx) =
-                    epoch.gtms[shard].commit_solo_finish(&sst, flush, self.now())?;
-                if let Some(i) = idx_of(txn) {
-                    settles.push((i, settle_of(result)));
-                }
-            }
-            let Some(batch) = local.batch.take() else {
-                // No batch ⇒ nothing parked ⇒ nothing deferred (the cut
-                // only defers against parked members).
-                debug_assert!(deferred.is_empty());
-                remaining = deferred;
-                continue;
-            };
-            let mut intents: BTreeMap<usize, i64> = BTreeMap::new();
-            for m in &batch.members {
-                if let Some(i) = idx_of(m.origin) {
-                    for (&r, &n) in &wave[i].2 {
-                        *intents.entry(r).or_insert(0) += n;
-                    }
-                }
-            }
-            self.in_flight = Some(intents);
-            self.in_flight_members = batch.len() as u64;
-            self.in_flight_txns = batch.members.iter().map(|m| m.origin).collect();
-            let mut flush = batch.execute(&self.db, &self.bindings);
-            let retries = GtmConfig { sst_retries: 2, ..GtmConfig::default() }.sst_retries;
-            let mut attempts = 0;
-            while attempts < retries && matches!(flush, Err(PstmError::Io(_))) {
-                attempts += 1;
-                self.clock += Duration::from_secs_f64(0.001).0; // virtual back-off
-                flush = batch.execute(&self.db, &self.bindings);
-            }
-            if flush.is_ok() {
-                // The fused SST is durable but no member has learned the
-                // outcome: a crash here must leave the whole group
-                // visible exactly once after recovery.
-                match self.injector.decide(FaultSite::PreFinish) {
-                    pstm_types::FaultDecision::Proceed => {}
-                    _ => {
-                        epoch.gtms[shard].tracer().emit(
-                            self.now(),
-                            TraceEvent::FaultInjected {
-                                site: FaultSite::PreFinish.label(),
-                                action: "crash".into(),
-                            },
-                        );
-                        return Err(PstmError::Crashed(FaultSite::PreFinish.label()));
-                    }
-                }
-            }
-            let settled_at = self.now();
-            let fin = epoch.gtms[shard].commit_group_finish(batch, flush, settled_at)?;
-            self.in_flight = None;
-            self.in_flight_members = 1;
-            self.in_flight_txns.clear();
-            for (txn, result) in fin.settled {
-                if let Some(i) = idx_of(txn) {
-                    settles.push((i, settle_of(result)));
-                }
-            }
-            // A constraint violation somewhere in the batch: each member
-            // re-flushes solo so only the violators abort.
-            for sst in fin.reflush {
-                let txn = sst.origin;
-                let solo = sst.execute(&self.db, &self.bindings);
-                let (result, _fx) = epoch.gtms[shard].commit_solo_finish(&sst, solo, self.now())?;
-                if let Some(i) = idx_of(txn) {
-                    settles.push((i, settle_of(result)));
-                }
-            }
-            remaining = deferred;
-        }
-        Ok(())
+    fn engine(&self) -> (&Database, &BindingRegistry) {
+        (&self.chaos.db, &self.chaos.bindings)
     }
+
+    /// The in-flight unit is the batch: it applies as one all-or-nothing
+    /// engine write, so its intents are the union of its members'.
+    fn flushing(&mut self, batch: &SstBatch) {
+        let mut intents: BTreeMap<usize, i64> = BTreeMap::new();
+        for m in &batch.members {
+            if let Some((_, _, subs, _)) = self.wave.iter().find(|s| s.0 == m.origin) {
+                for (&r, &n) in subs {
+                    *intents.entry(r).or_insert(0) += n;
+                }
+            }
+        }
+        self.chaos.in_flight = Some(intents);
+        self.chaos.in_flight_txns = batch.members.iter().map(|m| m.origin).collect();
+    }
+
+    fn backoff(&mut self, delay: Duration) {
+        self.chaos.clock += delay.0;
+    }
+
+    fn fault(&mut self, site: FaultSite) -> FaultDecision {
+        self.chaos.injector.decide(site)
+    }
+
+    fn emit(&mut self, home: usize, event: TraceEvent) {
+        let now = self.chaos.now();
+        self.gtms[home].tracer().emit(now, event);
+    }
+
+    /// Sessions never wait on each other (`Sub`/`Sub` is compatible), so
+    /// there is nobody to notify.
+    fn effects(&mut self, _fx: StepEffects) {}
 }
 
 /// One session in a wave: txn id, its (sorted, deduped) shard set, its
 /// planned `Sub(1)` counts per resource index, and whether it is still
-/// alive (not aborted during execution).
+/// unsettled (not aborted during execution, no commit fate yet).
 type WaveSession = (TxnId, Vec<usize>, BTreeMap<usize, i64>, bool);
 
 /// Runs one full chaos scenario; see the module docs for the protocol and
@@ -651,7 +480,6 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
         clock: 0,
         acked: vec![0; config.resources],
         in_flight: None,
-        in_flight_members: 1,
         in_flight_txns: Vec::new(),
         recorder: None,
         epoch_no: 0,
@@ -732,67 +560,52 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
             }
         }
 
-        // ---- Commit the wave, one coordinated unit at a time ---------
-        // A unit is one commit-protocol run: a solo session through the
-        // cross-shard phased path, or (group-commit mode) all of a
-        // shard's single-shard sessions fused through the station's
-        // split protocol.
-        enum Unit {
-            Solo(usize),
-            Group(usize, Vec<usize>),
-        }
-        let mut units: Vec<Unit> = Vec::new();
-        if chaos.config.group_commit {
-            let mut per_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            for (i, (_, shards, _, alive)) in wave.iter().enumerate() {
-                if !*alive {
-                    continue;
-                }
-                if shards.len() == 1 {
-                    per_shard.entry(shards[0]).or_default().push(i);
-                } else {
-                    units.push(Unit::Solo(i));
-                }
+        // ---- Commit the wave, one coordinator run at a time -----------
+        // A unit is the member list handed to `commit_wave`: one session
+        // as the wave of one, or (group-commit mode) all of a shard's
+        // single-shard sessions as one grouped wave.
+        let mut units: Vec<(Vec<usize>, bool)> = Vec::new();
+        let mut per_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (i, (_, shards, _, alive)) in wave.iter().enumerate() {
+            if !*alive {
+                continue;
             }
-            units.extend(per_shard.into_iter().map(|(s, idxs)| Unit::Group(s, idxs)));
-        } else {
-            units.extend(
-                wave.iter()
-                    .enumerate()
-                    .filter(|(_, (_, _, _, alive))| *alive)
-                    .map(|(i, _)| Unit::Solo(i)),
-            );
+            if chaos.config.group_commit && shards.len() == 1 {
+                per_shard.entry(shards[0]).or_default().push(i);
+            } else {
+                units.push((vec![i], false));
+            }
         }
-        let mut settled_flags = vec![false; wave.len()];
-        for unit in units {
-            let mut settles: Vec<(usize, Settle)> = Vec::new();
-            let result = match &unit {
-                Unit::Solo(i) => {
-                    let (txn, shards, subs, _) = &wave[*i];
-                    chaos.in_flight = Some(subs.clone());
-                    chaos.in_flight_members = 1;
-                    chaos.in_flight_txns = vec![*txn];
-                    chaos.commit_session(&mut epoch, *txn, shards).map(|settle| {
-                        settles.push((*i, settle));
-                    })
-                }
-                Unit::Group(shard, idxs) => {
-                    chaos.commit_group_wave(&mut epoch, *shard, idxs, &wave, &mut settles)
+        units.extend(per_shard.into_values().map(|idxs| (idxs, true)));
+        for (mut idxs, grouped) in units {
+            // Fates land here as members settle — on a crash, members
+            // settled by earlier batches keep their acknowledged outcome.
+            let mut fates: Vec<(TxnId, CommitResult)> = Vec::new();
+            let result = loop {
+                let members: Vec<Member<'_>> = idxs
+                    .iter()
+                    .map(|&i| Member { txn: wave[i].0, home: wave[i].1[0], shards: &wave[i].1 })
+                    .collect();
+                let mut env = ChaosEnv { chaos: &mut chaos, gtms: &mut epoch.gtms, wave: &wave };
+                match commit_wave(&mut env, &members, grouped, &mut fates) {
+                    Ok(deferred) if deferred.is_empty() => break Ok(()),
+                    // Deferred members overlapped the batch just flushed:
+                    // they go round again, against post-flush state.
+                    Ok(deferred) => idxs.retain(|&i| deferred.contains(&wave[i].0)),
+                    Err(e) => break Err(e),
                 }
             };
-            // Fold whatever settled before the unit ended — on a crash,
-            // members settled by earlier batches of a group keep their
-            // acknowledged outcome.
-            for (i, settle) in settles {
-                settled_flags[i] = true;
-                match settle {
-                    Settle::Committed => {
+            for (txn, fate) in fates {
+                let Some(i) = wave.iter().position(|s| s.0 == txn) else { continue };
+                wave[i].3 = false;
+                match fate {
+                    CommitResult::Committed => {
                         for (&r, &n) in &wave[i].2 {
                             chaos.acked[r] += n;
                         }
                         committed += 1;
                     }
-                    Settle::Aborted(reason) => {
+                    CommitResult::Aborted(reason) => {
                         aborted += 1;
                         if reason == AbortReason::SstFailure {
                             aborted_sst_failure += 1;
@@ -803,7 +616,6 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
             match result {
                 Ok(()) => {
                     chaos.in_flight = None;
-                    chaos.in_flight_members = 1;
                     chaos.in_flight_txns.clear();
                 }
                 Err(PstmError::Crashed(_)) => {
@@ -811,14 +623,10 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
                     // wave's other sessions) perishes; the engine
                     // recovers from checkpoint + WAL.
                     crashes += 1;
-                    // Every alive-but-unsettled session is lost, pending
+                    // Every still-unsettled session is lost, pending
                     // reclassification of the in-flight unit below.
-                    let stranded_txns: Vec<TxnId> = wave
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, (_, _, _, alive))| *alive && !settled_flags[*i])
-                        .map(|(_, (txn, _, _, _))| *txn)
-                        .collect();
+                    let stranded_txns: Vec<TxnId> =
+                        wave.iter().filter(|s| s.3).map(|s| s.0).collect();
                     lost += stranded_txns.len() as u64;
                     chaos.close_epoch(&epoch);
                     // Reconstruct the crash picture from the recorder
@@ -842,8 +650,8 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
                         // check_ledger signalled "applied whole": the
                         // unit saw a crash but its fused SST survived —
                         // every member visible exactly once.
-                        committed_in_doubt += chaos.in_flight_members;
-                        lost -= chaos.in_flight_members;
+                        committed_in_doubt += chaos.in_flight_txns.len() as u64;
+                        lost -= chaos.in_flight_txns.len() as u64;
                     }
                     if let Some(pm) = postmortem {
                         // The recorder's in-doubt classification must
@@ -854,7 +662,6 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
                             if unit_survived { chaos.in_flight_txns.clone() } else { Vec::new() };
                         chaos.check_postmortem(&pm, stranded_txns, expect_in_doubt);
                     }
-                    chaos.in_flight_members = 1;
                     chaos.in_flight_txns.clear();
                     if crashes < u64::from(config.max_recoveries) {
                         chaos.injector.arm();
@@ -915,15 +722,6 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
         final_values,
         recorder_checks: chaos.recorder_checks,
     })
-}
-
-/// The stitched per-epoch streams of a report are internal to `run_chaos`;
-/// tests that want to re-verify externally can rerun with the same config
-/// (determinism makes the rerun identical). This helper exposes the
-/// stitching for such flows.
-#[must_use]
-pub fn stitch_report_epochs(epochs: &[Vec<TraceStream>]) -> Vec<TraceStream> {
-    stitch_streams(epochs)
 }
 
 #[cfg(test)]

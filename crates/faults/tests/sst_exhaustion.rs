@@ -1,6 +1,6 @@
 //! SST retry exhaustion under injected persistent faults, driven through
-//! the *production* coordinator (`pstm-front`'s phased cross-shard
-//! commit) rather than the chaos harness's replica of it.
+//! the commit coordinator in its *production* environment (`pstm-front`:
+//! real locks, wall clock) rather than the chaos harness's virtual one.
 //!
 //! Contract under test: when every SST attempt fails with a transient
 //! I/O error, sessions must come back as typed aborts
@@ -10,10 +10,10 @@
 //! [`ShardedFront::shards_unlocked`]).
 
 use pstm_core::gtm::CommitResult;
-use pstm_faults::{FaultInjector, FaultPlan};
+use pstm_faults::{FaultInjector, FaultPlan, FaultRule, SiteMatcher, Trigger};
 use pstm_front::{FrontConfig, SessionOutcome, ShardedFront};
 use pstm_obs::{RingSink, Tracer};
-use pstm_types::{AbortReason, PstmError, ScalarOp, Value};
+use pstm_types::{AbortReason, FaultDecision, PstmError, ScalarOp, Value};
 use pstm_workload::counter_world;
 use std::sync::Arc;
 
@@ -115,5 +115,40 @@ fn injected_crash_mid_commit_unwinds_the_locks_before_poisoning() {
     // Nothing was submitted to the engine before the pre-sst crash.
     for r in &resources[..4] {
         assert_eq!(front.resource_value(*r).unwrap(), Value::Int(1_000));
+    }
+}
+
+/// One `pre-sst` semantics on every wave shape: an injected transient
+/// I/O at the seam seeds the retry loop. The group-commit station used to
+/// treat *any* non-`Proceed` decision there as a crash that killed the
+/// whole wave; through the one coordinator the grouped wave commits after
+/// one retry, exactly like the solo wave.
+#[test]
+fn pre_sst_io_is_a_retried_transient_on_grouped_and_solo_waves_alike() {
+    for group_commit in [true, false] {
+        let world = counter_world(2, 1_000).unwrap();
+        let mut config = FrontConfig { shards: 1, group_commit, ..FrontConfig::default() };
+        config.gtm.sst_retries = 2;
+        let front = ShardedFront::with_shard_tracers(world.db, world.bindings, config, |_| {
+            Tracer::with_sink(Box::new(RingSink::new(1 << 12)))
+        });
+        let io_once = FaultRule {
+            site: SiteMatcher::Kind("pre-sst"),
+            trigger: Trigger::OnHit(1),
+            action: FaultDecision::Io,
+            max_fires: 1,
+        };
+        let injector = Arc::new(FaultInjector::new(FaultPlan::new(17).with_rule(io_once)));
+        front.set_fault_hook(Arc::clone(&injector) as _);
+
+        let mut session = front.session();
+        session.execute(world.resources[0], ScalarOp::Sub(Value::Int(1))).unwrap();
+        let result = session.commit().expect("a transient at pre-sst must not crash the wave");
+        assert_eq!(result, CommitResult::Committed, "group_commit={group_commit}");
+        assert_eq!(front.stats().sst_retries, 1, "group_commit={group_commit}: one retry");
+        assert_eq!(front.resource_value(world.resources[0]).unwrap(), Value::Int(999));
+        assert_eq!(injector.schedule().len(), 1, "the seam fired exactly once");
+        assert!(front.shards_unlocked());
+        front.check_invariants().unwrap();
     }
 }

@@ -17,14 +17,17 @@
 //!   `shard_of(r) = r.object.0 % N`. All scheduling state for a resource
 //!   (pending/committing sets, wait queues, read snapshots) is owned by
 //!   that shard, so the paper's per-resource algorithms run unchanged.
-//! - **Cross-shard commit.** A session touching several shards commits
-//!   through the phased API: shards are locked in ascending index order
-//!   (no lock cycles between committers), [`Gtm::commit_local`] reconciles
-//!   each shard's resources, and the per-shard write sets are folded into
-//!   **one** [`Sst`] against the shared [`Database`] — the global commit
-//!   stays atomic across shards because the SST applies its write set
-//!   all-or-nothing. [`Gtm::commit_finish`] / [`Gtm::commit_abort`] then
-//!   settle each shard's bookkeeping.
+//! - **One commit path.** Every session commits through `pstm-core`'s
+//!   coordinator ([`commit_wave`]) as a wave member: shards are locked in
+//!   ascending index order (no lock cycles between committers),
+//!   [`Gtm::commit_local`] reconciles each shard's resources, and the
+//!   per-shard write sets are folded into **one** SST against the shared
+//!   [`Database`] — the global commit stays atomic across shards because
+//!   the SST applies its write set all-or-nothing — flushed with no shard
+//!   mutex held. [`Gtm::commit_finish`] / [`Gtm::commit_abort`] then
+//!   settle each shard's bookkeeping. This crate only supplies the
+//!   coordinator's environment (locks, wall clock, mailbox) and the
+//!   group-commit station's queue.
 //! - **Wall-clock bridge.** Shards speak the virtual-clock
 //!   [`Timestamp`]; the front-end stamps every call with microseconds
 //!   elapsed since construction, sampled *while holding the shard lock*
@@ -54,8 +57,8 @@ pub mod reactor;
 mod timer;
 
 use parking_lot::{Mutex, MutexGuard};
-use pstm_core::gtm::{CommitResult, Gtm, GtmConfig, GtmStats, LocalCommit};
-use pstm_core::sst::Sst;
+use pstm_core::commit::{commit_one, commit_wave, CommitEnv, Member, Shards};
+use pstm_core::gtm::{CommitResult, Gtm, GtmConfig, GtmStats};
 use pstm_obs::prof::{self, CommitPhase};
 use pstm_obs::wallclock::WallAnchor;
 use pstm_obs::{expo, MetricsRegistry, Recorder, RecorderStats, SpanKind, TraceEvent, Tracer};
@@ -82,10 +85,10 @@ pub struct FrontConfig {
     pub poll_interval: std::time::Duration,
     /// Route single-shard commits through the per-shard group-commit
     /// station: concurrent committers enqueue, one becomes the leader and
-    /// flushes every queued commit with pairwise-disjoint writes as *one*
-    /// fused SST ([`Gtm::commit_group`]), amortizing the WAL flush and
-    /// engine apply. Cross-shard commits always take the phased
-    /// coordinated path regardless of this flag.
+    /// commits every queued member with pairwise-disjoint writes as *one*
+    /// grouped wave (one fused SST), amortizing the WAL flush and engine
+    /// apply. Cross-shard commits are always a wave of one regardless of
+    /// this flag.
     pub group_commit: bool,
     /// Upper bound on commits fused per group flush (≥ 1); only read
     /// when [`FrontConfig::group_commit`] is on.
@@ -295,8 +298,8 @@ struct FrontInner {
     /// Per-shard flush fences: one level *above* the shard mutexes in the
     /// lock order (fences ascending, then shard locks ascending; no path
     /// acquires a fence while holding any shard). Every reconciliation
-    /// site — the group-commit station's leader round and the coordinated
-    /// `commit_across` — holds its shard's fence across reconcile → SST
+    /// site — the group-commit station's leader round and the solo or
+    /// cross-shard wave of one — holds its shard's fence across reconcile → SST
     /// flush → finish, so no commit anywhere reconciles against permanent
     /// state while a flush to that state is in flight (the lost-update
     /// window delta reconciliation cannot close on its own). Grants,
@@ -447,14 +450,6 @@ impl ShardedFront {
         *self.inner.fault_hook.lock() = Some(hook);
     }
 
-    /// Consults the front-end's own fault seam at `site`.
-    fn fault_decision(&self, site: FaultSite) -> FaultDecision {
-        match self.inner.fault_hook.lock().as_ref() {
-            Some(hook) => hook.decide(site),
-            None => FaultDecision::Proceed,
-        }
-    }
-
     /// True when no shard mutex is currently held — what "no leaked shard
     /// locks" means after a commit unwinds (successfully, by abort, or by
     /// a simulated crash). Callers must be quiescent: a concurrent
@@ -591,8 +586,8 @@ impl ShardedFront {
     }
 
     /// Acquires several shard locks at once — the **only** sanctioned
-    /// multi-shard acquisition path (enforced by `pstm-check`'s
-    /// `lock-order` lint). `shards` must be strictly ascending: every
+    /// multi-shard acquisition path (enforced by `pstm_check lockgraph`'s
+    /// `multi-shard-path` rule). `shards` must be strictly ascending: every
     /// concurrent committer then acquires in the same global order, so
     /// no lock cycle can form between cross-shard commits.
     ///
@@ -686,17 +681,18 @@ impl ShardedFront {
         }
     }
 
-    /// One SST retry back-off. Parked mode turns a zero-length delay
-    /// into a scheduler yield — a retry storm then makes progress
-    /// without pinning a core — and parks for non-zero delays; blocking
-    /// mode keeps the original behavior (sleep if non-zero, spin if
-    /// zero) byte-for-byte.
-    fn pause_retry(&self, delay: Duration) {
-        if self.inner.config.parked_waits {
-            self.inner.pacer.pacer_backoff(std::time::Duration::from_micros(delay.0));
-        } else if delay > Duration::ZERO {
-            std::thread::sleep(std::time::Duration::from_micros(delay.0));
-        }
+    /// Emits one span boundary for `txn` into shard `home`'s tracer,
+    /// carrying the virtual timestamp and the wall clock (pure arithmetic
+    /// on the construction-time [`WallAnchor`]; the wall-clock seam itself
+    /// is never consulted per-span).
+    fn span(&self, home: usize, txn: TxnId, kind: SpanKind, open: bool) {
+        let wall_us = self.inner.anchor.wall_us();
+        let event = if open {
+            TraceEvent::SpanOpen { txn, kind, wall_us }
+        } else {
+            TraceEvent::SpanClose { txn, kind, wall_us }
+        };
+        self.inner.tracers[home].emit(self.now(), event);
     }
 
     /// Advances one shard's virtual clock — firing wait timeouts,
@@ -716,6 +712,81 @@ impl ShardedFront {
             self.deposit(&fx);
         }
         deadline
+    }
+}
+
+/// The coordinator's view of the sharded front-end ([`CommitEnv`]):
+/// shards are reached by locking them ascending, the clock is the wall
+/// bridge, a retry back-off really waits, and effects go to the mailbox
+/// or wake sink. The caller holds the flush fences.
+struct FrontEnv<'a> {
+    front: &'a ShardedFront,
+}
+
+/// The shard guards of one coordinator phase.
+struct HeldShards<'a> {
+    front: &'a ShardedFront,
+    shards: &'a [usize],
+    guards: Vec<MutexGuard<'a, Gtm>>,
+}
+
+impl Shards for HeldShards<'_> {
+    fn gtm(&mut self, shard: usize) -> PstmResult<&mut Gtm> {
+        let held = self.shards.binary_search(&shard).ok().and_then(|i| self.guards.get_mut(i));
+        held.map(|g| &mut **g).ok_or_else(|| PstmError::internal(format!("shard {shard} not held")))
+    }
+
+    fn span(&mut self, member: &Member<'_>, kind: SpanKind, open: bool) {
+        self.front.span(member.home, member.txn, kind, open);
+    }
+}
+
+impl CommitEnv for FrontEnv<'_> {
+    fn with_shards<R>(
+        &mut self,
+        shards: &[usize],
+        f: impl FnOnce(&mut dyn Shards, Timestamp) -> R,
+    ) -> R {
+        let guards = {
+            let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
+            self.front.lock_shards_ascending(shards)
+        };
+        let now = self.front.now();
+        f(&mut HeldShards { front: self.front, shards, guards }, now)
+    }
+
+    fn engine(&self) -> (&Database, &BindingRegistry) {
+        (&self.front.inner.db, &self.front.inner.bindings)
+    }
+
+    /// Parked mode turns a zero-length delay into a scheduler yield — a
+    /// retry storm then makes progress without pinning a core — and parks
+    /// for non-zero delays; blocking mode keeps the original behavior
+    /// (sleep if non-zero, spin if zero) byte-for-byte.
+    fn backoff(&mut self, delay: Duration) {
+        let dur = std::time::Duration::from_micros(delay.0);
+        if self.front.inner.config.parked_waits {
+            self.front.inner.pacer.pacer_backoff(dur);
+        } else if !dur.is_zero() {
+            std::thread::sleep(dur);
+        }
+    }
+
+    fn fault(&mut self, site: FaultSite) -> FaultDecision {
+        let hook = self.front.inner.fault_hook.lock();
+        hook.as_ref().map_or(FaultDecision::Proceed, |hook| hook.decide(site))
+    }
+
+    fn emit(&mut self, home: usize, event: TraceEvent) {
+        self.front.inner.tracers[home].emit(self.front.now(), event);
+    }
+
+    fn span(&mut self, member: &Member<'_>, kind: SpanKind, open: bool) {
+        self.front.span(member.home, member.txn, kind, open);
+    }
+
+    fn effects(&mut self, fx: StepEffects) {
+        self.front.deposit(&fx);
     }
 }
 
@@ -766,28 +837,18 @@ impl Session {
     // Span emission (see `pstm_obs::span` for the model)
     // ------------------------------------------------------------------
 
-    /// Wall-clock microseconds since the Unix epoch — the second clock
-    /// every front-emitted span carries next to the virtual timestamp.
-    /// Pure arithmetic on the construction-time [`WallAnchor`]; the
-    /// wall-clock seam itself is never consulted per-span.
-    fn wall_now_us(&self) -> Option<u64> {
-        self.front.inner.anchor.wall_us()
-    }
-
-    /// Emits an event into the home shard's tracer (no-op before the
+    /// Span boundaries go to the home shard's tracer (no-op before the
     /// first `execute` assigns a home).
-    fn emit_home(&self, event: TraceEvent) {
+    fn open_span(&self, kind: SpanKind) {
         if let Some(home) = self.home {
-            self.front.inner.tracers[home].emit(self.front.now(), event);
+            self.front.span(home, self.id, kind, true);
         }
     }
 
-    fn open_span(&self, kind: SpanKind) {
-        self.emit_home(TraceEvent::SpanOpen { txn: self.id, kind, wall_us: self.wall_now_us() });
-    }
-
     fn close_span(&self, kind: SpanKind) {
-        self.emit_home(TraceEvent::SpanClose { txn: self.id, kind, wall_us: self.wall_now_us() });
+        if let Some(home) = self.home {
+            self.front.span(home, self.id, kind, false);
+        }
     }
 
     /// Opens `kind` as the current leaf phase.
@@ -967,41 +1028,45 @@ impl Session {
         Ok(AwakeOutcome::Resumed(granted))
     }
 
-    /// Commits the session through the coordinated phased path, whatever
-    /// the shard count: lock every touched shard in ascending index
-    /// order, `commit_local` each (reconciliation), fold all write sets
-    /// into **one** SST against the shared engine, then
-    /// `commit_finish`/`commit_abort` per shard. Running one-shard
-    /// commits through the same path keeps the SST accounting and the
-    /// `commit` span's `reconcile`/`sst_attempt` children uniform.
+    /// Commits the session through the one coordinator
+    /// ([`commit_wave`]), whatever the shard count: under the touched
+    /// shards' flush fences, the session is the wave of one — shards
+    /// locked in ascending order for `commit_local` (reconciliation), all
+    /// write sets folded into **one** SST flushed with no shard held,
+    /// shards re-locked for `commit_finish`/`commit_abort`. With
+    /// [`FrontConfig::group_commit`] on, a single-shard session instead
+    /// joins its shard's station and commits as a member of the leader's
+    /// wave. Either way the `commit` span gets its `reconcile` and
+    /// `sst_attempt{n}` children from the coordinator.
     pub fn commit(&mut self) -> PstmResult<CommitResult> {
         self.ensure_open()?;
         self.finished = true;
         let shards: Vec<usize> = self.begun.iter().copied().collect();
-        if shards.is_empty() {
+        let Some(&first) = shards.first() else {
             // A session that never touched a resource has nothing to do.
             return Ok(CommitResult::Committed);
-        }
-        let result = if shards.len() == 1 && self.front.inner.config.group_commit {
-            self.commit_grouped(shards[0])
-        } else {
-            self.commit_across(&shards)
         };
-        self.clear_mail();
-        result
-    }
-
-    /// Single-shard commit through the per-shard group-commit station:
-    /// enqueue, then either a concurrent leader settles this transaction
-    /// (our slot fills while we wait for the shard lock) or we take the
-    /// shard lock ourselves, become the leader, and flush a whole wave of
-    /// queued commits as fused SST batches via [`Gtm::commit_group`].
-    fn commit_grouped(&mut self, shard: usize) -> PstmResult<CommitResult> {
         self.close_leaf();
         self.open_span(SpanKind::Commit);
-        let slot: CommitSlot = Arc::new(Mutex::new(None));
-        self.front.inner.groups[shard].lock().push_back((self.id, Arc::clone(&slot)));
-        let result = self.group_station(shard, &slot);
+        let result = if shards.len() == 1 && self.front.inner.config.group_commit {
+            self.commit_at_station(first)
+        } else {
+            // The whole coordinated commit is the fencing phase; every
+            // nested station (shard-lock admission, per-shard reconcile,
+            // WAL/SST, bookkeeping, abort unwind) carves out its own
+            // exclusive time, leaving fencing = coordination residue.
+            let _phase = prof::PhaseTimer::start(CommitPhase::Fencing);
+            // Flush fences first (two-level lock order, see
+            // `FrontInner::flush_fences`): reconciliation must not read
+            // permanent state while a station's fused flush to any of
+            // these shards is in flight with the shard mutex released.
+            let _fences = {
+                let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
+                self.front.lock_flush_fences(&shards)
+            };
+            let member = Member { txn: self.id, home: self.home.unwrap_or(first), shards: &shards };
+            commit_one(&mut FrontEnv { front: &self.front }, member)
+        };
         match &result {
             Ok(CommitResult::Committed) => {
                 self.close_span(SpanKind::Commit);
@@ -1011,35 +1076,35 @@ impl Session {
                 self.close_span(SpanKind::Commit);
                 self.close_session_aborted();
             }
-            // A simulated crash: the process is dead; spans die with it
-            // (mirrors `commit_across`'s crash path).
+            // A simulated crash: the process is dead; spans die with it.
             Err(_) => {}
         }
+        self.clear_mail();
         result
     }
 
-    /// The station loop. Returns once this session's slot is settled —
-    /// by another leader, or by our own leader round.
+    /// Single-shard commit through the per-shard group-commit station:
+    /// enqueue, then either a concurrent leader settles this transaction
+    /// (our slot fills while we wait for the fence) or we win the fence,
+    /// become the leader, and commit a whole wave of queued members.
     ///
-    /// A leader round holds the shard's *flush fence* end to end but the
-    /// shard mutex only for the two brief bookkeeping halves
-    /// ([`Gtm::commit_group_local`], [`Gtm::commit_group_finish`]). The
-    /// fused flush itself — the part that pays the device round-trip —
-    /// runs with the shard unlocked, so concurrent sessions keep
-    /// executing against the shard and their commits pile onto the queue
-    /// to fuse into the next wave. Members the greedy cut defers (write
-    /// estimate overlapping the in-flight batch) are re-queued at the
-    /// queue front in their original order.
-    fn group_station(&mut self, shard: usize, slot: &CommitSlot) -> PstmResult<CommitResult> {
+    /// A leader round holds the shard's *flush fence* end to end; the
+    /// coordinator takes the shard mutex only for its two brief
+    /// bookkeeping phases, so concurrent sessions keep executing against
+    /// the shard during the device round-trip and their commits pile onto
+    /// the queue to fuse into the next wave.
+    fn commit_at_station(&mut self, shard: usize) -> PstmResult<CommitResult> {
+        let inner = &self.front.inner;
+        let slot: CommitSlot = Arc::new(Mutex::new(None));
+        inner.groups[shard].lock().push_back((self.id, Arc::clone(&slot)));
         // Everything from enqueue to settlement is the group-wait
-        // station; the leader's nested commit work (reconcile, WAL, SST
-        // apply, bookkeeping) carves out its own exclusive time, so
-        // followers accrue pure wait.
+        // station; the leader's nested commit work carves out its own
+        // exclusive time, so followers accrue pure wait.
         let _wait = prof::PhaseTimer::start(CommitPhase::GroupWait);
         loop {
             let _fence = {
                 let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-                self.front.inner.flush_fences[shard].lock()
+                inner.flush_fences[shard].lock()
             };
             if let Some(result) = slot.lock().take() {
                 return result;
@@ -1048,409 +1113,49 @@ impl Session {
             // round. Drain a wave (FIFO, bounded by `max_group`); our own
             // entry may sit beyond the bound, in which case the loop
             // leads another round after this one.
-            let wave: Vec<(TxnId, CommitSlot)> = {
-                let mut queue = self.front.inner.groups[shard].lock();
-                let take = queue.len().min(self.front.inner.config.max_group.max(1));
+            let queued: Vec<(TxnId, CommitSlot)> = {
+                let mut queue = inner.groups[shard].lock();
+                let take = queue.len().min(inner.config.max_group.max(1));
                 queue.drain(..take).collect()
             };
-            // Labeled fault seam: the wave is chosen, nothing reconciled
-            // or flushed yet. A crash here kills the process with every
-            // wave member still Active — recovery must show none of them.
-            match self.front.fault_decision(FaultSite::PreSst) {
-                FaultDecision::Proceed => {}
-                _ => {
-                    self.emit_home(TraceEvent::FaultInjected {
-                        site: FaultSite::PreSst.label(),
-                        action: "crash".into(),
-                    });
-                    let err = PstmError::Crashed(FaultSite::PreSst.label());
-                    self.settle_wave_err(&wave, &err);
-                    return Err(err);
+            let shards = [shard];
+            let wave: Vec<Member<'_>> = queued
+                .iter()
+                .map(|(txn, _)| Member { txn: *txn, home: shard, shards: &shards })
+                .collect();
+            let mut fates = Vec::with_capacity(wave.len());
+            let outcome =
+                commit_wave(&mut FrontEnv { front: &self.front }, &wave, true, &mut fates);
+            let slot_of = |txn: TxnId| queued.iter().find(|(member, _)| *member == txn);
+            for (txn, fate) in fates {
+                if let Some((_, member_slot)) = slot_of(txn) {
+                    *member_slot.lock() = Some(Ok(fate));
                 }
             }
-            let txns: Vec<TxnId> = wave.iter().map(|(txn, _)| *txn).collect();
-
-            // Reconcile-and-park half, under the shard mutex — brief.
-            let mut local = {
-                let mut guards = {
-                    let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-                    self.front.lock_shards_ascending(&[shard])
-                };
-                let now = self.front.now();
-                match guards[0].commit_group_local(&txns, now) {
-                    Ok(local) => local,
-                    Err(err) => {
-                        // A leader-level failure dooms the whole wave:
-                        // every member learns the error, the caller
-                        // recovers the engine.
-                        drop(guards);
-                        self.settle_wave_err(&wave, &err);
-                        return Err(err);
-                    }
-                }
-            };
-            self.front.deposit(&local.effects);
-            // Deferred members overlap the batch about to flush; their
-            // reconciliation must read post-flush permanent state. Back
-            // to the queue front, original order, for the next round.
-            if !local.deferred.is_empty() {
-                let mut queue = self.front.inner.groups[shard].lock();
-                for txn in local.deferred.iter().rev() {
-                    if let Some(entry) = wave.iter().find(|(member, _)| member == txn) {
+            match outcome {
+                // Deferred members overlap the batch just flushed: back
+                // to the queue front, original order, for the next round.
+                Ok(deferred) => {
+                    let mut queue = inner.groups[shard].lock();
+                    for entry in deferred.iter().rev().filter_map(|txn| slot_of(*txn)) {
                         queue.push_front(entry.clone());
                     }
                 }
-            }
-            // Batch-rejected members (the write estimate lied): their
-            // solo flushes run out here too — shard unlocked, fence held.
-            let overflow: Vec<(Sst, PstmResult<()>)> = std::mem::take(&mut local.overflow)
-                .into_iter()
-                .map(|sst| {
-                    let flush = self.solo_flush(&sst);
-                    (sst, flush)
-                })
-                .collect();
-            let (settled, fx) = match local.batch.take() {
-                Some(batch) => {
-                    // The fused flush, outside the shard mutex: the fence
-                    // alone guards permanent state while the device
-                    // round-trip is paid. Transient (I/O) failures retry
-                    // per the shared config in real wall time.
-                    let config = self.front.inner.config.gtm;
-                    let mut flush = batch.execute(&self.front.inner.db, &self.front.inner.bindings);
-                    let mut attempts = 0;
-                    while attempts < config.sst_retries && matches!(flush, Err(PstmError::Io(_))) {
-                        attempts += 1;
-                        self.front.pause_retry(config.sst_retry_delay);
-                        self.emit_home(TraceEvent::SstRetry {
-                            txn: batch.leader,
-                            attempt: attempts,
-                        });
-                        flush = batch.execute(&self.front.inner.db, &self.front.inner.bindings);
-                    }
-                    if flush.is_ok() {
-                        // Labeled fault seam: the fused SST is durable
-                        // but no member has learned the outcome — the
-                        // window where the group's commit decision lives
-                        // only in the log. A crash here must leave every
-                        // member's write set visible exactly once after
-                        // recovery.
-                        match self.front.fault_decision(FaultSite::PreFinish) {
-                            FaultDecision::Proceed => {}
-                            _ => {
-                                self.emit_home(TraceEvent::FaultInjected {
-                                    site: FaultSite::PreFinish.label(),
-                                    action: "crash".into(),
-                                });
-                                let err = PstmError::Crashed(FaultSite::PreFinish.label());
-                                self.settle_wave_err(&wave, &err);
-                                return Err(err);
-                            }
-                        }
-                    }
-                    // Settlement half, back under the shard mutex. A
-                    // crashed flush propagates untouched: the simulated
-                    // process is dead and the members' parked state dies
-                    // with it.
-                    let mut guards = {
-                        let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-                        self.front.lock_shards_ascending(&[shard])
-                    };
-                    let now = self.front.now();
-                    let mut fin = match guards[0].commit_group_finish(batch, flush, now) {
-                        Ok(fin) => fin,
-                        Err(err) => {
-                            drop(guards);
-                            self.settle_wave_err(&wave, &err);
-                            return Err(err);
-                        }
-                    };
-                    let mut settled = std::mem::take(&mut fin.settled);
-                    let reflush = std::mem::take(&mut fin.reflush);
-                    let mut fx = fin.effects;
-                    for (sst, solo) in overflow {
-                        match guards[0].commit_solo_finish(&sst, solo, now) {
-                            Ok((r, e)) => {
-                                fx.merge(e);
-                                settled.push((sst.origin, r));
-                            }
-                            Err(err) => {
-                                drop(guards);
-                                self.settle_wave_err(&wave, &err);
-                                return Err(err);
-                            }
-                        }
-                    }
-                    if !reflush.is_empty() {
-                        // Per-member unwind of a constraint violation:
-                        // each solo flush pays its device round-trip with
-                        // the shard unlocked, then settles under a fresh
-                        // guard so only the violators abort.
-                        drop(guards);
-                        let solos: Vec<(Sst, PstmResult<()>)> = reflush
-                            .into_iter()
-                            .map(|sst| {
-                                let flush = self.solo_flush(&sst);
-                                (sst, flush)
-                            })
-                            .collect();
-                        let mut guards = {
-                            let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-                            self.front.lock_shards_ascending(&[shard])
-                        };
-                        let now = self.front.now();
-                        for (sst, solo) in solos {
-                            match guards[0].commit_solo_finish(&sst, solo, now) {
-                                Ok((r, e)) => {
-                                    fx.merge(e);
-                                    settled.push((sst.origin, r));
-                                }
-                                Err(err) => {
-                                    drop(guards);
-                                    self.settle_wave_err(&wave, &err);
-                                    return Err(err);
-                                }
-                            }
-                        }
-                    }
-                    (settled, fx)
-                }
-                None => {
-                    // Overflow implies a batch existed to reject from.
-                    debug_assert!(overflow.is_empty());
-                    (Vec::new(), StepEffects::none())
-                }
-            };
-            self.front.deposit(&fx);
-            let mut own = None;
-            for (txn, result) in local.settled.into_iter().chain(settled) {
-                if txn == self.id {
-                    own = Some(result);
-                } else if let Some((_, member_slot)) =
-                    wave.iter().find(|(member, _)| *member == txn)
-                {
-                    *member_slot.lock() = Some(Ok(result));
-                }
-            }
-            if let Some(result) = own {
-                return Ok(result);
-            }
-            // Our entry was beyond the wave bound or deferred: lead (or
-            // follow) another round.
-        }
-    }
-
-    /// One solo SST flush with the configured retries, for members owed
-    /// an individual device round-trip (batch overflow, per-member
-    /// reflush after a constraint violation). Must run with the shard
-    /// mutex released — the fence alone guards permanent state.
-    fn solo_flush(&self, sst: &Sst) -> PstmResult<()> {
-        let config = self.front.inner.config.gtm;
-        let mut flush = sst.execute(&self.front.inner.db, &self.front.inner.bindings);
-        let mut attempts = 0;
-        while attempts < config.sst_retries && matches!(flush, Err(PstmError::Io(_))) {
-            attempts += 1;
-            self.front.pause_retry(config.sst_retry_delay);
-            self.emit_home(TraceEvent::SstRetry { txn: sst.origin, attempt: attempts });
-            flush = sst.execute(&self.front.inner.db, &self.front.inner.bindings);
-        }
-        flush
-    }
-
-    /// Posts `err` into every wave member's slot except this session's
-    /// own — the leader's error return carries its own copy.
-    fn settle_wave_err(&self, wave: &[(TxnId, CommitSlot)], err: &PstmError) {
-        for (txn, member_slot) in wave {
-            if *txn != self.id {
-                *member_slot.lock() = Some(Err(err.clone()));
-            }
-        }
-    }
-
-    /// The coordinated commit. `shards` is ascending and non-empty.
-    fn commit_across(&mut self, shards: &[usize]) -> PstmResult<CommitResult> {
-        // The whole coordinated commit is the cross-shard fencing phase;
-        // every nested station (shard-lock admission, per-shard
-        // reconcile, WAL/SST, bookkeeping, abort unwind) carves out its
-        // own exclusive time, leaving fencing = coordination residue.
-        let _phase = prof::PhaseTimer::start(CommitPhase::Fencing);
-        self.close_leaf();
-        self.open_span(SpanKind::Commit);
-        // Flush fences first (two-level lock order, see
-        // `FrontInner::flush_fences`): reconciliation below must not read
-        // permanent state while a group-commit station's fused flush to
-        // any of these shards is in flight with the shard mutex released.
-        let front = self.front.clone();
-        let _fences = {
-            let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-            front.lock_flush_fences(shards)
-        };
-        let mut guards: Vec<MutexGuard<'_, Gtm>> = {
-            let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-            self.front.lock_shards_ascending(shards)
-        };
-        let now = self.front.now();
-
-        // Phase one: reconcile on every shard (Algorithm 3 per shard).
-        self.open_span(SpanKind::Reconcile);
-        let mut writes = Vec::new();
-        let mut failed_at: Option<(usize, AbortReason)> = None;
-        for (i, gtm) in guards.iter_mut().enumerate() {
-            match gtm.commit_local(self.id, now)? {
-                LocalCommit::Prepared(w) => writes.extend(w),
-                LocalCommit::Aborted(reason, fx) => {
-                    self.front.deposit(&fx);
-                    failed_at = Some((i, reason));
-                    break;
-                }
-            }
-        }
-        self.close_span(SpanKind::Reconcile);
-        if let Some((k, reason)) = failed_at {
-            // Shard k already aborted the transaction itself. Earlier
-            // shards are parked in Committing; later shards never started.
-            for (i, gtm) in guards.iter_mut().enumerate() {
-                let fx = match i.cmp(&k) {
-                    std::cmp::Ordering::Less => gtm.commit_abort(self.id, reason, now)?,
-                    std::cmp::Ordering::Equal => continue,
-                    std::cmp::Ordering::Greater => gtm.abort(self.id, now)?,
-                };
-                self.front.deposit(&fx);
-            }
-            drop(guards);
-            self.close_span(SpanKind::Commit);
-            self.close_session_aborted();
-            return Ok(CommitResult::Aborted(reason));
-        }
-
-        // Every shard reconciled and parked in `Committing`: release the
-        // shard mutexes for the device round-trip below. The fences —
-        // held until return — are what guard permanent state; waiting
-        // sessions can keep executing against the shards meanwhile.
-        drop(guards);
-
-        // Phase two: one SST carries every shard's writes — atomic across
-        // shards because the engine applies a write set all-or-nothing.
-        // Transient (I/O) failures are retried per the shards' shared
-        // config; here the back-off is real wall time. Attempt events and
-        // spans go to the home shard's tracer — the whole commit is
-        // accounted there, never split across shard registries.
-        let config = self.front.inner.config.gtm;
-        let write_count = writes.len() as u32;
-        let sst = Sst::new(self.id, writes);
-        // Labeled fault seam: every shard reconciled, SST not yet
-        // submitted. An injected I/O here is a transient coordinator/
-        // engine hiccup seeding the retry loop below; a crash kills the
-        // process with every shard parked in `Committing` — volatile
-        // state the restarted middleware never sees, so nothing of this
-        // commit may survive recovery.
-        let pre_sst_io = match self.front.fault_decision(FaultSite::PreSst) {
-            FaultDecision::Proceed => false,
-            FaultDecision::Io => {
-                self.emit_home(TraceEvent::FaultInjected {
-                    site: FaultSite::PreSst.label(),
-                    action: "io".into(),
-                });
-                true
-            }
-            FaultDecision::Crash | FaultDecision::Torn { .. } => {
-                self.emit_home(TraceEvent::FaultInjected {
-                    site: FaultSite::PreSst.label(),
-                    action: "crash".into(),
-                });
-                return Err(PstmError::Crashed(FaultSite::PreSst.label()));
-            }
-        };
-        self.emit_home(TraceEvent::SstAttempt { txn: self.id, writes: write_count });
-        self.open_span(SpanKind::SstAttempt { attempt: 1 });
-        let mut sst_result = if pre_sst_io {
-            Err(PstmError::Io("injected pre-SST fault".into()))
-        } else {
-            sst.execute(&self.front.inner.db, &self.front.inner.bindings)
-        };
-        self.close_span(SpanKind::SstAttempt { attempt: 1 });
-        let mut attempts = 0;
-        while attempts < config.sst_retries && matches!(sst_result, Err(PstmError::Io(_))) {
-            attempts += 1;
-            self.front.pause_retry(config.sst_retry_delay);
-            self.emit_home(TraceEvent::SstRetry { txn: self.id, attempt: attempts });
-            self.open_span(SpanKind::SstAttempt { attempt: attempts + 1 });
-            sst_result = sst.execute(&self.front.inner.db, &self.front.inner.bindings);
-            self.close_span(SpanKind::SstAttempt { attempt: attempts + 1 });
-        }
-
-        // Phase three: settle every shard's bookkeeping, back under the
-        // shard mutexes (the parked transaction is ours alone, but
-        // finish/abort mutate shared GTM state).
-        let mut guards: Vec<MutexGuard<'_, Gtm>> = {
-            let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-            self.front.lock_shards_ascending(shards)
-        };
-        let settled_at = self.front.now();
-        let reason = match sst_result {
-            Ok(()) => {
-                if !sst.is_empty() {
-                    self.emit_home(TraceEvent::SstApplied { txn: self.id });
-                }
-                // Labeled fault seam: the fused SST is durable but no
-                // shard has learned the outcome — the window where the
-                // commit decision lives only in the log. A crash here
-                // means the client sees "crashed" yet after recovery the
-                // write set must be visible exactly once (recovery
-                // invariant 2's hardest case).
-                match self.front.fault_decision(FaultSite::PreFinish) {
-                    FaultDecision::Proceed => {}
-                    _ => {
-                        self.emit_home(TraceEvent::FaultInjected {
-                            site: FaultSite::PreFinish.label(),
-                            action: "crash".into(),
-                        });
-                        return Err(PstmError::Crashed(FaultSite::PreFinish.label()));
+                // A leader-level failure dooms every member not settled
+                // yet: each learns the error, the caller recovers the
+                // engine.
+                Err(err) => {
+                    for (_, member_slot) in &queued {
+                        member_slot.lock().get_or_insert_with(|| Err(err.clone()));
                     }
                 }
-                for gtm in &mut guards {
-                    let fx = gtm.commit_finish(self.id, settled_at)?;
-                    self.front.deposit(&fx);
-                }
-                drop(guards);
-                self.close_span(SpanKind::Commit);
-                self.close_span(SpanKind::Session);
-                return Ok(CommitResult::Committed);
             }
-            Err(PstmError::ConstraintViolation { .. }) | Err(PstmError::TypeMismatch { .. }) => {
-                AbortReason::Constraint
+            // Our entry may have been beyond the wave bound or deferred:
+            // then lead (or follow) another round.
+            if let Some(result) = slot.lock().take() {
+                return result;
             }
-            Err(PstmError::Io(_)) => AbortReason::SstFailure,
-            Err(e @ PstmError::Crashed(_)) => {
-                // A simulated crash mid-SST: the process is dead, so the
-                // shards are deliberately NOT settled — their volatile
-                // state (transactions parked in Committing) perishes with
-                // it. The guards unlock on return; the caller must
-                // discard this front-end and recover the engine.
-                drop(guards);
-                return Err(e);
-            }
-            Err(e) => {
-                // Unexpected engine failure: unpark every shard before
-                // propagating, so nothing strands in Committing.
-                for gtm in &mut guards {
-                    let fx = gtm.commit_abort(self.id, AbortReason::SstFailure, settled_at)?;
-                    self.front.deposit(&fx);
-                }
-                drop(guards);
-                self.close_span(SpanKind::Commit);
-                self.close_session_aborted();
-                return Err(e);
-            }
-        };
-        for gtm in &mut guards {
-            let fx = gtm.commit_abort(self.id, reason, settled_at)?;
-            self.front.deposit(&fx);
         }
-        drop(guards);
-        self.close_span(SpanKind::Commit);
-        self.close_session_aborted();
-        Ok(CommitResult::Aborted(reason))
     }
 
     /// Aborts the session on every shard it has touched.

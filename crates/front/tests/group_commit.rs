@@ -126,3 +126,34 @@ fn grouped_commit_crash_at_pre_sst_unwinds_cleanly() {
     assert!(front.shards_unlocked(), "crash path must not leak a shard lock");
     assert_eq!(front.resource_value(world.resources[0]).unwrap(), Value::Int(INITIAL));
 }
+
+/// Every wave shape gets the same span tree: a session committed by the
+/// station carries `commit ⊃ reconcile, sst_attempt` in its home shard's
+/// trace, exactly like a solo commit (the grouped path used to emit a
+/// childless `commit` span).
+#[test]
+fn grouped_commit_span_has_reconcile_and_sst_attempt_children() {
+    let world = counter_world(2, INITIAL).unwrap();
+    let mut handles = Vec::new();
+    let front = ShardedFront::with_shard_tracers(
+        world.db.clone(),
+        world.bindings.clone(),
+        FrontConfig { shards: 1, group_commit: true, ..FrontConfig::default() },
+        |_| {
+            let ring = RingSink::new(1 << 12);
+            handles.push(ring.handle());
+            Tracer::with_sink(Box::new(ring))
+        },
+    );
+    let mut session = front.session();
+    let id = session.id();
+    session.execute(world.resources[0], ScalarOp::Sub(Value::Int(1))).unwrap();
+    assert_eq!(session.commit().unwrap(), CommitResult::Committed);
+
+    let trees = pstm_obs::build_span_trees(&handles[0].snapshot());
+    let root = &trees[&id][0];
+    let commit = root.children.last().expect("commit phase");
+    assert_eq!(commit.kind, pstm_obs::SpanKind::Commit);
+    let children: Vec<&'static str> = commit.children.iter().map(|c| c.kind.phase()).collect();
+    assert_eq!(children, vec!["reconcile", "sst_attempt"]);
+}

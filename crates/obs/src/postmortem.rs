@@ -148,7 +148,7 @@ pub fn analyze(replay: &RecorderReplay) -> Postmortem {
     let mut member_engine: BTreeMap<TxnId, TxnId> = BTreeMap::new();
     let mut engine_commits: BTreeSet<TxnId> = BTreeSet::new();
     // SstAttempt txns per shard since that shard's last GroupCommit —
-    // `commit_group_local` emits each member's SstAttempt immediately
+    // the commit coordinator emits each member's SstAttempt immediately
     // before the batch's GroupCommit, which is how membership is
     // recovered from events alone.
     let mut pending_sst: BTreeMap<u32, Vec<TxnId>> = BTreeMap::new();

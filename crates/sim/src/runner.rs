@@ -456,7 +456,7 @@ mod tests {
     use pstm_core::gtm::{Gtm, GtmConfig};
     use pstm_storage::{BindingRegistry, ColumnDef, Constraint, Database, Row, TableSchema};
     use pstm_twopl::{TwoPlConfig, TwoPlManager};
-    use pstm_types::{MemberId, ResourceId, ScalarOp, Value, ValueKind};
+    use pstm_types::{FailNextSstApplies, MemberId, ResourceId, ScalarOp, Value, ValueKind};
     use std::sync::Arc;
 
     fn build_world(objects: usize) -> (Arc<Database>, BindingRegistry, Vec<ResourceId>) {
@@ -641,7 +641,7 @@ mod tests {
         // the committer's terminal instant out by the delay.
         let run = |faults: u32| {
             let (db, bindings, rs) = build_world(1);
-            db.inject_write_set_faults(faults);
+            db.set_fault_hook(FailNextSstApplies::hook(faults));
             let config = GtmConfig {
                 sst_retries: 3,
                 sst_retry_delay: Duration::from_secs_f64(1.0),

@@ -186,10 +186,6 @@ impl EngineStats {
 pub struct Database {
     inner: RwLock<Inner>,
     tracer: RwLock<Tracer>,
-    /// Pending injected faults for `apply_write_set` (testing/chaos: the
-    /// paper's §VII asks what happens when an SST fails; this is how the
-    /// middleware's retry/abort path is exercised).
-    injected_faults: RwLock<u32>,
     /// Modeled round-trip to the LDBS device, paid once per
     /// [`Database::apply_write_set`] call — the cost an SST flush ships
     /// over the mobile link in the paper's deployment, and the cost the
@@ -198,7 +194,9 @@ pub struct Database {
     apply_latency: RwLock<std::time::Duration>,
     /// Seeded fault seam (see `pstm_types::fault`), consulted at
     /// [`FaultSite::SstApply`] here and at [`FaultSite::WalAppend`] inside
-    /// the WAL. `None` outside chaos runs.
+    /// the WAL. `None` outside chaos runs and SST-failure tests (the
+    /// paper's §VII asks what happens when an SST fails; this seam is how
+    /// the middleware's retry/abort path is exercised).
     fault_hook: RwLock<Option<SharedFaultHook>>,
 }
 
@@ -222,7 +220,6 @@ impl Database {
                 pending_deletes: HashMap::new(),
             }),
             tracer: RwLock::new(Tracer::disabled()),
-            injected_faults: RwLock::new(0),
             apply_latency: RwLock::new(std::time::Duration::ZERO),
             fault_hook: RwLock::new(None),
         }
@@ -240,13 +237,6 @@ impl Database {
     pub fn set_tracer(&self, tracer: Tracer) {
         self.inner.write().wal.set_tracer(tracer.clone());
         *self.tracer.write() = tracer;
-    }
-
-    /// Makes the next `n` calls to [`Database::apply_write_set`] fail with
-    /// a transient I/O error before touching any state. Chaos hook for
-    /// exercising SST-failure recovery.
-    pub fn inject_write_set_faults(&self, n: u32) {
-        *self.injected_faults.write() += n;
     }
 
     /// Installs a seeded fault hook on the engine's labeled seams: every
@@ -586,13 +576,6 @@ impl Database {
         if device > std::time::Duration::ZERO {
             std::thread::sleep(device);
         }
-        {
-            let mut faults = self.injected_faults.write();
-            if *faults > 0 {
-                *faults -= 1;
-                return Err(PstmError::Io("injected write-set fault".into()));
-            }
-        }
         if let Some(hook) = self.fault_hook.read().clone() {
             match hook.decide(FaultSite::SstApply) {
                 FaultDecision::Proceed => {}
@@ -799,7 +782,6 @@ impl Database {
                 pending_deletes: HashMap::new(),
             }),
             tracer: RwLock::new(Tracer::disabled()),
-            injected_faults: RwLock::new(0),
             apply_latency: RwLock::new(std::time::Duration::ZERO),
             fault_hook: RwLock::new(None),
         })

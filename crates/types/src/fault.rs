@@ -13,6 +13,7 @@
 //! an `Option<Arc<dyn FaultHook>>` checked per labeled point.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// A labeled point in the commit/SST/WAL path where a fault can fire.
@@ -143,6 +144,33 @@ pub trait FaultHook: Send + Sync {
 /// so site arrivals are counted globally across the stack.
 pub type SharedFaultHook = Arc<dyn FaultHook>;
 
+/// The smallest useful hook: fails the next `n` arrivals at
+/// [`FaultSite::SstApply`] with a transient [`FaultDecision::Io`], then
+/// proceeds forever. Exercises SST-failure recovery (retry, then
+/// `SstFailure` abort) without a fault plan.
+pub struct FailNextSstApplies(AtomicU32);
+
+impl FailNextSstApplies {
+    /// A hook that fails the next `n` SST applies.
+    #[must_use]
+    pub fn hook(n: u32) -> SharedFaultHook {
+        Arc::new(FailNextSstApplies(AtomicU32::new(n)))
+    }
+}
+
+impl FaultHook for FailNextSstApplies {
+    fn decide(&self, site: FaultSite) -> FaultDecision {
+        let take_one = |left: u32| left.checked_sub(1);
+        if site == FaultSite::SstApply
+            && self.0.fetch_update(Ordering::SeqCst, Ordering::SeqCst, take_one).is_ok()
+        {
+            FaultDecision::Io
+        } else {
+            FaultDecision::Proceed
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,6 +195,15 @@ mod tests {
     fn decision_names() {
         assert_eq!(FaultDecision::Proceed.name(), "proceed");
         assert_eq!(FaultDecision::Torn { keep: 5 }.name(), "torn");
+    }
+
+    #[test]
+    fn countdown_hook_fails_exactly_n_sst_applies() {
+        let hook = FailNextSstApplies::hook(2);
+        assert_eq!(hook.decide(FaultSite::WalAppend), FaultDecision::Proceed);
+        assert_eq!(hook.decide(FaultSite::SstApply), FaultDecision::Io);
+        assert_eq!(hook.decide(FaultSite::SstApply), FaultDecision::Io);
+        assert_eq!(hook.decide(FaultSite::SstApply), FaultDecision::Proceed);
     }
 
     #[test]
