@@ -90,7 +90,7 @@ fn fleet_point(sessions: usize) -> Row {
     let front = ShardedFront::new(
         world.db,
         world.bindings,
-        FrontConfig { shards: SHARDS, parked_waits: true, ..FrontConfig::default() },
+        FrontConfig { shards: SHARDS, ..FrontConfig::default() },
     );
     let reactor = Reactor::start(
         front.clone(),

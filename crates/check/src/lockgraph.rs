@@ -172,6 +172,8 @@ const FIELD_TYPES: &[(&str, &str)] = &[
     ("front", "ShardedFront"),
     ("env", "CommitEnv"),
     ("held", "Shards"),
+    ("waker", "Waker"),
+    ("cell", "OneShot"),
 ];
 
 /// What a guard of `class` dereferences to, for resolving calls made
@@ -197,7 +199,8 @@ fn classify(file: &str, recv: &str, kind: AccessKind) -> Option<String> {
                 () if recv == "flush_fences" => "flush_fence",
                 () if front && matches!(recv, "shards" | "shard" | "s") => "gtm_shard",
                 () if front && recv == "groups" => "group_queue",
-                () if front && recv == "mail" => "mail",
+                () if front && recv == "wakes" => "wake_registry",
+                () if front && recv == "cell" => "oneshot_cell",
                 () if front && matches!(recv, "slot" | "member_slot") => "commit_slot",
                 () if front && recv == "fault_hook" => "front_fault_hook",
                 () if front && recv == "recorder" => "front_recorder",
@@ -232,7 +235,8 @@ pub fn class_level(class: &str) -> Option<u8> {
     match class {
         "flush_fence" => Some(0),
         "gtm_shard" => Some(1),
-        "group_queue" | "mail" | "commit_slot" | "front_fault_hook" | "front_recorder" => Some(2),
+        "group_queue" | "wake_registry" | "oneshot_cell" | "commit_slot" | "front_fault_hook"
+        | "front_recorder" => Some(2),
         "engine_inner" | "engine_tracer" | "engine_latency" | "engine_fault_hook"
         | "tracer_inner" | "sink_inner" | "obs_buf" | "recorder_dev" | "prof_slots"
         | "faults_state" => Some(3),

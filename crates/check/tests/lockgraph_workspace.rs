@@ -76,20 +76,25 @@ fn coordinator_acquisitions_stay_visible_through_the_env_seam() {
     // The one commit coordinator reaches the front-end's locks only
     // through `CommitEnv` (generic dispatch). Pin that the analyzer still
     // charges them to the fence-holding caller: the shard mutexes via the
-    // `with_shards` scope, the fault-hook and mailbox mutexes via the
+    // `with_shards` scope, the fault-hook and wake-registry mutexes via the
     // trait-typed `env` receiver resolving to every implementor.
     let report = report();
-    for to in ["gtm_shard", "front_fault_hook", "mail"] {
+    for to in ["gtm_shard", "front_fault_hook", "wake_registry"] {
         let site = report.edges.get(&("flush_fence".to_string(), to.to_string()));
         assert!(
             site.is_some_and(|s| s.contains("fn Session::commit")),
             "flush_fence -> {to} not observed from the coordinator's front environment: {site:?}"
         );
     }
-    // And the refactor did not grow the certified graph (26 classes / 39
-    // edges before the one coordinator).
-    assert!(report.classes.len() <= 26, "{} lock classes", report.classes.len());
-    assert!(report.edges.len() <= 39, "{} lock-order edges", report.edges.len());
+    // A wake is routed with no shard held: the registry lookup and the
+    // waiter's cell sit beside the shard mutexes, never under them.
+    for to in ["wake_registry", "oneshot_cell"] {
+        let edge = ("gtm_shard".to_string(), to.to_string());
+        assert!(!report.edges.contains_key(&edge), "gtm_shard -> {to}: {:?}", report.edges[&edge]);
+    }
+    // The certified graph, exactly: it cannot silently regrow.
+    assert_eq!(report.classes.len(), 21, "lock classes: {:?}", report.classes);
+    assert_eq!(report.edges.len(), 26, "lock-order edges: {:?}", report.edges.keys());
 }
 
 #[test]

@@ -191,12 +191,9 @@ fn render_ledger(ledger: &BTreeMap<TxnId, Fate>) -> String {
 
 /// Full differential run for one workload shape.
 fn assert_equivalent(seed: u64, zipfian: bool, sleep_every: usize) {
-    let blocking_config = FrontConfig { shards: SHARDS, ..FrontConfig::default() };
-    let reactor_config =
-        FrontConfig { shards: SHARDS, parked_waits: true, ..FrontConfig::default() };
-
-    let (bf, br, b_rings) = traced_front(blocking_config);
-    let (rf, rr, r_rings) = traced_front(reactor_config);
+    let config = FrontConfig { shards: SHARDS, ..FrontConfig::default() };
+    let (bf, br, b_rings) = traced_front(config);
+    let (rf, rr, r_rings) = traced_front(config);
 
     // Both fronts index the same world shape, so programs built against
     // the blocking front's resources are valid for the reactor's.

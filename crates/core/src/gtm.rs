@@ -1310,9 +1310,9 @@ impl Gtm {
     /// The earliest instant at which [`Gtm::tick`] has scheduled work to
     /// do for a *currently queued* waiter: the oldest wait entry's
     /// `since + wait_timeout`. `None` when nothing is waiting or wait
-    /// timeouts are disabled — an event-driven caller (the reactor
-    /// front-end) then needs no timer for this shard at all, where the
-    /// blocking front-end would poll it on every `poll_interval`.
+    /// timeouts are disabled — a waiter (a reactor worker or a blocked
+    /// front-end thread) then needs no deadline timer for this shard at
+    /// all.
     ///
     /// Deadlock detection and promotion have no deadline of their own:
     /// both are re-run on every tick, so an event-driven caller should

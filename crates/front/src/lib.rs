@@ -26,21 +26,24 @@
 //!   the SST applies its write set all-or-nothing — flushed with no shard
 //!   mutex held. [`Gtm::commit_finish`] / [`Gtm::commit_abort`] then
 //!   settle each shard's bookkeeping. This crate only supplies the
-//!   coordinator's environment (locks, wall clock, mailbox) and the
+//!   coordinator's environment (locks, wall clock, wake registry) and the
 //!   group-commit station's queue.
 //! - **Wall-clock bridge.** Shards speak the virtual-clock
 //!   [`Timestamp`]; the front-end stamps every call with microseconds
 //!   elapsed since construction, sampled *while holding the shard lock*
 //!   so per-shard timestamps stay monotone.
-//! - **Waits block the thread.** Where the simulator parks a transaction
-//!   and replays it on a resume event, a [`Session`] blocks its calling
-//!   thread: resume/abort notifications produced by *other* sessions'
-//!   effects are deposited in a mailbox, and the waiter polls it,
-//!   periodically ticking its shard so wait timeouts and deadlock
-//!   detection fire even on an otherwise idle shard. Deadlocks *across*
-//!   shards are invisible to any single shard's waits-for graph —
-//!   configure [`GtmConfig::wait_timeout`] (the default here) to bound
-//!   them.
+//! - **One addressed wake.** Where the simulator parks a transaction
+//!   and replays it on a resume event, a waiting session registers a
+//!   waker under its transaction id in the front-end's wake registry: a
+//!   blocking [`Session`] parks its calling thread on a one-shot cell, a
+//!   reactor core ([`reactor`]) names its worker's inbox. Resume/abort
+//!   notifications produced by *other* sessions' effects are handed to
+//!   exactly that waker (or held until their addressee parks). A waiter
+//!   also ticks its shard at `min(next wake deadline, tick cadence)` so
+//!   wait timeouts and deadlock detection fire even on an otherwise idle
+//!   shard. Deadlocks *across* shards are invisible to any single
+//!   shard's waits-for graph — configure [`GtmConfig::wait_timeout`]
+//!   (the default here) to bound them.
 //! - **Spans.** Every session emits a span tree into its *home* shard's
 //!   tracer (the first shard it touched): a `session` root whose leaves
 //!   (`work` / `blocked{object}` / `admission_wait` / `sleep`) partition
@@ -68,7 +71,6 @@ use pstm_types::{
     ResourceId, ScalarOp, SharedFaultHook, StepEffects, Timestamp, TxnId, TxnIdAllocator, Value,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Configuration of the sharded front-end.
@@ -81,8 +83,6 @@ pub struct FrontConfig {
     /// see wait cycles spanning shards, so unbounded waits must not be
     /// allowed when sessions touch multiple shards.
     pub gtm: GtmConfig,
-    /// How long a blocked session sleeps between mailbox polls.
-    pub poll_interval: std::time::Duration,
     /// Route single-shard commits through the per-shard group-commit
     /// station: concurrent committers enqueue, one becomes the leader and
     /// commits every queued member with pairwise-disjoint writes as *one*
@@ -93,12 +93,9 @@ pub struct FrontConfig {
     /// Upper bound on commits fused per group flush (≥ 1); only read
     /// when [`FrontConfig::group_commit`] is on.
     pub max_group: usize,
-    /// Park blocked sessions on the front-end's wake pacer (a condvar
-    /// notified by every signal deposit) instead of sleeping a fixed
-    /// [`FrontConfig::poll_interval`] between mailbox polls, and make
-    /// zero-length SST retry back-offs yield the core instead of
-    /// spinning it. Reactor mode ([`reactor::Reactor`]) requires this;
-    /// `false` keeps the original sleep-poll behavior byte-for-byte.
+    /// Inert: nothing reads it. Kept declared only because the frozen
+    /// benchmark (`bench/e2e`) still writes it; the next `[benchmark]`
+    /// PR removes it together with [`FrontConfig::group_commit`].
     pub parked_waits: bool,
 }
 
@@ -110,7 +107,6 @@ impl Default for FrontConfig {
                 wait_timeout: Some(Duration::from_secs_f64(2.0)),
                 ..GtmConfig::default()
             },
-            poll_interval: std::time::Duration::from_micros(100),
             group_commit: false,
             max_group: 8,
             parked_waits: false,
@@ -118,79 +114,48 @@ impl Default for FrontConfig {
     }
 }
 
-/// Cumulative counters of the parked-wait seam, for tests asserting that
-/// retry storms make progress without spinning a core
-/// ([`ShardedFront::pacer_stats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PacerStats {
-    /// Bounded condvar parks (mailbox polls and non-zero retry waits).
-    pub parks: u64,
-    /// Zero-length retry back-offs converted into scheduler yields.
-    pub yields: u64,
-    /// Deposit-side notifications that woke (or would wake) parkers.
-    pub notifies: u64,
-}
+/// How often a waiter ticks its shard when the shard reports no exact
+/// wake deadline: deadlock detection and queue promotion have no
+/// deadline of their own. The default of
+/// [`reactor::ReactorConfig::tick_interval`].
+pub(crate) const TICK_CADENCE: std::time::Duration = std::time::Duration::from_millis(5);
 
-/// The parked-wait seam: blocked sessions wait *here* when
-/// [`FrontConfig::parked_waits`] is on, and every signal deposit rings
-/// the condvar, so a waiter resumes as soon as its signal lands instead
-/// of on the next poll boundary. `std::sync` primitives on purpose: the
-/// `parking_lot` shim carries no condvar, and a poisoned gate must not
-/// panic the commit path (waiters recover the guard and re-poll).
-struct Pacer {
-    gate: std::sync::Mutex<u64>,
+/// A one-shot cell a thread waits on: a blocking [`Session`] parks on one
+/// for its wake signal, a [`reactor::SessionHandle`] call for its reply.
+/// `std::sync` primitives on purpose: the `parking_lot` shim carries no
+/// condvar, and a poisoned cell must not panic the commit path (the
+/// guard is recovered).
+pub(crate) struct OneShot<T> {
+    cell: std::sync::Mutex<Option<T>>,
     cond: std::sync::Condvar,
-    parks: AtomicU64,
-    yields: AtomicU64,
-    notifies: AtomicU64,
 }
 
-impl Pacer {
-    fn new() -> Pacer {
-        Pacer {
-            gate: std::sync::Mutex::new(0),
-            cond: std::sync::Condvar::new(),
-            parks: AtomicU64::new(0),
-            yields: AtomicU64::new(0),
-            notifies: AtomicU64::new(0),
-        }
+impl<T> OneShot<T> {
+    pub(crate) fn new() -> Self {
+        OneShot { cell: std::sync::Mutex::new(None), cond: std::sync::Condvar::new() }
     }
 
-    /// Rings every parked waiter (deposit side).
-    fn pacer_notify(&self) {
-        self.notifies.fetch_add(1, Ordering::AcqRel);
-        let mut gen = self.gate.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *gen = gen.wrapping_add(1);
-        self.cond.notify_all();
+    pub(crate) fn fill(&self, value: T) {
+        *self.cell.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(value);
+        self.cond.notify_one();
     }
 
-    /// Parks the calling thread until a notify or `dur`, whichever comes
-    /// first. Spurious and stale wakeups are fine — every caller
-    /// re-checks its condition in a loop, and the timeout bounds
-    /// staleness exactly like the poll interval it replaces.
-    fn pacer_park(&self, dur: std::time::Duration) {
-        self.parks.fetch_add(1, Ordering::AcqRel);
-        let gen = self.gate.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _ = self.cond.wait_timeout(gen, dur).unwrap_or_else(std::sync::PoisonError::into_inner);
-    }
-
-    /// A retry back-off: zero-length delays yield the core (progress
-    /// without a spin), others park as above.
-    fn pacer_backoff(&self, dur: std::time::Duration) {
-        if dur.is_zero() {
-            self.yields.fetch_add(1, Ordering::AcqRel);
-            std::thread::yield_now();
-        } else {
-            self.pacer_park(dur);
-        }
-    }
-
-    fn stats(&self) -> PacerStats {
-        PacerStats {
-            parks: self.parks.load(Ordering::Acquire),
-            yields: self.yields.load(Ordering::Acquire),
-            notifies: self.notifies.load(Ordering::Acquire),
-        }
+    /// Parks the calling thread until the cell is filled — or, with a
+    /// `timeout`, until it elapses (`None` then).
+    pub(crate) fn take(&self, timeout: Option<std::time::Duration>) -> Option<T> {
+        use std::sync::PoisonError;
+        let cell = self.cell.lock().unwrap_or_else(PoisonError::into_inner);
+        let empty = |v: &mut Option<T>| v.is_none();
+        let mut cell = match timeout {
+            None => self.cond.wait_while(cell, empty).unwrap_or_else(PoisonError::into_inner),
+            Some(dur) => {
+                self.cond
+                    .wait_timeout_while(cell, dur, empty)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            }
+        };
+        cell.take()
     }
 }
 
@@ -203,6 +168,33 @@ enum Signal {
     /// The transaction was aborted while waiting (deadlock victim, wait
     /// timeout, or released by an incompatible commit).
     Aborted(AbortReason),
+}
+
+/// Who a parked session's signal is handed to.
+pub(crate) enum Waker {
+    /// A thread parked on its own cell (blocking [`Session::execute`]).
+    Thread(Arc<OneShot<Signal>>),
+    /// A reactor worker's inbox: the signal becomes a message on the
+    /// queue of the worker that owns the parked core.
+    Worker(reactor::Inbox),
+}
+
+impl Waker {
+    fn wake(&self, txn: TxnId, signal: Signal, now: Timestamp) {
+        match self {
+            Waker::Thread(cell) => cell.fill(signal),
+            Waker::Worker(inbox) => inbox.wake(txn, signal, now.0),
+        }
+    }
+}
+
+/// One wake-registry entry: present only while its transaction is parked
+/// or has a signal it has not consumed yet.
+enum WakeSlot {
+    /// The signal arrived before its addressee parked.
+    Held(Signal),
+    /// The addressee is parked; its signal goes to this waker.
+    Parked(Waker),
 }
 
 /// Result of a blocking [`Session`] operation.
@@ -218,8 +210,8 @@ pub enum SessionOutcome {
 
 /// Result of the non-blocking [`Session::try_execute`] half: either the
 /// operation settled immediately, or it parked behind incompatible work
-/// and the caller owns the wait (block on the mailbox, or — in reactor
-/// mode — return to the event loop until the signal is routed).
+/// and the caller owns the wait (park the thread, or — in reactor mode
+/// — return to the event loop; either way under a [`Waker`]).
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum TryExec {
     /// Settled without waiting.
@@ -308,16 +300,10 @@ struct FrontInner {
     /// the shard during the device round-trip so waiting committers keep
     /// executing and fuse into the next wave.
     flush_fences: Vec<Mutex<()>>,
-    mail: Mutex<BTreeMap<TxnId, Signal>>,
-    /// Reactor-mode wake routing: when a sink is installed
-    /// ([`ShardedFront::install_wake_sink`]), `deposit` hands every
-    /// resume/abort signal to it instead of the mailbox, and the sink's
-    /// owner (a [`reactor::Reactor`]) delivers it to the session's worker
-    /// queue — an O(1) enqueue instead of a poll. `None` in blocking mode.
-    wake: Mutex<Option<Arc<dyn reactor::WakeSink>>>,
-    /// The parked-wait seam (see [`Pacer`]); only consulted when
-    /// [`FrontConfig::parked_waits`] is on.
-    pacer: Pacer,
+    /// THE wake path: every resume/abort signal `deposit` routes goes
+    /// through this registry to the one waiter it addresses (see
+    /// [`WakeSlot`]). Never locked with a shard mutex held.
+    wakes: Mutex<BTreeMap<TxnId, WakeSlot>>,
     /// Fault seam consulted at the front-end's own phased-commit sites
     /// (`pre-sst`, `pre-finish`); `None` outside chaos runs. Lives here
     /// rather than in [`FrontConfig`] (which is `Copy`).
@@ -396,9 +382,7 @@ impl ShardedFront {
                 anchor: WallAnchor::now(),
                 groups,
                 flush_fences,
-                mail: Mutex::new(BTreeMap::new()),
-                wake: Mutex::new(None),
-                pacer: Pacer::new(),
+                wakes: Mutex::new(BTreeMap::new()),
                 fault_hook: Mutex::new(None),
                 recorder: Mutex::new(None),
             }),
@@ -490,6 +474,7 @@ impl ShardedFront {
             id: self.inner.next_txn.allocate(),
             begun: BTreeSet::new(),
             finished: false,
+            waited: false,
             home: None,
             leaf: None,
         }
@@ -613,72 +598,54 @@ impl ShardedFront {
         indices.iter().map(|&s| self.inner.flush_fences[s].lock()).collect()
     }
 
-    /// Deposits resume/abort notifications for *other* sessions: to the
-    /// installed wake sink (reactor mode — an O(1) enqueue onto the
-    /// addressee's worker queue), else to the mailbox, ringing the pacer
-    /// so parked blocking waiters re-poll immediately.
+    /// Hands each resume/abort notification in `fx` to the waiter it
+    /// addresses: the registry is taken once, a parked addressee's waker
+    /// is taken out and woken after the registry is released, and a
+    /// signal that outran its addressee's park is held for it.
     fn deposit(&self, fx: &StepEffects) {
         if fx.resumed.is_empty() && fx.aborted.is_empty() {
             return;
         }
-        let sink = self.inner.wake.lock().clone();
-        if let Some(sink) = sink {
-            for (txn, value) in &fx.resumed {
-                sink.route_wake(*txn, Signal::Resumed(value.clone()));
-            }
-            for (txn, reason) in &fx.aborted {
-                sink.route_wake(*txn, Signal::Aborted(*reason));
-            }
-            return;
-        }
+        let resumed = fx.resumed.iter().map(|(txn, v)| (*txn, Signal::Resumed(v.clone())));
+        let aborted = fx.aborted.iter().map(|(txn, reason)| (*txn, Signal::Aborted(*reason)));
+        let mut woken = Vec::new();
         {
-            let mut mail = self.inner.mail.lock();
-            for (txn, value) in &fx.resumed {
-                mail.insert(*txn, Signal::Resumed(value.clone()));
-            }
-            for (txn, reason) in &fx.aborted {
-                mail.insert(*txn, Signal::Aborted(*reason));
+            let mut wakes = self.inner.wakes.lock();
+            for (txn, signal) in resumed.chain(aborted) {
+                match wakes.remove(&txn) {
+                    Some(WakeSlot::Parked(waker)) => woken.push((waker, txn, signal)),
+                    _ => {
+                        wakes.insert(txn, WakeSlot::Held(signal));
+                    }
+                }
             }
         }
-        self.inner.pacer.pacer_notify();
+        let now = self.now();
+        for (waker, txn, signal) in woken {
+            waker.wake(txn, signal, now);
+        }
     }
 
-    /// Installs the reactor's wake sink: from here on, `deposit` routes
-    /// signals through it instead of the mailbox.
-    pub(crate) fn install_wake_sink(&self, sink: Arc<dyn reactor::WakeSink>) {
-        *self.inner.wake.lock() = Some(sink);
+    /// Parks `txn` under `waker`: the next signal addressed to it wakes
+    /// exactly that waiter — at once, if the signal is already held.
+    pub(crate) fn park(&self, txn: TxnId, waker: Waker) {
+        let mut wakes = self.inner.wakes.lock();
+        match wakes.remove(&txn) {
+            Some(WakeSlot::Held(signal)) => {
+                drop(wakes);
+                waker.wake(txn, signal, self.now());
+            }
+            _ => {
+                wakes.insert(txn, WakeSlot::Parked(waker));
+            }
+        }
     }
 
-    /// Uninstalls the wake sink (reactor shutdown); signals fall back to
-    /// the mailbox.
-    pub(crate) fn clear_wake_sink(&self) {
-        *self.inner.wake.lock() = None;
-    }
-
-    /// Deposits one signal straight into the mailbox, ringing the pacer
-    /// — the wake sink's fallback for transactions it does not own.
-    pub(crate) fn mail_deposit(&self, txn: TxnId, signal: Signal) {
-        self.inner.mail.lock().insert(txn, signal);
-        self.inner.pacer.pacer_notify();
-    }
-
-    /// Counters of the parked-wait seam (all zero unless
-    /// [`FrontConfig::parked_waits`] is on).
+    /// Entries in the wake registry: parked waiters plus signals not yet
+    /// consumed. Zero at quiescence.
     #[must_use]
-    pub fn pacer_stats(&self) -> PacerStats {
-        self.inner.pacer.stats()
-    }
-
-    /// One mailbox-poll pause: a bounded pacer park when
-    /// [`FrontConfig::parked_waits`] is on (a deposit ends it early),
-    /// else the original fixed sleep.
-    fn pause_poll(&self) {
-        let dur = self.inner.config.poll_interval;
-        if self.inner.config.parked_waits {
-            self.inner.pacer.pacer_park(dur);
-        } else {
-            std::thread::sleep(dur);
-        }
+    pub fn wake_entries(&self) -> usize {
+        self.inner.wakes.lock().len()
     }
 
     /// Emits one span boundary for `txn` into shard `home`'s tracer,
@@ -697,11 +664,15 @@ impl ShardedFront {
 
     /// Advances one shard's virtual clock — firing wait timeouts,
     /// deadlock detection and queue promotion even on an otherwise idle
-    /// shard — then routes the resulting signals and reports the shard's
-    /// next wake deadline ([`Gtm::next_wake_deadline`]) so the reactor
-    /// can schedule the next tick exactly instead of polling. The shard
-    /// guard is released before any signal is routed.
-    pub(crate) fn tick_shard(&self, shard: usize) -> Option<Timestamp> {
+    /// shard — routes the resulting signals, and says when a waiter on
+    /// the shard should tick it next: at the shard's exact next wake
+    /// deadline ([`Gtm::next_wake_deadline`]), but no later than
+    /// `cadence_us` after `now_us` (deadlock detection and promotion have
+    /// no deadline of their own), and never again within the same
+    /// microsecond. Both waiters — the blocked thread and the reactor
+    /// worker — schedule off this. The shard guard is released before
+    /// any signal is routed.
+    pub(crate) fn tick_shard(&self, shard: usize, now_us: u64, cadence_us: u64) -> u64 {
         let (fx, deadline) = {
             let mut gtm = self.inner.shards[shard].lock();
             let now = self.now();
@@ -711,14 +682,15 @@ impl ShardedFront {
         if let Some(fx) = fx {
             self.deposit(&fx);
         }
-        deadline
+        let cap = now_us.saturating_add(cadence_us);
+        deadline.map_or(cap, |d| d.0.min(cap)).max(now_us.saturating_add(1))
     }
 }
 
 /// The coordinator's view of the sharded front-end ([`CommitEnv`]):
 /// shards are reached by locking them ascending, the clock is the wall
-/// bridge, a retry back-off really waits, and effects go to the mailbox
-/// or wake sink. The caller holds the flush fences.
+/// bridge, a retry back-off really waits, and effects go to the wake
+/// registry. The caller holds the flush fences.
 struct FrontEnv<'a> {
     front: &'a ShardedFront,
 }
@@ -759,16 +731,13 @@ impl CommitEnv for FrontEnv<'_> {
         (&self.front.inner.db, &self.front.inner.bindings)
     }
 
-    /// Parked mode turns a zero-length delay into a scheduler yield — a
-    /// retry storm then makes progress without pinning a core — and parks
-    /// for non-zero delays; blocking mode keeps the original behavior
-    /// (sleep if non-zero, spin if zero) byte-for-byte.
+    /// A zero-length delay yields the core — a retry storm then makes
+    /// progress without pinning it — and a non-zero one sleeps.
     fn backoff(&mut self, delay: Duration) {
-        let dur = std::time::Duration::from_micros(delay.0);
-        if self.front.inner.config.parked_waits {
-            self.front.inner.pacer.pacer_backoff(dur);
-        } else if !dur.is_zero() {
-            std::thread::sleep(dur);
+        if delay.0 == 0 {
+            std::thread::yield_now();
+        } else {
+            std::thread::sleep(std::time::Duration::from_micros(delay.0));
         }
     }
 
@@ -798,6 +767,10 @@ pub struct Session {
     id: TxnId,
     begun: BTreeSet<usize>,
     finished: bool,
+    /// Set once an operation of this session queued: only then can the
+    /// wake registry hold an entry for it, so a session that never waited
+    /// finishes without touching the registry.
+    waited: bool,
     /// The first shard this session touched. All of the session's span
     /// events go to the home shard's tracer so the span tree stays in one
     /// trace; `None` until the first `execute` (a session that never
@@ -931,6 +904,7 @@ impl Session {
                 Ok(TryExec::Done(SessionOutcome::Aborted(reason)))
             }
             ExecOutcome::Waiting => {
+                self.waited = true;
                 // The leaf flips from `work` to the wait's cause: object
                 // contention, or a §VII policy denial (admission wait).
                 self.close_leaf();
@@ -961,27 +935,22 @@ impl Session {
         }
     }
 
-    /// Parks the calling thread until another session's effects resume or
-    /// abort this transaction. Ticks the owning shard each poll so wait
-    /// timeouts and deadlock detection advance even on an idle shard.
+    /// Parks the calling thread on its own cell until another session's
+    /// effects resume or abort this transaction, waiting the way a reactor
+    /// core waits: the shard is ticked only when [`ShardedFront::tick_shard`]'s
+    /// deadline fires, so wait timeouts and deadlock detection advance
+    /// even on an idle shard and nothing polls.
     fn wait_for_signal(&mut self, shard: usize) -> Signal {
+        let cell = Arc::new(OneShot::new());
+        self.front.park(self.id, Waker::Thread(Arc::clone(&cell)));
+        let cadence_us = TICK_CADENCE.as_micros() as u64;
+        let mut wait_us = 0;
         loop {
-            // Take the mail guard for the removal alone — it must be
-            // gone before the shard mutex below (mail sits *above*
-            // shard in the lock order; holding it across the tick
-            // would be an order inversion).
-            let delivered = self.front.inner.mail.lock().remove(&self.id);
-            if let Some(signal) = delivered {
+            if let Some(signal) = cell.take(Some(std::time::Duration::from_micros(wait_us))) {
                 return signal;
             }
-            {
-                let mut gtm = self.front.inner.shards[shard].lock();
-                let now = self.front.now();
-                if let Ok(fx) = gtm.tick(now) {
-                    self.front.deposit(&fx);
-                }
-            }
-            self.front.pause_poll();
+            let now_us = self.front.now().0;
+            wait_us = self.front.tick_shard(shard, now_us, cadence_us) - now_us;
         }
     }
 
@@ -1008,13 +977,12 @@ impl Session {
         self.ensure_open()?;
         let mut granted = Vec::new();
         for &shard in &self.begun.clone() {
-            let result = {
+            let (result, fx) = {
                 let mut gtm = self.front.inner.shards[shard].lock();
                 let now = self.front.now();
-                let (result, fx) = gtm.awake(self.id, now)?;
-                self.front.deposit(&fx);
-                result
+                gtm.awake(self.id, now)?
             };
+            self.front.deposit(&fx);
             match result {
                 pstm_core::gtm::AwakeResult::Resumed(value) => granted.extend(value),
                 pstm_core::gtm::AwakeResult::Aborted => {
@@ -1079,7 +1047,7 @@ impl Session {
             // A simulated crash: the process is dead; spans die with it.
             Err(_) => {}
         }
-        self.clear_mail();
+        self.forget_wakes();
         result
     }
 
@@ -1175,19 +1143,23 @@ impl Session {
             }
             let mut gtm = self.front.inner.shards[shard].lock();
             let now = self.front.now();
-            let fx = gtm.abort(self.id, now)?;
+            let mut fx = gtm.abort(self.id, now)?;
             drop(gtm);
+            // The session learns its own abort from the call's result.
+            fx.aborted.retain(|(txn, _)| *txn != self.id);
             self.front.deposit(&fx);
         }
-        self.clear_mail();
+        self.forget_wakes();
         self.close_session_aborted();
         Ok(())
     }
 
-    /// Drops any residual signal addressed to this session, so the
-    /// mailbox cannot accumulate entries for finished transactions.
-    fn clear_mail(&self) {
-        self.front.inner.mail.lock().remove(&self.id);
+    /// A finishing session leaves no registry entry behind. One that
+    /// never waited cannot have one (signals address waiters only).
+    pub(crate) fn forget_wakes(&self) {
+        if self.waited {
+            self.front.inner.wakes.lock().remove(&self.id);
+        }
     }
 }
 

@@ -9,9 +9,10 @@
 //! its sessions off one MPSC op queue and a deadline-ordered
 //! [`TimerWheel`]; a *Sleeping* session consumes no thread, no stack
 //! and no queue slot — only its state machine and (at most) one timer
-//! entry. Wakes are O(1) enqueues: the front-end's signal `deposit`
-//! routes through the installed [`WakeSink`] straight onto the owner
-//! worker's queue instead of a mailbox the waiter must poll.
+//! entry. Wakes are O(1) enqueues: a core that must wait parks under its
+//! worker's [`Inbox`] in the front-end's wake registry — the same
+//! registry a blocked thread parks in — and the signal that resumes or
+//! aborts it lands straight on that worker's queue.
 //!
 //! Two drivers share the same per-worker state machine
 //! (`WorkerState::handle`):
@@ -30,7 +31,10 @@
 //! both trace sets with the serializability verifier.
 
 use crate::timer::TimerWheel;
-use crate::{AwakeOutcome, FrontInner, Session, SessionOutcome, ShardedFront, Signal, TryExec};
+use crate::{
+    AwakeOutcome, OneShot, Session, SessionOutcome, ShardedFront, Signal, TryExec, Waker,
+    TICK_CADENCE,
+};
 use parking_lot::Mutex;
 use pstm_core::gtm::CommitResult;
 use pstm_obs::reactor::wake_latency_histogram;
@@ -39,15 +43,7 @@ use pstm_types::{AbortReason, PstmError, PstmResult, ResourceId, ScalarOp, Times
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Weak};
-
-/// Where the front-end's `deposit` hands resume/abort signals once a
-/// reactor is attached ([`ShardedFront::install_wake_sink`]): the sink
-/// turns a signal into an O(1) enqueue on the addressee's worker queue.
-pub(crate) trait WakeSink: Send + Sync {
-    /// Routes one signal to the session that owns `txn`.
-    fn route_wake(&self, txn: TxnId, signal: Signal);
-}
+use std::sync::Arc;
 
 /// Reactor pool configuration.
 #[derive(Clone, Copy, Debug)]
@@ -65,7 +61,7 @@ pub struct ReactorConfig {
 
 impl Default for ReactorConfig {
     fn default() -> Self {
-        ReactorConfig { workers: 0, tick_interval: std::time::Duration::from_millis(5) }
+        ReactorConfig { workers: 0, tick_interval: TICK_CADENCE }
     }
 }
 
@@ -103,27 +99,31 @@ pub enum Fate {
     Failed(String),
 }
 
-/// Reply payload a [`SessionHandle`] call blocks on.
-#[derive(Clone, Debug)]
-pub enum StepReply {
+/// What one [`StepOp`] answered — the payload a [`SessionHandle`] call
+/// blocks on.
+enum StepReply {
     /// `execute` settled with this outcome.
     Outcome(SessionOutcome),
+    /// `sleep` completed.
+    Slept,
     /// `awake` settled with this outcome.
     Awoke(AwakeOutcome),
     /// `commit` settled with this result.
     Committed(CommitResult),
-    /// `sleep` / `abort` completed.
-    Unit,
+    /// `abort` completed.
+    Aborted,
 }
+
+/// The cell a [`SessionHandle`] call parks on for its reply.
+type ReplyCell = Arc<OneShot<PstmResult<StepReply>>>;
 
 /// One message on a worker's op queue.
 enum Msg {
-    /// Adopt a new session state machine (registered in the owner map
-    /// *before* this message is sent, so no wake can outrun it).
+    /// Adopt a new session state machine.
     Spawn { core: Box<SessionCore>, enq_us: u64 },
     /// One blocking-API call relayed by a [`SessionHandle`].
-    Step { txn: TxnId, op: StepOp, cell: Arc<ReplyCell>, enq_us: u64 },
-    /// A resume/abort signal routed by the [`WakeSink`].
+    Step { txn: TxnId, op: StepOp, cell: ReplyCell, enq_us: u64 },
+    /// A resume/abort signal for a core parked under this worker's inbox.
     Wake { txn: TxnId, signal: Signal, enq_us: u64 },
     /// Drain and exit the worker loop.
     Shutdown,
@@ -140,17 +140,58 @@ impl Msg {
     }
 }
 
-/// The op a [`SessionHandle`] call relays to the owner worker.
+/// The sending half of one worker's op queue, with its depth gauge: what
+/// spawns and handle calls enqueue on, and the waker a parked core
+/// registers in the front-end's wake registry.
+#[derive(Clone)]
+pub(crate) struct Inbox {
+    tx: Sender<Msg>,
+    shared: Arc<Shared>,
+    worker: usize,
+}
+
+impl Inbox {
+    /// One inbox (and its receiving half) per worker.
+    fn pool(shared: &Arc<Shared>) -> (Vec<Inbox>, Vec<Receiver<Msg>>) {
+        (0..shared.depth.len())
+            .map(|worker| {
+                let (tx, rx) = std::sync::mpsc::channel();
+                (Inbox { tx, shared: Arc::clone(shared), worker }, rx)
+            })
+            .unzip()
+    }
+
+    /// Enqueues `msg`; `false` when the worker has shut down.
+    fn send(&self, msg: Msg) -> bool {
+        let depth = &self.shared.depth[self.worker];
+        depth.fetch_add(1, Ordering::AcqRel);
+        let sent = self.tx.send(msg).is_ok();
+        if !sent {
+            depth.fetch_sub(1, Ordering::AcqRel);
+        }
+        sent
+    }
+
+    /// Routes one signal to the parked core of `txn` (moot once the
+    /// worker has shut down).
+    pub(crate) fn wake(&self, txn: TxnId, signal: Signal, enq_us: u64) {
+        self.send(Msg::Wake { txn, signal, enq_us });
+    }
+}
+
+/// One session op, as a [`SessionHandle`] call or a [`ProgramStep`] asks
+/// for it.
 enum StepOp {
-    /// [`SessionHandle::execute`].
+    /// [`Session::execute`].
     Execute(ResourceId, ScalarOp),
-    /// [`SessionHandle::sleep`].
-    Sleep,
-    /// [`SessionHandle::awake`].
+    /// [`Session::sleep`]; a program's `SleepFor` also arms the timer
+    /// that awakens the session this many virtual microseconds later.
+    Sleep(Option<u64>),
+    /// [`Session::awake`].
     Awake,
-    /// [`SessionHandle::commit`].
+    /// [`Session::commit`].
     Commit,
-    /// [`SessionHandle::abort`].
+    /// [`Session::abort`].
     Abort,
 }
 
@@ -189,36 +230,25 @@ struct SessionCore {
     phase: CorePhase,
     /// Handle-mode only: the reply cell of a parked `execute`, filled
     /// when its signal is delivered.
-    pending_reply: Option<Arc<ReplyCell>>,
+    pending_reply: Option<ReplyCell>,
 }
 
-/// A one-shot reply slot a [`SessionHandle`] call parks on. `std::sync`
-/// primitives: the `parking_lot` shim carries no condvar, and poisoning
-/// must not panic the front (the guard is recovered).
-struct ReplyCell {
-    reply: std::sync::Mutex<Option<PstmResult<StepReply>>>,
-    cond: std::sync::Condvar,
-}
-
-impl ReplyCell {
-    fn new() -> ReplyCell {
-        ReplyCell { reply: std::sync::Mutex::new(None), cond: std::sync::Condvar::new() }
-    }
-
-    fn fill(&self, result: PstmResult<StepReply>) {
-        let mut reply = self.reply.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        *reply = Some(result);
-        self.cond.notify_all();
-    }
-
-    fn take_blocking(&self) -> PstmResult<StepReply> {
-        let mut reply = self.reply.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        loop {
-            if let Some(result) = reply.take() {
-                return result;
-            }
-            reply = self.cond.wait(reply).unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
+impl SessionCore {
+    /// A fresh core over `session`, ready to ship to the worker that
+    /// owns shard `home`'s sessions: the shard of the program's first
+    /// executed resource (shard 0 for a program that executes nothing).
+    fn new(
+        front: &ShardedFront,
+        session: Session,
+        program: Vec<ProgramStep>,
+    ) -> (Box<Self>, usize) {
+        let home = program.iter().find_map(|step| match step {
+            ProgramStep::Execute(resource, _) => Some(front.shard_of(*resource)),
+            _ => None,
+        });
+        let core =
+            SessionCore { session, program, pc: 0, phase: CorePhase::Running, pending_reply: None };
+        (Box::new(core), home.unwrap_or(0))
     }
 }
 
@@ -252,7 +282,7 @@ impl Ledger {
     }
 }
 
-/// Gauges and accumulators shared by the workers, the router, and the
+/// Gauges and accumulators shared by the workers, the inboxes, and the
 /// snapshot path. All atomics use acquire/release — the relaxed tier is
 /// reserved for the audited seams.
 struct Shared {
@@ -314,51 +344,15 @@ impl Shared {
     }
 }
 
-/// The threaded [`WakeSink`]: looks up the owner worker and enqueues.
-/// Holds the front weakly (the front holds the sink — a strong edge
-/// back would leak the pair) and falls back to the mailbox for
-/// transactions no worker owns, so blocking sessions coexist with the
-/// reactor on one front-end.
-struct Router {
-    owners: Mutex<BTreeMap<TxnId, usize>>,
-    txs: Vec<Sender<Msg>>,
-    shared: Arc<Shared>,
-    front: Weak<FrontInner>,
-}
-
-impl Router {
-    fn front(&self) -> Option<ShardedFront> {
-        self.front.upgrade().map(|inner| ShardedFront { inner })
-    }
-}
-
-impl WakeSink for Router {
-    fn route_wake(&self, txn: TxnId, signal: Signal) {
-        let Some(front) = self.front() else { return };
-        let owner = self.owners.lock().get(&txn).copied();
-        match owner {
-            Some(worker) => {
-                let enq_us = front.now().0;
-                self.shared.depth[worker].fetch_add(1, Ordering::AcqRel);
-                if self.txs[worker].send(Msg::Wake { txn, signal, enq_us }).is_err() {
-                    // Worker already shut down; the signal is moot.
-                    self.shared.depth[worker].fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            None => front.mail_deposit(txn, signal),
-        }
-    }
-}
-
 /// Everything one worker owns: its sessions, its timer wheel, and its
 /// per-shard wait accounting. Transport-free — both the threaded loop
 /// and the deterministic driver feed it through [`WorkerState::handle`]
 /// and [`WorkerState::fire_due`], so the property tests exercise the
 /// exact state machine production runs.
 struct WorkerState {
-    worker: usize,
     front: ShardedFront,
-    shared: Arc<Shared>,
+    /// This worker's own inbox: the waker its parked cores register.
+    inbox: Inbox,
     cores: BTreeMap<TxnId, SessionCore>,
     wheel: TimerWheel<TimerEv>,
     /// Sessions of this worker parked per shard — while non-zero the
@@ -370,42 +364,48 @@ struct WorkerState {
 }
 
 impl WorkerState {
-    fn new(worker: usize, front: ShardedFront, shared: Arc<Shared>, tick_us: u64) -> WorkerState {
+    fn new(front: ShardedFront, inbox: Inbox, tick_us: u64) -> WorkerState {
         WorkerState {
-            worker,
             front,
-            shared,
+            inbox,
             cores: BTreeMap::new(),
             wheel: TimerWheel::new(),
             waiting_on: BTreeMap::new(),
             tick_armed: BTreeSet::new(),
-            tick_us: tick_us.max(1),
+            tick_us,
         }
+    }
+
+    fn shared(&self) -> &Shared {
+        &self.inbox.shared
     }
 
     /// Moves a core between lifecycle phases, keeping the census gauges
     /// exact.
-    fn set_phase(&mut self, core: &mut SessionCore, next: CorePhase) {
-        if core.phase == next {
-            return;
+    fn set_phase(&self, core: &mut SessionCore, next: CorePhase) {
+        if core.phase != next {
+            self.shared().gauge(core.phase).fetch_sub(1, Ordering::AcqRel);
+            self.shared().gauge(next).fetch_add(1, Ordering::AcqRel);
+            core.phase = next;
         }
-        self.shared.gauge(core.phase).fetch_sub(1, Ordering::AcqRel);
-        self.shared.gauge(next).fetch_add(1, Ordering::AcqRel);
-        core.phase = next;
     }
 
-    /// Retires a core: ledger entry, gauge transition, and the parked
-    /// reply (if any) answered by the caller beforehand.
-    fn finish(&mut self, core: &mut SessionCore, fate: Fate) {
-        self.set_phase(core, CorePhase::Finished);
-        self.shared.ledger.record(core.session.id(), fate);
+    /// Puts a core back in the worker's map — unless it finished: a
+    /// finished core is dropped, not retained (a 100k-session fleet must
+    /// not carry 100k dead state machines to shutdown). Late steps then
+    /// find no core; late wakes count stale.
+    fn keep(&mut self, core: SessionCore) {
+        if core.phase != CorePhase::Finished {
+            self.cores.insert(core.session.id(), core);
+        }
     }
 
-    /// Parks a core behind `shard` and makes sure the shard's clock
-    /// keeps advancing while anyone waits on it.
+    /// Parks a core behind `shard` under this worker's inbox and makes
+    /// sure the shard's clock keeps advancing while anyone waits on it.
     fn park_on(&mut self, core: &mut SessionCore, shard: usize, now_us: u64) {
         self.set_phase(core, CorePhase::Waiting(shard));
         *self.waiting_on.entry(shard).or_insert(0) += 1;
+        self.front.park(core.session.id(), Waker::Worker(self.inbox.clone()));
         self.arm_tick(shard, now_us);
     }
 
@@ -413,51 +413,140 @@ impl WorkerState {
     /// shard has one fewer waiter from this worker).
     fn unpark_from(&mut self, shard: usize) {
         if let Some(n) = self.waiting_on.get_mut(&shard) {
-            *n = n.saturating_sub(1);
+            *n -= 1;
             if *n == 0 {
                 self.waiting_on.remove(&shard);
             }
         }
     }
 
-    /// Arms (once) a tick timer for `shard`. The first tick fires on the
-    /// fallback cadence; each firing re-schedules off the shard's exact
-    /// next wake deadline while waiters remain.
+    /// While this worker has cores parked on `shard`, keeps exactly one
+    /// tick timer for it in the wheel: ticks the shard now and schedules
+    /// the next tick where [`ShardedFront::tick_shard`] says.
     fn arm_tick(&mut self, shard: usize, now_us: u64) {
-        if !self.tick_armed.insert(shard) {
-            return;
+        if self.waiting_on.contains_key(&shard) && self.tick_armed.insert(shard) {
+            let at = self.front.tick_shard(shard, now_us, self.tick_us);
+            self.wheel.schedule_at(at, TimerEv::TickShard(shard));
         }
-        let deadline = self.front.tick_shard(shard);
-        let cap = now_us.saturating_add(self.tick_us);
-        let at = deadline.map_or(cap, |d| d.0.min(cap));
-        self.wheel.schedule_at(at.max(now_us), TimerEv::TickShard(shard));
     }
 
     /// One message. `now_us` is the driver's clock — wall microseconds
     /// in threaded mode, the virtual clock in deterministic mode.
     fn handle(&mut self, msg: Msg, now_us: u64) {
-        self.shared.depth[self.worker].fetch_sub(1, Ordering::AcqRel);
+        self.shared().depth[self.inbox.worker].fetch_sub(1, Ordering::AcqRel);
         // Every carried message pays an enqueue→delivery latency; the
         // histogram is what the fleet bench reports as wake p50/p99.
-        let enq_us = match &msg {
-            Msg::Spawn { enq_us, .. } | Msg::Step { enq_us, .. } | Msg::Wake { enq_us, .. } => {
-                Some(*enq_us)
-            }
-            Msg::Shutdown => None,
-        };
-        if let Some(enq_us) = enq_us {
-            self.shared.wake_hist.lock().record(now_us.saturating_sub(enq_us));
+        if let Msg::Spawn { enq_us, .. } | Msg::Step { enq_us, .. } | Msg::Wake { enq_us, .. } =
+            &msg
+        {
+            self.shared().wake_hist.lock().record(now_us.saturating_sub(*enq_us));
         }
         match msg {
             Msg::Spawn { core, .. } => {
-                let txn = core.session.id();
-                self.shared.gauge(CorePhase::Running).fetch_add(1, Ordering::AcqRel);
-                self.cores.insert(txn, *core);
-                self.run_program(txn, now_us);
+                let mut core = *core;
+                self.shared().gauge(CorePhase::Running).fetch_add(1, Ordering::AcqRel);
+                self.run_program(&mut core, now_us);
+                self.keep(core);
             }
-            Msg::Step { txn, op, cell, .. } => self.handle_step(txn, op, &cell, now_us),
+            Msg::Step { txn, op, cell, .. } => {
+                let Some(mut core) = self.cores.remove(&txn) else {
+                    cell.fill(Err(PstmError::InvalidState {
+                        txn,
+                        action: "reactor-step",
+                        state: "finished",
+                    }));
+                    return;
+                };
+                match self.apply(&mut core, op, now_us) {
+                    Some(reply) => cell.fill(reply),
+                    None => core.pending_reply = Some(cell),
+                }
+                self.keep(core);
+            }
             Msg::Wake { txn, signal, enq_us } => self.handle_wake(txn, signal, enq_us, now_us),
             Msg::Shutdown => {}
+        }
+    }
+
+    /// THE step function, for every op of every core in either mode: call
+    /// the [`Session`] op, move the phase gauge, record the fate of a
+    /// session it finished, and return the reply for whoever asked.
+    /// `None`: the op parked, and its reply comes with the wake.
+    fn apply(
+        &mut self,
+        core: &mut SessionCore,
+        op: StepOp,
+        now_us: u64,
+    ) -> Option<PstmResult<StepReply>> {
+        let txn = core.session.id();
+        let result = match op {
+            StepOp::Execute(resource, op) => match core.session.try_execute(resource, op) {
+                Ok(TryExec::Parked { shard }) => {
+                    self.park_on(core, shard, now_us);
+                    return None;
+                }
+                Ok(TryExec::Done(outcome)) => Ok(StepReply::Outcome(outcome)),
+                Err(e) => Err(e),
+            },
+            StepOp::Sleep(nap) => core.session.sleep().map(|()| {
+                if let Some(us) = nap {
+                    self.wheel.schedule_at(now_us.saturating_add(us), TimerEv::Awake(txn));
+                }
+                StepReply::Slept
+            }),
+            StepOp::Awake => core.session.awake().map(StepReply::Awoke),
+            StepOp::Commit => core.session.commit().map(StepReply::Committed),
+            StepOp::Abort => core.session.abort().map(|()| StepReply::Aborted),
+        };
+        Some(self.settle(core, result))
+    }
+
+    /// The second half of [`WorkerState::apply`], shared with a parked
+    /// op's wake: the phase a reply implies, or the fate it seals.
+    fn settle(
+        &mut self,
+        core: &mut SessionCore,
+        result: PstmResult<StepReply>,
+    ) -> PstmResult<StepReply> {
+        let fate = match &result {
+            Ok(StepReply::Outcome(SessionOutcome::Value(_)))
+            | Ok(StepReply::Awoke(AwakeOutcome::Resumed(_))) => {
+                self.set_phase(core, CorePhase::Running);
+                return result;
+            }
+            Ok(StepReply::Slept) => {
+                self.set_phase(core, CorePhase::Sleeping);
+                return result;
+            }
+            Ok(StepReply::Outcome(SessionOutcome::Aborted(reason)))
+            | Ok(StepReply::Committed(CommitResult::Aborted(reason))) => Fate::Aborted(*reason),
+            Ok(StepReply::Committed(CommitResult::Committed)) => Fate::Committed,
+            Ok(StepReply::Awoke(AwakeOutcome::Aborted)) => Fate::AwakeAborted,
+            Ok(StepReply::Aborted) => Fate::UserAborted,
+            Err(e) => {
+                core.session.forget_wakes();
+                Fate::Failed(e.to_string())
+            }
+        };
+        self.set_phase(core, CorePhase::Finished);
+        self.shared().ledger.record(core.session.id(), fate);
+        result
+    }
+
+    /// Runs a program-mode core forward until it parks, sleeps, or
+    /// finishes. Handle-mode cores (empty program) are driven by `Step`
+    /// messages instead.
+    fn run_program(&mut self, core: &mut SessionCore, now_us: u64) {
+        while core.phase == CorePhase::Running && !core.program.is_empty() {
+            let op = match core.program.get(core.pc) {
+                Some(ProgramStep::Execute(resource, op)) => StepOp::Execute(*resource, op.clone()),
+                Some(ProgramStep::SleepFor(us)) => StepOp::Sleep(Some(*us)),
+                Some(ProgramStep::Abort) => StepOp::Abort,
+                // A program that runs out of steps commits implicitly.
+                Some(ProgramStep::Commit) | None => StepOp::Commit,
+            };
+            core.pc += 1;
+            self.apply(core, op, now_us);
         }
     }
 
@@ -479,197 +568,28 @@ impl WorkerState {
         }
     }
 
+    /// The signal a parked core waited for: settle the parked op, then
+    /// answer the handle that asked, or continue the program.
     fn handle_wake(&mut self, txn: TxnId, signal: Signal, enq_us: u64, now_us: u64) {
         let Some(mut core) = self.cores.remove(&txn) else {
-            self.shared.stale.fetch_add(1, Ordering::AcqRel);
+            self.shared().stale.fetch_add(1, Ordering::AcqRel);
             return;
         };
-        let CorePhase::Waiting(shard) = core.phase else {
+        if let CorePhase::Waiting(shard) = core.phase {
+            self.emit_queued_span(&core, enq_us, now_us);
+            self.unpark_from(shard);
+            let delivered = core.session.deliver(shard, signal).map(StepReply::Outcome);
+            let reply = self.settle(&mut core, delivered);
+            match core.pending_reply.take() {
+                Some(cell) => cell.fill(reply),
+                None => self.run_program(&mut core, now_us),
+            }
+        } else {
             // Delivered, finished, or back asleep through another path:
             // benign, counted, dropped (awake() re-discovers aborts).
-            self.shared.stale.fetch_add(1, Ordering::AcqRel);
-            self.cores.insert(txn, core);
-            return;
-        };
-        self.emit_queued_span(&core, enq_us, now_us);
-        self.unpark_from(shard);
-        self.set_phase(&mut core, CorePhase::Running);
-        match core.session.deliver(shard, signal) {
-            Ok(SessionOutcome::Value(v)) => {
-                if let Some(cell) = core.pending_reply.take() {
-                    cell.fill(Ok(StepReply::Outcome(SessionOutcome::Value(v))));
-                    self.cores.insert(txn, core);
-                } else {
-                    self.cores.insert(txn, core);
-                    self.run_program(txn, now_us);
-                }
-            }
-            Ok(SessionOutcome::Aborted(reason)) => {
-                self.finish(&mut core, Fate::Aborted(reason));
-                if let Some(cell) = core.pending_reply.take() {
-                    cell.fill(Ok(StepReply::Outcome(SessionOutcome::Aborted(reason))));
-                }
-            }
-            Err(e) => {
-                let text = e.to_string();
-                self.finish(&mut core, Fate::Failed(text));
-                if let Some(cell) = core.pending_reply.take() {
-                    cell.fill(Err(e));
-                }
-            }
+            self.shared().stale.fetch_add(1, Ordering::AcqRel);
         }
-    }
-
-    fn handle_step(&mut self, txn: TxnId, op: StepOp, cell: &Arc<ReplyCell>, now_us: u64) {
-        let Some(mut core) = self.cores.remove(&txn) else {
-            cell.fill(Err(PstmError::InvalidState {
-                txn,
-                action: "reactor-step",
-                state: "finished",
-            }));
-            return;
-        };
-        match op {
-            StepOp::Execute(resource, sop) => match core.session.try_execute(resource, sop) {
-                Ok(TryExec::Done(outcome)) => {
-                    if let SessionOutcome::Aborted(reason) = &outcome {
-                        self.finish(&mut core, Fate::Aborted(*reason));
-                    }
-                    cell.fill(Ok(StepReply::Outcome(outcome)));
-                }
-                Ok(TryExec::Parked { shard }) => {
-                    core.pending_reply = Some(Arc::clone(cell));
-                    self.park_on(&mut core, shard, now_us);
-                }
-                Err(e) => {
-                    self.finish(&mut core, Fate::Failed(e.to_string()));
-                    cell.fill(Err(e));
-                }
-            },
-            StepOp::Sleep => match core.session.sleep() {
-                Ok(()) => {
-                    self.set_phase(&mut core, CorePhase::Sleeping);
-                    cell.fill(Ok(StepReply::Unit));
-                }
-                Err(e) => {
-                    self.finish(&mut core, Fate::Failed(e.to_string()));
-                    cell.fill(Err(e));
-                }
-            },
-            StepOp::Awake => match core.session.awake() {
-                Ok(AwakeOutcome::Resumed(values)) => {
-                    self.set_phase(&mut core, CorePhase::Running);
-                    cell.fill(Ok(StepReply::Awoke(AwakeOutcome::Resumed(values))));
-                }
-                Ok(AwakeOutcome::Aborted) => {
-                    self.finish(&mut core, Fate::AwakeAborted);
-                    cell.fill(Ok(StepReply::Awoke(AwakeOutcome::Aborted)));
-                }
-                Err(e) => {
-                    self.finish(&mut core, Fate::Failed(e.to_string()));
-                    cell.fill(Err(e));
-                }
-            },
-            StepOp::Commit => match core.session.commit() {
-                Ok(result) => {
-                    let fate = match &result {
-                        CommitResult::Committed => Fate::Committed,
-                        CommitResult::Aborted(reason) => Fate::Aborted(*reason),
-                    };
-                    self.finish(&mut core, fate);
-                    cell.fill(Ok(StepReply::Committed(result)));
-                }
-                Err(e) => {
-                    self.finish(&mut core, Fate::Failed(e.to_string()));
-                    cell.fill(Err(e));
-                }
-            },
-            StepOp::Abort => match core.session.abort() {
-                Ok(()) => {
-                    self.finish(&mut core, Fate::UserAborted);
-                    cell.fill(Ok(StepReply::Unit));
-                }
-                Err(e) => {
-                    self.finish(&mut core, Fate::Failed(e.to_string()));
-                    cell.fill(Err(e));
-                }
-            },
-        }
-        // A finished core is dropped, not retained: a 100k-session fleet
-        // must not carry 100k dead state machines to shutdown. Late
-        // steps hit the missing-core arm above; late wakes count stale.
-        if core.phase != CorePhase::Finished {
-            self.cores.insert(txn, core);
-        }
-    }
-
-    /// Runs a program-mode core forward until it parks, sleeps, or
-    /// finishes. Handle-mode cores (empty program) fall straight
-    /// through to the implicit-commit arm only if spawned with one —
-    /// they are driven by `Step` messages instead.
-    fn run_program(&mut self, txn: TxnId, now_us: u64) {
-        let Some(mut core) = self.cores.remove(&txn) else { return };
-        if core.program.is_empty() {
-            // Handle mode: nothing scripted to run.
-            self.cores.insert(txn, core);
-            return;
-        }
-        loop {
-            if core.phase == CorePhase::Finished {
-                break;
-            }
-            let Some(step) = core.program.get(core.pc).cloned() else {
-                self.settle_commit(&mut core);
-                break;
-            };
-            core.pc += 1;
-            match step {
-                ProgramStep::Execute(resource, op) => {
-                    match core.session.try_execute(resource, op) {
-                        Ok(TryExec::Done(SessionOutcome::Value(_))) => {}
-                        Ok(TryExec::Done(SessionOutcome::Aborted(reason))) => {
-                            self.finish(&mut core, Fate::Aborted(reason));
-                        }
-                        Ok(TryExec::Parked { shard }) => {
-                            self.park_on(&mut core, shard, now_us);
-                            break;
-                        }
-                        Err(e) => self.finish(&mut core, Fate::Failed(e.to_string())),
-                    }
-                }
-                ProgramStep::SleepFor(us) => match core.session.sleep() {
-                    Ok(()) => {
-                        self.set_phase(&mut core, CorePhase::Sleeping);
-                        self.wheel.schedule_at(now_us.saturating_add(us), TimerEv::Awake(txn));
-                        break;
-                    }
-                    Err(e) => self.finish(&mut core, Fate::Failed(e.to_string())),
-                },
-                ProgramStep::Commit => {
-                    self.settle_commit(&mut core);
-                    break;
-                }
-                ProgramStep::Abort => {
-                    match core.session.abort() {
-                        Ok(()) => self.finish(&mut core, Fate::UserAborted),
-                        Err(e) => self.finish(&mut core, Fate::Failed(e.to_string())),
-                    }
-                    break;
-                }
-            }
-        }
-        // Same policy as `handle_step`: Finished cores are dropped.
-        if core.phase != CorePhase::Finished {
-            self.cores.insert(txn, core);
-        }
-    }
-
-    fn settle_commit(&mut self, core: &mut SessionCore) {
-        match core.session.commit() {
-            Ok(CommitResult::Committed) => self.finish(core, Fate::Committed),
-            Ok(CommitResult::Aborted(reason)) => self.finish(core, Fate::Aborted(reason)),
-            Err(e) => self.finish(core, Fate::Failed(e.to_string())),
-        }
+        self.keep(core);
     }
 
     /// Fires every due timer. Returns how many fired.
@@ -677,112 +597,67 @@ impl WorkerState {
         let mut fired = 0;
         while let Some((deadline, ev)) = self.wheel.pop_due(now_us) {
             fired += 1;
-            self.shared.timer_hist.lock().record(now_us.saturating_sub(deadline));
+            self.shared().timer_hist.lock().record(now_us.saturating_sub(deadline));
             match ev {
-                TimerEv::Awake(txn) => self.awake_session(txn, now_us),
-                TimerEv::TickShard(shard) => self.tick_fire(shard, now_us),
+                // A `SleepFor` elapsed: reconnect the session and
+                // continue its program.
+                TimerEv::Awake(txn) => {
+                    let Some(mut core) = self.cores.remove(&txn) else { continue };
+                    if core.phase == CorePhase::Sleeping {
+                        self.apply(&mut core, StepOp::Awake, now_us);
+                        self.run_program(&mut core, now_us);
+                    }
+                    self.keep(core);
+                }
+                // A shard tick fired: advance its clock (waking or
+                // aborting timed out waiters through the signal path) and
+                // re-arm while this worker still has sessions parked on it.
+                TimerEv::TickShard(shard) => {
+                    self.tick_armed.remove(&shard);
+                    self.arm_tick(shard, now_us);
+                }
             }
         }
         fired
     }
-
-    /// A `SleepFor` elapsed: reconnect the session and continue its
-    /// program.
-    fn awake_session(&mut self, txn: TxnId, now_us: u64) {
-        let Some(mut core) = self.cores.remove(&txn) else { return };
-        if core.phase != CorePhase::Sleeping {
-            self.cores.insert(txn, core);
-            return;
-        }
-        self.set_phase(&mut core, CorePhase::Running);
-        match core.session.awake() {
-            Ok(AwakeOutcome::Resumed(_)) => {
-                self.cores.insert(txn, core);
-                self.run_program(txn, now_us);
-            }
-            Ok(AwakeOutcome::Aborted) => self.finish(&mut core, Fate::AwakeAborted),
-            Err(e) => self.finish(&mut core, Fate::Failed(e.to_string())),
-        }
-    }
-
-    /// A shard tick fired: advance its clock (waking or aborting timed
-    /// out waiters through the signal path) and re-arm while this
-    /// worker still has sessions parked on it.
-    fn tick_fire(&mut self, shard: usize, now_us: u64) {
-        self.tick_armed.remove(&shard);
-        if self.waiting_on.get(&shard).copied().unwrap_or(0) == 0 {
-            return;
-        }
-        let deadline = self.front.tick_shard(shard);
-        if self.waiting_on.get(&shard).copied().unwrap_or(0) == 0 {
-            return;
-        }
-        if self.tick_armed.insert(shard) {
-            let cap = now_us.saturating_add(self.tick_us);
-            let at = deadline.map_or(cap, |d| d.0.min(cap));
-            self.wheel.schedule_at(at.max(now_us.saturating_add(1)), TimerEv::TickShard(shard));
-        }
-    }
 }
 
 /// The threaded reactor: a fixed pool of worker loops over one
-/// [`ShardedFront`]. Construction installs the wake sink; `shutdown`
-/// uninstalls it and joins the pool.
+/// [`ShardedFront`]; `shutdown` joins the pool.
 pub struct Reactor {
     front: ShardedFront,
-    router: Arc<Router>,
+    inboxes: Arc<[Inbox]>,
     shared: Arc<Shared>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    workers: usize,
 }
 
 impl Reactor {
     /// Starts `config.workers` (or the auto pick) worker loops over
-    /// `front` and installs the wake sink.
-    ///
-    /// # Panics
-    /// If the front was not built with [`crate::FrontConfig::parked_waits`]
-    /// — reactor mode forbids sleep-polling anywhere on the front.
+    /// `front`.
     pub fn start(front: ShardedFront, config: ReactorConfig) -> PstmResult<Reactor> {
-        assert!(
-            front.inner.config.parked_waits,
-            "reactor mode requires FrontConfig::parked_waits (no sleep-polling)"
-        );
         let auto = std::thread::available_parallelism().map_or(4, |n| n.get()) * 2;
         let workers =
             if config.workers == 0 { front.shards().min(auto).max(1) } else { config.workers };
         let tick_us = config.tick_interval.as_micros().min(u128::from(u64::MAX)) as u64;
         let shared = Arc::new(Shared::new(workers));
-        let mut txs = Vec::with_capacity(workers);
-        let mut rxs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = std::sync::mpsc::channel();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let router = Arc::new(Router {
-            owners: Mutex::new(BTreeMap::new()),
-            txs,
-            shared: Arc::clone(&shared),
-            front: Arc::downgrade(&front.inner),
-        });
-        front.install_wake_sink(Arc::clone(&router) as Arc<dyn WakeSink>);
+        let (inboxes, rxs) = Inbox::pool(&shared);
         let mut threads = Vec::with_capacity(workers);
-        for (worker, rx) in rxs.into_iter().enumerate() {
-            let state = WorkerState::new(worker, front.clone(), Arc::clone(&shared), tick_us);
+        for (inbox, rx) in inboxes.iter().zip(rxs) {
+            let worker = inbox.worker;
+            let state = WorkerState::new(front.clone(), inbox.clone(), tick_us);
             let handle = std::thread::Builder::new()
                 .name(format!("pstm-reactor-{worker}"))
                 .spawn(move || worker_loop(state, &rx))
                 .map_err(|e| PstmError::Io(format!("spawn reactor worker {worker}: {e}")))?;
             threads.push(handle);
         }
-        Ok(Reactor { front, router, shared, threads, workers })
+        Ok(Reactor { front, inboxes: inboxes.into(), shared, threads })
     }
 
     /// Worker pool size.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.workers
+        self.inboxes.len()
     }
 
     /// The owner worker for a session whose home shard is `home`:
@@ -792,7 +667,7 @@ impl Reactor {
     // lock here would serialize every spawn and wake.
     #[must_use]
     fn owner_of(&self, home: usize) -> usize {
-        home % self.workers
+        home % self.inboxes.len()
     }
 
     /// Spawns a scripted session (see [`ProgramStep`]); the worker runs
@@ -802,25 +677,8 @@ impl Reactor {
     pub fn spawn_program(&self, program: Vec<ProgramStep>) -> TxnId {
         let session = self.front.session();
         let txn = session.id();
-        let home = program
-            .iter()
-            .find_map(|step| match step {
-                ProgramStep::Execute(resource, _) => Some(self.front.shard_of(*resource)),
-                _ => None,
-            })
-            .unwrap_or(0);
-        let owner = self.owner_of(home);
-        // Owner registration precedes the Spawn send: a wake produced by
-        // the session's own first op (run on the worker, after Spawn) can
-        // therefore never observe an unregistered owner.
-        self.router.owners.lock().insert(txn, owner);
-        let core =
-            SessionCore { session, program, pc: 0, phase: CorePhase::Running, pending_reply: None };
-        self.shared.depth[owner].fetch_add(1, Ordering::AcqRel);
-        let enq_us = self.front.now().0;
-        if self.router.txs[owner].send(Msg::Spawn { core: Box::new(core), enq_us }).is_err() {
-            self.shared.depth[owner].fetch_sub(1, Ordering::AcqRel);
-        }
+        let (core, home) = SessionCore::new(&self.front, session, program);
+        self.inboxes[self.owner_of(home)].send(Msg::Spawn { core, enq_us: self.front.now().0 });
         txn
     }
 
@@ -830,14 +688,11 @@ impl Reactor {
     #[must_use]
     pub fn handle(&self) -> SessionHandle {
         let session = self.front.session();
-        let txn = session.id();
         SessionHandle {
             front: self.front.clone(),
-            router: Arc::clone(&self.router),
-            shared: Arc::clone(&self.shared),
-            workers: self.workers,
-            txn,
-            boot: Some(Box::new(session)),
+            inboxes: Arc::clone(&self.inboxes),
+            txn: session.id(),
+            boot: Some(session),
             owner: None,
         }
     }
@@ -865,11 +720,10 @@ impl Reactor {
         self.shared.ledger.snapshot()
     }
 
-    /// Uninstalls the wake sink and joins the worker pool.
+    /// Stops and joins the worker pool.
     pub fn shutdown(self) {
-        self.front.clear_wake_sink();
-        for tx in &self.router.txs {
-            let _ = tx.send(Msg::Shutdown);
+        for inbox in self.inboxes.iter() {
+            let _ = inbox.tx.send(Msg::Shutdown);
         }
         for handle in self.threads {
             let _ = handle.join();
@@ -917,14 +771,12 @@ fn worker_loop(mut state: WorkerState, rx: &Receiver<Msg>) {
 /// cell — the worker itself never blocks on another session.
 pub struct SessionHandle {
     front: ShardedFront,
-    router: Arc<Router>,
-    shared: Arc<Shared>,
-    workers: usize,
+    inboxes: Arc<[Inbox]>,
     txn: TxnId,
     /// The not-yet-adopted session; shipped to a worker on first use so
     /// the owner can be chosen shard-affine to the first touched
     /// resource.
-    boot: Option<Box<Session>>,
+    boot: Option<Session>,
     owner: Option<usize>,
 }
 
@@ -935,102 +787,74 @@ impl SessionHandle {
         self.txn
     }
 
-    /// Adopts the boot session on worker `owner` (first call only).
-    fn ensure_spawned(&mut self, owner: usize) {
-        let Some(session) = self.boot.take() else { return };
-        self.owner = Some(owner);
-        self.router.owners.lock().insert(self.txn, owner);
-        let core = SessionCore {
-            session: *session,
-            program: Vec::new(),
-            pc: 0,
-            phase: CorePhase::Running,
-            pending_reply: None,
-        };
-        self.shared.depth[owner].fetch_add(1, Ordering::AcqRel);
-        let enq_us = self.front.now().0;
-        if self.router.txs[owner].send(Msg::Spawn { core: Box::new(core), enq_us }).is_err() {
-            self.shared.depth[owner].fetch_sub(1, Ordering::AcqRel);
+    /// Relays one op to the owner worker — adopting the boot session
+    /// there on the first call, on worker `affinity` if the op names one
+    /// — and parks on the reply, which `pick` unwraps.
+    fn step<T>(
+        &mut self,
+        affinity: Option<usize>,
+        action: &'static str,
+        op: StepOp,
+        pick: impl FnOnce(StepReply) -> Option<T>,
+    ) -> PstmResult<T> {
+        let workers = self.inboxes.len();
+        let owner = *self.owner.get_or_insert(affinity.unwrap_or(self.txn.0 as usize) % workers);
+        let inbox = &self.inboxes[owner];
+        if let Some(session) = self.boot.take() {
+            let (core, _) = SessionCore::new(&self.front, session, Vec::new());
+            inbox.send(Msg::Spawn { core, enq_us: self.front.now().0 });
         }
-    }
-
-    fn step(&mut self, affinity: Option<usize>, op: StepOp) -> PstmResult<StepReply> {
-        let owner = match self.owner {
-            Some(owner) => owner,
-            None => affinity.unwrap_or(self.txn.0 as usize % self.workers),
-        };
-        self.ensure_spawned(owner);
-        let cell = Arc::new(ReplyCell::new());
-        self.shared.depth[owner].fetch_add(1, Ordering::AcqRel);
+        let cell = Arc::new(OneShot::new());
         let enq_us = self.front.now().0;
-        let msg = Msg::Step { txn: self.txn, op, cell: Arc::clone(&cell), enq_us };
-        if self.router.txs[owner].send(msg).is_err() {
-            self.shared.depth[owner].fetch_sub(1, Ordering::AcqRel);
+        if !inbox.send(Msg::Step { txn: self.txn, op, cell: Arc::clone(&cell), enq_us }) {
             return Err(PstmError::Io("reactor is shut down".into()));
         }
-        cell.take_blocking()
+        let reply =
+            cell.take(None).ok_or_else(|| PstmError::internal("reply cell woke empty"))??;
+        pick(reply).ok_or(PstmError::InvalidState {
+            txn: self.txn,
+            action,
+            state: "mismatched reactor reply",
+        })
     }
 
     /// See [`Session::execute`].
     pub fn execute(&mut self, resource: ResourceId, op: ScalarOp) -> PstmResult<SessionOutcome> {
         let home = self.front.shard_of(resource);
-        let affinity = home % self.workers;
-        match self.step(Some(affinity), StepOp::Execute(resource, op))? {
-            StepReply::Outcome(outcome) => Ok(outcome),
-            _ => Err(PstmError::InvalidState {
-                txn: self.txn,
-                action: "execute",
-                state: "mismatched reactor reply",
-            }),
-        }
+        self.step(Some(home), "execute", StepOp::Execute(resource, op), |reply| match reply {
+            StepReply::Outcome(outcome) => Some(outcome),
+            _ => None,
+        })
     }
 
     /// See [`Session::sleep`].
     pub fn sleep(&mut self) -> PstmResult<()> {
-        match self.step(None, StepOp::Sleep)? {
-            StepReply::Unit => Ok(()),
-            _ => Err(PstmError::InvalidState {
-                txn: self.txn,
-                action: "sleep",
-                state: "mismatched reactor reply",
-            }),
-        }
+        self.step(None, "sleep", StepOp::Sleep(None), |reply| {
+            matches!(reply, StepReply::Slept).then_some(())
+        })
     }
 
     /// See [`Session::awake`].
     pub fn awake(&mut self) -> PstmResult<AwakeOutcome> {
-        match self.step(None, StepOp::Awake)? {
-            StepReply::Awoke(outcome) => Ok(outcome),
-            _ => Err(PstmError::InvalidState {
-                txn: self.txn,
-                action: "awake",
-                state: "mismatched reactor reply",
-            }),
-        }
+        self.step(None, "awake", StepOp::Awake, |reply| match reply {
+            StepReply::Awoke(outcome) => Some(outcome),
+            _ => None,
+        })
     }
 
     /// See [`Session::commit`].
     pub fn commit(&mut self) -> PstmResult<CommitResult> {
-        match self.step(None, StepOp::Commit)? {
-            StepReply::Committed(result) => Ok(result),
-            _ => Err(PstmError::InvalidState {
-                txn: self.txn,
-                action: "commit",
-                state: "mismatched reactor reply",
-            }),
-        }
+        self.step(None, "commit", StepOp::Commit, |reply| match reply {
+            StepReply::Committed(result) => Some(result),
+            _ => None,
+        })
     }
 
     /// See [`Session::abort`].
     pub fn abort(&mut self) -> PstmResult<()> {
-        match self.step(None, StepOp::Abort)? {
-            StepReply::Unit => Ok(()),
-            _ => Err(PstmError::InvalidState {
-                txn: self.txn,
-                action: "abort",
-                state: "mismatched reactor reply",
-            }),
-        }
+        self.step(None, "abort", StepOp::Abort, |reply| {
+            matches!(reply, StepReply::Aborted).then_some(())
+        })
     }
 }
 
@@ -1043,14 +867,14 @@ mod tests {
     use pstm_types::{ScalarOp, Value};
     use pstm_workload::world::counter_world;
 
-    fn parked_config(shards: usize) -> FrontConfig {
-        FrontConfig { shards, parked_waits: true, ..FrontConfig::default() }
+    fn config(shards: usize) -> FrontConfig {
+        FrontConfig { shards, ..FrontConfig::default() }
     }
 
     #[test]
     fn spawned_programs_commit_and_ledger_records_them() {
         let world = counter_world(8, 10).expect("world");
-        let front = ShardedFront::new(world.db, world.bindings, parked_config(4));
+        let front = ShardedFront::new(world.db, world.bindings, config(4));
         let reactor =
             Reactor::start(front.clone(), ReactorConfig::default()).expect("reactor starts");
         let mut txns = Vec::new();
@@ -1081,7 +905,7 @@ mod tests {
     #[test]
     fn handle_is_api_compatible_with_blocking_session() {
         let world = counter_world(4, 5).expect("world");
-        let front = ShardedFront::new(world.db, world.bindings, parked_config(2));
+        let front = ShardedFront::new(world.db, world.bindings, config(2));
         let reactor =
             Reactor::start(front.clone(), ReactorConfig::default()).expect("reactor starts");
         let mut handle = reactor.handle();
@@ -1102,7 +926,7 @@ mod tests {
     #[test]
     fn sleeping_fleet_holds_no_queue_slots() {
         let world = counter_world(4, 0).expect("world");
-        let front = ShardedFront::new(world.db, world.bindings, parked_config(2));
+        let front = ShardedFront::new(world.db, world.bindings, config(2));
         let reactor =
             Reactor::start(front.clone(), ReactorConfig::default()).expect("reactor starts");
         let n = 64;
@@ -1134,11 +958,11 @@ mod tests {
     }
 
     #[test]
-    fn contended_execute_parks_and_wakes_through_the_sink() {
+    fn contended_execute_parks_and_wakes_through_the_registry() {
         // Two handles conflict on one counter: the second must park
         // (zero polling) and resume when the first commits.
         let world = counter_world(1, 0).expect("world");
-        let front = ShardedFront::new(world.db, world.bindings, parked_config(1));
+        let front = ShardedFront::new(world.db, world.bindings, config(1));
         let reactor =
             Reactor::start(front.clone(), ReactorConfig::default()).expect("reactor starts");
         let r = world.resources[0];

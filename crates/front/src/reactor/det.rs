@@ -17,28 +17,18 @@
 //!   seeds produce identical histories.
 //!
 //! Wakes produced while handling a message (sessions resuming other
-//! sessions) are captured by a buffering [`WakeSink`] and routed into
-//! owner queues between steps, in deterministic arrival order.
+//! sessions) land in the owner worker's [`Inbox`] channel like in the
+//! threaded reactor; the driver moves them into the owner's queue between
+//! steps, in arrival order, stamped with the virtual clock.
 
-use super::{CorePhase, Fate, Msg, ProgramStep, SessionCore, Shared, WakeSink, WorkerState};
+use super::{CorePhase, Fate, Inbox, Msg, ProgramStep, SessionCore, Shared, WorkerState};
 use crate::{ShardedFront, Signal};
-use parking_lot::Mutex;
 use pstm_obs::{ReactorCensus, ReactorSnapshot};
 use pstm_types::TxnId;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
-
-/// Buffering wake sink: deposits land here, the driver routes them.
-struct DetSink {
-    pending: Mutex<VecDeque<(TxnId, Signal)>>,
-}
-
-impl WakeSink for DetSink {
-    fn route_wake(&self, txn: TxnId, signal: Signal) {
-        self.pending.lock().push_back((txn, signal));
-    }
-}
 
 /// Single-threaded deterministic reactor (see module docs).
 pub struct DetReactor {
@@ -46,8 +36,9 @@ pub struct DetReactor {
     shared: Arc<Shared>,
     states: Vec<WorkerState>,
     queues: Vec<VecDeque<Msg>>,
-    owners: BTreeMap<TxnId, usize>,
-    sink: Arc<DetSink>,
+    /// Receiving halves of the workers' inboxes: routed wakes buffer
+    /// here until [`DetReactor::pump`] moves them into `queues`.
+    wakes: Vec<Receiver<Msg>>,
     clock: u64,
     rng: u64,
     history: Vec<String>,
@@ -55,28 +46,25 @@ pub struct DetReactor {
 
 impl DetReactor {
     /// Builds a deterministic reactor of `workers` loops over `front`,
-    /// scheduling with `seed`. Installs the buffering wake sink;
-    /// [`DetReactor::shutdown`] (or drop) must uninstall it before the
-    /// front is reused.
+    /// scheduling with `seed`.
     #[must_use]
     pub fn new(front: ShardedFront, workers: usize, seed: u64) -> DetReactor {
         let workers = workers.max(1);
         let shared = Arc::new(Shared::new(workers));
-        let states = (0..workers)
+        let (inboxes, wakes) = Inbox::pool(&shared);
+        let states = inboxes
+            .into_iter()
             // Virtual time: a 1-tick-per-step clock means the fallback
             // tick cadence must stay small or wait timeouts would
             // starve; deadlines re-arm off the shard's exact report.
-            .map(|w| WorkerState::new(w, front.clone(), Arc::clone(&shared), 16))
+            .map(|inbox| WorkerState::new(front.clone(), inbox, 16))
             .collect();
-        let sink = Arc::new(DetSink { pending: Mutex::new(VecDeque::new()) });
-        front.install_wake_sink(Arc::clone(&sink) as Arc<dyn WakeSink>);
         DetReactor {
             front,
             shared,
             states,
             queues: (0..workers).map(|_| VecDeque::new()).collect(),
-            owners: BTreeMap::new(),
-            sink,
+            wakes,
             clock: 0,
             rng: seed | 1,
             history: Vec::new(),
@@ -92,17 +80,15 @@ impl DetReactor {
         x
     }
 
-    /// Routes buffered wakes into their owner queues, arrival order.
+    /// Moves routed wakes into their owner queues, arrival order,
+    /// enqueue-stamped with the virtual clock.
     fn pump(&mut self) {
-        loop {
-            let next = self.sink.pending.lock().pop_front();
-            let Some((txn, signal)) = next else { break };
-            match self.owners.get(&txn).copied() {
-                Some(worker) => {
-                    self.shared.depth[worker].fetch_add(1, Ordering::AcqRel);
-                    self.queues[worker].push_back(Msg::Wake { txn, signal, enq_us: self.clock });
+        for (wakes, queue) in self.wakes.iter().zip(&mut self.queues) {
+            while let Ok(mut msg) = wakes.try_recv() {
+                if let Msg::Wake { enq_us, .. } = &mut msg {
+                    *enq_us = self.clock;
                 }
-                None => self.front.mail_deposit(txn, signal),
+                queue.push_back(msg);
             }
         }
     }
@@ -113,19 +99,10 @@ impl DetReactor {
     pub fn spawn_program(&mut self, program: Vec<ProgramStep>) -> TxnId {
         let session = self.front.session();
         let txn = session.id();
-        let home = program
-            .iter()
-            .find_map(|step| match step {
-                ProgramStep::Execute(resource, _) => Some(self.front.shard_of(*resource)),
-                _ => None,
-            })
-            .unwrap_or(0);
+        let (core, home) = SessionCore::new(&self.front, session, program);
         let owner = home % self.states.len();
-        self.owners.insert(txn, owner);
-        let core =
-            SessionCore { session, program, pc: 0, phase: CorePhase::Running, pending_reply: None };
         self.shared.depth[owner].fetch_add(1, Ordering::AcqRel);
-        self.queues[owner].push_back(Msg::Spawn { core: Box::new(core), enq_us: self.clock });
+        self.queues[owner].push_back(Msg::Spawn { core, enq_us: self.clock });
         txn
     }
 
@@ -234,11 +211,8 @@ impl DetReactor {
         self.clock
     }
 
-    /// Uninstalls the wake sink, returning the front to mailbox
-    /// signalling.
-    pub fn shutdown(self) {
-        self.front.clear_wake_sink();
-    }
+    /// Ends the run; the front stays usable.
+    pub fn shutdown(self) {}
 }
 
 fn describe(msg: &Msg) -> String {
@@ -265,7 +239,7 @@ mod tests {
 
     fn det_front(shards: usize) -> (ShardedFront, Vec<pstm_types::ResourceId>) {
         let world = counter_world(shards * 2, 0).expect("world");
-        let config = FrontConfig { shards, parked_waits: true, ..FrontConfig::default() };
+        let config = FrontConfig { shards, ..FrontConfig::default() };
         (ShardedFront::new(world.db, world.bindings, config), world.resources)
     }
 

@@ -27,7 +27,7 @@ const OBJECTS: usize = 8;
 
 fn front(shards: usize) -> (ShardedFront, Vec<ResourceId>) {
     let world = counter_world(OBJECTS, 0).expect("world");
-    let config = FrontConfig { shards, parked_waits: true, ..FrontConfig::default() };
+    let config = FrontConfig { shards, ..FrontConfig::default() };
     (ShardedFront::new(world.db, world.bindings, config), world.resources)
 }
 

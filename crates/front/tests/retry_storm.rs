@@ -1,54 +1,44 @@
-//! Regression test for the SST retry back-off path: a zero-duration
-//! retry storm must make progress without pinning a core.
+//! Regression test for the SST retry back-off path: a retry storm ends
+//! in a clean `SstFailure` abort after exactly the configured number of
+//! retries.
 //!
-//! Before the parked-wait seam, `sst_retry_delay: Duration::ZERO` made
-//! every retry gap a pure spin (`thread::sleep(0)` is a no-op), so a
-//! storm of transient I/O faults burned a CPU at 100%. In parked mode
-//! each zero-length back-off is a scheduler yield — observable through
-//! [`ShardedFront::pacer_stats`] — and non-zero back-offs become timed
-//! parks a deposit can end early. Blocking mode keeps the original
-//! behavior byte-for-byte.
+//! With `sst_retry_delay: Duration::ZERO` every retry gap used to be a
+//! pure spin (`thread::sleep(0)` is a no-op), so a storm of transient
+//! I/O faults burned a CPU at 100%. The coordinator's back-off in
+//! `pstm-front` has one rule now — a zero-length delay yields the core, a
+//! non-zero one sleeps — and both cases are driven here.
 
 use pstm_core::gtm::CommitResult;
 use pstm_faults::{FaultInjector, FaultPlan};
 use pstm_front::{FrontConfig, ShardedFront};
-use pstm_types::{AbortReason, ScalarOp, Value};
+use pstm_types::{AbortReason, Duration, ResourceId, ScalarOp, Value};
 use pstm_workload::counter_world;
 use std::sync::Arc;
 
-const RETRIES: u32 = 25;
-
-fn stormy_front(parked_waits: bool) -> (ShardedFront, Vec<pstm_types::ResourceId>) {
+/// A front whose every SST attempt fails with transient I/O: a commit
+/// exhausts all `retries` and aborts with `SstFailure`.
+fn stormy_front(retries: u32, delay: Duration) -> (ShardedFront, Vec<ResourceId>) {
     let world = counter_world(2, 100).expect("world");
-    let mut config = FrontConfig { shards: 2, parked_waits, ..FrontConfig::default() };
-    config.gtm.sst_retries = RETRIES;
-    // Default sst_retry_delay is Duration::ZERO — the storm case.
+    let mut config = FrontConfig { shards: 2, ..FrontConfig::default() };
+    config.gtm.sst_retries = retries;
+    config.gtm.sst_retry_delay = delay;
     let front = ShardedFront::new(world.db, world.bindings, config);
-    // Every SST attempt fails with transient I/O: the commit exhausts
-    // all retries and aborts with SstFailure.
     let injector = Arc::new(FaultInjector::new(FaultPlan::new(11).io_on_sst_apply_each(1_000_000)));
     front.set_fault_hook(Arc::clone(&injector) as _);
     (front, world.resources)
 }
 
 #[test]
-fn zero_duration_retry_storm_yields_instead_of_spinning() {
-    let (front, resources) = stormy_front(true);
+fn zero_duration_retry_storm_aborts_after_exactly_the_configured_retries() {
+    const RETRIES: u32 = 25;
+    // Duration::ZERO is the default `sst_retry_delay` — the storm case.
+    let (front, resources) = stormy_front(RETRIES, Duration::ZERO);
 
     let mut session = front.session();
     session.execute(resources[0], ScalarOp::Sub(Value::Int(1))).expect("execute");
     session.execute(resources[1], ScalarOp::Sub(Value::Int(1))).expect("execute");
-
-    let before = front.pacer_stats();
     assert_eq!(session.commit().expect("commit"), CommitResult::Aborted(AbortReason::SstFailure));
-    let after = front.pacer_stats();
-
-    assert!(
-        after.yields - before.yields >= u64::from(RETRIES),
-        "every zero-length back-off must yield the scheduler: {} yields for {RETRIES} retries",
-        after.yields - before.yields
-    );
-    assert_eq!(after.parks, before.parks, "zero-length back-offs never take a timed park");
+    assert_eq!(front.stats().sst_retries, u64::from(RETRIES));
 
     // The storm aborted cleanly: no partial state, front still usable.
     assert_eq!(front.resource_value(resources[0]).expect("value"), Value::Int(100));
@@ -57,38 +47,15 @@ fn zero_duration_retry_storm_yields_instead_of_spinning() {
 }
 
 #[test]
-fn nonzero_backoff_parks_instead_of_sleeping() {
-    let (front, resources) = {
-        let world = counter_world(2, 100).expect("world");
-        let mut config = FrontConfig { shards: 2, parked_waits: true, ..FrontConfig::default() };
-        config.gtm.sst_retries = 3;
-        config.gtm.sst_retry_delay = pstm_types::Duration::from_micros(50);
-        let front = ShardedFront::new(world.db, world.bindings, config);
-        let injector =
-            Arc::new(FaultInjector::new(FaultPlan::new(7).io_on_sst_apply_each(1_000_000)));
-        front.set_fault_hook(Arc::clone(&injector) as _);
-        (front, world.resources)
-    };
+fn nonzero_backoff_aborts_after_exactly_the_configured_retries() {
+    const RETRIES: u32 = 3;
+    let (front, resources) = stormy_front(RETRIES, Duration::from_micros(50));
 
     let mut session = front.session();
     session.execute(resources[0], ScalarOp::Sub(Value::Int(1))).expect("execute");
-    let before = front.pacer_stats();
     assert_eq!(session.commit().expect("commit"), CommitResult::Aborted(AbortReason::SstFailure));
-    let after = front.pacer_stats();
-    assert!(after.parks - before.parks >= 3, "non-zero back-offs park: {:?}", after);
-}
+    assert_eq!(front.stats().sst_retries, u64::from(RETRIES));
 
-#[test]
-fn blocking_mode_keeps_the_original_retry_behavior() {
-    let (front, resources) = stormy_front(false);
-
-    let mut session = front.session();
-    session.execute(resources[0], ScalarOp::Sub(Value::Int(1))).expect("execute");
-    session.execute(resources[1], ScalarOp::Sub(Value::Int(1))).expect("execute");
-    assert_eq!(session.commit().expect("commit"), CommitResult::Aborted(AbortReason::SstFailure));
-
-    // The pacer seam is never touched when parked_waits is off.
-    let stats = front.pacer_stats();
-    assert_eq!((stats.parks, stats.yields, stats.notifies), (0, 0, 0), "{stats:?}");
+    assert_eq!(front.resource_value(resources[0]).expect("value"), Value::Int(100));
     front.check_invariants().expect("invariants");
 }
