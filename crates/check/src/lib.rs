@@ -32,7 +32,7 @@
 //!    internals) and fails on cycles, up-level edges, or multi-shard
 //!    paths outside `lock_shards_ascending`; proves the PR 7
 //!    hold-across-flush rule (no shard `MutexGuard` live across
-//!    `Wal::append_batch`/`Database::apply_write_set`) with guard
+//!    `Wal::flush_staged`/`Database::apply_write_set`) with guard
 //!    liveness tracked across call edges; audits `Ordering::Relaxed`
 //!    against the declared seams; and flags blocking calls reachable
 //!    from `event-loop`-tagged functions.

@@ -24,11 +24,12 @@
 //!   instead. (`assert!` remains legal: it states an invariant and
 //!   documents its panic.)
 //! - **`wal-seam`** — inside `crates/storage/src/wal.rs`, the log
-//!   buffer may be mutated only by `append` (the one durable-write path,
-//!   which consults the `FaultHook` seam) and the named recovery/chaos
-//!   helpers. A new function that grows the log without passing through
-//!   `append` would silently escape fault injection — and the chaos
-//!   suite's crash-recovery guarantees with it.
+//!   buffer may be mutated only by `flush_staged` (the one durable-write
+//!   path, which consults the `FaultHook` seam; `append`, `append_batch`
+//!   and the engine's commit path all write through it) and the named
+//!   recovery/chaos helpers. A new function that grows the log without
+//!   passing through `flush_staged` would silently escape fault
+//!   injection — and the chaos suite's crash-recovery guarantees with it.
 //! - **`recorder-seam`** — the flight recorder's raw file plumbing (the
 //!   positional open-for-write and data-sync calls) may appear only in
 //!   `crates/obs/src/recorder.rs`. Every other crate talks to the
@@ -110,18 +111,11 @@ const WAL_BUF_MUTATORS: [&str; 7] = [
     "self.buf.get_mut",
 ];
 
-/// Functions allowed to mutate the log buffer: `append` and
-/// `append_batch` are the hooked durable-write seams; the rest shrink or
-/// corrupt the device (recovery / chaos helpers) and never add records
-/// past the seam.
-const WAL_SEAM_FNS: [&str; 6] = [
-    "append",
-    "append_batch",
-    "truncate_prefix",
-    "crash_truncate",
-    "corrupt_byte_with",
-    "trim_torn_tail",
-];
+/// Functions allowed to mutate the log buffer: `flush_staged` is the
+/// hooked durable-write seam; the rest shrink or corrupt the device
+/// (recovery / chaos helpers) and never add records past the seam.
+const WAL_SEAM_FNS: [&str; 5] =
+    ["flush_staged", "truncate_prefix", "crash_truncate", "corrupt_byte_with", "trim_torn_tail"];
 
 /// One of the lint rules (plus the synthetic rule flagging stale
 /// allowlist entries).
@@ -676,7 +670,7 @@ mod tests {
     #[test]
     fn wal_seam_flags_mutations_outside_sanctioned_fns() {
         let src = "impl Wal {\n\
-                       pub fn append(&mut self) { self.buf.extend_from_slice(&f); }\n\
+                       fn flush_staged(&mut self) { self.buf.extend_from_slice(&f); }\n\
                        pub fn trim_torn_tail(&mut self) { self.buf.truncate(pos); }\n\
                        pub fn append_raw(&mut self) { self.buf.extend_from_slice(&f); }\n\
                    }\n";

@@ -22,7 +22,7 @@
 //!    `lock_shards_ascending`; any other path is reported.
 //! 3. **Hold-across-flush** (`hold-across-flush`) — no shard guard may
 //!    be live at any call that reaches a `pstm-lockgraph: flush-point`
-//!    function (`Wal::append_batch`, `Database::apply_write_set`, and
+//!    function (`Wal::flush_staged`, `Database::apply_write_set`, and
 //!    the SST executors that wrap them). Fence guards across the flush
 //!    are required, shard guards are the lost-update window PR 7 closed.
 //! 4. **Atomics discipline** (`atomics-relaxed`) — `Ordering::Relaxed`
@@ -218,7 +218,6 @@ fn classify(file: &str, recv: &str, kind: AccessKind) -> Option<String> {
             match recv {
                 "inner" => Some("engine_inner"),
                 "tracer" => Some("engine_tracer"),
-                "apply_latency" => Some("engine_latency"),
                 "fault_hook" => Some("engine_fault_hook"),
                 _ => None,
             }
@@ -237,9 +236,8 @@ pub fn class_level(class: &str) -> Option<u8> {
         "gtm_shard" => Some(1),
         "group_queue" | "wake_registry" | "oneshot_cell" | "commit_slot" | "front_fault_hook"
         | "front_recorder" => Some(2),
-        "engine_inner" | "engine_tracer" | "engine_latency" | "engine_fault_hook"
-        | "tracer_inner" | "sink_inner" | "obs_buf" | "recorder_dev" | "prof_slots"
-        | "faults_state" => Some(3),
+        "engine_inner" | "engine_tracer" | "engine_fault_hook" | "tracer_inner" | "sink_inner"
+        | "obs_buf" | "recorder_dev" | "prof_slots" | "faults_state" => Some(3),
         _ => None,
     }
 }

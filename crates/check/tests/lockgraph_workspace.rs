@@ -66,7 +66,7 @@ fn flush_points_are_exactly_the_declared_four() {
         "crates/core/src/sst.rs::Sst::execute",
         "crates/core/src/sst.rs::SstBatch::execute",
         "crates/storage/src/engine.rs::Database::apply_write_set",
-        "crates/storage/src/wal.rs::Wal::append_batch",
+        "crates/storage/src/wal.rs::Wal::flush_staged",
     ];
     assert_eq!(report.flush_points, expected, "flush-point markers drifted");
 }
@@ -93,8 +93,8 @@ fn coordinator_acquisitions_stay_visible_through_the_env_seam() {
         assert!(!report.edges.contains_key(&edge), "gtm_shard -> {to}: {:?}", report.edges[&edge]);
     }
     // The certified graph, exactly: it cannot silently regrow.
-    assert_eq!(report.classes.len(), 21, "lock classes: {:?}", report.classes);
-    assert_eq!(report.edges.len(), 26, "lock-order edges: {:?}", report.edges.keys());
+    assert_eq!(report.classes.len(), 20, "lock classes: {:?}", report.classes);
+    assert_eq!(report.edges.len(), 18, "lock-order edges: {:?}", report.edges.keys());
 }
 
 #[test]

@@ -258,6 +258,14 @@ pub struct Gtm {
     pub(crate) fault_hook: Option<SharedFaultHook>,
     /// Shard index reported in this manager's fault-site labels.
     fault_shard: u32,
+    /// `(A_t_sleep, A)` of every sleeping transaction. `txns` keeps every
+    /// finished record, so [`Gtm::tick`] reads its pruning horizon from
+    /// here instead of scanning history under the shard lock.
+    sleepers: BTreeSet<(Timestamp, TxnId)>,
+    /// The resources whose wait queue is non-empty — all that
+    /// [`Gtm::tick`], [`Gtm::next_wake_deadline`] and
+    /// [`Gtm::has_waiters`] need to look at.
+    queued: BTreeSet<ResourceId>,
 }
 
 impl Gtm {
@@ -275,6 +283,8 @@ impl Gtm {
             history: HistoryRecorder::new(),
             fault_hook: None,
             fault_shard: 0,
+            sleepers: BTreeSet::new(),
+            queued: BTreeSet::new(),
         }
     }
 
@@ -398,6 +408,28 @@ impl Gtm {
 
     fn rs(&mut self, resource: ResourceId) -> &mut ResourceState {
         self.resources.entry(resource).or_default()
+    }
+
+    /// Drops `txn`'s `sleepers` entry once its `A_t_sleep` (`slept`, as
+    /// taken out of its record) is cleared.
+    fn forget_sleeper(&mut self, txn: TxnId, slept: Option<Timestamp>) {
+        if let Some(t_sleep) = slept {
+            self.sleepers.remove(&(t_sleep, txn));
+        }
+    }
+
+    /// Removes `txn` from `resource`'s wait queue, keeping `queued` exact.
+    fn unqueue(&mut self, resource: ResourceId, txn: TxnId) {
+        let rs = self.resources.entry(resource).or_default();
+        rs.waiting.retain(|w| w.txn != txn);
+        if rs.waiting.is_empty() {
+            self.queued.remove(&resource);
+        }
+    }
+
+    /// Every queued invocation, found through `queued` alone.
+    fn wait_entries(&self) -> impl Iterator<Item = &WaitEntry> {
+        self.queued.iter().filter_map(|r| self.resources.get(r)).flat_map(|rs| rs.waiting.iter())
     }
 
     // ------------------------------------------------------------------
@@ -679,6 +711,7 @@ impl Gtm {
             rs.waiting.push_back(entry);
         }
         let queue_depth = rs.waiting.len() as u32;
+        self.queued.insert(resource);
         let record = self
             .txns
             .get_mut(&txn)
@@ -845,9 +878,9 @@ impl Gtm {
         }
         let record = self.txn_mut(txn)?;
         record.state = TxnState::Committed;
-        record.t_sleep = None;
-        record.t_wait.clear();
-        let ops = record.op_log.clone();
+        let slept = record.t_sleep.take();
+        let ops = record.retire();
+        self.forget_sleeper(txn, slept);
         self.history.record_commit(txn, ops);
         self.tracer.emit(now, TraceEvent::Committed { txn });
         self.promote_all(touched.iter().map(|(r, _)| *r).collect(), now)
@@ -933,12 +966,11 @@ impl Gtm {
         }
         record.state = TxnState::Aborting;
         let resources = record.resources();
-        record.temp.clear();
         record.pending_op = None;
         for resource in &resources {
-            let rs = self.resources.entry(*resource).or_default();
+            self.unqueue(*resource, txn);
+            let rs = self.rs(*resource);
             rs.pending.remove(&txn);
-            rs.waiting.retain(|w| w.txn != txn);
             rs.committing.remove(&txn);
             rs.sleeping.remove(&txn);
             rs.read.remove(&txn);
@@ -949,8 +981,9 @@ impl Gtm {
             .get_mut(&txn)
             .ok_or_else(|| PstmError::internal(format!("aborting {txn} has no record")))?;
         record.state = TxnState::Aborted;
-        record.t_sleep = None;
-        record.t_wait.clear();
+        let slept = record.t_sleep.take();
+        record.retire();
+        self.forget_sleeper(txn, slept);
         self.tracer.emit(now, TraceEvent::Aborted { txn, reason, origin });
         let mut effects = self.promote_all(resources, now)?;
         effects.aborted.push((txn, reason));
@@ -972,6 +1005,7 @@ impl Gtm {
                 record.state = TxnState::Sleeping;
                 record.t_sleep = Some(now);
                 let resources = record.resources();
+                self.sleepers.insert((now, txn));
                 for resource in &resources {
                     self.rs(*resource).sleeping.insert(txn);
                 }
@@ -1052,12 +1086,12 @@ impl Gtm {
                     .get_mut(&txn)
                     .ok_or_else(|| PstmError::internal(format!("awaking {txn} has no record")))?;
                 record.state = TxnState::Waiting;
-                record.t_sleep = None;
+                let slept = record.t_sleep.take();
+                self.forget_sleeper(txn, slept);
                 self.tracer.emit(now, TraceEvent::TxnAwoke { txn });
                 return Ok((AwakeResult::Resumed(None), StepEffects::none()));
             }
-            let rs = self.rs(resource);
-            rs.waiting.retain(|w| w.txn != txn);
+            self.unqueue(resource, txn);
             let record = self
                 .txns
                 .get_mut(&txn)
@@ -1083,8 +1117,9 @@ impl Gtm {
             .get_mut(&txn)
             .ok_or_else(|| PstmError::internal(format!("awaking {txn} has no record")))?;
         record.state = TxnState::Active;
-        record.t_sleep = None;
+        let slept = record.t_sleep.take();
         record.t_wait.clear();
+        self.forget_sleeper(txn, slept);
         self.tracer.emit(now, TraceEvent::TxnAwoke { txn });
         Ok((AwakeResult::Resumed(value), StepEffects::none()))
     }
@@ -1170,6 +1205,9 @@ impl Gtm {
                     .get_mut(&resource)
                     .ok_or_else(|| PstmError::internal(format!("{resource} vanished mid-scan")))?;
                 rs.waiting.remove(idx);
+                if rs.waiting.is_empty() {
+                    self.queued.remove(&resource);
+                }
                 let record = self.txns.get_mut(&entry.txn).ok_or_else(|| {
                     PstmError::internal(format!("waiting {} has no record", entry.txn))
                 })?;
@@ -1244,7 +1282,11 @@ impl Gtm {
     }
 
     /// Periodic maintenance: deadlock detection, wait timeouts, committed
-    /// set pruning. The simulator calls this on clock advances.
+    /// set pruning. The simulator calls this on clock advances; the
+    /// front-ends call it every few milliseconds under the shard lock, so
+    /// the timeout and promotion passes walk `queued` and the horizon is
+    /// `sleepers`' first entry — cost follows waiters and resources,
+    /// never the finished transactions `txns` keeps.
     pub fn tick(&mut self, now: Timestamp) -> PstmResult<StepEffects> {
         let mut effects = StepEffects::none();
         if self.config.deadlock_detection {
@@ -1260,9 +1302,7 @@ impl Gtm {
         }
         if let Some(timeout) = self.config.wait_timeout {
             let expired: Vec<TxnId> = self
-                .resources
-                .values()
-                .flat_map(|rs| rs.waiting.iter())
+                .wait_entries()
                 .filter(|w| now.since(w.since) >= timeout)
                 .map(|w| w.txn)
                 .collect();
@@ -1284,23 +1324,11 @@ impl Gtm {
         // resource (no removal event will ever re-trigger promotion, but
         // the resource value may have changed); re-run promotion over
         // every resource with a queue.
-        let queued: BTreeSet<ResourceId> = self
-            .resources
-            .iter()
-            .filter(|(_, rs)| !rs.waiting.is_empty())
-            .map(|(r, _)| *r)
-            .collect();
-        if !queued.is_empty() {
-            effects.merge(self.promote_all(queued, now)?);
+        if !self.queued.is_empty() {
+            effects.merge(self.promote_all(self.queued.clone(), now)?);
         }
         // Prune committed sets below the horizon any sleeper can observe.
-        let horizon = self
-            .txns
-            .values()
-            .filter(|r| r.state == TxnState::Sleeping)
-            .filter_map(|r| r.t_sleep)
-            .min()
-            .unwrap_or(now);
+        let horizon = self.sleepers.first().map_or(now, |(t_sleep, _)| *t_sleep);
         for rs in self.resources.values_mut() {
             rs.prune_committed(horizon);
         }
@@ -1321,11 +1349,7 @@ impl Gtm {
     #[must_use]
     pub fn next_wake_deadline(&self) -> Option<Timestamp> {
         let timeout = self.config.wait_timeout?;
-        self.resources
-            .values()
-            .flat_map(|rs| rs.waiting.iter())
-            .map(|w| Timestamp(w.since.0.saturating_add(timeout.0)))
-            .min()
+        self.wait_entries().map(|w| Timestamp(w.since.0.saturating_add(timeout.0))).min()
     }
 
     /// True while any transaction is queued on any resource — the
@@ -1333,7 +1357,7 @@ impl Gtm {
     /// armed for this shard.
     #[must_use]
     pub fn has_waiters(&self) -> bool {
-        self.resources.values().any(|rs| !rs.waiting.is_empty())
+        !self.queued.is_empty()
     }
 
     /// Test/diagnostic access to a resource's scheduling state.
@@ -1436,6 +1460,211 @@ impl Gtm {
                 }
             }
         }
+        // The two indexes `tick` trusts, recomputed the slow way.
+        let queued: BTreeSet<ResourceId> = self
+            .resources
+            .iter()
+            .filter(|(_, rs)| !rs.waiting.is_empty())
+            .map(|(r, _)| *r)
+            .collect();
+        if queued != self.queued {
+            return Err(format!(
+                "queued index {:?} but the non-empty wait queues are {queued:?}",
+                self.queued
+            ));
+        }
+        let sleepers: BTreeSet<(Timestamp, TxnId)> = self
+            .txns
+            .iter()
+            .filter(|(_, rec)| rec.state == TxnState::Sleeping)
+            .filter_map(|(t, rec)| rec.t_sleep.map(|t_sleep| (t_sleep, *t)))
+            .collect();
+        if sleepers != self.sleepers {
+            return Err(format!(
+                "sleepers index {:?} but the sleeping transactions are {sleepers:?}",
+                self.sleepers
+            ));
+        }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pstm_workload::counter_world;
+
+    const TIMEOUT: Duration = Duration(1_000);
+
+    fn gtm(objects: usize) -> (Gtm, Vec<ResourceId>) {
+        let world = counter_world(objects, 1_000_000).unwrap();
+        let config = GtmConfig { wait_timeout: Some(TIMEOUT), ..GtmConfig::default() };
+        (Gtm::new(world.db.clone(), world.bindings.clone(), config), world.resources)
+    }
+
+    fn sub_one() -> ScalarOp {
+        ScalarOp::Sub(Value::Int(1))
+    }
+
+    /// A sleeper holding `on`, and a waiter queued on `behind` after an
+    /// incompatible holder — one entry in each index. Returns
+    /// `(sleeper, holder, waiter)`.
+    fn one_sleeper_one_waiter(
+        g: &mut Gtm,
+        ids: u64,
+        on: ResourceId,
+        behind: ResourceId,
+        now: Timestamp,
+    ) -> (TxnId, TxnId, TxnId) {
+        let (sleeper, holder, waiter) = (TxnId(ids), TxnId(ids + 1), TxnId(ids + 2));
+        for t in [sleeper, holder, waiter] {
+            g.begin(t, now).unwrap();
+        }
+        g.execute(sleeper, on, sub_one(), now).unwrap();
+        g.sleep(sleeper, now).unwrap();
+        g.execute(holder, behind, ScalarOp::Assign(Value::Int(5)), now).unwrap();
+        let (queued, _) = g.execute(waiter, behind, sub_one(), now).unwrap();
+        assert_eq!(queued, ExecOutcome::Waiting);
+        (sleeper, holder, waiter)
+    }
+
+    // The scans `tick`, `next_wake_deadline` and `has_waiters` made
+    // before the indexes existed — the reference the indexes must match.
+
+    fn full_scan_has_waiters(g: &Gtm) -> bool {
+        g.resources.values().any(|rs| !rs.waiting.is_empty())
+    }
+
+    fn full_scan_deadline(g: &Gtm) -> Option<Timestamp> {
+        g.resources
+            .values()
+            .flat_map(|rs| rs.waiting.iter())
+            .map(|w| Timestamp(w.since.0 + TIMEOUT.0))
+            .min()
+    }
+
+    fn full_scan_expired(g: &Gtm, now: Timestamp) -> Vec<TxnId> {
+        g.resources
+            .values()
+            .flat_map(|rs| rs.waiting.iter())
+            .filter(|w| now.since(w.since) >= TIMEOUT)
+            .map(|w| w.txn)
+            .collect()
+    }
+
+    fn full_scan_horizon(g: &Gtm, now: Timestamp) -> Timestamp {
+        g.txns
+            .values()
+            .filter(|r| r.state == TxnState::Sleeping)
+            .filter_map(|r| r.t_sleep)
+            .min()
+            .unwrap_or(now)
+    }
+
+    #[test]
+    fn the_indexes_answer_as_a_full_scan_does_under_50_000_finished_transactions() {
+        const FINISHED: u64 = 50_000;
+        let (mut g, resources) = gtm(4);
+        let mut clock = 0u64;
+        let mut finish = |g: &mut Gtm, id: u64| {
+            clock += 1;
+            let (txn, now) = (TxnId(id), Timestamp(clock));
+            g.begin(txn, now).unwrap();
+            g.execute(txn, resources[id as usize % 2], sub_one(), now).unwrap();
+            if id.is_multiple_of(2) {
+                assert_eq!(g.commit(txn, now).unwrap().0, CommitResult::Committed);
+            } else {
+                g.abort(txn, now).unwrap();
+            }
+            now
+        };
+        for id in 1..=FINISHED {
+            finish(&mut g, id);
+        }
+        let slept_at = Timestamp(FINISHED + 1);
+        let (_, _, waiter) =
+            one_sleeper_one_waiter(&mut g, FINISHED + 1, resources[2], resources[3], slept_at);
+        // Commits the sleeper can still observe, next to ones it cannot.
+        let mut now = slept_at;
+        for id in FINISHED + 4..FINISHED + 10 {
+            now = finish(&mut g, id);
+        }
+        assert_eq!(g.txns.len() as u64, FINISHED + 9);
+
+        for now in [now, Timestamp(slept_at.0 + TIMEOUT.0)] {
+            assert!(g.has_waiters() && full_scan_has_waiters(&g));
+            assert_eq!(g.next_wake_deadline(), full_scan_deadline(&g));
+            assert_eq!(g.next_wake_deadline(), Some(Timestamp(slept_at.0 + TIMEOUT.0)));
+            let expired = full_scan_expired(&g, now);
+            let horizon = full_scan_horizon(&g, now);
+            assert_eq!(horizon, slept_at);
+            let observable = |g: &Gtm| -> usize {
+                let kept =
+                    |rs: &ResourceState| rs.committed.iter().filter(|c| c.2 > horizon).count();
+                g.resources.values().map(kept).sum()
+            };
+            let before = observable(&g);
+            assert!(before > 0);
+            let effects = g.tick(now).unwrap();
+            let timed_out: Vec<TxnId> = effects.aborted.iter().map(|(t, _)| *t).collect();
+            assert_eq!(timed_out, expired);
+            assert!(effects.aborted.iter().all(|(_, why)| *why == AbortReason::LockTimeout));
+            let kept: usize = g.resources.values().map(|rs| rs.committed.len()).sum();
+            assert_eq!(
+                (kept, observable(&g)),
+                (before, before),
+                "pruned exactly below the horizon"
+            );
+            g.check_invariants().unwrap();
+        }
+        assert_eq!(g.state(waiter), Some(TxnState::Aborted));
+        assert!(!g.has_waiters() && !full_scan_has_waiters(&g));
+        assert_eq!(g.next_wake_deadline(), None);
+    }
+
+    #[test]
+    fn check_invariants_catches_a_corrupted_index() {
+        let (mut g, resources) = gtm(3);
+        let (sleeper, _, _) =
+            one_sleeper_one_waiter(&mut g, 1, resources[0], resources[1], Timestamp(7));
+        g.check_invariants().unwrap();
+
+        g.queued.insert(resources[2]);
+        assert!(g.check_invariants().unwrap_err().contains("queued index"));
+        g.queued.remove(&resources[2]);
+        g.queued.remove(&resources[1]);
+        assert!(g.check_invariants().unwrap_err().contains("queued index"));
+        g.queued.insert(resources[1]);
+        g.check_invariants().unwrap();
+
+        g.sleepers.insert((Timestamp(3), TxnId(99)));
+        assert!(g.check_invariants().unwrap_err().contains("sleepers index"));
+        g.sleepers.clear();
+        assert!(g.check_invariants().unwrap_err().contains("sleepers index"));
+        g.sleepers.insert((Timestamp(7), sleeper));
+        g.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_finished_record_keeps_no_working_state() {
+        let (mut g, resources) = gtm(2);
+        let now = Timestamp(1);
+        let (committed, aborted) = (TxnId(1), TxnId(2));
+        for txn in [committed, aborted] {
+            g.begin(txn, now).unwrap();
+            g.execute(txn, resources[0], sub_one(), now).unwrap();
+            g.execute(txn, resources[1], sub_one(), now).unwrap();
+        }
+        assert_eq!(g.commit(committed, now).unwrap().0, CommitResult::Committed);
+        g.abort(aborted, now).unwrap();
+        for txn in [committed, aborted] {
+            let rec = &g.txns[&txn];
+            assert!(rec.state.is_terminal());
+            assert!(rec.temp.is_empty() && rec.classes.is_empty() && rec.t_wait.is_empty());
+            // Moved out (to the history, if it committed), not cloned.
+            assert_eq!(rec.op_log.capacity(), 0);
+        }
+        assert_eq!(g.history().committed_count(), 1);
+        g.check_invariants().unwrap();
     }
 }

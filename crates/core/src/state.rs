@@ -109,6 +109,19 @@ impl TxnRecord {
         }
         r
     }
+
+    /// Called when the transaction reaches a terminal state: frees the
+    /// working state only a live transaction needs (`A_temp`, the class
+    /// map, `A_t_wait`) and hands out the op log. The GTM keeps every
+    /// finished record, so whatever a record still owns is memory each
+    /// transaction retains for good — an emptied `BTreeMap` alone keeps
+    /// its root node allocated.
+    pub fn retire(&mut self) -> Vec<(pstm_types::ResourceId, ScalarOp)> {
+        self.temp.clear();
+        self.classes.clear();
+        self.t_wait.clear();
+        std::mem::take(&mut self.op_log)
+    }
 }
 
 /// A queued invocation: `(A, op)` plus the arrival time `A_t_wait`.

@@ -104,10 +104,21 @@ pub fn frame_checksum(len_bytes: &[u8; 4], payload: &[u8]) -> u32 {
 /// Appends the complete frame for `payload` (header + payload) to `out`,
 /// returning the frame's size in bytes.
 pub fn write_frame(payload: &[u8], out: &mut Vec<u8>) -> usize {
+    write_frame_with(out, |out| out.extend_from_slice(payload))
+}
+
+/// Appends one frame to `out` whose payload `write_payload` appends in
+/// place: the header is reserved first and back-filled once the payload's
+/// length is known, so an encoder never builds an intermediate payload
+/// buffer. Returns the frame's size in bytes.
+pub fn write_frame_with(out: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    write_payload(out);
+    let (header, payload) = out[start..].split_at_mut(FRAME_HEADER);
     let len_bytes = (payload.len() as u32).to_le_bytes();
-    out.extend_from_slice(&len_bytes);
-    out.extend_from_slice(&frame_checksum(&len_bytes, payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    header[..4].copy_from_slice(&len_bytes);
+    header[4..].copy_from_slice(&frame_checksum(&len_bytes, payload).to_le_bytes());
     payload.len() + FRAME_HEADER
 }
 

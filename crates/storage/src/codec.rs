@@ -1,12 +1,18 @@
-//! Binary encoding of values and rows.
+//! Binary encoding of values, rows and WAL records.
 //!
 //! A small, self-describing, length-safe codec: every value starts with a
 //! tag byte, variable-size payloads carry a `u32` length. The codec is used
-//! by the slotted pages (records must be flat bytes) and by the WAL. It is
+//! by the slotted pages (records must be flat bytes) and by the WAL (the
+//! per-variant record layout is tabulated in [`crate::wal`]). It is
 //! deliberately hand-rolled rather than serde-based so that page space
-//! accounting is exact and decoding can be fuzzed against truncation.
+//! accounting is exact, the engine encodes a commit's records inside its
+//! exclusive section at memcpy cost, and decoding can be fuzzed against
+//! truncation.
 
-use pstm_types::{PstmError, PstmResult, Value};
+use crate::catalog::TableId;
+use crate::row::{Row, RowId};
+use crate::wal::LogRecord;
+use pstm_types::{PstmError, PstmResult, TxnId, Value};
 
 const TAG_NULL: u8 = 0;
 const TAG_BOOL_FALSE: u8 = 1;
@@ -86,15 +92,28 @@ fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> PstmResult<&'a [u8]> {
     Ok(slice)
 }
 
+fn take_u32(buf: &[u8], pos: &mut usize) -> PstmResult<u32> {
+    take(buf, pos, 4).map(|raw| u32::from_le_bytes(raw.try_into().unwrap()))
+}
+
+fn take_u64(buf: &[u8], pos: &mut usize) -> PstmResult<u64> {
+    take(buf, pos, 8).map(|raw| u64::from_le_bytes(raw.try_into().unwrap()))
+}
+
 /// Encodes a row (column-count prefix + each value).
 #[must_use]
 pub fn encode_row(values: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(2 + values.iter().map(encoded_len).sum::<usize>());
+    encode_row_into(values, &mut out);
+    out
+}
+
+/// Appends the [`encode_row`] encoding of `values` to `out`.
+pub fn encode_row_into(values: &[Value], out: &mut Vec<u8>) {
     out.extend_from_slice(&(values.len() as u16).to_le_bytes());
     for v in values {
-        encode_value(v, &mut out);
+        encode_value(v, out);
     }
-    out
 }
 
 /// Decodes a row previously produced by [`encode_row`].
@@ -116,13 +135,168 @@ pub fn decode_row(buf: &[u8]) -> PstmResult<Vec<Value>> {
     Ok(values)
 }
 
+const REC_BEGIN: u8 = 1;
+const REC_INSERT: u8 = 2;
+const REC_UPDATE: u8 = 3;
+const REC_DELETE: u8 = 4;
+const REC_COMMIT: u8 = 5;
+const REC_ABORT: u8 = 6;
+const REC_CHECKPOINT: u8 = 7;
+const REC_CREATE_TABLE: u8 = 8;
+const REC_CREATE_INDEX: u8 = 9;
+
+/// Appends a record that is only a tag and its transaction
+/// (`Begin`/`Commit`/`Abort`).
+fn encode_txn_mark(tag: u8, txn: TxnId, out: &mut Vec<u8>) {
+    out.push(tag);
+    out.extend_from_slice(&txn.0.to_le_bytes());
+}
+
+/// Appends the tag and `txn · table · row_id` prefix the row-addressed
+/// records share.
+fn encode_row_header(tag: u8, txn: TxnId, table: TableId, row_id: RowId, out: &mut Vec<u8>) {
+    encode_txn_mark(tag, txn, out);
+    out.extend_from_slice(&table.0.to_le_bytes());
+    out.extend_from_slice(&row_id.raw().to_le_bytes());
+}
+
+fn encode_column(column: usize, out: &mut Vec<u8>) -> PstmResult<()> {
+    let column = u32::try_from(column)
+        .map_err(|_| PstmError::internal(format!("WAL serialize: column index {column}")))?;
+    out.extend_from_slice(&column.to_le_bytes());
+    Ok(())
+}
+
+/// Appends the payload of a [`LogRecord::Begin`].
+pub(crate) fn encode_begin(txn: TxnId, out: &mut Vec<u8>) {
+    encode_txn_mark(REC_BEGIN, txn, out);
+}
+
+/// Appends the payload of a [`LogRecord::Commit`].
+pub(crate) fn encode_commit(txn: TxnId, out: &mut Vec<u8>) {
+    encode_txn_mark(REC_COMMIT, txn, out);
+}
+
+/// Appends the payload of a [`LogRecord::Update`] with the images taken
+/// by reference — the engine's commit path logs straight from the row
+/// it read and the write set it was handed.
+pub(crate) fn encode_update(
+    txn: TxnId,
+    table: TableId,
+    row_id: RowId,
+    column: usize,
+    before: &Value,
+    after: &Value,
+    out: &mut Vec<u8>,
+) -> PstmResult<()> {
+    encode_row_header(REC_UPDATE, txn, table, row_id, out);
+    encode_column(column, out)?;
+    encode_value(before, out);
+    encode_value(after, out);
+    Ok(())
+}
+
+/// Appends the WAL payload of `rec` to `out` (layout: see [`crate::wal`]).
+/// On error `out` may hold a partial payload; the caller discards it.
+pub fn encode_record(rec: &LogRecord, out: &mut Vec<u8>) -> PstmResult<()> {
+    match rec {
+        LogRecord::Begin { txn } => encode_begin(*txn, out),
+        LogRecord::Commit { txn } => encode_commit(*txn, out),
+        LogRecord::Abort { txn } => encode_txn_mark(REC_ABORT, *txn, out),
+        LogRecord::Insert { txn, table, row_id, row } => {
+            encode_row_header(REC_INSERT, *txn, *table, *row_id, out);
+            encode_row_into(row.values(), out);
+        }
+        LogRecord::Delete { txn, table, row_id, row } => {
+            encode_row_header(REC_DELETE, *txn, *table, *row_id, out);
+            encode_row_into(row.values(), out);
+        }
+        LogRecord::Update { txn, table, row_id, column, before, after } => {
+            encode_update(*txn, *table, *row_id, *column, before, after, out)?;
+        }
+        LogRecord::Checkpoint => out.push(REC_CHECKPOINT),
+        LogRecord::CreateTable { schema, constraints } => {
+            // DDL is cold: its nested schema keeps the serde body.
+            out.push(REC_CREATE_TABLE);
+            let body = serde_json::to_vec(&(schema, constraints))
+                .map_err(|e| PstmError::internal(format!("WAL serialize: {e}")))?;
+            out.extend_from_slice(&body);
+        }
+        LogRecord::CreateIndex { table, column } => {
+            out.push(REC_CREATE_INDEX);
+            out.extend_from_slice(&table.0.to_le_bytes());
+            encode_column(*column, out)?;
+        }
+    }
+    Ok(())
+}
+
+/// Reads back what [`encode_row_header`] wrote after its tag.
+fn take_row_header(buf: &[u8], pos: &mut usize) -> PstmResult<(TxnId, TableId, RowId)> {
+    let txn = TxnId(take_u64(buf, pos)?);
+    let table = TableId(take_u32(buf, pos)?);
+    Ok((txn, table, RowId::from_raw(take_u64(buf, pos)?)))
+}
+
+/// Decodes one WAL payload produced by [`encode_record`]. The payload
+/// must be consumed exactly: trailing bytes are corruption.
+pub fn decode_record(buf: &[u8]) -> PstmResult<LogRecord> {
+    let mut pos = 0usize;
+    let tag = take(buf, &mut pos, 1)?[0];
+    let rec = match tag {
+        REC_BEGIN => LogRecord::Begin { txn: TxnId(take_u64(buf, &mut pos)?) },
+        REC_COMMIT => LogRecord::Commit { txn: TxnId(take_u64(buf, &mut pos)?) },
+        REC_ABORT => LogRecord::Abort { txn: TxnId(take_u64(buf, &mut pos)?) },
+        REC_INSERT | REC_DELETE => {
+            let (txn, table, row_id) = take_row_header(buf, &mut pos)?;
+            // The row image is the rest of the payload, and `decode_row`
+            // rejects trailing bytes itself.
+            let row = Row::decode(&buf[pos..])?;
+            pos = buf.len();
+            if tag == REC_INSERT {
+                LogRecord::Insert { txn, table, row_id, row }
+            } else {
+                LogRecord::Delete { txn, table, row_id, row }
+            }
+        }
+        REC_UPDATE => {
+            let (txn, table, row_id) = take_row_header(buf, &mut pos)?;
+            let column = take_u32(buf, &mut pos)? as usize;
+            let before = decode_value(buf, &mut pos)?;
+            let after = decode_value(buf, &mut pos)?;
+            LogRecord::Update { txn, table, row_id, column, before, after }
+        }
+        REC_CHECKPOINT => LogRecord::Checkpoint,
+        REC_CREATE_TABLE => {
+            let (schema, constraints) = serde_json::from_slice(&buf[pos..])
+                .map_err(|e| PstmError::WalCorrupt(format!("bad DDL body: {e}")))?;
+            pos = buf.len();
+            LogRecord::CreateTable { schema, constraints }
+        }
+        REC_CREATE_INDEX => {
+            let table = TableId(take_u32(buf, &mut pos)?);
+            let column = take_u32(buf, &mut pos)? as usize;
+            LogRecord::CreateIndex { table, column }
+        }
+        other => return Err(PstmError::WalCorrupt(format!("unknown record tag {other}"))),
+    };
+    if pos != buf.len() {
+        return Err(PstmError::WalCorrupt(format!(
+            "trailing bytes after record: {} of {}",
+            buf.len() - pos,
+            buf.len()
+        )));
+    }
+    Ok(rec)
+}
+
 // The Fletcher-32 style checksum these pages and the WAL frame on now
 // lives in `pstm_obs::frame` so the flight recorder shares one
 // torn-tail machinery with the WAL; re-exported here for compatibility.
 pub use pstm_obs::frame::{checksum, ChecksumStream};
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -198,7 +372,7 @@ mod tests {
         }
     }
 
-    fn arb_value() -> impl Strategy<Value = Value> {
+    pub(crate) fn arb_value() -> impl Strategy<Value = Value> {
         prop_oneof![
             Just(Value::Null),
             any::<bool>().prop_map(Value::Bool),

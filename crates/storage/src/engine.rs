@@ -14,6 +14,7 @@
 
 use crate::btree::BTreeIndex;
 use crate::catalog::{Catalog, TableId};
+use crate::codec::{encode_begin, encode_commit, encode_update};
 use crate::constraint::Constraint;
 use crate::heap::HeapFile;
 use crate::row::{Row, RowId};
@@ -24,6 +25,7 @@ use pstm_obs::{Ctr, MetricsRegistry, TraceEvent, Tracer};
 use pstm_types::{FaultDecision, FaultSite, PstmError, PstmResult, SharedFaultHook, TxnId, Value};
 use std::collections::HashMap;
 use std::ops::Bound;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One write against the database, as carried by a [`WriteSet`].
 #[derive(Clone, Debug, PartialEq)]
@@ -108,6 +110,23 @@ pub(crate) struct CheckpointImage {
     pub(crate) heaps: Vec<Vec<u8>>,
 }
 
+/// One row a batched commit rewrites: its address and the working copy
+/// every update of the batch lands on before the heap sees it.
+struct StagedRow {
+    table: TableId,
+    row_id: RowId,
+    row: Row,
+}
+
+/// One index entry a batched commit moves once its records are logged.
+struct IndexMove {
+    table: TableId,
+    index: usize,
+    row_id: RowId,
+    before: Value,
+    after: Value,
+}
+
 pub(crate) struct Inner {
     pub(crate) catalog: Catalog,
     pub(crate) stores: Vec<TableStore>,
@@ -120,6 +139,108 @@ pub(crate) struct Inner {
     /// purged at commit, undeleted at abort — so the space of an
     /// uncommitted delete can never be stolen by other inserts.
     pending_deletes: HashMap<TxnId, Vec<(TableId, RowId)>>,
+    /// The batched commit's plan, kept here so the exclusive section
+    /// reuses its capacity instead of allocating per commit.
+    staged_rows: Vec<StagedRow>,
+    index_moves: Vec<IndexMove>,
+}
+
+impl Inner {
+    fn new(
+        catalog: Catalog,
+        stores: Vec<TableStore>,
+        wal: Wal,
+        checkpoint: Option<CheckpointImage>,
+    ) -> Self {
+        Inner {
+            catalog,
+            stores,
+            wal,
+            checkpoint,
+            active: HashMap::new(),
+            pending_deletes: HashMap::new(),
+            staged_rows: Vec::new(),
+            index_moves: Vec::new(),
+        }
+    }
+
+    /// First half of a batched commit: validates every update (schema,
+    /// constraints, row and column exist) and reads each touched row
+    /// **once** into `staged_rows`. Touches no state a failure would have
+    /// to undo.
+    fn load_update_rows(&mut self, ws: &WriteSet) -> PstmResult<()> {
+        self.staged_rows.clear();
+        for op in &ws.0 {
+            let WriteOp::Update { table, row_id, column, value } = op else {
+                return Err(PstmError::internal("batched path requires all-Update sets"));
+            };
+            let meta = self.catalog.meta(*table)?;
+            meta.schema.validate_column(*column, value)?;
+            for c in &meta.constraints {
+                if c.column == *column {
+                    c.check_value(value)?;
+                }
+            }
+            let staged = match self.staged_row(*table, *row_id) {
+                Some(staged) => &self.staged_rows[staged],
+                None => {
+                    let row = self.stores[table.0 as usize].heap.get(*row_id)?;
+                    self.staged_rows.push(StagedRow { table: *table, row_id: *row_id, row });
+                    &self.staged_rows[self.staged_rows.len() - 1]
+                }
+            };
+            if staged.row.get(*column).is_none() {
+                return Err(PstmError::NotFound(format!("column #{column} in {table}")));
+            }
+        }
+        Ok(())
+    }
+
+    fn staged_row(&self, table: TableId, row_id: RowId) -> Option<usize> {
+        self.staged_rows.iter().position(|s| s.table == table && s.row_id == row_id)
+    }
+
+    /// Second half: logs `Begin · Update… · Commit` as one framed WAL
+    /// flush, the images taken by reference from the staged rows and the
+    /// write set, and lands each update on its staged row — before-images
+    /// chain through earlier updates of the batch as sequential
+    /// application would. The heap is still untouched.
+    fn log_updates(&mut self, txn: TxnId, ws: &WriteSet) -> PstmResult<()> {
+        let _phase = pstm_obs::prof::PhaseTimer::start(pstm_obs::prof::CommitPhase::WalAppend);
+        self.index_moves.clear();
+        self.wal.stage(|out| {
+            encode_begin(txn, out);
+            Ok(())
+        })?;
+        for op in &ws.0 {
+            let WriteOp::Update { table, row_id, column, value } = op else { continue };
+            let staged = self.staged_row(*table, *row_id).ok_or_else(|| {
+                PstmError::internal(format!("row {row_id} of {table} not staged"))
+            })?;
+            let row = &mut self.staged_rows[staged].row;
+            let before = row.get(*column).ok_or_else(|| {
+                PstmError::internal(format!("column #{column} of {table} not validated"))
+            })?;
+            self.wal
+                .stage(|out| encode_update(txn, *table, *row_id, *column, before, value, out))?;
+            let indexes = &self.catalog.meta(*table)?.indexes;
+            if let Some(index) = indexes.iter().position(|d| d.column == *column) {
+                self.index_moves.push(IndexMove {
+                    table: *table,
+                    index,
+                    row_id: *row_id,
+                    before: before.clone(),
+                    after: value.clone(),
+                });
+            }
+            row.set(*column, value.clone());
+        }
+        self.wal.stage(|out| {
+            encode_commit(txn, out);
+            Ok(())
+        })?;
+        self.wal.flush_staged().map(|_| ())
+    }
 }
 
 /// Cumulative engine statistics.
@@ -191,7 +312,9 @@ pub struct Database {
     /// over the mobile link in the paper's deployment, and the cost the
     /// group-commit station amortizes (N fused commits pay it once).
     /// Zero by default: functional tests and chaos runs are unaffected.
-    apply_latency: RwLock<std::time::Duration>,
+    /// Nanoseconds in an atomic: every commit reads it, nothing waits on
+    /// it.
+    apply_latency_ns: AtomicU64,
     /// Seeded fault seam (see `pstm_types::fault`), consulted at
     /// [`FaultSite::SstApply`] here and at [`FaultSite::WalAppend`] inside
     /// the WAL. `None` outside chaos runs and SST-failure tests (the
@@ -210,17 +333,14 @@ impl Database {
     /// An empty database.
     #[must_use]
     pub fn new() -> Self {
+        Database::over(Inner::new(Catalog::new(), Vec::new(), Wal::new(), None))
+    }
+
+    fn over(inner: Inner) -> Self {
         Database {
-            inner: RwLock::new(Inner {
-                catalog: Catalog::new(),
-                stores: Vec::new(),
-                wal: Wal::new(),
-                checkpoint: None,
-                active: HashMap::new(),
-                pending_deletes: HashMap::new(),
-            }),
+            inner: RwLock::new(inner),
             tracer: RwLock::new(Tracer::disabled()),
-            apply_latency: RwLock::new(std::time::Duration::ZERO),
+            apply_latency_ns: AtomicU64::new(0),
             fault_hook: RwLock::new(None),
         }
     }
@@ -229,7 +349,8 @@ impl Database {
     /// [`Database::apply_write_set`]. Benchmarks use it to measure how
     /// batching amortizes the device cost; leave at zero elsewhere.
     pub fn set_apply_latency(&self, latency: std::time::Duration) {
-        *self.apply_latency.write() = latency;
+        let nanos = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
+        self.apply_latency_ns.store(nanos, Ordering::SeqCst);
     }
 
     /// Routes engine and WAL events to `tracer`. The shared-`Arc` pattern
@@ -572,29 +693,33 @@ impl Database {
         // The modeled device round-trip is paid before the engine locks
         // anything: flushes to different shards' rows overlap, but one
         // flush pays the trip whether it carries 1 commit or a fused 32.
-        let device = *self.apply_latency.read();
-        if device > std::time::Duration::ZERO {
-            std::thread::sleep(device);
+        let device = self.apply_latency_ns.load(Ordering::SeqCst);
+        if device > 0 {
+            std::thread::sleep(std::time::Duration::from_nanos(device));
         }
-        if let Some(hook) = self.fault_hook.read().clone() {
-            match hook.decide(FaultSite::SstApply) {
-                FaultDecision::Proceed => {}
-                FaultDecision::Io => {
-                    // Transient device error before any state is touched:
-                    // the middleware's SST retry/abort machinery owns it.
-                    self.tracer.read().emit_unclocked(TraceEvent::FaultInjected {
-                        site: FaultSite::SstApply.label(),
-                        action: "io".into(),
-                    });
-                    return Err(PstmError::Io("injected SST fault".into()));
-                }
-                FaultDecision::Crash | FaultDecision::Torn { .. } => {
-                    self.tracer.read().emit_unclocked(TraceEvent::FaultInjected {
-                        site: FaultSite::SstApply.label(),
-                        action: "crash".into(),
-                    });
-                    return Err(PstmError::Crashed(FaultSite::SstApply.label()));
-                }
+        // Decided under the hook's guard: no `Arc` clone per commit.
+        let decision = self
+            .fault_hook
+            .read()
+            .as_ref()
+            .map_or(FaultDecision::Proceed, |hook| hook.decide(FaultSite::SstApply));
+        match decision {
+            FaultDecision::Proceed => {}
+            FaultDecision::Io => {
+                // Transient device error before any state is touched:
+                // the middleware's SST retry/abort machinery owns it.
+                self.tracer.read().emit_unclocked(TraceEvent::FaultInjected {
+                    site: FaultSite::SstApply.label(),
+                    action: "io".into(),
+                });
+                return Err(PstmError::Io("injected SST fault".into()));
+            }
+            FaultDecision::Crash | FaultDecision::Torn { .. } => {
+                self.tracer.read().emit_unclocked(TraceEvent::FaultInjected {
+                    site: FaultSite::SstApply.label(),
+                    action: "crash".into(),
+                });
+                return Err(PstmError::Crashed(FaultSite::SstApply.label()));
             }
         }
         // The dominant SST shape — all single-column updates — takes the
@@ -628,67 +753,36 @@ impl Database {
     /// All-`Update` write sets commit under a single `inner` lock: every
     /// op is validated first (schema, constraints, before-images — no
     /// state touched, so a violation leaves no WAL or heap trace), then
-    /// `Begin`+`Update`s+`Commit` land as one [`Wal::append_batch`] flush,
-    /// and only then does the heap mutate — mutations past validation
-    /// cannot fail. A crash inside the batched flush therefore leaves the
-    /// heap untouched and no `Commit` record for recovery to redo.
+    /// `Begin`+`Update`s+`Commit` land as one framed WAL flush, and only
+    /// then does the heap mutate — mutations past validation cannot
+    /// fail. A crash inside the batched flush therefore leaves the heap
+    /// untouched and no `Commit` record for recovery to redo.
+    ///
+    /// This is the exclusive section every committing client queues
+    /// behind, so it is kept to validate → append → mutate: each row is
+    /// decoded once and rewritten once, records are encoded from
+    /// references straight into the WAL's frame buffer, and the plan
+    /// lives in `Inner`'s reused vectors.
     fn apply_updates_batched(&self, txn: TxnId, ws: &WriteSet) -> PstmResult<()> {
         let mut guard = self.inner.write();
         let inner = &mut *guard;
         if inner.active.contains_key(&txn) {
             return Err(PstmError::InvalidState { txn, action: "begin", state: "active" });
         }
-        let mut recs = Vec::with_capacity(ws.0.len() + 2);
-        recs.push(LogRecord::Begin { txn });
-        // (table, row_id, column, after, before, index slot)
-        let mut plan: Vec<(TableId, RowId, usize, Value, Value, Option<usize>)> =
-            Vec::with_capacity(ws.0.len());
-        for op in &ws.0 {
-            let WriteOp::Update { table, row_id, column, value } = op else {
-                return Err(PstmError::internal("batched path requires all-Update sets"));
-            };
-            let meta = inner.catalog.meta(*table)?;
-            meta.schema.validate_column(*column, value)?;
-            for c in &meta.constraints {
-                if c.column == *column {
-                    c.check_value(value)?;
-                }
-            }
-            let idx_pos = meta.indexes.iter().position(|d| d.column == *column);
-            let row = inner.stores[table.0 as usize].heap.get(*row_id)?;
-            let mut before = row
-                .get(*column)
-                .cloned()
-                .ok_or_else(|| PstmError::NotFound(format!("column #{column} in {table}")))?;
-            // Chain before-images through earlier ops of this batch, as
-            // sequential application would.
-            for (t, r, c, after, ..) in &plan {
-                if t == table && r == row_id && c == column {
-                    before = after.clone();
-                }
-            }
-            recs.push(LogRecord::Update {
-                txn,
-                table: *table,
-                row_id: *row_id,
-                column: *column,
-                before: before.clone(),
-                after: value.clone(),
-            });
-            plan.push((*table, *row_id, *column, value.clone(), before, idx_pos));
+        inner.load_update_rows(ws)?;
+        if let Err(e) = inner.log_updates(txn, ws) {
+            inner.wal.discard_staged();
+            return Err(e);
         }
-        recs.push(LogRecord::Commit { txn });
-        inner.wal.append_batch(&recs)?;
-        for (table, row_id, column, value, before, idx_pos) in plan {
-            let store = &mut inner.stores[table.0 as usize];
-            let mut row = store.heap.get(row_id)?;
-            row.set(column, value.clone());
-            store.heap.update(row_id, &row)?;
-            if let Some(i) = idx_pos {
-                store.indexes[i].remove(&before, row_id);
-                store.indexes[i].insert(value, row_id);
-            }
+        for staged in &inner.staged_rows {
+            inner.stores[staged.table.0 as usize].heap.update(staged.row_id, &staged.row)?;
         }
+        for m in inner.index_moves.drain(..) {
+            let index = &mut inner.stores[m.table.0 as usize].indexes[m.index];
+            index.remove(&m.before, m.row_id);
+            index.insert(m.after, m.row_id);
+        }
+        drop(guard);
         let tracer = self.tracer.read();
         for _ in &ws.0 {
             tracer.emit_unclocked(TraceEvent::EngineUpdate { txn });
@@ -772,19 +866,7 @@ impl Database {
         let checkpoint = Some(CheckpointImage { catalog_json, heaps });
         let wal = Wal::new();
         let (catalog, stores, _stats) = crate::recovery::recover(&checkpoint, &wal)?;
-        Ok(Database {
-            inner: RwLock::new(Inner {
-                catalog,
-                stores,
-                wal,
-                checkpoint,
-                active: HashMap::new(),
-                pending_deletes: HashMap::new(),
-            }),
-            tracer: RwLock::new(Tracer::disabled()),
-            apply_latency: RwLock::new(std::time::Duration::ZERO),
-            fault_hook: RwLock::new(None),
-        })
+        Ok(Database::over(Inner::new(catalog, stores, wal, checkpoint)))
     }
 
     /// Snapshot of the engine counters, projected from the obs registry
@@ -905,6 +987,85 @@ mod tests {
         // no undo trail in the log.
         let stats = db.stats();
         assert_eq!(stats.aborts, 0);
+    }
+
+    #[test]
+    fn batched_commit_logs_chained_images_and_moves_indexes() {
+        let (db, t) = setup();
+        db.create_index(t, 1).unwrap();
+        db.begin(TxnId(1)).unwrap();
+        let a = db.insert(TxnId(1), t, flight(1, 10, 1.0)).unwrap();
+        let b = db.insert(TxnId(1), t, flight(2, 20, 2.0)).unwrap();
+        db.commit(TxnId(1)).unwrap();
+        let logged = db.inner.read().wal.records().unwrap().len();
+
+        // Two updates chain on one column of `a`, a third touches `b`.
+        let update = |row_id, column, value| WriteOp::Update { table: t, row_id, column, value };
+        let ws = WriteSet::new()
+            .with(update(a, 1, Value::Int(7)))
+            .with(update(b, 2, Value::Float(2.5)))
+            .with(update(a, 1, Value::Int(5)));
+        db.apply_write_set(TxnId(2), &ws).unwrap();
+
+        let txn = TxnId(2);
+        let record = |row_id, column, before, after| LogRecord::Update {
+            txn,
+            table: t,
+            row_id,
+            column,
+            before,
+            after,
+        };
+        let tail: Vec<LogRecord> = db
+            .inner
+            .read()
+            .wal
+            .records()
+            .unwrap()
+            .into_iter()
+            .skip(logged)
+            .map(|(_, r)| r)
+            .collect();
+        assert_eq!(
+            tail,
+            vec![
+                LogRecord::Begin { txn },
+                record(a, 1, Value::Int(10), Value::Int(7)),
+                record(b, 2, Value::Float(2.0), Value::Float(2.5)),
+                record(a, 1, Value::Int(7), Value::Int(5)),
+                LogRecord::Commit { txn },
+            ]
+        );
+        for _ in 0..2 {
+            assert_eq!(db.get(t, a).unwrap(), flight(1, 5, 1.0));
+            assert_eq!(db.get(t, b).unwrap(), flight(2, 20, 2.5));
+            assert_eq!(db.lookup_eq(t, 1, &Value::Int(5)).unwrap(), vec![a]);
+            assert!(db.lookup_eq(t, 1, &Value::Int(10)).unwrap().is_empty());
+            assert!(db.lookup_eq(t, 1, &Value::Int(7)).unwrap().is_empty());
+            // ... and the same again from the log alone.
+            db.simulate_crash_and_recover().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_rejected_batch_leaves_nothing_staged() {
+        let (db, t) = setup();
+        db.begin(TxnId(1)).unwrap();
+        let rid = db.insert(TxnId(1), t, flight(1, 1, 1.0)).unwrap();
+        db.commit(TxnId(1)).unwrap();
+        let before = db.stats().wal_bytes;
+        let update = |column, value| WriteOp::Update { table: t, row_id: rid, column, value };
+        let bad =
+            WriteSet::new().with(update(2, Value::Float(9.0))).with(update(1, Value::Int(-1)));
+        assert!(db.apply_write_set(TxnId(2), &bad).is_err());
+        assert_eq!(db.stats().wal_bytes, before);
+        // The frames staged before the violation must not ride along
+        // with the next commit.
+        db.apply_write_set(TxnId(3), &WriteSet::new().with(update(1, Value::Int(0)))).unwrap();
+        let txns: Vec<Option<TxnId>> =
+            db.inner.read().wal.records().unwrap().iter().map(|(_, r)| r.txn()).collect();
+        assert!(!txns.contains(&Some(TxnId(2))), "{txns:?}");
+        assert_eq!(txns.iter().filter(|t| **t == Some(TxnId(3))).count(), 3);
     }
 
     #[test]

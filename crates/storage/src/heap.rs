@@ -13,13 +13,17 @@ use pstm_types::{PstmError, PstmResult};
 #[derive(Default)]
 pub struct HeapFile {
     pages: Vec<Page>,
+    /// Reused encode buffer for [`HeapFile::update`] — the commit path
+    /// rewrites rows inside the engine's exclusive section and must not
+    /// allocate there.
+    enc: Vec<u8>,
 }
 
 impl HeapFile {
     /// An empty heap.
     #[must_use]
     pub fn new() -> Self {
-        HeapFile { pages: Vec::new() }
+        HeapFile::default()
     }
 
     /// Number of pages.
@@ -99,7 +103,9 @@ impl HeapFile {
             .pages
             .get_mut(id.page() as usize)
             .ok_or_else(|| PstmError::NotFound(format!("row {id}")))?;
-        match page.update(id.slot(), &row.encode())? {
+        self.enc.clear();
+        crate::codec::encode_row_into(row.values(), &mut self.enc);
+        match page.update(id.slot(), &self.enc)? {
             true => Ok(()),
             false => Err(PstmError::internal(format!(
                 "row {id} grew beyond its page; in-place update impossible"
@@ -176,7 +182,7 @@ impl HeapFile {
             let start = 4 + i * (PAGE_SIZE + 4);
             pages.push(Page::from_bytes(&bytes[start..start + PAGE_SIZE + 4])?);
         }
-        Ok(HeapFile { pages })
+        Ok(HeapFile { pages, enc: Vec::new() })
     }
 }
 

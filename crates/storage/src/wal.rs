@@ -1,6 +1,6 @@
 //! The write-ahead log.
 //!
-//! Records are serialized as JSON payloads wrapped in a binary frame:
+//! Each record is a binary payload wrapped in a checksummed frame:
 //!
 //! ```text
 //! | len: u32 | checksum: u32 | payload: len bytes |
@@ -15,10 +15,35 @@
 //! The log lives in an in-memory byte buffer standing in for a log
 //! device; [`Wal::crash_truncate`] chops an arbitrary suffix to emulate a
 //! crash mid-write in tests.
+//!
+//! A payload is a tag byte naming the [`LogRecord`] variant followed by
+//! its fields, integers little-endian, values and rows in the page
+//! encoding of [`crate::codec`] (`value` = tag byte + fixed or
+//! `u32`-length-prefixed body; `row` = `u16` column count + values).
+//! The payload must be consumed exactly; trailing bytes are corruption.
+//!
+//! | tag | variant | body | bytes |
+//! |-----|---------|------|-------|
+//! | 1 | `Begin` | `txn: u64` | 9 |
+//! | 2 | `Insert` | `txn: u64 · table: u32 · row_id: u64 · row` | 21 + row |
+//! | 3 | `Update` | `txn: u64 · table: u32 · row_id: u64 · column: u32 · before: value · after: value` | 25 + values (43 for two ints) |
+//! | 4 | `Delete` | `txn: u64 · table: u32 · row_id: u64 · row` | 21 + row |
+//! | 5 | `Commit` | `txn: u64` | 9 |
+//! | 6 | `Abort` | `txn: u64` | 9 |
+//! | 7 | `Checkpoint` | — | 1 |
+//! | 8 | `CreateTable` | JSON of `(schema, constraints)` — DDL is cold and nested | 1 + body |
+//! | 9 | `CreateIndex` | `table: u32 · column: u32` | 9 |
+//!
+//! With the 8-byte frame header a two-row integer commit
+//! (`Begin · Update · Update · Commit`) is 17 + 51 + 51 + 17 = 136 bytes.
+//! The log is never persisted — a save *is* a checkpoint
+//! ([`crate::persist`]) — so there is exactly one payload format and no
+//! reader for any earlier one.
 
 use crate::catalog::TableId;
+use crate::codec::{decode_record, encode_record};
 use crate::row::{Row, RowId};
-use pstm_obs::frame::{next_frame, write_frame, FrameStep};
+use pstm_obs::frame::{next_frame, write_frame_with, FrameStep, FRAME_HEADER};
 use pstm_obs::{TraceEvent, Tracer};
 use pstm_types::{FaultDecision, FaultSite, PstmError, PstmResult, SharedFaultHook, TxnId, Value};
 use serde::{Deserialize, Serialize};
@@ -122,23 +147,15 @@ impl LogRecord {
     }
 }
 
-/// Serializes `rec` and appends its complete frame to `out` via the
-/// shared framing in [`pstm_obs::frame`], returning the frame's size in
-/// bytes. Writes nothing on a serialization error.
-fn frame_into(rec: &LogRecord, out: &mut Vec<u8>) -> PstmResult<u64> {
-    let payload =
-        serde_json::to_vec(rec).map_err(|e| PstmError::internal(format!("WAL serialize: {e}")))?;
-    Ok(write_frame(&payload, out) as u64)
-}
-
 /// The append-only log device.
 #[derive(Default)]
 pub struct Wal {
     buf: Vec<u8>,
     /// Number of records appended — exposed for write-amplification stats.
     appended: u64,
-    /// Reused frame-assembly buffer: appends in steady state allocate
-    /// only the serialized payload, not a fresh frame per record.
+    /// The frames staged for the next device write. Records are encoded
+    /// straight into it ([`Wal::stage`]) and it is empty between writes,
+    /// so appends in steady state allocate nothing.
     scratch: Vec<u8>,
     tracer: Tracer,
     /// Fault seam consulted on every append (see `pstm_types::fault`);
@@ -169,53 +186,22 @@ impl Wal {
 
     /// Appends a record, returning its LSN.
     ///
-    /// This is the only sanctioned path that grows the log device (the
-    /// `wal-seam` lint in `pstm-check` enforces it), which makes it the
-    /// natural [`FaultSite::WalAppend`] seam: an injected `Io` or `Crash`
-    /// kills the simulated process before any byte lands, and
-    /// `Torn { keep }` writes only a prefix of the frame first — the torn
-    /// page write recovery must then discard.
+    /// Every path that grows the log device goes through
+    /// [`Wal::flush_staged`] (the `wal-seam` lint in `pstm-check` enforces
+    /// it), which makes that the [`FaultSite::WalAppend`] seam: an
+    /// injected `Io` or `Crash` kills the simulated process before any
+    /// byte lands, and `Torn { keep }` writes only a prefix of the frame
+    /// first — the torn page write recovery must then discard.
     pub fn append(&mut self, rec: &LogRecord) -> PstmResult<Lsn> {
         let _phase = pstm_obs::prof::PhaseTimer::start(pstm_obs::prof::CommitPhase::WalAppend);
-        let lsn = Lsn(self.buf.len() as u64);
-        self.scratch.clear();
-        let frame_bytes = frame_into(rec, &mut self.scratch)?;
-        if let Some(hook) = self.hook.as_ref() {
-            match hook.decide(FaultSite::WalAppend) {
-                FaultDecision::Proceed => {}
-                FaultDecision::Torn { keep } => {
-                    // Clamp so the frame is genuinely torn: at least the
-                    // final byte is lost and recovery sees a torn tail.
-                    let keep = (keep as usize).min(self.scratch.len() - 1);
-                    self.buf.extend_from_slice(&self.scratch[..keep]);
-                    self.tracer.emit_unclocked(TraceEvent::FaultInjected {
-                        site: FaultSite::WalAppend.label(),
-                        action: "torn".into(),
-                    });
-                    return Err(PstmError::Crashed(FaultSite::WalAppend.label()));
-                }
-                FaultDecision::Io | FaultDecision::Crash => {
-                    // The heap already mutated before this append, so an
-                    // unlogged-but-applied write cannot be tolerated: a
-                    // failing log device means the process dies here.
-                    self.tracer.emit_unclocked(TraceEvent::FaultInjected {
-                        site: FaultSite::WalAppend.label(),
-                        action: "crash".into(),
-                    });
-                    return Err(PstmError::Crashed(FaultSite::WalAppend.label()));
-                }
-            }
-        }
-        self.buf.extend_from_slice(&self.scratch);
-        self.appended += 1;
-        self.tracer.emit_unclocked(TraceEvent::WalFlush { lsn: lsn.0, bytes: frame_bytes });
-        Ok(lsn)
+        self.stage(|out| encode_record(rec, out))?;
+        self.flush_staged()
     }
 
     /// Appends a group of records as **one framed flush**: every frame is
-    /// assembled in the scratch buffer and the log device grows by a
-    /// single contiguous write, amortizing the flush cost the group-commit
-    /// layer exists to save. Each record keeps its own frame and `Lsn`, so
+    /// staged in the scratch buffer and the log device grows by a single
+    /// contiguous write, amortizing the flush cost the group-commit layer
+    /// exists to save. Each record keeps its own frame and `Lsn`, so
     /// readers and recovery are oblivious to grouping.
     ///
     /// The fault seam is consulted **once per group** — the group is one
@@ -224,49 +210,99 @@ impl Wal {
     /// survive intact, the tear is confined to the tail, and recovery's
     /// stop-at-first-invalid policy discards exactly the torn suffix. An
     /// `Io`/`Crash` decision lands nothing, as in [`Wal::append`].
-    // pstm-lockgraph: flush-point
     pub fn append_batch(&mut self, recs: &[LogRecord]) -> PstmResult<Vec<Lsn>> {
         let _phase = pstm_obs::prof::PhaseTimer::start(pstm_obs::prof::CommitPhase::WalAppend);
-        if recs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let base = self.buf.len() as u64;
         let mut lsns = Vec::with_capacity(recs.len());
-        let mut frame_bytes = Vec::with_capacity(recs.len());
-        self.scratch.clear();
         for rec in recs {
-            lsns.push(Lsn(base + self.scratch.len() as u64));
-            frame_bytes.push(frame_into(rec, &mut self.scratch)?);
-        }
-        if let Some(hook) = self.hook.as_ref() {
-            match hook.decide(FaultSite::WalAppend) {
-                FaultDecision::Proceed => {}
-                FaultDecision::Torn { keep } => {
-                    let keep = (keep as usize).min(self.scratch.len() - 1);
-                    self.buf.extend_from_slice(&self.scratch[..keep]);
-                    self.tracer.emit_unclocked(TraceEvent::FaultInjected {
-                        site: FaultSite::WalAppend.label(),
-                        action: "torn".into(),
-                    });
-                    return Err(PstmError::Crashed(FaultSite::WalAppend.label()));
-                }
-                FaultDecision::Io | FaultDecision::Crash => {
-                    self.tracer.emit_unclocked(TraceEvent::FaultInjected {
-                        site: FaultSite::WalAppend.label(),
-                        action: "crash".into(),
-                    });
-                    return Err(PstmError::Crashed(FaultSite::WalAppend.label()));
-                }
+            lsns.push(self.scratch.len() as u64);
+            if let Err(e) = self.stage(|out| encode_record(rec, out)) {
+                self.discard_staged();
+                return Err(e);
             }
         }
-        self.buf.extend_from_slice(&self.scratch);
-        self.appended += recs.len() as u64;
-        // One WalFlush per record: replayed counters must not depend on
-        // how appends were grouped.
-        for (lsn, bytes) in lsns.iter().zip(&frame_bytes) {
-            self.tracer.emit_unclocked(TraceEvent::WalFlush { lsn: lsn.0, bytes: *bytes });
+        let base = self.flush_staged()?;
+        Ok(lsns.into_iter().map(|offset| Lsn(base.0 + offset)).collect())
+    }
+
+    /// Frames one record onto the end of the staged group; `encode`
+    /// writes its payload in place (header back-filled — there is no
+    /// intermediate payload buffer). Nothing reaches the device until
+    /// [`Wal::flush_staged`]. A failing `encode` stages nothing; frames
+    /// staged before it remain, for the caller to flush or
+    /// [`Wal::discard_staged`].
+    pub(crate) fn stage(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>) -> PstmResult<()>,
+    ) -> PstmResult<()> {
+        let start = self.scratch.len();
+        let mut encoded = Ok(());
+        write_frame_with(&mut self.scratch, |out| encoded = encode(out));
+        if encoded.is_err() {
+            self.scratch.truncate(start);
         }
-        Ok(lsns)
+        encoded
+    }
+
+    /// Drops every staged frame — the caller found, after staging part of
+    /// a group, that the group must not be logged.
+    pub(crate) fn discard_staged(&mut self) {
+        self.scratch.clear();
+    }
+
+    /// Writes the staged group to the device as one contiguous write,
+    /// returning the LSN of its first frame (the log end when nothing was
+    /// staged). The one place the log grows, hence the one
+    /// [`FaultSite::WalAppend`] seam, consulted once per write. Whatever
+    /// the outcome, nothing stays staged.
+    // pstm-lockgraph: flush-point
+    pub(crate) fn flush_staged(&mut self) -> PstmResult<Lsn> {
+        let base = self.buf.len() as u64;
+        if self.scratch.is_empty() {
+            return Ok(Lsn(base));
+        }
+        let decision = self
+            .hook
+            .as_ref()
+            .map_or(FaultDecision::Proceed, |hook| hook.decide(FaultSite::WalAppend));
+        let action = match decision {
+            FaultDecision::Proceed => None,
+            FaultDecision::Torn { keep } => {
+                // Clamp so the group is genuinely torn: at least the
+                // final byte is lost and recovery sees a torn tail.
+                let keep = (keep as usize).min(self.scratch.len() - 1);
+                self.buf.extend_from_slice(&self.scratch[..keep]);
+                Some("torn")
+            }
+            // The heap already mutated before a single-record append, so
+            // an unlogged-but-applied write cannot be tolerated: a
+            // failing log device means the process dies here.
+            FaultDecision::Io | FaultDecision::Crash => Some("crash"),
+        };
+        if let Some(action) = action {
+            self.scratch.clear();
+            self.tracer.emit_unclocked(TraceEvent::FaultInjected {
+                site: FaultSite::WalAppend.label(),
+                action: action.into(),
+            });
+            return Err(PstmError::Crashed(FaultSite::WalAppend.label()));
+        }
+        self.buf.extend_from_slice(&self.scratch);
+        // One WalFlush per record: replayed counters must not depend on
+        // how appends were grouped. The frames are walked by the length
+        // fields `stage` just wrote.
+        let mut pos = 0usize;
+        while let Some(len) = self.scratch.get(pos..pos + 4) {
+            let frame =
+                FRAME_HEADER + u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize;
+            self.appended += 1;
+            self.tracer.emit_unclocked(TraceEvent::WalFlush {
+                lsn: base + pos as u64,
+                bytes: frame as u64,
+            });
+            pos += frame;
+        }
+        self.scratch.clear();
+        Ok(Lsn(base))
     }
 
     /// Size of the log in bytes.
@@ -298,7 +334,7 @@ impl Wal {
             let lsn = Lsn(pos as u64);
             match next_frame(&self.buf, pos) {
                 FrameStep::Frame { payload, end } => {
-                    let rec: LogRecord = serde_json::from_slice(payload).map_err(|e| {
+                    let rec = decode_record(payload).map_err(|e| {
                         PstmError::WalCorrupt(format!("bad payload at LSN {}: {e}", lsn.0))
                     })?;
                     out.push((lsn, rec));
@@ -653,6 +689,156 @@ mod tests {
         assert_eq!(wal.records().unwrap().len(), 1);
         assert_eq!(wal.trim_torn_tail(), 11);
         assert_eq!(wal.len_bytes(), before);
+    }
+}
+
+#[cfg(test)]
+mod codec_tests {
+    use super::*;
+    use crate::codec::tests::arb_value;
+    use crate::constraint::Constraint;
+    use crate::schema::{ColumnDef, TableSchema};
+    use proptest::prelude::*;
+    use pstm_types::ValueKind;
+
+    fn arb_row() -> impl Strategy<Value = Row> {
+        prop::collection::vec(arb_value(), 0..6).prop_map(Row::new)
+    }
+
+    fn arb_txn() -> impl Strategy<Value = TxnId> {
+        any::<u64>().prop_map(TxnId)
+    }
+
+    /// `(txn, table, row_id)` — the address the row records share.
+    fn arb_address() -> impl Strategy<Value = (TxnId, TableId, RowId)> {
+        (arb_txn(), any::<u32>(), any::<u32>(), any::<u16>())
+            .prop_map(|(txn, table, page, slot)| (txn, TableId(table), RowId::new(page, slot)))
+    }
+
+    fn arb_create_table() -> impl Strategy<Value = LogRecord> {
+        let kind = prop::sample::select(vec![
+            ValueKind::Bool,
+            ValueKind::Int,
+            ValueKind::Float,
+            ValueKind::Text,
+        ]);
+        (".{1,12}", prop::collection::vec(kind, 1..5), 0usize..3).prop_map(
+            |(name, kinds, checks)| {
+                let columns = kinds
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, kind)| ColumnDef::new(format!("c{i}"), kind))
+                    .collect();
+                LogRecord::CreateTable {
+                    schema: TableSchema::new(name, columns).expect("distinct column names"),
+                    constraints: (0..checks)
+                        .map(|c| Constraint::non_negative(format!("c{c} >= 0"), c))
+                        .collect(),
+                }
+            },
+        )
+    }
+
+    /// Every variant, every value kind (empty and long text included).
+    fn arb_record() -> impl Strategy<Value = LogRecord> {
+        // Long enough to cross the checksum's 359-byte fold, and not ASCII.
+        let long_text = ".{300,400}".prop_map(|s| Value::Text(format!("ß→{s}")));
+        let image = || prop_oneof![arb_value(), Just(Value::Text(String::new()))];
+        prop_oneof![
+            arb_txn().prop_map(|txn| LogRecord::Begin { txn }),
+            arb_txn().prop_map(|txn| LogRecord::Commit { txn }),
+            arb_txn().prop_map(|txn| LogRecord::Abort { txn }),
+            Just(LogRecord::Checkpoint),
+            (arb_address(), arb_row()).prop_map(|((txn, table, row_id), row)| {
+                LogRecord::Insert { txn, table, row_id, row }
+            }),
+            (arb_address(), arb_row()).prop_map(|((txn, table, row_id), row)| {
+                LogRecord::Delete { txn, table, row_id, row }
+            }),
+            (arb_address(), 0usize..1_000, image(), prop_oneof![image(), long_text]).prop_map(
+                |((txn, table, row_id), column, before, after)| {
+                    LogRecord::Update { txn, table, row_id, column, before, after }
+                }
+            ),
+            arb_create_table(),
+            (any::<u32>(), 0usize..1_000).prop_map(|(table, column)| LogRecord::CreateIndex {
+                table: TableId(table),
+                column
+            }),
+        ]
+    }
+
+    fn arb_log() -> impl Strategy<Value = Vec<LogRecord>> {
+        prop::collection::vec(arb_record(), 1..8)
+    }
+
+    /// Appends `recs` one by one, returning the log and what a full
+    /// replay must yield.
+    fn written(recs: &[LogRecord]) -> (Wal, Vec<(Lsn, LogRecord)>) {
+        let mut wal = Wal::new();
+        let expect = recs.iter().map(|r| (wal.append(r).unwrap(), r.clone())).collect();
+        (wal, expect)
+    }
+
+    proptest! {
+        #[test]
+        fn prop_every_variant_round_trips_alone_and_batched(recs in arb_log()) {
+            let (one_by_one, expect) = written(&recs);
+            prop_assert_eq!(&one_by_one.records().unwrap(), &expect);
+            let mut batched = Wal::new();
+            let lsns = batched.append_batch(&recs).unwrap();
+            prop_assert_eq!(lsns, expect.iter().map(|(lsn, _)| *lsn).collect::<Vec<_>>());
+            prop_assert_eq!(&batched.records().unwrap(), &expect);
+            prop_assert_eq!(&batched.buf, &one_by_one.buf);
+            prop_assert_eq!(batched.appended(), recs.len() as u64);
+        }
+
+        #[test]
+        fn prop_a_log_cut_at_any_byte_replays_a_clean_prefix(recs in arb_log()) {
+            let (wal, expect) = written(&recs);
+            let ends: Vec<usize> = expect
+                .iter()
+                .skip(1)
+                .map(|(lsn, _)| lsn.0 as usize)
+                .chain([wal.len_bytes()])
+                .collect();
+            for cut in 0..=wal.len_bytes() {
+                let mut torn = Wal::new();
+                torn.buf = wal.buf[..cut].to_vec();
+                let whole = ends.iter().filter(|end| **end <= cut).count();
+                prop_assert_eq!(&torn.records().unwrap()[..], &expect[..whole], "cut {}", cut);
+                // The tear is reported: exactly the partial frame is trimmed.
+                let boundary = if whole == 0 { 0 } else { ends[whole - 1] };
+                prop_assert_eq!(torn.trim_torn_tail(), cut - boundary, "cut {}", cut);
+            }
+        }
+
+        #[test]
+        fn prop_a_flipped_byte_never_invents_a_record(
+            recs in arb_log(),
+            at in any::<usize>(),
+            mask in 1u8..=255,
+        ) {
+            let (mut wal, expect) = written(&recs);
+            wal.corrupt_byte_with(at % wal.len_bytes(), mask);
+            // Corruption is an error or a shorter replay; what does
+            // replay is what was written, where it was written.
+            if let Ok(survivors) = wal.records() {
+                prop_assert!(survivors.len() < expect.len(), "a damaged frame replayed");
+                prop_assert_eq!(&survivors[..], &expect[..survivors.len()]);
+            }
+        }
+    }
+
+    #[test]
+    fn garbage_payloads_are_rejected_not_panicked_on() {
+        // Framed correctly, meaningless inside: the payload decoder is
+        // the last line of defence and must say so.
+        for payload in [&[][..], &[0], &[99, 1, 2], &[1, 7], &[3; 20], &[7, 0], &[8, b'{']] {
+            let mut wal = Wal::new();
+            pstm_obs::frame::write_frame(payload, &mut wal.buf);
+            assert!(matches!(wal.records(), Err(PstmError::WalCorrupt(_))), "{payload:?}");
+        }
     }
 }
 
