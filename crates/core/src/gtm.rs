@@ -27,7 +27,7 @@ use crate::dependence::DependenceMap;
 use crate::history::HistoryRecorder;
 use crate::policy::{AdmissionPolicy, StarvationPolicy};
 use crate::reconcile::reconcile;
-use crate::state::{ResourceState, TxnRecord, TxnState, WaitEntry};
+use crate::state::{Grant, Phase, ResourceState, Txn, TxnRecord, TxnState, WaitEntry};
 use pstm_lock::WaitsForGraph;
 use pstm_obs::prof::{self, CommitPhase};
 use pstm_obs::{AbortOrigin, Ctr, MetricsRegistry, TraceEvent, Tracer};
@@ -247,7 +247,7 @@ pub enum AwakeResult {
 pub struct Gtm {
     db: Arc<Database>,
     bindings: BindingRegistry,
-    txns: BTreeMap<TxnId, TxnRecord>,
+    txns: BTreeMap<TxnId, Txn>,
     resources: BTreeMap<ResourceId, ResourceState>,
     config: GtmConfig,
     dependence: DependenceMap,
@@ -258,13 +258,13 @@ pub struct Gtm {
     pub(crate) fault_hook: Option<SharedFaultHook>,
     /// Shard index reported in this manager's fault-site labels.
     fault_shard: u32,
-    /// `(A_t_sleep, A)` of every sleeping transaction. `txns` keeps every
-    /// finished record, so [`Gtm::tick`] reads its pruning horizon from
-    /// here instead of scanning history under the shard lock.
+    /// `(A_t_sleep, A)` of every sleeping transaction. `txns` keeps a
+    /// tombstone per finished transaction, so the pruning horizon is read
+    /// from here instead of scanning history under the shard lock.
     sleepers: BTreeSet<(Timestamp, TxnId)>,
-    /// The resources whose wait queue is non-empty — all that
-    /// [`Gtm::tick`], [`Gtm::next_wake_deadline`] and
-    /// [`Gtm::has_waiters`] need to look at.
+    /// The resources whose wait queue is non-empty — all that promotion,
+    /// the waits-for graph, [`Gtm::tick`], [`Gtm::next_wake_deadline`]
+    /// and [`Gtm::has_waiters`] need to look at.
     queued: BTreeSet<ResourceId>,
 }
 
@@ -376,7 +376,7 @@ impl Gtm {
     /// Current state of `txn` (`A_state`), if known.
     #[must_use]
     pub fn state(&self, txn: TxnId) -> Option<TxnState> {
-        self.txns.get(&txn).map(|t| t.state)
+        self.txns.get(&txn).map(Txn::state)
     }
 
     /// The recorded history (for serializability checking).
@@ -402,12 +402,62 @@ impl Gtm {
         self.db.get_col(b.table, b.row, b.column)
     }
 
-    fn txn_mut(&mut self, txn: TxnId) -> PstmResult<&mut TxnRecord> {
-        self.txns.get_mut(&txn).ok_or(PstmError::UnknownTxn(txn))
+    /// The working record of `txn`; a finished transaction is refused
+    /// `action` by its final state.
+    fn live(&mut self, txn: TxnId, action: &'static str) -> PstmResult<&mut TxnRecord> {
+        match self.txns.get_mut(&txn) {
+            Some(Txn::Live(record)) => Ok(record),
+            Some(Txn::Finished(state)) => {
+                Err(PstmError::InvalidState { txn, action, state: state.name() })
+            }
+            None => Err(PstmError::UnknownTxn(txn)),
+        }
     }
 
-    fn rs(&mut self, resource: ResourceId) -> &mut ResourceState {
-        self.resources.entry(resource).or_default()
+    /// [`Gtm::live`], refusing `action` unless the transaction is in
+    /// `state`.
+    fn live_in(
+        &mut self,
+        txn: TxnId,
+        state: TxnState,
+        action: &'static str,
+    ) -> PstmResult<&mut TxnRecord> {
+        let record = self.live(txn, action)?;
+        if record.state != state {
+            return Err(PstmError::InvalidState { txn, action, state: record.state.name() });
+        }
+        Ok(record)
+    }
+
+    /// Ends `txn` in the terminal `state`: its slot becomes the tombstone
+    /// and the working record is handed out for the caller to unwind.
+    fn finish(
+        &mut self,
+        txn: TxnId,
+        state: TxnState,
+        action: &'static str,
+    ) -> PstmResult<TxnRecord> {
+        let slot = self.txns.get_mut(&txn).ok_or(PstmError::UnknownTxn(txn))?;
+        match std::mem::replace(slot, Txn::Finished(state)) {
+            Txn::Live(record) => {
+                self.forget_sleeper(txn, record.t_sleep);
+                Ok(record)
+            }
+            Txn::Finished(was) => {
+                *slot = Txn::Finished(was);
+                Err(PstmError::InvalidState { txn, action, state: was.name() })
+            }
+        }
+    }
+
+    /// `txn`'s row on `resource`, if it holds one.
+    fn row(&self, txn: TxnId, resource: ResourceId) -> Option<&Grant> {
+        self.resources.get(&resource)?.holders.get(&txn)
+    }
+
+    /// [`Gtm::row`], to update.
+    fn row_mut(&mut self, txn: TxnId, resource: ResourceId) -> Option<&mut Grant> {
+        self.resources.get_mut(&resource)?.holders.get_mut(&txn)
     }
 
     /// Drops `txn`'s `sleepers` entry once its `A_t_sleep` (`slept`, as
@@ -418,13 +468,30 @@ impl Gtm {
         }
     }
 
-    /// Removes `txn` from `resource`'s wait queue, keeping `queued` exact.
+    /// Removes `txn` from `resource`'s wait queue, keeping `queued` and
+    /// (unless it just finished) its record's `waiting_on` exact.
     fn unqueue(&mut self, resource: ResourceId, txn: TxnId) {
-        let rs = self.resources.entry(resource).or_default();
+        let Some(rs) = self.resources.get_mut(&resource) else { return };
         rs.waiting.retain(|w| w.txn != txn);
         if rs.waiting.is_empty() {
             self.queued.remove(&resource);
         }
+        if let Some(Txn::Live(record)) = self.txns.get_mut(&txn) {
+            record.waiting_on = None;
+        }
+    }
+
+    /// Whether `txn` sleeps. A queued sleeper is recognised by its
+    /// `A_state`; a holder's row mirrors it in `Grant::asleep`.
+    fn is_asleep(&self, txn: TxnId) -> bool {
+        self.txns.get(&txn).is_some_and(|t| t.state() == TxnState::Sleeping)
+    }
+
+    /// The awake entries of `resource`'s wait queue, FIFO — Algorithm
+    /// 11's `X_waiting − X_sleeping`.
+    fn awake_waiters(&self, resource: ResourceId) -> impl Iterator<Item = &WaitEntry> {
+        let queue = self.resources.get(&resource).into_iter().flat_map(|rs| &rs.waiting);
+        queue.filter(|w| !self.is_asleep(w.txn))
     }
 
     /// Every queued invocation, found through `queued` alone.
@@ -450,7 +517,7 @@ impl Gtm {
                 state: "rejected",
             });
         }
-        self.txns.insert(txn, TxnRecord::new(now));
+        self.txns.insert(txn, Txn::Live(TxnRecord::new()));
         self.tracer.emit(now, TraceEvent::TxnBegin { txn });
         Ok(())
     }
@@ -468,14 +535,7 @@ impl Gtm {
         op: ScalarOp,
         now: Timestamp,
     ) -> PstmResult<(ExecOutcome, StepEffects)> {
-        let record = self.txn_mut(txn)?;
-        if record.state != TxnState::Active {
-            return Err(PstmError::InvalidState {
-                txn,
-                action: "invoke",
-                state: record.state.name(),
-            });
-        }
+        self.live_in(txn, TxnState::Active, "invoke")?;
         let class = op.class();
         // Phase accounting: pure reads are Read; everything else on the
         // invoke path is operation bookkeeping (grants, queues, copies).
@@ -485,21 +545,15 @@ impl Gtm {
         } else {
             CommitPhase::OpBookkeeping
         });
-        let held = record.classes.get(&resource).copied();
         self.tracer.emit(now, TraceEvent::OpRequested { txn, resource, class });
-        let record = self.txn_mut(txn)?;
 
-        match held {
+        match self.row_mut(txn, resource) {
             // Already granted under a class that covers this op: pure
             // virtual-copy work, no scheduling involved.
-            Some(cur) if class == cur || class == OpClass::Read => {
-                let temp =
-                    record.temp.get(&resource).cloned().ok_or_else(|| {
-                        PstmError::internal(format!("{txn} granted without temp"))
-                    })?;
-                let new = op.apply(&temp)?;
-                record.temp.insert(resource, new.clone());
-                record.op_log.push((resource, op));
+            Some(grant) if class == grant.class || class == OpClass::Read => {
+                let new = op.apply(&grant.temp)?;
+                grant.temp = new.clone();
+                self.live(txn, "invoke")?.op_log.push((resource, op));
                 self.tracer.emit(
                     now,
                     TraceEvent::OpGranted {
@@ -515,13 +569,15 @@ impl Gtm {
             // Strengthening Read → mutation (the §II "select then book"
             // pattern). Constraint (i) allows it because Read is
             // compatible with every update class.
-            Some(OpClass::Read) => self.invoke(txn, resource, op, class, now, true),
+            Some(Grant { class: OpClass::Read, .. }) => {
+                self.invoke(txn, resource, op, class, now, true)
+            }
             // Mixing incompatible mutation classes on one member violates
             // the §IV well-formedness constraint (i).
-            Some(cur) => Err(PstmError::InvalidState {
+            Some(grant) => Err(PstmError::InvalidState {
                 txn,
                 action: "mix incompatible operation classes on one data member",
-                state: cur.label(),
+                state: grant.class.label(),
             }),
             // First contact with this resource.
             None => self.invoke(txn, resource, op, class, now, false),
@@ -534,14 +590,21 @@ impl Gtm {
     /// dependence group: operations on logically dependent members
     /// conflict exactly like operations on one member (§IV).
     fn blocked(&self, txn: TxnId, resource: ResourceId, class: OpClass) -> bool {
-        self.dependence.related(resource).any(|sibling| self.blocked_on(txn, sibling, class))
+        self.blockers(txn, resource, class).next().is_some()
     }
 
-    /// The single-resource blocking check underlying [`Gtm::blocked`].
-    fn blocked_on(&self, txn: TxnId, resource: ResourceId, class: OpClass) -> bool {
-        self.resources
-            .get(&resource)
-            .is_some_and(|rs| rs.conflicts_with_blockers(txn, class, &self.config.compat))
+    /// The blocking holders, across `resource`'s dependence group, that
+    /// `class` for `txn` conflicts with.
+    fn blockers(
+        &self,
+        txn: TxnId,
+        resource: ResourceId,
+        class: OpClass,
+    ) -> impl Iterator<Item = TxnId> + '_ {
+        self.dependence
+            .related(resource)
+            .filter_map(move |sibling| self.resources.get(&sibling))
+            .flat_map(move |rs| rs.blocking_conflicts(txn, class, &self.config.compat))
     }
 
     /// Algorithm 2's two branches, for both fresh invocations and
@@ -555,24 +618,31 @@ impl Gtm {
         now: Timestamp,
         is_upgrade: bool,
     ) -> PstmResult<(ExecOutcome, StepEffects)> {
-        // §IV well-formedness: at most one pending invocation at a time.
-        if self.txns[&txn].pending_op.is_some() {
-            return Err(PstmError::InvalidState {
-                txn,
-                action: "invoke while an invocation is pending",
-                state: "waiting",
-            });
-        }
         let denied = self.grant_denied(txn, resource, class, &op, now)?;
         let blocked = self.blocked(txn, resource, class);
         if !denied && !blocked {
             return self
-                .grant(txn, resource, op, class, is_upgrade, now)
+                .grant(txn, resource, op, class, now)
                 .map(|v| (ExecOutcome::Completed(v), StepEffects::none()));
         }
-        // Queue (Algorithm 2, second branch).
-        self.enqueue_wait(txn, resource, op, class, now, is_upgrade)?;
-        let mut effects = self.post_wait_checks(txn, now)?;
+        // Queue (Algorithm 2, second branch). A Read holder strengthening
+        // goes to the front, like a 2PL upgrade.
+        let rs = self.resources.entry(resource).or_default();
+        let entry = WaitEntry { txn, class, op, since: now };
+        if is_upgrade {
+            rs.waiting.push_front(entry);
+        } else {
+            rs.waiting.push_back(entry);
+        }
+        let queue_depth = rs.waiting.len() as u32;
+        self.queued.insert(resource);
+        let record = self.live(txn, "wait")?;
+        record.state = TxnState::Waiting;
+        record.waiting_on = Some(resource);
+        self.tracer.emit(now, TraceEvent::OpWaiting { txn, resource, class, queue_depth });
+        // Any cycle created by this wait passes through the requester, so
+        // the search is scoped to it (cheap).
+        let mut effects = self.break_deadlocks(Some(txn), AbortOrigin::Request, now)?;
         // The wait is policy-made, not contention-made: the grant was
         // free under the compatibility matrix and a §VII policy denied
         // it. Front-ends account it as admission wait.
@@ -585,7 +655,7 @@ impl Gtm {
 
     /// Applies the §VII policies to an otherwise-grantable invocation.
     fn grant_denied(
-        &mut self,
+        &self,
         txn: TxnId,
         resource: ResourceId,
         class: OpClass,
@@ -594,21 +664,14 @@ impl Gtm {
     ) -> PstmResult<bool> {
         let _phase = prof::PhaseTimer::start(CommitPhase::Admission);
         let mut denied = false;
-        if self.config.elder_priority {
-            let rs = self.resources.entry(resource).or_default();
-            if rs.waiting.iter().any(|w| w.txn < txn && !rs.sleeping.contains(&w.txn)) {
-                self.tracer.emit(now, TraceEvent::StarvationDenied { txn, resource });
-                denied = true;
-            }
+        if self.config.elder_priority && self.awake_waiters(resource).any(|w| w.txn < txn) {
+            self.tracer.emit(now, TraceEvent::StarvationDenied { txn, resource });
+            denied = true;
         }
         if let Some(p) = self.config.starvation {
-            let compat = self.config.compat;
-            let rs = self.resources.entry(resource).or_default();
-            let incompatible_waiters = rs
-                .waiting
-                .iter()
-                .filter(|w| w.txn != txn && !rs.sleeping.contains(&w.txn))
-                .filter(|w| !compat.compatible(class, w.class))
+            let incompatible_waiters = self
+                .awake_waiters(resource)
+                .filter(|w| w.txn != txn && !self.config.compat.compatible(class, w.class))
                 .count();
             if p.deny(incompatible_waiters) {
                 self.tracer.emit(now, TraceEvent::StarvationDenied { txn, resource });
@@ -639,10 +702,9 @@ impl Gtm {
         }
         let current = self.perm(resource)?;
         let holders = self.resources.get(&resource).map_or(0, |rs| {
-            rs.pending
+            rs.holders
                 .iter()
-                .chain(rs.committing.iter())
-                .filter(|(t, c)| **t != txn && **c == OpClass::UpdateAddSub)
+                .filter(|(t, g)| **t != txn && g.class == OpClass::UpdateAddSub)
                 .count()
         });
         Ok(p.deny(OpClass::UpdateAddSub, holders, &current))
@@ -662,7 +724,6 @@ impl Gtm {
         resource: ResourceId,
         op: ScalarOp,
         class: OpClass,
-        _is_upgrade: bool,
         now: Timestamp,
     ) -> PstmResult<Value> {
         let permanent = self.perm(resource)?;
@@ -672,21 +733,20 @@ impl Gtm {
         self.history.observe_initial(resource, &permanent);
         let matrix = self.config.compat;
         let rs = self.resources.entry(resource).or_default();
-        let shared = rs.pending.iter().any(|(t, _)| *t != txn && !rs.sleeping.contains(t));
-        let bypassed = rs
-            .pending
-            .iter()
-            .any(|(t, c)| *t != txn && rs.sleeping.contains(t) && !matrix.compatible(class, *c));
-        rs.pending.insert(txn, class);
-        rs.read.insert(txn, permanent);
-        let record = self
-            .txns
-            .get_mut(&txn)
-            .ok_or_else(|| PstmError::internal(format!("granted {txn} has no record")))?;
-        record.temp.insert(resource, new.clone());
-        record.classes.insert(resource, class);
+        let pending = || rs.holders.iter().filter(|(t, g)| **t != txn && g.phase == Phase::Pending);
+        let shared = pending().any(|(_, g)| !g.asleep);
+        let bypassed = pending().any(|(_, g)| g.asleep && !matrix.compatible(class, g.class));
+        let row = Grant {
+            class,
+            phase: Phase::Pending,
+            asleep: false,
+            read: permanent,
+            temp: new.clone(),
+        };
+        rs.holders.insert(txn, row);
+        let record = self.live(txn, "grant")?;
+        record.hold(resource);
         record.op_log.push((resource, op));
-        record.t_wait.remove(&resource);
         self.tracer.emit(
             now,
             TraceEvent::OpGranted { txn, resource, class, shared, bypassed_sleeper: bypassed },
@@ -694,55 +754,22 @@ impl Gtm {
         Ok(new)
     }
 
-    fn enqueue_wait(
+    /// Deadlock detection: aborts the youngest member of each waits-for
+    /// cycle — those reachable from `from`, or all of them — until none is
+    /// left.
+    fn break_deadlocks(
         &mut self,
-        txn: TxnId,
-        resource: ResourceId,
-        op: ScalarOp,
-        class: OpClass,
+        from: Option<TxnId>,
+        origin: AbortOrigin,
         now: Timestamp,
-        is_upgrade: bool,
-    ) -> PstmResult<()> {
-        let rs = self.resources.entry(resource).or_default();
-        let entry = WaitEntry { txn, class, op: op.clone(), since: now, is_upgrade };
-        if is_upgrade {
-            rs.waiting.push_front(entry);
-        } else {
-            rs.waiting.push_back(entry);
-        }
-        let queue_depth = rs.waiting.len() as u32;
-        self.queued.insert(resource);
-        let record = self
-            .txns
-            .get_mut(&txn)
-            .ok_or_else(|| PstmError::internal(format!("waiting {txn} has no record")))?;
-        record.state = TxnState::Waiting;
-        record.pending_op = Some((resource, op));
-        record.t_wait.insert(resource, now);
-        self.tracer.emit(now, TraceEvent::OpWaiting { txn, resource, class, queue_depth });
-        Ok(())
-    }
-
-    /// After queuing a request: deadlock detection. Returns effects; if
-    /// the requester itself died or got resumed, the caller extracts it.
-    fn post_wait_checks(&mut self, requester: TxnId, now: Timestamp) -> PstmResult<StepEffects> {
+    ) -> PstmResult<StepEffects> {
         let mut effects = StepEffects::none();
-        if self.config.deadlock_detection {
-            // Any cycle created by this wait passes through the
-            // requester, so the search is scoped to it (cheap); repeat
-            // until the requester's neighbourhood is cycle-free.
-            while let Some((victim, cycle)) = self.waits_for_graph().pick_victim_from(requester) {
-                self.tracer.emit(now, TraceEvent::DeadlockVictim { txn: victim, cycle });
-                effects.merge(self.abort_internal(
-                    victim,
-                    AbortReason::Deadlock,
-                    AbortOrigin::Request,
-                    now,
-                )?);
-                if victim == requester {
-                    break;
-                }
-            }
+        while self.config.deadlock_detection {
+            let graph = self.waits_for_graph();
+            let found = from.map_or_else(|| graph.pick_victim(), |t| graph.pick_victim_from(t));
+            let Some((victim, cycle)) = found else { break };
+            self.tracer.emit(now, TraceEvent::DeadlockVictim { txn: victim, cycle });
+            effects.merge(self.abort_internal(victim, AbortReason::Deadlock, origin, now)?);
         }
         Ok(effects)
     }
@@ -792,12 +819,9 @@ impl Gtm {
     /// (reconciliation can only shrink the set, never grow it).
     #[must_use]
     pub fn mutated_resources(&self, txn: TxnId) -> Vec<ResourceId> {
-        self.txns
-            .get(&txn)
-            .map(|rec| {
-                rec.classes.iter().filter(|(_, c)| c.is_mutation()).map(|(r, _)| *r).collect()
-            })
-            .unwrap_or_default()
+        let Some(Txn::Live(record)) = self.txns.get(&txn) else { return Vec::new() };
+        let mutates = |r: &ResourceId| self.row(txn, *r).is_some_and(|g| g.class.is_mutation());
+        record.held.iter().copied().filter(mutates).collect()
     }
 
     /// Phase one of a coordinated commit (Algorithm 3): moves the
@@ -811,36 +835,32 @@ impl Gtm {
         // The whole local commit is the reconcile phase; a failed commit's
         // unwind (abort_internal) carves out its own AbortUnwind time.
         let _phase = prof::PhaseTimer::start(CommitPhase::Reconcile);
-        let touched = self.touched_in(txn, TxnState::Active, "commit")?;
+        let record = self.live_in(txn, TxnState::Active, "commit")?;
+        record.state = TxnState::Committing;
+        let touched = record.held.clone();
 
-        // Local commits: move pending → committing, reconcile. Any error
-        // here (a reconciliation overflow, an engine read failure) aborts
-        // the transaction.
+        // Local commits: flip each row pending → committing, reconcile.
+        // The row keeps `X_read^A` and `A_temp` until the SST is settled.
+        // Any error here (a reconciliation overflow, an engine read
+        // failure) aborts the transaction.
         let local_result: PstmResult<Vec<(ResourceId, Value)>> = (|| {
             self.fault_check(FaultSite::CommitLocal { shard: self.fault_shard }, now)?;
             let mut writes = Vec::new();
-            for (resource, class) in &touched {
+            for &resource in &touched {
                 // The paper's "link drops mid-reconcile": each resource's
                 // reconciliation is a separate arrival at the seam.
                 self.fault_check(FaultSite::Reconcile { shard: self.fault_shard }, now)?;
-                let permanent = self.perm(*resource)?;
-                let temp = self.txn_mut(txn)?.temp.remove(resource);
-                let rs = self.resources.entry(*resource).or_default();
-                rs.pending.remove(&txn);
-                rs.committing.insert(txn, *class);
-                let read = rs.read.remove(&txn);
-                if class.is_mutation() {
-                    let temp = temp.ok_or_else(|| {
-                        PstmError::internal(format!("{txn} committing {resource} without temp"))
-                    })?;
-                    let read = read.ok_or_else(|| {
-                        PstmError::internal(format!("{txn} committing {resource} without snapshot"))
-                    })?;
-                    if let Some(new) = reconcile(*class, &temp, &read, &permanent)? {
-                        rs.new.insert(txn, new.clone());
-                        writes.push((*resource, new));
-                        self.tracer.emit(now, TraceEvent::Reconciled { txn, resource: *resource });
-                    }
+                let permanent = self.perm(resource)?;
+                let grant = self.row_mut(txn, resource).ok_or_else(|| {
+                    PstmError::internal(format!("{txn} committing {resource} without a row"))
+                })?;
+                grant.phase = Phase::Committing;
+                if !grant.class.is_mutation() {
+                    continue;
+                }
+                if let Some(new) = reconcile(grant.class, &grant.temp, &grant.read, &permanent)? {
+                    writes.push((resource, new));
+                    self.tracer.emit(now, TraceEvent::Reconciled { txn, resource });
                 }
             }
             Ok(writes)
@@ -856,7 +876,7 @@ impl Gtm {
             Err(PstmError::Io(_)) => AbortReason::SstFailure,
             Err(e) => return Err(e),
         };
-        let mut effects = self.finish_failed_commit(txn, &touched, reason, now)?;
+        let mut effects = self.abort_own(txn, reason, AbortOrigin::Commit, now)?;
         // Reconciliation ran (and failed) at `now`.
         effects.reconcile_span = Some((now, now));
         Ok(LocalCommit::Aborted(reason, effects))
@@ -869,25 +889,29 @@ impl Gtm {
     pub fn commit_finish(&mut self, txn: TxnId, now: Timestamp) -> PstmResult<StepEffects> {
         // History, committed marks, promotions: bookkeeping.
         let _phase = prof::PhaseTimer::start(CommitPhase::OpBookkeeping);
-        let touched = self.touched_in(txn, TxnState::Committing, "commit-finish")?;
-        for (resource, class) in &touched {
-            let rs = self.resources.entry(*resource).or_default();
-            rs.committing.remove(&txn);
-            rs.new.remove(&txn);
-            rs.committed.push((txn, *class, now));
+        self.live_in(txn, TxnState::Committing, "commit-finish")?;
+        let record = self.finish(txn, TxnState::Committed, "commit-finish")?;
+        // `X_committed` is only ever read by a transaction already asleep
+        // at `X_tc` (Algorithm 9: `X_tc > A_t_sleep`), so the commit is
+        // recorded only while someone sleeps, and the list it joins is
+        // pruned to the earliest sleeper right here — a shard nobody waits
+        // on never ticks.
+        let earliest_sleep = self.sleepers.first().map(|(t_sleep, _)| *t_sleep);
+        for resource in &record.held {
+            let Some(rs) = self.resources.get_mut(resource) else { continue };
+            let Some(grant) = rs.holders.remove(&txn) else { continue };
+            if earliest_sleep.is_some() {
+                rs.committed.push((txn, grant.class, now));
+            }
+            rs.prune_committed(earliest_sleep.unwrap_or(now));
         }
-        let record = self.txn_mut(txn)?;
-        record.state = TxnState::Committed;
-        let slept = record.t_sleep.take();
-        let ops = record.retire();
-        self.forget_sleeper(txn, slept);
-        self.history.record_commit(txn, ops);
+        self.history.record_commit(txn, record.op_log);
         self.tracer.emit(now, TraceEvent::Committed { txn });
-        self.promote_all(touched.iter().map(|(r, _)| *r).collect(), now)
+        self.promote_all(record.held, now)
     }
 
     /// Phase two (failure) of a coordinated commit: the coordinator's SST
-    /// failed, so clear the committing marks and abort. Requires the
+    /// failed, so abort (the rows go, whatever their phase). Requires the
     /// transaction to be parked in `Committing` by a prior
     /// [`Gtm::commit_local`]. The transaction's own fate is *not* in the
     /// returned effects — the coordinator already knows it.
@@ -897,43 +921,21 @@ impl Gtm {
         reason: AbortReason,
         now: Timestamp,
     ) -> PstmResult<StepEffects> {
-        let touched = self.touched_in(txn, TxnState::Committing, "commit-abort")?;
-        self.finish_failed_commit(txn, &touched, reason, now)
+        self.live_in(txn, TxnState::Committing, "commit-abort")?;
+        self.abort_own(txn, reason, AbortOrigin::Commit, now)
     }
 
-    /// Entry check shared by the three commit primitives: `txn` must be
-    /// in `state` and leaves this call in `Committing`; returns the
-    /// resources it touched with their classes.
-    fn touched_in(
+    /// [`Gtm::abort_internal`] for an event that reports `txn`'s fate
+    /// through its return value (a failed commit, a failed awakening): the
+    /// returned effects name only the others.
+    fn abort_own(
         &mut self,
         txn: TxnId,
-        state: TxnState,
-        action: &'static str,
-    ) -> PstmResult<Vec<(ResourceId, OpClass)>> {
-        let record = self.txn_mut(txn)?;
-        if record.state != state {
-            return Err(PstmError::InvalidState { txn, action, state: record.state.name() });
-        }
-        record.state = TxnState::Committing;
-        Ok(record.classes.iter().map(|(r, c)| (*r, *c)).collect())
-    }
-
-    /// Common tail of every failed commit: clear the committing marks and
-    /// abort the transaction. Its own fate is not in the returned effects
-    /// — the caller reports it through its return value.
-    fn finish_failed_commit(
-        &mut self,
-        txn: TxnId,
-        touched: &[(ResourceId, OpClass)],
         reason: AbortReason,
+        origin: AbortOrigin,
         now: Timestamp,
     ) -> PstmResult<StepEffects> {
-        for (resource, _) in touched {
-            let rs = self.resources.entry(*resource).or_default();
-            rs.committing.remove(&txn);
-            rs.new.remove(&txn);
-        }
-        let mut effects = self.abort_internal(txn, reason, AbortOrigin::Commit, now)?;
+        let mut effects = self.abort_internal(txn, reason, origin, now)?;
         effects.aborted.retain(|(t, _)| *t != txn);
         Ok(effects)
     }
@@ -956,36 +958,17 @@ impl Gtm {
         now: Timestamp,
     ) -> PstmResult<StepEffects> {
         let _phase = prof::PhaseTimer::start(CommitPhase::AbortUnwind);
-        let record = self.txn_mut(txn)?;
-        if record.state.is_terminal() {
-            return Err(PstmError::InvalidState {
-                txn,
-                action: "abort",
-                state: record.state.name(),
-            });
+        let record = self.finish(txn, TxnState::Aborted, "abort")?;
+        if let Some(resource) = record.waiting_on {
+            self.unqueue(resource, txn);
         }
-        record.state = TxnState::Aborting;
-        let resources = record.resources();
-        record.pending_op = None;
-        for resource in &resources {
-            self.unqueue(*resource, txn);
-            let rs = self.rs(*resource);
-            rs.pending.remove(&txn);
-            rs.committing.remove(&txn);
-            rs.sleeping.remove(&txn);
-            rs.read.remove(&txn);
-            rs.new.remove(&txn);
+        for resource in &record.held {
+            if let Some(rs) = self.resources.get_mut(resource) {
+                rs.holders.remove(&txn);
+            }
         }
-        let record = self
-            .txns
-            .get_mut(&txn)
-            .ok_or_else(|| PstmError::internal(format!("aborting {txn} has no record")))?;
-        record.state = TxnState::Aborted;
-        let slept = record.t_sleep.take();
-        record.retire();
-        self.forget_sleeper(txn, slept);
         self.tracer.emit(now, TraceEvent::Aborted { txn, reason, origin });
-        let mut effects = self.promote_all(resources, now)?;
+        let mut effects = self.promote_all(record.involved(), now)?;
         effects.aborted.push((txn, reason));
         Ok(effects)
     }
@@ -999,20 +982,30 @@ impl Gtm {
     /// the conflict check), so sleeping can unblock queued waiters —
     /// promotions are returned.
     pub fn sleep(&mut self, txn: TxnId, now: Timestamp) -> PstmResult<StepEffects> {
-        let record = self.txn_mut(txn)?;
-        match record.state {
-            TxnState::Active | TxnState::Waiting => {
-                record.state = TxnState::Sleeping;
-                record.t_sleep = Some(now);
-                let resources = record.resources();
-                self.sleepers.insert((now, txn));
-                for resource in &resources {
-                    self.rs(*resource).sleeping.insert(txn);
-                }
-                self.tracer.emit(now, TraceEvent::TxnSlept { txn });
-                self.promote_all(resources, now)
+        let record = self.live(txn, "sleep")?;
+        if !matches!(record.state, TxnState::Active | TxnState::Waiting) {
+            return Err(PstmError::InvalidState {
+                txn,
+                action: "sleep",
+                state: record.state.name(),
+            });
+        }
+        record.state = TxnState::Sleeping;
+        record.t_sleep = Some(now);
+        let involved: Vec<ResourceId> = record.involved().collect();
+        self.sleepers.insert((now, txn));
+        self.mark_rows(txn, &involved, true);
+        self.tracer.emit(now, TraceEvent::TxnSlept { txn });
+        self.promote_all(involved, now)
+    }
+
+    /// Sets `Grant::asleep` on `txn`'s rows among `resources` (one it only
+    /// waits on has none).
+    fn mark_rows(&mut self, txn: TxnId, resources: &[ResourceId], asleep: bool) {
+        for resource in resources {
+            if let Some(grant) = self.row_mut(txn, *resource) {
+                grant.asleep = asleep;
             }
-            other => Err(PstmError::InvalidState { txn, action: "sleep", state: other.name() }),
         }
     }
 
@@ -1027,18 +1020,13 @@ impl Gtm {
     /// (Algorithm 9, first branch). Otherwise it is aborted (third
     /// branch).
     pub fn awake(&mut self, txn: TxnId, now: Timestamp) -> PstmResult<(AwakeResult, StepEffects)> {
-        let record = self.txn_mut(txn)?;
-        if record.state != TxnState::Sleeping {
-            return Err(PstmError::InvalidState {
-                txn,
-                action: "awake",
-                state: record.state.name(),
-            });
-        }
+        let record = self.live_in(txn, TxnState::Sleeping, "awake")?;
         let t_sleep = record.t_sleep.unwrap_or(Timestamp::ZERO);
-        let granted: Vec<(ResourceId, OpClass)> =
-            record.classes.iter().map(|(r, c)| (*r, *c)).collect();
-        let queued: Option<(ResourceId, ScalarOp)> = record.pending_op.clone();
+        let held = record.held.clone();
+        let queued: Option<(ResourceId, WaitEntry)> = record.waiting_on.and_then(|resource| {
+            let queue = &self.resources.get(&resource)?.waiting;
+            queue.iter().find(|w| w.txn == txn).map(|w| (resource, w.clone()))
+        });
 
         // Conflict scan over everything the transaction is involved in,
         // each check spanning the resource's logical dependence group.
@@ -1051,26 +1039,18 @@ impl Gtm {
                 })
             })
         };
-        let mut conflicted = granted.iter().any(|(r, c)| check(*r, *c));
-        if !conflicted {
-            if let Some((resource, op)) = &queued {
-                conflicted = check(*resource, op.class());
-            }
-        }
+        let conflicted = held.iter().any(|r| self.row(txn, *r).is_some_and(|g| check(*r, g.class)))
+            || queued.as_ref().is_some_and(|(resource, w)| check(*resource, w.class));
 
         if conflicted {
-            let mut effects =
-                self.abort_internal(txn, AbortReason::SleepConflict, AbortOrigin::Awake, now)?;
-            effects.aborted.retain(|(t, _)| *t != txn);
+            let effects =
+                self.abort_own(txn, AbortReason::SleepConflict, AbortOrigin::Awake, now)?;
             return Ok((AwakeResult::Aborted, effects));
         }
 
         // No conflicts: clear the sleeping marks (Algorithm 9, second
         // branch) ...
-        let resources = self.txns[&txn].resources();
-        for resource in &resources {
-            self.rs(*resource).sleeping.remove(&txn);
-        }
+        self.mark_rows(txn, &held, false);
         // ... and grant a queued invocation with a refreshed snapshot
         // (first branch: X_read^A = A_temp = X_permanent). The §VII
         // policies gate this grant like every other: if a policy denies
@@ -1078,47 +1058,29 @@ impl Gtm {
         // remains Waiting (it did reconnect — only its operation is
         // still pending).
         let mut value = None;
-        if let Some((resource, op)) = queued {
-            let class = op.class();
-            if self.grant_denied(txn, resource, class, &op, now)? {
-                let record = self
-                    .txns
-                    .get_mut(&txn)
-                    .ok_or_else(|| PstmError::internal(format!("awaking {txn} has no record")))?;
-                record.state = TxnState::Waiting;
-                let slept = record.t_sleep.take();
-                self.forget_sleeper(txn, slept);
-                self.tracer.emit(now, TraceEvent::TxnAwoke { txn });
-                return Ok((AwakeResult::Resumed(None), StepEffects::none()));
-            }
-            self.unqueue(resource, txn);
-            let record = self
-                .txns
-                .get_mut(&txn)
-                .ok_or_else(|| PstmError::internal(format!("awaking {txn} has no record")))?;
-            record.pending_op = None;
-            let is_upgrade = record.classes.get(&resource) == Some(&OpClass::Read);
-            match self.grant(txn, resource, op, class, is_upgrade, now) {
-                Ok(v) => value = Some(v),
-                Err(PstmError::Arithmetic(_)) => {
-                    // The stashed op failed on the fresh snapshot: the
-                    // transaction dies cleanly instead of stranding
-                    // half-awake.
-                    let mut effects =
-                        self.abort_internal(txn, AbortReason::Constraint, AbortOrigin::Awake, now)?;
-                    effects.aborted.retain(|(t, _)| *t != txn);
-                    return Ok((AwakeResult::Aborted, effects));
+        let mut state = TxnState::Active;
+        if let Some((resource, entry)) = queued {
+            if self.grant_denied(txn, resource, entry.class, &entry.op, now)? {
+                state = TxnState::Waiting;
+            } else {
+                self.unqueue(resource, txn);
+                match self.grant(txn, resource, entry.op, entry.class, now) {
+                    Ok(v) => value = Some(v),
+                    Err(PstmError::Arithmetic(_)) => {
+                        // The stashed op failed on the fresh snapshot: the
+                        // transaction dies cleanly instead of stranding
+                        // half-awake.
+                        let effects =
+                            self.abort_own(txn, AbortReason::Constraint, AbortOrigin::Awake, now)?;
+                        return Ok((AwakeResult::Aborted, effects));
+                    }
+                    Err(e) => return Err(e),
                 }
-                Err(e) => return Err(e),
             }
         }
-        let record = self
-            .txns
-            .get_mut(&txn)
-            .ok_or_else(|| PstmError::internal(format!("awaking {txn} has no record")))?;
-        record.state = TxnState::Active;
+        let record = self.live(txn, "awake")?;
+        record.state = state;
         let slept = record.t_sleep.take();
-        record.t_wait.clear();
         self.forget_sleeper(txn, slept);
         self.tracer.emit(now, TraceEvent::TxnAwoke { txn });
         Ok((AwakeResult::Resumed(value), StepEffects::none()))
@@ -1133,27 +1095,28 @@ impl Gtm {
     /// fresh snapshot), sleeping and still-blocked entries stay queued.
     fn promote_all(
         &mut self,
-        resources: BTreeSet<ResourceId>,
+        resources: impl IntoIterator<Item = ResourceId>,
         now: Timestamp,
     ) -> PstmResult<StepEffects> {
+        let mut effects = StepEffects::none();
+        if self.queued.is_empty() {
+            return Ok(effects);
+        }
         // A removal on one member can unblock waiters queued on a
         // logically dependent sibling — expand the scan to each
-        // resource's dependence group.
-        let resources: BTreeSet<ResourceId> = resources
+        // resource's dependence group, in resource order. Only a queued
+        // resource has anyone to promote, and promotion never queues.
+        let scan: BTreeSet<ResourceId> = resources
             .into_iter()
-            .flat_map(|r| self.dependence.related(r).collect::<Vec<_>>())
+            .flat_map(|r| self.dependence.related(r))
+            .filter(|r| self.queued.contains(r))
             .collect();
-        let mut effects = StepEffects::none();
-        for resource in resources {
+        for resource in scan {
             let mut idx = 0;
             while let Some(entry) =
                 self.resources.get(&resource).and_then(|rs| rs.waiting.get(idx)).cloned()
             {
-                let rs = self
-                    .resources
-                    .get(&resource)
-                    .ok_or_else(|| PstmError::internal(format!("{resource} vanished mid-scan")))?;
-                if rs.sleeping.contains(&entry.txn) {
+                if self.is_asleep(entry.txn) {
                     idx += 1;
                     continue; // Algorithm 11: X_waiting − X_sleeping
                 }
@@ -1173,14 +1136,11 @@ impl Gtm {
                     // ahead of it, or the lock-deny of Algorithm 2 would
                     // be undone at every unlock.
                     if let Some(p) = self.config.starvation {
-                        let rs = self.resources.get(&resource).ok_or_else(|| {
-                            PstmError::internal(format!("{resource} vanished mid-scan"))
-                        })?;
-                        let incompatible_ahead = rs
+                        let incompatible_ahead = self.resources[&resource]
                             .waiting
                             .iter()
                             .take(idx)
-                            .filter(|w| !rs.sleeping.contains(&w.txn))
+                            .filter(|w| !self.is_asleep(w.txn))
                             .filter(|w| !self.config.compat.compatible(entry.class, w.class))
                             .count();
                         if p.deny(incompatible_ahead) {
@@ -1199,25 +1159,11 @@ impl Gtm {
                     idx += 1;
                     continue;
                 }
-                // Grant it.
-                let rs = self
-                    .resources
-                    .get_mut(&resource)
-                    .ok_or_else(|| PstmError::internal(format!("{resource} vanished mid-scan")))?;
-                rs.waiting.remove(idx);
-                if rs.waiting.is_empty() {
-                    self.queued.remove(&resource);
-                }
-                let record = self.txns.get_mut(&entry.txn).ok_or_else(|| {
-                    PstmError::internal(format!("waiting {} has no record", entry.txn))
-                })?;
-                record.pending_op = None;
-                match self.grant(entry.txn, resource, entry.op, entry.class, entry.is_upgrade, now)
-                {
+                // Grant it (a queue holds at most one entry per transaction).
+                self.unqueue(resource, entry.txn);
+                match self.grant(entry.txn, resource, entry.op, entry.class, now) {
                     Ok(value) => {
-                        let record = self.txns.get_mut(&entry.txn).ok_or_else(|| {
-                            PstmError::internal(format!("granted {} has no record", entry.txn))
-                        })?;
+                        let record = self.live(entry.txn, "promote")?;
                         if record.state == TxnState::Waiting {
                             record.state = TxnState::Active;
                         }
@@ -1251,23 +1197,11 @@ impl Gtm {
     #[must_use]
     pub fn waits_for_graph(&self) -> WaitsForGraph {
         let mut g = WaitsForGraph::new();
-        for (resource, rs) in &self.resources {
-            for w in &rs.waiting {
-                if rs.sleeping.contains(&w.txn) {
-                    continue;
-                }
-                for sibling in self.dependence.related(*resource) {
-                    let Some(srs) = self.resources.get(&sibling) else { continue };
-                    for (holder, class) in srs
-                        .pending
-                        .iter()
-                        .filter(|(t, _)| !srs.sleeping.contains(t))
-                        .chain(srs.committing.iter())
-                    {
-                        if *holder != w.txn && !self.config.compat.compatible(w.class, *class) {
-                            g.add_edge(w.txn, *holder);
-                        }
-                    }
+        // Only a queued resource has waiters to draw edges from.
+        for &resource in &self.queued {
+            for w in self.awake_waiters(resource) {
+                for holder in self.blockers(w.txn, resource, w.class) {
+                    g.add_edge(w.txn, holder);
                 }
             }
         }
@@ -1288,18 +1222,7 @@ impl Gtm {
     /// `sleepers`' first entry — cost follows waiters and resources,
     /// never the finished transactions `txns` keeps.
     pub fn tick(&mut self, now: Timestamp) -> PstmResult<StepEffects> {
-        let mut effects = StepEffects::none();
-        if self.config.deadlock_detection {
-            while let Some((victim, cycle)) = self.waits_for_graph().pick_victim() {
-                self.tracer.emit(now, TraceEvent::DeadlockVictim { txn: victim, cycle });
-                effects.merge(self.abort_internal(
-                    victim,
-                    AbortReason::Deadlock,
-                    AbortOrigin::Tick,
-                    now,
-                )?);
-            }
-        }
+        let mut effects = self.break_deadlocks(None, AbortOrigin::Tick, now)?;
         if let Some(timeout) = self.config.wait_timeout {
             let expired: Vec<TxnId> = self
                 .wait_entries()
@@ -1310,7 +1233,7 @@ impl Gtm {
                 // Re-check per abort: an earlier victim's release may have
                 // promoted this waiter already — an Active transaction
                 // must not be killed by a stale expiry list.
-                if self.txns.get(&t).is_some_and(|r| r.state == TxnState::Waiting) {
+                if self.state(t) == Some(TxnState::Waiting) {
                     effects.merge(self.abort_internal(
                         t,
                         AbortReason::LockTimeout,
@@ -1327,7 +1250,8 @@ impl Gtm {
         if !self.queued.is_empty() {
             effects.merge(self.promote_all(self.queued.clone(), now)?);
         }
-        // Prune committed sets below the horizon any sleeper can observe.
+        // Prune committed sets below the horizon any sleeper can observe
+        // (a commit prunes the lists it touches; this sweeps the rest).
         let horizon = self.sleepers.first().map_or(now, |(t_sleep, _)| *t_sleep);
         for rs in self.resources.values_mut() {
             rs.prune_committed(horizon);
@@ -1360,103 +1284,78 @@ impl Gtm {
         !self.queued.is_empty()
     }
 
-    /// Test/diagnostic access to a resource's scheduling state.
-    #[must_use]
-    pub fn resource_state(&self, resource: ResourceId) -> Option<&ResourceState> {
-        self.resources.get(&resource)
-    }
-
     /// Verifies the cross-structure bookkeeping invariants of the manager;
     /// returns a description of the first violation. Used by the fuzz
     /// tests after every event.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let live = |t: &TxnId| match self.txns.get(t) {
+            Some(Txn::Live(record)) => Ok(record),
+            Some(Txn::Finished(state)) => Err(format!("terminal ({state}) {t} still referenced")),
+            None => Err(format!("{t} unknown")),
+        };
         for (resource, rs) in &self.resources {
-            for t in rs.pending.keys() {
-                let Some(rec) = self.txns.get(t) else {
-                    return Err(format!("{t} pending on {resource} but unknown"));
-                };
-                if rec.state.is_terminal() {
+            for (t, grant) in &rs.holders {
+                let record = live(t).map_err(|e| format!("holder of {resource}: {e}"))?;
+                if !record.held.contains(resource) {
+                    return Err(format!("{t} has a row on {resource} its record does not hold"));
+                }
+                if grant.asleep != (record.state == TxnState::Sleeping) {
                     return Err(format!(
-                        "{t} pending on {resource} in terminal state {}",
-                        rec.state
+                        "{t} is {} but its row on {resource} says asleep = {}",
+                        record.state, grant.asleep
                     ));
                 }
-                if !rec.classes.contains_key(resource) {
-                    return Err(format!("{t} pending on {resource} without a recorded class"));
-                }
-                if !rs.read.contains_key(t) {
-                    return Err(format!("{t} pending on {resource} without X_read snapshot"));
+                if grant.phase == Phase::Committing {
+                    return Err(format!("{t} still committing on {resource} between events"));
                 }
             }
             for w in &rs.waiting {
-                let Some(rec) = self.txns.get(&w.txn) else {
-                    return Err(format!("{} waiting on {resource} but unknown", w.txn));
-                };
-                if !matches!(rec.state, TxnState::Waiting | TxnState::Sleeping) {
+                let record = live(&w.txn).map_err(|e| format!("waiter on {resource}: {e}"))?;
+                if !matches!(record.state, TxnState::Waiting | TxnState::Sleeping) {
                     return Err(format!(
                         "{} queued on {resource} but in state {}",
-                        w.txn, rec.state
+                        w.txn, record.state
                     ));
                 }
-                match &rec.pending_op {
-                    Some((r, _)) if r == resource => {}
-                    other => {
-                        return Err(format!(
-                            "{} queued on {resource} but pending_op is {other:?}",
-                            w.txn
-                        ));
-                    }
+                if record.waiting_on != Some(*resource) {
+                    return Err(format!(
+                        "{} queued on {resource} but waiting_on is {:?}",
+                        w.txn, record.waiting_on
+                    ));
                 }
-            }
-            for t in &rs.sleeping {
-                let Some(rec) = self.txns.get(t) else {
-                    return Err(format!("{t} sleeping on {resource} but unknown"));
-                };
-                if rec.state != TxnState::Sleeping {
-                    return Err(format!("{t} in X_sleeping of {resource} but state {}", rec.state));
-                }
-            }
-            if !rs.committing.is_empty() {
-                return Err(format!("{resource} has a non-empty committing set between events"));
             }
         }
-        for (t, rec) in &self.txns {
-            match rec.state {
-                TxnState::Active | TxnState::Sleeping => {
-                    for resource in rec.classes.keys() {
-                        let held = self
-                            .resources
-                            .get(resource)
-                            .is_some_and(|rs| rs.pending.contains_key(t));
-                        if !held {
-                            return Err(format!(
-                                "{t} records class on {resource} but is not pending"
-                            ));
-                        }
-                    }
+        for (t, slot) in &self.txns {
+            let Txn::Live(record) = slot else { continue };
+            if !record.held.windows(2).all(|pair| pair[0] < pair[1]) {
+                return Err(format!("{t} holds {:?}, not in resource order", record.held));
+            }
+            for resource in &record.held {
+                if self.row(*t, *resource).is_none() {
+                    return Err(format!("{t} holds {resource} but has no row there"));
                 }
-                TxnState::Waiting => {
-                    if rec.pending_op.is_none() {
-                        return Err(format!("{t} Waiting without a pending op"));
-                    }
+            }
+            let in_queue = record.waiting_on.is_some_and(|resource| {
+                self.resources
+                    .get(&resource)
+                    .is_some_and(|rs| rs.waiting.iter().any(|w| w.txn == *t))
+            });
+            if record.waiting_on.is_some() != in_queue {
+                return Err(format!(
+                    "{t} waits on {:?} but that queue does not hold it",
+                    record.waiting_on
+                ));
+            }
+            match record.state {
+                TxnState::Waiting if !in_queue => {
+                    return Err(format!("{t} Waiting without a queued invocation"));
                 }
-                TxnState::Committed | TxnState::Aborted => {
-                    for (resource, rs) in &self.resources {
-                        if rs.pending.contains_key(t)
-                            || rs.sleeping.contains(t)
-                            || rs.waiting.iter().any(|w| w.txn == *t)
-                            || rs.read.contains_key(t)
-                            || rs.new.contains_key(t)
-                        {
-                            return Err(format!("terminal {t} still referenced by {resource}"));
-                        }
-                    }
+                TxnState::Active if in_queue => {
+                    return Err(format!("{t} Active with an invocation pending"));
                 }
-                TxnState::Committing | TxnState::Aborting => {
-                    return Err(format!(
-                        "{t} left in transient state {} between events",
-                        rec.state
-                    ));
+                TxnState::Active | TxnState::Waiting | TxnState::Sleeping => {}
+                other => {
+                    return Err(format!("{t} left in state {other} with a working record"));
                 }
             }
         }
@@ -1476,8 +1375,12 @@ impl Gtm {
         let sleepers: BTreeSet<(Timestamp, TxnId)> = self
             .txns
             .iter()
-            .filter(|(_, rec)| rec.state == TxnState::Sleeping)
-            .filter_map(|(t, rec)| rec.t_sleep.map(|t_sleep| (t_sleep, *t)))
+            .filter_map(|(t, slot)| match slot {
+                Txn::Live(record) if record.state == TxnState::Sleeping => {
+                    record.t_sleep.map(|t_sleep| (t_sleep, *t))
+                }
+                _ => None,
+            })
             .collect();
         if sleepers != self.sleepers {
             return Err(format!(
@@ -1555,8 +1458,10 @@ mod tests {
     fn full_scan_horizon(g: &Gtm, now: Timestamp) -> Timestamp {
         g.txns
             .values()
-            .filter(|r| r.state == TxnState::Sleeping)
-            .filter_map(|r| r.t_sleep)
+            .filter_map(|slot| match slot {
+                Txn::Live(r) if r.state == TxnState::Sleeping => r.t_sleep,
+                _ => None,
+            })
             .min()
             .unwrap_or(now)
     }
@@ -1622,6 +1527,108 @@ mod tests {
         assert_eq!(g.next_wake_deadline(), None);
     }
 
+    /// The graph `waits_for_graph` built before it followed `queued`: a
+    /// walk over every resource the manager has ever seen.
+    fn full_scan_graph(g: &Gtm) -> WaitsForGraph {
+        let mut graph = WaitsForGraph::new();
+        for (resource, rs) in &g.resources {
+            for w in rs.waiting.iter().filter(|w| !g.is_asleep(w.txn)) {
+                for sibling in g.dependence.related(*resource) {
+                    let Some(srs) = g.resources.get(&sibling) else { continue };
+                    for holder in srs.blocking_conflicts(w.txn, w.class, &g.config.compat) {
+                        graph.add_edge(w.txn, holder);
+                    }
+                }
+            }
+        }
+        graph
+    }
+
+    #[test]
+    fn the_waits_for_graph_follows_the_queues_not_the_resource_table() {
+        const IDLE: usize = 10_000;
+        let (g, resources) = gtm(IDLE + 2);
+        let (group_a, group_b) = (resources[IDLE], resources[IDLE + 1]);
+        let mut dependence = DependenceMap::new();
+        dependence.declare_dependent(&[group_a, group_b]).unwrap();
+        let mut g = g.with_dependence(dependence);
+        let now = Timestamp(1);
+        let reader = TxnId(1);
+        g.begin(reader, now).unwrap();
+        for r in &resources[..IDLE] {
+            g.execute(reader, *r, ScalarOp::Read, now).unwrap();
+        }
+        assert!(g.resources.len() >= IDLE);
+        assert_eq!(g.waits_for_graph().edge_count(), 0, "no queue, no edges");
+
+        // One waiter behind two incompatible holders, one of them across
+        // the dependence group; a second, sleeping, waiter draws no edge.
+        let (holder, sibling_holder, waiter, sleeper) = (TxnId(2), TxnId(3), TxnId(4), TxnId(5));
+        for t in [holder, sibling_holder, waiter, sleeper] {
+            g.begin(t, now).unwrap();
+        }
+        g.execute(holder, group_a, sub_one(), now).unwrap();
+        g.execute(sibling_holder, group_b, sub_one(), now).unwrap();
+        for t in [waiter, sleeper] {
+            let (outcome, _) = g.execute(t, group_a, ScalarOp::Assign(Value::Int(6)), now).unwrap();
+            assert_eq!(outcome, ExecOutcome::Waiting);
+        }
+        g.sleep(sleeper, now).unwrap();
+        let edges: Vec<_> = g.waits_for_graph().edges().collect();
+        assert_eq!(edges, [(waiter, holder), (waiter, sibling_holder)]);
+        assert_eq!(edges, full_scan_graph(&g).edges().collect::<Vec<_>>());
+        g.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_commit_nobody_can_observe_leaves_nothing_in_x_committed() {
+        let (mut g, resources) = gtm(3);
+        let mut clock = 0u64;
+        let mut commit = |g: &mut Gtm, id: u64, on: ResourceId, op: ScalarOp| {
+            clock += 1;
+            let (txn, now) = (TxnId(id), Timestamp(clock));
+            g.begin(txn, now).unwrap();
+            g.execute(txn, on, op, now).unwrap();
+            assert_eq!(g.commit(txn, now).unwrap().0, CommitResult::Committed);
+            now
+        };
+        let retained = |g: &Gtm| -> Vec<usize> {
+            resources
+                .iter()
+                .map(|r| g.resources.get(r).map_or(0, |rs| rs.committed.len()))
+                .collect()
+        };
+        // No sleeper, and nobody ever ticks (the blocking front-ends only
+        // tick for a waiter): nothing may pile up.
+        for id in 1..=10_000 {
+            commit(&mut g, id, resources[id as usize % 2], sub_one());
+        }
+        assert_eq!(retained(&g), [0, 0, 0]);
+
+        // With a sleeper, what commits after it slept is kept — on every
+        // resource, it may yet touch them — until it is gone.
+        let sleeper = TxnId(20_000);
+        let slept_at = commit(&mut g, 10_001, resources[1], sub_one());
+        g.begin(sleeper, slept_at).unwrap();
+        g.execute(sleeper, resources[0], sub_one(), slept_at).unwrap();
+        g.sleep(sleeper, slept_at).unwrap();
+        commit(&mut g, 10_002, resources[0], ScalarOp::Assign(Value::Int(7)));
+        commit(&mut g, 10_003, resources[1], sub_one());
+        commit(&mut g, 10_004, resources[1], sub_one());
+        assert_eq!(retained(&g), [1, 2, 0]);
+        // Algorithm 9's third branch reads the entry: the assignment
+        // bypassed the sleeper and committed after it slept.
+        let (result, _) = g.awake(sleeper, Timestamp(20_000)).unwrap();
+        assert_eq!(result, AwakeResult::Aborted);
+        // The sleeper is gone: the next commit on a resource empties its
+        // list, a tick sweeps the lists no commit touches again.
+        commit(&mut g, 10_005, resources[1], sub_one());
+        assert_eq!(retained(&g), [1, 0, 0]);
+        g.tick(Timestamp(20_001)).unwrap();
+        assert_eq!(retained(&g), [0, 0, 0]);
+        g.check_invariants().unwrap();
+    }
+
     #[test]
     fn check_invariants_catches_a_corrupted_index() {
         let (mut g, resources) = gtm(3);
@@ -1646,6 +1653,39 @@ mod tests {
     }
 
     #[test]
+    fn check_invariants_catches_a_row_that_disagrees_with_its_record() {
+        let (mut g, resources) = gtm(3);
+        let (sleeper, holder, _) =
+            one_sleeper_one_waiter(&mut g, 1, resources[0], resources[1], Timestamp(7));
+        g.check_invariants().unwrap();
+
+        // `Grant::asleep` mirrors `A_state = Sleeping`, both ways.
+        g.row_mut(sleeper, resources[0]).unwrap().asleep = false;
+        assert!(g.check_invariants().unwrap_err().contains("asleep = false"));
+        g.row_mut(sleeper, resources[0]).unwrap().asleep = true;
+        g.row_mut(holder, resources[1]).unwrap().asleep = true;
+        assert!(g.check_invariants().unwrap_err().contains("asleep = true"));
+        g.row_mut(holder, resources[1]).unwrap().asleep = false;
+        g.check_invariants().unwrap();
+
+        // `held` lists exactly the rows, in resource order.
+        g.live(holder, "test").unwrap().held.clear();
+        assert!(g.check_invariants().unwrap_err().contains("its record does not hold"));
+        g.live(holder, "test").unwrap().held = vec![resources[1], resources[2]];
+        assert!(g.check_invariants().unwrap_err().contains("has no row there"));
+        let row = g.row_mut(holder, resources[1]).unwrap().clone();
+        g.resources.entry(resources[0]).or_default().holders.insert(holder, row);
+        g.live(holder, "test").unwrap().held = vec![resources[1], resources[0]];
+        assert!(g.check_invariants().unwrap_err().contains("not in resource order"));
+        g.live(holder, "test").unwrap().held = vec![resources[0], resources[1]];
+        g.check_invariants().unwrap();
+
+        // A tombstone owns no row.
+        g.txns.insert(holder, Txn::Finished(TxnState::Aborted));
+        assert!(g.check_invariants().unwrap_err().contains("still referenced"));
+    }
+
+    #[test]
     fn a_finished_record_keeps_no_working_state() {
         let (mut g, resources) = gtm(2);
         let now = Timestamp(1);
@@ -1657,14 +1697,22 @@ mod tests {
         }
         assert_eq!(g.commit(committed, now).unwrap().0, CommitResult::Committed);
         g.abort(aborted, now).unwrap();
-        for txn in [committed, aborted] {
-            let rec = &g.txns[&txn];
-            assert!(rec.state.is_terminal());
-            assert!(rec.temp.is_empty() && rec.classes.is_empty() && rec.t_wait.is_empty());
-            // Moved out (to the history, if it committed), not cloned.
-            assert_eq!(rec.op_log.capacity(), 0);
-        }
+        // Nothing left but the final state: the op log moved out (to the
+        // history, if it committed) and the rows are gone.
+        assert!(matches!(g.txns[&committed], Txn::Finished(TxnState::Committed)));
+        assert!(matches!(g.txns[&aborted], Txn::Finished(TxnState::Aborted)));
+        assert!(g.resources.values().all(|rs| rs.holders.is_empty()));
         assert_eq!(g.history().committed_count(), 1);
         g.check_invariants().unwrap();
+        // A tombstone refuses every event by its final state.
+        let err = g.execute(committed, resources[0], sub_one(), now).unwrap_err();
+        assert!(
+            matches!(err, PstmError::InvalidState { action: "invoke", state: "committed", .. }),
+            "{err:?}"
+        );
+        assert!(matches!(
+            g.abort(aborted, now).unwrap_err(),
+            PstmError::InvalidState { action: "abort", state: "aborted", .. }
+        ));
     }
 }

@@ -1,13 +1,36 @@
-//! Transaction and resource state — the paper's §IV model.
+//! Transaction and resource state — the paper's §IV model, one row per
+//! grant.
 //!
-//! A transaction's global state is `(A_state, A_temp, A_t_sleep,
-//! A_t_wait)`; each object data member (resource) tracks the sets
-//! `X_pending`, `X_waiting`, `X_committing`, `X_committed` (with commit
-//! times `X_tc`), `X_aborting`, `X_sleeping`, plus the per-transaction
-//! values `X_read` and `X_new`. `X_permanent` itself lives in the LDBS.
+//! The paper keeps a transaction's hold on a resource in many sets at
+//! once (`X_pending`, `X_committing`, `X_sleeping`, `X_read^A`, `X_new^A`,
+//! `A_temp`, …). Here that hold is one [`Grant`] row in the resource's
+//! `holders` table, and the paper's sets are views over rows, so they
+//! cannot disagree:
+//!
+//! | paper symbol        | here                                              |
+//! |---------------------|---------------------------------------------------|
+//! | `A_state`           | [`Txn::state`] (`TxnRecord::state`, or the tombstone) |
+//! | `A_t_sleep`         | `TxnRecord::t_sleep`                              |
+//! | `A_t_wait`          | `WaitEntry::since` of the one queued invocation   |
+//! | `A_temp`            | `Grant::temp`, one per held resource              |
+//! | `X_pending`         | rows of `holders` in [`Phase::Pending`]           |
+//! | `X_committing`      | rows of `holders` in [`Phase::Committing`]        |
+//! | `X_sleeping`        | rows with `Grant::asleep`                         |
+//! | `X_read^A`          | `Grant::read`                                     |
+//! | `X_waiting`         | `ResourceState::waiting` (FIFO)                   |
+//! | `X_committed`, `X_tc` | `ResourceState::committed`                      |
+//! | `X_aborting`        | no store: an abort completes within one event     |
+//! | `X_new^A`           | no store: it is the SST's write set               |
+//! | `X_permanent`       | the LDBS                                          |
+//!
+//! `X_new` has no store: the reconciled value is computed by
+//! `Gtm::commit_local`, handed to the coordinator in
+//! `LocalCommit::Prepared` and travels in the SST; nothing reads it back
+//! from the resource. A queued transaction that sleeps is recognised by
+//! its `A_state`, not by a mark in the queue.
 
-use pstm_types::{CompatMatrix, OpClass, ScalarOp, Timestamp, TxnId, Value};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use pstm_types::{CompatMatrix, OpClass, ResourceId, ScalarOp, Timestamp, TxnId, Value};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// The operating states of §IV.
@@ -57,167 +80,172 @@ impl fmt::Display for TxnState {
     }
 }
 
-/// Per-transaction record: the paper's `A_state`, `A_temp`, `A_t_sleep`,
-/// `A_t_wait`, plus bookkeeping the algorithms need (which resources the
-/// transaction touched, its class per resource, the stashed waiting op).
+/// Working state of a transaction that has not finished: the paper's
+/// `A_state` and `A_t_sleep`, plus where its rows are.
 #[derive(Clone, Debug)]
-pub struct TxnRecord {
-    /// `A_state`.
-    pub state: TxnState,
-    /// `A_temp` — the virtual copy per resource.
-    pub temp: BTreeMap<pstm_types::ResourceId, Value>,
-    /// The operation class in force per resource (constraint (i): all of
-    /// a transaction's ops on one member must be mutually compatible).
-    pub classes: BTreeMap<pstm_types::ResourceId, OpClass>,
+pub(crate) struct TxnRecord {
+    /// `A_state` (never terminal: a finished transaction is a
+    /// [`Txn::Finished`] tombstone).
+    pub(crate) state: TxnState,
     /// `A_t_sleep` — when the transaction went to sleep.
-    pub t_sleep: Option<Timestamp>,
-    /// `A_t_wait` — arrival time in each resource's wait queue.
-    pub t_wait: BTreeMap<pstm_types::ResourceId, Timestamp>,
-    /// The operation stashed while waiting (at most one outstanding
-    /// invocation — §IV well-formedness).
-    pub pending_op: Option<(pstm_types::ResourceId, ScalarOp)>,
+    pub(crate) t_sleep: Option<Timestamp>,
+    /// The resources it holds a [`Grant`] row on, ascending — the order
+    /// commit reconciles them in.
+    pub(crate) held: Vec<ResourceId>,
+    /// The resource whose queue holds its one stashed invocation (§IV
+    /// well-formedness: at most one outstanding).
+    pub(crate) waiting_on: Option<ResourceId>,
     /// Every op the transaction executed, in order, for the history
-    /// recorder (kept small: class + op per resource).
-    pub op_log: Vec<(pstm_types::ResourceId, ScalarOp)>,
-    /// When the transaction began (for stats).
-    pub began_at: Timestamp,
+    /// recorder.
+    pub(crate) op_log: Vec<(ResourceId, ScalarOp)>,
 }
 
 impl TxnRecord {
     /// Fresh record in the `Active` state (Algorithm 1's postcondition).
-    #[must_use]
-    pub fn new(now: Timestamp) -> Self {
+    pub(crate) fn new() -> Self {
         TxnRecord {
             state: TxnState::Active,
-            temp: BTreeMap::new(),
-            classes: BTreeMap::new(),
             t_sleep: None,
-            t_wait: BTreeMap::new(),
-            pending_op: None,
+            held: Vec::new(),
+            waiting_on: None,
             op_log: Vec::new(),
-            began_at: now,
+        }
+    }
+
+    /// Notes a grant on `resource`, keeping `held` ascending (a Read →
+    /// mutation strengthening is already there).
+    pub(crate) fn hold(&mut self, resource: ResourceId) {
+        if let Err(at) = self.held.binary_search(&resource) {
+            self.held.insert(at, resource);
         }
     }
 
     /// Every resource this transaction is involved with (granted or
     /// waiting).
-    #[must_use]
-    pub fn resources(&self) -> BTreeSet<pstm_types::ResourceId> {
-        let mut r: BTreeSet<_> = self.classes.keys().copied().collect();
-        if let Some((res, _)) = &self.pending_op {
-            r.insert(*res);
-        }
-        r
+    pub(crate) fn involved(&self) -> impl Iterator<Item = ResourceId> + '_ {
+        self.held.iter().copied().chain(self.waiting_on)
     }
+}
 
-    /// Called when the transaction reaches a terminal state: frees the
-    /// working state only a live transaction needs (`A_temp`, the class
-    /// map, `A_t_wait`) and hands out the op log. The GTM keeps every
-    /// finished record, so whatever a record still owns is memory each
-    /// transaction retains for good — an emptied `BTreeMap` alone keeps
-    /// its root node allocated.
-    pub fn retire(&mut self) -> Vec<(pstm_types::ResourceId, ScalarOp)> {
-        self.temp.clear();
-        self.classes.clear();
-        self.t_wait.clear();
-        std::mem::take(&mut self.op_log)
+/// One transaction's slot in the manager's table. The manager keeps every
+/// transaction it ever saw, so what a finished one still owns is memory
+/// retained for good: it owns nothing but its final state.
+#[derive(Clone, Debug)]
+pub(crate) enum Txn {
+    /// Begun and not finished.
+    Live(TxnRecord),
+    /// Committed or aborted.
+    Finished(TxnState),
+}
+
+impl Txn {
+    /// `A_state`.
+    pub(crate) fn state(&self) -> TxnState {
+        match self {
+            Txn::Live(record) => record.state,
+            Txn::Finished(state) => *state,
+        }
     }
 }
 
 /// A queued invocation: `(A, op)` plus the arrival time `A_t_wait`.
 #[derive(Clone, Debug)]
-pub struct WaitEntry {
+pub(crate) struct WaitEntry {
     /// The waiting transaction.
-    pub txn: TxnId,
+    pub(crate) txn: TxnId,
     /// Class of the queued invocation.
-    pub class: OpClass,
+    pub(crate) class: OpClass,
     /// The concrete stashed operation.
-    pub op: ScalarOp,
+    pub(crate) op: ScalarOp,
     /// Arrival time in the queue.
-    pub since: Timestamp,
-    /// True when the transaction already holds the resource under a
-    /// weaker class (Read) and is strengthening — granted with front
-    /// priority like a 2PL upgrade.
-    pub is_upgrade: bool,
+    pub(crate) since: Timestamp,
+}
+
+/// Where a grant stands between Algorithm 2 and the end of its SST.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// In `X_pending`.
+    Pending,
+    /// In `X_committing`: reconciled, the SST not yet settled.
+    Committing,
+}
+
+/// The one fact "A holds X under class c", with everything that hangs off
+/// it. The row lives from the grant until the SST is settled (commit
+/// finished or aborted), so `X_read^A` and `A_temp` outlive reconciliation
+/// — a failed SST unwinds from intact rows.
+#[derive(Clone, Debug)]
+pub(crate) struct Grant {
+    /// The operation class in force (constraint (i): all of a
+    /// transaction's ops on one member must be mutually compatible).
+    pub(crate) class: OpClass,
+    /// `X_pending` or `X_committing`.
+    pub(crate) phase: Phase,
+    /// Membership of `X_sleeping`; mirrors `A_state = Sleeping` so the
+    /// conflict scan of Algorithm 2 stays inside the resource.
+    pub(crate) asleep: bool,
+    /// `X_read^A` — snapshot of `X_permanent` at grant.
+    pub(crate) read: Value,
+    /// `A_temp` — the virtual copy.
+    pub(crate) temp: Value,
+}
+
+impl Grant {
+    /// Whether this holder blocks incompatible newcomers: every holder
+    /// does except a pending one that sleeps (Algorithm 2's exclusion —
+    /// the mechanism that lets incompatible work bypass disconnected
+    /// transactions).
+    fn blocks(&self) -> bool {
+        self.phase == Phase::Committing || !self.asleep
+    }
 }
 
 /// Per-resource state: the paper's object state minus `X_permanent`
 /// (which lives in the LDBS).
 #[derive(Clone, Debug, Default)]
-pub struct ResourceState {
-    /// `X_pending` — transactions granted the resource, with their class.
-    pub pending: BTreeMap<TxnId, OpClass>,
+pub(crate) struct ResourceState {
+    /// `X_pending ∪ X_committing`, one row per holder, in `TxnId` order.
+    pub(crate) holders: BTreeMap<TxnId, Grant>,
     /// `X_waiting` — queued invocations, FIFO.
-    pub waiting: VecDeque<WaitEntry>,
-    /// `X_committing`.
-    pub committing: BTreeMap<TxnId, OpClass>,
-    /// `X_committed` with `X_tc` commit times. Pruned lazily: entries are
-    /// only needed while some transaction sleeps from before the commit.
-    /// (`X_aborting` has no persistent representation: aborts complete
-    /// synchronously within one event, so the set would always be empty
-    /// between events.)
-    pub committed: Vec<(TxnId, OpClass, Timestamp)>,
-    /// `X_sleeping` — transactions operating on X that are asleep.
-    pub sleeping: BTreeSet<TxnId>,
-    /// `X_read` — per-transaction snapshot of `X_permanent` at grant.
-    pub read: BTreeMap<TxnId, Value>,
-    /// `X_new` — per-transaction reconciled value awaiting the SST.
-    pub new: BTreeMap<TxnId, Value>,
+    pub(crate) waiting: VecDeque<WaitEntry>,
+    /// `X_committed` with `X_tc` commit times, kept only while some
+    /// transaction sleeps from before the commit. (`X_aborting` has no
+    /// persistent representation: aborts complete synchronously within
+    /// one event, so the set would always be empty between events.)
+    pub(crate) committed: Vec<(TxnId, OpClass, Timestamp)>,
 }
 
 impl ResourceState {
-    /// Whether `class` conflicts (Definition 2) with any *blocking*
-    /// holder under `matrix`: a pending, non-sleeping transaction or a
-    /// committing one. Sleeping holders are deliberately excluded
-    /// (Algorithm 2) — that is the mechanism that lets incompatible work
-    /// bypass disconnected transactions.
-    #[must_use]
-    pub fn conflicts_with_blockers(
-        &self,
-        txn: TxnId,
-        class: OpClass,
-        matrix: &CompatMatrix,
-    ) -> bool {
-        self.blocking_conflicts(txn, class, matrix).next().is_some()
-    }
-
-    /// The blocking holders `class` conflicts with under `matrix`.
-    pub fn blocking_conflicts<'a>(
+    /// The *blocking* holders `class` conflicts with (Definition 2) under
+    /// `matrix`, in `TxnId` order.
+    pub(crate) fn blocking_conflicts<'a>(
         &'a self,
         txn: TxnId,
         class: OpClass,
         matrix: &'a CompatMatrix,
-    ) -> impl Iterator<Item = (TxnId, OpClass)> + 'a {
-        let pending =
-            self.pending.iter().filter(move |(t, _)| **t != txn && !self.sleeping.contains(t));
-        let committing = self.committing.iter().filter(move |(t, _)| **t != txn);
-        pending
-            .chain(committing)
-            .filter(move |(_, c)| !matrix.compatible(class, **c))
-            .map(|(t, c)| (*t, *c))
+    ) -> impl Iterator<Item = TxnId> + 'a {
+        self.holders
+            .iter()
+            .filter(move |(t, g)| **t != txn && g.blocks() && !matrix.compatible(class, g.class))
+            .map(|(t, _)| *t)
     }
 
-    /// Whether `class` conflicts with *any* pending or committing holder
-    /// under `matrix`, sleeping included — the stricter check Algorithm 9
-    /// applies when a sleeper awakes.
-    #[must_use]
-    pub fn conflicts_with_any_holder(
+    /// Whether `class` conflicts with *any* holder under `matrix`,
+    /// sleeping included — the stricter check Algorithm 9 applies when a
+    /// sleeper awakes.
+    pub(crate) fn conflicts_with_any_holder(
         &self,
         txn: TxnId,
         class: OpClass,
         matrix: &CompatMatrix,
     ) -> bool {
-        self.pending
-            .iter()
-            .chain(self.committing.iter())
-            .any(|(t, c)| *t != txn && !matrix.compatible(class, *c))
+        self.holders.iter().any(|(t, g)| *t != txn && !matrix.compatible(class, g.class))
     }
 
     /// Whether any transaction committed on this resource after `since`
     /// with a class incompatible with `class` under `matrix` (Algorithm
     /// 9's `X_tc > A_t_sleep` check).
-    #[must_use]
-    pub fn incompatible_commit_after(
+    pub(crate) fn incompatible_commit_after(
         &self,
         txn: TxnId,
         class: OpClass,
@@ -232,28 +260,26 @@ impl ResourceState {
     /// Drops committed-set entries no longer observable by any sleeper:
     /// entries older than `horizon` (the earliest `t_sleep` among live
     /// sleepers, or "now" when none sleep).
-    pub fn prune_committed(&mut self, horizon: Timestamp) {
+    pub(crate) fn prune_committed(&mut self, horizon: Timestamp) {
         self.committed.retain(|(_, _, tc)| *tc > horizon);
-    }
-
-    /// Whether the resource is completely idle (reusable for unlock
-    /// bookkeeping and tests).
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_empty()
-            && self.waiting.is_empty()
-            && self.committing.is_empty()
-            && self.new.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstm_types::{ObjectId, ResourceId};
+    use pstm_types::ObjectId;
 
     fn t(i: u64) -> TxnId {
         TxnId(i)
+    }
+
+    fn grant(class: OpClass) -> Grant {
+        Grant { class, phase: Phase::Pending, asleep: false, read: Value::Null, temp: Value::Null }
+    }
+
+    fn blocked(rs: &ResourceState, txn: TxnId, class: OpClass, m: &CompatMatrix) -> bool {
+        rs.blocking_conflicts(txn, class, m).next().is_some()
     }
 
     #[test]
@@ -262,37 +288,42 @@ mod tests {
         assert!(TxnState::Aborted.is_terminal());
         assert!(!TxnState::Sleeping.is_terminal());
         assert_eq!(TxnState::Committing.name(), "committing");
+        assert_eq!(Txn::Finished(TxnState::Aborted).state(), TxnState::Aborted);
+        assert_eq!(Txn::Live(TxnRecord::new()).state(), TxnState::Active);
     }
 
     #[test]
     fn sleeping_holders_do_not_block_but_committing_do() {
         let m = CompatMatrix::paper();
         let mut rs = ResourceState::default();
-        rs.pending.insert(t(1), OpClass::UpdateAddSub);
+        rs.holders.insert(t(1), grant(OpClass::UpdateAddSub));
         // An assignment conflicts with the pending add/sub holder.
-        assert!(rs.conflicts_with_blockers(t(2), OpClass::UpdateAssign, &m));
+        assert!(blocked(&rs, t(2), OpClass::UpdateAssign, &m));
         // ... but not once the holder sleeps (Algorithm 2's exclusion).
-        rs.sleeping.insert(t(1));
-        assert!(!rs.conflicts_with_blockers(t(2), OpClass::UpdateAssign, &m));
+        rs.holders.get_mut(&t(1)).unwrap().asleep = true;
+        assert!(!blocked(&rs, t(2), OpClass::UpdateAssign, &m));
         // The awake-time check still sees it.
         assert!(rs.conflicts_with_any_holder(t(2), OpClass::UpdateAssign, &m));
         // Committing transactions always block.
-        rs.committing.insert(t(3), OpClass::UpdateAssign);
-        assert!(rs.conflicts_with_blockers(t(2), OpClass::UpdateAddSub, &m));
+        rs.holders.insert(t(3), Grant { phase: Phase::Committing, ..grant(OpClass::UpdateAssign) });
+        assert_eq!(
+            rs.blocking_conflicts(t(2), OpClass::UpdateAddSub, &m).collect::<Vec<_>>(),
+            [t(3)]
+        );
         // A stricter matrix changes the verdicts consistently.
         let strict = CompatMatrix::read_write_only();
         let mut rs3 = ResourceState::default();
-        rs3.pending.insert(t(1), OpClass::UpdateAddSub);
-        assert!(rs3.conflicts_with_blockers(t(2), OpClass::UpdateAddSub, &strict));
-        assert!(!rs3.conflicts_with_blockers(t(2), OpClass::UpdateAddSub, &m));
+        rs3.holders.insert(t(1), grant(OpClass::UpdateAddSub));
+        assert!(blocked(&rs3, t(2), OpClass::UpdateAddSub, &strict));
+        assert!(!blocked(&rs3, t(2), OpClass::UpdateAddSub, &m));
     }
 
     #[test]
     fn own_entries_never_conflict() {
         let m = CompatMatrix::paper();
         let mut rs = ResourceState::default();
-        rs.pending.insert(t(1), OpClass::UpdateAssign);
-        assert!(!rs.conflicts_with_blockers(t(1), OpClass::UpdateAssign, &m));
+        rs.holders.insert(t(1), grant(OpClass::UpdateAssign));
+        assert!(!blocked(&rs, t(1), OpClass::UpdateAssign, &m));
         assert!(!rs.conflicts_with_any_holder(t(1), OpClass::UpdateAssign, &m));
     }
 
@@ -327,21 +358,14 @@ mod tests {
 
     #[test]
     fn txn_record_tracks_resources() {
-        let mut rec = TxnRecord::new(Timestamp::ZERO);
-        let r1 = ResourceId::atomic(ObjectId(1));
-        let r2 = ResourceId::atomic(ObjectId(2));
-        rec.classes.insert(r1, OpClass::Read);
-        rec.pending_op = Some((r2, ScalarOp::Read));
-        let resources = rec.resources();
-        assert!(resources.contains(&r1) && resources.contains(&r2));
+        let mut rec = TxnRecord::new();
+        let [r1, r2, r3] = [1, 2, 3].map(|o| ResourceId::atomic(ObjectId(o)));
+        rec.hold(r2);
+        rec.hold(r1);
+        rec.hold(r2);
+        assert_eq!(rec.held, [r1, r2], "ascending, once each");
+        rec.waiting_on = Some(r3);
+        assert_eq!(rec.involved().collect::<Vec<_>>(), [r1, r2, r3]);
         assert_eq!(rec.state, TxnState::Active);
-    }
-
-    #[test]
-    fn idle_resource_detection() {
-        let mut rs = ResourceState::default();
-        assert!(rs.is_idle());
-        rs.pending.insert(t(1), OpClass::Read);
-        assert!(!rs.is_idle());
     }
 }

@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 use pstm_core::gtm::{Gtm, GtmConfig};
 use pstm_core::policy::{AdmissionPolicy, StarvationPolicy};
+use pstm_core::DependenceMap;
 use pstm_storage::{BindingRegistry, ColumnDef, Constraint, Database, Row, TableSchema};
 use pstm_types::{MemberId, ResourceId, ScalarOp, Timestamp, TxnId, Value, ValueKind};
 use std::sync::Arc;
@@ -153,5 +154,15 @@ proptest! {
         let config = GtmConfig { elder_priority: true, ..GtmConfig::default() };
         let gtm = Gtm::new(base.database().clone(), base.bindings().clone(), config);
         drive(gtm, &rs, &events)?;
+    }
+
+    /// And with `r0` and `r1` declared logically dependent: conflict
+    /// checks, promotion, awakening and deadlock edges cross the group.
+    #[test]
+    fn prop_random_events_with_a_dependence_group(events in prop::collection::vec(arb_event(), 1..120)) {
+        let (base, rs) = world();
+        let mut dependence = DependenceMap::new();
+        dependence.declare_dependent(&rs[..2]).unwrap();
+        drive(base.with_dependence(dependence), &rs, &events)?;
     }
 }

@@ -451,7 +451,7 @@ impl ShardedFront {
 
     /// The shard owning `resource`. Deterministic: routing depends only
     /// on the object id and the shard count.
-    // pstm-lockgraph: event-loop — the async front-end (ROADMAP item 1)
+    // pstm-lockgraph: event-loop — the reactor front-end (`reactor.rs`)
     // routes every request through here; it must never block.
     #[must_use]
     pub fn shard_of(&self, resource: ResourceId) -> usize {

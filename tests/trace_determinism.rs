@@ -3,7 +3,8 @@
 //! artifact — replaying it reproduces the live run's counters exactly.
 
 use preserial::gtm::GtmConfig;
-use preserial::obs::{parse_jsonl, replay, Ctr, JsonlSink, Tracer};
+use preserial::obs::frame::checksum;
+use preserial::obs::{current_thread_tag, parse_jsonl, replay, Ctr, JsonlSink, Tracer};
 use preserial::workload::PaperWorkload;
 use pstm_bench::{run_emulation_traced, Scheduler};
 
@@ -48,4 +49,19 @@ fn jsonl_trace_replay_matches_live_counters() {
     assert!(rebuilt.counter(Ctr::EngineCommits) > 0, "engine events must be in the trace");
     assert!(rebuilt.counter(Ctr::WalFlushes) > 0, "WAL events must be in the trace");
     assert!(rebuilt.counter(Ctr::LinkDowns) > 0, "link events must be in the trace");
+}
+
+/// The GTM trace is pinned, not just repeatable: its length and checksum
+/// were recorded at the commit before the GTM's state moved to one row per
+/// grant (`crates/core/src/state.rs`), so a refactor of the bookkeeping
+/// that reorders, drops or adds a single event fails here.
+#[test]
+fn gtm_trace_matches_the_digest_pinned_before_the_state_refactor() {
+    const PINNED: (usize, u32) = (77_856, 1_158_338_851);
+    let (bytes, _) = traced_run(Scheduler::Gtm);
+    // Every record carries this thread's tag, which is whichever of the
+    // process-wide tags this test's thread happened to draw: pin tag 0.
+    let own_tag = format!("\"thread\":{},", current_thread_tag());
+    let text = String::from_utf8(bytes).expect("JSONL is UTF-8").replace(&own_tag, "\"thread\":0,");
+    assert_eq!((text.len(), checksum(text.as_bytes())), PINNED);
 }
