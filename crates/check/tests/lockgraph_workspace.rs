@@ -106,7 +106,7 @@ fn event_loop_surface_is_registered() {
         "crates/front/src/timer.rs::TimerWheel::next_deadline",
         "crates/front/src/timer.rs::TimerWheel::pop_due",
         "crates/front/src/timer.rs::TimerWheel::schedule_at",
-        "crates/obs/src/wallclock.rs::WallAnchor::wall_us",
+        "crates/obs/src/wallclock.rs::WallAnchor::stamp",
         "crates/types/src/ids.rs::TxnIdAllocator::allocate",
     ];
     assert_eq!(report.event_loop_fns, expected, "event-loop tags drifted");

@@ -9,7 +9,9 @@
 //! | finish | yes | [`Gtm::commit_finish`] / [`Gtm::commit_abort`] per (member, shard) |
 //!
 //! A solo commit is the wave of one and a cross-shard commit the wave of
-//! one spanning shards; a group-commit station passes its drained queue.
+//! one spanning shards; `pstm-front` passes whatever met at a shard's
+//! flush fence. A flush is *grouped* exactly when its batch holds more
+//! than one member ([`SstBatch::engine_txn`]), whoever submitted it.
 //! What differs between callers — how shards are reached, the clock, what
 //! a retry back-off costs, the fault seam, where effects and trace events
 //! go — lives behind [`CommitEnv`]. Its three implementors are [`Owned`]
@@ -102,21 +104,19 @@ pub trait CommitEnv {
 /// active, and must be resubmitted once this call returned (their
 /// reconciliation has to read post-flush permanent state).
 ///
-/// `grouped` waves flush under the leader's [`TxnId::batch_engine`] id
-/// and announce themselves with a `GroupCommit` event; an ungrouped wave
-/// is one member flushed under its own [`TxnId::sst_engine`] id.
+/// A batch of more than one member flushes under its leader's
+/// [`TxnId::batch_engine`] id and announces itself with a `GroupCommit`
+/// event; a batch of one — a lone member, or what the cut left of a
+/// larger wave — flushes under that member's own [`TxnId::sst_engine`]
+/// id, unannounced.
 pub fn commit_wave<E: CommitEnv>(
     env: &mut E,
     wave: &[Member<'_>],
-    grouped: bool,
     fates: &mut Vec<(TxnId, CommitResult)>,
 ) -> PstmResult<Vec<TxnId>> {
     let Some(&lead_shard) = wave.first().and_then(|m| m.shards.first()) else {
         return Ok(Vec::new());
     };
-    if !grouped && wave.len() != 1 {
-        return Err(PstmError::internal("an ungrouped wave is exactly one member"));
-    }
     // ---- local: under the members' shards --------------------------------
     let shards = shard_union(wave);
     let mut deferred = Vec::new();
@@ -165,20 +165,19 @@ pub fn commit_wave<E: CommitEnv>(
 
     // ---- flush + finish ---------------------------------------------------
     if let Some(batch) = batch {
-        settle(env, wave, &shards, config, batch, grouped, fates)?;
+        settle(env, wave, &shards, config, batch, fates)?;
     }
     for sst in strays {
-        settle(env, wave, &shards, config, SstBatch::of(sst), false, fates)?;
+        settle(env, wave, &shards, config, SstBatch::of(sst), fates)?;
     }
     Ok(deferred)
 }
 
-/// The wave of one: commits `member` alone, ungrouped, and returns its
-/// fate — the solo commit, and the cross-shard commit when it spans
-/// shards.
+/// The wave of one: commits `member` alone and returns its fate — the
+/// solo commit, and the cross-shard commit when it spans shards.
 pub fn commit_one<E: CommitEnv>(env: &mut E, member: Member<'_>) -> PstmResult<CommitResult> {
     let mut fates = Vec::with_capacity(1);
-    commit_wave(env, &[member], false, &mut fates)?;
+    commit_wave(env, &[member], &mut fates)?;
     let fate = fates.pop().map(|(_, fate)| fate);
     fate.ok_or_else(|| PstmError::internal(format!("{} settled without a fate", member.txn)))
 }
@@ -233,7 +232,6 @@ fn settle<E: CommitEnv>(
     shards: &[usize],
     config: GtmConfig,
     batch: SstBatch,
-    grouped: bool,
     fates: &mut Vec<(TxnId, CommitResult)>,
 ) -> PstmResult<()> {
     let home = parked(wave, &batch).next().map_or(0, |(m, _)| m.home);
@@ -259,7 +257,7 @@ fn settle<E: CommitEnv>(
         let writes = sst.writes.len() as u32;
         env.emit(m.home, TraceEvent::SstAttempt { txn: m.txn, writes });
     }
-    if grouped {
+    if batch.len() > 1 {
         let members = batch.len() as u32;
         env.emit(home, TraceEvent::GroupCommit { leader: batch.leader, members });
     }
@@ -273,10 +271,7 @@ fn settle<E: CommitEnv>(
         let outcome = seeded.unwrap_or_else(|| {
             env.flushing(&batch);
             let (db, bindings) = env.engine();
-            match (grouped, batch.members.as_slice()) {
-                (false, [sst]) => sst.execute(db, bindings),
-                _ => batch.execute(db, bindings),
-            }
+            batch.execute(db, bindings)
         });
         for (m, _) in parked(wave, &batch) {
             env.span(m, SpanKind::SstAttempt { attempt: n }, false);
@@ -315,7 +310,7 @@ fn settle<E: CommitEnv>(
             // engine applied nothing. Each member re-runs as a wave of one
             // so only the violators abort.
             for sst in batch.members {
-                settle(env, wave, shards, config, SstBatch::of(sst), false, fates)?;
+                settle(env, wave, shards, config, SstBatch::of(sst), fates)?;
             }
             return Ok(());
         }

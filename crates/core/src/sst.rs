@@ -87,7 +87,8 @@ fn apply<'a>(
 
 /// A fused SST batch: N ready commits on one shard flushed as **one**
 /// engine transaction — one lock acquisition, one framed WAL flush, one
-/// atomic apply — instead of N.
+/// atomic apply — instead of N. A batch of one is not a group: it *is*
+/// its member's SST, same engine id, same WAL bytes.
 ///
 /// Members must have pairwise-disjoint write sets (enforced by
 /// [`SstBatch::push`]): every member's `commit_local` reconciled against
@@ -148,10 +149,16 @@ impl SstBatch {
         self.members.is_empty()
     }
 
-    /// The engine transaction id the fused flush runs under.
+    /// The engine transaction id the flush runs under: the fused id of
+    /// the leader for a group, the lone member's own SST id otherwise —
+    /// what `pstm_obs::postmortem` assumes when it maps engine commits
+    /// back to transactions (`GroupCommit` seen ⇒ `batch_engine`).
     #[must_use]
     pub fn engine_txn(&self) -> TxnId {
-        self.leader.batch_engine()
+        match self.members.as_slice() {
+            [alone] => alone.engine_txn(),
+            _ => self.leader.batch_engine(),
+        }
     }
 
     /// Executes every member's writes as one atomic write set. Disjoint
@@ -161,6 +168,9 @@ impl SstBatch {
     /// applied for *any* member.
     // pstm-lockgraph: flush-point
     pub fn execute(&self, db: &Database, bindings: &BindingRegistry) -> PstmResult<()> {
+        if let [alone] = self.members.as_slice() {
+            return alone.execute(db, bindings);
+        }
         let mut writes: Vec<&(ResourceId, Value)> =
             self.members.iter().flat_map(|m| m.writes.iter()).collect();
         writes.sort_by_key(|(r, _)| *r);
@@ -292,6 +302,8 @@ mod tests {
     fn batch_engine_ids_are_disjoint_from_sst_and_middleware_ids() {
         let mut batch = SstBatch::new(TxnId(42));
         batch.push(Sst::new(TxnId(42), vec![])).unwrap();
+        assert_eq!(batch.engine_txn(), TxnId(42).sst_engine(), "a batch of one is its member");
+        batch.push(Sst::new(TxnId(43), vec![])).unwrap();
         assert!(batch.engine_txn().0 >= TxnId::SST_BATCH_ENGINE_BASE);
         assert_ne!(batch.engine_txn(), Sst::new(TxnId(42), vec![]).engine_txn());
         let empty = SstBatch::new(TxnId(9));

@@ -10,6 +10,7 @@ use pstm_core::gtm::{CommitResult, Gtm, GtmConfig, LocalCommit};
 use pstm_core::policy::AdmissionPolicy;
 use pstm_core::sst::Sst;
 use pstm_core::TxnState;
+use pstm_obs::{RingSink, TraceEvent, TraceRecord, Tracer};
 use pstm_storage::{BindingRegistry, ColumnDef, Constraint, Database, Row, TableSchema};
 use pstm_types::{
     AbortReason, ExecOutcome, MemberId, PstmError, ResourceId, ScalarOp, StepEffects, Timestamp,
@@ -57,9 +58,9 @@ fn value_of(gtm: &Gtm, r: ResourceId) -> Value {
     gtm.database().get_col(b.table, b.row, b.column).unwrap()
 }
 
-/// Commits `txns` as grouped waves on one owned manager, resubmitting the
-/// members the cut deferred until none are left — what a group-commit
-/// station does. Returns every member's fate plus the merged effects.
+/// Commits `txns` as one wave on one owned manager, resubmitting the
+/// members the cut deferred until none are left — what the front-end's
+/// fence holder does. Returns every member's fate plus the merged effects.
 fn commit_grouped(
     gtm: &mut Gtm,
     txns: &[TxnId],
@@ -71,7 +72,7 @@ fn commit_grouped(
     while !remaining.is_empty() {
         let wave: Vec<Member<'_>> =
             remaining.iter().map(|&txn| Member { txn, home: 0, shards: &[0] }).collect();
-        remaining = commit_wave(&mut env, &wave, true, &mut fates).unwrap();
+        remaining = commit_wave(&mut env, &wave, &mut fates).unwrap();
     }
     (fates, env.into_effects())
 }
@@ -286,6 +287,44 @@ fn group_commit_overlap_cuts_before_reconciliation_and_loses_no_update() {
 }
 
 #[test]
+fn wave_the_cut_leaves_one_member_of_flushes_ungrouped() {
+    // Grouped is a property of the flush, not of who submitted the wave:
+    // two subtractors on one counter go in together, the cut defers the
+    // second, and the batch of one that remains flushes exactly like a
+    // solo commit — under its member's own SST id, with no `GroupCommit`.
+    let (gtm, res) = setup(1, 100, GtmConfig::default());
+    let shard = RingSink::new(1 << 10);
+    let shard_trace = shard.handle();
+    let mut gtm = gtm.with_tracer(Tracer::with_sink(Box::new(shard)));
+    let engine = RingSink::new(1 << 10);
+    let engine_trace = engine.handle();
+    gtm.database().set_tracer(Tracer::with_sink(Box::new(engine)));
+    for txn in [t(1), t(2)] {
+        gtm.begin(txn, T0).unwrap();
+        gtm.execute(txn, res[0], ScalarOp::Sub(Value::Int(1)), T0).unwrap();
+    }
+
+    let wave = [t(1), t(2)].map(|txn| Member { txn, home: 0, shards: &[0] });
+    let mut env = Owned::new(std::slice::from_mut(&mut gtm), ts(1.0));
+    let mut fates = Vec::new();
+    let deferred = commit_wave(&mut env, &wave, &mut fates).unwrap();
+    assert_eq!(deferred, vec![t(2)]);
+    assert_eq!(fates, vec![(t(1), CommitResult::Committed)]);
+
+    let grouped = |r: &TraceRecord| matches!(r.event, TraceEvent::GroupCommit { .. });
+    assert!(!shard_trace.snapshot().iter().any(grouped));
+    let engine_commits: Vec<TxnId> = engine_trace
+        .snapshot()
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::EngineCommit { txn } => Some(txn),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(engine_commits, vec![t(1).sst_engine()]);
+}
+
+#[test]
 fn group_commit_constraint_violator_aborts_alone() {
     // One member's reconciled value violates the CHECK; the fused flush
     // is rejected atomically, then the per-member fallback settles each
@@ -365,16 +404,16 @@ fn wave_shape_by_flush_outcome_table() {
     // Resource `i` lives on shard `i % 2`. Each shape lists its members
     // as (txn, resources); a member's shards follow from its resources.
     let shapes = [
-        ("1 member x 1 shard", false, vec![(1, vec![0])]),
-        ("1 member x 2 shards", false, vec![(1, vec![0, 1])]),
-        ("3 disjoint members x 1 shard", true, vec![(1, vec![0]), (2, vec![2]), (3, vec![4])]),
-        ("2 overlapping members", true, vec![(1, vec![0]), (2, vec![0])]),
+        ("1 member x 1 shard", vec![(1, vec![0])]),
+        ("1 member x 2 shards", vec![(1, vec![0, 1])]),
+        ("3 disjoint members x 1 shard", vec![(1, vec![0]), (2, vec![2]), (3, vec![4])]),
+        ("2 overlapping members", vec![(1, vec![0]), (2, vec![0])]),
     ];
     let flushes =
         [Flush::Ok, Flush::IoRetried, Flush::IoExhausted, Flush::Constraint, Flush::Crashed];
     let config = GtmConfig { sst_retries: 2, ..GtmConfig::default() };
 
-    for (shape, grouped, members) in &shapes {
+    for (shape, members) in &shapes {
         for flush in flushes {
             let case = format!("{shape} / {flush:?}");
             let (gtm, res) = setup(6, 100, config);
@@ -413,8 +452,8 @@ fn wave_shape_by_flush_outcome_table() {
                 ))),
             }
 
-            // Drive the coordinator like a station: resubmit what the cut
-            // deferred until nothing is left or the process died.
+            // Drive the coordinator like the fence holder: resubmit what the
+            // cut deferred until nothing is left or the process died.
             let mut env = Owned::new(&mut gtms, ts(1.0));
             let mut fates = Vec::new();
             let mut remaining: Vec<usize> = (0..members.len()).collect();
@@ -428,7 +467,7 @@ fn wave_shape_by_flush_outcome_table() {
                         shards: &shard_sets[i],
                     })
                     .collect();
-                match commit_wave(&mut env, &wave, *grouped, &mut fates) {
+                match commit_wave(&mut env, &wave, &mut fates) {
                     Ok(deferred) => remaining.retain(|&i| deferred.contains(&t(members[i].0))),
                     Err(e) => {
                         died = Some(e);

@@ -81,8 +81,9 @@ pub struct ChaosConfig {
     /// guaranteed to finish (a plan of unbounded crashes would otherwise
     /// never drain the session list).
     pub max_recoveries: u32,
-    /// Commit each shard's single-shard sessions as one grouped wave (the
-    /// front-end station's shape) instead of a wave of one each.
+    /// Commit each shard's single-shard sessions as one wave (committers
+    /// that met at the front-end's flush fence) instead of a wave of one
+    /// each.
     /// Multi-shard sessions still commit alone, exactly like the
     /// production front-end.
     pub group_commit: bool,
@@ -563,8 +564,8 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
         // ---- Commit the wave, one coordinator run at a time -----------
         // A unit is the member list handed to `commit_wave`: one session
         // as the wave of one, or (group-commit mode) all of a shard's
-        // single-shard sessions as one grouped wave.
-        let mut units: Vec<(Vec<usize>, bool)> = Vec::new();
+        // single-shard sessions as one wave.
+        let mut units: Vec<Vec<usize>> = Vec::new();
         let mut per_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, (_, shards, _, alive)) in wave.iter().enumerate() {
             if !*alive {
@@ -573,11 +574,11 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
             if chaos.config.group_commit && shards.len() == 1 {
                 per_shard.entry(shards[0]).or_default().push(i);
             } else {
-                units.push((vec![i], false));
+                units.push(vec![i]);
             }
         }
-        units.extend(per_shard.into_values().map(|idxs| (idxs, true)));
-        for (mut idxs, grouped) in units {
+        units.extend(per_shard.into_values());
+        for mut idxs in units {
             // Fates land here as members settle — on a crash, members
             // settled by earlier batches keep their acknowledged outcome.
             let mut fates: Vec<(TxnId, CommitResult)> = Vec::new();
@@ -587,7 +588,7 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
                     .map(|&i| Member { txn: wave[i].0, home: wave[i].1[0], shards: &wave[i].1 })
                     .collect();
                 let mut env = ChaosEnv { chaos: &mut chaos, gtms: &mut epoch.gtms, wave: &wave };
-                match commit_wave(&mut env, &members, grouped, &mut fates) {
+                match commit_wave(&mut env, &members, &mut fates) {
                     Ok(deferred) if deferred.is_empty() => break Ok(()),
                     // Deferred members overlapped the batch just flushed:
                     // they go round again, against post-flush state.

@@ -121,34 +121,33 @@ fn injected_crash_mid_commit_unwinds_the_locks_before_poisoning() {
 /// One `pre-sst` semantics on every wave shape: an injected transient
 /// I/O at the seam seeds the retry loop. The group-commit station used to
 /// treat *any* non-`Proceed` decision there as a crash that killed the
-/// whole wave; through the one coordinator the grouped wave commits after
-/// one retry, exactly like the solo wave.
+/// whole wave; through the one coordinator a single-shard session — the
+/// wave its shard's queue holds, here itself alone — commits after one
+/// retry, and there is no second way for it to reach the seam.
 #[test]
 fn pre_sst_io_is_a_retried_transient_on_grouped_and_solo_waves_alike() {
-    for group_commit in [true, false] {
-        let world = counter_world(2, 1_000).unwrap();
-        let mut config = FrontConfig { shards: 1, group_commit, ..FrontConfig::default() };
-        config.gtm.sst_retries = 2;
-        let front = ShardedFront::with_shard_tracers(world.db, world.bindings, config, |_| {
-            Tracer::with_sink(Box::new(RingSink::new(1 << 12)))
-        });
-        let io_once = FaultRule {
-            site: SiteMatcher::Kind("pre-sst"),
-            trigger: Trigger::OnHit(1),
-            action: FaultDecision::Io,
-            max_fires: 1,
-        };
-        let injector = Arc::new(FaultInjector::new(FaultPlan::new(17).with_rule(io_once)));
-        front.set_fault_hook(Arc::clone(&injector) as _);
+    let world = counter_world(2, 1_000).unwrap();
+    let mut config = FrontConfig { shards: 1, ..FrontConfig::default() };
+    config.gtm.sst_retries = 2;
+    let front = ShardedFront::with_shard_tracers(world.db, world.bindings, config, |_| {
+        Tracer::with_sink(Box::new(RingSink::new(1 << 12)))
+    });
+    let io_once = FaultRule {
+        site: SiteMatcher::Kind("pre-sst"),
+        trigger: Trigger::OnHit(1),
+        action: FaultDecision::Io,
+        max_fires: 1,
+    };
+    let injector = Arc::new(FaultInjector::new(FaultPlan::new(17).with_rule(io_once)));
+    front.set_fault_hook(Arc::clone(&injector) as _);
 
-        let mut session = front.session();
-        session.execute(world.resources[0], ScalarOp::Sub(Value::Int(1))).unwrap();
-        let result = session.commit().expect("a transient at pre-sst must not crash the wave");
-        assert_eq!(result, CommitResult::Committed, "group_commit={group_commit}");
-        assert_eq!(front.stats().sst_retries, 1, "group_commit={group_commit}: one retry");
-        assert_eq!(front.resource_value(world.resources[0]).unwrap(), Value::Int(999));
-        assert_eq!(injector.schedule().len(), 1, "the seam fired exactly once");
-        assert!(front.shards_unlocked());
-        front.check_invariants().unwrap();
-    }
+    let mut session = front.session();
+    session.execute(world.resources[0], ScalarOp::Sub(Value::Int(1))).unwrap();
+    let result = session.commit().expect("a transient at pre-sst must not crash the wave");
+    assert_eq!(result, CommitResult::Committed);
+    assert_eq!(front.stats().sst_retries, 1, "one retry");
+    assert_eq!(front.resource_value(world.resources[0]).unwrap(), Value::Int(999));
+    assert_eq!(injector.schedule().len(), 1, "the seam fired exactly once");
+    assert!(front.shards_unlocked());
+    front.check_invariants().unwrap();
 }

@@ -25,9 +25,11 @@
 //!   [`Database`] — the global commit stays atomic across shards because
 //!   the SST applies its write set all-or-nothing — flushed with no shard
 //!   mutex held. [`Gtm::commit_finish`] / [`Gtm::commit_abort`] then
-//!   settle each shard's bookkeeping. This crate only supplies the
-//!   coordinator's environment (locks, wall clock, wake registry) and the
-//!   group-commit station's queue.
+//!   settle each shard's bookkeeping. Single-shard committers that meet
+//!   at their shard's flush fence *are* the wave: whoever holds the fence
+//!   commits everything queued there as one fused SST. This crate only
+//!   supplies the coordinator's environment (locks, wall clock, wake
+//!   registry) and that per-shard queue.
 //! - **Wall-clock bridge.** Shards speak the virtual-clock
 //!   [`Timestamp`]; the front-end stamps every call with microseconds
 //!   elapsed since construction, sampled *while holding the shard lock*
@@ -83,16 +85,12 @@ pub struct FrontConfig {
     /// see wait cycles spanning shards, so unbounded waits must not be
     /// allowed when sessions touch multiple shards.
     pub gtm: GtmConfig,
-    /// Route single-shard commits through the per-shard group-commit
-    /// station: concurrent committers enqueue, one becomes the leader and
-    /// commits every queued member with pairwise-disjoint writes as *one*
-    /// grouped wave (one fused SST), amortizing the WAL flush and engine
-    /// apply. Cross-shard commits are always a wave of one regardless of
-    /// this flag.
+    /// Inert: nothing reads it — single-shard committers that meet at a
+    /// shard's flush fence always fuse ([`Session::commit`]). Kept
+    /// declared only because the frozen benchmark (`bench/e2e`) still
+    /// writes it; the next `[benchmark]` PR removes it together with
+    /// [`FrontConfig::parked_waits`].
     pub group_commit: bool,
-    /// Upper bound on commits fused per group flush (≥ 1); only read
-    /// when [`FrontConfig::group_commit`] is on.
-    pub max_group: usize,
     /// Inert: nothing reads it. Kept declared only because the frozen
     /// benchmark (`bench/e2e`) still writes it; the next `[benchmark]`
     /// PR removes it together with [`FrontConfig::group_commit`].
@@ -108,7 +106,6 @@ impl Default for FrontConfig {
                 ..GtmConfig::default()
             },
             group_commit: false,
-            max_group: 8,
             parked_waits: false,
         }
     }
@@ -263,9 +260,9 @@ impl FleetSnapshot {
     }
 }
 
-/// A parked committer's result cell in the group-commit station: `None`
-/// until a leader settles the transaction, then its commit outcome (or
-/// the leader's error, e.g. a simulated crash mid-group).
+/// A queued committer's result cell: `None` until a leader settles the
+/// transaction, then its commit outcome (or the leader's error, e.g. a
+/// simulated crash mid-wave).
 type CommitSlot = Arc<Mutex<Option<PstmResult<CommitResult>>>>;
 
 struct FrontInner {
@@ -276,29 +273,27 @@ struct FrontInner {
     /// shards, kept outside the shard mutexes so sessions can emit span
     /// events and snapshots can read registries without locking a shard.
     tracers: Vec<Tracer>,
-    config: FrontConfig,
     next_txn: TxnIdAllocator,
     /// Monotonic epoch + Unix wall base, both sampled once at
     /// construction inside the wall-clock seam ([`WallAnchor::now`]);
-    /// every virtual timestamp and span wall stamp the front emits is
-    /// arithmetic on this anchor.
+    /// every virtual timestamp and span wall stamp the front emits is a
+    /// monotonic reading through this anchor.
     anchor: WallAnchor,
-    /// Per-shard group-commit queues (only used when
-    /// [`FrontConfig::group_commit`] is on): FIFO of committers waiting
-    /// for a leader to fuse and flush them.
+    /// Per-shard commit queues: FIFO of single-shard committers waiting
+    /// for whoever holds the shard's flush fence next — possibly
+    /// themselves — to commit them as one wave. Drained and refilled
+    /// (deferred members) only under that fence.
     groups: Vec<Mutex<VecDeque<(TxnId, CommitSlot)>>>,
     /// Per-shard flush fences: one level *above* the shard mutexes in the
     /// lock order (fences ascending, then shard locks ascending; no path
-    /// acquires a fence while holding any shard). Every reconciliation
-    /// site — the group-commit station's leader round and the solo or
-    /// cross-shard wave of one — holds its shard's fence across reconcile → SST
-    /// flush → finish, so no commit anywhere reconciles against permanent
-    /// state while a flush to that state is in flight (the lost-update
-    /// window delta reconciliation cannot close on its own). Grants,
-    /// executes, and wakeups take only the shard mutex and legitimately
-    /// overlap a flush — that is the whole point: the station releases
-    /// the shard during the device round-trip so waiting committers keep
-    /// executing and fuse into the next wave.
+    /// acquires a fence while holding any shard). Every commit holds its
+    /// shards' fences across reconcile → SST flush → finish, so no commit
+    /// anywhere reconciles against permanent state while a flush to that
+    /// state is in flight (the lost-update window delta reconciliation
+    /// cannot close on its own). Grants, executes, and wakeups take only
+    /// the shard mutex and legitimately overlap a flush — that is the
+    /// whole point: the shard is released during the device round-trip
+    /// so waiting committers keep executing and fuse into the next wave.
     flush_fences: Vec<Mutex<()>>,
     /// THE wake path: every resume/abort signal `deposit` routes goes
     /// through this registry to the one waiter it addresses (see
@@ -377,7 +372,6 @@ impl ShardedFront {
                 bindings,
                 shards,
                 tracers,
-                config,
                 next_txn: TxnIdAllocator::starting_at(1),
                 anchor: WallAnchor::now(),
                 groups,
@@ -589,12 +583,26 @@ impl ShardedFront {
 
     /// Acquires the flush fences for the given shard `indices`, ascending
     /// — always BEFORE any shard mutex (see [`FrontInner::flush_fences`]
-    /// for the two-level lock order).
-    fn lock_flush_fences(&self, indices: &[usize]) -> Vec<MutexGuard<'_, ()>> {
+    /// for the two-level lock order). A session `queued` at its one shard
+    /// that finds the fence taken waits for the leader holding it: that
+    /// wait alone is group wait (a fence it finds free costs no timer, so
+    /// the phase stays zero where nobody meets); any other wait is
+    /// admission.
+    fn lock_flush_fences(&self, indices: &[usize], queued: bool) -> Vec<MutexGuard<'_, ()>> {
         assert!(
             indices.windows(2).all(|w| w[0] < w[1]),
             "fence lock order must be strictly ascending, got {indices:?}"
         );
+        if queued {
+            if let Some(fence) = self.inner.flush_fences[indices[0]].try_lock() {
+                return vec![fence];
+            }
+        }
+        let _wait = prof::PhaseTimer::start(if queued {
+            CommitPhase::GroupWait
+        } else {
+            CommitPhase::Admission
+        });
         indices.iter().map(|&s| self.inner.flush_fences[s].lock()).collect()
     }
 
@@ -649,17 +657,18 @@ impl ShardedFront {
     }
 
     /// Emits one span boundary for `txn` into shard `home`'s tracer,
-    /// carrying the virtual timestamp and the wall clock (pure arithmetic
-    /// on the construction-time [`WallAnchor`]; the wall-clock seam itself
-    /// is never consulted per-span).
+    /// carrying the virtual timestamp and the wall clock — both from one
+    /// reading of the construction-time [`WallAnchor`], so they differ by
+    /// the anchored base on every boundary (the Unix wall clock itself is
+    /// never consulted per-span).
     fn span(&self, home: usize, txn: TxnId, kind: SpanKind, open: bool) {
-        let wall_us = self.inner.anchor.wall_us();
+        let (at, wall_us) = self.inner.anchor.stamp();
         let event = if open {
             TraceEvent::SpanOpen { txn, kind, wall_us }
         } else {
             TraceEvent::SpanClose { txn, kind, wall_us }
         };
-        self.inner.tracers[home].emit(self.now(), event);
+        self.inner.tracers[home].emit(Timestamp(at), event);
     }
 
     /// Advances one shard's virtual clock — firing wait timeouts,
@@ -997,14 +1006,19 @@ impl Session {
     }
 
     /// Commits the session through the one coordinator
-    /// ([`commit_wave`]), whatever the shard count: under the touched
-    /// shards' flush fences, the session is the wave of one — shards
-    /// locked in ascending order for `commit_local` (reconciliation), all
-    /// write sets folded into **one** SST flushed with no shard held,
-    /// shards re-locked for `commit_finish`/`commit_abort`. With
-    /// [`FrontConfig::group_commit`] on, a single-shard session instead
-    /// joins its shard's station and commits as a member of the leader's
-    /// wave. Either way the `commit` span gets its `reconcile` and
+    /// ([`commit_wave`]), whatever the shard count, under the touched
+    /// shards' flush fences: shards locked in ascending order for
+    /// `commit_local` (reconciliation), all write sets folded into **one**
+    /// SST flushed with no shard held, shards re-locked for
+    /// `commit_finish`/`commit_abort`. A cross-shard session is the wave
+    /// of one. A single-shard session queues at its shard first, and
+    /// whoever wins the fence next — this session or a concurrent
+    /// committer — commits everything queued there as one wave: the
+    /// coordinator takes the shard mutex only for its two brief
+    /// bookkeeping phases, so sessions keep executing during the device
+    /// round-trip and their commits pile onto the queue to fuse into the
+    /// next flush, while a lone committer is simply the wave of one.
+    /// Either way the `commit` span gets its `reconcile` and
     /// `sst_attempt{n}` children from the coordinator.
     pub fn commit(&mut self) -> PstmResult<CommitResult> {
         self.ensure_open()?;
@@ -1015,10 +1029,16 @@ impl Session {
             return Ok(CommitResult::Committed);
         };
         self.close_leaf();
+        let inner = &self.front.inner;
+        // In line before the `commit` span opens: a trace that shows the
+        // span shows a session the next fence holder will find queued.
+        let slot = (shards.len() == 1).then(|| {
+            let slot: CommitSlot = Arc::new(Mutex::new(None));
+            inner.groups[first].lock().push_back((self.id, Arc::clone(&slot)));
+            slot
+        });
         self.open_span(SpanKind::Commit);
-        let result = if shards.len() == 1 && self.front.inner.config.group_commit {
-            self.commit_at_station(first)
-        } else {
+        let result = {
             // The whole coordinated commit is the fencing phase; every
             // nested station (shard-lock admission, per-shard reconcile,
             // WAL/SST, bookkeeping, abort unwind) carves out its own
@@ -1026,14 +1046,61 @@ impl Session {
             let _phase = prof::PhaseTimer::start(CommitPhase::Fencing);
             // Flush fences first (two-level lock order, see
             // `FrontInner::flush_fences`): reconciliation must not read
-            // permanent state while a station's fused flush to any of
-            // these shards is in flight with the shard mutex released.
-            let _fences = {
-                let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-                self.front.lock_flush_fences(&shards)
-            };
-            let member = Member { txn: self.id, home: self.home.unwrap_or(first), shards: &shards };
-            commit_one(&mut FrontEnv { front: &self.front }, member)
+            // permanent state while a fused flush to any of these shards
+            // is in flight with the shard mutex released.
+            let _fences = self.front.lock_flush_fences(&shards, slot.is_some());
+            let env = &mut FrontEnv { front: &self.front };
+            match slot {
+                None => {
+                    let home = self.home.unwrap_or(first);
+                    commit_one(env, Member { txn: self.id, home, shards: &shards })
+                }
+                // Until a round settles this session — the one a
+                // concurrent leader ran while we waited for the fence, or
+                // one of ours — lead: the wave is the whole queue. It
+                // holds our entry (queues change hands only under the
+                // fence), never more entries than there are concurrent
+                // committers, and each round settles at least its first
+                // member, so a deferred entry of ours reaches the front.
+                Some(slot) => loop {
+                    if let Some(result) = slot.lock().take() {
+                        break result;
+                    }
+                    let queued: Vec<(TxnId, CommitSlot)> =
+                        inner.groups[first].lock().drain(..).collect();
+                    let wave: Vec<Member<'_>> = queued
+                        .iter()
+                        .map(|(txn, _)| Member { txn: *txn, home: first, shards: &shards })
+                        .collect();
+                    let mut fates = Vec::with_capacity(wave.len());
+                    let outcome = commit_wave(env, &wave, &mut fates);
+                    let slot_of = |txn: TxnId| queued.iter().find(|(member, _)| *member == txn);
+                    for (txn, fate) in fates {
+                        if let Some((_, member_slot)) = slot_of(txn) {
+                            *member_slot.lock() = Some(Ok(fate));
+                        }
+                    }
+                    match outcome {
+                        // Deferred members overlap the batch just
+                        // flushed: back to the queue front, original
+                        // order, for the next round.
+                        Ok(deferred) => {
+                            let mut queue = inner.groups[first].lock();
+                            for entry in deferred.iter().rev().filter_map(|txn| slot_of(*txn)) {
+                                queue.push_front(entry.clone());
+                            }
+                        }
+                        // A leader-level failure dooms every member not
+                        // settled yet: each learns the error, the caller
+                        // recovers the engine.
+                        Err(err) => {
+                            for (_, member_slot) in &queued {
+                                member_slot.lock().get_or_insert_with(|| Err(err.clone()));
+                            }
+                        }
+                    }
+                },
+            }
         };
         match &result {
             Ok(CommitResult::Committed) => {
@@ -1049,81 +1116,6 @@ impl Session {
         }
         self.forget_wakes();
         result
-    }
-
-    /// Single-shard commit through the per-shard group-commit station:
-    /// enqueue, then either a concurrent leader settles this transaction
-    /// (our slot fills while we wait for the fence) or we win the fence,
-    /// become the leader, and commit a whole wave of queued members.
-    ///
-    /// A leader round holds the shard's *flush fence* end to end; the
-    /// coordinator takes the shard mutex only for its two brief
-    /// bookkeeping phases, so concurrent sessions keep executing against
-    /// the shard during the device round-trip and their commits pile onto
-    /// the queue to fuse into the next wave.
-    fn commit_at_station(&mut self, shard: usize) -> PstmResult<CommitResult> {
-        let inner = &self.front.inner;
-        let slot: CommitSlot = Arc::new(Mutex::new(None));
-        inner.groups[shard].lock().push_back((self.id, Arc::clone(&slot)));
-        // Everything from enqueue to settlement is the group-wait
-        // station; the leader's nested commit work carves out its own
-        // exclusive time, so followers accrue pure wait.
-        let _wait = prof::PhaseTimer::start(CommitPhase::GroupWait);
-        loop {
-            let _fence = {
-                let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
-                inner.flush_fences[shard].lock()
-            };
-            if let Some(result) = slot.lock().take() {
-                return result;
-            }
-            // Nobody settled us before we won the fence: we lead this
-            // round. Drain a wave (FIFO, bounded by `max_group`); our own
-            // entry may sit beyond the bound, in which case the loop
-            // leads another round after this one.
-            let queued: Vec<(TxnId, CommitSlot)> = {
-                let mut queue = inner.groups[shard].lock();
-                let take = queue.len().min(inner.config.max_group.max(1));
-                queue.drain(..take).collect()
-            };
-            let shards = [shard];
-            let wave: Vec<Member<'_>> = queued
-                .iter()
-                .map(|(txn, _)| Member { txn: *txn, home: shard, shards: &shards })
-                .collect();
-            let mut fates = Vec::with_capacity(wave.len());
-            let outcome =
-                commit_wave(&mut FrontEnv { front: &self.front }, &wave, true, &mut fates);
-            let slot_of = |txn: TxnId| queued.iter().find(|(member, _)| *member == txn);
-            for (txn, fate) in fates {
-                if let Some((_, member_slot)) = slot_of(txn) {
-                    *member_slot.lock() = Some(Ok(fate));
-                }
-            }
-            match outcome {
-                // Deferred members overlap the batch just flushed: back
-                // to the queue front, original order, for the next round.
-                Ok(deferred) => {
-                    let mut queue = inner.groups[shard].lock();
-                    for entry in deferred.iter().rev().filter_map(|txn| slot_of(*txn)) {
-                        queue.push_front(entry.clone());
-                    }
-                }
-                // A leader-level failure dooms every member not settled
-                // yet: each learns the error, the caller recovers the
-                // engine.
-                Err(err) => {
-                    for (_, member_slot) in &queued {
-                        member_slot.lock().get_or_insert_with(|| Err(err.clone()));
-                    }
-                }
-            }
-            // Our entry may have been beyond the wave bound or deferred:
-            // then lead (or follow) another round.
-            if let Some(result) = slot.lock().take() {
-                return result;
-            }
-        }
     }
 
     /// Aborts the session on every shard it has touched.

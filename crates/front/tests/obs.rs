@@ -4,7 +4,9 @@
 
 use pstm_core::gtm::CommitResult;
 use pstm_front::{FrontConfig, SessionOutcome, ShardedFront};
-use pstm_obs::{build_span_trees, Ctr, MetricsRegistry, RingHandle, RingSink, SpanKind, Tracer};
+use pstm_obs::{
+    build_span_trees, Ctr, MetricsRegistry, RingHandle, RingSink, SpanKind, TraceEvent, Tracer,
+};
 use pstm_types::{ScalarOp, Value};
 use pstm_workload::counter_world;
 
@@ -81,6 +83,35 @@ fn committed_session_emits_a_full_span_tree() {
     let commit_children: Vec<&'static str> =
         commit.children.iter().map(|c| c.kind.phase()).collect();
     assert_eq!(commit_children, vec!["reconcile", "sst_attempt"]);
+}
+
+/// A span boundary's two stamps come from one clock reading: over every
+/// boundary of a run, wall clock minus virtual timestamp is the anchored
+/// base and nothing else. (They used to be two readings a few dozen
+/// nanoseconds apart, which disagree whenever a microsecond ticks over
+/// in between.)
+#[test]
+fn span_boundaries_carry_one_clock_reading() {
+    let (front, handles, world) = traced_front(2, OBJECTS);
+    for k in 0..400 {
+        let mut session = front.session();
+        for r in [k % OBJECTS, (k + 1) % OBJECTS] {
+            session.execute(world.resources[r], ScalarOp::Sub(Value::Int(1))).unwrap();
+        }
+        assert_eq!(session.commit().unwrap(), CommitResult::Committed);
+    }
+    let mut boundaries = 0;
+    let mut offsets = std::collections::BTreeSet::new();
+    for record in handles.iter().flat_map(RingHandle::snapshot) {
+        if let TraceEvent::SpanOpen { wall_us, .. } | TraceEvent::SpanClose { wall_us, .. } =
+            record.event
+        {
+            boundaries += 1;
+            offsets.insert(wall_us.expect("clock after 1970") - record.at.0);
+        }
+    }
+    assert!(boundaries >= 2_000, "a few thousand boundaries, got {boundaries}");
+    assert_eq!(offsets.len(), 1, "wall − virtual must be one constant: {offsets:?}");
 }
 
 #[test]

@@ -59,8 +59,10 @@ pub enum CommitPhase {
     Fencing,
     /// Abort and unwind work (restore, release, requeue).
     AbortUnwind,
-    /// Time a group-commit follower spends parked while the leader
-    /// flushes the fused batch (enqueue → settled).
+    /// Time a queued single-shard committer waits for its shard's flush
+    /// fence while another committer's flush is in flight — the flush
+    /// that settles it, or the one it will fuse behind. Zero for a
+    /// committer that meets nobody.
     GroupWait,
 }
 

@@ -35,6 +35,21 @@ struct TracerInner {
     seq: u64,
 }
 
+impl TracerInner {
+    fn record(&mut self, at: Timestamp, event: TraceEvent) {
+        self.registry.apply(at, &event);
+        if let Some(sink) = self.sink.as_mut() {
+            sink.record(&TraceRecord {
+                seq: self.seq,
+                at,
+                thread: Some(current_thread_tag()),
+                event,
+            });
+        }
+        self.seq += 1;
+    }
+}
+
 /// A shared emission point for trace events.
 ///
 /// With no sink attached ([`Tracer::disabled`], also the `Default`), an
@@ -109,26 +124,19 @@ impl Tracer {
 
     /// Emits one event at virtual time `at`.
     pub fn emit(&self, at: Timestamp, event: TraceEvent) {
-        let mut inner = self.inner.lock();
-        inner.registry.apply(at, &event);
-        if inner.sink.is_some() {
-            let rec = TraceRecord { seq: inner.seq, at, thread: Some(current_thread_tag()), event };
-            inner.seq += 1;
-            if let Some(sink) = inner.sink.as_mut() {
-                sink.record(&rec);
-            }
-        } else {
-            inner.seq += 1;
-        }
+        self.inner.lock().record(at, event);
     }
 
     /// Emits an event from a layer without a virtual clock (the storage
     /// engine, the WAL), stamping it with the registry's last-seen
-    /// timestamp. Still deterministic: that timestamp is itself driven
+    /// timestamp — read and recorded in one critical section, so the
+    /// record carries exactly its predecessor's timestamp whatever other
+    /// threads emit. Still deterministic: that timestamp is itself driven
     /// by the deterministic scheduler events.
     pub fn emit_unclocked(&self, event: TraceEvent) {
-        let at = self.inner.lock().registry.last_at();
-        self.emit(at, event);
+        let mut inner = self.inner.lock();
+        let at = inner.registry.last_at();
+        inner.record(at, event);
     }
 
     /// Current value of one counter.
@@ -226,6 +234,41 @@ mod tests {
         }
         assert_eq!(t.dropped(), 3);
         assert_eq!(Tracer::disabled().dropped(), 0, "no sink, no loss");
+    }
+
+    /// `emit_unclocked` used to read `last_at` under the lock, release
+    /// it and re-lock to record: a clocked record from another thread
+    /// could land in between, leaving the unclocked one older than its
+    /// predecessor.
+    #[test]
+    fn unclocked_records_carry_their_predecessors_timestamp_under_contention() {
+        const N: u64 = 20_000;
+        let ring = RingSink::new(1 << 16);
+        let handle = ring.handle();
+        let t = Tracer::with_sink(Box::new(ring));
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for at in 1..=N {
+                    t.emit(Timestamp(at), TraceEvent::TxnBegin { txn: TxnId(at) });
+                }
+            });
+            scope.spawn(|| {
+                start.wait();
+                for lsn in 0..N {
+                    t.emit_unclocked(TraceEvent::WalFlush { lsn, bytes: 8 });
+                }
+            });
+        });
+        let recs = handle.snapshot();
+        assert_eq!(recs.len() as u64, 2 * N, "ring holds the whole run");
+        for pair in recs.windows(2) {
+            assert_eq!(pair[1].seq, pair[0].seq + 1);
+            if matches!(pair[1].event, TraceEvent::WalFlush { .. }) {
+                assert_eq!(pair[1].at, pair[0].at, "seq {}", pair[1].seq);
+            }
+        }
     }
 
     #[test]

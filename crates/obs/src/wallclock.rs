@@ -52,10 +52,11 @@ impl Default for WallEpoch {
 
 /// A monotonic epoch paired with the Unix wall base sampled at the same
 /// instant: the sanctioned anchor for components (the front-end) that
-/// stamp both virtual timestamps and derived wall-clock fields. Both
-/// clocks are consulted exactly once, at construction, *inside* this
-/// seam — holders only ever do arithmetic on the samples, so the
-/// `wall-clock` lint needs no per-caller allowance.
+/// stamp both virtual timestamps and derived wall-clock fields. The
+/// Unix wall clock is consulted exactly once, at construction; every
+/// later stamp is one monotonic read *inside* this seam plus arithmetic
+/// on the samples, so the `wall-clock` lint needs no per-caller
+/// allowance.
 #[derive(Clone, Copy, Debug)]
 pub struct WallAnchor {
     epoch: WallEpoch,
@@ -75,14 +76,18 @@ impl WallAnchor {
         self.epoch.elapsed_us()
     }
 
-    /// Wall-clock microseconds since the Unix epoch right now, derived
-    /// from the anchored base (`None` if the clock sat before 1970 at
-    /// anchor time).
-    // pstm-lockgraph: event-loop — span stamping on the hot path is
-    // arithmetic on the anchor, never a syscall-bearing clock read.
+    /// One reading of the monotonic clock as both stamps a span boundary
+    /// carries: microseconds since the anchor, and the wall-clock
+    /// microseconds since the Unix epoch derived from that same reading
+    /// (`None` if the clock sat before 1970 at anchor time) — so the two
+    /// differ by the anchored base exactly, on every boundary.
+    // pstm-lockgraph: event-loop — span stamping on the hot path is one
+    // vDSO monotonic read plus arithmetic on the anchor, never a
+    // syscall-bearing wall-clock read.
     #[must_use]
-    pub fn wall_us(&self) -> Option<u64> {
-        self.base_us.map(|base| base + self.elapsed_us())
+    pub fn stamp(&self) -> (u64, Option<u64>) {
+        let elapsed = self.elapsed_us();
+        (elapsed, self.base_us.map(|base| base + elapsed))
     }
 
     /// The anchored Unix base itself, for stream metadata.

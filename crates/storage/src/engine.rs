@@ -27,16 +27,12 @@ use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One write against the database, as carried by a [`WriteSet`].
+/// One write against the database, as carried by a [`WriteSet`]. An SST
+/// only ever overwrites reconciled values, so there is one kind; rows
+/// come and go through the interactive [`Database::insert`] /
+/// [`Database::delete`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum WriteOp {
-    /// Insert a full row; the engine assigns the address.
-    Insert {
-        /// Target table.
-        table: TableId,
-        /// The new row.
-        row: Row,
-    },
     /// Overwrite one column of an existing row.
     Update {
         /// Target table.
@@ -47,13 +43,6 @@ pub enum WriteOp {
         column: usize,
         /// New value.
         value: Value,
-    },
-    /// Delete a row.
-    Delete {
-        /// Target table.
-        table: TableId,
-        /// Target row.
-        row_id: RowId,
     },
 }
 
@@ -110,15 +99,15 @@ pub(crate) struct CheckpointImage {
     pub(crate) heaps: Vec<Vec<u8>>,
 }
 
-/// One row a batched commit rewrites: its address and the working copy
-/// every update of the batch lands on before the heap sees it.
+/// One row a write set rewrites: its address and the working copy every
+/// update of the set lands on before the heap sees it.
 struct StagedRow {
     table: TableId,
     row_id: RowId,
     row: Row,
 }
 
-/// One index entry a batched commit moves once its records are logged.
+/// One index entry a write set moves once its records are logged.
 struct IndexMove {
     table: TableId,
     index: usize,
@@ -139,8 +128,8 @@ pub(crate) struct Inner {
     /// purged at commit, undeleted at abort — so the space of an
     /// uncommitted delete can never be stolen by other inserts.
     pending_deletes: HashMap<TxnId, Vec<(TableId, RowId)>>,
-    /// The batched commit's plan, kept here so the exclusive section
-    /// reuses its capacity instead of allocating per commit.
+    /// [`Database::apply_write_set`]'s plan, kept here so the exclusive
+    /// section reuses its capacity instead of allocating per commit.
     staged_rows: Vec<StagedRow>,
     index_moves: Vec<IndexMove>,
 }
@@ -164,16 +153,14 @@ impl Inner {
         }
     }
 
-    /// First half of a batched commit: validates every update (schema,
+    /// First half of a write set: validates every update (schema,
     /// constraints, row and column exist) and reads each touched row
     /// **once** into `staged_rows`. Touches no state a failure would have
     /// to undo.
     fn load_update_rows(&mut self, ws: &WriteSet) -> PstmResult<()> {
         self.staged_rows.clear();
         for op in &ws.0 {
-            let WriteOp::Update { table, row_id, column, value } = op else {
-                return Err(PstmError::internal("batched path requires all-Update sets"));
-            };
+            let WriteOp::Update { table, row_id, column, value } = op;
             let meta = self.catalog.meta(*table)?;
             meta.schema.validate_column(*column, value)?;
             for c in &meta.constraints {
@@ -213,7 +200,7 @@ impl Inner {
             Ok(())
         })?;
         for op in &ws.0 {
-            let WriteOp::Update { table, row_id, column, value } = op else { continue };
+            let WriteOp::Update { table, row_id, column, value } = op;
             let staged = self.staged_row(*table, *row_id).ok_or_else(|| {
                 PstmError::internal(format!("row {row_id} of {table} not staged"))
             })?;
@@ -310,7 +297,7 @@ pub struct Database {
     /// Modeled round-trip to the LDBS device, paid once per
     /// [`Database::apply_write_set`] call — the cost an SST flush ships
     /// over the mobile link in the paper's deployment, and the cost the
-    /// group-commit station amortizes (N fused commits pay it once).
+    /// group commit amortizes (N fused commits pay it once).
     /// Zero by default: functional tests and chaos runs are unaffected.
     /// Nanoseconds in an atomic: every commit reads it, nothing waits on
     /// it.
@@ -682,13 +669,23 @@ impl Database {
     }
 
     /// Applies a write set as one atomic short transaction — the engine
-    /// side of a Secure System Transaction. All-or-nothing: any failure
-    /// (constraint violation included) rolls back every op already
-    /// applied. Returns the addresses assigned to inserts, in op order.
+    /// side of a Secure System Transaction. All-or-nothing, under a single
+    /// `inner` lock: every op is validated first (schema, constraints,
+    /// before-images — no state touched, so a violation leaves no WAL or
+    /// heap trace), then `Begin`+`Update`s+`Commit` land as one framed WAL
+    /// flush, and only then does the heap mutate — mutations past
+    /// validation cannot fail. A crash inside the flush therefore leaves
+    /// the heap untouched and no `Commit` record for recovery to redo.
+    ///
+    /// The locked part is the exclusive section every committing client
+    /// queues behind, so it is kept to validate → append → mutate: each
+    /// row is decoded once and rewritten once, records are encoded from
+    /// references straight into the WAL's frame buffer, and the plan
+    /// lives in `Inner`'s reused vectors.
     // pstm-lockgraph: flush-point
-    pub fn apply_write_set(&self, txn: TxnId, ws: &WriteSet) -> PstmResult<Vec<RowId>> {
-        // WAL appends nested under the per-op engine calls carve their
-        // own WalAppend time out of this phase (exclusive accounting).
+    pub fn apply_write_set(&self, txn: TxnId, ws: &WriteSet) -> PstmResult<()> {
+        // The WAL append nested under this carves its own WalAppend time
+        // out of this phase (exclusive accounting).
         let _phase = pstm_obs::prof::PhaseTimer::start(pstm_obs::prof::CommitPhase::SstApply);
         // The modeled device round-trip is paid before the engine locks
         // anything: flushes to different shards' rows overlap, but one
@@ -722,48 +719,6 @@ impl Database {
                 return Err(PstmError::Crashed(FaultSite::SstApply.label()));
             }
         }
-        // The dominant SST shape — all single-column updates — takes the
-        // batched fast path: one lock acquisition and one framed WAL
-        // flush for the whole transaction instead of one per op.
-        if ws.0.iter().all(|op| matches!(op, WriteOp::Update { .. })) {
-            self.apply_updates_batched(txn, ws)?;
-            return Ok(Vec::new());
-        }
-        self.begin(txn)?;
-        let mut inserted = Vec::new();
-        for op in &ws.0 {
-            let result = match op {
-                WriteOp::Insert { table, row } => {
-                    self.insert(txn, *table, row.clone()).map(|rid| inserted.push(rid))
-                }
-                WriteOp::Update { table, row_id, column, value } => {
-                    self.update(txn, *table, *row_id, *column, value.clone())
-                }
-                WriteOp::Delete { table, row_id } => self.delete(txn, *table, *row_id),
-            };
-            if let Err(e) = result {
-                self.abort(txn)?;
-                return Err(e);
-            }
-        }
-        self.commit(txn)?;
-        Ok(inserted)
-    }
-
-    /// All-`Update` write sets commit under a single `inner` lock: every
-    /// op is validated first (schema, constraints, before-images — no
-    /// state touched, so a violation leaves no WAL or heap trace), then
-    /// `Begin`+`Update`s+`Commit` land as one framed WAL flush, and only
-    /// then does the heap mutate — mutations past validation cannot
-    /// fail. A crash inside the batched flush therefore leaves the heap
-    /// untouched and no `Commit` record for recovery to redo.
-    ///
-    /// This is the exclusive section every committing client queues
-    /// behind, so it is kept to validate → append → mutate: each row is
-    /// decoded once and rewritten once, records are encoded from
-    /// references straight into the WAL's frame buffer, and the plan
-    /// lives in `Inner`'s reused vectors.
-    fn apply_updates_batched(&self, txn: TxnId, ws: &WriteSet) -> PstmResult<()> {
         let mut guard = self.inner.write();
         let inner = &mut *guard;
         if inner.active.contains_key(&txn) {
@@ -981,7 +936,7 @@ mod tests {
         let err = db.apply_write_set(TxnId(2), &ws).unwrap_err();
         assert!(matches!(err, PstmError::ConstraintViolation { .. }));
         assert_eq!(db.get_col(t, rid, 2).unwrap(), Value::Float(1.0));
-        // The batched all-Update path validates the whole set before
+        // `apply_write_set` validates the whole set before
         // touching the WAL or heap: the rejection happens before any
         // engine transaction begins, so there is no abort to count and
         // no undo trail in the log.

@@ -15,17 +15,17 @@ use proptest::prelude::*;
 use pstm_front::{FrontConfig, SessionOutcome, ShardedFront};
 use pstm_obs::prof::{self, CommitPhase, PhaseProfile};
 use pstm_obs::{build_span_trees, MetricsRegistry, RingSink, SpanKind, Tracer};
-use pstm_types::{ScalarOp, Value};
+use pstm_types::{ResourceId, ScalarOp, Value};
 use pstm_workload::counter_world;
 
 const OBJECTS: usize = 8;
 const SHARDS: usize = 4;
 const SESSIONS: usize = 8;
 
-/// Runs `SESSIONS` single-threaded read-modify-write sessions through a
-/// traced sharded front, returning the front and one ring handle per
-/// shard.
-fn run_traced_workload() -> (ShardedFront, Vec<pstm_obs::RingHandle>) {
+/// A traced sharded front over a fresh counter world, with one ring
+/// handle per shard. Built with the profiler off: the world's own WAL
+/// appends (table, boot transaction) are no session's time.
+fn traced_front() -> (ShardedFront, Vec<ResourceId>, Vec<pstm_obs::RingHandle>) {
     let world = counter_world(OBJECTS, 10_000).expect("world");
     let mut handles = Vec::new();
     let front = ShardedFront::with_shard_tracers(
@@ -38,15 +38,23 @@ fn run_traced_workload() -> (ShardedFront, Vec<pstm_obs::RingHandle>) {
             Tracer::with_sink(Box::new(ring))
         },
     );
+    (front, world.resources, handles)
+}
+
+/// Runs `SESSIONS` single-threaded read-modify-write sessions through
+/// `front` — even ones span two shards, odd ones stay on one (and so pass
+/// through their shard's commit queue, alone).
+fn run_sessions(front: &ShardedFront, resources: &[ResourceId]) {
     for k in 0..SESSIONS {
         let (a, b) = (k % OBJECTS, (k + 3) % OBJECTS);
         let mut session = front.session();
-        for (r, op) in [
+        let ops = [
             (a, ScalarOp::Read),
             (a, ScalarOp::Sub(Value::Int(1))),
             (b, ScalarOp::Sub(Value::Int(1))),
-        ] {
-            match session.execute(world.resources[r], op).expect("execute") {
+        ];
+        for (r, op) in ops.into_iter().take(if k % 2 == 0 { 3 } else { 2 }) {
+            match session.execute(resources[r], op).expect("execute") {
                 SessionOutcome::Value(_) => {}
                 SessionOutcome::Aborted(r) => panic!("uncontended session aborted: {r}"),
             }
@@ -54,35 +62,6 @@ fn run_traced_workload() -> (ShardedFront, Vec<pstm_obs::RingHandle>) {
         let outcome = session.commit().expect("commit");
         assert!(matches!(outcome, CommitResult::Committed), "single-threaded commit");
     }
-    (front, handles)
-}
-
-/// Runs `SESSIONS` single-object sessions through a group-commit front:
-/// every commit is single-shard, so each one passes through the
-/// per-shard group station (as leader or follower).
-fn run_grouped_workload() -> (ShardedFront, Vec<pstm_obs::RingHandle>) {
-    let world = counter_world(OBJECTS, 10_000).expect("world");
-    let mut handles = Vec::new();
-    let front = ShardedFront::with_shard_tracers(
-        world.db.clone(),
-        world.bindings.clone(),
-        FrontConfig { shards: SHARDS, group_commit: true, ..FrontConfig::default() },
-        |_| {
-            let ring = RingSink::new(1 << 18);
-            handles.push(ring.handle());
-            Tracer::with_sink(Box::new(ring))
-        },
-    );
-    for k in 0..SESSIONS {
-        let mut session = front.session();
-        match session.execute(world.resources[k % OBJECTS], ScalarOp::Sub(Value::Int(1))) {
-            Ok(SessionOutcome::Value(_)) => {}
-            other => panic!("uncontended execute: {other:?}"),
-        }
-        let outcome = session.commit().expect("commit");
-        assert!(matches!(outcome, CommitResult::Committed), "single-threaded grouped commit");
-    }
-    (front, handles)
 }
 
 #[test]
@@ -90,21 +69,25 @@ fn phase_totals_fit_inside_session_spans_and_survive_replay() {
     // --- disabled profiler is inert -----------------------------------
     prof::set_enabled(false);
     prof::reset();
-    let _ = run_traced_workload();
+    let (front, resources, _) = traced_front();
+    run_sessions(&front, &resources);
     assert!(prof::snapshot().is_empty(), "disabled profiler must record nothing");
 
     // --- live run with the profiler on --------------------------------
+    let (front, resources, handles) = traced_front();
     prof::reset();
     prof::set_enabled(true);
-    let (front, handles) = run_traced_workload();
+    run_sessions(&front, &resources);
     prof::set_enabled(false);
     let profile = prof::snapshot();
 
     // The single-threaded commit path must light up the taxonomy: one
-    // read and one fenced cross-shard commit per session, write
-    // bookkeeping, reconcile, WAL, and SST-apply underneath.
+    // read and one fenced commit per session — single-shard or not —
+    // write bookkeeping, reconcile, WAL, and SST-apply underneath. Group
+    // wait is time queued behind another committer's flush: alone, none.
     assert_eq!(profile.ops(CommitPhase::Read) as usize, SESSIONS);
     assert_eq!(profile.ops(CommitPhase::Fencing) as usize, SESSIONS);
+    assert_eq!(profile.ops(CommitPhase::GroupWait), 0, "nobody else was committing");
     for phase in [
         CommitPhase::Admission,
         CommitPhase::OpBookkeeping,
@@ -159,43 +142,6 @@ fn phase_totals_fit_inside_session_spans_and_survive_replay() {
     assert!(replayed.commit_phases().is_empty(), "replay must not invent phase time");
     replayed.absorb_phases(&profile);
     assert_eq!(replayed.commit_phases(), snap.registry.commit_phases());
-
-    // --- group-commit path banks GroupWait and stays consistent --------
-    // Every single-shard commit parks in the station exactly once
-    // (leaders included: their nested phases carve out of the same
-    // GroupWait window under exclusive accounting), and the absorbed /
-    // replayed bookkeeping identity holds with batching on.
-    prof::reset();
-    prof::set_enabled(true);
-    let (gfront, ghandles) = run_grouped_workload();
-    prof::set_enabled(false);
-    let gprofile = prof::snapshot();
-    assert_eq!(
-        gprofile.ops(CommitPhase::GroupWait) as usize,
-        SESSIONS,
-        "one station pass per grouped commit"
-    );
-    assert_eq!(gprofile.ops(CommitPhase::Fencing), 0, "single-shard commits never fence");
-    for phase in [
-        CommitPhase::Admission,
-        CommitPhase::Reconcile,
-        CommitPhase::WalAppend,
-        CommitPhase::SstApply,
-    ] {
-        assert!(gprofile.ops(phase) as usize >= SESSIONS, "missing grouped phase {}", phase.name());
-    }
-    let gsnap = gfront.fleet_snapshot();
-    assert_eq!(gsnap.registry.commit_phases(), &gprofile);
-    let mut grecords = Vec::new();
-    for h in &ghandles {
-        let (recs, dropped) = h.snapshot_with_drops();
-        assert_eq!(dropped, 0, "ring too small");
-        grecords.extend(recs);
-    }
-    let mut greplayed = pstm_obs::replay(&grecords);
-    assert!(greplayed.commit_phases().is_empty(), "replay must not invent phase time");
-    greplayed.absorb_phases(&gprofile);
-    assert_eq!(greplayed.commit_phases(), gsnap.registry.commit_phases());
 
     // --- reset really zeroes the table ---------------------------------
     prof::reset();
