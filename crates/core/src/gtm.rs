@@ -27,7 +27,7 @@ use crate::dependence::DependenceMap;
 use crate::history::HistoryRecorder;
 use crate::policy::{AdmissionPolicy, StarvationPolicy};
 use crate::reconcile::reconcile;
-use crate::state::{Grant, Phase, ResourceState, Txn, TxnRecord, TxnState, WaitEntry};
+use crate::state::{Grant, Phase, ResourceState, TxnRecord, TxnState, WaitEntry};
 use pstm_lock::WaitsForGraph;
 use pstm_obs::prof::{self, CommitPhase};
 use pstm_obs::{AbortOrigin, Ctr, MetricsRegistry, TraceEvent, Tracer};
@@ -175,6 +175,15 @@ fn op_decrements(op: &ScalarOp) -> bool {
     }
 }
 
+/// Why an event on `txn` is refused when it is not in flight: by its final
+/// state if the tombstone index knows it, as unknown otherwise.
+fn refusal(finished: &BTreeMap<TxnId, TxnState>, txn: TxnId, action: &'static str) -> PstmError {
+    match finished.get(&txn) {
+        Some(state) => PstmError::InvalidState { txn, action, state: state.name() },
+        None => PstmError::UnknownTxn(txn),
+    }
+}
+
 /// Result of [`Gtm::commit`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CommitResult {
@@ -247,7 +256,13 @@ pub enum AwakeResult {
 pub struct Gtm {
     db: Arc<Database>,
     bindings: BindingRegistry,
-    txns: BTreeMap<TxnId, Txn>,
+    /// The transactions in flight — bounded by concurrency, and the only
+    /// table an event handler looks its transaction up in.
+    live: BTreeMap<TxnId, TxnRecord>,
+    /// The tombstone index: the final state of every finished
+    /// transaction. Read only to refuse an event on a finished id, to
+    /// reject `begin` of a known id, and by [`Gtm::state`].
+    finished: BTreeMap<TxnId, TxnState>,
     resources: BTreeMap<ResourceId, ResourceState>,
     config: GtmConfig,
     dependence: DependenceMap,
@@ -258,9 +273,8 @@ pub struct Gtm {
     pub(crate) fault_hook: Option<SharedFaultHook>,
     /// Shard index reported in this manager's fault-site labels.
     fault_shard: u32,
-    /// `(A_t_sleep, A)` of every sleeping transaction. `txns` keeps a
-    /// tombstone per finished transaction, so the pruning horizon is read
-    /// from here instead of scanning history under the shard lock.
+    /// `(A_t_sleep, A)` of every sleeping transaction: the pruning
+    /// horizon is its first entry, read without scanning `live`.
     sleepers: BTreeSet<(Timestamp, TxnId)>,
     /// The resources whose wait queue is non-empty — all that promotion,
     /// the waits-for graph, [`Gtm::tick`], [`Gtm::next_wake_deadline`]
@@ -275,7 +289,8 @@ impl Gtm {
         Gtm {
             db,
             bindings,
-            txns: BTreeMap::new(),
+            live: BTreeMap::new(),
+            finished: BTreeMap::new(),
             resources: BTreeMap::new(),
             config,
             dependence: DependenceMap::new(),
@@ -376,7 +391,7 @@ impl Gtm {
     /// Current state of `txn` (`A_state`), if known.
     #[must_use]
     pub fn state(&self, txn: TxnId) -> Option<TxnState> {
-        self.txns.get(&txn).map(Txn::state)
+        self.live.get(&txn).map(|record| record.state).or_else(|| self.finished.get(&txn).copied())
     }
 
     /// The recorded history (for serializability checking).
@@ -405,12 +420,9 @@ impl Gtm {
     /// The working record of `txn`; a finished transaction is refused
     /// `action` by its final state.
     fn live(&mut self, txn: TxnId, action: &'static str) -> PstmResult<&mut TxnRecord> {
-        match self.txns.get_mut(&txn) {
-            Some(Txn::Live(record)) => Ok(record),
-            Some(Txn::Finished(state)) => {
-                Err(PstmError::InvalidState { txn, action, state: state.name() })
-            }
-            None => Err(PstmError::UnknownTxn(txn)),
+        match self.live.get_mut(&txn) {
+            Some(record) => Ok(record),
+            None => Err(refusal(&self.finished, txn, action)),
         }
     }
 
@@ -429,25 +441,21 @@ impl Gtm {
         Ok(record)
     }
 
-    /// Ends `txn` in the terminal `state`: its slot becomes the tombstone
-    /// and the working record is handed out for the caller to unwind.
+    /// Ends `txn` in the terminal `state`: it leaves `live` for the
+    /// tombstone index and the working record is handed out for the caller
+    /// to unwind.
     fn finish(
         &mut self,
         txn: TxnId,
         state: TxnState,
         action: &'static str,
     ) -> PstmResult<TxnRecord> {
-        let slot = self.txns.get_mut(&txn).ok_or(PstmError::UnknownTxn(txn))?;
-        match std::mem::replace(slot, Txn::Finished(state)) {
-            Txn::Live(record) => {
-                self.forget_sleeper(txn, record.t_sleep);
-                Ok(record)
-            }
-            Txn::Finished(was) => {
-                *slot = Txn::Finished(was);
-                Err(PstmError::InvalidState { txn, action, state: was.name() })
-            }
-        }
+        let Some(record) = self.live.remove(&txn) else {
+            return Err(refusal(&self.finished, txn, action));
+        };
+        self.finished.insert(txn, state);
+        self.forget_sleeper(txn, record.t_sleep);
+        Ok(record)
     }
 
     /// `txn`'s row on `resource`, if it holds one.
@@ -476,7 +484,7 @@ impl Gtm {
         if rs.waiting.is_empty() {
             self.queued.remove(&resource);
         }
-        if let Some(Txn::Live(record)) = self.txns.get_mut(&txn) {
+        if let Some(record) = self.live.get_mut(&txn) {
             record.waiting_on = None;
         }
     }
@@ -484,7 +492,7 @@ impl Gtm {
     /// Whether `txn` sleeps. A queued sleeper is recognised by its
     /// `A_state`; a holder's row mirrors it in `Grant::asleep`.
     fn is_asleep(&self, txn: TxnId) -> bool {
-        self.txns.get(&txn).is_some_and(|t| t.state() == TxnState::Sleeping)
+        self.live.get(&txn).is_some_and(|record| record.state == TxnState::Sleeping)
     }
 
     /// The awake entries of `resource`'s wait queue, FIFO — Algorithm
@@ -505,7 +513,7 @@ impl Gtm {
 
     /// Starts a transaction; postcondition `A_state = Active`.
     pub fn begin(&mut self, txn: TxnId, now: Timestamp) -> PstmResult<()> {
-        if self.txns.contains_key(&txn) {
+        if self.live.contains_key(&txn) || self.finished.contains_key(&txn) {
             return Err(PstmError::InvalidState { txn, action: "begin", state: "already known" });
         }
         if txn.0 >= crate::sst::SST_ID_BASE {
@@ -517,7 +525,7 @@ impl Gtm {
                 state: "rejected",
             });
         }
-        self.txns.insert(txn, Txn::Live(TxnRecord::new()));
+        self.live.insert(txn, TxnRecord::new());
         self.tracer.emit(now, TraceEvent::TxnBegin { txn });
         Ok(())
     }
@@ -819,7 +827,7 @@ impl Gtm {
     /// (reconciliation can only shrink the set, never grow it).
     #[must_use]
     pub fn mutated_resources(&self, txn: TxnId) -> Vec<ResourceId> {
-        let Some(Txn::Live(record)) = self.txns.get(&txn) else { return Vec::new() };
+        let Some(record) = self.live.get(&txn) else { return Vec::new() };
         let mutates = |r: &ResourceId| self.row(txn, *r).is_some_and(|g| g.class.is_mutation());
         record.held.iter().copied().filter(mutates).collect()
     }
@@ -1220,7 +1228,7 @@ impl Gtm {
     /// front-ends call it every few milliseconds under the shard lock, so
     /// the timeout and promotion passes walk `queued` and the horizon is
     /// `sleepers`' first entry — cost follows waiters and resources,
-    /// never the finished transactions `txns` keeps.
+    /// never the finished transactions the tombstone index keeps.
     pub fn tick(&mut self, now: Timestamp) -> PstmResult<StepEffects> {
         let mut effects = self.break_deadlocks(None, AbortOrigin::Tick, now)?;
         if let Some(timeout) = self.config.wait_timeout {
@@ -1288,11 +1296,20 @@ impl Gtm {
     /// returns a description of the first violation. Used by the fuzz
     /// tests after every event.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let live = |t: &TxnId| match self.txns.get(t) {
-            Some(Txn::Live(record)) => Ok(record),
-            Some(Txn::Finished(state)) => Err(format!("terminal ({state}) {t} still referenced")),
-            None => Err(format!("{t} unknown")),
+        let live = |t: &TxnId| {
+            self.live.get(t).ok_or_else(|| match self.finished.get(t) {
+                Some(state) => format!("terminal ({state}) {t} still referenced"),
+                None => format!("{t} unknown"),
+            })
         };
+        for (t, state) in &self.finished {
+            if self.live.contains_key(t) {
+                return Err(format!("{t} is live and in the tombstone index ({state})"));
+            }
+            if !state.is_terminal() {
+                return Err(format!("tombstone of {t} in non-terminal state {state}"));
+            }
+        }
         for (resource, rs) in &self.resources {
             for (t, grant) in &rs.holders {
                 let record = live(t).map_err(|e| format!("holder of {resource}: {e}"))?;
@@ -1325,8 +1342,7 @@ impl Gtm {
                 }
             }
         }
-        for (t, slot) in &self.txns {
-            let Txn::Live(record) = slot else { continue };
+        for (t, record) in &self.live {
             if !record.held.windows(2).all(|pair| pair[0] < pair[1]) {
                 return Err(format!("{t} holds {:?}, not in resource order", record.held));
             }
@@ -1373,14 +1389,10 @@ impl Gtm {
             ));
         }
         let sleepers: BTreeSet<(Timestamp, TxnId)> = self
-            .txns
+            .live
             .iter()
-            .filter_map(|(t, slot)| match slot {
-                Txn::Live(record) if record.state == TxnState::Sleeping => {
-                    record.t_sleep.map(|t_sleep| (t_sleep, *t))
-                }
-                _ => None,
-            })
+            .filter(|(_, record)| record.state == TxnState::Sleeping)
+            .filter_map(|(t, record)| record.t_sleep.map(|t_sleep| (t_sleep, *t)))
             .collect();
         if sleepers != self.sleepers {
             return Err(format!(
@@ -1456,12 +1468,10 @@ mod tests {
     }
 
     fn full_scan_horizon(g: &Gtm, now: Timestamp) -> Timestamp {
-        g.txns
+        g.live
             .values()
-            .filter_map(|slot| match slot {
-                Txn::Live(r) if r.state == TxnState::Sleeping => r.t_sleep,
-                _ => None,
-            })
+            .filter(|r| r.state == TxnState::Sleeping)
+            .filter_map(|r| r.t_sleep)
             .min()
             .unwrap_or(now)
     }
@@ -1494,7 +1504,7 @@ mod tests {
         for id in FINISHED + 4..FINISHED + 10 {
             now = finish(&mut g, id);
         }
-        assert_eq!(g.txns.len() as u64, FINISHED + 9);
+        assert_eq!((g.live.len() + g.finished.len()) as u64, FINISHED + 9);
 
         for now in [now, Timestamp(slept_at.0 + TIMEOUT.0)] {
             assert!(g.has_waiters() && full_scan_has_waiters(&g));
@@ -1681,7 +1691,8 @@ mod tests {
         g.check_invariants().unwrap();
 
         // A tombstone owns no row.
-        g.txns.insert(holder, Txn::Finished(TxnState::Aborted));
+        g.live.remove(&holder);
+        g.finished.insert(holder, TxnState::Aborted);
         assert!(g.check_invariants().unwrap_err().contains("still referenced"));
     }
 
@@ -1699,8 +1710,9 @@ mod tests {
         g.abort(aborted, now).unwrap();
         // Nothing left but the final state: the op log moved out (to the
         // history, if it committed) and the rows are gone.
-        assert!(matches!(g.txns[&committed], Txn::Finished(TxnState::Committed)));
-        assert!(matches!(g.txns[&aborted], Txn::Finished(TxnState::Aborted)));
+        assert!(g.live.is_empty());
+        assert_eq!(g.finished[&committed], TxnState::Committed);
+        assert_eq!(g.finished[&aborted], TxnState::Aborted);
         assert!(g.resources.values().all(|rs| rs.holders.is_empty()));
         assert_eq!(g.history().committed_count(), 1);
         g.check_invariants().unwrap();
@@ -1714,5 +1726,63 @@ mod tests {
             g.abort(aborted, now).unwrap_err(),
             PstmError::InvalidState { action: "abort", state: "aborted", .. }
         ));
+    }
+
+    #[test]
+    fn a_finished_id_is_refused_from_the_index_by_its_final_state() {
+        let (mut g, resources) = gtm(2);
+        let now = Timestamp(1);
+        let (committed, aborted) = (TxnId(7), TxnId(8));
+        for txn in [committed, aborted] {
+            g.begin(txn, now).unwrap();
+            g.execute(txn, resources[0], sub_one(), now).unwrap();
+        }
+        assert_eq!(g.commit(committed, now).unwrap().0, CommitResult::Committed);
+        g.abort(aborted, now).unwrap();
+        assert!(g.live.is_empty());
+        for (txn, name) in [(committed, "committed"), (aborted, "aborted")] {
+            assert_eq!(g.state(txn).map(TxnState::name), Some(name));
+            let refusals = [
+                (g.execute(txn, resources[1], sub_one(), now).unwrap_err(), "invoke"),
+                (g.commit(txn, now).unwrap_err(), "commit"),
+                (g.sleep(txn, now).unwrap_err(), "sleep"),
+                (g.abort(txn, now).unwrap_err(), "abort"),
+                (g.awake(txn, now).unwrap_err(), "awake"),
+            ];
+            for (err, action) in refusals {
+                assert_eq!(err, PstmError::InvalidState { txn, action, state: name });
+            }
+            assert_eq!(
+                g.begin(txn, now).unwrap_err(),
+                PstmError::InvalidState { txn, action: "begin", state: "already known" }
+            );
+        }
+        // An id the manager never saw is unknown, not finished.
+        assert_eq!(g.abort(TxnId(9), now).unwrap_err(), PstmError::UnknownTxn(TxnId(9)));
+        assert_eq!(g.state(TxnId(9)), None);
+        // An older id that first reaches this shard after newer ids
+        // finished here (a cross-shard session that touched other shards
+        // first) begins normally: the index records ids, not a horizon.
+        let elder = TxnId(3);
+        g.begin(elder, now).unwrap();
+        g.execute(elder, resources[1], sub_one(), now).unwrap();
+        assert_eq!(g.commit(elder, now).unwrap().0, CommitResult::Committed);
+        assert_eq!(g.finished.keys().copied().collect::<Vec<_>>(), [elder, committed, aborted]);
+        g.check_invariants().unwrap();
+        g.verify_serializable().unwrap();
+    }
+
+    #[test]
+    fn check_invariants_catches_an_id_in_both_maps_and_a_tombstone_that_is_not_final() {
+        let (mut g, resources) = gtm(1);
+        let now = Timestamp(1);
+        g.begin(TxnId(1), now).unwrap();
+        g.execute(TxnId(1), resources[0], sub_one(), now).unwrap();
+        g.finished.insert(TxnId(1), TxnState::Committed);
+        assert!(g.check_invariants().unwrap_err().contains("live and in the tombstone index"));
+        g.finished.clear();
+        g.check_invariants().unwrap();
+        g.finished.insert(TxnId(2), TxnState::Committing);
+        assert!(g.check_invariants().unwrap_err().contains("non-terminal"));
     }
 }

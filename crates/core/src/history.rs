@@ -3,30 +3,31 @@
 //! §V of the paper argues the GTM's schedules are serializable because
 //! compatible operations work on virtual data, the SST is a classical
 //! short transaction, and compatible operations' reconciled results are
-//! order-independent. This module makes the claim *testable*: the GTM
-//! records every committed transaction's logical operations and the
-//! commit order; [`HistoryRecorder::verify_final_state`] replays the
-//! committed transactions **serially, in commit order**, from the initial
-//! values and demands the database's final state match — final-state
-//! equivalence to a serial schedule.
+//! order-independent. This module makes the claim *testable*: the GTM hands
+//! over every committed transaction's logical operations at SST success,
+//! in commit order, and the recorder replays them **serially, as they
+//! arrive**, onto an image seeded with each resource's initial value.
+//! [`HistoryRecorder::verify_final_state`] demands the database's final
+//! state match that image — final-state equivalence to the serial schedule
+//! in commit order.
+//!
+//! The replay is a fold, so nothing it has consumed is kept: per commit
+//! the recorder retains the `TxnId` in the commit order (8 bytes), per
+//! resource one value of the serial image.
 
-use pstm_types::{PstmResult, ResourceId, ScalarOp, TxnId, Value};
+use pstm_types::{PstmError, PstmResult, ResourceId, ScalarOp, TxnId, Value};
 use std::collections::BTreeMap;
 
-/// One committed transaction's logical footprint.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CommittedTxn {
-    /// The transaction.
-    pub txn: TxnId,
-    /// Its operations, in issue order.
-    pub ops: Vec<(ResourceId, ScalarOp)>,
-}
-
-/// Records initial values, committed transactions and commit order.
+/// The commit order and the serial replay of it, kept up to date commit by
+/// commit.
 #[derive(Clone, Debug, Default)]
 pub struct HistoryRecorder {
-    initial: BTreeMap<ResourceId, Value>,
-    committed: Vec<CommittedTxn>,
+    /// Each observed resource's initial value with every committed
+    /// mutation since applied, in commit order.
+    serial: BTreeMap<ResourceId, Value>,
+    order: Vec<TxnId>,
+    /// The first error the replay met; it stops there.
+    failed: Option<PstmError>,
 }
 
 impl HistoryRecorder {
@@ -40,52 +41,58 @@ impl HistoryRecorder {
     /// granted it. Because a grant necessarily precedes any commit on the
     /// resource, the first observation is the true initial value.
     pub fn observe_initial(&mut self, resource: ResourceId, value: &Value) {
-        self.initial.entry(resource).or_insert_with(|| value.clone());
+        self.serial.entry(resource).or_insert_with(|| value.clone());
     }
 
     /// Appends a committed transaction (called at SST success, in commit
-    /// order).
+    /// order): replays `ops`, in issue order, onto the serial image and
+    /// drops them. An op on a resource never observed is a replay error.
     pub fn record_commit(&mut self, txn: TxnId, ops: Vec<(ResourceId, ScalarOp)>) {
-        self.committed.push(CommittedTxn { txn, ops });
+        self.order.push(txn);
+        if self.failed.is_none() {
+            self.failed = self.replay(&ops).err();
+        }
+    }
+
+    fn replay(&mut self, ops: &[(ResourceId, ScalarOp)]) -> PstmResult<()> {
+        for (resource, op) in ops {
+            let cur = self.serial.get_mut(resource).ok_or_else(|| {
+                PstmError::internal(format!("replay touches {resource} with no initial value"))
+            })?;
+            let new = op.apply(cur)?;
+            if op.is_mutation() {
+                *cur = new;
+            }
+        }
+        Ok(())
     }
 
     /// Number of committed transactions.
     #[must_use]
     pub fn committed_count(&self) -> usize {
-        self.committed.len()
+        self.order.len()
     }
 
     /// The commit order.
     #[must_use]
     pub fn commit_order(&self) -> Vec<TxnId> {
-        self.committed.iter().map(|c| c.txn).collect()
+        self.order.clone()
     }
 
     /// Every resource any committed transaction (or initial observation)
     /// touched.
     #[must_use]
     pub fn touched_resources(&self) -> Vec<ResourceId> {
-        self.initial.keys().copied().collect()
+        self.serial.keys().copied().collect()
     }
 
-    /// Replays the committed transactions serially in commit order from
-    /// the initial values.
+    /// The committed transactions replayed serially in commit order from
+    /// the initial values, or the first error that replay met.
     pub fn replay_serial(&self) -> PstmResult<BTreeMap<ResourceId, Value>> {
-        let mut state = self.initial.clone();
-        for c in &self.committed {
-            for (resource, op) in &c.ops {
-                let cur = state.get(resource).cloned().ok_or_else(|| {
-                    pstm_types::PstmError::internal(format!(
-                        "replay touches {resource} with no initial value"
-                    ))
-                })?;
-                let new = op.apply(&cur)?;
-                if op.is_mutation() {
-                    state.insert(*resource, new);
-                }
-            }
+        match &self.failed {
+            Some(e) => Err(e.clone()),
+            None => Ok(self.serial.clone()),
         }
-        Ok(state)
     }
 
     /// Final-state serializability check: the serial replay must equal
@@ -122,6 +129,7 @@ impl HistoryRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use pstm_types::{ObjectId, ResourceId};
 
     fn r(i: u32) -> ResourceId {
@@ -198,5 +206,137 @@ mod tests {
         h.record_commit(t(1), vec![(r(1), ScalarOp::Read)]);
         let finals = BTreeMap::from([(r(1), Value::Int(5))]);
         h.verify_final_state(&finals).unwrap();
+    }
+
+    /// The recorder as it was before the replay became a fold: every
+    /// committed op list kept, replayed from the initial values on demand.
+    /// The reference the fold must answer like.
+    #[derive(Default)]
+    struct ListReplay {
+        initial: BTreeMap<ResourceId, Value>,
+        committed: Vec<(TxnId, Vec<(ResourceId, ScalarOp)>)>,
+    }
+
+    impl ListReplay {
+        fn replay_serial(&self) -> PstmResult<BTreeMap<ResourceId, Value>> {
+            let mut state = self.initial.clone();
+            for (_, ops) in &self.committed {
+                for (resource, op) in ops {
+                    let cur = state.get(resource).cloned().ok_or_else(|| {
+                        PstmError::internal(format!(
+                            "replay touches {resource} with no initial value"
+                        ))
+                    })?;
+                    let new = op.apply(&cur)?;
+                    if op.is_mutation() {
+                        state.insert(*resource, new);
+                    }
+                }
+            }
+            Ok(state)
+        }
+
+        fn verify_final_state(&self, finals: &BTreeMap<ResourceId, Value>) -> Result<(), String> {
+            let replayed = self.replay_serial().map_err(|e| e.to_string())?;
+            for (resource, expected) in &replayed {
+                let Some(actual) = finals.get(resource) else {
+                    return Err(format!("no final value observed for {resource}"));
+                };
+                let equal = match (expected, actual) {
+                    (Value::Float(a), Value::Float(b)) => {
+                        (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+                    }
+                    (a, b) => match (a.as_f64(), b.as_f64()) {
+                        (Ok(a), Ok(b)) => (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
+                        _ => a == b,
+                    },
+                };
+                if !equal {
+                    let order: Vec<TxnId> = self.committed.iter().map(|c| c.0).collect();
+                    return Err(format!(
+                        "{resource}: serial replay gives {expected}, database holds {actual} \
+                         (commit order {order:?})"
+                    ));
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// Resources `r(0)..r(OBSERVED)` get an initial value before their
+    /// first op, as a grant gives them; `r(OBSERVED)` never does.
+    const OBSERVED: u32 = 4;
+
+    fn resource() -> impl Strategy<Value = ResourceId> {
+        (0u32..25).prop_map(|at| if at == 24 { r(OBSERVED) } else { r(at % OBSERVED) })
+    }
+
+    fn value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            (-50i64..50).prop_map(Value::Int),
+            (-50i64..50).prop_map(Value::Int),
+            (-8.0f64..8.0).prop_map(Value::Float),
+            (-8.0f64..8.0).prop_map(Value::Float),
+            Just(Value::Int(i64::MAX)),
+        ]
+    }
+
+    fn op() -> impl Strategy<Value = ScalarOp> {
+        (0u8..6, value()).prop_map(|(kind, c)| match kind {
+            0 => ScalarOp::Read,
+            1 => ScalarOp::Assign(c),
+            2 => ScalarOp::Add(c),
+            3 => ScalarOp::Sub(c),
+            4 => ScalarOp::Mul(c),
+            _ => ScalarOp::Div(c),
+        })
+    }
+
+    proptest! {
+        /// Whatever is observed and committed — ints and floats, reads,
+        /// overflow and division by zero midway, an op on a resource
+        /// nobody observed, resources first observed after earlier
+        /// commits — the fold answers as the list replay does.
+        #[test]
+        fn prop_the_fold_is_the_list_replay(
+            commits in prop::collection::vec(
+                prop::collection::vec((resource(), op()), 0..5),
+                0..12,
+            ),
+            seeds in prop::collection::vec(value(), 6..7),
+            wobble in -2i64..3,
+        ) {
+            let mut fold = HistoryRecorder::new();
+            let mut list = ListReplay::default();
+            for (i, ops) in commits.into_iter().enumerate() {
+                for (resource, _) in ops.iter().filter(|(res, _)| *res != r(OBSERVED)) {
+                    // A later grant observes again; only the first counts.
+                    let seen = &seeds[(resource.object.0 as usize + i) % seeds.len()];
+                    fold.observe_initial(*resource, seen);
+                    list.initial.entry(*resource).or_insert_with(|| seen.clone());
+                }
+                fold.record_commit(t(i as u64), ops.clone());
+                list.committed.push((t(i as u64), ops));
+                prop_assert_eq!(fold.replay_serial(), list.replay_serial());
+            }
+            prop_assert_eq!(fold.committed_count(), list.committed.len());
+            prop_assert_eq!(
+                fold.commit_order(),
+                list.committed.iter().map(|c| c.0).collect::<Vec<_>>()
+            );
+            prop_assert_eq!(
+                fold.touched_resources(),
+                list.initial.keys().copied().collect::<Vec<_>>()
+            );
+            // Against the replay's own result, one value off, one missing.
+            let mut finals = list.replay_serial().unwrap_or_else(|_| list.initial.clone());
+            prop_assert_eq!(fold.verify_final_state(&finals), list.verify_final_state(&finals));
+            if let Some(v) = finals.values_mut().next() {
+                *v = v.checked_add(&Value::Int(wobble)).unwrap_or(Value::Null);
+            }
+            prop_assert_eq!(fold.verify_final_state(&finals), list.verify_final_state(&finals));
+            finals.pop_last();
+            prop_assert_eq!(fold.verify_final_state(&finals), list.verify_final_state(&finals));
+        }
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! | paper symbol        | here                                              |
 //! |---------------------|---------------------------------------------------|
-//! | `A_state`           | [`Txn::state`] (`TxnRecord::state`, or the tombstone) |
+//! | `A_state`           | `TxnRecord::state` in `Gtm::live`, else the `Gtm::finished` index |
 //! | `A_t_sleep`         | `TxnRecord::t_sleep`                              |
 //! | `A_t_wait`          | `WaitEntry::since` of the one queued invocation   |
 //! | `A_temp`            | `Grant::temp`, one per held resource              |
@@ -81,11 +81,14 @@ impl fmt::Display for TxnState {
 }
 
 /// Working state of a transaction that has not finished: the paper's
-/// `A_state` and `A_t_sleep`, plus where its rows are.
+/// `A_state` and `A_t_sleep`, plus where its rows are. The manager never
+/// forgets an id, so what a finished transaction still owns is retained
+/// for good: its record is dropped and one `(TxnId, TxnState)` entry in
+/// `Gtm::finished` is all that stays.
 #[derive(Clone, Debug)]
 pub(crate) struct TxnRecord {
-    /// `A_state` (never terminal: a finished transaction is a
-    /// [`Txn::Finished`] tombstone).
+    /// `A_state` (never terminal: a finished transaction has no record,
+    /// only its final state in `Gtm::finished`).
     pub(crate) state: TxnState,
     /// `A_t_sleep` — when the transaction went to sleep.
     pub(crate) t_sleep: Option<Timestamp>,
@@ -124,27 +127,6 @@ impl TxnRecord {
     /// waiting).
     pub(crate) fn involved(&self) -> impl Iterator<Item = ResourceId> + '_ {
         self.held.iter().copied().chain(self.waiting_on)
-    }
-}
-
-/// One transaction's slot in the manager's table. The manager keeps every
-/// transaction it ever saw, so what a finished one still owns is memory
-/// retained for good: it owns nothing but its final state.
-#[derive(Clone, Debug)]
-pub(crate) enum Txn {
-    /// Begun and not finished.
-    Live(TxnRecord),
-    /// Committed or aborted.
-    Finished(TxnState),
-}
-
-impl Txn {
-    /// `A_state`.
-    pub(crate) fn state(&self) -> TxnState {
-        match self {
-            Txn::Live(record) => record.state,
-            Txn::Finished(state) => *state,
-        }
     }
 }
 
@@ -288,8 +270,7 @@ mod tests {
         assert!(TxnState::Aborted.is_terminal());
         assert!(!TxnState::Sleeping.is_terminal());
         assert_eq!(TxnState::Committing.name(), "committing");
-        assert_eq!(Txn::Finished(TxnState::Aborted).state(), TxnState::Aborted);
-        assert_eq!(Txn::Live(TxnRecord::new()).state(), TxnState::Active);
+        assert_eq!(TxnRecord::new().state, TxnState::Active);
     }
 
     #[test]

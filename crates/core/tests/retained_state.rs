@@ -1,0 +1,107 @@
+//! Retention has a ceiling: what a finished transaction leaves behind in
+//! the manager is a tombstone-index entry and (if it committed) its id in
+//! the commit order — not a record, not an op log. Measured with a counting
+//! allocator, so this file is a test binary of its own with one test.
+
+use pstm_core::gtm::{CommitResult, Gtm, GtmConfig};
+use pstm_core::TxnState;
+use pstm_types::{ResourceId, ScalarOp, Timestamp, TxnId, Value};
+use pstm_workload::counter_world;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Heap bytes currently allocated by the process.
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a statistic and publishes nothing.
+// `realloc` is the trait's default (alloc + copy + dealloc), so it is
+// counted through the two methods below.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's obligations for `alloc` are passed through.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` above with this `layout`, i.e.
+        // from `System.alloc` with it.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const TXNS: u64 = 20_000;
+/// Per finished transaction: the tombstone (9 B of payload in B-tree
+/// leaves 6/11 full) and 8 B of commit order in a `Vec` that doubles.
+const CEILING_PER_TXN: usize = 64;
+
+/// Commits `TXNS` transactions of `ops(i)` each, ids from `first`, and
+/// returns how many heap bytes stayed allocated per transaction.
+fn retained_per_txn(
+    g: &mut Gtm,
+    first: u64,
+    ops: impl Fn(u64) -> Vec<(ResourceId, ScalarOp)>,
+) -> usize {
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    for i in 0..TXNS {
+        let (txn, now) = (TxnId(first + i), Timestamp(first + i));
+        g.begin(txn, now).unwrap();
+        for (resource, op) in ops(i) {
+            g.execute(txn, resource, op, now).unwrap();
+        }
+        assert_eq!(g.commit(txn, now).unwrap().0, CommitResult::Committed);
+    }
+    LIVE_BYTES.load(Ordering::Relaxed).saturating_sub(before) / TXNS as usize
+}
+
+#[test]
+fn a_finished_transaction_retains_a_tombstone_not_a_record() {
+    let world = counter_world(1024, i64::MAX / 2).unwrap();
+    let mut g = Gtm::new(world.db.clone(), world.bindings.clone(), GtmConfig::default());
+    let at = |i: u64| world.resources[i as usize % world.resources.len()];
+    // Touch every resource once so the per-resource state (and the serial
+    // image's entry) is not counted against the transactions below.
+    let retained = retained_per_txn(&mut g, 1, |i| vec![(at(i), ScalarOp::Read)]);
+    println!("warm-up: {retained} B per transaction");
+
+    // Read-only transactions write no WAL record: all they leave is in
+    // the manager.
+    let wal = world.db.stats().wal_bytes;
+    let reads = retained_per_txn(&mut g, TXNS + 1, |i| {
+        (0..4).map(|k| (at(i * 7 + k * 131), ScalarOp::Read)).collect()
+    });
+    println!("read-only: {reads} B per transaction");
+    assert_eq!(world.db.stats().wal_bytes, wal, "a read-only commit appended to the WAL");
+    assert!(reads <= CEILING_PER_TXN, "{reads} B retained per read-only transaction");
+
+    // The benchmark's rmw shape: Read a, Sub a, Sub b. Its WAL records
+    // stay in memory (a `Vec`'s capacity can be twice its length).
+    let one = || ScalarOp::Sub(Value::Int(1));
+    let rmw = retained_per_txn(&mut g, 2 * TXNS + 1, |i| {
+        let (a, b) = (at(i * 7), at(i * 7 + 131));
+        vec![(a, ScalarOp::Read), (a, one()), (b, one())]
+    });
+    let wal_per_txn = (world.db.stats().wal_bytes - wal) / TXNS as usize;
+    println!("rmw: {rmw} B per transaction, {wal_per_txn} B of it WAL length");
+    assert!(wal_per_txn > 0);
+    assert!(
+        rmw <= CEILING_PER_TXN + 2 * wal_per_txn,
+        "{rmw} B retained per rmw transaction beside {wal_per_txn} B of WAL"
+    );
+
+    // Nothing was forgotten to get there.
+    assert_eq!(g.state(TxnId(1)), Some(TxnState::Committed));
+    assert_eq!(g.history().committed_count() as u64, 3 * TXNS);
+    g.check_invariants().unwrap();
+    g.verify_serializable().unwrap();
+}

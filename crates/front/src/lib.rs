@@ -260,20 +260,41 @@ impl FleetSnapshot {
     }
 }
 
+/// A cache-line pair of its own for one hot, independently written word
+/// (a per-shard lock, the id counter): 128 bytes covers the adjacent-line
+/// prefetcher, so clients working on different shards never write a line
+/// another shard's lock lives on.
+#[repr(align(128))]
+struct OwnLine<T>(T);
+
+impl<T> std::ops::Deref for OwnLine<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// A queued committer's result cell: `None` until a leader settles the
 /// transaction, then its commit outcome (or the leader's error, e.g. a
 /// simulated crash mid-wave).
 type CommitSlot = Arc<Mutex<Option<PstmResult<CommitResult>>>>;
 
+/// A shard's commit queue: the committers the next fence holder commits
+/// as one wave, FIFO.
+type CommitQueue = VecDeque<(TxnId, CommitSlot)>;
+
 struct FrontInner {
     db: Arc<Database>,
     bindings: BindingRegistry,
-    shards: Vec<Mutex<Gtm>>,
+    shards: Vec<OwnLine<Mutex<Gtm>>>,
     /// Shard tracers, shard order — clones of the tracers inside the
     /// shards, kept outside the shard mutexes so sessions can emit span
     /// events and snapshots can read registries without locking a shard.
     tracers: Vec<Tracer>,
-    next_txn: TxnIdAllocator,
+    /// Bumped by every [`ShardedFront::session`], so kept off the line
+    /// the read-only fields around it (and the `Arc`'s counts) share.
+    next_txn: OwnLine<TxnIdAllocator>,
     /// Monotonic epoch + Unix wall base, both sampled once at
     /// construction inside the wall-clock seam ([`WallAnchor::now`]);
     /// every virtual timestamp and span wall stamp the front emits is a
@@ -283,7 +304,7 @@ struct FrontInner {
     /// for whoever holds the shard's flush fence next — possibly
     /// themselves — to commit them as one wave. Drained and refilled
     /// (deferred members) only under that fence.
-    groups: Vec<Mutex<VecDeque<(TxnId, CommitSlot)>>>,
+    groups: Vec<OwnLine<Mutex<CommitQueue>>>,
     /// Per-shard flush fences: one level *above* the shard mutexes in the
     /// lock order (fences ascending, then shard locks ascending; no path
     /// acquires a fence while holding any shard). Every commit holds its
@@ -294,7 +315,7 @@ struct FrontInner {
     /// the shard mutex and legitimately overlap a flush — that is the
     /// whole point: the shard is released during the device round-trip
     /// so waiting committers keep executing and fuse into the next wave.
-    flush_fences: Vec<Mutex<()>>,
+    flush_fences: Vec<OwnLine<Mutex<()>>>,
     /// THE wake path: every resume/abort signal `deposit` routes goes
     /// through this registry to the one waiter it addresses (see
     /// [`WakeSlot`]). Never locked with a shard mutex held.
@@ -359,20 +380,20 @@ impl ShardedFront {
         let shards = tracers
             .iter()
             .map(|t| {
-                Mutex::new(
+                OwnLine(Mutex::new(
                     Gtm::new(Arc::clone(&db), bindings.clone(), config.gtm).with_tracer(t.clone()),
-                )
+                ))
             })
             .collect();
-        let groups = (0..config.shards).map(|_| Mutex::new(VecDeque::new())).collect();
-        let flush_fences = (0..config.shards).map(|_| Mutex::new(())).collect();
+        let groups = (0..config.shards).map(|_| OwnLine(Mutex::new(CommitQueue::new()))).collect();
+        let flush_fences = (0..config.shards).map(|_| OwnLine(Mutex::new(()))).collect();
         ShardedFront {
             inner: Arc::new(FrontInner {
                 db,
                 bindings,
                 shards,
                 tracers,
-                next_txn: TxnIdAllocator::starting_at(1),
+                next_txn: OwnLine(TxnIdAllocator::starting_at(1)),
                 anchor: WallAnchor::now(),
                 groups,
                 flush_fences,

@@ -8,7 +8,7 @@
 use crate::event::{AbortOrigin, TraceEvent, TraceRecord};
 use crate::hist::Histogram;
 use crate::prof::PhaseProfile;
-use pstm_types::{AbortReason, ResourceId, Timestamp, TxnId};
+use pstm_types::{AbortReason, ObjectId, ResourceId, Timestamp, TxnId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -481,8 +481,17 @@ impl MetricsRegistry {
 
     /// Drops open waits of a finished transaction (a waiter can die
     /// queued; its wait never completes and must not leak).
+    /// Removes the `(txn, ..)` key range — at most the one outstanding
+    /// invocation §IV allows — without walking the other transactions'
+    /// open waits.
     fn close_waits(&mut self, txn: TxnId) {
-        self.wait_since.retain(|(t, _), _| *t != txn);
+        let lowest = (txn, ResourceId::atomic(ObjectId(0)));
+        while let Some((&key, _)) = self.wait_since.range(lowest..).next() {
+            if key.0 != txn {
+                break;
+            }
+            self.wait_since.remove(&key);
+        }
     }
 }
 
@@ -577,6 +586,23 @@ mod tests {
         );
         assert_eq!(reg.wait_time().total(), 0);
         assert_eq!(reg.counter(Ctr::AbortedDeadlock), 1);
+    }
+
+    #[test]
+    fn a_finished_transaction_closes_its_own_waits_and_nobody_elses() {
+        let mut reg = MetricsRegistry::new();
+        let waiting = |txn, resource| TraceEvent::OpWaiting {
+            txn,
+            resource,
+            class: OpClass::Read,
+            queue_depth: 1,
+        };
+        for (txn, resource) in [(1, 9), (2, 0), (2, 3), (2, u32::MAX), (3, 0)] {
+            reg.apply(Timestamp(10), &waiting(TxnId(txn), res(resource)));
+        }
+        reg.apply(Timestamp(20), &TraceEvent::Committed { txn: TxnId(2) });
+        let open: Vec<_> = reg.wait_since.keys().copied().collect();
+        assert_eq!(open, [(TxnId(1), res(9)), (TxnId(3), res(0))]);
     }
 
     #[test]

@@ -134,9 +134,20 @@ impl Tracer {
     /// threads emit. Still deterministic: that timestamp is itself driven
     /// by the deterministic scheduler events.
     pub fn emit_unclocked(&self, event: TraceEvent) {
+        self.emit_unclocked_all([event]);
+    }
+
+    /// [`Tracer::emit_unclocked`] for a run of events one call site emits
+    /// back to back (a flushed group's frames, an applied write set's
+    /// updates and commit): one critical section for the run, the records
+    /// what emitting them one by one gives an unshared tracer. `events`
+    /// is drawn under the tracer's lock and must not emit.
+    pub fn emit_unclocked_all(&self, events: impl IntoIterator<Item = TraceEvent>) {
         let mut inner = self.inner.lock();
-        let at = inner.registry.last_at();
-        inner.record(at, event);
+        for event in events {
+            let at = inner.registry.last_at();
+            inner.record(at, event);
+        }
     }
 
     /// Current value of one counter.
@@ -269,6 +280,28 @@ mod tests {
                 assert_eq!(pair[1].at, pair[0].at, "seq {}", pair[1].seq);
             }
         }
+    }
+
+    #[test]
+    fn a_run_of_unclocked_events_records_what_one_by_one_does() {
+        let run = || {
+            (0..3)
+                .map(|lsn| TraceEvent::WalFlush { lsn, bytes: 8 })
+                .chain([TraceEvent::EngineCommit { txn: TxnId(1) }])
+        };
+        let traced = |emit: &dyn Fn(&Tracer)| {
+            let ring = RingSink::new(16);
+            let handle = ring.handle();
+            let t = Tracer::with_sink(Box::new(ring));
+            t.emit(Timestamp(42), TraceEvent::TxnBegin { txn: TxnId(1) });
+            emit(&t);
+            (handle.snapshot(), t.snapshot().counters_map())
+        };
+        let one_by_one = traced(&|t| run().for_each(|event| t.emit_unclocked(event)));
+        let at_once = traced(&|t| t.emit_unclocked_all(run()));
+        assert_eq!(one_by_one.0.len(), 5);
+        assert!(one_by_one.0.iter().all(|rec| rec.at == Timestamp(42)));
+        assert_eq!(one_by_one, at_once);
     }
 
     #[test]

@@ -739,10 +739,8 @@ impl Database {
         }
         drop(guard);
         let tracer = self.tracer.read();
-        for _ in &ws.0 {
-            tracer.emit_unclocked(TraceEvent::EngineUpdate { txn });
-        }
-        tracer.emit_unclocked(TraceEvent::EngineCommit { txn });
+        let updates = ws.0.iter().map(|_| TraceEvent::EngineUpdate { txn });
+        tracer.emit_unclocked_all(updates.chain([TraceEvent::EngineCommit { txn }]));
         Ok(())
     }
 

@@ -289,18 +289,19 @@ impl Wal {
         self.buf.extend_from_slice(&self.scratch);
         // One WalFlush per record: replayed counters must not depend on
         // how appends were grouped. The frames are walked by the length
-        // fields `stage` just wrote.
+        // fields `stage` just wrote; the group's records go to the
+        // engine-wide tracer in one critical section.
+        let (scratch, appended) = (&self.scratch, &mut self.appended);
         let mut pos = 0usize;
-        while let Some(len) = self.scratch.get(pos..pos + 4) {
+        self.tracer.emit_unclocked_all(std::iter::from_fn(|| {
+            let len = scratch.get(pos..pos + 4)?;
             let frame =
                 FRAME_HEADER + u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize;
-            self.appended += 1;
-            self.tracer.emit_unclocked(TraceEvent::WalFlush {
-                lsn: base + pos as u64,
-                bytes: frame as u64,
-            });
+            let event = TraceEvent::WalFlush { lsn: base + pos as u64, bytes: frame as u64 };
+            *appended += 1;
             pos += frame;
-        }
+            Some(event)
+        }));
         self.scratch.clear();
         Ok(Lsn(base))
     }
