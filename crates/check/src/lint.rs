@@ -112,10 +112,11 @@ const WAL_BUF_MUTATORS: [&str; 7] = [
 ];
 
 /// Functions allowed to mutate the log buffer: `flush_staged` is the
-/// hooked durable-write seam; the rest shrink or corrupt the device
-/// (recovery / chaos helpers) and never add records past the seam.
+/// hooked durable-write seam, `forget` drops the log a checkpoint image
+/// covers; the rest shrink or corrupt the device (recovery / chaos
+/// helpers). None adds records past the seam.
 const WAL_SEAM_FNS: [&str; 5] =
-    ["flush_staged", "truncate_prefix", "crash_truncate", "corrupt_byte_with", "trim_torn_tail"];
+    ["flush_staged", "forget", "crash_truncate", "corrupt_byte_with", "trim_torn_tail"];
 
 /// One of the lint rules (plus the synthetic rule flagging stale
 /// allowlist entries).

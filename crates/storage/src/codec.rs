@@ -141,7 +141,6 @@ const REC_UPDATE: u8 = 3;
 const REC_DELETE: u8 = 4;
 const REC_COMMIT: u8 = 5;
 const REC_ABORT: u8 = 6;
-const REC_CHECKPOINT: u8 = 7;
 const REC_CREATE_TABLE: u8 = 8;
 const REC_CREATE_INDEX: u8 = 9;
 
@@ -214,7 +213,6 @@ pub fn encode_record(rec: &LogRecord, out: &mut Vec<u8>) -> PstmResult<()> {
         LogRecord::Update { txn, table, row_id, column, before, after } => {
             encode_update(*txn, *table, *row_id, *column, before, after, out)?;
         }
-        LogRecord::Checkpoint => out.push(REC_CHECKPOINT),
         LogRecord::CreateTable { schema, constraints } => {
             // DDL is cold: its nested schema keeps the serde body.
             out.push(REC_CREATE_TABLE);
@@ -266,7 +264,6 @@ pub fn decode_record(buf: &[u8]) -> PstmResult<LogRecord> {
             let after = decode_value(buf, &mut pos)?;
             LogRecord::Update { txn, table, row_id, column, before, after }
         }
-        REC_CHECKPOINT => LogRecord::Checkpoint,
         REC_CREATE_TABLE => {
             let (schema, constraints) = serde_json::from_slice(&buf[pos..])
                 .map_err(|e| PstmError::WalCorrupt(format!("bad DDL body: {e}")))?;

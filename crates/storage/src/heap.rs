@@ -80,12 +80,13 @@ impl HeapFile {
 
     /// Fetches and decodes the row at `id`.
     pub fn get(&self, id: RowId) -> PstmResult<Row> {
-        let page = self
-            .pages
-            .get(id.page() as usize)
-            .ok_or_else(|| PstmError::NotFound(format!("row {id}")))?;
-        let rec = page.get(id.slot()).ok_or_else(|| PstmError::NotFound(format!("row {id}")))?;
-        Row::decode(rec)
+        Row::decode(self.record(id)?.1)
+    }
+
+    /// The page holding row `id` and the row's encoded bytes.
+    fn record(&self, id: RowId) -> PstmResult<(&Page, &[u8])> {
+        let page = self.pages.get(id.page() as usize).ok_or_else(|| not_found(id))?;
+        Ok((page, page.get(id.slot()).ok_or_else(|| not_found(id))?))
     }
 
     /// Whether a live row exists at `id`.
@@ -97,12 +98,11 @@ impl HeapFile {
     /// Rewrites the row at `id` in place. Rows never migrate: the GTM hands
     /// out stable [`RowId`]s as object identities, so a row that no longer
     /// fits its page is an error (records in this system shrink or keep
-    /// their size—values are fixed-width except text).
+    /// their size—values are fixed-width except text). The engine's write
+    /// sets check `HeapFile::page_free` before logging, so they never
+    /// meet it.
     pub fn update(&mut self, id: RowId, row: &Row) -> PstmResult<()> {
-        let page = self
-            .pages
-            .get_mut(id.page() as usize)
-            .ok_or_else(|| PstmError::NotFound(format!("row {id}")))?;
+        let page = self.pages.get_mut(id.page() as usize).ok_or_else(|| not_found(id))?;
         self.enc.clear();
         crate::codec::encode_row_into(row.values(), &mut self.enc);
         match page.update(id.slot(), &self.enc)? {
@@ -136,11 +136,7 @@ impl HeapFile {
 
     /// Deletes the row at `id`.
     pub fn delete(&mut self, id: RowId) -> PstmResult<()> {
-        let page = self
-            .pages
-            .get_mut(id.page() as usize)
-            .ok_or_else(|| PstmError::NotFound(format!("row {id}")))?;
-        page.delete(id.slot()).map_err(|_| PstmError::NotFound(format!("row {id}")))
+        self.page_mut(id)?.delete(id.slot()).map_err(|_| not_found(id))
     }
 
     /// Full scan in `RowId` order.
@@ -153,15 +149,36 @@ impl HeapFile {
         })
     }
 
-    /// Serializes every page (used by checkpointing).
+    /// Serializes every page.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + self.pages.len() * (PAGE_SIZE + 4));
+        let mut out = Vec::new();
+        self.write_image(&mut out);
+        out
+    }
+
+    /// Rewrites `out` as the heap's image — page count, then each page
+    /// and its checksum — in the capacity `out` already has: a checkpoint
+    /// writes into the buffer the previous one left.
+    pub(crate) fn write_image(&self, out: &mut Vec<u8>) {
+        out.clear();
+        out.reserve(self.image_len());
         out.extend_from_slice(&(self.pages.len() as u32).to_le_bytes());
         for p in &self.pages {
-            out.extend_from_slice(&p.to_bytes());
+            p.write_image(out);
         }
-        out
+    }
+
+    /// Bytes [`HeapFile::write_image`] writes.
+    #[must_use]
+    pub(crate) fn image_len(&self) -> usize {
+        4 + self.pages.len() * (PAGE_SIZE + 4)
+    }
+
+    /// Free bytes (after compaction) on the page holding row `id`: a
+    /// row there may grow by that much in [`HeapFile::update`].
+    pub(crate) fn page_free(&self, id: RowId) -> PstmResult<usize> {
+        Ok(self.record(id)?.0.total_free())
     }
 
     /// Restores a heap from [`HeapFile::to_bytes`] output.

@@ -337,9 +337,14 @@ impl Page {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(PAGE_SIZE + 4);
+        self.write_image(&mut out);
+        out
+    }
+
+    /// Appends [`Page::to_bytes`]'s image to `out`.
+    pub(crate) fn write_image(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.buf[..]);
         out.extend_from_slice(&crate::codec::checksum(&self.buf[..]).to_le_bytes());
-        out
     }
 
     /// Deserializes a page image, verifying length and checksum.

@@ -1,6 +1,12 @@
 //! Crash recovery: redo-only replay of committed work over the last
 //! quiescent checkpoint.
 //!
+//! What is replayed is the image plus the log since it, and the engine
+//! checkpoints itself once that log holds an image's worth of bytes (see
+//! [`crate::engine`]): recovery reads at most about two images' worth,
+//! whatever the uptime. Only a long interactive transaction, which
+//! postpones the checkpoint while it runs, lets the log grow past that.
+//!
 //! The engine guarantees two things that make redo-only recovery correct:
 //!
 //! 1. checkpoints are quiescent — the image contains only committed data;
@@ -16,7 +22,6 @@
 //! before their records would matter). Secondary indexes are rebuilt from
 //! the recovered heaps.
 
-use crate::btree::BTreeIndex;
 use crate::catalog::Catalog;
 use crate::engine::{CheckpointImage, TableStore};
 use crate::heap::HeapFile;
@@ -126,18 +131,7 @@ pub(crate) fn recover(
     // Rebuild secondary indexes from the recovered heaps.
     let mut stores = Vec::with_capacity(heaps.len());
     for (tid, heap) in heaps.into_iter().enumerate() {
-        let meta = catalog.meta(crate::catalog::TableId(tid as u32))?;
-        let mut indexes = Vec::with_capacity(meta.indexes.len());
-        for def in &meta.indexes {
-            let mut idx = BTreeIndex::new();
-            for (rid, row) in heap.scan() {
-                if let Some(v) = row.get(def.column) {
-                    idx.insert(v.clone(), rid);
-                }
-            }
-            indexes.push(idx);
-        }
-        stores.push(TableStore { heap, indexes });
+        stores.push(TableStore::over(heap, catalog.meta(crate::catalog::TableId(tid as u32))?));
     }
     catalog.rebuild_lookup();
     let stats = RecoveryStats { winners: winners.len() as u64, records: records.len() as u64 };

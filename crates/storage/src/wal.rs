@@ -16,6 +16,13 @@
 //! device; [`Wal::crash_truncate`] chops an arbitrary suffix to emulate a
 //! crash mid-write in tests.
 //!
+//! An [`Lsn`] is a frame's byte position since the log was created, and
+//! a frame keeps it for life. The engine checkpoints itself once the log
+//! holds as many bytes as an image of the heap would, then
+//! [`Wal::forget`]s everything before the log end: the buffer starts
+//! over, LSNs keep counting, so the device never holds more than about
+//! one image's worth of log (see [`crate::engine`]).
+//!
 //! A payload is a tag byte naming the [`LogRecord`] variant followed by
 //! its fields, integers little-endian, values and rows in the page
 //! encoding of [`crate::codec`] (`value` = tag byte + fixed or
@@ -30,7 +37,6 @@
 //! | 4 | `Delete` | `txn: u64 · table: u32 · row_id: u64 · row` | 21 + row |
 //! | 5 | `Commit` | `txn: u64` | 9 |
 //! | 6 | `Abort` | `txn: u64` | 9 |
-//! | 7 | `Checkpoint` | — | 1 |
 //! | 8 | `CreateTable` | JSON of `(schema, constraints)` — DDL is cold and nested | 1 + body |
 //! | 9 | `CreateIndex` | `table: u32 · column: u32` | 9 |
 //!
@@ -48,7 +54,8 @@ use pstm_obs::{TraceEvent, Tracer};
 use pstm_types::{FaultDecision, FaultSite, PstmError, PstmResult, SharedFaultHook, TxnId, Value};
 use serde::{Deserialize, Serialize};
 
-/// Log sequence number: the byte offset of a record's frame in the log.
+/// Log sequence number: the byte position of a record's frame since the
+/// log was created (forgetting a prefix does not renumber what follows).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Lsn(pub u64);
 
@@ -109,9 +116,6 @@ pub enum LogRecord {
         /// The aborting transaction.
         txn: TxnId,
     },
-    /// Quiescent checkpoint: heap images were captured; the log before
-    /// this point is no longer needed.
-    Checkpoint,
     /// DDL: a table was created (autocommitted — replayed unconditionally
     /// so post-checkpoint DDL survives a crash).
     CreateTable {
@@ -140,9 +144,7 @@ impl LogRecord {
             | LogRecord::Delete { txn, .. }
             | LogRecord::Commit { txn }
             | LogRecord::Abort { txn } => Some(*txn),
-            LogRecord::Checkpoint
-            | LogRecord::CreateTable { .. }
-            | LogRecord::CreateIndex { .. } => None,
+            LogRecord::CreateTable { .. } | LogRecord::CreateIndex { .. } => None,
         }
     }
 }
@@ -150,7 +152,10 @@ impl LogRecord {
 /// The append-only log device.
 #[derive(Default)]
 pub struct Wal {
+    /// The retained log: every byte from LSN `origin` on.
     buf: Vec<u8>,
+    /// LSN of `buf[0]` — how many bytes [`Wal::forget`] has dropped.
+    origin: u64,
     /// Number of records appended — exposed for write-amplification stats.
     appended: u64,
     /// The frames staged for the next device write. Records are encoded
@@ -256,7 +261,7 @@ impl Wal {
     /// the outcome, nothing stays staged.
     // pstm-lockgraph: flush-point
     pub(crate) fn flush_staged(&mut self) -> PstmResult<Lsn> {
-        let base = self.buf.len() as u64;
+        let base = self.origin + self.buf.len() as u64;
         if self.scratch.is_empty() {
             return Ok(Lsn(base));
         }
@@ -306,13 +311,13 @@ impl Wal {
         Ok(Lsn(base))
     }
 
-    /// Size of the log in bytes.
+    /// Bytes the log retains (those since the last [`Wal::forget`]).
     #[must_use]
     pub fn len_bytes(&self) -> usize {
         self.buf.len()
     }
 
-    /// Number of records appended since creation/truncation.
+    /// Number of records appended since creation.
     #[must_use]
     pub fn appended(&self) -> u64 {
         self.appended
@@ -320,19 +325,19 @@ impl Wal {
 
     /// Reads every intact record from `from` onward. A torn final frame is
     /// silently dropped (that is the crash contract); corruption *before*
-    /// the tail is an error.
+    /// the tail is an error, and so is a `from` the log no longer holds.
     pub fn records_from(&self, from: Lsn) -> PstmResult<Vec<(Lsn, LogRecord)>> {
         let mut out = Vec::new();
-        let mut pos = from.0 as usize;
-        if pos > self.buf.len() {
+        let end = self.origin + self.buf.len() as u64;
+        if from.0 < self.origin || from.0 > end {
             return Err(PstmError::WalCorrupt(format!(
-                "start LSN {} beyond log end {}",
-                pos,
-                self.buf.len()
+                "start LSN {} outside the retained log {}..{end}",
+                from.0, self.origin
             )));
         }
+        let mut pos = (from.0 - self.origin) as usize;
         while pos < self.buf.len() {
-            let lsn = Lsn(pos as u64);
+            let lsn = Lsn(self.origin + pos as u64);
             match next_frame(&self.buf, pos) {
                 FrameStep::Frame { payload, end } => {
                     let rec = decode_record(payload).map_err(|e| {
@@ -352,20 +357,18 @@ impl Wal {
         Ok(out)
     }
 
-    /// All intact records.
+    /// All intact records the log retains.
     pub fn records(&self) -> PstmResult<Vec<(Lsn, LogRecord)>> {
-        self.records_from(Lsn(0))
+        self.records_from(Lsn(self.origin))
     }
 
-    /// Drops the log prefix up to (excluding) `upto` — used after a
-    /// checkpoint. Returns the new origin LSN of the retained suffix
-    /// (always `Lsn(0)` in the compacted buffer).
-    pub fn truncate_prefix(&mut self, upto: Lsn) -> PstmResult<()> {
-        if upto.0 as usize > self.buf.len() {
-            return Err(PstmError::WalCorrupt("truncate beyond log end".into()));
-        }
-        self.buf.drain(..upto.0 as usize);
-        Ok(())
+    /// Forgets the whole log — the caller has just captured an image
+    /// that covers it. The buffer keeps its capacity and LSNs keep
+    /// counting: the next record's LSN is the old log end. Besides the
+    /// chaos/recovery helpers below, the only way the log shrinks.
+    pub fn forget(&mut self) {
+        self.origin += self.buf.len() as u64;
+        self.buf.clear();
     }
 
     /// Test/chaos hook: chops the last `bytes` bytes, emulating a crash
@@ -375,7 +378,8 @@ impl Wal {
         self.buf.truncate(keep);
     }
 
-    /// Test/chaos hook: flips a byte mid-log to emulate media corruption.
+    /// Test/chaos hook: flips the byte at `offset` into the retained log
+    /// to emulate media corruption.
     pub fn corrupt_byte(&mut self, offset: usize) {
         self.corrupt_byte_with(offset, 0xFF);
     }
@@ -412,6 +416,7 @@ impl Wal {
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wal")
+            .field("origin", &self.origin)
             .field("bytes", &self.buf.len())
             .field("appended", &self.appended)
             .finish()
@@ -511,26 +516,34 @@ mod tests {
         for r in sample_records() {
             wal.append(&r).unwrap();
         }
-        let cp = wal.append(&LogRecord::Checkpoint).unwrap();
-        wal.append(&LogRecord::Begin { txn: TxnId(2) }).unwrap();
-        wal.truncate_prefix(cp).unwrap();
+        let end = wal.len_bytes() as u64;
+        // The checkpoint's image covers everything logged so far.
+        wal.forget();
+        assert_eq!(wal.len_bytes(), 0);
+        assert!(wal.records().unwrap().is_empty());
+        let next = wal.append(&LogRecord::Begin { txn: TxnId(2) }).unwrap();
+        assert_eq!(next, Lsn(end), "LSNs keep counting across a forget");
         let recs = wal.records().unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].1, LogRecord::Checkpoint);
-        assert_eq!(recs[1].1, LogRecord::Begin { txn: TxnId(2) });
+        assert_eq!(recs, vec![(Lsn(end), LogRecord::Begin { txn: TxnId(2) })]);
+        assert_eq!(wal.records_from(next).unwrap(), recs);
+        assert_eq!(wal.appended(), sample_records().len() as u64 + 1);
     }
 
     #[test]
     fn truncate_beyond_end_errors() {
         let mut wal = Wal::new();
-        assert!(wal.truncate_prefix(Lsn(10)).is_err());
         assert!(wal.records_from(Lsn(10)).is_err());
+        wal.append(&LogRecord::Begin { txn: TxnId(1) }).unwrap();
+        wal.forget();
+        // Forgotten LSNs are gone, not re-read from the new buffer.
+        assert!(wal.records_from(Lsn(0)).is_err());
+        assert!(wal.records_from(Lsn(18)).is_err());
     }
 
     #[test]
     fn record_txn_accessor() {
         assert_eq!(LogRecord::Begin { txn: TxnId(3) }.txn(), Some(TxnId(3)));
-        assert_eq!(LogRecord::Checkpoint.txn(), None);
+        assert_eq!(LogRecord::CreateIndex { table: TableId(0), column: 1 }.txn(), None);
     }
 
     #[test]
@@ -749,7 +762,6 @@ mod codec_tests {
             arb_txn().prop_map(|txn| LogRecord::Begin { txn }),
             arb_txn().prop_map(|txn| LogRecord::Commit { txn }),
             arb_txn().prop_map(|txn| LogRecord::Abort { txn }),
-            Just(LogRecord::Checkpoint),
             (arb_address(), arb_row()).prop_map(|((txn, table, row_id), row)| {
                 LogRecord::Insert { txn, table, row_id, row }
             }),
