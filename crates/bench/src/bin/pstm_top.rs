@@ -1,21 +1,20 @@
 //! `pstm_top` — the contention profiler CLI.
 //!
 //! Tails one or more JSONL traces (e.g. the per-shard files written by
-//! `bench_concurrency` under `PSTM_TRACE=1`), merges them into one
-//! virtual-time timeline, and prints the contention profile: per-phase
-//! latency, top-K hot objects by blocked time, abort rates by operation
-//! class, and waits-for DOT snapshots over the run (plus the peak).
+//! `pstm_ab count --workload contended` under `PSTM_TRACE=1`), merges
+//! them into one virtual-time timeline, and prints the contention
+//! profile: per-phase latency, top-K hot objects by blocked time, abort
+//! rates by operation class, and waits-for DOT snapshots over the run
+//! (plus the peak).
 //!
 //! ```text
 //! pstm_top [--top K] [--snapshots N] TRACE.jsonl [TRACE.jsonl ...]
-//! pstm_top --phases [--breakdown BENCH_breakdown.json] TRACE.jsonl ...
+//! pstm_top --phases TRACE.jsonl ...
 //! pstm_top --from-recorder FLIGHT.rec [TRACE.jsonl ...]
 //! ```
 //!
-//! `--phases` switches to the phase view: the commit-path nanosecond
-//! table from a `BENCH_breakdown.json` artifact (when `--breakdown`
-//! names one) joined with the trace's span-phase times and hot objects
-//! by blocked time.
+//! `--phases` switches to the phase view: the trace's span-phase times
+//! beside its hot objects by blocked time.
 //!
 //! `--from-recorder` feeds the profiler from a flight-recorder ring file
 //! instead of (or alongside) JSONL traces: the file's surviving window is
@@ -32,14 +31,12 @@ use pstm_obs::{load_jsonl, read_recorder};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: pstm_top [--top K] [--snapshots N] [--phases] \
-                     [--breakdown BENCH_breakdown.json] \
                      [--from-recorder FLIGHT.rec] [TRACE.jsonl ...]";
 
 fn main() -> ExitCode {
     let mut top_k = 10usize;
     let mut n_snapshots = 4usize;
     let mut phases_view = false;
-    let mut breakdown_path: Option<String> = None;
     let mut recorder_files = Vec::new();
     let mut files = Vec::new();
 
@@ -58,13 +55,6 @@ fn main() -> ExitCode {
                 }
             }
             "--phases" => phases_view = true,
-            "--breakdown" => match args.next() {
-                Some(f) => breakdown_path = Some(f),
-                None => {
-                    eprintln!("--breakdown needs a file\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
             "--from-recorder" => match args.next() {
                 Some(f) => recorder_files.push(f),
                 None => {
@@ -83,20 +73,6 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     }
-
-    let breakdown = match &breakdown_path {
-        Some(path) => match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
-        {
-            Ok(doc) => Some(doc),
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
 
     let mut shards = Vec::new();
     for file in &recorder_files {
@@ -139,7 +115,7 @@ fn main() -> ExitCode {
     let records = merge_records(shards);
     let p = profile(&records, top_k, n_snapshots);
     if phases_view {
-        print!("{}", render_phases(&p, breakdown.as_ref()));
+        print!("{}", render_phases(&p));
     } else {
         print!("{}", render(&p));
     }

@@ -12,9 +12,11 @@
 //! | `ablation_admission`  | §VII extension 2 on/off |
 //!
 //! Each binary prints a human-readable table and writes machine-readable
-//! JSON under `results/`. Criterion microbenchmarks live in `benches/`.
+//! JSON under `results/`. `pstm_ab` pairs a parent commit against the
+//! working tree over the end-to-end benchmark and counts allocations on
+//! fixed-count workloads; its statistics live in [`ab`].
 
-pub mod diff;
+pub mod ab;
 pub mod profile;
 
 use pstm_core::gtm::{Gtm, GtmConfig};
@@ -101,22 +103,26 @@ pub fn run_emulation_traced(
 /// `results/trace_<label>.jsonl`.
 #[must_use]
 pub fn tracer_from_env(label: &str) -> Tracer {
-    match std::env::var("PSTM_TRACE") {
-        Ok(v) if !v.is_empty() && v != "0" => {
-            let path = trace_path(label);
-            match JsonlSink::create(&path) {
-                Ok(sink) => {
-                    eprintln!("tracing to {}", path.display());
-                    Tracer::with_sink(Box::new(sink))
-                }
-                Err(e) => {
-                    eprintln!("could not open {}: {e}; tracing disabled", path.display());
-                    Tracer::disabled()
-                }
-            }
-        }
-        _ => Tracer::disabled(),
+    if !trace_requested() {
+        return Tracer::disabled();
     }
+    let path = trace_path(label);
+    match JsonlSink::create(&path) {
+        Ok(sink) => {
+            eprintln!("tracing to {}", path.display());
+            Tracer::with_sink(Box::new(sink))
+        }
+        Err(e) => {
+            eprintln!("could not open {}: {e}; tracing disabled", path.display());
+            Tracer::disabled()
+        }
+    }
+}
+
+/// Whether `PSTM_TRACE` asks for persisted traces (set, non-empty, not `0`).
+#[must_use]
+pub fn trace_requested() -> bool {
+    std::env::var("PSTM_TRACE").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 /// Where [`tracer_from_env`] writes the trace for `label`.

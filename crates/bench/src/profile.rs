@@ -19,11 +19,8 @@
 //! byte-identical reports, so profiles are diffable artifacts like the
 //! rest of the harness output.
 
-use pstm_obs::{
-    build_span_trees, waits_for_dot, CommitPhase, MetricsRegistry, TraceEvent, TraceRecord,
-};
+use pstm_obs::{build_span_trees, waits_for_dot, MetricsRegistry, TraceEvent, TraceRecord};
 use pstm_types::{OpClass, ResourceId, Timestamp, TxnId};
-use serde_json::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -367,58 +364,14 @@ pub fn render(p: &Profile) -> String {
     out
 }
 
-/// One aggregated commit-path phase of a `BENCH_breakdown.json`
-/// artifact: the per-row cells summed across every (sessions, dist)
-/// sweep point.
-#[derive(Clone, Debug)]
-pub struct BreakdownPhase {
-    /// Taxonomy phase name (see `CommitPhase::name`).
-    pub phase: &'static str,
-    /// Timer observations across all rows.
-    pub ops: u64,
-    /// Total nanoseconds across all rows.
-    pub total_ns: u64,
-    /// Worst per-row p99, nanoseconds.
-    pub p99_ns: u64,
-}
-
-/// Aggregates a `BENCH_breakdown.json` document into one row per
-/// taxonomy phase, in taxonomy order (every phase present, zeros
-/// included, so the rendering is deterministic). Returns `None` when the
-/// document has no `rows` array.
-#[must_use]
-pub fn aggregate_breakdown(doc: &serde_json::Value) -> Option<Vec<BreakdownPhase>> {
-    use crate::diff::as_f64;
-    let rows = doc.as_map().and_then(|m| serde::map_get(m, "rows")).and_then(Value::as_seq)?;
-    let mut out: Vec<BreakdownPhase> = CommitPhase::ALL
-        .iter()
-        .map(|p| BreakdownPhase { phase: p.name(), ops: 0, total_ns: 0, p99_ns: 0 })
-        .collect();
-    for row in rows {
-        let Some(cells) = row.as_map().and_then(|m| serde::map_get(m, "phases")) else { continue };
-        for cell in cells.as_seq().unwrap_or(&[]) {
-            let Some(m) = cell.as_map() else { continue };
-            let Some(name) = serde::map_get(m, "phase").and_then(Value::as_str) else { continue };
-            let Some(agg) = out.iter_mut().find(|b| b.phase == name) else { continue };
-            let field = |k| serde::map_get(m, k).and_then(as_f64).unwrap_or(0.0) as u64;
-            agg.ops += field("ops");
-            agg.total_ns += field("total_ns");
-            agg.p99_ns = agg.p99_ns.max(field("p99_ns"));
-        }
-    }
-    Some(out)
-}
-
-/// Renders the `pstm_top --phases` view: where commit-path nanoseconds
-/// go (from a `BENCH_breakdown.json` artifact, when one is supplied)
-/// joined with the trace's span-phase wall table and its hot objects by
-/// blocked time — the two halves an operator correlates to decide
-/// whether a slow front is burning its time in a commit station or
-/// queued behind one object. Ordering is deterministic: taxonomy order
-/// for commit phases, widest-first for span phases, hottest-first for
+/// Renders the `pstm_top --phases` view: the trace's span-phase wall
+/// table beside its hot objects by blocked time — the two halves an
+/// operator correlates to decide whether a slow front is burning its
+/// time in a commit station or queued behind one object. Ordering is
+/// deterministic: widest-first for span phases, hottest-first for
 /// objects.
 #[must_use]
-pub fn render_phases(p: &Profile, breakdown: Option<&serde_json::Value>) -> String {
+pub fn render_phases(p: &Profile) -> String {
     use pstm_obs::Ctr;
     let mut out = String::with_capacity(2048);
     let _ = writeln!(out, "== pstm_top — phase view ==");
@@ -430,30 +383,6 @@ pub fn render_phases(p: &Profile, breakdown: Option<&serde_json::Value>) -> Stri
         p.registry.counter(Ctr::Committed),
         p.registry.counter(Ctr::Aborted),
     );
-
-    let _ = writeln!(out, "\n-- commit-path ns by phase --");
-    match breakdown.and_then(aggregate_breakdown) {
-        Some(phases) => {
-            let grand: u64 = phases.iter().map(|b| b.total_ns).sum();
-            let _ = writeln!(out, "phase\tops\ttotal_ns\tns/op\tp99_ns\tshare");
-            for b in &phases {
-                let share = if grand == 0 { 0.0 } else { 100.0 * b.total_ns as f64 / grand as f64 };
-                let _ = writeln!(
-                    out,
-                    "{}\t{}\t{}\t{}\t{}\t{share:.1}%",
-                    b.phase,
-                    b.ops,
-                    b.total_ns,
-                    b.total_ns.checked_div(b.ops).unwrap_or(0),
-                    b.p99_ns,
-                );
-            }
-        }
-        None => {
-            let _ =
-                writeln!(out, "(no breakdown artifact — pass --breakdown BENCH_breakdown.json)");
-        }
-    }
 
     let _ = writeln!(out, "\n-- session time by span phase --");
     let _ = writeln!(out, "phase\tcount\ttotal_us\twall_us");
@@ -679,44 +608,20 @@ mod tests {
 
     #[test]
     fn phases_view_joins_breakdown_with_hot_objects() {
-        use serde_json::json;
-        let doc = json!({
-            "schema": "pstm-bench-breakdown/v1",
-            "rows": [
-                {"sessions": 1, "dist": "uniform", "phases": [
-                    {"phase": "wal_append", "ops": 10, "total_ns": 1000, "p99_ns": 400},
-                    {"phase": "reconcile", "ops": 10, "total_ns": 3000, "p99_ns": 900},
-                ]},
-                {"sessions": 8, "dist": "zipfian", "phases": [
-                    {"phase": "wal_append", "ops": 5, "total_ns": 500, "p99_ns": 700},
-                ]},
-            ],
-        });
-        let agg = aggregate_breakdown(&doc).expect("rows present");
-        assert_eq!(agg.len(), CommitPhase::COUNT, "every taxonomy phase, zeros included");
-        let wal = agg.iter().find(|b| b.phase == "wal_append").unwrap();
-        assert_eq!((wal.ops, wal.total_ns, wal.p99_ns), (15, 1500, 700));
-
         let p = profile(&sample(), 5, 2);
-        let report = render_phases(&p, Some(&doc));
-        // Taxonomy order is preserved in the commit-path table.
-        let pos = |name: &str| {
+        let report = render_phases(&p);
+        let pos = |needle: &str| {
             report
-                .find(&format!("\n{name}\t"))
-                .unwrap_or_else(|| panic!("phase {name} missing from report:\n{report}"))
+                .find(needle)
+                .unwrap_or_else(|| panic!("{needle:?} missing from report:\n{report}"))
         };
-        assert!(pos("admission") < pos("read"));
-        assert!(pos("reconcile") < pos("wal_append"));
-        assert!(pos("wal_append") < pos("abort_unwind"));
-        // The join: commit-path ns and the trace's hot object in one view.
-        assert!(report.contains("wal_append\t15\t1500\t100\t700"));
-        assert!(report.contains("X1.m0\t300\t100.0%"), "{report}");
-        assert_eq!(render_phases(&p, Some(&doc)), report, "phase view is deterministic");
-
-        // Without an artifact the view degrades but still renders.
-        let bare = render_phases(&p, None);
-        assert!(bare.contains("no breakdown artifact"));
-        assert!(bare.contains("X1.m0\t300"));
+        // Span phases widest first.
+        assert!(pos("\nsession\t1\t500\t") < pos("\nblocked\t1\t300\t400"));
+        // The join: the trace's span phases and its hot object, as a share
+        // of the blocked time, in one view.
+        assert!(pos("blocked\t1\t300") < pos("X1.m0\t300\t100.0%"));
+        assert!(report.contains("committed 1   aborted 1"), "{report}");
+        assert_eq!(render_phases(&p), report, "phase view is deterministic");
     }
 
     #[test]
