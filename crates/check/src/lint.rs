@@ -242,7 +242,7 @@ impl Allowlist {
         self.allows_name(rule.name(), file, func)
     }
 
-    /// [`Self::allows`] keyed by rule name — the lockgraph analyzer owns
+    /// `Self::allows` keyed by rule name — the lockgraph analyzer owns
     /// rules outside the [`Rule`] enum but shares this allowlist file.
     pub fn allows_name(&mut self, rule: &str, file: &str, func: Option<&str>) -> bool {
         let mut hit = false;

@@ -51,9 +51,6 @@ pub struct GtmConfig {
     /// §VII extension: value-bounded admission control. `None` = paper
     /// behaviour.
     pub admission: Option<AdmissionPolicy>,
-    /// Waits-for-graph deadlock detection (paper §VII: "classical
-    /// approaches ... can be used").
-    pub deadlock_detection: bool,
     /// Abort waiters queued longer than this. `None` disables.
     pub wait_timeout: Option<Duration>,
     /// §VII's *other* starvation remedy — "the introduction of a
@@ -85,7 +82,6 @@ impl Default for GtmConfig {
             compat: CompatMatrix::paper(),
             starvation: None,
             admission: None,
-            deadlock_detection: true,
             wait_timeout: None,
             elder_priority: false,
             sst_retries: 0,
@@ -762,7 +758,8 @@ impl Gtm {
         Ok(new)
     }
 
-    /// Deadlock detection: aborts the youngest member of each waits-for
+    /// Deadlock detection (paper §VII: "classical approaches ... can be
+    /// used"), always on: aborts the youngest member of each waits-for
     /// cycle — those reachable from `from`, or all of them — until none is
     /// left.
     fn break_deadlocks(
@@ -772,7 +769,7 @@ impl Gtm {
         now: Timestamp,
     ) -> PstmResult<StepEffects> {
         let mut effects = StepEffects::none();
-        while self.config.deadlock_detection {
+        loop {
             let graph = self.waits_for_graph();
             let found = from.map_or_else(|| graph.pick_victim(), |t| graph.pick_victim_from(t));
             let Some((victim, cycle)) = found else { break };

@@ -3,7 +3,7 @@
 //!
 //! The paper keeps a transaction's hold on a resource in many sets at
 //! once (`X_pending`, `X_committing`, `X_sleeping`, `X_read^A`, `X_new^A`,
-//! `A_temp`, …). Here that hold is one [`Grant`] row in the resource's
+//! `A_temp`, …). Here that hold is one `Grant` row in the resource's
 //! `holders` table, and the paper's sets are views over rows, so they
 //! cannot disagree:
 //!
@@ -13,8 +13,8 @@
 //! | `A_t_sleep`         | `TxnRecord::t_sleep`                              |
 //! | `A_t_wait`          | `WaitEntry::since` of the one queued invocation   |
 //! | `A_temp`            | `Grant::temp`, one per held resource              |
-//! | `X_pending`         | rows of `holders` in [`Phase::Pending`]           |
-//! | `X_committing`      | rows of `holders` in [`Phase::Committing`]        |
+//! | `X_pending`         | rows of `holders` in `Phase::Pending`             |
+//! | `X_committing`      | rows of `holders` in `Phase::Committing`          |
 //! | `X_sleeping`        | rows with `Grant::asleep`                         |
 //! | `X_read^A`          | `Grant::read`                                     |
 //! | `X_waiting`         | `ResourceState::waiting` (FIFO)                   |

@@ -3,14 +3,14 @@
 //! The blocking [`Session`] API spends one OS thread per live session;
 //! a fleet of 100k mostly-sleeping mobile clients would burn 100k
 //! stacks to do nothing. Reactor mode inverts the ownership: a session
-//! becomes an inert state machine ([`SessionCore`] — the blocking
+//! becomes an inert state machine (`SessionCore` — the blocking
 //! `Session` plus an op program counter and a lifecycle phase) owned by
 //! a small fixed pool of shard-affine worker loops. Each worker drives
 //! its sessions off one MPSC op queue and a deadline-ordered
-//! [`TimerWheel`]; a *Sleeping* session consumes no thread, no stack
+//! `TimerWheel`; a *Sleeping* session consumes no thread, no stack
 //! and no queue slot — only its state machine and (at most) one timer
 //! entry. Wakes are O(1) enqueues: a core that must wait parks under its
-//! worker's [`Inbox`] in the front-end's wake registry — the same
+//! worker's `Inbox` in the front-end's wake registry — the same
 //! registry a blocked thread parks in — and the signal that resumes or
 //! aborts it lands straight on that worker's queue.
 //!
@@ -37,7 +37,6 @@ use crate::{
 };
 use parking_lot::Mutex;
 use pstm_core::gtm::CommitResult;
-use pstm_obs::reactor::wake_latency_histogram;
 use pstm_obs::{Histogram, ReactorCensus, ReactorSnapshot, SpanKind, TraceEvent};
 use pstm_types::{AbortReason, PstmError, PstmResult, ResourceId, ScalarOp, Timestamp, TxnId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -309,8 +308,8 @@ impl Shared {
             sleeping: AtomicU64::new(0),
             finished: AtomicU64::new(0),
             stale: AtomicU64::new(0),
-            wake_hist: Mutex::new(wake_latency_histogram()),
-            timer_hist: Mutex::new(wake_latency_histogram()),
+            wake_hist: Mutex::new(Histogram::new()),
+            timer_hist: Mutex::new(Histogram::new()),
             ledger: Ledger::new(),
         }
     }

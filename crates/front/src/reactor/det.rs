@@ -17,7 +17,7 @@
 //!   seeds produce identical histories.
 //!
 //! Wakes produced while handling a message (sessions resuming other
-//! sessions) land in the owner worker's [`Inbox`] channel like in the
+//! sessions) land in the owner worker's `Inbox` channel like in the
 //! threaded reactor; the driver moves them into the owner's queue between
 //! steps, in arrival order, stamped with the virtual clock.
 

@@ -114,18 +114,21 @@ pub fn render_with_recorder(
         &mut out,
         "pstm_wait_time_us",
         "Virtual microseconds between queuing an operation and its grant.",
+        "",
         reg.wait_time(),
     );
     render_histogram(
         &mut out,
         "pstm_commit_latency_us",
         "Virtual microseconds between begin and commit.",
+        "",
         reg.commit_latency(),
     );
     render_histogram(
         &mut out,
         "pstm_queue_depth",
         "Queue depth sampled at every enqueue.",
+        "",
         reg.queue_depth(),
     );
 
@@ -158,7 +161,7 @@ pub fn render_with_recorder(
         if phases.ops(p) == 0 {
             continue;
         }
-        render_labeled_histogram(
+        render_histogram(
             &mut out,
             "pstm_commit_phase_duration_ns",
             "Per-operation wall nanoseconds by commit-path phase.",
@@ -170,40 +173,25 @@ pub fn render_with_recorder(
 }
 
 /// Writes one histogram as cumulative `_bucket` series plus `_sum` and
-/// `_count`. The registry's dedicated zero bucket becomes `le="0"`; the
-/// overflow bucket folds into `le="+Inf"` (which always equals the total
-/// observation count, as the format requires).
-fn render_histogram(out: &mut String, name: &str, help: &str, h: &Histogram) {
+/// `_count`, with `label` (a `key="value"` pair, or empty) on every
+/// series; HELP/TYPE repeat per labeled instance, which scrapers accept.
+/// The buckets are the same 42 on every page: `le="2^k − 1"` for `k` in
+/// `0..=40`, exact because every power of two starts a bucket, then
+/// `le="+Inf"` (the total, as the format requires).
+fn render_histogram(out: &mut String, name: &str, help: &str, label: &str, h: &Histogram) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} histogram");
-    let counts = h.counts();
-    let mut cumulative = counts[0];
-    let _ = writeln!(out, "{name}_bucket{{le=\"0\"}} {cumulative}");
-    for (i, bound) in h.bounds().iter().enumerate() {
-        cumulative += counts[i + 1];
-        let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
+    let (prefix, own) = if label.is_empty() {
+        (String::new(), String::new())
+    } else {
+        (format!("{label},"), format!("{{{label}}}"))
+    };
+    for (le, below) in h.octaves() {
+        let _ = writeln!(out, "{name}_bucket{{{prefix}le=\"{le}\"}} {below}");
     }
-    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.total());
-    let _ = writeln!(out, "{name}_sum {}", h.sum());
-    let _ = writeln!(out, "{name}_count {}", h.total());
-}
-
-/// Like [`render_histogram`] but with a fixed label pair on every
-/// series (HELP/TYPE headers repeat per labeled instance; scrapers
-/// accept that and it keeps emission order strictly by phase).
-fn render_labeled_histogram(out: &mut String, name: &str, help: &str, label: &str, h: &Histogram) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let counts = h.counts();
-    let mut cumulative = counts[0];
-    let _ = writeln!(out, "{name}_bucket{{{label},le=\"0\"}} {cumulative}");
-    for (i, bound) in h.bounds().iter().enumerate() {
-        cumulative += counts[i + 1];
-        let _ = writeln!(out, "{name}_bucket{{{label},le=\"{bound}\"}} {cumulative}");
-    }
-    let _ = writeln!(out, "{name}_bucket{{{label},le=\"+Inf\"}} {}", h.total());
-    let _ = writeln!(out, "{name}_sum{{{label}}} {}", h.sum());
-    let _ = writeln!(out, "{name}_count{{{label}}} {}", h.total());
+    let _ = writeln!(out, "{name}_bucket{{{prefix}le=\"+Inf\"}} {}", h.total());
+    let _ = writeln!(out, "{name}_sum{own} {}", h.sum());
+    let _ = writeln!(out, "{name}_count{own} {}", h.total());
 }
 
 /// Escapes a label value per the exposition format (`\`, `"`, newline).
@@ -267,12 +255,13 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative_and_end_at_inf() {
         let page = render(&sample_registry(), 0);
-        // One commit at latency 500 µs → cumulative counts 0,0,1,… and
-        // +Inf equals _count.
+        // One commit at latency 500 µs → cumulative counts 0 below 512,
+        // 1 from there on, and +Inf equals _count.
         assert!(page.contains("# TYPE pstm_commit_latency_us histogram"));
-        assert!(page.contains("pstm_commit_latency_us_bucket{le=\"100\"} 0"));
-        assert!(page.contains("pstm_commit_latency_us_bucket{le=\"1000\"} 1"));
-        assert!(page.contains("pstm_commit_latency_us_bucket{le=\"1000000000\"} 1"));
+        assert!(page.contains("pstm_commit_latency_us_bucket{le=\"0\"} 0"));
+        assert!(page.contains("pstm_commit_latency_us_bucket{le=\"255\"} 0"));
+        assert!(page.contains("pstm_commit_latency_us_bucket{le=\"511\"} 1"));
+        assert!(page.contains("pstm_commit_latency_us_bucket{le=\"1099511627775\"} 1"));
         assert!(page.contains("pstm_commit_latency_us_bucket{le=\"+Inf\"} 1"));
         assert!(page.contains("pstm_commit_latency_us_sum 500"));
         assert!(page.contains("pstm_commit_latency_us_count 1"));
@@ -317,6 +306,23 @@ mod tests {
     }
 
     #[test]
+    fn every_histogram_prints_the_same_le_lines() {
+        let les = |page: &str| -> Vec<String> {
+            let lines = page.lines().filter(|l| l.starts_with("pstm_commit_latency_us_bucket{"));
+            lines.map(|l| l.rsplit_once(' ').map_or("", |(series, _)| series).to_string()).collect()
+        };
+        let empty = les(&render(&MetricsRegistry::new(), 0));
+        assert_eq!(empty.len(), 42);
+        assert_eq!(empty[0], "pstm_commit_latency_us_bucket{le=\"0\"}");
+        assert_eq!(empty[40], "pstm_commit_latency_us_bucket{le=\"1099511627775\"}");
+        assert_eq!(empty[41], "pstm_commit_latency_us_bucket{le=\"+Inf\"}");
+        let mut reg = sample_registry();
+        reg.apply(Timestamp(0), &TraceEvent::TxnBegin { txn: TxnId(2) });
+        reg.apply(Timestamp(1 << 41), &TraceEvent::Committed { txn: TxnId(2) });
+        assert_eq!(les(&render(&reg, 0)), empty);
+    }
+
+    #[test]
     fn commit_phase_series_render_in_taxonomy_order() {
         use crate::prof::PhaseProfile;
         let mut reg = sample_registry();
@@ -331,7 +337,7 @@ mod tests {
         assert!(page.contains("pstm_commit_phase_ops_total{phase=\"reconcile\"} 1"));
         // Histograms only for observed phases, labeled and cumulative.
         assert!(page
-            .contains("pstm_commit_phase_duration_ns_bucket{phase=\"reconcile\",le=\"1024\"} 1"));
+            .contains("pstm_commit_phase_duration_ns_bucket{phase=\"reconcile\",le=\"1023\"} 1"));
         assert!(page.contains("pstm_commit_phase_duration_ns_sum{phase=\"reconcile\"} 900"));
         assert!(page.contains("pstm_commit_phase_duration_ns_count{phase=\"wal_append\"} 1"));
         assert!(!page.contains("pstm_commit_phase_duration_ns_count{phase=\"admission\"}"));

@@ -17,9 +17,9 @@
 //! This module is the single home of that machinery: the checksum
 //! (previously private to `pstm-storage`'s codec), the frame writer, and
 //! the frame scanner with its torn-vs-corrupt classification. The WAL
-//! re-exports the checksum types for compatibility and builds its replay
-//! loop on [`next_frame`], so the recorder's torn-tail semantics are the
-//! WAL's by construction, not by parallel implementation.
+//! builds its replay loop on [`next_frame`], so the recorder's torn-tail
+//! semantics are the WAL's by construction, not by parallel
+//! implementation.
 
 /// Size in bytes of a frame header (`len` + `checksum`).
 pub const FRAME_HEADER: usize = 8;

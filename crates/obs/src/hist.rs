@@ -1,129 +1,76 @@
-//! Fixed-bucket histograms over virtual-time quantities.
+//! One histogram layout for every recorded quantity.
 //!
-//! Buckets are chosen at construction and never rebalance, so two runs
-//! that record the same values produce identical histograms — the same
-//! determinism contract the rest of the subsystem keeps.
+//! Values below 64 get exact buckets; from 2^6 to 2^40 each power of two
+//! is split into 64 linear sub-buckets; everything from 2^40 up shares
+//! one overflow bucket. A bucket is found by bit arithmetic, never by a
+//! search, and a quantile read off it is within 1/128 of the value it
+//! estimates. No caller chooses buckets, so any two histograms merge and
+//! `prof`'s lock-free per-thread counters index them with the same
+//! `index`. Buckets never rebalance, so two runs that record the same
+//! values produce identical histograms — the determinism contract the
+//! rest of the subsystem keeps.
 
-use serde::{Deserialize, Serialize};
+/// Below `2^SUB_BITS` every value has its own bucket; each later power
+/// of two is split into `2^SUB_BITS` linear sub-buckets.
+const SUB_BITS: u32 = 6;
 
-/// Upper bounds for commit-path phase durations in nanoseconds: powers
-/// of four from 64 ns to ~4.3 s. Shared with `prof`, whose lock-free
-/// per-thread buckets must agree bucket-for-bucket with [`Histogram`].
-pub const PHASE_NS_BOUNDS: [u64; 14] = [
-    64,
-    256,
-    1_024,
-    4_096,
-    16_384,
-    65_536,
-    262_144,
-    1_048_576,
-    4_194_304,
-    16_777_216,
-    67_108_864,
-    268_435_456,
-    1_073_741_824,
-    4_294_967_296,
-];
+/// Values from `2^TOP_BITS` up land in the overflow bucket.
+const TOP_BITS: u32 = 40;
 
-/// A histogram with a dedicated zero bucket, one bucket per configured
-/// upper bound, and an overflow bucket.
-///
-/// Bucket layout for bounds `[b0, b1, …, bn]`:
-///
-/// | bucket      | values              |
-/// |-------------|---------------------|
-/// | 0 (zero)    | `v == 0`            |
-/// | 1           | `0 < v <= b0`       |
-/// | i+1         | `b(i-1) < v <= bi`  |
-/// | n+1 (over)  | `v > bn`            |
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Buckets in the layout: 64 exact, 34 octaves of 64, one overflow
+/// (2 241 counters, ≈ 17.5 KiB).
+pub(crate) const BUCKETS: usize = ((TOP_BITS - SUB_BITS + 1) << SUB_BITS) as usize + 1;
+
+const OVERFLOW: usize = BUCKETS - 1;
+
+/// The bucket `value` counts in.
+pub(crate) fn index(value: u64) -> usize {
+    if value >> TOP_BITS != 0 {
+        return OVERFLOW;
+    }
+    // `value >> shift` is the value itself below 128, else 64..128.
+    let shift = (63 - (value | 1).leading_zeros()).saturating_sub(SUB_BITS);
+    ((shift as usize) << SUB_BITS) + (value >> shift) as usize
+}
+
+/// The smallest value of bucket `i < OVERFLOW`, and the bucket's width.
+fn bucket(i: usize) -> (u64, u64) {
+    if i < 1 << SUB_BITS {
+        return (i as u64, 1);
+    }
+    let shift = (i >> SUB_BITS) - 1;
+    let mantissa = (i & ((1 << SUB_BITS) - 1)) | 1 << SUB_BITS;
+    ((mantissa as u64) << shift, 1 << shift)
+}
+
+/// Counts per bucket of the one layout, plus the total, sum and max of
+/// what was recorded. The counters are allocated once, at construction;
+/// `record` and `merge` never allocate.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
-    bounds: Vec<u64>,
-    counts: Vec<u64>,
+    counts: Box<[u64]>,
     total: u64,
     sum: u64,
     max: u64,
 }
 
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram::new()
+    }
+}
+
 impl Histogram {
-    /// A histogram over the given strictly-increasing upper bounds.
-    ///
-    /// # Panics
-    /// If `bounds` is empty, contains zero, or is not strictly increasing.
+    /// An empty histogram.
     #[must_use]
-    pub fn new(bounds: Vec<u64>) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(bounds[0] > 0, "the zero bucket is implicit; bounds start above 0");
-        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must strictly increase");
-        let buckets = bounds.len() + 2;
-        Histogram { bounds, counts: vec![0; buckets], total: 0, sum: 0, max: 0 }
+    pub fn new() -> Self {
+        Histogram { counts: vec![0; BUCKETS].into_boxed_slice(), total: 0, sum: 0, max: 0 }
     }
 
-    /// Bounds for latency-like quantities in microseconds of virtual
-    /// time: 100 µs … 1000 s, decade-spaced.
-    #[must_use]
-    pub fn latency_us() -> Self {
-        Histogram::new(vec![
-            100,
-            1_000,
-            10_000,
-            100_000,
-            1_000_000,
-            10_000_000,
-            100_000_000,
-            1_000_000_000,
-        ])
-    }
-
-    /// Bounds for queue depths: powers of two up to 64.
-    #[must_use]
-    pub fn queue_depth() -> Self {
-        Histogram::new(vec![1, 2, 4, 8, 16, 32, 64])
-    }
-
-    /// Bounds for commit-path phase durations in wall nanoseconds
-    /// ([`PHASE_NS_BOUNDS`]).
-    #[must_use]
-    pub fn phase_ns() -> Self {
-        Histogram::new(PHASE_NS_BOUNDS.to_vec())
-    }
-
-    /// Rebuilds a histogram from externally accumulated buckets — the
-    /// bridge from `prof`'s per-thread atomic counters, which cannot
-    /// afford a `&mut Histogram` on the hot path.
-    ///
-    /// # Panics
-    /// If `counts.len() != bounds.len() + 2` or the bounds are invalid.
-    #[must_use]
-    pub fn from_raw(bounds: Vec<u64>, counts: Vec<u64>, sum: u64, max: u64) -> Self {
-        let mut h = Histogram::new(bounds);
-        assert_eq!(counts.len(), h.counts.len(), "raw bucket count does not match bounds");
-        h.total = counts.iter().sum();
-        h.counts = counts;
-        h.sum = sum;
-        h.max = max;
-        h
-    }
-
-    /// The bucket index `record` would use for `value` under `bounds` —
-    /// exposed so lock-free recorders can mirror the layout exactly.
-    #[must_use]
-    pub fn bucket_for(bounds: &[u64], value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            match bounds.iter().position(|b| value <= *b) {
-                Some(i) => i + 1,
-                None => bounds.len() + 1,
-            }
-        }
-    }
-
-    /// Estimated `q`-quantile (`0.0..=1.0`): the upper bound of the
-    /// bucket holding the rank-`⌈q·total⌉` observation (the recorded
-    /// max for the overflow bucket, 0 when empty). Conservative —
-    /// never underestimates by more than one bucket's width.
+    /// Estimated `q`-quantile (`0.0..=1.0`) of the rank-`⌈q·total⌉`
+    /// observation: exact below 128, else its bucket's midpoint (within
+    /// 1/128 of the value), never above the recorded max. The overflow
+    /// bucket reports the max; 0 when empty.
     #[must_use]
     pub fn quantile(&self, q: f64) -> u64 {
         if self.total == 0 {
@@ -131,43 +78,54 @@ impl Histogram {
         }
         let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
         let mut seen = 0u64;
-        for (idx, count) in self.counts.iter().enumerate() {
+        for (i, count) in self.counts.iter().enumerate() {
             seen += count;
             if seen >= rank {
-                return if idx == 0 {
-                    0
-                } else if idx <= self.bounds.len() {
-                    self.bounds[idx - 1]
-                } else {
-                    self.max
-                };
+                if i == OVERFLOW {
+                    break;
+                }
+                let (low, width) = bucket(i);
+                return (low + width / 2).min(self.max);
             }
         }
         self.max
     }
 
     /// Adds another histogram's observations to this one.
-    ///
-    /// # Panics
-    /// If the bucket layouts differ — merging only makes sense between
-    /// histograms built from the same constructor.
     pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bounds, other.bounds, "cannot merge histograms with different buckets");
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
+        self.add_counts(other.counts.iter().copied(), other.sum, other.max);
+    }
+
+    /// Adds per-bucket counts accumulated elsewhere in this layout, with
+    /// their sum and max — `merge`, and `prof`'s fold of its per-thread
+    /// atomic counters, which cannot afford a `&mut Histogram`.
+    pub(crate) fn add_counts(&mut self, counts: impl IntoIterator<Item = u64>, sum: u64, max: u64) {
+        for (mine, n) in self.counts.iter_mut().zip(counts) {
+            *mine += n;
+            self.total += n;
         }
-        self.total += other.total;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
+        self.sum = self.sum.saturating_add(sum);
+        self.max = self.max.max(max);
     }
 
     /// Records one value.
     pub fn record(&mut self, value: u64) {
-        let idx = Histogram::bucket_for(&self.bounds, value);
-        self.counts[idx] += 1;
+        self.counts[index(value)] += 1;
         self.total += 1;
         self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
+    }
+
+    /// `(2^k − 1, observations ≤ 2^k − 1)` for `k` in `0..=40`. Exact:
+    /// every power of two starts a bucket.
+    pub(crate) fn octaves(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let (mut below, mut from) = (0, 0);
+        (0..=TOP_BITS).map(move |k| {
+            let to = index(1 << k);
+            below += self.counts[from..to].iter().sum::<u64>();
+            from = to;
+            ((1 << k) - 1, below)
+        })
     }
 
     /// Number of recorded values.
@@ -197,66 +155,52 @@ impl Histogram {
             self.sum as f64 / self.total as f64
         }
     }
-
-    /// The configured upper bounds.
-    #[must_use]
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts: `[zero, (0,b0], …, overflow]`.
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Count in the dedicated zero bucket.
-    #[must_use]
-    pub fn zero_count(&self) -> u64 {
-        self.counts[0]
-    }
-
-    /// Count in the overflow bucket (`v > last bound`).
-    #[must_use]
-    pub fn overflow_count(&self) -> u64 {
-        *self.counts.last().expect("histograms always have buckets")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
-    fn zero_goes_to_the_zero_bucket() {
-        let mut h = Histogram::new(vec![10, 100]);
-        h.record(0);
-        assert_eq!(h.zero_count(), 1);
-        assert_eq!(h.counts(), &[1, 0, 0, 0]);
+    fn buckets_tile_the_range_and_every_power_of_two_starts_one() {
+        assert_eq!(BUCKETS, 2_241);
+        let mut next = 0;
+        for i in 0..OVERFLOW {
+            let (low, width) = bucket(i);
+            assert_eq!(low, next, "bucket {i} starts where {} ends", i.max(1) - 1);
+            assert_eq!((index(low), index(low + width - 1)), (i, i));
+            next = low + width;
+        }
+        assert_eq!(next, 1 << TOP_BITS);
+        for k in 0..=TOP_BITS {
+            assert_eq!(index((1 << k) - 1) + 1, index(1 << k));
+        }
     }
 
     #[test]
-    fn bounds_are_inclusive_upper() {
-        let mut h = Histogram::new(vec![10, 100]);
+    fn zero_goes_to_the_zero_bucket() {
+        let mut h = Histogram::new();
+        h.record(0);
+        assert_eq!(index(0), 0);
+        assert_eq!(h.quantile(1.0), 0);
         h.record(1);
-        h.record(10); // lands in (0, 10], not (10, 100]
-        h.record(11);
-        h.record(100);
-        assert_eq!(h.counts(), &[0, 2, 2, 0]);
+        assert_eq!((h.quantile(0.5), h.quantile(1.0)), (0, 1));
     }
 
     #[test]
     fn overflow_catches_everything_past_the_last_bound() {
-        let mut h = Histogram::new(vec![10]);
-        h.record(11);
+        let mut h = Histogram::new();
+        h.record(1 << TOP_BITS);
         h.record(u64::MAX);
-        assert_eq!(h.overflow_count(), 2);
+        assert_eq!((index(1 << TOP_BITS), index(u64::MAX)), (OVERFLOW, OVERFLOW));
+        assert_eq!(h.quantile(0.5), u64::MAX, "the overflow bucket reports the max");
         assert_eq!(h.max(), u64::MAX);
     }
 
     #[test]
     fn mean_and_sum() {
-        let mut h = Histogram::new(vec![10]);
+        let mut h = Histogram::new();
         assert_eq!(h.mean(), 0.0);
         h.record(2);
         h.record(4);
@@ -266,21 +210,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly increase")]
-    fn non_monotone_bounds_rejected() {
-        let _ = Histogram::new(vec![10, 10]);
-    }
-
-    #[test]
     fn merge_equals_recording_the_union() {
-        let mut a = Histogram::new(vec![10, 100]);
-        let mut b = Histogram::new(vec![10, 100]);
-        let mut both = Histogram::new(vec![10, 100]);
-        for v in [0, 3, 50] {
+        let (mut a, mut b, mut both) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for v in [0, 3, 50, 150, 1 << 30] {
             a.record(v);
             both.record(v);
         }
-        for v in [7, 200] {
+        for v in [7, 200, 151, 1 << 45] {
             b.record(v);
             both.record(v);
         }
@@ -289,57 +225,65 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different buckets")]
-    fn merge_rejects_mismatched_buckets() {
-        let mut a = Histogram::new(vec![10]);
-        a.merge(&Histogram::new(vec![20]));
-    }
-
-    #[test]
-    fn from_raw_equals_recording() {
-        let mut direct = Histogram::phase_ns();
-        let mut counts = vec![0u64; PHASE_NS_BOUNDS.len() + 2];
-        let values = [0u64, 63, 64, 65, 5_000, 1_000_000, u64::MAX];
-        let mut sum = 0u64;
-        let mut max = 0u64;
-        for v in values {
-            direct.record(v);
-            counts[Histogram::bucket_for(&PHASE_NS_BOUNDS, v)] += 1;
-            sum = sum.saturating_add(v);
-            max = max.max(v);
-        }
-        let raw = Histogram::from_raw(PHASE_NS_BOUNDS.to_vec(), counts, sum, max);
-        assert_eq!(direct, raw);
-    }
-
-    #[test]
-    #[should_panic(expected = "raw bucket count")]
-    fn from_raw_rejects_wrong_bucket_count() {
-        let _ = Histogram::from_raw(vec![10], vec![0, 0], 0, 0);
-    }
-
-    #[test]
     fn quantile_walks_buckets() {
-        let mut h = Histogram::new(vec![10, 100, 1000]);
+        let mut h = Histogram::new();
         assert_eq!(h.quantile(0.5), 0);
-        for v in [1, 2, 3, 50, 60, 70, 80, 90, 500, 5000] {
+        for v in [1, 2, 3, 50, 60, 70, 80, 90, 500, 5_000] {
             h.record(v);
         }
-        // ranks: 3 in (0,10], 5 in (10,100], 1 in (100,1000], 1 overflow
-        assert_eq!(h.quantile(0.0), 10);
-        assert_eq!(h.quantile(0.3), 10);
-        assert_eq!(h.quantile(0.5), 100);
-        assert_eq!(h.quantile(0.8), 100);
-        assert_eq!(h.quantile(0.9), 1000);
-        assert_eq!(h.quantile(0.99), 5000); // overflow reports the true max
-        assert_eq!(h.quantile(1.0), 5000);
+        assert_eq!(h.quantile(0.0), 1);
+        assert_eq!(h.quantile(0.3), 3);
+        assert_eq!(h.quantile(0.5), 60);
+        assert_eq!(h.quantile(0.8), 90);
+        // 500 reads the midpoint of [500, 504); 5 000's bucket is
+        // [4 992, 5 056), whose midpoint is clamped to the max.
+        assert_eq!(h.quantile(0.9), 502);
+        assert_eq!(h.quantile(1.0), 5_000);
     }
 
     #[test]
     fn quantile_with_zeros_only() {
-        let mut h = Histogram::new(vec![10]);
+        let mut h = Histogram::new();
         h.record(0);
         h.record(0);
         assert_eq!(h.quantile(0.99), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn quantiles_are_within_one_percent_of_nearest_rank(
+            values in prop::collection::vec(
+                // Log-uniform over [0, 2^40): every octave gets drawn.
+                (0u32..=TOP_BITS, any::<u64>())
+                    .prop_map(|(bits, x)| if bits == 0 { 0 } else { x >> (64 - bits) }),
+                1..300,
+            ),
+            q in 0.0..1.0f64,
+        ) {
+            let (mut h, mut left, mut right) = (Histogram::new(), Histogram::new(), Histogram::new());
+            let cut = (q * values.len() as f64) as usize;
+            for (i, v) in values.iter().enumerate() {
+                h.record(*v);
+                if i < cut { &mut left } else { &mut right }.record(*v);
+            }
+            left.merge(&right);
+            prop_assert_eq!(&left, &h, "merging a split equals recording the whole");
+            let mut sorted = values.clone();
+            sorted.sort_unstable();
+            let n = sorted.len() as u64;
+            for q in [q, 0.0, 0.5, 0.99, 1.0] {
+                let exact = sorted[((q * n as f64).ceil() as u64).clamp(1, n) as usize - 1];
+                let estimate = h.quantile(q);
+                prop_assert!(estimate <= h.max(), "q={q}: {estimate} above the max");
+                if exact < 64 {
+                    prop_assert_eq!(estimate, exact, "q={q}: below 64 is exact");
+                } else {
+                    let error = estimate.abs_diff(exact) as f64 / exact as f64;
+                    prop_assert!(error <= 0.01, "q={q}: {estimate} vs {exact}");
+                }
+            }
+        }
     }
 }

@@ -51,7 +51,7 @@ pub use recorder::{
 };
 pub use registry::{Ctr, MetricsRegistry};
 pub use replay::{load_jsonl, parse_jsonl, replay};
-pub use sink::{JsonlSink, NullSink, RingHandle, RingSink, Sink, TeeSink};
+pub use sink::{JsonlSink, RingHandle, RingSink, Sink, TeeSink};
 pub use span::{build_span_trees, records_eq_ignoring_wall, strip_wall, SpanKind, SpanNode};
 pub use tracer::{current_thread_tag, Tracer};
 pub use wallclock::{wall_now_us, WallAnchor, WallEpoch};

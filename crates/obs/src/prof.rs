@@ -34,7 +34,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::hist::{Histogram, PHASE_NS_BOUNDS};
+use crate::hist::{self, Histogram, BUCKETS};
 
 /// The fixed commit-path phase taxonomy.
 ///
@@ -106,9 +106,6 @@ impl CommitPhase {
     }
 }
 
-/// Histogram buckets per phase: zero + one per bound + overflow.
-const NS_BUCKETS: usize = PHASE_NS_BOUNDS.len() + 2;
-
 /// Maximum tracked nesting depth. Deeper timers still balance the
 /// stack but stop attributing time (the commit path nests ≤ 4 deep).
 const MAX_DEPTH: usize = 16;
@@ -116,18 +113,18 @@ const MAX_DEPTH: usize = 16;
 /// Per-thread accumulator block; shared with `snapshot()` via `Arc`.
 struct Slot {
     ns: [AtomicU64; CommitPhase::COUNT],
-    ops: [AtomicU64; CommitPhase::COUNT],
     max: [AtomicU64; CommitPhase::COUNT],
-    buckets: [[AtomicU64; NS_BUCKETS]; CommitPhase::COUNT],
+    /// [`Histogram`]'s buckets, one run of [`BUCKETS`] per phase (on the
+    /// heap: ≈ 160 KB, built only by threads that time while enabled).
+    buckets: Box<[AtomicU64]>,
 }
 
 impl Slot {
     fn new() -> Slot {
         Slot {
             ns: std::array::from_fn(|_| AtomicU64::new(0)),
-            ops: std::array::from_fn(|_| AtomicU64::new(0)),
             max: std::array::from_fn(|_| AtomicU64::new(0)),
-            buckets: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
+            buckets: (0..CommitPhase::COUNT * BUCKETS).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -136,10 +133,8 @@ impl Slot {
         // only by `snapshot`; no ordering between them is promised (a
         // concurrent fold may see an op without its ns — documented).
         self.ns[phase].fetch_add(ns, Ordering::Relaxed);
-        self.ops[phase].fetch_add(1, Ordering::Relaxed);
         self.max[phase].fetch_max(ns, Ordering::Relaxed);
-        let bucket = Histogram::bucket_for(&PHASE_NS_BOUNDS, ns);
-        self.buckets[phase][bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[phase * BUCKETS + hist::index(ns)].fetch_add(1, Ordering::Relaxed);
     }
 
     fn reset(&self) {
@@ -147,11 +142,25 @@ impl Slot {
         // first, so there is no concurrent reader to order against.
         for i in 0..CommitPhase::COUNT {
             self.ns[i].store(0, Ordering::Relaxed);
-            self.ops[i].store(0, Ordering::Relaxed);
             self.max[i].store(0, Ordering::Relaxed);
-            for b in &self.buckets[i] {
-                b.store(0, Ordering::Relaxed);
-            }
+        }
+        for b in self.buckets.iter() {
+            b.store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Adds this slot's tallies to `out` — `snapshot`'s fold, per slot.
+    fn fold_into(&self, out: &mut PhaseProfile) {
+        // relaxed: folds independent tallies; each observation lands wholly
+        // in or out of a later snapshot, and quiesced snapshots are exact
+        // (see `snapshot`) — no acquire edge would tighten that contract.
+        for (i, hist) in out.hist.iter_mut().enumerate() {
+            let counts = &self.buckets[i * BUCKETS..(i + 1) * BUCKETS];
+            hist.add_counts(
+                counts.iter().map(|b| b.load(Ordering::Relaxed)),
+                self.ns[i].load(Ordering::Relaxed),
+                self.max[i].load(Ordering::Relaxed),
+            );
         }
     }
 }
@@ -161,7 +170,8 @@ impl Slot {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// All thread slots ever registered (slots outlive their threads so a
-/// snapshot never loses a finished worker's numbers).
+/// snapshot never loses a finished worker's numbers; a later thread
+/// takes over a slot whose thread has exited).
 static SLOTS: Mutex<Vec<Arc<Slot>>> = Mutex::new(Vec::new());
 
 /// Turns phase accounting on or off process-wide.
@@ -188,8 +198,15 @@ struct Tls {
 
 thread_local! {
     static TLS: Tls = {
-        let slot = Arc::new(Slot::new());
-        SLOTS.lock().push(Arc::clone(&slot));
+        // A slot only `SLOTS` still holds lost its thread: take it over
+        // (its tallies stay in every snapshot either way) rather than
+        // build ≈ 160 KB for each short-lived worker.
+        let idle = SLOTS.lock().iter().find(|s| Arc::strong_count(s) == 1).cloned();
+        let slot = idle.unwrap_or_else(|| {
+            let slot = Arc::new(Slot::new());
+            SLOTS.lock().push(Arc::clone(&slot));
+            slot
+        });
         Tls {
             slot,
             depth: Cell::new(0),
@@ -280,12 +297,11 @@ pub fn record_raw(phase: CommitPhase, ns: u64) {
     let _ = TLS.try_with(|t| t.slot.record(phase as usize, ns));
 }
 
-/// An immutable fold of every thread slot: per-phase totals plus a
-/// [`Histogram`] per phase (same buckets as [`Histogram::phase_ns`]).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// An immutable fold of every thread slot: a [`Histogram`] of
+/// per-operation nanoseconds per phase, whose count and sum are the
+/// phase's operations and total nanoseconds.
+#[derive(Clone, Debug, PartialEq)]
 pub struct PhaseProfile {
-    ns: Vec<u64>,
-    ops: Vec<u64>,
     hist: Vec<Histogram>,
 }
 
@@ -299,23 +315,19 @@ impl PhaseProfile {
     /// An all-zero profile.
     #[must_use]
     pub fn empty() -> PhaseProfile {
-        PhaseProfile {
-            ns: vec![0; CommitPhase::COUNT],
-            ops: vec![0; CommitPhase::COUNT],
-            hist: (0..CommitPhase::COUNT).map(|_| Histogram::phase_ns()).collect(),
-        }
+        PhaseProfile { hist: (0..CommitPhase::COUNT).map(|_| Histogram::new()).collect() }
     }
 
     /// Total nanoseconds attributed to `phase`.
     #[must_use]
     pub fn ns(&self, phase: CommitPhase) -> u64 {
-        self.ns[phase as usize]
+        self.hist[phase as usize].sum()
     }
 
     /// Number of timed operations in `phase`.
     #[must_use]
     pub fn ops(&self, phase: CommitPhase) -> u64 {
-        self.ops[phase as usize]
+        self.hist[phase as usize].total()
     }
 
     /// Mean nanoseconds per operation in `phase` (0 when unobserved).
@@ -334,28 +346,24 @@ impl PhaseProfile {
     /// (exclusive accounting), so this is total attributed wall time.
     #[must_use]
     pub fn total_ns(&self) -> u64 {
-        self.ns.iter().sum()
+        self.hist.iter().map(Histogram::sum).sum()
     }
 
     /// True when nothing has been observed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.ops.iter().all(|o| *o == 0)
+        self.hist.iter().all(|h| h.total() == 0)
     }
 
     /// Adds another profile's observations to this one.
     pub fn merge(&mut self, other: &PhaseProfile) {
-        for i in 0..CommitPhase::COUNT {
-            self.ns[i] += other.ns[i];
-            self.ops[i] += other.ops[i];
-            self.hist[i].merge(&other.hist[i]);
+        for (mine, theirs) in self.hist.iter_mut().zip(&other.hist) {
+            mine.merge(theirs);
         }
     }
 
     /// Records one synthetic observation (mirrors `Slot::record`).
     pub fn record(&mut self, phase: CommitPhase, ns: u64) {
-        self.ns[phase as usize] += ns;
-        self.ops[phase as usize] += 1;
         self.hist[phase as usize].record(ns);
     }
 }
@@ -367,24 +375,9 @@ impl PhaseProfile {
 /// snapshots (the bench pattern: join workers, then snapshot) are exact.
 #[must_use]
 pub fn snapshot() -> PhaseProfile {
-    // relaxed: folds independent tallies; each observation lands wholly
-    // in or out of a later snapshot, and quiesced snapshots are exact
-    // (see above) — no acquire edge would tighten that contract.
     let mut out = PhaseProfile::empty();
     for slot in SLOTS.lock().iter() {
-        for i in 0..CommitPhase::COUNT {
-            let ns = slot.ns[i].load(Ordering::Relaxed);
-            let ops = slot.ops[i].load(Ordering::Relaxed);
-            let max = slot.max[i].load(Ordering::Relaxed);
-            if ops == 0 && ns == 0 {
-                continue;
-            }
-            let counts: Vec<u64> =
-                slot.buckets[i].iter().map(|b| b.load(Ordering::Relaxed)).collect();
-            out.ns[i] += ns;
-            out.ops[i] += ops;
-            out.hist[i].merge(&Histogram::from_raw(PHASE_NS_BOUNDS.to_vec(), counts, ns, max));
-        }
+        slot.fold_into(&mut out);
     }
     out
 }
@@ -476,10 +469,36 @@ mod tests {
         manual.record(CommitPhase::Admission, 7);
         assert_eq!(s1, manual, "snapshot must equal the by-hand fold");
 
+        // -- a finished thread's slot is taken over, tallies kept -------
+        reset();
+        let one_thread = || std::thread::spawn(|| record_raw(CommitPhase::Read, 1)).join();
+        one_thread().expect("recording thread");
+        let slots = SLOTS.lock().len();
+        for _ in 0..3 {
+            one_thread().expect("recording thread");
+        }
+        assert_eq!(SLOTS.lock().len(), slots, "no slot built for a later thread");
+        assert_eq!(snapshot().ops(CommitPhase::Read), 4);
+
         // -- reset zeroes -----------------------------------------------
         reset();
         assert!(snapshot().is_empty());
         set_enabled(false);
+    }
+
+    #[test]
+    fn slot_fold_equals_recording() {
+        let slot = Slot::new();
+        let mut direct = PhaseProfile::empty();
+        let values = [0, 63, 64, 65, 5_000, 1_000_000, 1 << 39, 1 << 41];
+        for (k, v) in values.into_iter().enumerate() {
+            let phase = CommitPhase::ALL[k % 3];
+            slot.record(phase as usize, v);
+            direct.record(phase, v);
+        }
+        let mut folded = PhaseProfile::empty();
+        slot.fold_into(&mut folded);
+        assert_eq!(folded, direct);
     }
 
     #[test]

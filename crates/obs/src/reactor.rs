@@ -14,21 +14,6 @@
 use crate::hist::Histogram;
 use std::fmt::Write as _;
 
-/// Microsecond bounds for wake-latency style quantities: the reactor's
-/// wake path is an O(1) enqueue, so the interesting resolution sits in
-/// the tens-of-microseconds to tens-of-milliseconds range — far below
-/// [`Histogram::latency_us`]'s first bucket.
-#[must_use]
-pub fn wake_latency_bounds() -> Vec<u64> {
-    vec![10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 1_000_000]
-}
-
-/// A wake-latency histogram (see [`wake_latency_bounds`]).
-#[must_use]
-pub fn wake_latency_histogram() -> Histogram {
-    Histogram::new(wake_latency_bounds())
-}
-
 /// Point-in-time census of a reactor's sessions, by lifecycle phase.
 /// The fleet claim "≥95% of sessions sleeping cost nothing" is checked
 /// against exactly these numbers.
@@ -90,8 +75,8 @@ impl ReactorSnapshot {
     pub fn empty(workers: usize) -> Self {
         ReactorSnapshot {
             queue_depth: vec![0; workers],
-            wake_latency_us: wake_latency_histogram(),
-            timer_lag_us: wake_latency_histogram(),
+            wake_latency_us: Histogram::new(),
+            timer_lag_us: Histogram::new(),
             census: ReactorCensus::default(),
             stale_wakes: 0,
         }
@@ -176,11 +161,25 @@ mod tests {
             "pstm_reactor_queue_depth{worker=\"1\"} 7",
             "pstm_reactor_sessions{phase=\"sleeping\"} 3",
             "pstm_reactor_stale_wakes_total 5",
-            "pstm_reactor_wake_latency_us{quantile=\"0.99\"} 250",
             "pstm_reactor_wake_latency_us_count 1",
-            "pstm_reactor_timer_lag_us{quantile=\"0.5\"} 50",
+            "pstm_reactor_timer_lag_us{quantile=\"0.5\"} 40",
         ] {
             assert!(page.contains(series), "missing `{series}` in:\n{page}");
+        }
+    }
+
+    #[test]
+    fn one_wake_reads_its_own_latency() {
+        for wake_us in [120, 1_234, 987_654] {
+            let mut snap = ReactorSnapshot::empty(1);
+            snap.wake_latency_us.record(wake_us);
+            let page = snap.prometheus();
+            for q in ["0.5", "0.99"] {
+                let series = format!("pstm_reactor_wake_latency_us{{quantile=\"{q}\"}} ");
+                let line = page.lines().find_map(|l| l.strip_prefix(series.as_str()));
+                let read: u64 = line.expect("quantile series").parse().expect("integer");
+                assert!(read.abs_diff(wake_us) * 100 <= wake_us, "{wake_us} µs read as {read}");
+            }
         }
     }
 

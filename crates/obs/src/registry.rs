@@ -219,9 +219,9 @@ impl MetricsRegistry {
     pub fn new() -> Self {
         MetricsRegistry {
             counters: [0; Ctr::COUNT],
-            wait_time: Histogram::latency_us(),
-            commit_latency: Histogram::latency_us(),
-            queue_depth: Histogram::queue_depth(),
+            wait_time: Histogram::new(),
+            commit_latency: Histogram::new(),
+            queue_depth: Histogram::new(),
             begin_at: BTreeMap::new(),
             wait_since: BTreeMap::new(),
             span_open: BTreeMap::new(),
@@ -310,10 +310,6 @@ impl MetricsRegistry {
     /// key sets are disjoint in practice — on a key collision the later
     /// timestamp wins, keeping the merge commutative enough for
     /// monitoring use).
-    ///
-    /// # Panics
-    /// If the two registries were built with different histogram bucket
-    /// layouts (cannot happen for registries made by `new`).
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (mine, theirs) in self.counters.iter_mut().zip(other.counters.iter()) {
             *mine += theirs;

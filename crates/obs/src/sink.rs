@@ -30,15 +30,6 @@ pub trait Sink: Send {
     }
 }
 
-/// A sink that discards everything (useful as an explicit placeholder;
-/// a tracer with *no* sink skips serialization entirely).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn record(&mut self, _rec: &TraceRecord) {}
-}
-
 #[derive(Debug)]
 struct RingInner {
     cap: usize,

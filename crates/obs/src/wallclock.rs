@@ -1,7 +1,7 @@
 //! The workspace's single wall-clock seam.
 //!
-//! Everything in this repository runs on *virtual* time ([`Timestamp`]
-//! values threaded explicitly through the GTM and simulator), which is
+//! Everything in this repository runs on *virtual* time
+//! ([`Timestamp`](pstm_types::Timestamp) values threaded explicitly through the GTM and simulator), which is
 //! what makes runs deterministic and traces replayable. The two places
 //! real time is genuinely needed — bridging OS threads onto the virtual
 //! clock in `pstm-front`, and the second clock spans carry for
@@ -10,9 +10,6 @@
 //! else, so a stray wall-clock read (which would silently break
 //! replay determinism) fails the build instead of slipping through
 //! review.
-//!
-//! [`Timestamp`]: https://docs.rs/ — `pstm_types::Timestamp`, re-exported
-//! by the workspace.
 
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 

@@ -287,15 +287,11 @@ pub fn decode_record(buf: &[u8]) -> PstmResult<LogRecord> {
     Ok(rec)
 }
 
-// The Fletcher-32 style checksum these pages and the WAL frame on now
-// lives in `pstm_obs::frame` so the flight recorder shares one
-// torn-tail machinery with the WAL; re-exported here for compatibility.
-pub use pstm_obs::frame::{checksum, ChecksumStream};
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+    use pstm_obs::frame::{checksum, ChecksumStream};
 
     #[test]
     fn scalar_round_trips() {

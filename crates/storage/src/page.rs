@@ -344,7 +344,7 @@ impl Page {
     /// Appends [`Page::to_bytes`]'s image to `out`.
     pub(crate) fn write_image(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.buf[..]);
-        out.extend_from_slice(&crate::codec::checksum(&self.buf[..]).to_le_bytes());
+        out.extend_from_slice(&pstm_obs::frame::checksum(&self.buf[..]).to_le_bytes());
     }
 
     /// Deserializes a page image, verifying length and checksum.
@@ -358,7 +358,7 @@ impl Page {
         }
         let (img, sum) = bytes.split_at(PAGE_SIZE);
         let expect = u32::from_le_bytes(sum.try_into().unwrap());
-        if crate::codec::checksum(img) != expect {
+        if pstm_obs::frame::checksum(img) != expect {
             return Err(PstmError::WalCorrupt("page checksum mismatch".into()));
         }
         let mut buf = Box::new([0u8; PAGE_SIZE]);

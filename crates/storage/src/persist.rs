@@ -16,7 +16,7 @@
 //! validation path recovery uses. The WAL is not persisted: a save *is*
 //! a checkpoint, after which the log is empty by construction.
 
-use crate::codec::checksum;
+use pstm_obs::frame::checksum;
 use pstm_types::{PstmError, PstmResult};
 use std::io::{Read, Write};
 use std::path::Path;

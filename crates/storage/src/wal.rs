@@ -192,7 +192,7 @@ impl Wal {
     /// Appends a record, returning its LSN.
     ///
     /// Every path that grows the log device goes through
-    /// [`Wal::flush_staged`] (the `wal-seam` lint in `pstm-check` enforces
+    /// `Wal::flush_staged` (the `wal-seam` lint in `pstm-check` enforces
     /// it), which makes that the [`FaultSite::WalAppend`] seam: an
     /// injected `Io` or `Crash` kills the simulated process before any
     /// byte lands, and `Torn { keep }` writes only a prefix of the frame
