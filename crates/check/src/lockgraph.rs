@@ -144,7 +144,6 @@ pub const ATOMIC_SEAM_FILES: &[&str] =
 /// `lock_shards_ascending` is the *only* sanctioned multi-shard path.
 const GUARD_HELPERS: &[(&str, &str, &str)] = &[
     ("lock_shards_ascending", "gtm_shard", "Gtm"),
-    ("lock_shard_for", "gtm_shard", "Gtm"),
     ("lock_flush_fences", "flush_fence", ""),
     ("with_shards", "gtm_shard", ""),
 ];
@@ -471,7 +470,7 @@ impl<'a> Analyzer<'a> {
             let ty = if r == "self" {
                 f.impl_type.clone()
             } else if let Some((_, _, t)) = GUARD_HELPERS.iter().find(|(h, _, _)| h == &r) {
-                // `self.front.lock_shard_for(..)?.tick()` — the receiver
+                // `self.front.lock_flush_fences(..).len()` — the receiver
                 // is the helper's guard.
                 if t.is_empty() {
                     return Vec::new();

@@ -20,17 +20,17 @@
 //! chaos harness's ticking virtual clock.
 
 use crate::gtm::{CommitResult, Gtm, GtmConfig, LocalCommit};
-use crate::sst::{Sst, SstBatch};
+use crate::sst::{Sst, SstBatch, Writes};
 use pstm_obs::{SpanKind, TraceEvent};
 use pstm_storage::{BindingRegistry, Database};
 use pstm_types::{
     AbortReason, Duration, FaultDecision, FaultSite, PstmError, PstmResult, ResourceId,
-    StepEffects, Timestamp, TxnId, Value,
+    StepEffects, Timestamp, TxnId,
 };
 use std::borrow::Cow;
 
 /// One committing transaction of a wave.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Member<'a> {
     /// The transaction (the same id on every shard).
     pub txn: TxnId,
@@ -96,7 +96,7 @@ pub trait CommitEnv {
     fn effects(&mut self, fx: StepEffects);
 }
 
-/// Commits a wave. Each settled member's fate is appended to `fates` as
+/// Commits a wave. Each settled member's fate is handed to `settled` as
 /// soon as it is final — also when the call then fails with
 /// [`PstmError::Crashed`], after which all volatile state is garbage.
 /// Returns the members the cut **deferred**: their write estimate
@@ -112,7 +112,7 @@ pub trait CommitEnv {
 pub fn commit_wave<E: CommitEnv>(
     env: &mut E,
     wave: &[Member<'_>],
-    fates: &mut Vec<(TxnId, CommitResult)>,
+    settled: &mut dyn FnMut(TxnId, CommitResult),
 ) -> PstmResult<Vec<TxnId>> {
     let Some(&lead_shard) = wave.first().and_then(|m| m.shards.first()) else {
         return Ok(Vec::new());
@@ -155,7 +155,7 @@ pub fn commit_wave<E: CommitEnv>(
                     claimed.extend(mutated);
                 }
                 // An aborted member parks nothing and constrains no one.
-                Err(reason) => fates.push((m.txn, CommitResult::Aborted(reason))),
+                Err(reason) => settled(m.txn, CommitResult::Aborted(reason)),
             }
         }
         Ok((batch, strays, held.gtm(lead_shard)?.config()))
@@ -165,10 +165,10 @@ pub fn commit_wave<E: CommitEnv>(
 
     // ---- flush + finish ---------------------------------------------------
     if let Some(batch) = batch {
-        settle(env, wave, &shards, config, batch, fates)?;
+        settle(env, wave, &shards, config, batch, settled)?;
     }
     for sst in strays {
-        settle(env, wave, &shards, config, SstBatch::of(sst), fates)?;
+        settle(env, wave, &shards, config, SstBatch::of(sst), settled)?;
     }
     Ok(deferred)
 }
@@ -176,9 +176,8 @@ pub fn commit_wave<E: CommitEnv>(
 /// The wave of one: commits `member` alone and returns its fate — the
 /// solo commit, and the cross-shard commit when it spans shards.
 pub fn commit_one<E: CommitEnv>(env: &mut E, member: Member<'_>) -> PstmResult<CommitResult> {
-    let mut fates = Vec::with_capacity(1);
-    commit_wave(env, &[member], &mut fates)?;
-    let fate = fates.pop().map(|(_, fate)| fate);
+    let mut fate = None;
+    commit_wave(env, &[member], &mut |_, settled| fate = Some(settled))?;
     fate.ok_or_else(|| PstmError::internal(format!("{} settled without a fate", member.txn)))
 }
 
@@ -190,8 +189,8 @@ fn reconcile_member(
     m: &Member<'_>,
     now: Timestamp,
     fx: &mut StepEffects,
-) -> PstmResult<Result<Vec<(ResourceId, Value)>, AbortReason>> {
-    let mut writes = Vec::new();
+) -> PstmResult<Result<Writes, AbortReason>> {
+    let mut writes = Writes::new();
     for (k, &s) in m.shards.iter().enumerate() {
         match held.gtm(s)?.commit_local(m.txn, now)? {
             LocalCommit::Prepared(w) if writes.is_empty() => writes = w,
@@ -232,7 +231,7 @@ fn settle<E: CommitEnv>(
     shards: &[usize],
     config: GtmConfig,
     batch: SstBatch,
-    fates: &mut Vec<(TxnId, CommitResult)>,
+    settled: &mut dyn FnMut(TxnId, CommitResult),
 ) -> PstmResult<()> {
     let home = parked(wave, &batch).next().map_or(0, |(m, _)| m.home);
 
@@ -310,7 +309,7 @@ fn settle<E: CommitEnv>(
             // engine applied nothing. Each member re-runs as a wave of one
             // so only the violators abort.
             for sst in batch.members {
-                settle(env, wave, shards, config, SstBatch::of(sst), fates)?;
+                settle(env, wave, shards, config, SstBatch::of(sst), settled)?;
             }
             return Ok(());
         }
@@ -342,7 +341,7 @@ fn settle<E: CommitEnv>(
                 });
             }
             if failure.is_none() {
-                fates.push((m.txn, fate.clone()));
+                settled(m.txn, fate.clone());
             }
         }
         Ok(())

@@ -27,6 +27,7 @@ use crate::dependence::DependenceMap;
 use crate::history::HistoryRecorder;
 use crate::policy::{AdmissionPolicy, StarvationPolicy};
 use crate::reconcile::reconcile;
+use crate::sst::Writes;
 use crate::state::{Grant, Phase, ResourceState, TxnRecord, TxnState, WaitEntry};
 use pstm_lock::WaitsForGraph;
 use pstm_obs::prof::{self, CommitPhase};
@@ -198,7 +199,7 @@ pub enum LocalCommit {
     /// Every touched resource reconciled; these writes await a global
     /// commit. The transaction is parked in `Committing` until the
     /// coordinator calls [`Gtm::commit_finish`] or [`Gtm::commit_abort`].
-    Prepared(Vec<(ResourceId, Value)>),
+    Prepared(Writes),
     /// A local commit failed (reconciliation overflow, zero snapshot,
     /// engine read error); the transaction was aborted and cleaned up.
     Aborted(AbortReason, StepEffects),
@@ -259,7 +260,9 @@ pub struct Gtm {
     /// transaction. Read only to refuse an event on a finished id, to
     /// reject `begin` of a known id, and by [`Gtm::state`].
     finished: BTreeMap<TxnId, TxnState>,
-    resources: BTreeMap<ResourceId, ResourceState>,
+    /// One row per bound resource, by its slot in `bindings` (found by an
+    /// event's one binding lookup), so rows iterate in resource order.
+    rows: Vec<ResourceState>,
     config: GtmConfig,
     dependence: DependenceMap,
     pub(crate) tracer: Tracer,
@@ -272,10 +275,13 @@ pub struct Gtm {
     /// `(A_t_sleep, A)` of every sleeping transaction: the pruning
     /// horizon is its first entry, read without scanning `live`.
     sleepers: BTreeSet<(Timestamp, TxnId)>,
-    /// The resources whose wait queue is non-empty — all that promotion,
+    /// The slots whose wait queue is non-empty — all that promotion,
     /// the waits-for graph, [`Gtm::tick`], [`Gtm::next_wake_deadline`]
     /// and [`Gtm::has_waiters`] need to look at.
-    queued: BTreeSet<ResourceId>,
+    queued: BTreeSet<usize>,
+    /// Finished transactions' records, emptied, for `begin` to reuse: as
+    /// many as were ever in flight at once.
+    spare: Vec<TxnRecord>,
 }
 
 impl Gtm {
@@ -284,18 +290,19 @@ impl Gtm {
     pub fn new(db: Arc<Database>, bindings: BindingRegistry, config: GtmConfig) -> Self {
         Gtm {
             db,
+            rows: vec![ResourceState::default(); bindings.len()],
+            history: HistoryRecorder::over(bindings.resources()),
             bindings,
             live: BTreeMap::new(),
             finished: BTreeMap::new(),
-            resources: BTreeMap::new(),
             config,
             dependence: DependenceMap::new(),
             tracer: Tracer::disabled(),
-            history: HistoryRecorder::new(),
             fault_hook: None,
             fault_shard: 0,
             sleepers: BTreeSet::new(),
             queued: BTreeSet::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -354,12 +361,6 @@ impl Gtm {
         self
     }
 
-    /// The installed dependence map.
-    #[must_use]
-    pub fn dependence(&self) -> &DependenceMap {
-        &self.dependence
-    }
-
     /// Counter snapshot, projected from the tracer's registry.
     #[must_use]
     pub fn stats(&self) -> GtmStats {
@@ -402,15 +403,34 @@ impl Gtm {
     pub fn verify_serializable(&self) -> Result<(), String> {
         let mut finals = BTreeMap::new();
         for resource in self.history.touched_resources() {
-            let v = self.perm(resource).map_err(|e| e.to_string())?;
-            finals.insert(resource, v);
+            let v = self.slot(resource).and_then(|slot| self.perm(slot));
+            finals.insert(resource, v.map_err(|e| e.to_string())?);
         }
         self.history.verify_final_state(&finals)
     }
 
-    fn perm(&self, resource: ResourceId) -> PstmResult<Value> {
-        let b = self.bindings.resolve(resource)?;
+    /// The slot of `resource`: the one binding lookup an event makes.
+    fn slot(&self, resource: ResourceId) -> PstmResult<usize> {
+        let slot = self.bindings.slot(resource);
+        slot.ok_or_else(|| PstmError::NotFound(format!("binding for {resource}")))
+    }
+
+    /// The resource in `slot`.
+    fn id(&self, slot: usize) -> ResourceId {
+        self.bindings.at(slot).0
+    }
+
+    /// `X_permanent` of the resource in `slot`.
+    fn perm(&self, slot: usize) -> PstmResult<Value> {
+        let (_, b) = self.bindings.at(slot);
         self.db.get_col(b.table, b.row, b.column)
+    }
+
+    /// `slot`'s logical dependence group (§IV), as slots.
+    fn related(&self, slot: usize) -> impl Iterator<Item = usize> + '_ {
+        let resource = self.id(slot);
+        let slot_of = move |r| if r == resource { Some(slot) } else { self.bindings.slot(r) };
+        self.dependence.related(resource).filter_map(slot_of)
     }
 
     /// The working record of `txn`; a finished transaction is refused
@@ -454,14 +474,11 @@ impl Gtm {
         Ok(record)
     }
 
-    /// `txn`'s row on `resource`, if it holds one.
-    fn row(&self, txn: TxnId, resource: ResourceId) -> Option<&Grant> {
-        self.resources.get(&resource)?.holders.get(&txn)
-    }
-
-    /// [`Gtm::row`], to update.
-    fn row_mut(&mut self, txn: TxnId, resource: ResourceId) -> Option<&mut Grant> {
-        self.resources.get_mut(&resource)?.holders.get_mut(&txn)
+    /// Keeps a finished transaction's unwound record for the next `begin`.
+    fn recycle(&mut self, TxnRecord { mut held, mut op_log, .. }: TxnRecord) {
+        held.clear();
+        op_log.clear();
+        self.spare.push(TxnRecord { held, op_log, ..TxnRecord::new() });
     }
 
     /// Drops `txn`'s `sleepers` entry once its `A_t_sleep` (`slept`, as
@@ -472,13 +489,13 @@ impl Gtm {
         }
     }
 
-    /// Removes `txn` from `resource`'s wait queue, keeping `queued` and
+    /// Removes `txn` from `slot`'s wait queue, keeping `queued` and
     /// (unless it just finished) its record's `waiting_on` exact.
-    fn unqueue(&mut self, resource: ResourceId, txn: TxnId) {
-        let Some(rs) = self.resources.get_mut(&resource) else { return };
+    fn unqueue(&mut self, slot: usize, txn: TxnId) {
+        let rs = &mut self.rows[slot];
         rs.waiting.retain(|w| w.txn != txn);
         if rs.waiting.is_empty() {
-            self.queued.remove(&resource);
+            self.queued.remove(&slot);
         }
         if let Some(record) = self.live.get_mut(&txn) {
             record.waiting_on = None;
@@ -491,16 +508,15 @@ impl Gtm {
         self.live.get(&txn).is_some_and(|record| record.state == TxnState::Sleeping)
     }
 
-    /// The awake entries of `resource`'s wait queue, FIFO — Algorithm
-    /// 11's `X_waiting − X_sleeping`.
-    fn awake_waiters(&self, resource: ResourceId) -> impl Iterator<Item = &WaitEntry> {
-        let queue = self.resources.get(&resource).into_iter().flat_map(|rs| &rs.waiting);
-        queue.filter(|w| !self.is_asleep(w.txn))
+    /// The awake entries of `slot`'s wait queue, FIFO — Algorithm 11's
+    /// `X_waiting − X_sleeping`.
+    fn awake_waiters(&self, slot: usize) -> impl Iterator<Item = &WaitEntry> {
+        self.rows[slot].waiting.iter().filter(|w| !self.is_asleep(w.txn))
     }
 
     /// Every queued invocation, found through `queued` alone.
     fn wait_entries(&self) -> impl Iterator<Item = &WaitEntry> {
-        self.queued.iter().filter_map(|r| self.resources.get(r)).flat_map(|rs| rs.waiting.iter())
+        self.queued.iter().flat_map(|s| self.rows[*s].waiting.iter())
     }
 
     // ------------------------------------------------------------------
@@ -521,7 +537,8 @@ impl Gtm {
                 state: "rejected",
             });
         }
-        self.live.insert(txn, TxnRecord::new());
+        let record = self.spare.pop().unwrap_or_else(TxnRecord::new);
+        self.live.insert(txn, record);
         self.tracer.emit(now, TraceEvent::TxnBegin { txn });
         Ok(())
     }
@@ -550,14 +567,15 @@ impl Gtm {
             CommitPhase::OpBookkeeping
         });
         self.tracer.emit(now, TraceEvent::OpRequested { txn, resource, class });
+        let slot = self.slot(resource)?;
 
-        match self.row_mut(txn, resource) {
+        match self.rows[slot].holders.get_key_mut(&txn) {
             // Already granted under a class that covers this op: pure
             // virtual-copy work, no scheduling involved.
             Some(grant) if class == grant.class || class == OpClass::Read => {
                 let new = op.apply(&grant.temp)?;
                 grant.temp = new.clone();
-                self.live(txn, "invoke")?.op_log.push((resource, op));
+                self.live(txn, "invoke")?.op_log.push((slot, op));
                 self.tracer.emit(
                     now,
                     TraceEvent::OpGranted {
@@ -574,7 +592,7 @@ impl Gtm {
             // pattern). Constraint (i) allows it because Read is
             // compatible with every update class.
             Some(Grant { class: OpClass::Read, .. }) => {
-                self.invoke(txn, resource, op, class, now, true)
+                self.invoke(txn, slot, op, class, now, true)
             }
             // Mixing incompatible mutation classes on one member violates
             // the §IV well-formedness constraint (i).
@@ -584,7 +602,7 @@ impl Gtm {
                 state: grant.class.label(),
             }),
             // First contact with this resource.
-            None => self.invoke(txn, resource, op, class, now, false),
+            None => self.invoke(txn, slot, op, class, now, false),
         }
     }
 
@@ -593,22 +611,20 @@ impl Gtm {
     /// excluded per Algorithm 2). The check spans the resource's logical
     /// dependence group: operations on logically dependent members
     /// conflict exactly like operations on one member (§IV).
-    fn blocked(&self, txn: TxnId, resource: ResourceId, class: OpClass) -> bool {
-        self.blockers(txn, resource, class).next().is_some()
+    fn blocked(&self, txn: TxnId, slot: usize, class: OpClass) -> bool {
+        self.blockers(txn, slot, class).next().is_some()
     }
 
-    /// The blocking holders, across `resource`'s dependence group, that
+    /// The blocking holders, across `slot`'s dependence group, that
     /// `class` for `txn` conflicts with.
     fn blockers(
         &self,
         txn: TxnId,
-        resource: ResourceId,
+        slot: usize,
         class: OpClass,
     ) -> impl Iterator<Item = TxnId> + '_ {
-        self.dependence
-            .related(resource)
-            .filter_map(move |sibling| self.resources.get(&sibling))
-            .flat_map(move |rs| rs.blocking_conflicts(txn, class, &self.config.compat))
+        let compat = &self.config.compat;
+        self.related(slot).flat_map(move |s| self.rows[s].blocking_conflicts(txn, class, compat))
     }
 
     /// Algorithm 2's two branches, for both fresh invocations and
@@ -616,22 +632,23 @@ impl Gtm {
     fn invoke(
         &mut self,
         txn: TxnId,
-        resource: ResourceId,
+        slot: usize,
         op: ScalarOp,
         class: OpClass,
         now: Timestamp,
         is_upgrade: bool,
     ) -> PstmResult<(ExecOutcome, StepEffects)> {
-        let denied = self.grant_denied(txn, resource, class, &op, now)?;
-        let blocked = self.blocked(txn, resource, class);
+        let denied = self.grant_denied(txn, slot, class, &op, now)?;
+        let blocked = self.blocked(txn, slot, class);
         if !denied && !blocked {
             return self
-                .grant(txn, resource, op, class, now)
+                .grant(txn, slot, op, class, now)
                 .map(|v| (ExecOutcome::Completed(v), StepEffects::none()));
         }
         // Queue (Algorithm 2, second branch). A Read holder strengthening
         // goes to the front, like a 2PL upgrade.
-        let rs = self.resources.entry(resource).or_default();
+        let resource = self.id(slot);
+        let rs = &mut self.rows[slot];
         let entry = WaitEntry { txn, class, op, since: now };
         if is_upgrade {
             rs.waiting.push_front(entry);
@@ -639,10 +656,10 @@ impl Gtm {
             rs.waiting.push_back(entry);
         }
         let queue_depth = rs.waiting.len() as u32;
-        self.queued.insert(resource);
+        self.queued.insert(slot);
         let record = self.live(txn, "wait")?;
         record.state = TxnState::Waiting;
-        record.waiting_on = Some(resource);
+        record.waiting_on = Some(slot);
         self.tracer.emit(now, TraceEvent::OpWaiting { txn, resource, class, queue_depth });
         // Any cycle created by this wait passes through the requester, so
         // the search is scoped to it (cheap).
@@ -661,20 +678,20 @@ impl Gtm {
     fn grant_denied(
         &self,
         txn: TxnId,
-        resource: ResourceId,
+        slot: usize,
         class: OpClass,
         op: &ScalarOp,
         now: Timestamp,
     ) -> PstmResult<bool> {
         let _phase = prof::PhaseTimer::start(CommitPhase::Admission);
-        let mut denied = false;
-        if self.config.elder_priority && self.awake_waiters(resource).any(|w| w.txn < txn) {
+        let (mut denied, resource) = (false, self.id(slot));
+        if self.config.elder_priority && self.awake_waiters(slot).any(|w| w.txn < txn) {
             self.tracer.emit(now, TraceEvent::StarvationDenied { txn, resource });
             denied = true;
         }
         if let Some(p) = self.config.starvation {
             let incompatible_waiters = self
-                .awake_waiters(resource)
+                .awake_waiters(slot)
                 .filter(|w| w.txn != txn && !self.config.compat.compatible(class, w.class))
                 .count();
             if p.deny(incompatible_waiters) {
@@ -682,7 +699,7 @@ impl Gtm {
                 denied = true;
             }
         }
-        if self.admission_denies(txn, resource, op)? {
+        if self.admission_denies(txn, slot, op)? {
             self.tracer.emit(now, TraceEvent::AdmissionDenied { txn, resource });
             denied = true;
         }
@@ -694,23 +711,14 @@ impl Gtm {
     /// operations are bounded — an addition that restocks the resource
     /// must never be admission-denied, or a sold-out resource could
     /// deadlock its own replenishment.
-    fn admission_denies(
-        &self,
-        txn: TxnId,
-        resource: ResourceId,
-        op: &ScalarOp,
-    ) -> PstmResult<bool> {
+    fn admission_denies(&self, txn: TxnId, slot: usize, op: &ScalarOp) -> PstmResult<bool> {
         let Some(p) = self.config.admission else { return Ok(false) };
         if !op_decrements(op) {
             return Ok(false);
         }
-        let current = self.perm(resource)?;
-        let holders = self.resources.get(&resource).map_or(0, |rs| {
-            rs.holders
-                .iter()
-                .filter(|(t, g)| **t != txn && g.class == OpClass::UpdateAddSub)
-                .count()
-        });
+        let current = self.perm(slot)?;
+        let additive = |(t, g): &&(TxnId, Grant)| *t != txn && g.class == OpClass::UpdateAddSub;
+        let holders = self.rows[slot].holders.iter().filter(additive).count();
         Ok(p.deny(OpClass::UpdateAddSub, holders, &current))
     }
 
@@ -725,19 +733,19 @@ impl Gtm {
     fn grant(
         &mut self,
         txn: TxnId,
-        resource: ResourceId,
+        slot: usize,
         op: ScalarOp,
         class: OpClass,
         now: Timestamp,
     ) -> PstmResult<Value> {
-        let permanent = self.perm(resource)?;
+        let permanent = self.perm(slot)?;
         // Apply the operation first: a failing op (e.g. arithmetic on the
         // fresh snapshot) must not leave a phantom holder behind.
         let new = op.apply(&permanent)?;
-        self.history.observe_initial(resource, &permanent);
-        let matrix = self.config.compat;
-        let rs = self.resources.entry(resource).or_default();
-        let pending = || rs.holders.iter().filter(|(t, g)| **t != txn && g.phase == Phase::Pending);
+        self.history.observe_initial(slot, &permanent);
+        let (matrix, resource) = (self.config.compat, self.id(slot));
+        let rs = &mut self.rows[slot];
+        let pending = || rs.holders.iter().filter(|(t, g)| *t != txn && g.phase == Phase::Pending);
         let shared = pending().any(|(_, g)| !g.asleep);
         let bypassed = pending().any(|(_, g)| g.asleep && !matrix.compatible(class, g.class));
         let row = Grant {
@@ -747,10 +755,10 @@ impl Gtm {
             read: permanent,
             temp: new.clone(),
         };
-        rs.holders.insert(txn, row);
+        rs.holders.insert_key(txn, row);
         let record = self.live(txn, "grant")?;
-        record.hold(resource);
-        record.op_log.push((resource, op));
+        record.hold(slot);
+        record.op_log.push((slot, op));
         self.tracer.emit(
             now,
             TraceEvent::OpGranted { txn, resource, class, shared, bypassed_sleeper: bypassed },
@@ -825,8 +833,9 @@ impl Gtm {
     #[must_use]
     pub fn mutated_resources(&self, txn: TxnId) -> Vec<ResourceId> {
         let Some(record) = self.live.get(&txn) else { return Vec::new() };
-        let mutates = |r: &ResourceId| self.row(txn, *r).is_some_and(|g| g.class.is_mutation());
-        record.held.iter().copied().filter(mutates).collect()
+        let mutates =
+            |s: &usize| self.rows[*s].holders.get_key(&txn).is_some_and(|g| g.class.is_mutation());
+        record.held.iter().copied().filter(mutates).map(|s| self.id(s)).collect()
     }
 
     /// Phase one of a coordinated commit (Algorithm 3): moves the
@@ -842,21 +851,22 @@ impl Gtm {
         let _phase = prof::PhaseTimer::start(CommitPhase::Reconcile);
         let record = self.live_in(txn, TxnState::Active, "commit")?;
         record.state = TxnState::Committing;
-        let touched = record.held.clone();
+        // Lent to the walk below; back in the record before anyone reads it.
+        let touched = std::mem::take(&mut record.held);
 
         // Local commits: flip each row pending → committing, reconcile.
         // The row keeps `X_read^A` and `A_temp` until the SST is settled.
         // Any error here (a reconciliation overflow, an engine read
         // failure) aborts the transaction.
-        let local_result: PstmResult<Vec<(ResourceId, Value)>> = (|| {
+        let local_result: PstmResult<Writes> = (|| {
             self.fault_check(FaultSite::CommitLocal { shard: self.fault_shard }, now)?;
-            let mut writes = Vec::new();
-            for &resource in &touched {
+            let mut writes = Writes::new();
+            for &slot in &touched {
                 // The paper's "link drops mid-reconcile": each resource's
                 // reconciliation is a separate arrival at the seam.
                 self.fault_check(FaultSite::Reconcile { shard: self.fault_shard }, now)?;
-                let permanent = self.perm(resource)?;
-                let grant = self.row_mut(txn, resource).ok_or_else(|| {
+                let (permanent, resource) = (self.perm(slot)?, self.id(slot));
+                let grant = self.rows[slot].holders.get_key_mut(&txn).ok_or_else(|| {
                     PstmError::internal(format!("{txn} committing {resource} without a row"))
                 })?;
                 grant.phase = Phase::Committing;
@@ -870,6 +880,7 @@ impl Gtm {
             }
             Ok(writes)
         })();
+        self.live(txn, "commit")?.held = touched;
         let reason = match local_result {
             Ok(writes) => return Ok(LocalCommit::Prepared(writes)),
             // Reconciliation failed in the value domain (overflow, zero
@@ -902,17 +913,19 @@ impl Gtm {
         // pruned to the earliest sleeper right here — a shard nobody waits
         // on never ticks.
         let earliest_sleep = self.sleepers.first().map(|(t_sleep, _)| *t_sleep);
-        for resource in &record.held {
-            let Some(rs) = self.resources.get_mut(resource) else { continue };
-            let Some(grant) = rs.holders.remove(&txn) else { continue };
+        for &slot in &record.held {
+            let rs = &mut self.rows[slot];
+            let Some(grant) = rs.holders.remove_key(&txn) else { continue };
             if earliest_sleep.is_some() {
                 rs.committed.push((txn, grant.class, now));
             }
             rs.prune_committed(earliest_sleep.unwrap_or(now));
         }
-        self.history.record_commit(txn, record.op_log);
+        self.history.record_commit(txn, &record.op_log);
         self.tracer.emit(now, TraceEvent::Committed { txn });
-        self.promote_all(record.held, now)
+        let effects = self.promote_all(record.held.iter().copied(), now);
+        self.recycle(record);
+        effects
     }
 
     /// Phase two (failure) of a coordinated commit: the coordinator's SST
@@ -964,16 +977,16 @@ impl Gtm {
     ) -> PstmResult<StepEffects> {
         let _phase = prof::PhaseTimer::start(CommitPhase::AbortUnwind);
         let record = self.finish(txn, TxnState::Aborted, "abort")?;
-        if let Some(resource) = record.waiting_on {
-            self.unqueue(resource, txn);
+        if let Some(slot) = record.waiting_on {
+            self.unqueue(slot, txn);
         }
-        for resource in &record.held {
-            if let Some(rs) = self.resources.get_mut(resource) {
-                rs.holders.remove(&txn);
-            }
+        for &slot in &record.held {
+            self.rows[slot].holders.remove_key(&txn);
         }
         self.tracer.emit(now, TraceEvent::Aborted { txn, reason, origin });
-        let mut effects = self.promote_all(record.involved(), now)?;
+        let effects = self.promote_all(record.involved(), now);
+        self.recycle(record);
+        let mut effects = effects?;
         effects.aborted.push((txn, reason));
         Ok(effects)
     }
@@ -997,18 +1010,18 @@ impl Gtm {
         }
         record.state = TxnState::Sleeping;
         record.t_sleep = Some(now);
-        let involved: Vec<ResourceId> = record.involved().collect();
+        let involved: Vec<usize> = record.involved().collect();
         self.sleepers.insert((now, txn));
         self.mark_rows(txn, &involved, true);
         self.tracer.emit(now, TraceEvent::TxnSlept { txn });
         self.promote_all(involved, now)
     }
 
-    /// Sets `Grant::asleep` on `txn`'s rows among `resources` (one it only
+    /// Sets `Grant::asleep` on `txn`'s rows among `slots` (one it only
     /// waits on has none).
-    fn mark_rows(&mut self, txn: TxnId, resources: &[ResourceId], asleep: bool) {
-        for resource in resources {
-            if let Some(grant) = self.row_mut(txn, *resource) {
+    fn mark_rows(&mut self, txn: TxnId, slots: &[usize], asleep: bool) {
+        for slot in slots {
+            if let Some(grant) = self.rows[*slot].holders.get_key_mut(&txn) {
                 grant.asleep = asleep;
             }
         }
@@ -1028,24 +1041,25 @@ impl Gtm {
         let record = self.live_in(txn, TxnState::Sleeping, "awake")?;
         let t_sleep = record.t_sleep.unwrap_or(Timestamp::ZERO);
         let held = record.held.clone();
-        let queued: Option<(ResourceId, WaitEntry)> = record.waiting_on.and_then(|resource| {
-            let queue = &self.resources.get(&resource)?.waiting;
-            queue.iter().find(|w| w.txn == txn).map(|w| (resource, w.clone()))
+        let queued: Option<(usize, WaitEntry)> = record.waiting_on.and_then(|slot| {
+            let queue = &self.rows[slot].waiting;
+            queue.iter().find(|w| w.txn == txn).map(|w| (slot, w.clone()))
         });
 
         // Conflict scan over everything the transaction is involved in,
         // each check spanning the resource's logical dependence group.
         let matrix = self.config.compat;
-        let check = |resource: ResourceId, class: OpClass| -> bool {
-            self.dependence.related(resource).any(|sibling| {
-                self.resources.get(&sibling).is_some_and(|rs| {
-                    rs.conflicts_with_any_holder(txn, class, &matrix)
-                        || rs.incompatible_commit_after(txn, class, t_sleep, &matrix)
-                })
+        let check = |slot: usize, class: OpClass| -> bool {
+            self.related(slot).any(|sibling| {
+                let rs = &self.rows[sibling];
+                rs.conflicts_with_any_holder(txn, class, &matrix)
+                    || rs.incompatible_commit_after(txn, class, t_sleep, &matrix)
             })
         };
-        let conflicted = held.iter().any(|r| self.row(txn, *r).is_some_and(|g| check(*r, g.class)))
-            || queued.as_ref().is_some_and(|(resource, w)| check(*resource, w.class));
+        let conflicted = held
+            .iter()
+            .any(|s| self.rows[*s].holders.get_key(&txn).is_some_and(|g| check(*s, g.class)))
+            || queued.as_ref().is_some_and(|(slot, w)| check(*slot, w.class));
 
         if conflicted {
             let effects =
@@ -1064,12 +1078,12 @@ impl Gtm {
         // still pending).
         let mut value = None;
         let mut state = TxnState::Active;
-        if let Some((resource, entry)) = queued {
-            if self.grant_denied(txn, resource, entry.class, &entry.op, now)? {
+        if let Some((slot, entry)) = queued {
+            if self.grant_denied(txn, slot, entry.class, &entry.op, now)? {
                 state = TxnState::Waiting;
             } else {
-                self.unqueue(resource, txn);
-                match self.grant(txn, resource, entry.op, entry.class, now) {
+                self.unqueue(slot, txn);
+                match self.grant(txn, slot, entry.op, entry.class, now) {
                     Ok(v) => value = Some(v),
                     Err(PstmError::Arithmetic(_)) => {
                         // The stashed op failed on the fresh snapshot: the
@@ -1095,12 +1109,12 @@ impl Gtm {
     // Algorithm 11: ⟨unlock, X⟩ — promotion
     // ------------------------------------------------------------------
 
-    /// Reconsiders the wait queues of `resources` after removals. FIFO
-    /// with skip-over: grantable awake entries are granted (each on a
-    /// fresh snapshot), sleeping and still-blocked entries stay queued.
+    /// Reconsiders the wait queues of `slots` after removals. FIFO with
+    /// skip-over: grantable awake entries are granted (each on a fresh
+    /// snapshot), sleeping and still-blocked entries stay queued.
     fn promote_all(
         &mut self,
-        resources: impl IntoIterator<Item = ResourceId>,
+        slots: impl IntoIterator<Item = usize>,
         now: Timestamp,
     ) -> PstmResult<StepEffects> {
         let mut effects = StepEffects::none();
@@ -1111,28 +1125,26 @@ impl Gtm {
         // logically dependent sibling — expand the scan to each
         // resource's dependence group, in resource order. Only a queued
         // resource has anyone to promote, and promotion never queues.
-        let scan: BTreeSet<ResourceId> = resources
+        let scan: BTreeSet<usize> = slots
             .into_iter()
-            .flat_map(|r| self.dependence.related(r))
-            .filter(|r| self.queued.contains(r))
+            .flat_map(|s| self.related(s))
+            .filter(|s| self.queued.contains(s))
             .collect();
-        for resource in scan {
+        for slot in scan {
             let mut idx = 0;
-            while let Some(entry) =
-                self.resources.get(&resource).and_then(|rs| rs.waiting.get(idx)).cloned()
-            {
+            while let Some(entry) = self.rows[slot].waiting.get(idx).cloned() {
                 if self.is_asleep(entry.txn) {
                     idx += 1;
                     continue; // Algorithm 11: X_waiting − X_sleeping
                 }
-                let mut denied = self.blocked(entry.txn, resource, entry.class);
+                let mut denied = self.blocked(entry.txn, slot, entry.class);
                 if !denied {
                     // Admission still applies at promotion time. Not
                     // counted in `admission_denials`: promotion re-runs on
                     // every tick, so counting re-evaluations of the same
                     // queued op would swamp the stat with polling noise —
                     // the counter tracks denied *invocations*.
-                    denied = self.admission_denies(entry.txn, resource, &entry.op)?;
+                    denied = self.admission_denies(entry.txn, slot, &entry.op)?;
                 }
                 if !denied {
                     // Starvation control also applies: skip-over
@@ -1141,7 +1153,7 @@ impl Gtm {
                     // ahead of it, or the lock-deny of Algorithm 2 would
                     // be undone at every unlock.
                     if let Some(p) = self.config.starvation {
-                        let incompatible_ahead = self.resources[&resource]
+                        let incompatible_ahead = self.rows[slot]
                             .waiting
                             .iter()
                             .take(idx)
@@ -1149,10 +1161,8 @@ impl Gtm {
                             .filter(|w| !self.config.compat.compatible(entry.class, w.class))
                             .count();
                         if p.deny(incompatible_ahead) {
-                            self.tracer.emit(
-                                now,
-                                TraceEvent::StarvationDenied { txn: entry.txn, resource },
-                            );
+                            let (txn, resource) = (entry.txn, self.id(slot));
+                            self.tracer.emit(now, TraceEvent::StarvationDenied { txn, resource });
                             denied = true;
                         }
                     }
@@ -1165,8 +1175,8 @@ impl Gtm {
                     continue;
                 }
                 // Grant it (a queue holds at most one entry per transaction).
-                self.unqueue(resource, entry.txn);
-                match self.grant(entry.txn, resource, entry.op, entry.class, now) {
+                self.unqueue(slot, entry.txn);
+                match self.grant(entry.txn, slot, entry.op, entry.class, now) {
                     Ok(value) => {
                         let record = self.live(entry.txn, "promote")?;
                         if record.state == TxnState::Waiting {
@@ -1203,9 +1213,9 @@ impl Gtm {
     pub fn waits_for_graph(&self) -> WaitsForGraph {
         let mut g = WaitsForGraph::new();
         // Only a queued resource has waiters to draw edges from.
-        for &resource in &self.queued {
-            for w in self.awake_waiters(resource) {
-                for holder in self.blockers(w.txn, resource, w.class) {
+        for &slot in &self.queued {
+            for w in self.awake_waiters(slot) {
+                for holder in self.blockers(w.txn, slot, w.class) {
                     g.add_edge(w.txn, holder);
                 }
             }
@@ -1258,7 +1268,7 @@ impl Gtm {
         // Prune committed sets below the horizon any sleeper can observe
         // (a commit prunes the lists it touches; this sweeps the rest).
         let horizon = self.sleepers.first().map_or(now, |(t_sleep, _)| *t_sleep);
-        for rs in self.resources.values_mut() {
+        for rs in &mut self.rows {
             rs.prune_committed(horizon);
         }
         Ok(effects)
@@ -1307,10 +1317,11 @@ impl Gtm {
                 return Err(format!("tombstone of {t} in non-terminal state {state}"));
             }
         }
-        for (resource, rs) in &self.resources {
+        for (slot, rs) in self.rows.iter().enumerate() {
+            let resource = self.id(slot);
             for (t, grant) in &rs.holders {
                 let record = live(t).map_err(|e| format!("holder of {resource}: {e}"))?;
-                if !record.held.contains(resource) {
+                if !record.held.contains(&slot) {
                     return Err(format!("{t} has a row on {resource} its record does not hold"));
                 }
                 if grant.asleep != (record.state == TxnState::Sleeping) {
@@ -1331,33 +1342,28 @@ impl Gtm {
                         w.txn, record.state
                     ));
                 }
-                if record.waiting_on != Some(*resource) {
-                    return Err(format!(
-                        "{} queued on {resource} but waiting_on is {:?}",
-                        w.txn, record.waiting_on
-                    ));
+                if record.waiting_on != Some(slot) {
+                    let on = record.waiting_on.map(|s| self.id(s));
+                    return Err(format!("{} queued on {resource} but waiting_on is {on:?}", w.txn));
                 }
             }
         }
         for (t, record) in &self.live {
+            let held: Vec<ResourceId> = record.held.iter().map(|s| self.id(*s)).collect();
             if !record.held.windows(2).all(|pair| pair[0] < pair[1]) {
-                return Err(format!("{t} holds {:?}, not in resource order", record.held));
+                return Err(format!("{t} holds {held:?}, not in resource order"));
             }
-            for resource in &record.held {
-                if self.row(*t, *resource).is_none() {
+            for (slot, resource) in record.held.iter().zip(&held) {
+                if self.rows[*slot].holders.get_key(t).is_none() {
                     return Err(format!("{t} holds {resource} but has no row there"));
                 }
             }
-            let in_queue = record.waiting_on.is_some_and(|resource| {
-                self.resources
-                    .get(&resource)
-                    .is_some_and(|rs| rs.waiting.iter().any(|w| w.txn == *t))
-            });
+            let in_queue = record
+                .waiting_on
+                .is_some_and(|slot| self.rows[slot].waiting.iter().any(|w| w.txn == *t));
             if record.waiting_on.is_some() != in_queue {
-                return Err(format!(
-                    "{t} waits on {:?} but that queue does not hold it",
-                    record.waiting_on
-                ));
+                let on = record.waiting_on.map(|s| self.id(s));
+                return Err(format!("{t} waits on {on:?} but that queue does not hold it"));
             }
             match record.state {
                 TxnState::Waiting if !in_queue => {
@@ -1373,16 +1379,14 @@ impl Gtm {
             }
         }
         // The two indexes `tick` trusts, recomputed the slow way.
-        let queued: BTreeSet<ResourceId> = self
-            .resources
-            .iter()
-            .filter(|(_, rs)| !rs.waiting.is_empty())
-            .map(|(r, _)| *r)
-            .collect();
+        let queued: BTreeSet<usize> =
+            (0..self.rows.len()).filter(|s| !self.rows[*s].waiting.is_empty()).collect();
         if queued != self.queued {
+            let ids = |set: &BTreeSet<usize>| set.iter().map(|s| self.id(*s)).collect::<Vec<_>>();
             return Err(format!(
-                "queued index {:?} but the non-empty wait queues are {queued:?}",
-                self.queued
+                "queued index {:?} but the non-empty wait queues are {:?}",
+                ids(&self.queued),
+                ids(&queued)
             ));
         }
         let sleepers: BTreeSet<(Timestamp, TxnId)> = self
@@ -1444,20 +1448,20 @@ mod tests {
     // before the indexes existed — the reference the indexes must match.
 
     fn full_scan_has_waiters(g: &Gtm) -> bool {
-        g.resources.values().any(|rs| !rs.waiting.is_empty())
+        g.rows.iter().any(|rs| !rs.waiting.is_empty())
     }
 
     fn full_scan_deadline(g: &Gtm) -> Option<Timestamp> {
-        g.resources
-            .values()
+        g.rows
+            .iter()
             .flat_map(|rs| rs.waiting.iter())
             .map(|w| Timestamp(w.since.0 + TIMEOUT.0))
             .min()
     }
 
     fn full_scan_expired(g: &Gtm, now: Timestamp) -> Vec<TxnId> {
-        g.resources
-            .values()
+        g.rows
+            .iter()
             .flat_map(|rs| rs.waiting.iter())
             .filter(|w| now.since(w.since) >= TIMEOUT)
             .map(|w| w.txn)
@@ -1513,7 +1517,7 @@ mod tests {
             let observable = |g: &Gtm| -> usize {
                 let kept =
                     |rs: &ResourceState| rs.committed.iter().filter(|c| c.2 > horizon).count();
-                g.resources.values().map(kept).sum()
+                g.rows.iter().map(kept).sum()
             };
             let before = observable(&g);
             assert!(before > 0);
@@ -1521,7 +1525,7 @@ mod tests {
             let timed_out: Vec<TxnId> = effects.aborted.iter().map(|(t, _)| *t).collect();
             assert_eq!(timed_out, expired);
             assert!(effects.aborted.iter().all(|(_, why)| *why == AbortReason::LockTimeout));
-            let kept: usize = g.resources.values().map(|rs| rs.committed.len()).sum();
+            let kept: usize = g.rows.iter().map(|rs| rs.committed.len()).sum();
             assert_eq!(
                 (kept, observable(&g)),
                 (before, before),
@@ -1535,13 +1539,13 @@ mod tests {
     }
 
     /// The graph `waits_for_graph` built before it followed `queued`: a
-    /// walk over every resource the manager has ever seen.
+    /// walk over every resource row.
     fn full_scan_graph(g: &Gtm) -> WaitsForGraph {
         let mut graph = WaitsForGraph::new();
-        for (resource, rs) in &g.resources {
+        for (slot, rs) in g.rows.iter().enumerate() {
             for w in rs.waiting.iter().filter(|w| !g.is_asleep(w.txn)) {
-                for sibling in g.dependence.related(*resource) {
-                    let Some(srs) = g.resources.get(&sibling) else { continue };
+                for sibling in g.dependence.related(g.id(slot)) {
+                    let Some(srs) = g.bindings.slot(sibling).map(|s| &g.rows[s]) else { continue };
                     for holder in srs.blocking_conflicts(w.txn, w.class, &g.config.compat) {
                         graph.add_edge(w.txn, holder);
                     }
@@ -1565,7 +1569,7 @@ mod tests {
         for r in &resources[..IDLE] {
             g.execute(reader, *r, ScalarOp::Read, now).unwrap();
         }
-        assert!(g.resources.len() >= IDLE);
+        assert!(g.rows.iter().filter(|rs| !rs.holders.is_empty()).count() >= IDLE);
         assert_eq!(g.waits_for_graph().edge_count(), 0, "no queue, no edges");
 
         // One waiter behind two incompatible holders, one of them across
@@ -1600,10 +1604,7 @@ mod tests {
             now
         };
         let retained = |g: &Gtm| -> Vec<usize> {
-            resources
-                .iter()
-                .map(|r| g.resources.get(r).map_or(0, |rs| rs.committed.len()))
-                .collect()
+            resources.iter().map(|r| g.rows[g.slot(*r).unwrap()].committed.len()).collect()
         };
         // No sleeper, and nobody ever ticks (the blocking front-ends only
         // tick for a waiter): nothing may pile up.
@@ -1643,12 +1644,13 @@ mod tests {
             one_sleeper_one_waiter(&mut g, 1, resources[0], resources[1], Timestamp(7));
         g.check_invariants().unwrap();
 
-        g.queued.insert(resources[2]);
+        let [s1, s2] = [1, 2].map(|i| g.slot(resources[i]).unwrap());
+        g.queued.insert(s2);
         assert!(g.check_invariants().unwrap_err().contains("queued index"));
-        g.queued.remove(&resources[2]);
-        g.queued.remove(&resources[1]);
+        g.queued.remove(&s2);
+        g.queued.remove(&s1);
         assert!(g.check_invariants().unwrap_err().contains("queued index"));
-        g.queued.insert(resources[1]);
+        g.queued.insert(s1);
         g.check_invariants().unwrap();
 
         g.sleepers.insert((Timestamp(3), TxnId(99)));
@@ -1665,26 +1667,27 @@ mod tests {
         let (sleeper, holder, _) =
             one_sleeper_one_waiter(&mut g, 1, resources[0], resources[1], Timestamp(7));
         g.check_invariants().unwrap();
+        let [s0, s1, s2] = [0, 1, 2].map(|i| g.slot(resources[i]).unwrap());
 
         // `Grant::asleep` mirrors `A_state = Sleeping`, both ways.
-        g.row_mut(sleeper, resources[0]).unwrap().asleep = false;
+        g.rows[s0].holders.get_key_mut(&sleeper).unwrap().asleep = false;
         assert!(g.check_invariants().unwrap_err().contains("asleep = false"));
-        g.row_mut(sleeper, resources[0]).unwrap().asleep = true;
-        g.row_mut(holder, resources[1]).unwrap().asleep = true;
+        g.rows[s0].holders.get_key_mut(&sleeper).unwrap().asleep = true;
+        g.rows[s1].holders.get_key_mut(&holder).unwrap().asleep = true;
         assert!(g.check_invariants().unwrap_err().contains("asleep = true"));
-        g.row_mut(holder, resources[1]).unwrap().asleep = false;
+        g.rows[s1].holders.get_key_mut(&holder).unwrap().asleep = false;
         g.check_invariants().unwrap();
 
         // `held` lists exactly the rows, in resource order.
         g.live(holder, "test").unwrap().held.clear();
         assert!(g.check_invariants().unwrap_err().contains("its record does not hold"));
-        g.live(holder, "test").unwrap().held = vec![resources[1], resources[2]];
+        g.live(holder, "test").unwrap().held = vec![s1, s2];
         assert!(g.check_invariants().unwrap_err().contains("has no row there"));
-        let row = g.row_mut(holder, resources[1]).unwrap().clone();
-        g.resources.entry(resources[0]).or_default().holders.insert(holder, row);
-        g.live(holder, "test").unwrap().held = vec![resources[1], resources[0]];
+        let row = g.rows[s1].holders.get_key_mut(&holder).unwrap().clone();
+        g.rows[s0].holders.insert_key(holder, row);
+        g.live(holder, "test").unwrap().held = vec![s1, s0];
         assert!(g.check_invariants().unwrap_err().contains("not in resource order"));
-        g.live(holder, "test").unwrap().held = vec![resources[0], resources[1]];
+        g.live(holder, "test").unwrap().held = vec![s0, s1];
         g.check_invariants().unwrap();
 
         // A tombstone owns no row.
@@ -1710,8 +1713,8 @@ mod tests {
         assert!(g.live.is_empty());
         assert_eq!(g.finished[&committed], TxnState::Committed);
         assert_eq!(g.finished[&aborted], TxnState::Aborted);
-        assert!(g.resources.values().all(|rs| rs.holders.is_empty()));
-        assert_eq!(g.history().committed_count(), 1);
+        assert!(g.rows.iter().all(|rs| rs.holders.is_empty()));
+        assert_eq!(g.history().commit_order().len(), 1);
         g.check_invariants().unwrap();
         // A tombstone refuses every event by its final state.
         let err = g.execute(committed, resources[0], sub_one(), now).unwrap_err();

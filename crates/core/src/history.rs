@@ -13,7 +13,7 @@
 //!
 //! The replay is a fold, so nothing it has consumed is kept: per commit
 //! the recorder retains the `TxnId` in the commit order (8 bytes), per
-//! resource one value of the serial image.
+//! resource one value of the serial image, in a `Vec` by resource slot.
 
 use pstm_types::{PstmError, PstmResult, ResourceId, ScalarOp, TxnId, Value};
 use std::collections::BTreeMap;
@@ -22,41 +22,47 @@ use std::collections::BTreeMap;
 /// commit.
 #[derive(Clone, Debug, Default)]
 pub struct HistoryRecorder {
-    /// Each observed resource's initial value with every committed
-    /// mutation since applied, in commit order.
-    serial: BTreeMap<ResourceId, Value>,
+    /// The resource each slot names, ascending.
+    resources: Vec<ResourceId>,
+    /// By slot: the resource's initial value with every committed
+    /// mutation since applied, in commit order; `None` until observed.
+    serial: Vec<Option<Value>>,
     order: Vec<TxnId>,
     /// The first error the replay met; it stops there.
     failed: Option<PstmError>,
 }
 
 impl HistoryRecorder {
-    /// An empty history.
+    /// An empty history over `resources` (ascending): slot `i` names the
+    /// `i`-th.
     #[must_use]
-    pub fn new() -> Self {
-        HistoryRecorder::default()
+    pub fn over(resources: impl IntoIterator<Item = ResourceId>) -> Self {
+        let resources: Vec<ResourceId> = resources.into_iter().collect();
+        HistoryRecorder { serial: vec![None; resources.len()], resources, ..Self::default() }
     }
 
-    /// Captures the value of `resource` the first time any transaction is
-    /// granted it. Because a grant necessarily precedes any commit on the
-    /// resource, the first observation is the true initial value.
-    pub fn observe_initial(&mut self, resource: ResourceId, value: &Value) {
-        self.serial.entry(resource).or_insert_with(|| value.clone());
+    /// Captures the value of the resource in `slot` the first time any
+    /// transaction is granted it. Because a grant necessarily precedes any
+    /// commit on the resource, the first observation is the true initial
+    /// value.
+    pub fn observe_initial(&mut self, slot: usize, value: &Value) {
+        self.serial[slot].get_or_insert_with(|| value.clone());
     }
 
     /// Appends a committed transaction (called at SST success, in commit
-    /// order): replays `ops`, in issue order, onto the serial image and
-    /// drops them. An op on a resource never observed is a replay error.
-    pub fn record_commit(&mut self, txn: TxnId, ops: Vec<(ResourceId, ScalarOp)>) {
+    /// order): replays `ops` (by slot), in issue order, onto the serial
+    /// image. An op on a resource never observed is a replay error.
+    pub fn record_commit(&mut self, txn: TxnId, ops: &[(usize, ScalarOp)]) {
         self.order.push(txn);
         if self.failed.is_none() {
-            self.failed = self.replay(&ops).err();
+            self.failed = self.replay(ops).err();
         }
     }
 
-    fn replay(&mut self, ops: &[(ResourceId, ScalarOp)]) -> PstmResult<()> {
-        for (resource, op) in ops {
-            let cur = self.serial.get_mut(resource).ok_or_else(|| {
+    fn replay(&mut self, ops: &[(usize, ScalarOp)]) -> PstmResult<()> {
+        for (slot, op) in ops {
+            let cur = self.serial[*slot].as_mut().ok_or_else(|| {
+                let resource = self.resources[*slot];
                 PstmError::internal(format!("replay touches {resource} with no initial value"))
             })?;
             let new = op.apply(cur)?;
@@ -65,12 +71,6 @@ impl HistoryRecorder {
             }
         }
         Ok(())
-    }
-
-    /// Number of committed transactions.
-    #[must_use]
-    pub fn committed_count(&self) -> usize {
-        self.order.len()
     }
 
     /// The commit order.
@@ -83,7 +83,13 @@ impl HistoryRecorder {
     /// touched.
     #[must_use]
     pub fn touched_resources(&self) -> Vec<ResourceId> {
-        self.serial.keys().copied().collect()
+        self.image().map(|(r, _)| r).collect()
+    }
+
+    /// The serial image: each observed resource and its value, ascending.
+    fn image(&self) -> impl Iterator<Item = (ResourceId, &Value)> {
+        let slots = self.resources.iter().zip(&self.serial);
+        slots.filter_map(|(r, v)| Some((*r, v.as_ref()?)))
     }
 
     /// The committed transactions replayed serially in commit order from
@@ -91,7 +97,7 @@ impl HistoryRecorder {
     pub fn replay_serial(&self) -> PstmResult<BTreeMap<ResourceId, Value>> {
         match &self.failed {
             Some(e) => Err(e.clone()),
-            None => Ok(self.serial.clone()),
+            None => Ok(self.image().map(|(r, v)| (r, v.clone())).collect()),
         }
     }
 
@@ -105,14 +111,9 @@ impl HistoryRecorder {
             let Some(actual) = finals.get(resource) else {
                 return Err(format!("no final value observed for {resource}"));
             };
-            let equal = match (expected, actual) {
-                (Value::Float(a), Value::Float(b)) => {
-                    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
-                }
-                (a, b) => match (a.as_f64(), b.as_f64()) {
-                    (Ok(a), Ok(b)) => (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
-                    _ => a == b,
-                },
+            let equal = match (expected.as_f64(), actual.as_f64()) {
+                (Ok(a), Ok(b)) => (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
+                _ => expected == actual,
             };
             if !equal {
                 return Err(format!(
@@ -140,43 +141,48 @@ mod tests {
         TxnId(i)
     }
 
+    /// A history over `r(0)..=r(OBSERVED)`: slot `i` is `r(i)`.
+    fn history() -> HistoryRecorder {
+        HistoryRecorder::over((0..=OBSERVED).map(r))
+    }
+
     #[test]
     fn replay_applies_ops_in_commit_order() {
-        let mut h = HistoryRecorder::new();
-        h.observe_initial(r(1), &Value::Int(100));
+        let mut h = history();
+        h.observe_initial(1, &Value::Int(100));
         h.record_commit(
             t(1),
-            vec![(r(1), ScalarOp::Add(Value::Int(1))), (r(1), ScalarOp::Add(Value::Int(3)))],
+            &[(1, ScalarOp::Add(Value::Int(1))), (1, ScalarOp::Add(Value::Int(3)))],
         );
-        h.record_commit(t(2), vec![(r(1), ScalarOp::Add(Value::Int(2)))]);
+        h.record_commit(t(2), &[(1, ScalarOp::Add(Value::Int(2)))]);
         let state = h.replay_serial().unwrap();
         assert_eq!(state[&r(1)], Value::Int(106));
         assert_eq!(h.commit_order(), vec![t(1), t(2)]);
-        assert_eq!(h.committed_count(), 2);
+        assert_eq!(h.commit_order().len(), 2);
     }
 
     #[test]
     fn first_observation_wins() {
-        let mut h = HistoryRecorder::new();
-        h.observe_initial(r(1), &Value::Int(100));
-        h.observe_initial(r(1), &Value::Int(999)); // later grant; ignored
+        let mut h = history();
+        h.observe_initial(1, &Value::Int(100));
+        h.observe_initial(1, &Value::Int(999)); // later grant; ignored
         assert_eq!(h.replay_serial().unwrap()[&r(1)], Value::Int(100));
     }
 
     #[test]
     fn verify_accepts_matching_finals() {
-        let mut h = HistoryRecorder::new();
-        h.observe_initial(r(1), &Value::Int(10));
-        h.record_commit(t(1), vec![(r(1), ScalarOp::Sub(Value::Int(4)))]);
+        let mut h = history();
+        h.observe_initial(1, &Value::Int(10));
+        h.record_commit(t(1), &[(1, ScalarOp::Sub(Value::Int(4)))]);
         let finals = BTreeMap::from([(r(1), Value::Int(6))]);
         h.verify_final_state(&finals).unwrap();
     }
 
     #[test]
     fn verify_rejects_divergent_finals() {
-        let mut h = HistoryRecorder::new();
-        h.observe_initial(r(1), &Value::Int(10));
-        h.record_commit(t(1), vec![(r(1), ScalarOp::Sub(Value::Int(4)))]);
+        let mut h = history();
+        h.observe_initial(1, &Value::Int(10));
+        h.record_commit(t(1), &[(1, ScalarOp::Sub(Value::Int(4)))]);
         let finals = BTreeMap::from([(r(1), Value::Int(7))]);
         let err = h.verify_final_state(&finals).unwrap_err();
         assert!(err.contains("serial replay gives 6"));
@@ -184,16 +190,16 @@ mod tests {
 
     #[test]
     fn verify_rejects_missing_finals() {
-        let mut h = HistoryRecorder::new();
-        h.observe_initial(r(1), &Value::Int(10));
+        let mut h = history();
+        h.observe_initial(1, &Value::Int(10));
         assert!(h.verify_final_state(&BTreeMap::new()).is_err());
     }
 
     #[test]
     fn float_tolerance_absorbs_reassociation() {
-        let mut h = HistoryRecorder::new();
-        h.observe_initial(r(1), &Value::Float(100.0));
-        h.record_commit(t(1), vec![(r(1), ScalarOp::Mul(Value::Float(1.1)))]);
+        let mut h = history();
+        h.observe_initial(1, &Value::Float(100.0));
+        h.record_commit(t(1), &[(1, ScalarOp::Mul(Value::Float(1.1)))]);
         // 100 * 1.1 with a wobble in the last ulp.
         let finals = BTreeMap::from([(r(1), Value::Float(100.0f64 * 1.1))]);
         h.verify_final_state(&finals).unwrap();
@@ -201,9 +207,9 @@ mod tests {
 
     #[test]
     fn reads_do_not_mutate_replay_state() {
-        let mut h = HistoryRecorder::new();
-        h.observe_initial(r(1), &Value::Int(5));
-        h.record_commit(t(1), vec![(r(1), ScalarOp::Read)]);
+        let mut h = history();
+        h.observe_initial(1, &Value::Int(5));
+        h.record_commit(t(1), &[(1, ScalarOp::Read)]);
         let finals = BTreeMap::from([(r(1), Value::Int(5))]);
         h.verify_final_state(&finals).unwrap();
     }
@@ -306,20 +312,21 @@ mod tests {
             seeds in prop::collection::vec(value(), 6..7),
             wobble in -2i64..3,
         ) {
-            let mut fold = HistoryRecorder::new();
+            let mut fold = history();
             let mut list = ListReplay::default();
             for (i, ops) in commits.into_iter().enumerate() {
                 for (resource, _) in ops.iter().filter(|(res, _)| *res != r(OBSERVED)) {
                     // A later grant observes again; only the first counts.
                     let seen = &seeds[(resource.object.0 as usize + i) % seeds.len()];
-                    fold.observe_initial(*resource, seen);
+                    fold.observe_initial(resource.object.0 as usize, seen);
                     list.initial.entry(*resource).or_insert_with(|| seen.clone());
                 }
-                fold.record_commit(t(i as u64), ops.clone());
+                let slots: Vec<_> = ops.iter().map(|(r, op)| (r.object.0 as usize, op.clone())).collect();
+                fold.record_commit(t(i as u64), &slots);
                 list.committed.push((t(i as u64), ops));
                 prop_assert_eq!(fold.replay_serial(), list.replay_serial());
             }
-            prop_assert_eq!(fold.committed_count(), list.committed.len());
+            prop_assert_eq!(fold.commit_order().len(), list.committed.len());
             prop_assert_eq!(
                 fold.commit_order(),
                 list.committed.iter().map(|c| c.0).collect::<Vec<_>>()

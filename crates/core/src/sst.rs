@@ -8,16 +8,20 @@
 //! §VII "high rate of aborts" problem), the whole global commit fails and
 //! the GTM aborts the transaction.
 
-use pstm_storage::{BindingRegistry, Database, WriteOp, WriteSet};
-use pstm_types::{PstmResult, ResourceId, TxnId, Value};
+use pstm_storage::{BindingRegistry, Database, WriteOp};
+use pstm_types::{InlineVec, PstmResult, ResourceId, TxnId, Value};
+
+/// Reconciled `(resource, X_new)` pairs: usually one or two per commit,
+/// kept inline.
+pub type Writes = InlineVec<(ResourceId, Value), 4>;
 
 /// A prepared Secure System Transaction.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Sst {
     /// The middleware transaction this SST commits.
     pub origin: TxnId,
     /// The reconciled values to flush, in resource order.
-    pub writes: Vec<(ResourceId, Value)>,
+    pub writes: Writes,
 }
 
 /// Offset added to the origin transaction id to form the engine-level SST
@@ -31,7 +35,8 @@ impl Sst {
     /// Builds an SST from reconciled `(resource, X_new)` pairs. Pairs are
     /// sorted by resource for deterministic WAL content.
     #[must_use]
-    pub fn new(origin: TxnId, mut writes: Vec<(ResourceId, Value)>) -> Self {
+    pub fn new(origin: TxnId, writes: impl IntoIterator<Item = (ResourceId, Value)>) -> Self {
+        let mut writes: Writes = writes.into_iter().collect();
         writes.sort_by_key(|(r, _)| *r);
         Sst { origin, writes }
     }
@@ -61,28 +66,24 @@ impl Sst {
 
 /// The one flush body behind [`Sst::execute`] and [`SstBatch::execute`]:
 /// resolves each `(resource, X_new)` pair to its column and applies the
-/// whole set as a single atomic engine write. Empty sets are skipped.
+/// whole set as a single atomic engine write, built inline. Empty sets are
+/// skipped.
 fn apply<'a>(
     db: &Database,
     bindings: &BindingRegistry,
     engine_txn: TxnId,
     writes: impl Iterator<Item = &'a (ResourceId, Value)>,
 ) -> PstmResult<()> {
-    let mut ws = WriteSet::new();
+    let mut ops: InlineVec<WriteOp, 4> = InlineVec::new();
     for (resource, value) in writes {
         let b = bindings.resolve(*resource)?;
-        ws = ws.with(WriteOp::Update {
-            table: b.table,
-            row_id: b.row,
-            column: b.column,
-            value: value.clone(),
-        });
+        let value = value.clone();
+        ops.push(WriteOp::Update { table: b.table, row_id: b.row, column: b.column, value });
     }
-    if ws.0.is_empty() {
+    if ops.is_empty() {
         return Ok(());
     }
-    db.apply_write_set(engine_txn, &ws)?;
-    Ok(())
+    db.apply_write_set(engine_txn, &ops)
 }
 
 /// A fused SST batch: N ready commits on one shard flushed as **one**
@@ -104,27 +105,24 @@ pub struct SstBatch {
     /// The member whose commit leads the group (first pushed).
     pub leader: TxnId,
     /// Member SSTs in arrival order; empty members are legal (read-only
-    /// transactions ride along for the group ack).
-    pub members: Vec<Sst>,
+    /// transactions ride along for the group ack). A lone member stays
+    /// inline.
+    pub members: InlineVec<Sst, 1>,
 }
 
 impl SstBatch {
-    /// An empty batch led by `leader`'s commit.
-    #[must_use]
-    pub fn new(leader: TxnId) -> Self {
-        SstBatch { leader, members: Vec::new() }
-    }
-
-    /// A batch seeded with its first member, which leads the group.
-    /// Unlike [`SstBatch::push`] this cannot be refused — a singleton
-    /// batch has nothing to overlap with.
+    /// A batch seeded with its first member, which leads the group — the
+    /// one way to start a batch, so none is ever empty. Unlike
+    /// [`SstBatch::push`] this cannot be refused — a singleton batch has
+    /// nothing to overlap with.
     #[must_use]
     pub fn of(first: Sst) -> Self {
-        SstBatch { leader: first.origin, members: vec![first] }
+        SstBatch { leader: first.origin, members: [first].into_iter().collect() }
     }
 
     /// Adds `sst` if its writes are disjoint from every member's, else
     /// returns it back — the caller must cut the group there.
+    #[allow(clippy::result_large_err)] // refusal hands the SST back whole, and is rare
     pub fn push(&mut self, sst: Sst) -> Result<(), Sst> {
         let overlaps = self
             .members
@@ -139,14 +137,9 @@ impl SstBatch {
 
     /// Number of member commits in the group.
     #[must_use]
+    #[allow(clippy::len_without_is_empty)] // a batch starts with a member: never empty
     pub fn len(&self) -> usize {
         self.members.len()
-    }
-
-    /// Whether the batch has no members at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
     }
 
     /// The engine transaction id the flush runs under: the fused id of
@@ -155,7 +148,7 @@ impl SstBatch {
     /// back to transactions (`GroupCommit` seen ⇒ `batch_engine`).
     #[must_use]
     pub fn engine_txn(&self) -> TxnId {
-        match self.members.as_slice() {
+        match &self.members[..] {
             [alone] => alone.engine_txn(),
             _ => self.leader.batch_engine(),
         }
@@ -168,7 +161,7 @@ impl SstBatch {
     /// applied for *any* member.
     // pstm-lockgraph: flush-point
     pub fn execute(&self, db: &Database, bindings: &BindingRegistry) -> PstmResult<()> {
-        if let [alone] = self.members.as_slice() {
+        if let [alone] = &self.members[..] {
             return alone.execute(db, bindings);
         }
         let mut writes: Vec<&(ResourceId, Value)> =
@@ -255,8 +248,7 @@ mod tests {
     fn batch_fuses_disjoint_members_into_one_apply() {
         let (db, bindings, rs) = setup();
         let commits_before = db.stats().commits;
-        let mut batch = SstBatch::new(TxnId(1));
-        batch.push(Sst::new(TxnId(1), vec![(rs[0], Value::Int(7))])).unwrap();
+        let mut batch = SstBatch::of(Sst::new(TxnId(1), vec![(rs[0], Value::Int(7))]));
         batch.push(Sst::new(TxnId(2), vec![(rs[1], Value::Int(6))])).unwrap();
         assert_eq!(batch.len(), 2);
         batch.execute(&db, &bindings).unwrap();
@@ -270,8 +262,7 @@ mod tests {
     #[test]
     fn batch_rejects_overlapping_members() {
         let (_, _, rs) = setup();
-        let mut batch = SstBatch::new(TxnId(1));
-        batch.push(Sst::new(TxnId(1), vec![(rs[0], Value::Int(7))])).unwrap();
+        let mut batch = SstBatch::of(Sst::new(TxnId(1), vec![(rs[0], Value::Int(7))]));
         let rejected = batch
             .push(Sst::new(TxnId(2), vec![(rs[0], Value::Int(5)), (rs[1], Value::Int(4))]))
             .unwrap_err();
@@ -285,8 +276,7 @@ mod tests {
     #[test]
     fn batch_constraint_violation_applies_nothing_for_any_member() {
         let (db, bindings, rs) = setup();
-        let mut batch = SstBatch::new(TxnId(1));
-        batch.push(Sst::new(TxnId(1), vec![(rs[0], Value::Int(5))])).unwrap();
+        let mut batch = SstBatch::of(Sst::new(TxnId(1), vec![(rs[0], Value::Int(5))]));
         batch.push(Sst::new(TxnId(2), vec![(rs[1], Value::Int(-1))])).unwrap();
         let err = batch.execute(&db, &bindings).unwrap_err();
         assert!(matches!(err, PstmError::ConstraintViolation { .. }));
@@ -300,13 +290,10 @@ mod tests {
 
     #[test]
     fn batch_engine_ids_are_disjoint_from_sst_and_middleware_ids() {
-        let mut batch = SstBatch::new(TxnId(42));
-        batch.push(Sst::new(TxnId(42), vec![])).unwrap();
+        let mut batch = SstBatch::of(Sst::new(TxnId(42), vec![]));
         assert_eq!(batch.engine_txn(), TxnId(42).sst_engine(), "a batch of one is its member");
         batch.push(Sst::new(TxnId(43), vec![])).unwrap();
         assert!(batch.engine_txn().0 >= TxnId::SST_BATCH_ENGINE_BASE);
         assert_ne!(batch.engine_txn(), Sst::new(TxnId(42), vec![]).engine_txn());
-        let empty = SstBatch::new(TxnId(9));
-        assert!(empty.is_empty());
     }
 }

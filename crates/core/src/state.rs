@@ -1,5 +1,5 @@
 //! Transaction and resource state — the paper's §IV model, one row per
-//! grant.
+//! grant. A resource is named by its slot, whose order is resource order.
 //!
 //! The paper keeps a transaction's hold on a resource in many sets at
 //! once (`X_pending`, `X_committing`, `X_sleeping`, `X_read^A`, `X_new^A`,
@@ -29,8 +29,8 @@
 //! from the resource. A queued transaction that sleeps is recognised by
 //! its `A_state`, not by a mark in the queue.
 
-use pstm_types::{CompatMatrix, OpClass, ResourceId, ScalarOp, Timestamp, TxnId, Value};
-use std::collections::{BTreeMap, VecDeque};
+use pstm_types::{CompatMatrix, InlineVec, OpClass, ScalarOp, Timestamp, TxnId, Value};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// The operating states of §IV.
@@ -92,15 +92,15 @@ pub(crate) struct TxnRecord {
     pub(crate) state: TxnState,
     /// `A_t_sleep` — when the transaction went to sleep.
     pub(crate) t_sleep: Option<Timestamp>,
-    /// The resources it holds a [`Grant`] row on, ascending — the order
+    /// The slots it holds a [`Grant`] row on, ascending — the order
     /// commit reconciles them in.
-    pub(crate) held: Vec<ResourceId>,
-    /// The resource whose queue holds its one stashed invocation (§IV
+    pub(crate) held: Vec<usize>,
+    /// The slot whose queue holds its one stashed invocation (§IV
     /// well-formedness: at most one outstanding).
-    pub(crate) waiting_on: Option<ResourceId>,
-    /// Every op the transaction executed, in order, for the history
-    /// recorder.
-    pub(crate) op_log: Vec<(ResourceId, ScalarOp)>,
+    pub(crate) waiting_on: Option<usize>,
+    /// Every op the transaction executed, in order, by slot, for the
+    /// history recorder.
+    pub(crate) op_log: Vec<(usize, ScalarOp)>,
 }
 
 impl TxnRecord {
@@ -115,17 +115,16 @@ impl TxnRecord {
         }
     }
 
-    /// Notes a grant on `resource`, keeping `held` ascending (a Read →
+    /// Notes a grant on `slot`, keeping `held` ascending (a Read →
     /// mutation strengthening is already there).
-    pub(crate) fn hold(&mut self, resource: ResourceId) {
-        if let Err(at) = self.held.binary_search(&resource) {
-            self.held.insert(at, resource);
+    pub(crate) fn hold(&mut self, slot: usize) {
+        if let Err(at) = self.held.binary_search(&slot) {
+            self.held.insert(at, slot);
         }
     }
 
-    /// Every resource this transaction is involved with (granted or
-    /// waiting).
-    pub(crate) fn involved(&self) -> impl Iterator<Item = ResourceId> + '_ {
+    /// Every slot this transaction is involved with (granted or waiting).
+    pub(crate) fn involved(&self) -> impl Iterator<Item = usize> + '_ {
         self.held.iter().copied().chain(self.waiting_on)
     }
 }
@@ -144,9 +143,10 @@ pub(crate) struct WaitEntry {
 }
 
 /// Where a grant stands between Algorithm 2 and the end of its SST.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) enum Phase {
     /// In `X_pending`.
+    #[default]
     Pending,
     /// In `X_committing`: reconciled, the SST not yet settled.
     Committing,
@@ -156,7 +156,7 @@ pub(crate) enum Phase {
 /// it. The row lives from the grant until the SST is settled (commit
 /// finished or aborted), so `X_read^A` and `A_temp` outlive reconciliation
 /// — a failed SST unwinds from intact rows.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct Grant {
     /// The operation class in force (constraint (i): all of a
     /// transaction's ops on one member must be mutually compatible).
@@ -186,8 +186,9 @@ impl Grant {
 /// (which lives in the LDBS).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ResourceState {
-    /// `X_pending ∪ X_committing`, one row per holder, in `TxnId` order.
-    pub(crate) holders: BTreeMap<TxnId, Grant>,
+    /// `X_pending ∪ X_committing`, one row per holder, by `TxnId` —
+    /// usually one or two, kept inline.
+    pub(crate) holders: InlineVec<(TxnId, Grant), 2>,
     /// `X_waiting` — queued invocations, FIFO.
     pub(crate) waiting: VecDeque<WaitEntry>,
     /// `X_committed` with `X_tc` commit times, kept only while some
@@ -208,7 +209,7 @@ impl ResourceState {
     ) -> impl Iterator<Item = TxnId> + 'a {
         self.holders
             .iter()
-            .filter(move |(t, g)| **t != txn && g.blocks() && !matrix.compatible(class, g.class))
+            .filter(move |(t, g)| *t != txn && g.blocks() && !matrix.compatible(class, g.class))
             .map(|(t, _)| *t)
     }
 
@@ -250,7 +251,6 @@ impl ResourceState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstm_types::ObjectId;
 
     fn t(i: u64) -> TxnId {
         TxnId(i)
@@ -277,16 +277,17 @@ mod tests {
     fn sleeping_holders_do_not_block_but_committing_do() {
         let m = CompatMatrix::paper();
         let mut rs = ResourceState::default();
-        rs.holders.insert(t(1), grant(OpClass::UpdateAddSub));
+        rs.holders.insert_key(t(1), grant(OpClass::UpdateAddSub));
         // An assignment conflicts with the pending add/sub holder.
         assert!(blocked(&rs, t(2), OpClass::UpdateAssign, &m));
         // ... but not once the holder sleeps (Algorithm 2's exclusion).
-        rs.holders.get_mut(&t(1)).unwrap().asleep = true;
+        rs.holders.get_key_mut(&t(1)).unwrap().asleep = true;
         assert!(!blocked(&rs, t(2), OpClass::UpdateAssign, &m));
         // The awake-time check still sees it.
         assert!(rs.conflicts_with_any_holder(t(2), OpClass::UpdateAssign, &m));
         // Committing transactions always block.
-        rs.holders.insert(t(3), Grant { phase: Phase::Committing, ..grant(OpClass::UpdateAssign) });
+        rs.holders
+            .insert_key(t(3), Grant { phase: Phase::Committing, ..grant(OpClass::UpdateAssign) });
         assert_eq!(
             rs.blocking_conflicts(t(2), OpClass::UpdateAddSub, &m).collect::<Vec<_>>(),
             [t(3)]
@@ -294,7 +295,7 @@ mod tests {
         // A stricter matrix changes the verdicts consistently.
         let strict = CompatMatrix::read_write_only();
         let mut rs3 = ResourceState::default();
-        rs3.holders.insert(t(1), grant(OpClass::UpdateAddSub));
+        rs3.holders.insert_key(t(1), grant(OpClass::UpdateAddSub));
         assert!(blocked(&rs3, t(2), OpClass::UpdateAddSub, &strict));
         assert!(!blocked(&rs3, t(2), OpClass::UpdateAddSub, &m));
     }
@@ -303,7 +304,7 @@ mod tests {
     fn own_entries_never_conflict() {
         let m = CompatMatrix::paper();
         let mut rs = ResourceState::default();
-        rs.holders.insert(t(1), grant(OpClass::UpdateAssign));
+        rs.holders.insert_key(t(1), grant(OpClass::UpdateAssign));
         assert!(!blocked(&rs, t(1), OpClass::UpdateAssign, &m));
         assert!(!rs.conflicts_with_any_holder(t(1), OpClass::UpdateAssign, &m));
     }
@@ -340,7 +341,7 @@ mod tests {
     #[test]
     fn txn_record_tracks_resources() {
         let mut rec = TxnRecord::new();
-        let [r1, r2, r3] = [1, 2, 3].map(|o| ResourceId::atomic(ObjectId(o)));
+        let [r1, r2, r3] = [1, 2, 3];
         rec.hold(r2);
         rec.hold(r1);
         rec.hold(r2);

@@ -72,7 +72,7 @@ fn commit_grouped(
     while !remaining.is_empty() {
         let wave: Vec<Member<'_>> =
             remaining.iter().map(|&txn| Member { txn, home: 0, shards: &[0] }).collect();
-        remaining = commit_wave(&mut env, &wave, &mut fates).unwrap();
+        remaining = commit_wave(&mut env, &wave, &mut |txn, fate| fates.push((txn, fate))).unwrap();
     }
     (fates, env.into_effects())
 }
@@ -146,7 +146,7 @@ fn phased_commit_local_sst_finish_round_trip() {
         LocalCommit::Prepared(w) => w,
         other => panic!("expected Prepared, got {other:?}"),
     };
-    assert_eq!(writes, vec![(res[0], Value::Int(99))]);
+    assert_eq!(writes[..], [(res[0], Value::Int(99))]);
     assert_eq!(gtm.state(t(1)), Some(TxnState::Committing));
 
     // While parked, neither commit_finish-after-terminal nor a second
@@ -307,7 +307,7 @@ fn wave_the_cut_leaves_one_member_of_flushes_ungrouped() {
     let wave = [t(1), t(2)].map(|txn| Member { txn, home: 0, shards: &[0] });
     let mut env = Owned::new(std::slice::from_mut(&mut gtm), ts(1.0));
     let mut fates = Vec::new();
-    let deferred = commit_wave(&mut env, &wave, &mut fates).unwrap();
+    let deferred = commit_wave(&mut env, &wave, &mut |txn, fate| fates.push((txn, fate))).unwrap();
     assert_eq!(deferred, vec![t(2)]);
     assert_eq!(fates, vec![(t(1), CommitResult::Committed)]);
 
@@ -467,7 +467,7 @@ fn wave_shape_by_flush_outcome_table() {
                         shards: &shard_sets[i],
                     })
                     .collect();
-                match commit_wave(&mut env, &wave, &mut fates) {
+                match commit_wave(&mut env, &wave, &mut |txn, fate| fates.push((txn, fate))) {
                     Ok(deferred) => remaining.retain(|&i| deferred.contains(&t(members[i].0))),
                     Err(e) => {
                         died = Some(e);

@@ -104,7 +104,7 @@ fn a_finished_transaction_retains_a_tombstone_not_a_record() {
 
     // Nothing was forgotten to get there.
     assert_eq!(g.state(TxnId(1)), Some(TxnState::Committed));
-    assert_eq!(g.history().committed_count() as u64, 3 * TXNS);
+    assert_eq!(g.history().commit_order().len() as u64, 3 * TXNS);
     g.check_invariants().unwrap();
     g.verify_serializable().unwrap();
 }

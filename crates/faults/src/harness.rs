@@ -588,7 +588,7 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
                     .map(|&i| Member { txn: wave[i].0, home: wave[i].1[0], shards: &wave[i].1 })
                     .collect();
                 let mut env = ChaosEnv { chaos: &mut chaos, gtms: &mut epoch.gtms, wave: &wave };
-                match commit_wave(&mut env, &members, &mut fates) {
+                match commit_wave(&mut env, &members, &mut |txn, fate| fates.push((txn, fate))) {
                     Ok(deferred) if deferred.is_empty() => break Ok(()),
                     // Deferred members overlapped the batch just flushed:
                     // they go round again, against post-flush state.

@@ -33,7 +33,9 @@
 //! - **Wall-clock bridge.** Shards speak the virtual-clock
 //!   [`Timestamp`]; the front-end stamps every call with microseconds
 //!   elapsed since construction, sampled *while holding the shard lock*
-//!   so per-shard timestamps stay monotone.
+//!   so per-shard timestamps stay monotone. One reading serves one
+//!   instant: everything a call does under one shard lock, and span
+//!   boundaries emitted back to back with nothing done between them.
 //! - **One addressed wake.** Where the simulator parks a transaction
 //!   and replays it on a resume event, a waiting session registers a
 //!   waker under its transaction id in the front-end's wake registry: a
@@ -69,10 +71,10 @@ use pstm_obs::wallclock::WallAnchor;
 use pstm_obs::{expo, MetricsRegistry, Recorder, RecorderStats, SpanKind, TraceEvent, Tracer};
 use pstm_storage::{BindingRegistry, Database};
 use pstm_types::{
-    AbortReason, Duration, ExecOutcome, FaultDecision, FaultSite, PstmError, PstmResult,
+    AbortReason, Duration, ExecOutcome, FaultDecision, FaultSite, InlineVec, PstmError, PstmResult,
     ResourceId, ScalarOp, SharedFaultHook, StepEffects, Timestamp, TxnId, TxnIdAllocator, Value,
 };
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Configuration of the sharded front-end.
@@ -280,9 +282,25 @@ impl<T> std::ops::Deref for OwnLine<T> {
 /// simulated crash mid-wave).
 type CommitSlot = Arc<Mutex<Option<PstmResult<CommitResult>>>>;
 
+thread_local! {
+    /// The calling thread's result cell, reused by each of its commits. A
+    /// thread commits one session at a time, and the cell is empty again
+    /// when that commit returns: a leader writes it only while holding the
+    /// fence its owner must take before reading it, and the owner takes
+    /// what was written before it returns.
+    static COMMIT_SLOT: CommitSlot = Arc::new(Mutex::new(None));
+}
+
 /// A shard's commit queue: the committers the next fence holder commits
 /// as one wave, FIFO.
 type CommitQueue = VecDeque<(TxnId, CommitSlot)>;
+
+/// The shards a session has begun on, ascending — usually one or two.
+type ShardSet = InlineVec<usize, 4>;
+
+/// Guards of several shards' mutexes (or fences), ascending; `None` only
+/// in unused inline slots.
+type Guards<'a, T> = InlineVec<Option<MutexGuard<'a, T>>, 4>;
 
 struct FrontInner {
     db: Arc<Database>,
@@ -487,7 +505,7 @@ impl ShardedFront {
         Session {
             front: self.clone(),
             id: self.inner.next_txn.allocate(),
-            begun: BTreeSet::new(),
+            begun: ShardSet::new(),
             finished: false,
             waited: false,
             home: None,
@@ -569,22 +587,6 @@ impl ShardedFront {
         self.inner.db.get_col(b.table, b.row, b.column)
     }
 
-    /// Locks shard `i`, beginning transaction `id` on it first if `begun`
-    /// doesn't record it yet.
-    fn lock_shard_for(
-        &self,
-        i: usize,
-        id: TxnId,
-        begun: &mut BTreeSet<usize>,
-    ) -> PstmResult<MutexGuard<'_, Gtm>> {
-        let mut gtm = self.inner.shards[i].lock();
-        if begun.insert(i) {
-            let now = self.now();
-            gtm.begin(id, now)?;
-        }
-        Ok(gtm)
-    }
-
     /// Acquires several shard locks at once — the **only** sanctioned
     /// multi-shard acquisition path (enforced by `pstm_check lockgraph`'s
     /// `multi-shard-path` rule). `shards` must be strictly ascending: every
@@ -594,12 +596,12 @@ impl ShardedFront {
     /// # Panics
     /// If `shards` is not strictly ascending or names a shard that does
     /// not exist — both are front-end bugs, not recoverable states.
-    fn lock_shards_ascending(&self, shards: &[usize]) -> Vec<MutexGuard<'_, Gtm>> {
+    fn lock_shards_ascending(&self, shards: &[usize]) -> Guards<'_, Gtm> {
         assert!(
             shards.windows(2).all(|w| w[0] < w[1]),
             "multi-shard lock order must be strictly ascending, got {shards:?}"
         );
-        shards.iter().map(|&s| self.inner.shards[s].lock()).collect()
+        shards.iter().map(|&s| Some(self.inner.shards[s].lock())).collect()
     }
 
     /// Acquires the flush fences for the given shard `indices`, ascending
@@ -609,14 +611,14 @@ impl ShardedFront {
     /// wait alone is group wait (a fence it finds free costs no timer, so
     /// the phase stays zero where nobody meets); any other wait is
     /// admission.
-    fn lock_flush_fences(&self, indices: &[usize], queued: bool) -> Vec<MutexGuard<'_, ()>> {
+    fn lock_flush_fences(&self, indices: &[usize], queued: bool) -> Guards<'_, ()> {
         assert!(
             indices.windows(2).all(|w| w[0] < w[1]),
             "fence lock order must be strictly ascending, got {indices:?}"
         );
         if queued {
             if let Some(fence) = self.inner.flush_fences[indices[0]].try_lock() {
-                return vec![fence];
+                return [Some(fence)].into_iter().collect();
             }
         }
         let _wait = prof::PhaseTimer::start(if queued {
@@ -624,7 +626,7 @@ impl ShardedFront {
         } else {
             CommitPhase::Admission
         });
-        indices.iter().map(|&s| self.inner.flush_fences[s].lock()).collect()
+        indices.iter().map(|&s| Some(self.inner.flush_fences[s].lock())).collect()
     }
 
     /// Hands each resume/abort notification in `fx` to the waiter it
@@ -677,19 +679,25 @@ impl ShardedFront {
         self.inner.wakes.lock().len()
     }
 
-    /// Emits one span boundary for `txn` into shard `home`'s tracer,
-    /// carrying the virtual timestamp and the wall clock — both from one
-    /// reading of the construction-time [`WallAnchor`], so they differ by
-    /// the anchored base on every boundary (the Unix wall clock itself is
-    /// never consulted per-span).
-    fn span(&self, home: usize, txn: TxnId, kind: SpanKind, open: bool) {
-        let (at, wall_us) = self.inner.anchor.stamp();
-        let event = if open {
-            TraceEvent::SpanOpen { txn, kind, wall_us }
-        } else {
-            TraceEvent::SpanClose { txn, kind, wall_us }
+    /// Emits span boundaries `(kind, open?)` for `txn` into shard
+    /// `home`'s tracer in one critical section, all at the reading `at`:
+    /// each carries the virtual timestamp and the wall clock the
+    /// construction-time [`WallAnchor`] derives from it, so the two differ
+    /// by the anchored base on every boundary (the Unix wall clock itself
+    /// is never consulted per-span).
+    fn spans(
+        &self,
+        home: usize,
+        txn: TxnId,
+        at: Timestamp,
+        boundaries: impl IntoIterator<Item = (SpanKind, bool)>,
+    ) {
+        let wall_us = self.inner.anchor.wall_us(at.0);
+        let event = |(kind, open): (SpanKind, bool)| match open {
+            true => TraceEvent::SpanOpen { txn, kind, wall_us },
+            false => TraceEvent::SpanClose { txn, kind, wall_us },
         };
-        self.inner.tracers[home].emit(Timestamp(at), event);
+        self.inner.tracers[home].emit_all(at, boundaries.into_iter().map(event));
     }
 
     /// Advances one shard's virtual clock — firing wait timeouts,
@@ -721,25 +729,43 @@ impl ShardedFront {
 /// shards are reached by locking them ascending, the clock is the wall
 /// bridge, a retry back-off really waits, and effects go to the wake
 /// registry. The caller holds the flush fences.
+///
+/// One clock reading serves an *instant*: a run of trace events and span
+/// boundaries the coordinator emits with no other call between them (a
+/// flush attempt's `sst_attempt` events and span opens; its span closes
+/// and `sst_applied` events). Any other call ends the instant.
 struct FrontEnv<'a> {
     front: &'a ShardedFront,
+    instant: Option<Timestamp>,
 }
 
-/// The shard guards of one coordinator phase.
+impl FrontEnv<'_> {
+    fn instant(&mut self) -> Timestamp {
+        *self.instant.get_or_insert_with(|| self.front.now())
+    }
+}
+
+/// The shard guards of one coordinator phase. Its instant starts at the
+/// phase's own reading, so a boundary the phase opens with shares it; a
+/// call on a manager ends it.
 struct HeldShards<'a> {
     front: &'a ShardedFront,
     shards: &'a [usize],
-    guards: Vec<MutexGuard<'a, Gtm>>,
+    guards: Guards<'a, Gtm>,
+    instant: Option<Timestamp>,
 }
 
 impl Shards for HeldShards<'_> {
     fn gtm(&mut self, shard: usize) -> PstmResult<&mut Gtm> {
+        self.instant = None;
         let held = self.shards.binary_search(&shard).ok().and_then(|i| self.guards.get_mut(i));
-        held.map(|g| &mut **g).ok_or_else(|| PstmError::internal(format!("shard {shard} not held")))
+        let held = held.and_then(Option::as_mut).map(|g| &mut **g);
+        held.ok_or_else(|| PstmError::internal(format!("shard {shard} not held")))
     }
 
     fn span(&mut self, member: &Member<'_>, kind: SpanKind, open: bool) {
-        self.front.span(member.home, member.txn, kind, open);
+        let at = *self.instant.get_or_insert_with(|| self.front.now());
+        self.front.spans(member.home, member.txn, at, [(kind, open)]);
     }
 }
 
@@ -749,21 +775,27 @@ impl CommitEnv for FrontEnv<'_> {
         shards: &[usize],
         f: impl FnOnce(&mut dyn Shards, Timestamp) -> R,
     ) -> R {
+        self.instant = None;
         let guards = {
             let _adm = prof::PhaseTimer::start(CommitPhase::Admission);
             self.front.lock_shards_ascending(shards)
         };
         let now = self.front.now();
-        f(&mut HeldShards { front: self.front, shards, guards }, now)
+        f(&mut HeldShards { front: self.front, shards, guards, instant: Some(now) }, now)
     }
 
     fn engine(&self) -> (&Database, &BindingRegistry) {
         (&self.front.inner.db, &self.front.inner.bindings)
     }
 
+    fn flushing(&mut self, _batch: &pstm_core::sst::SstBatch) {
+        self.instant = None;
+    }
+
     /// A zero-length delay yields the core — a retry storm then makes
     /// progress without pinning it — and a non-zero one sleeps.
     fn backoff(&mut self, delay: Duration) {
+        self.instant = None;
         if delay.0 == 0 {
             std::thread::yield_now();
         } else {
@@ -772,19 +804,23 @@ impl CommitEnv for FrontEnv<'_> {
     }
 
     fn fault(&mut self, site: FaultSite) -> FaultDecision {
+        self.instant = None;
         let hook = self.front.inner.fault_hook.lock();
         hook.as_ref().map_or(FaultDecision::Proceed, |hook| hook.decide(site))
     }
 
     fn emit(&mut self, home: usize, event: TraceEvent) {
-        self.front.inner.tracers[home].emit(self.front.now(), event);
+        let at = self.instant();
+        self.front.inner.tracers[home].emit(at, event);
     }
 
     fn span(&mut self, member: &Member<'_>, kind: SpanKind, open: bool) {
-        self.front.span(member.home, member.txn, kind, open);
+        let at = self.instant();
+        self.front.spans(member.home, member.txn, at, [(kind, open)]);
     }
 
     fn effects(&mut self, fx: StepEffects) {
+        self.instant = None;
         self.front.deposit(&fx);
     }
 }
@@ -795,7 +831,7 @@ impl CommitEnv for FrontEnv<'_> {
 pub struct Session {
     front: ShardedFront,
     id: TxnId,
-    begun: BTreeSet<usize>,
+    begun: ShardSet,
     finished: bool,
     /// Set once an operation of this session queued: only then can the
     /// wake registry hold an entry for it, so a session that never waited
@@ -840,53 +876,29 @@ impl Session {
     // Span emission (see `pstm_obs::span` for the model)
     // ------------------------------------------------------------------
 
-    /// Span boundaries go to the home shard's tracer (no-op before the
-    /// first `execute` assigns a home).
-    fn open_span(&self, kind: SpanKind) {
+    /// Closes the current leaf phase, if one is open, then emits `then`:
+    /// back-to-back boundaries, so one clock reading and one tracer
+    /// critical section. They go to the home shard's tracer (no-op before
+    /// the first `execute` assigns a home).
+    fn close_leaf_then(&mut self, then: impl IntoIterator<Item = (SpanKind, bool)>) {
+        let leaf = self.leaf.take().map(|kind| (kind, false));
         if let Some(home) = self.home {
-            self.front.span(home, self.id, kind, true);
+            self.front.spans(home, self.id, self.front.now(), leaf.into_iter().chain(then));
         }
     }
 
-    fn close_span(&self, kind: SpanKind) {
-        if let Some(home) = self.home {
-            self.front.span(home, self.id, kind, false);
-        }
-    }
-
-    /// Opens `kind` as the current leaf phase.
-    fn open_leaf(&mut self, kind: SpanKind) {
-        self.open_span(kind);
+    /// Closes the current leaf phase and opens `kind` as the next.
+    fn switch_leaf(&mut self, kind: SpanKind) {
+        self.close_leaf_then([(kind, true)]);
         self.leaf = Some(kind);
     }
 
-    /// Closes the current leaf phase, if one is open.
-    fn close_leaf(&mut self) {
-        if let Some(kind) = self.leaf.take() {
-            self.close_span(kind);
-        }
-    }
-
-    /// First-touch bookkeeping: the first executed resource's shard
-    /// becomes the session's span home, and the `session` root plus the
-    /// initial `work` leaf open.
-    fn ensure_home(&mut self, shard: usize) {
-        if self.home.is_none() {
-            self.home = Some(shard);
-            self.open_span(SpanKind::Session);
-            self.open_leaf(SpanKind::Work);
-        }
-    }
-
-    /// Terminal span sequence for a session that did not commit: close
-    /// the open leaf, drop a zero-width `abort` marker, close the root.
-    fn close_session_aborted(&mut self) {
-        self.close_leaf();
-        if self.home.is_some() {
-            self.open_span(SpanKind::Abort);
-            self.close_span(SpanKind::Abort);
-            self.close_span(SpanKind::Session);
-        }
+    /// Terminal span sequence for a session that did not commit, after
+    /// the boundaries `first`: close the open leaf, drop a zero-width
+    /// `abort` marker, close the root — one instant.
+    fn close_session_aborted(&mut self, first: &[(SpanKind, bool)]) {
+        let abort = [(SpanKind::Abort, true), (SpanKind::Abort, false), (SpanKind::Session, false)];
+        self.close_leaf_then(first.iter().copied().chain(abort));
     }
 
     /// Executes one operation, blocking the calling thread while the
@@ -917,10 +929,23 @@ impl Session {
     ) -> PstmResult<TryExec> {
         self.ensure_open()?;
         let shard = self.front.shard_of(resource);
-        self.ensure_home(shard);
         let (outcome, denied_admission) = {
-            let mut gtm = self.front.lock_shard_for(shard, self.id, &mut self.begun)?;
+            let mut gtm = self.front.inner.shards[shard].lock();
+            // One reading, taken once the shard is held, for all the call
+            // does: a first touch's span opens, the shard's `begin`, the
+            // operation.
             let now = self.front.now();
+            // First touch: this shard becomes the session's span home, and
+            // the `session` root and the first `work` leaf open.
+            if self.home.is_none() {
+                (self.home, self.leaf) = (Some(shard), Some(SpanKind::Work));
+                let opens = [(SpanKind::Session, true), (SpanKind::Work, true)];
+                self.front.spans(shard, self.id, now, opens);
+            }
+            if let Err(at) = self.begun.binary_search(&shard) {
+                self.begun.insert(at, shard);
+                gtm.begin(self.id, now)?;
+            }
             let (outcome, fx) = gtm.execute(self.id, resource, op, now)?;
             drop(gtm);
             let denied = fx.denied_admission;
@@ -937,8 +962,7 @@ impl Session {
                 self.waited = true;
                 // The leaf flips from `work` to the wait's cause: object
                 // contention, or a §VII policy denial (admission wait).
-                self.close_leaf();
-                self.open_leaf(if denied_admission {
+                self.switch_leaf(if denied_admission {
                     SpanKind::AdmissionWait
                 } else {
                     SpanKind::Blocked { resource }
@@ -954,8 +978,7 @@ impl Session {
     pub(crate) fn deliver(&mut self, shard: usize, signal: Signal) -> PstmResult<SessionOutcome> {
         match signal {
             Signal::Resumed(v) => {
-                self.close_leaf();
-                self.open_leaf(SpanKind::Work);
+                self.switch_leaf(SpanKind::Work);
                 Ok(SessionOutcome::Value(v))
             }
             Signal::Aborted(reason) => {
@@ -995,8 +1018,7 @@ impl Session {
             drop(gtm);
             self.front.deposit(&fx);
         }
-        self.close_leaf();
-        self.open_leaf(SpanKind::Sleep);
+        self.switch_leaf(SpanKind::Sleep);
         Ok(())
     }
 
@@ -1021,8 +1043,7 @@ impl Session {
                 }
             }
         }
-        self.close_leaf();
-        self.open_leaf(SpanKind::Work);
+        self.switch_leaf(SpanKind::Work);
         Ok(AwakeOutcome::Resumed(granted))
     }
 
@@ -1044,21 +1065,22 @@ impl Session {
     pub fn commit(&mut self) -> PstmResult<CommitResult> {
         self.ensure_open()?;
         self.finished = true;
-        let shards: Vec<usize> = self.begun.iter().copied().collect();
+        let shards = self.begun.clone();
         let Some(&first) = shards.first() else {
             // A session that never touched a resource has nothing to do.
             return Ok(CommitResult::Committed);
         };
-        self.close_leaf();
-        let inner = &self.front.inner;
         // In line before the `commit` span opens: a trace that shows the
         // span shows a session the next fence holder will find queued.
         let slot = (shards.len() == 1).then(|| {
-            let slot: CommitSlot = Arc::new(Mutex::new(None));
-            inner.groups[first].lock().push_back((self.id, Arc::clone(&slot)));
+            let slot = COMMIT_SLOT.with(Arc::clone);
+            // Empty unless a commit of this thread unwound mid-wave.
+            *slot.lock() = None;
+            self.front.inner.groups[first].lock().push_back((self.id, Arc::clone(&slot)));
             slot
         });
-        self.open_span(SpanKind::Commit);
+        self.close_leaf_then([(SpanKind::Commit, true)]);
+        let inner = &self.front.inner;
         let result = {
             // The whole coordinated commit is the fencing phase; every
             // nested station (shard-lock admission, per-shard reconcile,
@@ -1070,7 +1092,7 @@ impl Session {
             // permanent state while a fused flush to any of these shards
             // is in flight with the shard mutex released.
             let _fences = self.front.lock_flush_fences(&shards, slot.is_some());
-            let env = &mut FrontEnv { front: &self.front };
+            let env = &mut FrontEnv { front: &self.front, instant: None };
             match slot {
                 None => {
                     let home = self.home.unwrap_or(first);
@@ -1087,35 +1109,38 @@ impl Session {
                     if let Some(result) = slot.lock().take() {
                         break result;
                     }
-                    let queued: Vec<(TxnId, CommitSlot)> =
-                        inner.groups[first].lock().drain(..).collect();
-                    let wave: Vec<Member<'_>> = queued
+                    let queued: InlineVec<(TxnId, Option<CommitSlot>), 4> =
+                        inner.groups[first].lock().drain(..).map(|(t, s)| (t, Some(s))).collect();
+                    let wave: InlineVec<Member<'_>, 4> = queued
                         .iter()
                         .map(|(txn, _)| Member { txn: *txn, home: first, shards: &shards })
                         .collect();
-                    let mut fates = Vec::with_capacity(wave.len());
-                    let outcome = commit_wave(env, &wave, &mut fates);
-                    let slot_of = |txn: TxnId| queued.iter().find(|(member, _)| *member == txn);
-                    for (txn, fate) in fates {
-                        if let Some((_, member_slot)) = slot_of(txn) {
+                    let slot_of = |txn: TxnId| {
+                        let queued = queued.iter().find(|(member, _)| *member == txn);
+                        queued.and_then(|(_, slot)| slot.as_ref())
+                    };
+                    let outcome = commit_wave(env, &wave, &mut |txn, fate| {
+                        if let Some(member_slot) = slot_of(txn) {
                             *member_slot.lock() = Some(Ok(fate));
                         }
-                    }
+                    });
                     match outcome {
                         // Deferred members overlap the batch just
                         // flushed: back to the queue front, original
                         // order, for the next round.
                         Ok(deferred) => {
                             let mut queue = inner.groups[first].lock();
-                            for entry in deferred.iter().rev().filter_map(|txn| slot_of(*txn)) {
-                                queue.push_front(entry.clone());
+                            for txn in deferred.iter().rev() {
+                                if let Some(slot) = slot_of(*txn) {
+                                    queue.push_front((*txn, slot.clone()));
+                                }
                             }
                         }
                         // A leader-level failure dooms every member not
                         // settled yet: each learns the error, the caller
                         // recovers the engine.
                         Err(err) => {
-                            for (_, member_slot) in &queued {
+                            for member_slot in queued.iter().filter_map(|(_, slot)| slot.as_ref()) {
                                 member_slot.lock().get_or_insert_with(|| Err(err.clone()));
                             }
                         }
@@ -1125,12 +1150,10 @@ impl Session {
         };
         match &result {
             Ok(CommitResult::Committed) => {
-                self.close_span(SpanKind::Commit);
-                self.close_span(SpanKind::Session);
+                self.close_leaf_then([(SpanKind::Commit, false), (SpanKind::Session, false)]);
             }
             Ok(CommitResult::Aborted(_)) => {
-                self.close_span(SpanKind::Commit);
-                self.close_session_aborted();
+                self.close_session_aborted(&[(SpanKind::Commit, false)])
             }
             // A simulated crash: the process is dead; spans die with it.
             Err(_) => {}
@@ -1163,7 +1186,7 @@ impl Session {
             self.front.deposit(&fx);
         }
         self.forget_wakes();
-        self.close_session_aborted();
+        self.close_session_aborted(&[]);
         Ok(())
     }
 

@@ -19,7 +19,10 @@
 //!   histograms use fixed buckets, so identical runs produce
 //!   byte-identical artifacts.
 //! - **Cheap when off.** The default tracer has no sink; an emit is a
-//!   short critical section updating a counter array.
+//!   short critical section bumping a counter array, plus, for events that
+//!   open or close a transaction, a wait or a span, one insert or removal
+//!   in an integer-keyed tree (span phases are array-indexed, never
+//!   string-keyed) — see [`Tracer`].
 
 #![warn(missing_docs)]
 

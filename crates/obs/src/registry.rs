@@ -8,6 +8,7 @@
 use crate::event::{AbortOrigin, TraceEvent, TraceRecord};
 use crate::hist::Histogram;
 use crate::prof::PhaseProfile;
+use crate::span::SpanKind;
 use pstm_types::{AbortReason, ObjectId, ResourceId, Timestamp, TxnId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -186,11 +187,12 @@ pub struct MetricsRegistry {
     /// Open waits: enqueue timestamps awaiting their grant.
     wait_since: BTreeMap<(TxnId, ResourceId), Timestamp>,
     /// Open spans: open timestamps awaiting their close, keyed by
-    /// `(txn, phase)` — phases nest but never self-nest, so the phase
-    /// label uniquely identifies the open span within a transaction.
-    span_open: BTreeMap<(TxnId, &'static str), Timestamp>,
-    /// Total virtual µs spent in each closed span phase.
-    phase_time: BTreeMap<&'static str, u64>,
+    /// `(txn, phase ordinal)` — phases nest but never self-nest, so the
+    /// phase uniquely identifies the open span within a transaction.
+    span_open: BTreeMap<(TxnId, usize), Timestamp>,
+    /// Total virtual µs spent in each closed span phase, by
+    /// [`SpanKind::ordinal`]; `None` until a span of the phase closes.
+    phase_time: [Option<u64>; SpanKind::PHASES.len()],
     /// Virtual µs of closed `blocked` spans, attributed to the contended
     /// resource — the span-sourced hot-object signal.
     blocked_by_resource: BTreeMap<ResourceId, u64>,
@@ -225,7 +227,7 @@ impl MetricsRegistry {
             begin_at: BTreeMap::new(),
             wait_since: BTreeMap::new(),
             span_open: BTreeMap::new(),
-            phase_time: BTreeMap::new(),
+            phase_time: [None; SpanKind::PHASES.len()],
             blocked_by_resource: BTreeMap::new(),
             wait_by_resource: BTreeMap::new(),
             last_at: Timestamp::ZERO,
@@ -269,10 +271,11 @@ impl MetricsRegistry {
         Ctr::ALL.iter().map(|c| (c.name(), self.counter(*c))).collect()
     }
 
-    /// Total virtual µs spent in each closed span phase.
+    /// Total virtual µs spent in each closed span phase, by phase label.
     #[must_use]
-    pub fn phase_time(&self) -> &BTreeMap<&'static str, u64> {
-        &self.phase_time
+    pub fn phase_time(&self) -> BTreeMap<&'static str, u64> {
+        let closed = SpanKind::PHASES.iter().zip(self.phase_time);
+        closed.filter_map(|(phase, us)| Some((*phase, us?))).collect()
     }
 
     /// Virtual µs of closed `blocked` spans per contended resource.
@@ -329,8 +332,8 @@ impl MetricsRegistry {
             let slot = self.span_open.entry(*key).or_insert(*at);
             *slot = (*slot).max(*at);
         }
-        for (phase, us) in &other.phase_time {
-            *self.phase_time.entry(phase).or_insert(0) += us;
+        for (mine, theirs) in self.phase_time.iter_mut().zip(other.phase_time) {
+            *mine = theirs.map(|us| mine.unwrap_or(0) + us).or(*mine);
         }
         for (res, us) in &other.blocked_by_resource {
             *self.blocked_by_resource.entry(*res).or_insert(0) += us;
@@ -458,14 +461,15 @@ impl MetricsRegistry {
             TraceEvent::LinkUp { .. } => self.bump(Ctr::LinkUps),
             TraceEvent::SpanOpen { txn, kind, .. } => {
                 self.bump(Ctr::SpansOpened);
-                self.span_open.insert((*txn, kind.phase()), at);
+                self.span_open.insert((*txn, kind.ordinal()), at);
             }
             TraceEvent::SpanClose { txn, kind, .. } => {
                 self.bump(Ctr::SpansClosed);
-                if let Some(opened) = self.span_open.remove(&(*txn, kind.phase())) {
+                if let Some(opened) = self.span_open.remove(&(*txn, kind.ordinal())) {
                     let width = at.since(opened).0;
-                    *self.phase_time.entry(kind.phase()).or_insert(0) += width;
-                    if let crate::span::SpanKind::Blocked { resource } = kind {
+                    let phase = &mut self.phase_time[kind.ordinal()];
+                    *phase = Some(phase.unwrap_or(0) + width);
+                    if let SpanKind::Blocked { resource } = kind {
                         *self.blocked_by_resource.entry(*resource).or_insert(0) += width;
                     }
                 }
@@ -707,6 +711,189 @@ mod tests {
         both.merge(&pb);
         c.absorb_phases(&both);
         assert_eq!(c.commit_phases(), a.commit_phases());
+    }
+
+    /// The registry as it was before its span keys became integers: open
+    /// spans under `(txn, phase label)`, phase time in a label-keyed map.
+    /// The reference the registry must answer like.
+    #[derive(Default)]
+    struct TreeRegistry {
+        counters: BTreeMap<&'static str, u64>,
+        wait_time: Histogram,
+        commit_latency: Histogram,
+        queue_depth: Histogram,
+        begin_at: BTreeMap<TxnId, Timestamp>,
+        wait_since: BTreeMap<(TxnId, ResourceId), Timestamp>,
+        span_open: BTreeMap<(TxnId, &'static str), Timestamp>,
+        phase_time: BTreeMap<&'static str, u64>,
+        blocked_by_resource: BTreeMap<ResourceId, u64>,
+        wait_by_resource: BTreeMap<ResourceId, u64>,
+    }
+
+    impl TreeRegistry {
+        /// The events the stream below draws, as the old `apply` folded
+        /// them; counters come from the registry's own per-event mapping,
+        /// which did not change.
+        fn apply(&mut self, at: Timestamp, event: &TraceEvent) {
+            let mut one = MetricsRegistry::new();
+            one.apply(at, event);
+            for (name, n) in one.counters_map() {
+                *self.counters.entry(name).or_insert(0) += n;
+            }
+            match event {
+                TraceEvent::TxnBegin { txn } => {
+                    self.begin_at.insert(*txn, at);
+                }
+                TraceEvent::OpWaiting { txn, resource, queue_depth, .. } => {
+                    self.queue_depth.record(u64::from(*queue_depth));
+                    self.wait_since.insert((*txn, *resource), at);
+                }
+                TraceEvent::OpGranted { txn, resource, .. } => {
+                    if let Some(since) = self.wait_since.remove(&(*txn, *resource)) {
+                        self.wait_time.record(at.since(since).0);
+                        *self.wait_by_resource.entry(*resource).or_insert(0) += at.since(since).0;
+                    }
+                }
+                TraceEvent::Committed { txn } | TraceEvent::Aborted { txn, .. } => {
+                    if let Some(begun) = self.begin_at.remove(txn) {
+                        if matches!(event, TraceEvent::Committed { .. }) {
+                            self.commit_latency.record(at.since(begun).0);
+                        }
+                    }
+                    self.wait_since.retain(|(t, _), _| t != txn);
+                }
+                TraceEvent::SpanOpen { txn, kind, .. } => {
+                    self.span_open.insert((*txn, kind.phase()), at);
+                }
+                TraceEvent::SpanClose { txn, kind, .. } => {
+                    if let Some(opened) = self.span_open.remove(&(*txn, kind.phase())) {
+                        let width = at.since(opened).0;
+                        *self.phase_time.entry(kind.phase()).or_insert(0) += width;
+                        if let SpanKind::Blocked { resource } = kind {
+                            *self.blocked_by_resource.entry(*resource).or_insert(0) += width;
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        fn merge(&mut self, other: &TreeRegistry) {
+            for (name, n) in &other.counters {
+                *self.counters.entry(name).or_insert(0) += n;
+            }
+            self.wait_time.merge(&other.wait_time);
+            self.commit_latency.merge(&other.commit_latency);
+            self.queue_depth.merge(&other.queue_depth);
+            for (txn, at) in &other.begin_at {
+                let slot = self.begin_at.entry(*txn).or_insert(*at);
+                *slot = (*slot).max(*at);
+            }
+            for (key, at) in &other.wait_since {
+                let slot = self.wait_since.entry(*key).or_insert(*at);
+                *slot = (*slot).max(*at);
+            }
+            for (key, at) in &other.span_open {
+                let slot = self.span_open.entry(*key).or_insert(*at);
+                *slot = (*slot).max(*at);
+            }
+            for (phase, us) in &other.phase_time {
+                *self.phase_time.entry(phase).or_insert(0) += us;
+            }
+            for (res, us) in &other.blocked_by_resource {
+                *self.blocked_by_resource.entry(*res).or_insert(0) += us;
+            }
+            for (res, us) in &other.wait_by_resource {
+                *self.wait_by_resource.entry(*res).or_insert(0) += us;
+            }
+        }
+
+        fn answers_like(&self, reg: &MetricsRegistry) -> bool {
+            self.counters == reg.counters_map()
+                && self.wait_time == reg.wait_time
+                && self.commit_latency == reg.commit_latency
+                && self.queue_depth == reg.queue_depth
+                && self.phase_time == reg.phase_time()
+                && self.blocked_by_resource == reg.blocked_by_resource
+                && self.wait_by_resource == reg.wait_by_resource
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// An event of a stream where up to 64 transactions are in flight at
+    /// once over 4 resources: begins, waits, grants, commits, aborts, and
+    /// span boundaries of every phase, opened and closed in any order —
+    /// never-closed, closed-unopened and re-opened spans included.
+    fn event() -> impl Strategy<Value = (u64, TraceEvent)> {
+        (0u8..8, 0u64..64, 0u32..4, 0usize..10, 0u64..40).prop_map(
+            |(what, txn, resource, phase, dt)| {
+                let (txn, resource) = (TxnId(txn), res(resource));
+                let kind = match phase {
+                    0 => SpanKind::Session,
+                    1 => SpanKind::AdmissionWait,
+                    2 => SpanKind::Work,
+                    3 => SpanKind::Sleep,
+                    4 => SpanKind::Blocked { resource },
+                    5 => SpanKind::Reconcile,
+                    6 => SpanKind::SstAttempt { attempt: 1 },
+                    7 => SpanKind::Commit,
+                    8 => SpanKind::Abort,
+                    _ => SpanKind::Queued,
+                };
+                let class = OpClass::UpdateAddSub;
+                let event = match what {
+                    0 => TraceEvent::TxnBegin { txn },
+                    1 => TraceEvent::OpWaiting { txn, resource, class, queue_depth: phase as u32 },
+                    2 => TraceEvent::OpGranted {
+                        txn,
+                        resource,
+                        class,
+                        shared: phase % 2 == 0,
+                        bypassed_sleeper: false,
+                    },
+                    3 => TraceEvent::Committed { txn },
+                    4 => TraceEvent::Aborted {
+                        txn,
+                        reason: AbortReason::LockTimeout,
+                        origin: AbortOrigin::Tick,
+                    },
+                    5 => TraceEvent::SpanClose { txn, kind, wall_us: None },
+                    _ => TraceEvent::SpanOpen { txn, kind, wall_us: None },
+                };
+                (dt, event)
+            },
+        )
+    }
+
+    proptest! {
+        /// Two registries fed interleaved streams, then merged, answer as
+        /// the tree-keyed reference does — counters, the three
+        /// histograms, phase time (zero-width closes included) and both
+        /// per-resource maps — after every event and after the merge.
+        #[test]
+        fn prop_the_registry_is_the_tree_keyed_reference(
+            a in prop::collection::vec(event(), 0..300),
+            b in prop::collection::vec(event(), 0..300),
+        ) {
+            let mut fed = [(MetricsRegistry::new(), TreeRegistry::default()),
+                (MetricsRegistry::new(), TreeRegistry::default())];
+            for ((reg, tree), stream) in fed.iter_mut().zip([a, b]) {
+                let mut at = Timestamp::ZERO;
+                for (dt, event) in stream {
+                    at = Timestamp(at.0 + dt);
+                    reg.apply(at, &event);
+                    tree.apply(at, &event);
+                    prop_assert!(tree.answers_like(reg), "after {event:?}");
+                }
+            }
+            let [(mut reg, mut tree), (reg_b, tree_b)] = fed;
+            reg.merge(&reg_b);
+            tree.merge(&tree_b);
+            prop_assert!(tree.answers_like(&reg), "after the merge");
+            let open = reg.span_open.iter().map(|((t, o), at)| ((*t, SpanKind::PHASES[*o]), *at));
+            prop_assert_eq!(&tree.span_open, &open.collect());
+        }
     }
 
     #[test]

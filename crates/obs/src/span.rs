@@ -56,21 +56,42 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
+    /// Every phase label, by [`SpanKind::ordinal`].
+    pub const PHASES: [&'static str; 10] = [
+        "session",
+        "admission_wait",
+        "work",
+        "sleep",
+        "blocked",
+        "reconcile",
+        "sst_attempt",
+        "commit",
+        "abort",
+        "queued",
+    ];
+
     /// The phase label this span aggregates under — stable snake_case,
     /// payload-free (`Blocked { .. }` → `"blocked"`).
     #[must_use]
     pub fn phase(&self) -> &'static str {
+        SpanKind::PHASES[self.ordinal()]
+    }
+
+    /// The phase's index in [`SpanKind::PHASES`]: the payload-free kind
+    /// as an integer.
+    #[must_use]
+    pub fn ordinal(&self) -> usize {
         match self {
-            SpanKind::Session => "session",
-            SpanKind::AdmissionWait => "admission_wait",
-            SpanKind::Work => "work",
-            SpanKind::Sleep => "sleep",
-            SpanKind::Blocked { .. } => "blocked",
-            SpanKind::Reconcile => "reconcile",
-            SpanKind::SstAttempt { .. } => "sst_attempt",
-            SpanKind::Commit => "commit",
-            SpanKind::Abort => "abort",
-            SpanKind::Queued => "queued",
+            SpanKind::Session => 0,
+            SpanKind::AdmissionWait => 1,
+            SpanKind::Work => 2,
+            SpanKind::Sleep => 3,
+            SpanKind::Blocked { .. } => 4,
+            SpanKind::Reconcile => 5,
+            SpanKind::SstAttempt { .. } => 6,
+            SpanKind::Commit => 7,
+            SpanKind::Abort => 8,
+            SpanKind::Queued => 9,
         }
     }
 }

@@ -53,8 +53,14 @@ impl TracerInner {
 /// A shared emission point for trace events.
 ///
 /// With no sink attached ([`Tracer::disabled`], also the `Default`), an
-/// emit is a lock plus one counter-array update — cheap enough to leave
-/// threaded through release builds.
+/// emit is a lock plus [`MetricsRegistry::apply`]: a counter-array bump,
+/// and for the few events that open or close something an integer-keyed
+/// tree update — `TxnBegin` / `Committed` / `Aborted` on the open
+/// transactions, `OpWaiting` / a waited `OpGranted` on the open waits,
+/// `SpanOpen` / `SpanClose` on the open spans (keyed by transaction and
+/// phase ordinal; a close adds to a fixed per-phase array). Nothing is
+/// allocated beyond the trees' own node growth, and no string is compared.
+/// Cheap enough to leave threaded through release builds.
 #[derive(Clone)]
 pub struct Tracer {
     inner: Arc<Mutex<TracerInner>>,
@@ -125,6 +131,18 @@ impl Tracer {
     /// Emits one event at virtual time `at`.
     pub fn emit(&self, at: Timestamp, event: TraceEvent) {
         self.inner.lock().record(at, event);
+    }
+
+    /// [`Tracer::emit`] for events one call site emits back to back at
+    /// one instant (a session's adjacent span boundaries): one critical
+    /// section for the run, the records what emitting them one by one
+    /// gives an unshared tracer. `events` is drawn under the tracer's lock
+    /// and must not emit.
+    pub fn emit_all(&self, at: Timestamp, events: impl IntoIterator<Item = TraceEvent>) {
+        let mut inner = self.inner.lock();
+        for event in events {
+            inner.record(at, event);
+        }
     }
 
     /// Emits an event from a layer without a virtual clock (the storage

@@ -84,7 +84,15 @@ impl WallAnchor {
     #[must_use]
     pub fn stamp(&self) -> (u64, Option<u64>) {
         let elapsed = self.elapsed_us();
-        (elapsed, self.base_us.map(|base| base + elapsed))
+        (elapsed, self.wall_us(elapsed))
+    }
+
+    /// The wall-clock microseconds since the Unix epoch of a reading
+    /// `elapsed` µs after the anchor — what [`WallAnchor::stamp`] pairs
+    /// with it, for a caller that already holds the reading.
+    #[must_use]
+    pub fn wall_us(&self, elapsed: u64) -> Option<u64> {
+        self.base_us.map(|base| base + elapsed)
     }
 
     /// The anchored Unix base itself, for stream metadata.

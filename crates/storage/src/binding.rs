@@ -8,7 +8,6 @@
 use crate::catalog::TableId;
 use crate::row::RowId;
 use pstm_types::{MemberId, ObjectId, PstmError, PstmResult, ResourceId};
-use std::collections::BTreeMap;
 
 /// Physical location of one object data member.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,10 +20,13 @@ pub struct Binding {
     pub column: usize,
 }
 
-/// Registry of resource → storage bindings.
+/// Registry of resource → storage bindings, in ascending resource order.
+/// A resource's rank in that order is its *slot*: one lookup
+/// ([`BindingRegistry::slot`]) yields it, and a manager keeps its
+/// per-resource state in a `Vec` by slot, iterated in resource order.
 #[derive(Clone, Debug, Default)]
 pub struct BindingRegistry {
-    map: BTreeMap<ResourceId, Binding>,
+    entries: Vec<(ResourceId, Binding)>,
     next_object: u32,
 }
 
@@ -37,11 +39,11 @@ impl BindingRegistry {
 
     /// Registers a binding for an explicit resource id.
     pub fn bind(&mut self, resource: ResourceId, binding: Binding) -> PstmResult<()> {
-        if self.map.contains_key(&resource) {
+        let Err(at) = self.entries.binary_search_by_key(&resource, |e| e.0) else {
             return Err(PstmError::AlreadyExists(format!("binding for {resource}")));
-        }
+        };
         self.next_object = self.next_object.max(resource.object.0 + 1);
-        self.map.insert(resource, binding);
+        self.entries.insert(at, (resource, binding));
         Ok(())
     }
 
@@ -55,37 +57,51 @@ impl BindingRegistry {
         members: &[(MemberId, usize)],
     ) -> PstmResult<ObjectId> {
         let object = ObjectId(self.next_object);
-        self.next_object += 1;
         for (member, column) in members {
-            let resource = ResourceId::new(object, *member);
-            self.map.insert(resource, Binding { table, row, column: *column });
+            self.bind(ResourceId::new(object, *member), Binding { table, row, column: *column })?;
         }
+        self.next_object = object.0 + 1;
         Ok(object)
+    }
+
+    /// The slot of `resource`, if it is bound.
+    #[must_use]
+    pub fn slot(&self, resource: ResourceId) -> Option<usize> {
+        self.entries.binary_search_by_key(&resource, |e| e.0).ok()
+    }
+
+    /// The resource in `slot` and its binding.
+    ///
+    /// # Panics
+    /// If `slot` is not below [`BindingRegistry::len`].
+    #[must_use]
+    pub fn at(&self, slot: usize) -> (ResourceId, Binding) {
+        self.entries[slot]
     }
 
     /// Looks up the binding for `resource`.
     pub fn resolve(&self, resource: ResourceId) -> PstmResult<Binding> {
-        self.map
-            .get(&resource)
-            .copied()
-            .ok_or_else(|| PstmError::NotFound(format!("binding for {resource}")))
+        match self.slot(resource) {
+            Some(slot) => Ok(self.entries[slot].1),
+            None => Err(PstmError::NotFound(format!("binding for {resource}"))),
+        }
     }
 
-    /// All bound resources, in id order.
+    /// All bound resources, in id (= slot) order.
     pub fn resources(&self) -> impl Iterator<Item = ResourceId> + '_ {
-        self.map.keys().copied()
+        self.entries.iter().map(|e| e.0)
     }
 
     /// Number of bound resources.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// Whether the registry is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 }
 
@@ -107,6 +123,12 @@ mod tests {
         let b = reg.resolve(ResourceId::new(o1, MemberId(1))).unwrap();
         assert_eq!(b.column, 2);
         assert_eq!(b.row, RowId::new(0, 0));
+        // Slots rank the resources.
+        let members = [(o1, 0), (o1, 1), (o2, 0)].map(|(o, m)| ResourceId::new(o, MemberId(m)));
+        for (slot, resource) in members.into_iter().enumerate() {
+            assert_eq!(reg.slot(resource), Some(slot));
+            assert_eq!(reg.at(slot).0, resource);
+        }
     }
 
     #[test]

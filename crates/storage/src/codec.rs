@@ -56,30 +56,36 @@ pub fn encoded_len(v: &Value) -> usize {
 
 /// Decodes one value from `buf` starting at `*pos`, advancing `*pos`.
 pub fn decode_value(buf: &[u8], pos: &mut usize) -> PstmResult<Value> {
+    let (tag, raw) = take_value(buf, pos)?;
+    Ok(match tag {
+        TAG_NULL => Value::Null,
+        TAG_BOOL_FALSE => Value::Bool(false),
+        TAG_BOOL_TRUE => Value::Bool(true),
+        TAG_INT => Value::Int(i64::from_le_bytes(raw.try_into().unwrap())),
+        TAG_FLOAT => Value::Float(f64::from_le_bytes(raw.try_into().unwrap())),
+        _ => Value::Text(std::str::from_utf8(raw).expect("take_value checked the text").into()),
+    })
+}
+
+/// Steps over one encoded value at `*pos`, checking it exactly as
+/// [`decode_value`] does, and returns its tag and payload bytes without
+/// building the value.
+fn take_value<'a>(buf: &'a [u8], pos: &mut usize) -> PstmResult<(u8, &'a [u8])> {
     let tag = *buf.get(*pos).ok_or_else(|| PstmError::WalCorrupt("truncated value tag".into()))?;
     *pos += 1;
-    match tag {
-        TAG_NULL => Ok(Value::Null),
-        TAG_BOOL_FALSE => Ok(Value::Bool(false)),
-        TAG_BOOL_TRUE => Ok(Value::Bool(true)),
-        TAG_INT => {
-            let raw = take(buf, pos, 8)?;
-            Ok(Value::Int(i64::from_le_bytes(raw.try_into().unwrap())))
-        }
-        TAG_FLOAT => {
-            let raw = take(buf, pos, 8)?;
-            Ok(Value::Float(f64::from_le_bytes(raw.try_into().unwrap())))
-        }
+    let raw = match tag {
+        TAG_NULL | TAG_BOOL_FALSE | TAG_BOOL_TRUE => &[][..],
+        TAG_INT | TAG_FLOAT => take(buf, pos, 8)?,
         TAG_TEXT => {
-            let raw = take(buf, pos, 4)?;
-            let len = u32::from_le_bytes(raw.try_into().unwrap()) as usize;
+            let len = take_u32(buf, pos)? as usize;
             let bytes = take(buf, pos, len)?;
-            let s = std::str::from_utf8(bytes)
+            std::str::from_utf8(bytes)
                 .map_err(|e| PstmError::WalCorrupt(format!("invalid utf8 in text value: {e}")))?;
-            Ok(Value::Text(s.to_owned()))
+            bytes
         }
-        other => Err(PstmError::WalCorrupt(format!("unknown value tag {other}"))),
-    }
+        other => return Err(PstmError::WalCorrupt(format!("unknown value tag {other}"))),
+    };
+    Ok((tag, raw))
 }
 
 fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> PstmResult<&'a [u8]> {
@@ -118,13 +124,46 @@ pub fn encode_row_into(values: &[Value], out: &mut Vec<u8>) {
 
 /// Decodes a row previously produced by [`encode_row`].
 pub fn decode_row(buf: &[u8]) -> PstmResult<Vec<Value>> {
+    let mut values = Vec::new();
+    decode_row_into(buf, &mut values)?;
+    Ok(values)
+}
+
+/// [`decode_row`] into `values`, reusing its capacity.
+pub(crate) fn decode_row_into(buf: &[u8], values: &mut Vec<Value>) -> PstmResult<()> {
+    values.clear();
     let mut pos = 0usize;
-    let raw = take(buf, &mut pos, 2)?;
-    let n = u16::from_le_bytes(raw.try_into().unwrap()) as usize;
-    let mut values = Vec::with_capacity(n);
+    let n = take_row_len(buf, &mut pos)?;
+    values.reserve(n);
     for _ in 0..n {
         values.push(decode_value(buf, &mut pos)?);
     }
+    end_of_row(buf, pos)
+}
+
+/// Column `column` of a row produced by [`encode_row`], `None` if the row
+/// has fewer columns. The whole row is checked as [`decode_row`] checks
+/// it — the same errors for the same bytes — but only the one value is
+/// built.
+pub(crate) fn decode_col(buf: &[u8], column: usize) -> PstmResult<Option<Value>> {
+    let mut pos = 0usize;
+    let mut found = None;
+    for i in 0..take_row_len(buf, &mut pos)? {
+        if i == column {
+            found = Some(decode_value(buf, &mut pos)?);
+        } else {
+            take_value(buf, &mut pos)?;
+        }
+    }
+    end_of_row(buf, pos)?;
+    Ok(found)
+}
+
+fn take_row_len(buf: &[u8], pos: &mut usize) -> PstmResult<usize> {
+    take(buf, pos, 2).map(|raw| u16::from_le_bytes(raw.try_into().unwrap()) as usize)
+}
+
+fn end_of_row(buf: &[u8], pos: usize) -> PstmResult<()> {
     if pos != buf.len() {
         return Err(PstmError::WalCorrupt(format!(
             "trailing bytes after row: {} of {}",
@@ -132,7 +171,7 @@ pub fn decode_row(buf: &[u8]) -> PstmResult<Vec<Value>> {
             buf.len()
         )));
     }
-    Ok(values)
+    Ok(())
 }
 
 const REC_BEGIN: u8 = 1;
@@ -382,6 +421,44 @@ pub(crate) mod tests {
         fn prop_row_round_trip(row in prop::collection::vec(arb_value(), 0..16)) {
             let buf = encode_row(&row);
             prop_assert_eq!(decode_row(&buf).unwrap(), row);
+        }
+
+        /// One column decodes as the whole row's value in that column,
+        /// whatever the row holds, and a column past the end is absent.
+        #[test]
+        fn prop_col_is_the_rows_column(row in prop::collection::vec(arb_value(), 0..12)) {
+            let buf = encode_row(&row);
+            for c in 0..=row.len() {
+                prop_assert_eq!(decode_col(&buf, c).unwrap(), row.get(c).cloned());
+            }
+        }
+
+        /// Cut short, grown by trailing bytes, or with a bad tag in any
+        /// value, a row is refused by one column's decode with the error
+        /// the whole row's decode gives — for every column asked for.
+        #[test]
+        fn prop_col_refuses_what_the_row_refuses(
+            row in prop::collection::vec(arb_value(), 1..8),
+            cut in any::<usize>(),
+            tail in 1u8..4,
+            bad in any::<usize>(),
+        ) {
+            let buf = encode_row(&row);
+            let mut starts = vec![2usize];
+            for v in &row {
+                starts.push(starts.last().unwrap() + encoded_len(v));
+            }
+            let mut tagged = buf.clone();
+            tagged[starts[bad % row.len()]] = 99;
+            let mut trailing = buf.clone();
+            trailing.resize(buf.len() + usize::from(tail), 0);
+            let broken = [buf[..cut % buf.len()].to_vec(), trailing, tagged];
+            for bytes in &broken {
+                let whole = decode_row(bytes).unwrap_err();
+                for c in 0..=row.len() {
+                    prop_assert_eq!(decode_col(bytes, c).unwrap_err(), whole.clone());
+                }
+            }
         }
 
         #[test]

@@ -61,6 +61,19 @@ pub enum WriteOp {
     },
 }
 
+/// An update of column 0 of row 0 in table 0 to `Null`: what an unused
+/// inline slot holds.
+impl Default for WriteOp {
+    fn default() -> Self {
+        WriteOp::Update {
+            table: TableId(0),
+            row_id: RowId::new(0, 0),
+            column: 0,
+            value: Value::Null,
+        }
+    }
+}
+
 /// An ordered batch of writes applied as one atomic short transaction —
 /// exactly what the paper's Secure System Transaction is.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -79,17 +92,13 @@ impl WriteSet {
         self.0.push(op);
         self
     }
+}
 
-    /// Number of operations.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
+impl std::ops::Deref for WriteSet {
+    type Target = [WriteOp];
 
-    /// Whether the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+    fn deref(&self) -> &[WriteOp] {
+        &self.0
     }
 }
 
@@ -177,8 +186,11 @@ pub(crate) struct Inner {
     pending_deletes: HashMap<TxnId, Vec<(TableId, RowId)>>,
     /// [`Database::apply_write_set`]'s plan, kept here so the exclusive
     /// section reuses its capacity instead of allocating per commit:
-    /// `befores[i]` is the value op `i` replaced.
+    /// `befores[i]` is the value op `i` replaced. Only the first `staged`
+    /// rows are the current plan; the rest keep their buffers for the
+    /// next one.
     staged_rows: Vec<StagedRow>,
+    staged: usize,
     befores: Vec<Value>,
 }
 
@@ -198,6 +210,7 @@ impl Inner {
             active: HashMap::new(),
             pending_deletes: HashMap::new(),
             staged_rows: Vec::new(),
+            staged: 0,
             befores: Vec::new(),
         }
     }
@@ -259,10 +272,10 @@ impl Inner {
     /// earlier updates of the batch as sequential application would —
     /// then checks every rewritten row still fits its page. Touches no
     /// state a failure would have to undo.
-    fn load_update_rows(&mut self, ws: &WriteSet) -> PstmResult<()> {
-        self.staged_rows.clear();
+    fn load_update_rows(&mut self, ops: &[WriteOp]) -> PstmResult<()> {
+        self.staged = 0;
         self.befores.clear();
-        for op in &ws.0 {
+        for op in ops {
             let WriteOp::Update { table, row_id, column, value } = op;
             let meta = self.catalog.meta(*table)?;
             meta.schema.validate_column(*column, value)?;
@@ -274,10 +287,15 @@ impl Inner {
             let staged = match self.staged_row(*table, *row_id) {
                 Some(staged) => staged,
                 None => {
-                    let row = self.stores[table.0 as usize].heap.get(*row_id)?;
-                    let (table, row_id) = (*table, *row_id);
-                    self.staged_rows.push(StagedRow { table, row_id, row });
-                    self.staged_rows.len() - 1
+                    if self.staged == self.staged_rows.len() {
+                        let row = Row::new(Vec::new());
+                        self.staged_rows.push(StagedRow { table: *table, row_id: *row_id, row });
+                    }
+                    let staged = &mut self.staged_rows[self.staged];
+                    (staged.table, staged.row_id) = (*table, *row_id);
+                    self.stores[table.0 as usize].heap.get_into(*row_id, &mut staged.row)?;
+                    self.staged += 1;
+                    self.staged - 1
                 }
             };
             let cell = self.staged_rows[staged].row.0.get_mut(*column);
@@ -285,11 +303,11 @@ impl Inner {
                 cell.ok_or_else(|| PstmError::NotFound(format!("column #{column} in {table}")))?;
             self.befores.push(std::mem::replace(cell, value.clone()));
         }
-        self.check_fit(ws)
+        self.check_fit(ops)
     }
 
     fn staged_row(&self, table: TableId, row_id: RowId) -> Option<usize> {
-        self.staged_rows.iter().position(|s| s.table == table && s.row_id == row_id)
+        self.staged_rows[..self.staged].iter().position(|s| s.table == table && s.row_id == row_id)
     }
 
     /// Refuses the write set if a rewritten row could outgrow its page.
@@ -301,9 +319,9 @@ impl Inner {
     /// credit: the heap applies each row's net change in staging order,
     /// redo each update in log order, and only a sum that fits without
     /// them fits in both.
-    fn check_fit(&self, ws: &WriteSet) -> PstmResult<()> {
+    fn check_fit(&self, ops: &[WriteOp]) -> PstmResult<()> {
         let grows = || {
-            ws.0.iter().zip(&self.befores).map(
+            ops.iter().zip(&self.befores).map(
                 |(WriteOp::Update { table, row_id, value, .. }, before)| {
                     (*table, *row_id, encoded_len(value).saturating_sub(encoded_len(before)))
                 },
@@ -327,13 +345,13 @@ impl Inner {
     /// Second half: logs `Begin · Update… · Commit` as one framed WAL
     /// flush, the images taken by reference from `befores` and the write
     /// set. The heap is still untouched.
-    fn log_updates(&mut self, txn: TxnId, ws: &WriteSet) -> PstmResult<()> {
+    fn log_updates(&mut self, txn: TxnId, ops: &[WriteOp]) -> PstmResult<()> {
         let _phase = pstm_obs::prof::PhaseTimer::start(pstm_obs::prof::CommitPhase::WalAppend);
         self.wal.stage(|out| {
             encode_begin(txn, out);
             Ok(())
         })?;
-        for (op, before) in ws.0.iter().zip(&self.befores) {
+        for (op, before) in ops.iter().zip(&self.befores) {
             let WriteOp::Update { table, row_id, column, value } = op;
             self.wal
                 .stage(|out| encode_update(txn, *table, *row_id, *column, before, value, out))?;
@@ -681,12 +699,10 @@ impl Database {
         self.inner.read().store(table)?.heap.get(row_id)
     }
 
-    /// Reads one column of a row.
+    /// Reads one column of a row, decoding that value alone.
     pub fn get_col(&self, table: TableId, row_id: RowId, column: usize) -> PstmResult<Value> {
-        let row = self.get(table, row_id)?;
-        row.get(column)
-            .cloned()
-            .ok_or_else(|| PstmError::NotFound(format!("column #{column} in {table}")))
+        let value = self.inner.read().store(table)?.heap.get_col(row_id, column)?;
+        value.ok_or_else(|| PstmError::NotFound(format!("column #{column} in {table}")))
     }
 
     /// Full scan of a table.
@@ -753,8 +769,11 @@ impl Database {
     /// row is decoded once and rewritten once, records are encoded from
     /// references straight into the WAL's frame buffer, and the plan
     /// lives in `Inner`'s reused vectors.
+    ///
+    /// The writes are a slice, wherever the caller keeps them: a
+    /// [`WriteSet`] derefs to one.
     // pstm-lockgraph: flush-point
-    pub fn apply_write_set(&self, txn: TxnId, ws: &WriteSet) -> PstmResult<()> {
+    pub fn apply_write_set(&self, txn: TxnId, ops: &[WriteOp]) -> PstmResult<()> {
         // The WAL append nested under this carves its own WalAppend time
         // out of this phase (exclusive accounting).
         let _phase = pstm_obs::prof::PhaseTimer::start(pstm_obs::prof::CommitPhase::SstApply);
@@ -795,15 +814,15 @@ impl Database {
         if inner.active.contains_key(&txn) {
             return Err(PstmError::InvalidState { txn, action: "begin", state: "active" });
         }
-        inner.load_update_rows(ws)?;
-        if let Err(e) = inner.log_updates(txn, ws) {
+        inner.load_update_rows(ops)?;
+        if let Err(e) = inner.log_updates(txn, ops) {
             inner.wal.discard_staged();
             return Err(e);
         }
-        for staged in &inner.staged_rows {
+        for staged in &inner.staged_rows[..inner.staged] {
             inner.stores[staged.table.0 as usize].heap.update(staged.row_id, &staged.row)?;
         }
-        for (op, before) in ws.0.iter().zip(&inner.befores) {
+        for (op, before) in ops.iter().zip(&inner.befores) {
             let WriteOp::Update { table, row_id, column, value } = op;
             let meta = inner.catalog.meta(*table)?;
             inner.stores[table.0 as usize].reindex(meta, *row_id, *column, before, value);
@@ -811,7 +830,7 @@ impl Database {
         inner.checkpoint_if_due();
         drop(guard);
         let tracer = self.tracer.read();
-        let updates = ws.0.iter().map(|_| TraceEvent::EngineUpdate { txn });
+        let updates = ops.iter().map(|_| TraceEvent::EngineUpdate { txn });
         tracer.emit_unclocked_all(updates.chain([TraceEvent::EngineCommit { txn }]));
         Ok(())
     }

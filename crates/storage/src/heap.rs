@@ -3,7 +3,7 @@
 
 use crate::page::{Page, PAGE_SIZE};
 use crate::row::{Row, RowId};
-use pstm_types::{PstmError, PstmResult};
+use pstm_types::{PstmError, PstmResult, Value};
 
 /// A heap file — the physical store of one table.
 ///
@@ -81,6 +81,17 @@ impl HeapFile {
     /// Fetches and decodes the row at `id`.
     pub fn get(&self, id: RowId) -> PstmResult<Row> {
         Row::decode(self.record(id)?.1)
+    }
+
+    /// [`HeapFile::get`] into `row`, reusing its capacity.
+    pub(crate) fn get_into(&self, id: RowId, row: &mut Row) -> PstmResult<()> {
+        crate::codec::decode_row_into(self.record(id)?.1, &mut row.0)
+    }
+
+    /// Column `column` of the row at `id`, decoded alone; `None` if the
+    /// row has fewer columns.
+    pub(crate) fn get_col(&self, id: RowId, column: usize) -> PstmResult<Option<Value>> {
+        crate::codec::decode_col(self.record(id)?.1, column)
     }
 
     /// The page holding row `id` and the row's encoded bytes.
@@ -219,7 +230,6 @@ impl std::fmt::Debug for HeapFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstm_types::Value;
 
     fn row(i: i64) -> Row {
         Row::new(vec![Value::Int(i), Value::Text(format!("row-{i}"))])

@@ -49,6 +49,13 @@ pub enum OpClass {
     UpdateMulDiv,
 }
 
+/// `Read`: what an unused inline slot holds.
+impl Default for OpClass {
+    fn default() -> Self {
+        OpClass::Read
+    }
+}
+
 impl OpClass {
     /// All six classes, in declaration order. Handy for exhaustive tests
     /// and for sweeping workloads over operation mixes.

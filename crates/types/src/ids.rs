@@ -12,7 +12,7 @@ use std::fmt;
 ///
 /// Ids are allocated monotonically; the allocation order doubles as the
 /// arrival order `λ` used by the paper's workload description (§VI.B).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct TxnId(pub u64);
 
 impl TxnId {
@@ -111,7 +111,7 @@ impl fmt::Display for TxnId {
 ///
 /// In the storage engine an object maps to a row of a catalogued table; in
 /// the middleware it is an abstract data type with data members.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ObjectId(pub u32);
 
 impl fmt::Debug for ObjectId {
@@ -130,7 +130,7 @@ impl fmt::Display for ObjectId {
 /// the object). Compatibility (Definition 1 in the paper) is evaluated per
 /// data member: operations on distinct, logically independent members never
 /// conflict.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct MemberId(pub u16);
 
 impl MemberId {
@@ -156,7 +156,7 @@ impl fmt::Display for MemberId {
 /// same object data member" before they can conflict, so everything in the
 /// global transaction manager is keyed by `ResourceId` rather than by bare
 /// [`ObjectId`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ResourceId {
     /// Object the member belongs to.
     pub object: ObjectId,

@@ -11,7 +11,8 @@
 //!   the middleware, together with checked arithmetic;
 //! * the [`OpClass`] operation classes of the paper and the Table-I
 //!   compatibility matrix ([`OpClass::compatible_with`]);
-//! * the common error type [`PstmError`].
+//! * the common error type [`PstmError`];
+//! * [`InlineVec`], the one small vector the hot paths use.
 //!
 //! The paper models each *object* as an abstract data type with one or more
 //! *data members*; compatibility is defined per data member, so the lockable
@@ -23,6 +24,7 @@ pub mod compat;
 pub mod error;
 pub mod fault;
 pub mod ids;
+pub mod inline;
 pub mod op;
 pub mod sched;
 pub mod time;
@@ -32,6 +34,7 @@ pub use compat::{CompatMatrix, OpClass};
 pub use error::{PstmError, PstmResult};
 pub use fault::{FailNextSstApplies, FaultDecision, FaultHook, FaultSite, SharedFaultHook};
 pub use ids::{MemberId, ObjectId, ResourceId, TxnId, TxnIdAllocator};
+pub use inline::InlineVec;
 pub use op::ScalarOp;
 pub use sched::{AbortReason, ExecOutcome, StepEffects};
 pub use time::{Duration, Timestamp};

@@ -55,6 +55,13 @@ pub enum Value {
     Text(String),
 }
 
+/// `Null`: what an unused inline slot holds.
+impl Default for Value {
+    fn default() -> Self {
+        Value::Null
+    }
+}
+
 impl Value {
     /// The kind of this value.
     #[must_use]
