@@ -62,9 +62,6 @@ fn main() {
             "\ntraced emulation: {} txns, {} committed, {} aborted",
             report.total, report.committed, report.aborted
         );
-        match pstm_bench::verify_trace(&pstm_bench::trace_path("fig1"), &tracer) {
-            Ok(n) => println!("trace: {n} events; replayed counters match the live run ✓"),
-            Err(e) => eprintln!("trace verification failed: {e}"),
-        }
+        pstm_bench::finish_trace("fig1", &tracer);
     }
 }

@@ -127,4 +127,6 @@ fn main() {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("could not write results: {e}"),
     }
+    pstm_bench::finish_trace("fig3_gtm", &trace_gtm);
+    pstm_bench::finish_trace("fig3_2pl", &trace_2pl);
 }

@@ -95,8 +95,8 @@ fn main() {
     }
     println!("\nexpected shape: same ordering as Fig. 3 right panel — burstiness does");
     println!("not change who wins, only the magnitude of the sleep-conflict tail.");
-    trace_gtm.flush();
-    trace_2pl.flush();
+    pstm_bench::finish_trace("link_sweep_gtm", &trace_gtm);
+    pstm_bench::finish_trace("link_sweep_2pl", &trace_2pl);
     match pstm_bench::write_results("link_sweep", &rows) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write results: {e}"),

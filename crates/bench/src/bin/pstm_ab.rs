@@ -39,17 +39,17 @@
 //! Only allocation counts repeat exactly; every other column (tps, CPU
 //! per transaction, group size, wake latency) is printed and kept but
 //! judged by nothing. `PSTM_TRACE=1` adds one point to the contended
-//! workload's budget, tracing only, that writes one JSONL trace per shard
-//! (`results/trace_ab_contended_shard<i>.jsonl`), each checked to replay
-//! to its shard's live registry.
+//! workload's budget, tracing only, that records every shard into
+//! `results/trace_ab_contended.rec`, each shard checked to replay to its
+//! live registry and rendered as `trace_ab_contended_shard<i>.jsonl`.
 
 use pstm_bench::ab::{compare, parse_contract, render, RunResult};
-use pstm_bench::{trace_path, trace_requested, verify_trace, Zipfian};
+use pstm_bench::{trace_path, trace_recorder, trace_requested, verify_trace, Zipfian};
 use pstm_core::gtm::CommitResult;
 use pstm_front::reactor::{Fate, ProgramStep, Reactor, ReactorConfig};
 use pstm_front::{FrontConfig, SessionOutcome, ShardedFront};
 use pstm_obs::prof::{self, CommitPhase};
-use pstm_obs::{Ctr, JsonlSink, Recorder, RingSink, Sink, TeeSink, Tracer, WallEpoch};
+use pstm_obs::{Ctr, Recorder, RingSink, Sink, TeeSink, Tracer, WallEpoch};
 use pstm_types::{ScalarOp, Value};
 use pstm_workload::{counter_world, World};
 use rand::{Rng, SeedableRng, StdRng};
@@ -429,10 +429,10 @@ type Layers = [bool; 3];
 /// One point of the observability budget, in the regime it is set for:
 /// 4 client threads over 16 counters on 8 shards, every session thinking
 /// before each of two `Sub`s on different shards, no device latency, so
-/// think time dominates as it does for a mobile client. `jsonl` writes
-/// each shard's events to its trace file in place of the ring, and
-/// checks that the file replays to the shard's live registry. Its tps.
-fn budget_point(layers: Layers, jsonl: bool, quick: bool) -> f64 {
+/// think time dominates as it does for a mobile client. `traced` records
+/// every shard's events into one trace file in place of the ring, and
+/// checks that each shard replays to its live registry. Its tps.
+fn budget_point(layers: Layers, traced: bool, quick: bool) -> f64 {
     const THREADS: u64 = 4;
     const OBJECTS: usize = 16;
     const SHARDS: usize = 8;
@@ -440,7 +440,6 @@ fn budget_point(layers: Layers, jsonl: bool, quick: bool) -> f64 {
     let (sessions, think) = if quick { (64, 200) } else { (256, 500) };
     let world = counter_world(OBJECTS, 10_000_000).expect("world");
     let config = FrontConfig { shards: SHARDS, ..FrontConfig::default() };
-    let label = |i: usize| format!("ab_contended_shard{i}");
     // Under `results/`, not the system's temporary directory: `PSTM_TRACE`
     // stays the only environment variable read.
     let rec_path = Path::new("results").join(format!("pstm-ab-{}.rec", std::process::id()));
@@ -450,9 +449,10 @@ fn budget_point(layers: Layers, jsonl: bool, quick: bool) -> f64 {
         std::fs::create_dir_all("results").expect("results/");
         Recorder::create(&rec_path, 1 << 20, true).expect("recorder")
     });
+    let trace = traced.then(|| trace_recorder("ab_contended").expect("trace file"));
     let tracer = |i: usize| {
-        let events: Option<Box<dyn Sink>> = if jsonl {
-            Some(Box::new(JsonlSink::create(trace_path(&label(i))).expect("trace file")))
+        let events: Option<Box<dyn Sink>> = if let Some(rec) = &trace {
+            Some(Box::new(rec.sink(i as u32)))
         } else {
             tracing.then(|| Box::new(RingSink::new(1 << 16)) as Box<dyn Sink>)
         };
@@ -491,11 +491,11 @@ fn budget_point(layers: Layers, jsonl: bool, quick: bool) -> f64 {
     check_front(&front);
     assert_eq!(committed, sessions, "the budget's workload is abort-free");
     assert_eq!(phase_ops > 0, profiler, "{phase_ops} phase observations, profiler {profiler}");
-    for i in (0..SHARDS).filter(|_| jsonl) {
-        let path = trace_path(&label(i));
-        let events = verify_trace(&path, &front.shard_tracer(i))
-            .unwrap_or_else(|e| panic!("shard {i}: {e}"));
-        eprintln!("shard {i}: {events} events verified in {}", path.display());
+    if traced {
+        let tracers: Vec<Tracer> = (0..SHARDS).map(|i| front.shard_tracer(i)).collect();
+        let events =
+            verify_trace(&trace_path("ab_contended"), &tracers).unwrap_or_else(|e| panic!("{e}"));
+        eprintln!("{events} events of {SHARDS} shards verified");
     }
     if let Some(stats) = recorder.map(|rec| rec.stats()) {
         assert!(stats.frames > 0 && stats.io_errors == 0, "recorder: {stats:?}");

@@ -1,43 +1,35 @@
 //! `pstm_top` — the contention profiler CLI.
 //!
-//! Tails one or more JSONL traces (e.g. the per-shard files written by
-//! `pstm_ab count --workload contended` under `PSTM_TRACE=1`), merges
-//! them into one virtual-time timeline, and prints the contention
-//! profile: per-phase latency, top-K hot objects by blocked time, abort
-//! rates by operation class, and waits-for DOT snapshots over the run
-//! (plus the peak).
+//! Reads one or more recorder frame files (e.g. `trace_ab_contended.rec`,
+//! written by `pstm_ab count --workload contended` under `PSTM_TRACE=1`,
+//! or a crashed process's flight recorder), splits each into its shard
+//! streams, merges them into one virtual-time timeline, and prints the
+//! contention profile: per-phase latency, top-K hot objects by blocked
+//! time, abort rates by operation class, and waits-for DOT snapshots
+//! over the run (plus the peak). A window that lost its start to ring
+//! wraps still profiles, with a warning.
 //!
 //! ```text
-//! pstm_top [--top K] [--snapshots N] TRACE.jsonl [TRACE.jsonl ...]
-//! pstm_top --phases TRACE.jsonl ...
-//! pstm_top --from-recorder FLIGHT.rec [TRACE.jsonl ...]
+//! pstm_top [--top K] [--snapshots N] TRACE.rec [TRACE.rec ...]
+//! pstm_top --phases TRACE.rec ...
 //! ```
 //!
 //! `--phases` switches to the phase view: the trace's span-phase times
 //! beside its hot objects by blocked time.
 //!
-//! `--from-recorder` feeds the profiler from a flight-recorder ring file
-//! instead of (or alongside) JSONL traces: the file's surviving window is
-//! decoded, split back into per-shard record streams, and merged into the
-//! same timeline — so the exact tooling that profiles a healthy run also
-//! profiles the last seconds before a crash.
-//!
 //! Live rings profile the same way: snapshot them in-process and call
-//! `pstm_bench::profile::profile` on the records — this binary is just
-//! the file front door.
+//! `pstm_bench::profile::profile` on the records.
 
 use pstm_bench::profile::{merge_records, profile, render, render_phases};
-use pstm_obs::{load_jsonl, read_recorder};
+use pstm_obs::read_recorder;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: pstm_top [--top K] [--snapshots N] [--phases] \
-                     [--from-recorder FLIGHT.rec] [TRACE.jsonl ...]";
+const USAGE: &str = "usage: pstm_top [--top K] [--snapshots N] [--phases] TRACE.rec ...";
 
 fn main() -> ExitCode {
     let mut top_k = 10usize;
     let mut n_snapshots = 4usize;
     let mut phases_view = false;
-    let mut recorder_files = Vec::new();
     let mut files = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -55,13 +47,6 @@ fn main() -> ExitCode {
                 }
             }
             "--phases" => phases_view = true,
-            "--from-recorder" => match args.next() {
-                Some(f) => recorder_files.push(f),
-                None => {
-                    eprintln!("--from-recorder needs a file\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -69,13 +54,13 @@ fn main() -> ExitCode {
             _ => files.push(arg),
         }
     }
-    if files.is_empty() && recorder_files.is_empty() {
+    if files.is_empty() {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     }
 
     let mut shards = Vec::new();
-    for file in &recorder_files {
+    for file in &files {
         match read_recorder(std::path::Path::new(file)) {
             Ok(replay) => {
                 for (shard, records) in replay.records_by_shard() {
@@ -86,11 +71,8 @@ fn main() -> ExitCode {
                     }
                     shards.push(records);
                 }
-                if replay.gaps > 0 {
-                    eprintln!(
-                        "{file}: {} record(s) wrapped away — window is a suffix",
-                        replay.gaps
-                    );
+                if let Err(e) = replay.check_complete() {
+                    eprintln!("{file}: {e} — window is a suffix or has holes");
                 }
             }
             Err(e) => {
@@ -99,19 +81,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    for file in &files {
-        match load_jsonl(file) {
-            Ok(records) => {
-                eprintln!("{file}: {} record(s)", records.len());
-                shards.push(records);
-            }
-            Err(e) => {
-                eprintln!("{file}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
     let records = merge_records(shards);
     let p = profile(&records, top_k, n_snapshots);
     if phases_view {

@@ -78,10 +78,5 @@ fn main() {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write results: {e}"),
     }
-    if tracer.is_enabled() {
-        match pstm_bench::verify_trace(&pstm_bench::trace_path("table2"), &tracer) {
-            Ok(n) => println!("trace: {n} events; replayed counters match the live run ✓"),
-            Err(e) => eprintln!("trace verification failed: {e}"),
-        }
-    }
+    pstm_bench::finish_trace("table2", &tracer);
 }

@@ -20,12 +20,13 @@ pub mod ab;
 pub mod profile;
 
 use pstm_core::gtm::{Gtm, GtmConfig};
-use pstm_obs::{load_jsonl, Ctr, JsonlSink, Tracer};
+use pstm_obs::{read_recorder, render_jsonl, Ctr, MetricsRegistry, Recorder, TraceRecord, Tracer};
 use pstm_sim::{GtmBackend, RunReport, Runner, RunnerConfig, TwoPlBackend, TxnScript};
 use pstm_twopl::{TwoPlConfig, TwoPlManager};
 use pstm_types::{Duration, PstmResult};
 use pstm_workload::{counter_world, PaperWorkload};
 use serde::Serialize;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Which scheduler to drive.
@@ -99,21 +100,19 @@ pub fn run_emulation_traced(
 
 /// Builds a tracer from the `PSTM_TRACE` environment variable: unset,
 /// empty, or `0` disables persistence (metrics still accumulate); any
-/// other value attaches a JSONL sink writing
-/// `results/trace_<label>.jsonl`.
+/// other value records into [`trace_recorder`]`(label)`.
 #[must_use]
 pub fn tracer_from_env(label: &str) -> Tracer {
     if !trace_requested() {
         return Tracer::disabled();
     }
-    let path = trace_path(label);
-    match JsonlSink::create(&path) {
-        Ok(sink) => {
-            eprintln!("tracing to {}", path.display());
-            Tracer::with_sink(Box::new(sink))
+    match trace_recorder(label) {
+        Ok(rec) => {
+            eprintln!("tracing to {}", rec.path().display());
+            Tracer::with_sink(Box::new(rec.sink(0)))
         }
         Err(e) => {
-            eprintln!("could not open {}: {e}; tracing disabled", path.display());
+            eprintln!("could not open {}: {e}; tracing disabled", trace_path(label).display());
             Tracer::disabled()
         }
     }
@@ -125,32 +124,67 @@ pub fn trace_requested() -> bool {
     std::env::var("PSTM_TRACE").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Where [`tracer_from_env`] writes the trace for `label`.
-#[must_use]
-pub fn trace_path(label: &str) -> PathBuf {
-    PathBuf::from("results").join(format!("trace_{label}.jsonl"))
+/// A recorder writing `label`'s frames to [`trace_path`]: one segment
+/// as large as the header allows, so a run never wraps, and frames
+/// reach the file every 64 KiB.
+pub fn trace_recorder(label: &str) -> std::io::Result<Recorder> {
+    std::fs::create_dir_all("results")?;
+    Recorder::create(&trace_path(label), u32::MAX, false)
 }
 
-/// Replays the JSONL trace at `path` and compares every counter against
-/// the live registry behind `tracer`. Returns the number of events
-/// replayed, or a message naming the first mismatched counter — the
-/// artifact-validity check from the acceptance criteria.
-pub fn verify_trace(path: &Path, tracer: &Tracer) -> Result<usize, String> {
-    tracer.flush();
-    let records = load_jsonl(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let rebuilt = pstm_obs::replay(&records);
-    let live = tracer.snapshot();
-    for c in Ctr::ALL {
-        if rebuilt.counter(*c) != live.counter(*c) {
-            return Err(format!(
-                "counter {} diverged: trace {} vs live {}",
-                c.name(),
-                rebuilt.counter(*c),
-                live.counter(*c)
-            ));
+/// Where [`trace_recorder`] writes the frames for `label`.
+#[must_use]
+pub fn trace_path(label: &str) -> PathBuf {
+    PathBuf::from("results").join(format!("trace_{label}.rec"))
+}
+
+/// Reads back the frames at `path`, shard `i` written by `tracers[i]`:
+/// refuses an incomplete stream, compares every replayed counter with
+/// the live registry, and renders each shard's JSONL beside the frames
+/// (`<stem>.jsonl`, or `<stem>_shard<i>.jsonl` for several shards).
+/// Returns the number of events, or a message naming the first gap,
+/// drop or diverged counter — the artifact-validity check.
+pub fn verify_trace(path: &Path, tracers: &[Tracer]) -> Result<usize, String> {
+    let at = |e: String| format!("{}: {e}", path.display());
+    tracers.iter().for_each(Tracer::flush);
+    let replay = read_recorder(path).map_err(|e| at(e.to_string()))?;
+    replay.check_complete().map_err(at)?;
+    let mut events = 0;
+    for (i, tracer) in tracers.iter().enumerate() {
+        let records = replay.shard_records(i as u32);
+        let (rebuilt, live) = (MetricsRegistry::from_records(&records), tracer.snapshot());
+        if let Some(&c) = Ctr::ALL.iter().find(|c| rebuilt.counter(**c) != live.counter(**c)) {
+            let (name, trace, live) = (c.name(), rebuilt.counter(c), live.counter(c));
+            return Err(at(format!("shard {i}: counter {name}: trace {trace} vs live {live}")));
+        }
+        let shard = if tracers.len() == 1 { String::new() } else { format!("_shard{i}") };
+        let stem = path.file_stem().unwrap_or_default().to_string_lossy();
+        let jsonl = path.with_file_name(format!("{stem}{shard}.jsonl"));
+        write_jsonl(&jsonl, &records).map_err(|e| at(e.to_string()))?;
+        events += records.len();
+    }
+    Ok(events)
+}
+
+fn write_jsonl(path: &Path, records: &[TraceRecord]) -> std::io::Result<()> {
+    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+    render_jsonl(records, &mut out)?;
+    out.flush()
+}
+
+/// Under `PSTM_TRACE`, [`verify_trace`]s the one-shard trace of `label`
+/// and prints its event count; a failed check exits with status 1.
+pub fn finish_trace(label: &str, tracer: &Tracer) {
+    if !tracer.is_enabled() {
+        return;
+    }
+    match verify_trace(&trace_path(label), std::slice::from_ref(tracer)) {
+        Ok(n) => println!("trace {label}: {n} events; replayed counters match the live run ✓"),
+        Err(e) => {
+            eprintln!("trace verification failed: {e}");
+            std::process::exit(1);
         }
     }
-    Ok(records.len())
 }
 
 /// Writes `rows` as JSON under `results/<name>.json` (created on demand),

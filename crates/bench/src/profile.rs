@@ -1,7 +1,7 @@
 //! The contention-profiler core behind the `pstm_top` binary.
 //!
-//! Takes a merged trace — from JSONL files on disk or a live ring
-//! snapshot, the records are the same either way — and distills the four
+//! Takes a merged trace — from recorder frame files on disk or a live
+//! ring snapshot, the records are the same either way — and distills the four
 //! views an operator reads first when a front-end slows down:
 //!
 //! 1. **Per-phase latency**: how much virtual (and, where the emitter had

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pstm_check lint [--root DIR]     # invariant lints over the workspace source
-//! pstm_check verify FILE...        # certify one run's JSONL trace stream(s)
+//! pstm_check verify FILE.rec...    # certify one run's recorded trace stream(s)
 //! pstm_check table                 # Table I small-scope commutativity proof
 //! pstm_check lockgraph [--root DIR] [--dot FILE]
 //!                                  # static lock-order graph + hold-across-flush
@@ -16,7 +16,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use pstm_check::{check_table, run_lint, run_lockgraph, verify_jsonl_files, Verdict};
+use pstm_check::{check_table, run_lint, run_lockgraph, verify_trace_files, Verdict};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -38,7 +38,7 @@ fn main() -> ExitCode {
         },
         "verify" => {
             if args.len() < 2 {
-                eprintln!("verify: need at least one JSONL trace file");
+                eprintln!("verify: need at least one recorder trace file");
                 return ExitCode::from(2);
             }
             let files: Vec<PathBuf> = args[1..].iter().map(PathBuf::from).collect();
@@ -169,7 +169,7 @@ fn run_lockgraph_cmd(root: &Path, dot: Option<&Path>) -> ExitCode {
 }
 
 fn run_verify_cmd(files: &[PathBuf]) -> ExitCode {
-    match verify_jsonl_files(files) {
+    match verify_trace_files(files) {
         Ok(Verdict::Serializable(cert)) => {
             println!("{cert}");
             ExitCode::SUCCESS

@@ -12,8 +12,8 @@
 //!    through `pstm-front`'s ordered-ascending helper. Violations are
 //!    either fixed or spelled out in an allowlist file; the report format
 //!    is line-oriented and sorted, so CI diffs stay readable.
-//! 2. **Serializability verifier** ([`verify`]) — consumes the JSONL
-//!    traces `pstm-obs` emits, rebuilds the conflict/precedence graph of
+//! 2. **Serializability verifier** ([`verify`]) — consumes the frame
+//!    files `pstm-obs` records, rebuilds the conflict/precedence graph of
 //!    each run from grant and commit events, and either certifies
 //!    conflict-serializability (producing an equivalent serial order) or
 //!    prints the minimal offending cycle with transaction ids and
@@ -59,6 +59,6 @@ pub use lockgraph::{
 pub use syntax::{acquisition_token_count, collect_workspace, parse_source, SourceFile};
 pub use table::{check_pair, check_table, PairReport, TableReport, Witness};
 pub use verify::{
-    stitch_streams, verify_jsonl_files, verify_records, verify_streams, Certificate, CycleEdge,
+    stitch_streams, verify_records, verify_streams, verify_trace_files, Certificate, CycleEdge,
     TraceStream, Verdict,
 };

@@ -205,7 +205,6 @@ fn classify(file: &str, recv: &str, kind: AccessKind) -> Option<String> {
                 () if front && recv == "recorder" => "front_recorder",
                 () if file == "crates/obs/src/tracer.rs" && recv == "inner" => "tracer_inner",
                 () if file == "crates/obs/src/sink.rs" && recv == "inner" => "sink_inner",
-                () if file.starts_with("crates/obs/") && recv == "buf" => "obs_buf",
                 () if file == "crates/obs/src/recorder.rs" && recv == "dev" => "recorder_dev",
                 () if file == "crates/obs/src/prof.rs" && recv == "SLOTS" => "prof_slots",
                 () if file.starts_with("crates/faults/") && recv == "state" => "faults_state",
@@ -236,7 +235,7 @@ pub fn class_level(class: &str) -> Option<u8> {
         "group_queue" | "wake_registry" | "oneshot_cell" | "commit_slot" | "front_fault_hook"
         | "front_recorder" => Some(2),
         "engine_inner" | "engine_tracer" | "engine_fault_hook" | "tracer_inner" | "sink_inner"
-        | "obs_buf" | "recorder_dev" | "prof_slots" | "faults_state" => Some(3),
+        | "recorder_dev" | "prof_slots" | "faults_state" => Some(3),
         _ => None,
     }
 }

@@ -1,7 +1,7 @@
 //! Trace-based conflict-serializability verifier.
 //!
-//! Input: the JSONL event streams `pstm-obs` sinks persist (one stream
-//! per tracer — a simulator run is one stream, a sharded front-end run
+//! Input: the event streams of recorder frame files, the one durable
+//! trace store (a simulator run is one stream, a sharded front-end run
 //! is one stream per shard). The verifier rebuilds each run's conflict
 //! graph from *observable* events only — it never trusts the GTM's own
 //! bookkeeping — and either certifies the run conflict-serializable,
@@ -478,17 +478,19 @@ pub fn verify_streams(streams: &[TraceStream]) -> Verdict {
     Verdict::NotSerializable(CycleReport { cycle })
 }
 
-/// Loads each JSONL file as one stream of a single run and verifies.
-pub fn verify_jsonl_files<P: AsRef<Path>>(paths: &[P]) -> Result<Verdict, String> {
+/// Reads each recorder file, refuses one with gaps or drops, and
+/// verifies every shard stream of every file as one run.
+pub fn verify_trace_files<P: AsRef<Path>>(paths: &[P]) -> Result<Verdict, String> {
     let mut streams = Vec::new();
     for p in paths {
         let p = p.as_ref();
-        let records = pstm_obs::load_jsonl(p).map_err(|e| format!("{}: {e}", p.display()))?;
-        let label = p
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| p.display().to_string());
-        streams.push(TraceStream { label, records });
+        let at = |e: String| format!("{}: {e}", p.display());
+        let replay = pstm_obs::read_recorder(p).map_err(|e| at(e.to_string()))?;
+        replay.check_complete().map_err(at)?;
+        let stem = p.file_stem().unwrap_or_default().to_string_lossy();
+        for (shard, records) in replay.records_by_shard() {
+            streams.push(TraceStream { label: format!("{stem}:{shard}"), records });
+        }
     }
     Ok(verify_streams(&streams))
 }

@@ -8,7 +8,8 @@
 
 use crate::span::SpanKind;
 use pstm_types::{AbortReason, OpClass, ResourceId, Timestamp, TxnId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
+use std::io::{self, Write};
 
 /// Where an abort was decided.
 ///
@@ -17,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// (counted in `aborted_constraint`), while a `Constraint` failure when a
 /// stashed operation is re-applied to a fresh snapshot at grant time is
 /// not part of that legacy counter. The origin keeps the two separable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum AbortOrigin {
     /// Explicit `⟨abort, A⟩` from the client.
     User,
@@ -34,7 +35,7 @@ pub enum AbortOrigin {
 }
 
 /// One observable scheduling, storage, or simulation decision.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub enum TraceEvent {
     /// `⟨begin, A⟩` accepted.
     TxnBegin {
@@ -274,16 +275,49 @@ pub enum TraceEvent {
 /// `at` is *virtual* time (the simulator clock), so traces of identical
 /// runs are byte-identical; `seq` breaks ties among events emitted at the
 /// same instant.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct TraceRecord {
     /// Emission ordinal within the trace, starting at 0.
     pub seq: u64,
     /// Virtual timestamp of the event.
     pub at: Timestamp,
     /// Emitting OS thread, as a small process-local tag (threads are
-    /// numbered in first-emission order). `None` in traces persisted
-    /// before tagging existed; single-threaded runs always show one tag.
+    /// numbered in first-emission order); single-threaded runs show one.
     pub thread: Option<u64>,
     /// The event itself.
     pub event: TraceEvent,
+}
+
+/// Renders `records` as JSON lines, one per record: the
+/// `results/trace_<label>.jsonl` view of a recorder file.
+///
+/// # Errors
+/// Write errors from `out`.
+pub fn render_jsonl(records: &[TraceRecord], out: &mut impl Write) -> io::Result<()> {
+    for rec in records {
+        out.write_all(serde_json::to_string(rec)?.as_bytes())?;
+        out.write_all(b"\n")?;
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn render_jsonl_writes_one_serde_line_per_record() {
+        let recs: Vec<TraceRecord> = (0..2)
+            .map(|seq| TraceRecord {
+                seq,
+                at: Timestamp(7),
+                thread: Some(0),
+                event: TraceEvent::TxnBegin { txn: TxnId(3) },
+            })
+            .collect();
+        let mut out = Vec::new();
+        render_jsonl(&recs, &mut out).unwrap();
+        let line = r#"{"seq":1,"at":7,"thread":0,"event":{"TxnBegin":{"txn":3}}}"#;
+        assert_eq!(String::from_utf8(out).unwrap().lines().nth(1), Some(line));
+    }
 }

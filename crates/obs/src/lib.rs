@@ -6,14 +6,15 @@
 //! Components hold a cloneable [`Tracer`] and emit events at observable
 //! decision points; the tracer folds every event into a
 //! [`MetricsRegistry`] (fixed counters plus virtual-time histograms) and,
-//! when a [`Sink`] is attached, persists the sequenced records.
+//! when a [`Sink`] is attached, persists the sequenced records: the
+//! [`recorder`]'s frames are the durable store, JSONL a rendering of them.
 //!
 //! Design rules:
 //!
 //! - **No drift.** The legacy per-manager stats structs are projections
-//!   of registry counters, and replaying a persisted trace goes through
-//!   the same [`MetricsRegistry::apply`] mapping — live stats and
-//!   trace-derived stats are equal by construction.
+//!   of registry counters, and replaying a trace goes through the same
+//!   [`MetricsRegistry::apply`] mapping — live and trace-derived stats
+//!   are equal by construction.
 //! - **Determinism.** Timestamps are *virtual* (simulator time), sinks
 //!   receive records in emission order with a sequence number, and
 //!   histograms use fixed buckets, so identical runs produce
@@ -36,14 +37,13 @@ pub mod prof;
 pub mod reactor;
 pub mod recorder;
 pub mod registry;
-pub mod replay;
 pub mod sink;
 pub mod span;
 pub mod tracer;
 pub mod wallclock;
 
 pub use dot::waits_for_dot;
-pub use event::{AbortOrigin, TraceEvent, TraceRecord};
+pub use event::{render_jsonl, AbortOrigin, TraceEvent, TraceRecord};
 pub use hist::Histogram;
 pub use postmortem::{analyze, Postmortem};
 pub use prof::{CommitPhase, PhaseProfile, PhaseTimer};
@@ -53,8 +53,7 @@ pub use recorder::{
     ENGINE_SHARD,
 };
 pub use registry::{Ctr, MetricsRegistry};
-pub use replay::{load_jsonl, parse_jsonl, replay};
-pub use sink::{JsonlSink, RingHandle, RingSink, Sink, TeeSink};
+pub use sink::{RingHandle, RingSink, Sink, TeeSink};
 pub use span::{build_span_trees, records_eq_ignoring_wall, strip_wall, SpanKind, SpanNode};
 pub use tracer::{current_thread_tag, Tracer};
 pub use wallclock::{wall_now_us, WallAnchor, WallEpoch};

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::hist::{self, Histogram, BUCKETS};
 
@@ -40,7 +40,7 @@ use crate::hist::{self, Histogram, BUCKETS};
 ///
 /// Order is load-bearing: it is the exposition and report order, and
 /// the index into every accumulator array.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[repr(usize)]
 pub enum CommitPhase {
     /// Admission control and lock acquisition (grant checks, shard locks).

@@ -1,10 +1,11 @@
 //! The flight recorder: a bounded, crash-surviving binary ring file.
 //!
-//! This is the durable layer of the obs stack — a black box an operator
-//! can open *after* the process died. Records are [`TraceRecord`]s, periodic
-//! [`MetricsRegistry`] snapshot deltas, and explicit drop markers, encoded
-//! with a compact LEB128 varint codec and wrapped in the same CRC frames
-//! as the WAL ([`crate::frame`]), so a torn tail truncates cleanly on read.
+//! This is the obs stack's one durable trace store (JSONL is rendered from
+//! it, [`crate::event::render_jsonl`]), readable *after* the process died.
+//! Records are [`TraceRecord`]s, periodic [`MetricsRegistry`] snapshot
+//! deltas, and explicit drop markers, encoded with a compact LEB128 varint
+//! codec and wrapped in the same CRC frames as the WAL ([`crate::frame`]),
+//! so a torn tail truncates cleanly on read.
 //!
 //! ## File layout
 //!
@@ -43,7 +44,7 @@ use crate::sink::Sink;
 use crate::span::SpanKind;
 use parking_lot::Mutex;
 use pstm_types::{AbortReason, MemberId, ObjectId, OpClass, ResourceId, Timestamp, TxnId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fs::OpenOptions;
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -58,6 +59,15 @@ pub const HEADER: usize = 8 + 4 + 4 + 8;
 /// Shard tag the engine-level tracer records under (front-end shards are
 /// numbered from 0, so the engine takes the top of the range).
 pub const ENGINE_SHARD: u32 = u32::MAX;
+/// The smallest frame the writer emits (a `Drop` record): a segment
+/// capacity below it cannot hold one.
+const MIN_FRAME: usize = crate::frame::FRAME_HEADER + 3;
+/// Buffered mode writes its frames out once this many bytes are pending.
+const WRITE_BATCH: usize = 64 << 10;
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
 
 // ---------------------------------------------------------------------------
 // Varint codec
@@ -711,7 +721,7 @@ pub fn decode_entry(payload: &[u8]) -> Option<(u64, RecorderEntry)> {
 
 /// Health counters of a live [`Recorder`] — also what the Prometheus expo
 /// publishes as `pstm_recorder_*`.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct RecorderStats {
     /// Frames successfully handed to the device.
     pub frames: u64,
@@ -808,7 +818,7 @@ impl RecorderDev {
         self.seg_len += self.buf.len() - before;
         self.stats.frames += 1;
         self.stats.bytes += (self.buf.len() - before) as u64;
-        if self.durable {
+        if self.durable || self.buf.len() >= WRITE_BATCH {
             self.write_out();
         } else {
             self.stats.lag_bytes = self.buf.len() as u64;
@@ -859,8 +869,12 @@ impl Recorder {
     /// half-segments of `seg_capacity` bytes each. With `durable` set,
     /// every record is written through to the file as it is appended (a
     /// crash loses at most the record in flight); otherwise records buffer
-    /// in memory until [`Recorder::flush`] or a segment settles.
+    /// in memory until [`Recorder::flush`], a segment settles, or 64 KiB
+    /// are pending. `InvalidInput` if a segment cannot hold one frame.
     pub fn create(path: &Path, seg_capacity: u32, durable: bool) -> io::Result<Recorder> {
+        if (seg_capacity as usize) < MIN_FRAME {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "segment below one frame"));
+        }
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
         let mut header = Vec::with_capacity(HEADER);
@@ -993,6 +1007,18 @@ pub struct RecorderReplay {
 }
 
 impl RecorderReplay {
+    /// `Ok` when the window is the whole stream: nothing wrapped away and
+    /// no drop marker. Otherwise a message naming both counts.
+    ///
+    /// # Errors
+    /// The stream has gaps or drops.
+    pub fn check_complete(&self) -> Result<(), String> {
+        if self.gaps == 0 && self.dropped == 0 {
+            return Ok(());
+        }
+        Err(format!("incomplete trace: {} gap(s), {} dropped", self.gaps, self.dropped))
+    }
+
     /// The trace records of one shard, in emission order.
     #[must_use]
     pub fn shard_records(&self, shard: u32) -> Vec<TraceRecord> {
@@ -1005,28 +1031,16 @@ impl RecorderReplay {
             .collect()
     }
 
-    /// Per-shard trace records (engine under [`ENGINE_SHARD`]), grouped in
-    /// first-appearance order.
+    /// Per-shard trace records (engine under [`ENGINE_SHARD`]), by shard.
     #[must_use]
-    pub fn records_by_shard(&self) -> Vec<(u32, Vec<TraceRecord>)> {
-        let mut order: Vec<u32> = Vec::new();
-        let mut map: std::collections::BTreeMap<u32, Vec<TraceRecord>> =
-            std::collections::BTreeMap::new();
+    pub fn records_by_shard(&self) -> std::collections::BTreeMap<u32, Vec<TraceRecord>> {
+        let mut by_shard = std::collections::BTreeMap::<u32, Vec<TraceRecord>>::new();
         for e in &self.entries {
             if let RecorderEntry::Event { shard, rec } = e {
-                if !map.contains_key(shard) {
-                    order.push(*shard);
-                }
-                map.entry(*shard).or_default().push(rec.clone());
+                by_shard.entry(*shard).or_default().push(rec.clone());
             }
         }
-        order
-            .into_iter()
-            .map(|s| {
-                let recs = map.remove(&s).unwrap_or_default();
-                (s, recs)
-            })
-            .collect()
+        by_shard
     }
 }
 
@@ -1066,19 +1080,21 @@ pub fn read_recorder(path: &Path) -> io::Result<RecorderReplay> {
     decode_recorder_bytes(&bytes)
 }
 
-/// [`read_recorder`] over an already-loaded byte image.
+/// [`read_recorder`] over an already-loaded byte image. A header whose
+/// segment capacity cannot hold one frame, or is shorter than the file,
+/// is `InvalidData`, not an empty trace.
 pub fn decode_recorder_bytes(bytes: &[u8]) -> io::Result<RecorderReplay> {
     if bytes.len() < HEADER || &bytes[..8] != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not a recorder file"));
+        return Err(invalid("not a recorder file".into()));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap_or([0; 4]));
     if version != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported recorder version {version}"),
-        ));
+        return Err(invalid(format!("unsupported recorder version {version}")));
     }
     let cap = u32::from_le_bytes(bytes[12..16].try_into().unwrap_or([0; 4])) as usize;
+    if cap < MIN_FRAME || (bytes.len() - HEADER) as u64 > 2 * cap as u64 {
+        return Err(invalid(format!("segment capacity {cap} for {} bytes", bytes.len())));
+    }
     let seg = |i: usize| -> &[u8] {
         let start = (HEADER + i * cap).min(bytes.len());
         let end = (HEADER + (i + 1) * cap).min(bytes.len());
@@ -1304,6 +1320,25 @@ mod tests {
         let total: u64 = snaps.iter().map(|s| s[begun]).sum();
         assert_eq!(total, 2, "summed deltas reconstruct the total");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn corrupted_segment_capacity_is_rejected_not_read_as_empty() {
+        let path = tmp("bad_cap");
+        let rec = Recorder::create(&path, 1 << 16, true).unwrap();
+        let mut sink = rec.sink(0);
+        for i in 0..10u64 {
+            sink.record(&ev(i, i, TraceEvent::Committed { txn: TxnId(i) }));
+        }
+        rec.flush();
+        let mut bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(decode_recorder_bytes(&bytes).unwrap().entries.len(), 10);
+        for cap in [0u32, 4, 8, 13] {
+            bytes[12..16].copy_from_slice(&cap.to_le_bytes());
+            let err = decode_recorder_bytes(&bytes).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "capacity {cap}");
+        }
     }
 
     #[test]

@@ -10,11 +10,11 @@ use crate::hist::Histogram;
 use crate::prof::PhaseProfile;
 use crate::span::SpanKind;
 use pstm_types::{AbortReason, ObjectId, ResourceId, Timestamp, TxnId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Counter identities — the union of every layer's metrics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 #[repr(usize)]
 #[allow(missing_docs)] // names are the documentation; see `apply`
 pub enum Ctr {

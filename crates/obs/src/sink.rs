@@ -2,15 +2,12 @@
 //!
 //! Three shapes cover the use cases: nothing (tracing disabled — the
 //! default, and close to free), a bounded in-memory ring (tests,
-//! interactive debugging, property checks), and JSONL on a writer
-//! (durable `results/` artifacts the replay module can load back).
+//! interactive debugging, property checks), and frames in a recorder
+//! file ([`crate::recorder::RecorderSink`]), the one durable store.
 
 use crate::event::TraceRecord;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::fs;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
 use std::sync::Arc;
 
 /// A destination for trace records.
@@ -128,67 +125,6 @@ impl RingHandle {
     }
 }
 
-/// Serializes each record as one JSON line on a writer.
-pub struct JsonlSink {
-    out: Box<dyn Write + Send>,
-}
-
-impl std::fmt::Debug for JsonlSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("JsonlSink")
-    }
-}
-
-impl JsonlSink {
-    /// A sink writing to an arbitrary writer.
-    #[must_use]
-    pub fn new(out: Box<dyn Write + Send>) -> Self {
-        JsonlSink { out }
-    }
-
-    /// A buffered sink writing to `path`, creating parent directories.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
-        }
-        let file = fs::File::create(path)?;
-        Ok(JsonlSink::new(Box::new(BufWriter::new(file))))
-    }
-
-    /// A sink writing into a shared in-memory buffer, returned alongside
-    /// it — lets tests read the JSONL bytes back without touching disk.
-    #[must_use]
-    pub fn shared_buffer() -> (Self, Arc<Mutex<Vec<u8>>>) {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let sink = JsonlSink::new(Box::new(SharedBuf { buf: Arc::clone(&buf) }));
-        (sink, buf)
-    }
-}
-
-impl Sink for JsonlSink {
-    fn record(&mut self, rec: &TraceRecord) {
-        // Trace emission has no error channel; a failed write surfaces
-        // as a truncated artifact rather than a poisoned run.
-        if let Ok(line) = serde_json::to_string(rec) {
-            let _ = self.out.write_all(line.as_bytes());
-            let _ = self.out.write_all(b"\n");
-        }
-    }
-
-    fn flush(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-impl Drop for JsonlSink {
-    fn drop(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
 /// Fans every record out to two sinks — e.g. a [`RingSink`] for live
 /// inspection *and* a [`crate::recorder::RecorderSink`] for the durable
 /// flight recorder, without the tracer knowing about either.
@@ -225,21 +161,6 @@ impl Sink for TeeSink {
 
     fn dropped(&self) -> u64 {
         self.a.dropped() + self.b.dropped()
-    }
-}
-
-struct SharedBuf {
-    buf: Arc<Mutex<Vec<u8>>>,
-}
-
-impl Write for SharedBuf {
-    fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.buf.lock().extend_from_slice(data);
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
     }
 }
 
@@ -313,16 +234,5 @@ mod tests {
         assert_eq!(hb.len(), 4);
         assert_eq!(tee.dropped(), 2, "only the small ring dropped");
         assert_eq!(hb.snapshot()[0].seq, 0);
-    }
-
-    #[test]
-    fn jsonl_writes_one_line_per_record() {
-        let (mut sink, buf) = JsonlSink::shared_buffer();
-        sink.record(&rec(0));
-        sink.record(&rec(1));
-        sink.flush();
-        let text = String::from_utf8(buf.lock().clone()).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.lines().all(|l| l.contains("TxnBegin")));
     }
 }

@@ -13,13 +13,13 @@
 
 use crate::event::{TraceEvent, TraceRecord};
 use pstm_types::{ResourceId, Timestamp, TxnId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// What a span covers. Kinds with payloads (`Blocked`, `SstAttempt`)
 /// match open to close on the payload too, so interleaved retries stay
 /// distinguishable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum SpanKind {
     /// Root span: the whole session, begin to terminal state.
     Session,

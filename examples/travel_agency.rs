@@ -72,14 +72,7 @@ fn main() {
     let tracer = pstm_bench::tracer_from_env("travel_agency");
     let g = run_gtm(&workload, tracer.clone());
     show(&g);
-    if tracer.is_enabled() {
-        match pstm_bench::verify_trace(&pstm_bench::trace_path("travel_agency"), &tracer) {
-            Ok(n) => {
-                println!("  trace                : {n} events; replay matches live counters ✓")
-            }
-            Err(e) => eprintln!("  trace verification failed: {e}"),
-        }
-    }
+    pstm_bench::finish_trace("travel_agency", &tracer);
 
     println!("\n— strict 2PL (sleep timeout 5 s) —");
     let t = run_twopl(&workload);

@@ -138,7 +138,7 @@ fn phase_totals_fit_inside_session_spans_and_survive_replay() {
     // (which absorbs the same global profile) landed.
     let snap = front.fleet_snapshot();
     assert_eq!(snap.registry.commit_phases(), &profile);
-    let mut replayed = pstm_obs::replay(&records);
+    let mut replayed = pstm_obs::MetricsRegistry::from_records(&records);
     assert!(replayed.commit_phases().is_empty(), "replay must not invent phase time");
     replayed.absorb_phases(&profile);
     assert_eq!(replayed.commit_phases(), snap.registry.commit_phases());

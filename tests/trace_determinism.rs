@@ -1,23 +1,40 @@
 //! Observability end-to-end checks: the virtual-clock event stream is
-//! bit-for-bit deterministic, and a persisted JSONL trace is a faithful
-//! artifact — replaying it reproduces the live run's counters exactly.
+//! bit-for-bit deterministic, and a recorded trace is a faithful
+//! artifact — its frames replay to the live run's counters exactly, and
+//! render the pinned JSONL bytes.
 
 use preserial::gtm::GtmConfig;
 use preserial::obs::frame::checksum;
-use preserial::obs::{current_thread_tag, parse_jsonl, replay, Ctr, JsonlSink, Tracer};
+use preserial::obs::{
+    current_thread_tag, read_recorder, render_jsonl, Ctr, MetricsRegistry, Recorder, TraceRecord,
+    Tracer,
+};
 use preserial::workload::PaperWorkload;
 use pstm_bench::{run_emulation_traced, Scheduler};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-fn traced_run(scheduler: Scheduler) -> (Vec<u8>, Tracer) {
-    let (sink, buf) = JsonlSink::shared_buffer();
-    let tracer = Tracer::with_sink(Box::new(sink));
+/// Records a 60-transaction run into a frame file and reads it back.
+fn traced_run(scheduler: Scheduler) -> (Vec<TraceRecord>, Tracer) {
+    static RUN: AtomicUsize = AtomicUsize::new(0);
+    let n = RUN.fetch_add(1, Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("pstm-det-{}-{n}.rec", std::process::id()));
+    let rec = Recorder::create(&path, u32::MAX, false).expect("recorder file");
+    let tracer = Tracer::with_sink(Box::new(rec.sink(0)));
     let workload = PaperWorkload { n_txns: 60, beta: 0.2, ..PaperWorkload::default() };
     let report = run_emulation_traced(scheduler, &workload, GtmConfig::default(), tracer.clone())
         .expect("emulation runs");
     assert_eq!(report.total, 60);
     tracer.flush();
-    let bytes = buf.lock().clone();
-    (bytes, tracer)
+    let replay = read_recorder(&path).expect("frames read back");
+    std::fs::remove_file(&path).ok();
+    replay.check_complete().expect("a whole run");
+    (replay.shard_records(0), tracer)
+}
+
+fn jsonl(records: &[TraceRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    render_jsonl(records, &mut out).expect("rendering into memory");
+    out
 }
 
 #[test]
@@ -25,22 +42,20 @@ fn same_seed_runs_produce_byte_identical_traces() {
     let (a, _) = traced_run(Scheduler::Gtm);
     let (b, _) = traced_run(Scheduler::Gtm);
     assert!(!a.is_empty(), "the trace must contain events");
-    assert_eq!(a, b, "GTM trace must be byte-identical across same-seed runs");
+    assert_eq!(jsonl(&a), jsonl(&b), "GTM trace must be byte-identical across same-seed runs");
 
     let (a, _) = traced_run(Scheduler::TwoPl);
     let (b, _) = traced_run(Scheduler::TwoPl);
-    assert_eq!(a, b, "2PL trace must be byte-identical across same-seed runs");
+    assert_eq!(jsonl(&a), jsonl(&b), "2PL trace must be byte-identical across same-seed runs");
 }
 
 #[test]
 fn jsonl_trace_replay_matches_live_counters() {
-    let (bytes, tracer) = traced_run(Scheduler::Gtm);
-    let text = String::from_utf8(bytes).expect("JSONL is UTF-8");
-    let records = parse_jsonl(&text).expect("every line parses");
+    let (records, tracer) = traced_run(Scheduler::Gtm);
     assert!(!records.is_empty());
 
     // The stream covers the whole stack: scheduler, engine, WAL, link.
-    let rebuilt = replay(&records);
+    let rebuilt = MetricsRegistry::from_records(&records);
     let live = tracer.snapshot();
     for c in Ctr::ALL {
         assert_eq!(rebuilt.counter(*c), live.counter(*c), "counter {} diverged", c.name());
@@ -58,7 +73,8 @@ fn jsonl_trace_replay_matches_live_counters() {
 #[test]
 fn gtm_trace_matches_the_digest_pinned_before_the_state_refactor() {
     const PINNED: (usize, u32) = (77_856, 1_158_338_851);
-    let (bytes, _) = traced_run(Scheduler::Gtm);
+    let (records, _) = traced_run(Scheduler::Gtm);
+    let bytes = jsonl(&records);
     // Every record carries this thread's tag, which is whichever of the
     // process-wide tags this test's thread happened to draw: pin tag 0.
     let own_tag = format!("\"thread\":{},", current_thread_tag());
