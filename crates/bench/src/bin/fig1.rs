@@ -62,6 +62,6 @@ fn main() {
             "\ntraced emulation: {} txns, {} committed, {} aborted",
             report.total, report.committed, report.aborted
         );
-        pstm_bench::finish_trace("fig1", &tracer);
+        pstm_bench::finish_trace("fig1", &tracer, &report.metrics);
     }
 }

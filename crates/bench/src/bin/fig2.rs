@@ -54,6 +54,6 @@ fn main() {
             "\ntraced emulation: {} txns, {} committed, {} aborted",
             report.total, report.committed, report.aborted
         );
-        pstm_bench::finish_trace("fig2", &tracer);
+        pstm_bench::finish_trace("fig2", &tracer, &report.metrics);
     }
 }

@@ -10,6 +10,7 @@
 
 use pstm_bench::{run_emulation_traced, tracer_from_env, Scheduler};
 use pstm_core::gtm::GtmConfig;
+use pstm_obs::MetricsRegistry;
 use pstm_types::Duration;
 use pstm_workload::PaperWorkload;
 use serde::Serialize;
@@ -40,6 +41,7 @@ fn main() {
     // points share one file, all 2PL points another).
     let trace_gtm = tracer_from_env("fig3_gtm");
     let trace_2pl = tracer_from_env("fig3_2pl");
+    let (mut live_gtm, mut live_2pl) = (MetricsRegistry::new(), MetricsRegistry::new());
 
     // Left panel: execution time vs α at β = 0.05.
     pstm_bench::print_header(
@@ -63,6 +65,8 @@ fn main() {
             trace_2pl.clone(),
         )
         .expect("2pl run");
+        live_gtm.merge(&g.metrics);
+        live_2pl.merge(&t.metrics);
         println!(
             "{alpha:.1}\t{:.3}\t{:.3}\t{:.2}\t{:.2}",
             g.mean_exec_committed_s, t.mean_exec_committed_s, g.abort_pct, t.abort_pct
@@ -104,6 +108,8 @@ fn main() {
             trace_2pl.clone(),
         )
         .expect("2pl run");
+        live_gtm.merge(&g.metrics);
+        live_2pl.merge(&t.metrics);
         println!(
             "{beta:.2}\t{:.2}\t{:.2}\t{:.2}\t{:.2}",
             g.abort_pct, t.abort_pct, g.abort_pct_disconnected, t.abort_pct_disconnected
@@ -127,6 +133,6 @@ fn main() {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("could not write results: {e}"),
     }
-    pstm_bench::finish_trace("fig3_gtm", &trace_gtm);
-    pstm_bench::finish_trace("fig3_2pl", &trace_2pl);
+    pstm_bench::finish_trace("fig3_gtm", &trace_gtm, &live_gtm);
+    pstm_bench::finish_trace("fig3_2pl", &trace_2pl, &live_2pl);
 }

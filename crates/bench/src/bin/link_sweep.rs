@@ -9,7 +9,7 @@
 
 use pstm_bench::{tracer_from_env, twopl_config_for_emulation, FIG3_INITIAL, FIG3_OBJECTS};
 use pstm_core::gtm::{Gtm, GtmConfig};
-use pstm_obs::Tracer;
+use pstm_obs::{MetricsRegistry, Tracer};
 use pstm_sim::{GtmBackend, LinkModel, RunReport, Runner, RunnerConfig, TwoPlBackend};
 use pstm_twopl::TwoPlManager;
 use pstm_types::Duration;
@@ -66,6 +66,7 @@ fn main() {
     let mut rows = Vec::new();
     let trace_gtm = tracer_from_env("link_sweep_gtm");
     let trace_2pl = tracer_from_env("link_sweep_2pl");
+    let (mut live_gtm, mut live_2pl) = (MetricsRegistry::new(), MetricsRegistry::new());
     for step in 0..=6u32 {
         let down = f64::from(step) * 0.05;
         // Mean outage 8 s (as in the fixed-β runs); mean uptime set to
@@ -78,6 +79,8 @@ fn main() {
         };
         let g = run("gtm", &workload, link, trace_gtm.clone());
         let t = run("2pl", &workload, link, trace_2pl.clone());
+        live_gtm.merge(&g.metrics);
+        live_2pl.merge(&t.metrics);
         println!(
             "{down:.2}\t{:.2}\t{:.2}\t{:.2}\t{:.2}",
             g.abort_pct, t.abort_pct, g.abort_pct_disconnected, t.abort_pct_disconnected
@@ -95,8 +98,8 @@ fn main() {
     }
     println!("\nexpected shape: same ordering as Fig. 3 right panel — burstiness does");
     println!("not change who wins, only the magnitude of the sleep-conflict tail.");
-    pstm_bench::finish_trace("link_sweep_gtm", &trace_gtm);
-    pstm_bench::finish_trace("link_sweep_2pl", &trace_2pl);
+    pstm_bench::finish_trace("link_sweep_gtm", &trace_gtm, &live_gtm);
+    pstm_bench::finish_trace("link_sweep_2pl", &trace_2pl, &live_2pl);
     match pstm_bench::write_results("link_sweep", &rows) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write results: {e}"),

@@ -493,8 +493,9 @@ fn budget_point(layers: Layers, traced: bool, quick: bool) -> f64 {
     assert_eq!(phase_ops > 0, profiler, "{phase_ops} phase observations, profiler {profiler}");
     if traced {
         let tracers: Vec<Tracer> = (0..SHARDS).map(|i| front.shard_tracer(i)).collect();
-        let events =
-            verify_trace(&trace_path("ab_contended"), &tracers).unwrap_or_else(|e| panic!("{e}"));
+        let live = front.fleet_snapshot().per_shard;
+        let events = verify_trace(&trace_path("ab_contended"), &tracers, &live)
+            .unwrap_or_else(|e| panic!("{e}"));
         eprintln!("{events} events of {SHARDS} shards verified");
     }
     if let Some(stats) = recorder.map(|rec| rec.stats()) {

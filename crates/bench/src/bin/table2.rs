@@ -78,5 +78,7 @@ fn main() {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write results: {e}"),
     }
-    pstm_bench::finish_trace("table2", &tracer);
+    let mut live = gtm.metrics().clone();
+    live.merge(&world.db.metrics());
+    pstm_bench::finish_trace("table2", &tracer, &live);
 }

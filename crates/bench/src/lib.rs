@@ -140,19 +140,24 @@ pub fn trace_path(label: &str) -> PathBuf {
 
 /// Reads back the frames at `path`, shard `i` written by `tracers[i]`:
 /// refuses an incomplete stream, compares every replayed counter with
-/// the live registry, and renders each shard's JSONL beside the frames
+/// `live[i]` — the registries of every component streaming into shard
+/// `i`, merged — and renders each shard's JSONL beside the frames
 /// (`<stem>.jsonl`, or `<stem>_shard<i>.jsonl` for several shards).
 /// Returns the number of events, or a message naming the first gap,
 /// drop or diverged counter — the artifact-validity check.
-pub fn verify_trace(path: &Path, tracers: &[Tracer]) -> Result<usize, String> {
+pub fn verify_trace(
+    path: &Path,
+    tracers: &[Tracer],
+    live: &[MetricsRegistry],
+) -> Result<usize, String> {
     let at = |e: String| format!("{}: {e}", path.display());
     tracers.iter().for_each(Tracer::flush);
     let replay = read_recorder(path).map_err(|e| at(e.to_string()))?;
     replay.check_complete().map_err(at)?;
     let mut events = 0;
-    for (i, tracer) in tracers.iter().enumerate() {
+    for (i, live) in live.iter().enumerate() {
         let records = replay.shard_records(i as u32);
-        let (rebuilt, live) = (MetricsRegistry::from_records(&records), tracer.snapshot());
+        let rebuilt = MetricsRegistry::from_records(&records);
         if let Some(&c) = Ctr::ALL.iter().find(|c| rebuilt.counter(**c) != live.counter(**c)) {
             let (name, trace, live) = (c.name(), rebuilt.counter(c), live.counter(c));
             return Err(at(format!("shard {i}: counter {name}: trace {trace} vs live {live}")));
@@ -173,12 +178,14 @@ fn write_jsonl(path: &Path, records: &[TraceRecord]) -> std::io::Result<()> {
 }
 
 /// Under `PSTM_TRACE`, [`verify_trace`]s the one-shard trace of `label`
-/// and prints its event count; a failed check exits with status 1.
-pub fn finish_trace(label: &str, tracer: &Tracer) {
+/// against `live` and prints its event count; a failed check exits with
+/// status 1.
+pub fn finish_trace(label: &str, tracer: &Tracer, live: &MetricsRegistry) {
     if !tracer.is_enabled() {
         return;
     }
-    match verify_trace(&trace_path(label), std::slice::from_ref(tracer)) {
+    match verify_trace(&trace_path(label), std::slice::from_ref(tracer), std::slice::from_ref(live))
+    {
         Ok(n) => println!("trace {label}: {n} events; replayed counters match the live run ✓"),
         Err(e) => {
             eprintln!("trace verification failed: {e}");

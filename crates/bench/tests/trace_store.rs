@@ -7,7 +7,7 @@ use pstm_bench::{run_emulation_traced, verify_trace, Scheduler};
 use pstm_check::verify_trace_files;
 use pstm_core::gtm::GtmConfig;
 use pstm_obs::recorder::{decode_recorder_bytes, HEADER};
-use pstm_obs::{render_jsonl, Recorder, TraceEvent, TraceRecord, Tracer};
+use pstm_obs::{render_jsonl, MetricsRegistry, Recorder, TraceEvent, TraceRecord, Tracer};
 use pstm_types::{Timestamp, TxnId};
 use pstm_workload::PaperWorkload;
 use std::path::{Path, PathBuf};
@@ -52,7 +52,8 @@ fn an_incomplete_stream_is_refused_not_certified() {
     ] {
         let path = tmp(name);
         let tracer = make(&path);
-        let err = verify_trace(&path, &[tracer]).expect_err("replay check must refuse");
+        let live = [MetricsRegistry::new()];
+        let err = verify_trace(&path, &[tracer], &live).expect_err("replay check must refuse");
         assert!(err.contains(needle), "{name}: {err}");
         let err = verify_trace_files(&[&path]).expect_err("certifier must refuse");
         assert!(err.contains(needle), "{name}: {err}");
@@ -72,7 +73,9 @@ fn a_trace_that_replays_to_other_counters_is_refused() {
     let rec = Recorder::create(&path, 1 << 16, true).expect("recorder");
     Tracer::with_sink(Box::new(rec.sink(0)))
         .emit(Timestamp(1), TraceEvent::TxnBegin { txn: TxnId(1) });
-    let err = verify_trace(&path, &[Tracer::disabled()]).expect_err("live run began nothing");
+    let live = [MetricsRegistry::new()];
+    let err =
+        verify_trace(&path, &[Tracer::disabled()], &live).expect_err("live run began nothing");
     std::fs::remove_file(&path).ok();
     assert!(err.contains("shard 0: counter") && err.contains("trace 1 vs live 0"), "{err}");
 }

@@ -180,7 +180,6 @@ const FIELD_TYPES: &[(&str, &str)] = &[
 fn guard_deref(class: &str) -> Option<&'static str> {
     match class {
         "gtm_shard" => Some("Gtm"),
-        "engine_tracer" => Some("Tracer"),
         _ => None,
     }
 }
@@ -215,7 +214,6 @@ fn classify(file: &str, recv: &str, kind: AccessKind) -> Option<String> {
         AccessKind::Read | AccessKind::Write if file == "crates/storage/src/engine.rs" => {
             match recv {
                 "inner" => Some("engine_inner"),
-                "tracer" => Some("engine_tracer"),
                 "fault_hook" => Some("engine_fault_hook"),
                 _ => None,
             }
@@ -234,8 +232,8 @@ pub fn class_level(class: &str) -> Option<u8> {
         "gtm_shard" => Some(1),
         "group_queue" | "wake_registry" | "oneshot_cell" | "commit_slot" | "front_fault_hook"
         | "front_recorder" => Some(2),
-        "engine_inner" | "engine_tracer" | "engine_fault_hook" | "tracer_inner" | "sink_inner"
-        | "recorder_dev" | "prof_slots" | "faults_state" => Some(3),
+        "engine_inner" | "engine_fault_hook" | "tracer_inner" | "sink_inner" | "recorder_dev"
+        | "prof_slots" | "faults_state" => Some(3),
         _ => None,
     }
 }

@@ -93,8 +93,8 @@ fn coordinator_acquisitions_stay_visible_through_the_env_seam() {
         assert!(!report.edges.contains_key(&edge), "gtm_shard -> {to}: {:?}", report.edges[&edge]);
     }
     // The certified graph, exactly: it cannot silently regrow.
-    assert_eq!(report.classes.len(), 19, "lock classes: {:?}", report.classes);
-    assert_eq!(report.edges.len(), 18, "lock-order edges: {:?}", report.edges.keys());
+    assert_eq!(report.classes.len(), 18, "lock classes: {:?}", report.classes);
+    assert_eq!(report.edges.len(), 15, "lock-order edges: {:?}", report.edges.keys());
 }
 
 #[test]

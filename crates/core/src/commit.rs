@@ -433,8 +433,8 @@ impl CommitEnv for Owned<'_> {
     }
 
     fn emit(&mut self, home: usize, event: TraceEvent) {
-        if let Some(gtm) = self.gtms.get(home) {
-            gtm.tracer.emit(self.at, event);
+        if let Some(gtm) = self.gtms.get_mut(home) {
+            gtm.emit(self.at, event);
         }
     }
 

@@ -31,7 +31,7 @@ use crate::sst::Writes;
 use crate::state::{Grant, Phase, ResourceState, TxnRecord, TxnState, WaitEntry};
 use pstm_lock::WaitsForGraph;
 use pstm_obs::prof::{self, CommitPhase};
-use pstm_obs::{AbortOrigin, Ctr, MetricsRegistry, TraceEvent, Tracer};
+use pstm_obs::{AbortOrigin, Ctr, Emitter, MetricsRegistry, TraceEvent, Tracer};
 use pstm_storage::{BindingRegistry, Database};
 use pstm_types::{
     AbortReason, CompatMatrix, Duration, ExecOutcome, FaultDecision, FaultSite, OpClass, PstmError,
@@ -265,7 +265,9 @@ pub struct Gtm {
     rows: Vec<ResourceState>,
     config: GtmConfig,
     dependence: DependenceMap,
-    pub(crate) tracer: Tracer,
+    /// This shard's registry and trace stream, under the shard's own
+    /// exclusive access: an emit with no sink takes no lock.
+    obs: Emitter,
     history: HistoryRecorder,
     /// Seeded fault seam consulted at this manager's commit sites
     /// (`commit-local`, `reconcile`); `None` outside chaos runs.
@@ -297,7 +299,7 @@ impl Gtm {
             finished: BTreeMap::new(),
             config,
             dependence: DependenceMap::new(),
-            tracer: Tracer::disabled(),
+            obs: Emitter::default(),
             fault_hook: None,
             fault_shard: 0,
             sleepers: BTreeSet::new(),
@@ -322,7 +324,7 @@ impl Gtm {
     /// a clean `SstFailure` abort); `Crash`/`Torn` kill the simulated
     /// process — `PstmError::Crashed` propagates raw and the manager must
     /// be discarded.
-    fn fault_check(&self, site: FaultSite, now: Timestamp) -> PstmResult<()> {
+    fn fault_check(&mut self, site: FaultSite, now: Timestamp) -> PstmResult<()> {
         let Some(hook) = self.fault_hook.as_ref() else { return Ok(()) };
         let (action, err) = match hook.decide(site) {
             FaultDecision::Proceed => return Ok(()),
@@ -333,24 +335,34 @@ impl Gtm {
                 ("crash", PstmError::Crashed(site.label()))
             }
         };
-        self.tracer
-            .emit(now, TraceEvent::FaultInjected { site: site.label(), action: action.into() });
+        self.obs.emit(now, TraceEvent::FaultInjected { site: site.label(), action: action.into() });
         Err(err)
     }
 
-    /// Installs a tracer (event sink + metrics registry). Builder-style;
-    /// call before scheduling begins.
+    /// Streams this manager's records to `tracer`. Builder-style; call
+    /// before scheduling begins.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.obs.set_tracer(tracer);
         self
     }
 
-    /// The tracer this manager emits into. Clones share the registry, so
-    /// the handle stays valid however long the manager lives.
+    /// The metrics this manager's events produced.
     #[must_use]
-    pub fn tracer(&self) -> Tracer {
-        self.tracer.clone()
+    pub fn metrics(&self) -> &MetricsRegistry {
+        self.obs.registry()
+    }
+
+    /// The registry, for counts recorded outside the manager: a session's
+    /// spans, a coordinator's events streamed while the shard was free.
+    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
+        self.obs.registry_mut()
+    }
+
+    /// Emits an event on this manager's behalf (a coordinator's commit
+    /// events, a simulated link's transitions).
+    pub fn emit(&mut self, now: Timestamp, event: TraceEvent) {
+        self.obs.emit(now, event);
     }
 
     /// Installs a logical-dependence map (§IV): conflict checks span each
@@ -361,10 +373,10 @@ impl Gtm {
         self
     }
 
-    /// Counter snapshot, projected from the tracer's registry.
+    /// Counter snapshot, projected from the manager's registry.
     #[must_use]
     pub fn stats(&self) -> GtmStats {
-        self.tracer.with_registry(GtmStats::from_registry)
+        GtmStats::from_registry(self.obs.registry())
     }
 
     /// The shared database handle.
@@ -539,7 +551,7 @@ impl Gtm {
         }
         let record = self.spare.pop().unwrap_or_else(TxnRecord::new);
         self.live.insert(txn, record);
-        self.tracer.emit(now, TraceEvent::TxnBegin { txn });
+        self.obs.emit(now, TraceEvent::TxnBegin { txn });
         Ok(())
     }
 
@@ -566,7 +578,7 @@ impl Gtm {
         } else {
             CommitPhase::OpBookkeeping
         });
-        self.tracer.emit(now, TraceEvent::OpRequested { txn, resource, class });
+        self.obs.emit(now, TraceEvent::OpRequested { txn, resource, class });
         let slot = self.slot(resource)?;
 
         match self.rows[slot].holders.get_key_mut(&txn) {
@@ -576,7 +588,7 @@ impl Gtm {
                 let new = op.apply(&grant.temp)?;
                 grant.temp = new.clone();
                 self.live(txn, "invoke")?.op_log.push((slot, op));
-                self.tracer.emit(
+                self.obs.emit(
                     now,
                     TraceEvent::OpGranted {
                         txn,
@@ -660,7 +672,7 @@ impl Gtm {
         let record = self.live(txn, "wait")?;
         record.state = TxnState::Waiting;
         record.waiting_on = Some(slot);
-        self.tracer.emit(now, TraceEvent::OpWaiting { txn, resource, class, queue_depth });
+        self.obs.emit(now, TraceEvent::OpWaiting { txn, resource, class, queue_depth });
         // Any cycle created by this wait passes through the requester, so
         // the search is scoped to it (cheap).
         let mut effects = self.break_deadlocks(Some(txn), AbortOrigin::Request, now)?;
@@ -676,7 +688,7 @@ impl Gtm {
 
     /// Applies the §VII policies to an otherwise-grantable invocation.
     fn grant_denied(
-        &self,
+        &mut self,
         txn: TxnId,
         slot: usize,
         class: OpClass,
@@ -686,7 +698,7 @@ impl Gtm {
         let _phase = prof::PhaseTimer::start(CommitPhase::Admission);
         let (mut denied, resource) = (false, self.id(slot));
         if self.config.elder_priority && self.awake_waiters(slot).any(|w| w.txn < txn) {
-            self.tracer.emit(now, TraceEvent::StarvationDenied { txn, resource });
+            self.obs.emit(now, TraceEvent::StarvationDenied { txn, resource });
             denied = true;
         }
         if let Some(p) = self.config.starvation {
@@ -695,12 +707,12 @@ impl Gtm {
                 .filter(|w| w.txn != txn && !self.config.compat.compatible(class, w.class))
                 .count();
             if p.deny(incompatible_waiters) {
-                self.tracer.emit(now, TraceEvent::StarvationDenied { txn, resource });
+                self.obs.emit(now, TraceEvent::StarvationDenied { txn, resource });
                 denied = true;
             }
         }
         if self.admission_denies(txn, slot, op)? {
-            self.tracer.emit(now, TraceEvent::AdmissionDenied { txn, resource });
+            self.obs.emit(now, TraceEvent::AdmissionDenied { txn, resource });
             denied = true;
         }
         Ok(denied)
@@ -759,7 +771,7 @@ impl Gtm {
         let record = self.live(txn, "grant")?;
         record.hold(slot);
         record.op_log.push((slot, op));
-        self.tracer.emit(
+        self.obs.emit(
             now,
             TraceEvent::OpGranted { txn, resource, class, shared, bypassed_sleeper: bypassed },
         );
@@ -781,7 +793,7 @@ impl Gtm {
             let graph = self.waits_for_graph();
             let found = from.map_or_else(|| graph.pick_victim(), |t| graph.pick_victim_from(t));
             let Some((victim, cycle)) = found else { break };
-            self.tracer.emit(now, TraceEvent::DeadlockVictim { txn: victim, cycle });
+            self.obs.emit(now, TraceEvent::DeadlockVictim { txn: victim, cycle });
             effects.merge(self.abort_internal(victim, AbortReason::Deadlock, origin, now)?);
         }
         Ok(effects)
@@ -875,7 +887,7 @@ impl Gtm {
                 }
                 if let Some(new) = reconcile(grant.class, &grant.temp, &grant.read, &permanent)? {
                     writes.push((resource, new));
-                    self.tracer.emit(now, TraceEvent::Reconciled { txn, resource });
+                    self.obs.emit(now, TraceEvent::Reconciled { txn, resource });
                 }
             }
             Ok(writes)
@@ -922,7 +934,7 @@ impl Gtm {
             rs.prune_committed(earliest_sleep.unwrap_or(now));
         }
         self.history.record_commit(txn, &record.op_log);
-        self.tracer.emit(now, TraceEvent::Committed { txn });
+        self.obs.emit(now, TraceEvent::Committed { txn });
         let effects = self.promote_all(record.held.iter().copied(), now);
         self.recycle(record);
         effects
@@ -983,7 +995,7 @@ impl Gtm {
         for &slot in &record.held {
             self.rows[slot].holders.remove_key(&txn);
         }
-        self.tracer.emit(now, TraceEvent::Aborted { txn, reason, origin });
+        self.obs.emit(now, TraceEvent::Aborted { txn, reason, origin });
         let effects = self.promote_all(record.involved(), now);
         self.recycle(record);
         let mut effects = effects?;
@@ -1013,7 +1025,7 @@ impl Gtm {
         let involved: Vec<usize> = record.involved().collect();
         self.sleepers.insert((now, txn));
         self.mark_rows(txn, &involved, true);
-        self.tracer.emit(now, TraceEvent::TxnSlept { txn });
+        self.obs.emit(now, TraceEvent::TxnSlept { txn });
         self.promote_all(involved, now)
     }
 
@@ -1101,7 +1113,7 @@ impl Gtm {
         record.state = state;
         let slept = record.t_sleep.take();
         self.forget_sleeper(txn, slept);
-        self.tracer.emit(now, TraceEvent::TxnAwoke { txn });
+        self.obs.emit(now, TraceEvent::TxnAwoke { txn });
         Ok((AwakeResult::Resumed(value), StepEffects::none()))
     }
 
@@ -1162,7 +1174,7 @@ impl Gtm {
                             .count();
                         if p.deny(incompatible_ahead) {
                             let (txn, resource) = (entry.txn, self.id(slot));
-                            self.tracer.emit(now, TraceEvent::StarvationDenied { txn, resource });
+                            self.obs.emit(now, TraceEvent::StarvationDenied { txn, resource });
                             denied = true;
                         }
                     }

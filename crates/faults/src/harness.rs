@@ -447,7 +447,7 @@ impl CommitEnv for ChaosEnv<'_> {
 
     fn emit(&mut self, home: usize, event: TraceEvent) {
         let now = self.chaos.now();
-        self.gtms[home].tracer().emit(now, event);
+        self.gtms[home].emit(now, event);
     }
 
     /// Sessions never wait on each other (`Sub`/`Sub` is compatible), so

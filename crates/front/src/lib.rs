@@ -48,12 +48,14 @@
 //!   shard. Deadlocks *across* shards are invisible to any single
 //!   shard's waits-for graph — configure [`GtmConfig::wait_timeout`]
 //!   (the default here) to bound them.
-//! - **Spans.** Every session emits a span tree into its *home* shard's
-//!   tracer (the first shard it touched): a `session` root whose leaves
+//! - **Spans.** Every session has a span tree in its *home* shard (the
+//!   first shard it touched): a `session` root whose leaves
 //!   (`work` / `blocked{object}` / `admission_wait` / `sleep`) partition
 //!   its lifetime, and a `commit` phase with `reconcile` and
 //!   `sst_attempt{n}` children. Spans carry the virtual timestamp *and*
-//!   a wall-clock field; see `pstm_obs::span`.
+//!   a wall-clock field; see `pstm_obs::span`. A session keeps its own
+//!   spans and folds them into the home shard's registry once, at its
+//!   end; with a sink, each boundary is also streamed as it happens.
 //! - **Fleet view.** [`ShardedFront::fleet_snapshot`] merges every shard
 //!   registry (plus sink drop counts) into one [`FleetSnapshot`],
 //!   renderable in Prometheus text format.
@@ -68,12 +70,15 @@ use pstm_core::commit::{commit_one, commit_wave, CommitEnv, Member, Shards};
 use pstm_core::gtm::{CommitResult, Gtm, GtmConfig, GtmStats};
 use pstm_obs::prof::{self, CommitPhase};
 use pstm_obs::wallclock::WallAnchor;
-use pstm_obs::{expo, MetricsRegistry, Recorder, RecorderStats, SpanKind, TraceEvent, Tracer};
+use pstm_obs::{
+    expo, MetricsRegistry, Recorder, RecorderStats, SpanKind, SpanLedger, TraceEvent, Tracer,
+};
 use pstm_storage::{BindingRegistry, Database};
 use pstm_types::{
     AbortReason, Duration, ExecOutcome, FaultDecision, FaultSite, InlineVec, PstmError, PstmResult,
     ResourceId, ScalarOp, SharedFaultHook, StepEffects, Timestamp, TxnId, TxnIdAllocator, Value,
 };
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -291,6 +296,17 @@ thread_local! {
     static COMMIT_SLOT: CommitSlot = Arc::new(Mutex::new(None));
 }
 
+/// A coordinator event, streamed already, waiting to be counted into the
+/// committing session's home registry.
+type Pending = (Timestamp, TraceEvent);
+
+thread_local! {
+    /// What the calling thread's commits kept for shard registries, until
+    /// its committing session folds ([`Session::fold`]); the buffer is
+    /// reused by each of its commits.
+    static PENDING: RefCell<Vec<Pending>> = const { RefCell::new(Vec::new()) };
+}
+
 /// A shard's commit queue: the committers the next fence holder commits
 /// as one wave, FIFO.
 type CommitQueue = VecDeque<(TxnId, CommitSlot)>;
@@ -306,9 +322,9 @@ struct FrontInner {
     db: Arc<Database>,
     bindings: BindingRegistry,
     shards: Vec<OwnLine<Mutex<Gtm>>>,
-    /// Shard tracers, shard order — clones of the tracers inside the
-    /// shards, kept outside the shard mutexes so sessions can emit span
-    /// events and snapshots can read registries without locking a shard.
+    /// Shard tracers, shard order — clones of the streams inside the
+    /// shards, so sessions and the coordinator stream records with no
+    /// shard held. The registries stay in the shards.
     tracers: Vec<Tracer>,
     /// Bumped by every [`ShardedFront::session`], so kept off the line
     /// the read-only fields around it (and the `Arc`'s counts) share.
@@ -365,11 +381,13 @@ impl ShardedFront {
         Self::with_shard_tracers(db, bindings, config, |_| Tracer::disabled())
     }
 
-    /// [`ShardedFront::new`] with a tracer per shard. Give each shard its
-    /// *own* tracer: a tracer is a shared mutex, so one tracer across all
-    /// shards would serialize exactly the work the sharding parallelizes.
-    /// Records still interleave coherently offline — every record carries
-    /// the emitting thread's tag.
+    /// [`ShardedFront::new`] with a tracer per shard. Each shard keeps its
+    /// metrics in its own registry whatever the tracers, and a disabled
+    /// tracer is a branch; but a tracer with a sink is a mutex around that
+    /// sink, so give each shard its *own*: one across all shards would
+    /// serialize exactly the work the sharding parallelizes. Records still
+    /// interleave coherently offline — every record carries the emitting
+    /// thread's tag.
     ///
     /// # Panics
     /// In debug builds, if `tracer_for` hands the same tracer (clones
@@ -388,9 +406,9 @@ impl ShardedFront {
                 for (j, b) in tracers.iter().enumerate().skip(i + 1) {
                     assert!(
                         !a.same_registry(b),
-                        "shards {i} and {j} share one tracer; a tracer is a shared \
-                         mutex, so sharing it serializes all shards on it — give \
-                         each shard its own"
+                        "shards {i} and {j} share one tracer; a tracer with a sink \
+                         is a shared mutex, so sharing it serializes all shards on \
+                         it — give each shard its own"
                     );
                 }
             }
@@ -510,26 +528,27 @@ impl ShardedFront {
             waited: false,
             home: None,
             leaf: None,
+            spans: SpanLedger::default(),
         }
     }
 
-    /// The tracer of shard `i` (clones share the registry).
+    /// The tracer of shard `i` (clones share its stream).
     #[must_use]
     pub fn shard_tracer(&self, i: usize) -> Tracer {
         self.inner.tracers[i].clone()
     }
 
     /// One consistent fleet-wide view: every shard registry merged, plus
-    /// the total trace loss across shard sinks. Shard registries are
-    /// snapshotted one at a time (a fleet-wide freeze would serialize the
-    /// shards this crate exists to parallelize), so counters that span
+    /// the total trace loss across shard sinks. Each shard is locked in
+    /// turn just to copy its registry (a fleet-wide freeze would serialize
+    /// the shards this crate exists to parallelize), so counters that span
     /// shards — a cross-shard commit's per-shard `Committed` events — may
-    /// be caught mid-flight; each shard's own numbers are internally
-    /// consistent.
+    /// be caught mid-flight, and a live session's spans are not in yet;
+    /// each shard's own numbers are internally consistent.
     #[must_use]
     pub fn fleet_snapshot(&self) -> FleetSnapshot {
         let per_shard: Vec<MetricsRegistry> =
-            self.inner.tracers.iter().map(Tracer::snapshot).collect();
+            self.inner.shards.iter().map(|s| s.lock().metrics().clone()).collect();
         let trace_dropped = self.inner.tracers.iter().map(Tracer::dropped).sum();
         let mut registry = MetricsRegistry::new();
         for shard in &per_shard {
@@ -551,16 +570,12 @@ impl ShardedFront {
         FleetSnapshot { registry, per_shard, trace_dropped, recorder }
     }
 
-    /// Per-shard stats, shard order.
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<GtmStats> {
-        self.inner.shards.iter().map(|s| s.lock().stats()).collect()
-    }
-
-    /// Stats summed across shards.
+    /// Stats summed across shards: the merged registries' projection.
     #[must_use]
     pub fn stats(&self) -> GtmStats {
-        sum_stats(self.shard_stats())
+        let mut merged = MetricsRegistry::new();
+        self.inner.shards.iter().for_each(|s| merged.merge(s.lock().metrics()));
+        GtmStats::from_registry(&merged)
     }
 
     /// Runs every shard's internal-invariant check; the error names the
@@ -679,27 +694,6 @@ impl ShardedFront {
         self.inner.wakes.lock().len()
     }
 
-    /// Emits span boundaries `(kind, open?)` for `txn` into shard
-    /// `home`'s tracer in one critical section, all at the reading `at`:
-    /// each carries the virtual timestamp and the wall clock the
-    /// construction-time [`WallAnchor`] derives from it, so the two differ
-    /// by the anchored base on every boundary (the Unix wall clock itself
-    /// is never consulted per-span).
-    fn spans(
-        &self,
-        home: usize,
-        txn: TxnId,
-        at: Timestamp,
-        boundaries: impl IntoIterator<Item = (SpanKind, bool)>,
-    ) {
-        let wall_us = self.inner.anchor.wall_us(at.0);
-        let event = |(kind, open): (SpanKind, bool)| match open {
-            true => TraceEvent::SpanOpen { txn, kind, wall_us },
-            false => TraceEvent::SpanClose { txn, kind, wall_us },
-        };
-        self.inner.tracers[home].emit_all(at, boundaries.into_iter().map(event));
-    }
-
     /// Advances one shard's virtual clock — firing wait timeouts,
     /// deadlock detection and queue promotion even on an otherwise idle
     /// shard — routes the resulting signals, and says when a waiter on
@@ -725,6 +719,77 @@ impl ShardedFront {
     }
 }
 
+/// A span boundary event; its wall stamp is what the front's
+/// construction-time [`WallAnchor`] derives from the reading (the Unix
+/// wall clock itself is never consulted per span).
+fn span_event(txn: TxnId, kind: SpanKind, open: bool, wall_us: Option<u64>) -> TraceEvent {
+    match open {
+        true => TraceEvent::SpanOpen { txn, kind, wall_us },
+        false => TraceEvent::SpanClose { txn, kind, wall_us },
+    }
+}
+
+/// Marks a session's span boundaries at one `(at, wall_us)` stamp: into
+/// its ledger and, with a sink, to its home shard's stream in one critical
+/// section. Takes the session's parts, so a caller holding a shard guard
+/// borrowed from the front can mark.
+fn mark(
+    front: &ShardedFront,
+    spans: &mut SpanLedger,
+    (home, txn): (usize, TxnId),
+    (at, wall_us): (Timestamp, Option<u64>),
+    boundaries: impl IntoIterator<Item = (SpanKind, bool)>,
+) {
+    let boundaries = boundaries.into_iter().inspect(|&(kind, open)| spans.boundary(at, kind, open));
+    let tracer = &front.inner.tracers[home];
+    if tracer.is_enabled() {
+        tracer.emit_all(at, boundaries.map(|(kind, open)| span_event(txn, kind, open, wall_us)));
+    } else {
+        boundaries.for_each(|_| {});
+    }
+}
+
+/// What a commit keeps for the registries, counted when the committing
+/// session folds: its own spans go straight into its ledger; another
+/// member's spans and every coordinator event wait in the thread's
+/// [`PENDING`] buffer. With a sink, each is also streamed as it happens.
+/// A wave's members share their leader's home (single-shard committers
+/// queue at their one shard, a cross-shard one commits alone), so all of
+/// it belongs to one registry.
+struct Kept<'a> {
+    txn: TxnId,
+    home: usize,
+    spans: &'a mut SpanLedger,
+    pending: Vec<Pending>,
+}
+
+impl Kept<'_> {
+    fn event(&mut self, front: &ShardedFront, home: usize, at: Timestamp, event: TraceEvent) {
+        debug_assert_eq!(home, self.home, "a wave member away from its leader's home");
+        let tracer = &front.inner.tracers[home];
+        if tracer.is_enabled() {
+            tracer.emit(at, event.clone());
+        }
+        self.pending.push((at, event));
+    }
+
+    fn span(
+        &mut self,
+        front: &ShardedFront,
+        m: &Member<'_>,
+        at: Timestamp,
+        kind: SpanKind,
+        open: bool,
+    ) {
+        let event = span_event(m.txn, kind, open, front.inner.anchor.wall_us(at.0));
+        if m.txn != self.txn {
+            return self.event(front, m.home, at, event);
+        }
+        self.spans.boundary(at, kind, open);
+        front.inner.tracers[m.home].emit(at, event);
+    }
+}
+
 /// The coordinator's view of the sharded front-end ([`CommitEnv`]):
 /// shards are reached by locking them ascending, the clock is the wall
 /// bridge, a retry back-off really waits, and effects go to the wake
@@ -737,25 +802,42 @@ impl ShardedFront {
 struct FrontEnv<'a> {
     front: &'a ShardedFront,
     instant: Option<Timestamp>,
+    kept: Kept<'a>,
 }
 
-impl FrontEnv<'_> {
+impl<'a> FrontEnv<'a> {
+    fn new(
+        front: &'a ShardedFront,
+        (txn, home): (TxnId, usize),
+        spans: &'a mut SpanLedger,
+    ) -> Self {
+        let kept = Kept { txn, home, spans, pending: PENDING.with(RefCell::take) };
+        FrontEnv { front, instant: None, kept }
+    }
+
     fn instant(&mut self) -> Timestamp {
         *self.instant.get_or_insert_with(|| self.front.now())
+    }
+}
+
+impl Drop for FrontEnv<'_> {
+    fn drop(&mut self) {
+        PENDING.with(|buffer| buffer.replace(std::mem::take(&mut self.kept.pending)));
     }
 }
 
 /// The shard guards of one coordinator phase. Its instant starts at the
 /// phase's own reading, so a boundary the phase opens with shares it; a
 /// call on a manager ends it.
-struct HeldShards<'a> {
+struct HeldShards<'a, 'k> {
     front: &'a ShardedFront,
     shards: &'a [usize],
     guards: Guards<'a, Gtm>,
     instant: Option<Timestamp>,
+    kept: &'a mut Kept<'k>,
 }
 
-impl Shards for HeldShards<'_> {
+impl Shards for HeldShards<'_, '_> {
     fn gtm(&mut self, shard: usize) -> PstmResult<&mut Gtm> {
         self.instant = None;
         let held = self.shards.binary_search(&shard).ok().and_then(|i| self.guards.get_mut(i));
@@ -765,7 +847,7 @@ impl Shards for HeldShards<'_> {
 
     fn span(&mut self, member: &Member<'_>, kind: SpanKind, open: bool) {
         let at = *self.instant.get_or_insert_with(|| self.front.now());
-        self.front.spans(member.home, member.txn, at, [(kind, open)]);
+        self.kept.span(self.front, member, at, kind, open);
     }
 }
 
@@ -781,7 +863,8 @@ impl CommitEnv for FrontEnv<'_> {
             self.front.lock_shards_ascending(shards)
         };
         let now = self.front.now();
-        f(&mut HeldShards { front: self.front, shards, guards, instant: Some(now) }, now)
+        let kept = &mut self.kept;
+        f(&mut HeldShards { front: self.front, shards, guards, instant: Some(now), kept }, now)
     }
 
     fn engine(&self) -> (&Database, &BindingRegistry) {
@@ -811,12 +894,12 @@ impl CommitEnv for FrontEnv<'_> {
 
     fn emit(&mut self, home: usize, event: TraceEvent) {
         let at = self.instant();
-        self.front.inner.tracers[home].emit(at, event);
+        self.kept.event(self.front, home, at, event);
     }
 
     fn span(&mut self, member: &Member<'_>, kind: SpanKind, open: bool) {
         let at = self.instant();
-        self.front.spans(member.home, member.txn, at, [(kind, open)]);
+        self.kept.span(self.front, member, at, kind, open);
     }
 
     fn effects(&mut self, fx: StepEffects) {
@@ -837,15 +920,18 @@ pub struct Session {
     /// wake registry hold an entry for it, so a session that never waited
     /// finishes without touching the registry.
     waited: bool,
-    /// The first shard this session touched. All of the session's span
-    /// events go to the home shard's tracer so the span tree stays in one
-    /// trace; `None` until the first `execute` (a session that never
-    /// touches a resource emits no spans).
+    /// The first shard this session touched. All of the session's spans
+    /// belong to the home shard so the span tree stays in one trace;
+    /// `None` until the first `execute` (a session that never touches a
+    /// resource has no spans).
     home: Option<usize>,
     /// The currently open leaf phase (`work`/`blocked`/`admission_wait`/
     /// `sleep`), closed before the next phase opens so the leaves
     /// partition the session's lifetime.
     leaf: Option<SpanKind>,
+    /// This session's own spans, folded into the home shard's registry
+    /// once, when the session ends ([`Session::fold`]).
+    spans: SpanLedger,
 }
 
 impl Session {
@@ -876,15 +962,40 @@ impl Session {
     // Span emission (see `pstm_obs::span` for the model)
     // ------------------------------------------------------------------
 
-    /// Closes the current leaf phase, if one is open, then emits `then`:
-    /// back-to-back boundaries, so one clock reading and one tracer
-    /// critical section. They go to the home shard's tracer (no-op before
-    /// the first `execute` assigns a home).
+    /// Closes the current leaf phase, if one is open, then marks `then`:
+    /// back-to-back boundaries, so one clock reading (no-op before the
+    /// first `execute` assigns a home).
     fn close_leaf_then(&mut self, then: impl IntoIterator<Item = (SpanKind, bool)>) {
         let leaf = self.leaf.take().map(|kind| (kind, false));
         if let Some(home) = self.home {
-            self.front.spans(home, self.id, self.front.now(), leaf.into_iter().chain(then));
+            let at = self.front.now();
+            let stamp = (at, self.front.inner.anchor.wall_us(at.0));
+            mark(
+                &self.front,
+                &mut self.spans,
+                (home, self.id),
+                stamp,
+                leaf.into_iter().chain(then),
+            );
         }
+    }
+
+    /// Folds the session's spans, and what its commit kept, into its home
+    /// shard's registry: one critical section, when the session ends. A
+    /// session that ends by a crash, or is dropped unfinished, folds what
+    /// it has: the spans it opened count as opened, those still open add
+    /// no time.
+    fn fold(&mut self) {
+        let Some(home) = self.home else { return };
+        let spans = std::mem::take(&mut self.spans);
+        PENDING.with(|pending| {
+            let mut pending = pending.borrow_mut();
+            if !spans.is_empty() || !pending.is_empty() {
+                let mut gtm = self.front.inner.shards[home].lock();
+                gtm.metrics_mut().fold_spans(&spans);
+                pending.drain(..).for_each(|(at, event)| gtm.metrics_mut().apply(at, &event));
+            }
+        });
     }
 
     /// Closes the current leaf phase and opens `kind` as the next.
@@ -940,7 +1051,8 @@ impl Session {
             if self.home.is_none() {
                 (self.home, self.leaf) = (Some(shard), Some(SpanKind::Work));
                 let opens = [(SpanKind::Session, true), (SpanKind::Work, true)];
-                self.front.spans(shard, self.id, now, opens);
+                let stamp = (now, self.front.inner.anchor.wall_us(now.0));
+                mark(&self.front, &mut self.spans, (shard, self.id), stamp, opens);
             }
             if let Err(at) = self.begun.binary_search(&shard) {
                 self.begun.insert(at, shard);
@@ -1092,12 +1204,10 @@ impl Session {
             // permanent state while a fused flush to any of these shards
             // is in flight with the shard mutex released.
             let _fences = self.front.lock_flush_fences(&shards, slot.is_some());
-            let env = &mut FrontEnv { front: &self.front, instant: None };
+            let home = self.home.unwrap_or(first);
+            let env = &mut FrontEnv::new(&self.front, (self.id, home), &mut self.spans);
             match slot {
-                None => {
-                    let home = self.home.unwrap_or(first);
-                    commit_one(env, Member { txn: self.id, home, shards: &shards })
-                }
+                None => commit_one(env, Member { txn: self.id, home, shards: &shards }),
                 // Until a round settles this session — the one a
                 // concurrent leader ran while we waited for the fence, or
                 // one of ours — lead: the wave is the whole queue. It
@@ -1155,10 +1265,11 @@ impl Session {
             Ok(CommitResult::Aborted(_)) => {
                 self.close_session_aborted(&[(SpanKind::Commit, false)])
             }
-            // A simulated crash: the process is dead; spans die with it.
+            // A simulated crash: the process is dead; open spans die with it.
             Err(_) => {}
         }
         self.forget_wakes();
+        self.fold();
         result
     }
 
@@ -1187,6 +1298,7 @@ impl Session {
         }
         self.forget_wakes();
         self.close_session_aborted(&[]);
+        self.fold();
         Ok(())
     }
 
@@ -1199,29 +1311,11 @@ impl Session {
     }
 }
 
-/// Folds per-shard [`GtmStats`] into workload-wide totals.
-#[must_use]
-pub fn sum_stats(stats: impl IntoIterator<Item = GtmStats>) -> GtmStats {
-    stats.into_iter().fold(GtmStats::default(), |mut acc, s| {
-        acc.begun += s.begun;
-        acc.committed += s.committed;
-        acc.aborted += s.aborted;
-        acc.aborted_sleep_conflict += s.aborted_sleep_conflict;
-        acc.aborted_deadlock += s.aborted_deadlock;
-        acc.aborted_constraint += s.aborted_constraint;
-        acc.aborted_wait_timeout += s.aborted_wait_timeout;
-        acc.ops_completed += s.ops_completed;
-        acc.ops_waited += s.ops_waited;
-        acc.shared_grants += s.shared_grants;
-        acc.bypassed_sleepers += s.bypassed_sleepers;
-        acc.reconciliations += s.reconciliations;
-        acc.ssts_executed += s.ssts_executed;
-        acc.starvation_denials += s.starvation_denials;
-        acc.admission_denials += s.admission_denials;
-        acc.sst_retries += s.sst_retries;
-        acc.aborted_sst_failure += s.aborted_sst_failure;
-        acc
-    })
+impl Drop for Session {
+    /// A session dropped unfinished still folds the spans it opened.
+    fn drop(&mut self) {
+        self.fold();
+    }
 }
 
 #[cfg(test)]

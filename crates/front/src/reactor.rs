@@ -37,7 +37,7 @@ use crate::{
 };
 use parking_lot::Mutex;
 use pstm_core::gtm::CommitResult;
-use pstm_obs::{Histogram, ReactorCensus, ReactorSnapshot, SpanKind, TraceEvent};
+use pstm_obs::{Histogram, ReactorCensus, ReactorSnapshot, SpanKind};
 use pstm_types::{AbortReason, PstmError, PstmResult, ResourceId, ScalarOp, Timestamp, TxnId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -549,20 +549,26 @@ impl WorkerState {
         }
     }
 
-    /// Emits the retroactive `queued` span: opened at enqueue time,
+    /// Marks the retroactive `queued` span: opened at enqueue time,
     /// closed at delivery — its width *is* the wake latency, visible in
     /// the same trace as the session's other phases.
-    fn emit_queued_span(&self, core: &SessionCore, enq_us: u64, now_us: u64) {
-        if let Some(home) = core.session.home {
-            let txn = core.session.id();
-            let tracer = &self.front.inner.tracers[home];
-            tracer.emit(
-                Timestamp(enq_us),
-                TraceEvent::SpanOpen { txn, kind: SpanKind::Queued, wall_us: None },
+    fn mark_queued_span(core: &mut SessionCore, enq_us: u64, now_us: u64) {
+        let s = &mut core.session;
+        if let Some(home) = s.home {
+            let (opened, closed) = (Timestamp(enq_us), Timestamp(now_us.max(enq_us)));
+            crate::mark(
+                &s.front,
+                &mut s.spans,
+                (home, s.id),
+                (opened, None),
+                [(SpanKind::Queued, true)],
             );
-            tracer.emit(
-                Timestamp(now_us.max(enq_us)),
-                TraceEvent::SpanClose { txn, kind: SpanKind::Queued, wall_us: None },
+            crate::mark(
+                &s.front,
+                &mut s.spans,
+                (home, s.id),
+                (closed, None),
+                [(SpanKind::Queued, false)],
             );
         }
     }
@@ -575,7 +581,7 @@ impl WorkerState {
             return;
         };
         if let CorePhase::Waiting(shard) = core.phase {
-            self.emit_queued_span(&core, enq_us, now_us);
+            Self::mark_queued_span(&mut core, enq_us, now_us);
             self.unpark_from(shard);
             let delivered = core.session.deliver(shard, signal).map(StepReply::Outcome);
             let reply = self.settle(&mut core, delivered);

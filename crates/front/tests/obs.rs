@@ -194,7 +194,7 @@ fn four_thread_traces_are_gap_free_and_replay_to_the_live_snapshot() {
         }
         // Replay == live, per shard.
         let replayed = MetricsRegistry::from_records(&records);
-        let live = front.shard_tracer(i).snapshot();
+        let live = &front.fleet_snapshot().per_shard[i];
         for c in Ctr::ALL {
             assert_eq!(
                 replayed.counter(*c),

@@ -8,7 +8,7 @@
 
 use crate::graph::WaitsForGraph;
 use crate::mode::LockMode;
-use pstm_obs::{Ctr, MetricsRegistry, TraceEvent, Tracer};
+use pstm_obs::{Ctr, Emitter, MetricsRegistry, TraceEvent, Tracer};
 use pstm_types::{PstmError, PstmResult, ResourceId, Timestamp, TxnId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -115,7 +115,7 @@ pub struct LockManager {
     held: BTreeMap<TxnId, BTreeSet<ResourceId>>,
     /// The single resource each waiting transaction is queued on.
     waiting_on: BTreeMap<TxnId, ResourceId>,
-    tracer: Tracer,
+    obs: Emitter,
 }
 
 impl LockManager {
@@ -125,16 +125,16 @@ impl LockManager {
         LockManager::default()
     }
 
-    /// Replaces the tracer — used by an owning scheduler to share one
-    /// registry/trace with its lock table.
+    /// Streams this table's records to `tracer` — used by an owning
+    /// scheduler to share one trace with its lock table.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+        self.obs.set_tracer(tracer);
     }
 
-    /// The tracer this manager emits into.
+    /// The metrics this table's events produced.
     #[must_use]
-    pub fn tracer(&self) -> Tracer {
-        self.tracer.clone()
+    pub fn metrics(&self) -> &MetricsRegistry {
+        self.obs.registry()
     }
 
     /// Requests `mode` on `resource` for `txn` at time `now`.
@@ -166,38 +166,36 @@ impl LockManager {
         let exclusive = mode == LockMode::Exclusive;
         if let Some(held_mode) = queue.granted_mode(txn) {
             if held_mode == mode || held_mode == LockMode::Exclusive {
-                self.tracer.emit(now, TraceEvent::LockGranted { txn, resource, exclusive });
+                self.obs.emit(now, TraceEvent::LockGranted { txn, resource, exclusive });
                 return Ok(LockOutcome::Granted); // already covered
             }
             // Upgrade S → X.
             debug_assert!(held_mode.upgrades_to(mode));
-            self.tracer.emit(now, TraceEvent::LockUpgrade { txn, resource });
+            self.obs.emit(now, TraceEvent::LockUpgrade { txn, resource });
             let req = Request { txn, mode, since: now, is_upgrade: true };
             if queue.grantable(&req) {
                 queue.grant(req);
-                self.tracer.emit(now, TraceEvent::LockGranted { txn, resource, exclusive });
+                self.obs.emit(now, TraceEvent::LockGranted { txn, resource, exclusive });
                 return Ok(LockOutcome::Granted);
             }
             queue.waiting.push_front(req);
             let queue_depth = queue.waiting.len() as u32;
             self.waiting_on.insert(txn, resource);
-            self.tracer
-                .emit(now, TraceEvent::LockWaiting { txn, resource, exclusive, queue_depth });
+            self.obs.emit(now, TraceEvent::LockWaiting { txn, resource, exclusive, queue_depth });
             return Ok(LockOutcome::Waiting);
         }
         let req = Request { txn, mode, since: now, is_upgrade: false };
         if queue.waiting.is_empty() && queue.grantable(&req) {
             queue.grant(req);
             self.held.entry(txn).or_default().insert(resource);
-            self.tracer.emit(now, TraceEvent::LockGranted { txn, resource, exclusive });
+            self.obs.emit(now, TraceEvent::LockGranted { txn, resource, exclusive });
             Ok(LockOutcome::Granted)
         } else {
             queue.waiting.push_back(req);
             let queue_depth = queue.waiting.len() as u32;
             self.waiting_on.insert(txn, resource);
             self.held.entry(txn).or_default().insert(resource); // reserved; finalized on grant
-            self.tracer
-                .emit(now, TraceEvent::LockWaiting { txn, resource, exclusive, queue_depth });
+            self.obs.emit(now, TraceEvent::LockWaiting { txn, resource, exclusive, queue_depth });
             Ok(LockOutcome::Waiting)
         }
     }
@@ -284,8 +282,10 @@ impl LockManager {
     pub fn detect_deadlock(&mut self) -> Option<(TxnId, Vec<TxnId>)> {
         let result = self.waits_for_graph().pick_victim();
         if let Some((victim, cycle)) = &result {
-            self.tracer
-                .emit_unclocked(TraceEvent::DeadlockVictim { txn: *victim, cycle: cycle.clone() });
+            self.obs.emit_unclocked([TraceEvent::DeadlockVictim {
+                txn: *victim,
+                cycle: cycle.clone(),
+            }]);
         }
         result
     }
@@ -296,8 +296,10 @@ impl LockManager {
     pub fn detect_deadlock_from(&mut self, waiter: TxnId) -> Option<(TxnId, Vec<TxnId>)> {
         let result = self.waits_for_graph().pick_victim_from(waiter);
         if let Some((victim, cycle)) = &result {
-            self.tracer
-                .emit_unclocked(TraceEvent::DeadlockVictim { txn: *victim, cycle: cycle.clone() });
+            self.obs.emit_unclocked([TraceEvent::DeadlockVictim {
+                txn: *victim,
+                cycle: cycle.clone(),
+            }]);
         }
         result
     }
@@ -317,10 +319,10 @@ impl LockManager {
         out
     }
 
-    /// Snapshot of the counters, projected from the tracer's registry.
+    /// Snapshot of the counters, projected from the table's registry.
     #[must_use]
     pub fn stats(&self) -> LockStats {
-        self.tracer.with_registry(LockStats::from_registry)
+        LockStats::from_registry(self.obs.registry())
     }
 
     /// The current waits-for graph rendered as Graphviz DOT.

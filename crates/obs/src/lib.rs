@@ -3,10 +3,10 @@
 //! One trace-event vocabulary ([`TraceEvent`]) spans every layer of the
 //! stack: the pre-serialization GTM, the 2PL and OCC baselines, the lock
 //! table, the storage engine and WAL, and the mobile-network simulator.
-//! Components hold a cloneable [`Tracer`] and emit events at observable
-//! decision points; the tracer folds every event into a
-//! [`MetricsRegistry`] (fixed counters plus virtual-time histograms) and,
-//! when a [`Sink`] is attached, persists the sequenced records: the
+//! Each emitting component owns an [`Emitter`]: its [`MetricsRegistry`]
+//! (fixed counters plus virtual-time histograms), into which it folds
+//! every event it emits, and a cloneable [`Tracer`] which, when a
+//! [`Sink`] is attached, persists the sequenced records: the
 //! [`recorder`]'s frames are the durable store, JSONL a rendering of them.
 //!
 //! Design rules:
@@ -19,11 +19,11 @@
 //!   receive records in emission order with a sequence number, and
 //!   histograms use fixed buckets, so identical runs produce
 //!   byte-identical artifacts.
-//! - **Cheap when off.** The default tracer has no sink; an emit is a
-//!   short critical section bumping a counter array, plus, for events that
-//!   open or close a transaction, a wait or a span, one insert or removal
-//!   in an integer-keyed tree (span phases are array-indexed, never
-//!   string-keyed) — see [`Tracer`].
+//! - **Dark means dark.** A registry lives under exclusive access its
+//!   owner already holds, and a tracer with no sink holds nothing, so an
+//!   emit with no sink takes no lock: a counter bump, plus for events that
+//!   open or close something an integer-keyed tree update — see
+//!   [`Emitter`]. A session keeps its own spans ([`SpanLedger`]).
 
 #![warn(missing_docs)]
 
@@ -52,8 +52,8 @@ pub use recorder::{
     read_recorder, Recorder, RecorderEntry, RecorderReplay, RecorderSink, RecorderStats,
     ENGINE_SHARD,
 };
-pub use registry::{Ctr, MetricsRegistry};
+pub use registry::{Ctr, MetricsRegistry, SpanLedger};
 pub use sink::{RingHandle, RingSink, Sink, TeeSink};
 pub use span::{build_span_trees, records_eq_ignoring_wall, strip_wall, SpanKind, SpanNode};
-pub use tracer::{current_thread_tag, Tracer};
+pub use tracer::{current_thread_tag, Emitter, Tracer};
 pub use wallclock::{wall_now_us, WallAnchor, WallEpoch};

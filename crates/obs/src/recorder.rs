@@ -1000,7 +1000,8 @@ pub struct RecorderReplay {
     /// Total records announced lost by `Drop` markers.
     pub dropped: u64,
     /// Records missing from the recovered window: sequence-number holes,
-    /// i.e. history discarded by ring wraps (drop markers not included).
+    /// i.e. history discarded by ring wraps. A dropped record leaves a hole
+    /// too; those its drop marker announces are counted in `dropped` only.
     pub gaps: u64,
     /// First and last recovered sequence numbers (0/0 when empty).
     pub seq_range: (u64, u64),
@@ -1123,6 +1124,7 @@ pub fn decode_recorder_bytes(bytes: &[u8]) -> io::Result<RecorderReplay> {
         }
         replay.entries.push(entry);
     }
+    replay.gaps = replay.gaps.saturating_sub(replay.dropped);
     Ok(replay)
 }
 
@@ -1285,6 +1287,9 @@ mod tests {
         rec.flush();
         let replay = read_recorder(&path).unwrap();
         assert_eq!(replay.dropped, 1, "drop marker must announce the loss");
+        assert_eq!(replay.gaps, 0, "the announced hole is a drop, not a gap");
+        let err = replay.check_complete().unwrap_err();
+        assert_eq!(err, "incomplete trace: 0 gap(s), 1 dropped");
         assert!(
             replay.entries.iter().any(|e| matches!(e, RecorderEntry::Event { .. })),
             "later records still land"

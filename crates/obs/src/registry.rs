@@ -345,6 +345,27 @@ impl MetricsRegistry {
         self.commit_phases.merge(&other.commit_phases);
     }
 
+    /// Folds in a session's spans: what applying each of its boundaries
+    /// adds, bar the spans it still holds open (they end with it).
+    pub fn fold_spans(&mut self, spans: &SpanLedger) {
+        self.add(Ctr::SpansOpened, spans.opened.into());
+        self.add(Ctr::SpansClosed, spans.closed.into());
+        for (k, phase) in self.phase_time.iter_mut().enumerate() {
+            if spans.closed_phases & 1 << k != 0 {
+                *phase = Some(phase.unwrap_or(0) + spans.time[k]);
+            }
+        }
+        for (res, us) in &spans.blocked {
+            *self.blocked_by_resource.entry(*res).or_insert(0) += us;
+        }
+    }
+
+    /// Spans opened by applied events and not closed yet.
+    #[must_use]
+    pub fn open_spans(&self) -> usize {
+        self.span_open.len()
+    }
+
     /// Rebuilds a registry by replaying `records` in order.
     #[must_use]
     pub fn from_records<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Self {
@@ -492,6 +513,63 @@ impl MetricsRegistry {
             }
             self.wait_since.remove(&key);
         }
+    }
+}
+
+/// One session's spans, kept by the session: open stamps by
+/// [`SpanKind::ordinal`], and what its closed spans add. A boundary counts
+/// as [`MetricsRegistry::apply`] counts the matching `SpanOpen` /
+/// `SpanClose`; [`MetricsRegistry::fold_spans`] adds the lot at once.
+/// Kept small: a fleet holds one per live session.
+#[derive(Clone, Debug)]
+pub struct SpanLedger {
+    /// Open stamps, [`SpanLedger::SHUT`] where the phase has none.
+    open: [Timestamp; SpanKind::PHASES.len()],
+    /// Closed µs by phase; bit `k` of `closed_phases` says a span of phase
+    /// `k` closed (what a registry's `Some` phase time records).
+    time: [u64; SpanKind::PHASES.len()],
+    closed_phases: u16,
+    opened: u32,
+    closed: u32,
+    blocked: Vec<(ResourceId, u64)>,
+}
+
+impl Default for SpanLedger {
+    fn default() -> Self {
+        let (open, time) =
+            ([SpanLedger::SHUT; SpanKind::PHASES.len()], [0; SpanKind::PHASES.len()]);
+        SpanLedger { open, time, closed_phases: 0, opened: 0, closed: 0, blocked: Vec::new() }
+    }
+}
+
+impl SpanLedger {
+    /// The open stamp of a phase with no open span.
+    const SHUT: Timestamp = Timestamp(u64::MAX);
+
+    /// Records one boundary of `kind` at `at`: an open, or a close.
+    pub fn boundary(&mut self, at: Timestamp, kind: SpanKind, open: bool) {
+        let k = kind.ordinal();
+        if open {
+            self.opened += 1;
+            self.open[k] = at;
+            return;
+        }
+        self.closed += 1;
+        let opened = std::mem::replace(&mut self.open[k], SpanLedger::SHUT);
+        if opened != SpanLedger::SHUT {
+            let width = at.since(opened).0;
+            (self.time[k], self.closed_phases) =
+                (self.time[k] + width, self.closed_phases | 1 << k);
+            if let SpanKind::Blocked { resource } = kind {
+                self.blocked.push((resource, width));
+            }
+        }
+    }
+
+    /// True when no boundary was recorded since the last fold.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.opened == 0 && self.closed == 0
     }
 }
 

@@ -1,6 +1,6 @@
 //! The BOCC transaction manager.
 
-use pstm_obs::{AbortOrigin, Ctr, MetricsRegistry, TraceEvent, Tracer};
+use pstm_obs::{AbortOrigin, Ctr, Emitter, MetricsRegistry, TraceEvent, Tracer};
 use pstm_storage::{BindingRegistry, Database, WriteOp, WriteSet};
 use pstm_types::{
     AbortReason, ExecOutcome, PstmError, PstmResult, ResourceId, ScalarOp, Timestamp, TxnId, Value,
@@ -97,7 +97,7 @@ pub struct OccManager {
     serial: u64,
     /// Committed write sets, newest last: `(serial, resources)`.
     committed_writes: Vec<(u64, BTreeSet<ResourceId>)>,
-    tracer: Tracer,
+    obs: Emitter,
 }
 
 impl OccManager {
@@ -110,27 +110,22 @@ impl OccManager {
             txns: BTreeMap::new(),
             serial: 0,
             committed_writes: Vec::new(),
-            tracer: Tracer::disabled(),
+            obs: Emitter::default(),
         }
     }
 
-    /// Replaces the tracer (builder style) so events reach a shared sink.
+    /// Streams this manager's records to `tracer` (builder style), so
+    /// events reach a shared sink.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.obs.set_tracer(tracer);
         self
-    }
-
-    /// The manager's tracer handle.
-    #[must_use]
-    pub fn tracer(&self) -> Tracer {
-        self.tracer.clone()
     }
 
     /// Counter snapshot, projected from the obs registry.
     #[must_use]
     pub fn stats(&self) -> OccStats {
-        self.tracer.with_registry(OccStats::from_registry)
+        OccStats::from_registry(self.obs.registry())
     }
 
     /// The shared database handle.
@@ -167,7 +162,7 @@ impl OccManager {
                 write_buffer: BTreeMap::new(),
             },
         );
-        self.tracer.emit(now, TraceEvent::TxnBegin { txn });
+        self.obs.emit(now, TraceEvent::TxnBegin { txn });
         Ok(())
     }
 
@@ -189,7 +184,7 @@ impl OccManager {
                 state: phase_name(state.phase),
             });
         }
-        self.tracer.emit(now, TraceEvent::OpRequested { txn, resource, class });
+        self.obs.emit(now, TraceEvent::OpRequested { txn, resource, class });
         let state = self.txns.get_mut(&txn).expect("checked above");
         state.read_set.insert(resource);
         let current = match state.snapshot.get(&resource) {
@@ -205,7 +200,7 @@ impl OccManager {
             state.snapshot.insert(resource, new.clone());
             state.write_buffer.insert(resource, new.clone());
         }
-        self.tracer.emit(
+        self.obs.emit(
             now,
             TraceEvent::OpGranted { txn, resource, class, shared: false, bypassed_sleeper: false },
         );
@@ -265,7 +260,7 @@ impl OccManager {
             self.committed_writes.push((self.serial, writes));
         }
         state.phase = OccPhase::Committed;
-        self.tracer.emit(now, TraceEvent::Committed { txn });
+        self.obs.emit(now, TraceEvent::Committed { txn });
         self.gc_committed_writes();
         Ok(Ok(()))
     }
@@ -282,7 +277,7 @@ impl OccManager {
             state.write_buffer.clear();
             state.snapshot.clear();
         }
-        self.tracer.emit(now, TraceEvent::Aborted { txn, reason, origin });
+        self.obs.emit(now, TraceEvent::Aborted { txn, reason, origin });
     }
 
     /// User abort.
@@ -311,7 +306,7 @@ impl OccManager {
             });
         }
         state.phase = OccPhase::Sleeping;
-        self.tracer.emit(now, TraceEvent::TxnSlept { txn });
+        self.obs.emit(now, TraceEvent::TxnSlept { txn });
         Ok(())
     }
 
@@ -327,7 +322,7 @@ impl OccManager {
             });
         }
         state.phase = OccPhase::Reading;
-        self.tracer.emit(now, TraceEvent::TxnAwoke { txn });
+        self.obs.emit(now, TraceEvent::TxnAwoke { txn });
         Ok(())
     }
 

@@ -1,7 +1,7 @@
 //! The scheduler-agnostic backend surface and its two adapters.
 
 use pstm_core::gtm::{AwakeResult, CommitResult, Gtm};
-use pstm_obs::Tracer;
+use pstm_obs::{MetricsRegistry, TraceEvent};
 use pstm_twopl::TwoPlManager;
 use pstm_types::{
     AbortReason, ExecOutcome, PstmResult, ResourceId, ScalarOp, StepEffects, Timestamp, TxnId,
@@ -50,10 +50,12 @@ pub trait Backend {
     fn awake(&mut self, txn: TxnId, now: Timestamp) -> PstmResult<(AwakeOutcome, StepEffects)>;
     /// Periodic maintenance (timeouts, deadlock detection).
     fn tick(&mut self, now: Timestamp) -> PstmResult<StepEffects>;
-    /// The backend's tracer handle, so the runner can stamp link events
-    /// into the same stream and callers can read the metrics registry.
-    fn tracer(&self) -> Tracer {
-        Tracer::disabled()
+    /// Emits a runner event (a link transition) on the backend's behalf,
+    /// into its registry and trace stream.
+    fn emit(&mut self, _now: Timestamp, _event: TraceEvent) {}
+    /// The metrics the backend's events produced, its engine's merged in.
+    fn metrics(&self) -> MetricsRegistry {
+        MetricsRegistry::new()
     }
 }
 
@@ -119,8 +121,14 @@ impl Backend for GtmBackend {
         self.0.tick(now)
     }
 
-    fn tracer(&self) -> Tracer {
-        self.0.tracer()
+    fn emit(&mut self, now: Timestamp, event: TraceEvent) {
+        self.0.emit(now, event);
+    }
+
+    fn metrics(&self) -> MetricsRegistry {
+        let mut metrics = self.0.metrics().clone();
+        metrics.merge(&self.0.database().metrics());
+        metrics
     }
 }
 
@@ -178,7 +186,13 @@ impl Backend for TwoPlBackend {
         self.0.tick(now)
     }
 
-    fn tracer(&self) -> Tracer {
-        self.0.tracer()
+    fn emit(&mut self, now: Timestamp, event: TraceEvent) {
+        self.0.emit(now, event);
+    }
+
+    fn metrics(&self) -> MetricsRegistry {
+        let mut metrics = self.0.metrics();
+        metrics.merge(&self.0.database().metrics());
+        metrics
     }
 }

@@ -4,7 +4,7 @@
 use crate::backend::{AwakeOutcome, Backend, CommitOutcome};
 use crate::events::EventQueue;
 use crate::script::{Step, TxnScript};
-use pstm_obs::{TraceEvent, Tracer};
+use pstm_obs::{MetricsRegistry, TraceEvent};
 use pstm_types::{AbortReason, Duration, ExecOutcome, PstmResult, StepEffects, Timestamp, TxnId};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -117,10 +117,10 @@ pub struct RunReport {
     pub makespan_s: f64,
     /// Per-transaction detail, in transaction-id order.
     pub per_txn: Vec<TxnResult>,
-    /// Handle on the backend's tracer — callers can read the metrics
-    /// registry or drain a ring sink after the run. Not serialized.
+    /// The metrics the backend's events produced ([`Backend::metrics`]) —
+    /// what a replay of the run's trace must equal. Not serialized.
     #[serde(skip)]
-    pub trace: Option<Tracer>,
+    pub metrics: MetricsRegistry,
 }
 
 impl RunReport {
@@ -309,7 +309,7 @@ impl<B: Backend> Runner<B> {
                 }
             }
             Step::Disconnect(d) => {
-                self.backend.tracer().emit(now, TraceEvent::LinkDown { txn });
+                self.backend.emit(now, TraceEvent::LinkDown { txn });
                 let fx = self.backend.sleep(txn, now)?;
                 self.apply_effects(fx);
                 let c = self.clients.get_mut(&txn).expect("client exists");
@@ -348,7 +348,7 @@ impl<B: Backend> Runner<B> {
         if c.status != ClientStatus::Sleeping {
             return Ok(()); // aborted while asleep
         }
-        self.backend.tracer().emit(now, TraceEvent::LinkUp { txn });
+        self.backend.emit(now, TraceEvent::LinkUp { txn });
         let (outcome, fx) = self.backend.awake(txn, now)?;
         self.apply_effects(fx);
         match outcome {
@@ -444,7 +444,7 @@ impl<B: Backend> Runner<B> {
             },
             makespan_s: makespan,
             per_txn,
-            trace: Some(self.backend.tracer()),
+            metrics: self.backend.metrics(),
         }
     }
 }

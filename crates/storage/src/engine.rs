@@ -36,7 +36,7 @@ use crate::row::{Row, RowId};
 use crate::schema::TableSchema;
 use crate::wal::{LogRecord, Lsn, Wal};
 use parking_lot::RwLock;
-use pstm_obs::{Ctr, MetricsRegistry, TraceEvent, Tracer};
+use pstm_obs::{Ctr, Emitter, MetricsRegistry, TraceEvent, Tracer};
 use pstm_types::{FaultDecision, FaultSite, PstmError, PstmResult, SharedFaultHook, TxnId, Value};
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -192,6 +192,9 @@ pub(crate) struct Inner {
     staged_rows: Vec<StagedRow>,
     staged: usize,
     befores: Vec<Value>,
+    /// The engine's registry and trace stream, under the write lock every
+    /// emitting call holds anyway.
+    obs: Emitter,
 }
 
 impl Inner {
@@ -212,6 +215,7 @@ impl Inner {
             staged_rows: Vec::new(),
             staged: 0,
             befores: Vec::new(),
+            obs: Emitter::default(),
         }
     }
 
@@ -431,7 +435,6 @@ impl EngineStats {
 /// ```
 pub struct Database {
     inner: RwLock<Inner>,
-    tracer: RwLock<Tracer>,
     /// Modeled round-trip to the LDBS device, paid once per
     /// [`Database::apply_write_set`] call — the cost an SST flush ships
     /// over the mobile link in the paper's deployment, and the cost the
@@ -464,7 +467,6 @@ impl Database {
     fn over(inner: Inner) -> Self {
         Database {
             inner: RwLock::new(inner),
-            tracer: RwLock::new(Tracer::disabled()),
             apply_latency_ns: AtomicU64::new(0),
             fault_hook: RwLock::new(None),
         }
@@ -481,8 +483,9 @@ impl Database {
     /// Routes engine and WAL events to `tracer`. The shared-`Arc` pattern
     /// above (managers hold `Arc<Database>`) makes this `&self`.
     pub fn set_tracer(&self, tracer: Tracer) {
-        self.inner.write().wal.set_tracer(tracer.clone());
-        *self.tracer.write() = tracer;
+        let mut inner = self.inner.write();
+        inner.wal.set_tracer(tracer.clone());
+        inner.obs.set_tracer(tracer);
     }
 
     /// Installs a seeded fault hook on the engine's labeled seams: every
@@ -563,7 +566,7 @@ impl Database {
         }
         inner.wal.append(&LogRecord::Commit { txn })?;
         inner.checkpoint_if_due();
-        self.tracer.read().emit_unclocked(TraceEvent::EngineCommit { txn });
+        inner.obs.emit_unclocked([TraceEvent::EngineCommit { txn }]);
         Ok(())
     }
 
@@ -605,7 +608,7 @@ impl Database {
         inner.pending_deletes.remove(&txn);
         inner.wal.append(&LogRecord::Abort { txn })?;
         inner.checkpoint_if_due();
-        self.tracer.read().emit_unclocked(TraceEvent::EngineAbort { txn });
+        inner.obs.emit_unclocked([TraceEvent::EngineAbort { txn }]);
         Ok(())
     }
 
@@ -631,7 +634,7 @@ impl Database {
         let rid = store.heap.insert(&row)?;
         store.index_row(meta, rid, &row, true);
         inner.wal.append(&LogRecord::Insert { txn, table, row_id: rid, row })?;
-        self.tracer.read().emit_unclocked(TraceEvent::EngineInsert { txn });
+        inner.obs.emit_unclocked([TraceEvent::EngineInsert { txn }]);
         Ok(rid)
     }
 
@@ -671,7 +674,7 @@ impl Database {
             before,
             after: value,
         })?;
-        self.tracer.read().emit_unclocked(TraceEvent::EngineUpdate { txn });
+        inner.obs.emit_unclocked([TraceEvent::EngineUpdate { txn }]);
         Ok(())
     }
 
@@ -689,7 +692,7 @@ impl Database {
         store.index_row(inner.catalog.meta(table)?, row_id, &row, false);
         inner.pending_deletes.entry(txn).or_default().push((table, row_id));
         inner.wal.append(&LogRecord::Delete { txn, table, row_id, row })?;
-        self.tracer.read().emit_unclocked(TraceEvent::EngineDelete { txn });
+        inner.obs.emit_unclocked([TraceEvent::EngineDelete { txn }]);
         Ok(())
     }
 
@@ -795,17 +798,17 @@ impl Database {
             FaultDecision::Io => {
                 // Transient device error before any state is touched:
                 // the middleware's SST retry/abort machinery owns it.
-                self.tracer.read().emit_unclocked(TraceEvent::FaultInjected {
+                self.inner.write().obs.emit_unclocked([TraceEvent::FaultInjected {
                     site: FaultSite::SstApply.label(),
                     action: "io".into(),
-                });
+                }]);
                 return Err(PstmError::Io("injected SST fault".into()));
             }
             FaultDecision::Crash | FaultDecision::Torn { .. } => {
-                self.tracer.read().emit_unclocked(TraceEvent::FaultInjected {
+                self.inner.write().obs.emit_unclocked([TraceEvent::FaultInjected {
                     site: FaultSite::SstApply.label(),
                     action: "crash".into(),
-                });
+                }]);
                 return Err(PstmError::Crashed(FaultSite::SstApply.label()));
             }
         }
@@ -828,10 +831,8 @@ impl Database {
             inner.stores[table.0 as usize].reindex(meta, *row_id, *column, before, value);
         }
         inner.checkpoint_if_due();
-        drop(guard);
-        let tracer = self.tracer.read();
         let updates = ops.iter().map(|_| TraceEvent::EngineUpdate { txn });
-        tracer.emit_unclocked_all(updates.chain([TraceEvent::EngineCommit { txn }]));
+        inner.obs.emit_unclocked(updates.chain([TraceEvent::EngineCommit { txn }]));
         Ok(())
     }
 
@@ -871,10 +872,10 @@ impl Database {
         let (catalog, stores, stats) = crate::recovery::recover(&inner.image, &inner.wal)?;
         inner.catalog = catalog;
         inner.stores = stores;
-        self.tracer.read().emit_unclocked(TraceEvent::Recovered {
+        inner.obs.emit_unclocked([TraceEvent::Recovered {
             winners: stats.winners,
             records: stats.records,
-        });
+        }]);
         Ok(())
     }
 
@@ -905,10 +906,19 @@ impl Database {
     /// with the live WAL and image sizes overlaid.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
-        let mut s = self.tracer.read().with_registry(EngineStats::from_registry);
         let inner = self.inner.read();
+        let mut s = EngineStats::from_registry(inner.obs.registry());
         (s.wal_bytes, s.image_bytes) = (inner.wal.len_bytes(), inner.image_bytes());
         s
+    }
+
+    /// The metrics the engine's and its WAL's events produced, merged.
+    #[must_use]
+    pub fn metrics(&self) -> MetricsRegistry {
+        let inner = self.inner.read();
+        let mut metrics = inner.obs.registry().clone();
+        metrics.merge(inner.wal.metrics());
+        metrics
     }
 
     /// Number of live rows in `table`.

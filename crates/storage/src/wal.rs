@@ -50,7 +50,7 @@ use crate::catalog::TableId;
 use crate::codec::{decode_record, encode_record};
 use crate::row::{Row, RowId};
 use pstm_obs::frame::{next_frame, write_frame_with, FrameStep, FRAME_HEADER};
-use pstm_obs::{TraceEvent, Tracer};
+use pstm_obs::{Emitter, MetricsRegistry, TraceEvent, Tracer};
 use pstm_types::{FaultDecision, FaultSite, PstmError, PstmResult, SharedFaultHook, TxnId, Value};
 use serde::{Deserialize, Serialize};
 
@@ -162,7 +162,8 @@ pub struct Wal {
     /// straight into it ([`Wal::stage`]) and it is empty between writes,
     /// so appends in steady state allocate nothing.
     scratch: Vec<u8>,
-    tracer: Tracer,
+    /// The log's registry and trace stream.
+    obs: Emitter,
     /// Fault seam consulted on every append (see `pstm_types::fault`);
     /// `None` outside chaos runs.
     hook: Option<SharedFaultHook>,
@@ -177,7 +178,13 @@ impl Wal {
 
     /// Routes the log's flush events to `tracer`.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+        self.obs.set_tracer(tracer);
+    }
+
+    /// The metrics the log's flush events produced.
+    #[must_use]
+    pub fn metrics(&self) -> &MetricsRegistry {
+        self.obs.registry()
     }
 
     /// Installs (or with `None`, removes) the fault seam consulted on
@@ -285,20 +292,20 @@ impl Wal {
         };
         if let Some(action) = action {
             self.scratch.clear();
-            self.tracer.emit_unclocked(TraceEvent::FaultInjected {
+            self.obs.emit_unclocked([TraceEvent::FaultInjected {
                 site: FaultSite::WalAppend.label(),
                 action: action.into(),
-            });
+            }]);
             return Err(PstmError::Crashed(FaultSite::WalAppend.label()));
         }
         self.buf.extend_from_slice(&self.scratch);
         // One WalFlush per record: replayed counters must not depend on
         // how appends were grouped. The frames are walked by the length
         // fields `stage` just wrote; the group's records go to the
-        // engine-wide tracer in one critical section.
+        // log's emitter in one run.
         let (scratch, appended) = (&self.scratch, &mut self.appended);
         let mut pos = 0usize;
-        self.tracer.emit_unclocked_all(std::iter::from_fn(|| {
+        self.obs.emit_unclocked(std::iter::from_fn(|| {
             let len = scratch.get(pos..pos + 4)?;
             let frame =
                 FRAME_HEADER + u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize;

@@ -1,7 +1,7 @@
 //! The strict 2PL transaction manager.
 
 use pstm_lock::{LockManager, LockMode, LockOutcome};
-use pstm_obs::{AbortOrigin, Ctr, MetricsRegistry, TraceEvent, Tracer};
+use pstm_obs::{AbortOrigin, Ctr, Emitter, MetricsRegistry, TraceEvent, Tracer};
 use pstm_storage::{BindingRegistry, Database};
 use pstm_types::{
     AbortReason, Duration, ExecOutcome, PstmError, PstmResult, ResourceId, ScalarOp, StepEffects,
@@ -105,40 +105,47 @@ pub struct TwoPlManager {
     locks: LockManager,
     txns: BTreeMap<TxnId, TpTxn>,
     config: TwoPlConfig,
-    tracer: Tracer,
+    obs: Emitter,
 }
 
 impl TwoPlManager {
     /// Builds a manager over `db` with the given resource bindings.
     #[must_use]
     pub fn new(db: Arc<Database>, bindings: BindingRegistry, config: TwoPlConfig) -> Self {
-        let tracer = Tracer::disabled();
-        let mut locks = LockManager::new();
-        locks.set_tracer(tracer.clone());
-        TwoPlManager { db, bindings, locks, txns: BTreeMap::new(), config, tracer }
+        let (locks, obs) = (LockManager::new(), Emitter::default());
+        TwoPlManager { db, bindings, locks, txns: BTreeMap::new(), config, obs }
     }
 
-    /// Installs a tracer, shared with the embedded lock manager so
+    /// Streams this manager's records, and its lock table's, to `tracer`:
     /// scheduler and lock events interleave in one trace. Builder-style;
     /// call before scheduling begins.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.locks.set_tracer(tracer.clone());
-        self.tracer = tracer;
+        self.obs.set_tracer(tracer);
         self
     }
 
-    /// The tracer this manager (and its lock table) emits into.
+    /// The metrics this manager's and its lock table's events produced,
+    /// merged.
     #[must_use]
-    pub fn tracer(&self) -> Tracer {
-        self.tracer.clone()
+    pub fn metrics(&self) -> MetricsRegistry {
+        let mut metrics = self.obs.registry().clone();
+        metrics.merge(self.locks.metrics());
+        metrics
     }
 
-    /// Immutable view of the counters, projected from the tracer's
+    /// Emits an event on this manager's behalf (a simulated link's
+    /// transitions).
+    pub fn emit(&mut self, now: Timestamp, event: TraceEvent) {
+        self.obs.emit(now, event);
+    }
+
+    /// Immutable view of the counters, projected from the manager's
     /// registry.
     #[must_use]
     pub fn stats(&self) -> TwoPlStats {
-        self.tracer.with_registry(TwoPlStats::from_registry)
+        TwoPlStats::from_registry(self.obs.registry())
     }
 
     /// Phase of `txn`, if known.
@@ -174,7 +181,7 @@ impl TwoPlManager {
                 completed_while_asleep: None,
             },
         );
-        self.tracer.emit_unclocked(TraceEvent::TxnBegin { txn });
+        self.obs.emit_unclocked([TraceEvent::TxnBegin { txn }]);
         Ok(())
     }
 
@@ -200,7 +207,7 @@ impl TwoPlManager {
             });
         }
         let class = op.class();
-        self.tracer.emit(now, TraceEvent::OpRequested { txn, resource, class });
+        self.obs.emit(now, TraceEvent::OpRequested { txn, resource, class });
         let mode = if op.is_mutation() { LockMode::Exclusive } else { LockMode::Shared };
         match self.locks.request(txn, resource, mode, now)? {
             LockOutcome::Granted => {
@@ -219,7 +226,7 @@ impl TwoPlManager {
                     }
                     Err(e) => return Err(e),
                 };
-                self.tracer.emit(
+                self.obs.emit(
                     now,
                     TraceEvent::OpGranted {
                         txn,
@@ -233,7 +240,7 @@ impl TwoPlManager {
             }
             LockOutcome::Waiting => {
                 let queue_depth = self.locks.waiter_count(resource) as u32;
-                self.tracer.emit(now, TraceEvent::OpWaiting { txn, resource, class, queue_depth });
+                self.obs.emit(now, TraceEvent::OpWaiting { txn, resource, class, queue_depth });
                 let state = self.txn_mut(txn)?;
                 state.phase = TxnPhase::Waiting;
                 state.pending = Some((resource, op));
@@ -301,7 +308,7 @@ impl TwoPlManager {
             let was_sleeping = state.phase == TxnPhase::Sleeping;
             match self.perform(p, resource, &op) {
                 Ok(value) => {
-                    self.tracer.emit(
+                    self.obs.emit(
                         now,
                         TraceEvent::OpGranted {
                             txn: p,
@@ -349,7 +356,7 @@ impl TwoPlManager {
             self.db.commit(txn)?;
         }
         self.txn_mut(txn)?.phase = TxnPhase::Committed;
-        self.tracer.emit(now, TraceEvent::Committed { txn });
+        self.obs.emit(now, TraceEvent::Committed { txn });
         let promoted = self.locks.release_all(txn);
         self.finish_promotions(promoted, now)
     }
@@ -380,7 +387,7 @@ impl TwoPlManager {
         let state = self.txn_mut(txn)?;
         state.phase = TxnPhase::Aborted;
         state.pending = None;
-        self.tracer.emit(now, TraceEvent::Aborted { txn, reason, origin });
+        self.obs.emit(now, TraceEvent::Aborted { txn, reason, origin });
         let promoted = self.locks.release_all(txn);
         let mut effects = self.finish_promotions(promoted, now)?;
         effects.aborted.push((txn, reason));
@@ -395,7 +402,7 @@ impl TwoPlManager {
             TxnPhase::Active | TxnPhase::Waiting => {
                 state.phase = TxnPhase::Sleeping;
                 state.sleep_since = Some(now);
-                self.tracer.emit(now, TraceEvent::TxnSlept { txn });
+                self.obs.emit(now, TraceEvent::TxnSlept { txn });
                 Ok(())
             }
             other => {
@@ -420,7 +427,7 @@ impl TwoPlManager {
         state.sleep_since = None;
         let done = state.completed_while_asleep.take();
         state.phase = if state.pending.is_some() { TxnPhase::Waiting } else { TxnPhase::Active };
-        self.tracer.emit(now, TraceEvent::TxnAwoke { txn });
+        self.obs.emit(now, TraceEvent::TxnAwoke { txn });
         Ok(done)
     }
 

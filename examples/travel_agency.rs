@@ -72,7 +72,7 @@ fn main() {
     let tracer = pstm_bench::tracer_from_env("travel_agency");
     let g = run_gtm(&workload, tracer.clone());
     show(&g);
-    pstm_bench::finish_trace("travel_agency", &tracer);
+    pstm_bench::finish_trace("travel_agency", &tracer, &g.metrics);
 
     println!("\n— strict 2PL (sleep timeout 5 s) —");
     let t = run_twopl(&workload);

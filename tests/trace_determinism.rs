@@ -13,8 +13,9 @@ use preserial::workload::PaperWorkload;
 use pstm_bench::{run_emulation_traced, Scheduler};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Records a 60-transaction run into a frame file and reads it back.
-fn traced_run(scheduler: Scheduler) -> (Vec<TraceRecord>, Tracer) {
+/// Records a 60-transaction run into a frame file and reads it back,
+/// beside the live run's registries merged.
+fn traced_run(scheduler: Scheduler) -> (Vec<TraceRecord>, MetricsRegistry) {
     static RUN: AtomicUsize = AtomicUsize::new(0);
     let n = RUN.fetch_add(1, Ordering::Relaxed);
     let path = std::env::temp_dir().join(format!("pstm-det-{}-{n}.rec", std::process::id()));
@@ -28,7 +29,7 @@ fn traced_run(scheduler: Scheduler) -> (Vec<TraceRecord>, Tracer) {
     let replay = read_recorder(&path).expect("frames read back");
     std::fs::remove_file(&path).ok();
     replay.check_complete().expect("a whole run");
-    (replay.shard_records(0), tracer)
+    (replay.shard_records(0), report.metrics)
 }
 
 fn jsonl(records: &[TraceRecord]) -> Vec<u8> {
@@ -51,12 +52,11 @@ fn same_seed_runs_produce_byte_identical_traces() {
 
 #[test]
 fn jsonl_trace_replay_matches_live_counters() {
-    let (records, tracer) = traced_run(Scheduler::Gtm);
+    let (records, live) = traced_run(Scheduler::Gtm);
     assert!(!records.is_empty());
 
     // The stream covers the whole stack: scheduler, engine, WAL, link.
     let rebuilt = MetricsRegistry::from_records(&records);
-    let live = tracer.snapshot();
     for c in Ctr::ALL {
         assert_eq!(rebuilt.counter(*c), live.counter(*c), "counter {} diverged", c.name());
     }
