@@ -183,6 +183,27 @@ fn static_dot_speaks_the_runtime_waits_for_dialect() {
     );
 }
 
+/// README.md shows the workspace's lock-order graph. It is checked, not
+/// copied: the `dot` block under its summary line is what `pstm_check
+/// lockgraph --dot` renders, byte for byte, and the summary line counts
+/// that graph's classes and edges.
+#[test]
+fn readme_lock_order_graph_is_the_rendered_one() {
+    let readme = fs::read_to_string(workspace_root().join("README.md")).expect("README.md");
+    let summary = "<summary><code>pstm_check lockgraph --dot lock_order.dot</code> — ";
+    let (_, after) = readme.split_once(summary).expect("README keeps the lock-order summary");
+    let (line, rest) = after.split_once('\n').expect("summary line");
+    let block = rest.split_once("```dot\n").and_then(|(_, b)| b.split_once("```"));
+    let (block, _) = block.expect("a dot block follows the summary");
+
+    let dot = report().dot();
+    assert_eq!(block, dot, "README's lock-order DOT differs from `pstm_check lockgraph --dot`");
+    let shape = parse_dot(&dot);
+    let counted =
+        format!("{} classes, {} edges, acyclic</summary>", shape.nodes.len(), shape.edges.len());
+    assert_eq!(line, counted, "README's lock-order summary line");
+}
+
 // ---------------------------------------------------------------------
 // Differential: lexer vs an independently written text oracle
 // ---------------------------------------------------------------------

@@ -10,8 +10,9 @@
 //!    by the `pstm_check` verifier — neither side is merely "the same
 //!    wrong answer".
 //!
-//! Workloads are commuting `Add` programs (order-independent by Table I,
-//! so thread scheduling in the reactor cannot change outcomes), over
+//! Workloads are commuting `Add` programs, every fifth of them read-only
+//! (order-independent by Table I, so thread scheduling in the reactor
+//! cannot change outcomes; a reader commits with no flush), over
 //! uniform and Zipfian key distributions, with sleep/awake churn mixed
 //! in: sessions disconnect mid-program and reconnect before committing,
 //! exercising the paper's Algorithm 8/9 path on both fronts.
@@ -58,8 +59,9 @@ impl Rng {
     }
 }
 
-/// One seeded session program: 2–4 commuting `Add`s with optional
-/// mid-program sleep/awake churn, ending in `Commit`.
+/// One seeded session program: 2–4 commuting `Add`s — `Read`s for every
+/// fifth session — with optional mid-program sleep/awake churn, ending
+/// in `Commit`.
 fn build_programs(
     seed: u64,
     resources: &[ResourceId],
@@ -75,8 +77,8 @@ fn build_programs(
                 let key =
                     if zipfian { rng.zipf(resources.len()) } else { rng.below(resources.len()) };
                 let delta = 1 + rng.below(9) as i64;
-                program
-                    .push(ProgramStep::Execute(resources[key], ScalarOp::Add(Value::Int(delta))));
+                let op = if i % 5 == 4 { ScalarOp::Read } else { ScalarOp::Add(Value::Int(delta)) };
+                program.push(ProgramStep::Execute(resources[key], op));
                 if sleep_every != 0 && i % sleep_every == 0 && j == 0 {
                     // Short disconnect: long enough to overlap other
                     // sessions in the reactor, short enough to keep the

@@ -4,7 +4,7 @@
 //!
 //! | phase  | shards held | what happens |
 //! |--------|-------------|--------------|
-//! | local  | yes | greedy disjointness cut on [`Gtm::mutated_resources`]; [`Gtm::commit_local`] per (member, shard) ascending; a local abort unwinds that member alone |
+//! | local  | yes | greedy disjointness cut on [`Gtm::mutated_resources`]; [`Gtm::commit_local`] per (member, shard) ascending; a local abort unwinds that member alone; a member with no writes (no mutation grant) runs [`Gtm::commit_finish`] here and is settled |
 //! | flush  | **no** | `pre-sst` seam, one fused write set, the single retry loop, `pre-finish` seam |
 //! | finish | yes | [`Gtm::commit_finish`] / [`Gtm::commit_abort`] per (member, shard) |
 //!
@@ -24,7 +24,7 @@ use crate::sst::{Sst, SstBatch, Writes};
 use pstm_obs::{SpanKind, TraceEvent};
 use pstm_storage::{BindingRegistry, Database};
 use pstm_types::{
-    AbortReason, Duration, FaultDecision, FaultSite, PstmError, PstmResult, ResourceId,
+    AbortReason, Duration, FaultDecision, FaultSite, InlineVec, PstmError, PstmResult, ResourceId,
     StepEffects, Timestamp, TxnId,
 };
 use std::borrow::Cow;
@@ -104,6 +104,8 @@ pub trait CommitEnv {
 /// active, and must be resubmitted once this call returned (their
 /// reconciliation has to read post-flush permanent state).
 ///
+/// A member with no writes (no mutation grant) is finished in the local
+/// phase: it joins no batch, passes no seam and emits no `SstAttempt`.
 /// A batch of more than one member flushes under its leader's
 /// [`TxnId::batch_engine`] id and announces itself with a `GroupCommit`
 /// event; a batch of one — a lone member, or what the cut left of a
@@ -120,6 +122,7 @@ pub fn commit_wave<E: CommitEnv>(
     // ---- local: under the members' shards --------------------------------
     let shards = shard_union(wave);
     let mut deferred = Vec::new();
+    let mut read_only: InlineVec<TxnId, 4> = InlineVec::new();
     let mut fx = StepEffects::none();
     let local = env.with_shards(&shards, |held, now| -> PstmResult<_> {
         let mut batch: Option<SstBatch> = None;
@@ -143,6 +146,13 @@ pub fn commit_wave<E: CommitEnv>(
             let reconciled = reconcile_member(held, m, now, &mut fx)?;
             held.span(m, SpanKind::Reconcile, false);
             match reconciled {
+                // No mutation grant, nothing to flush: finished here.
+                Ok(writes) if writes.is_empty() => {
+                    for &s in m.shards {
+                        fx.merge(held.gtm(s)?.commit_finish(m.txn, now)?);
+                    }
+                    read_only.push(m.txn);
+                }
                 Ok(writes) => {
                     let sst = Sst::new(m.txn, writes);
                     match batch.as_mut() {
@@ -161,6 +171,9 @@ pub fn commit_wave<E: CommitEnv>(
         Ok((batch, strays, held.gtm(lead_shard)?.config()))
     });
     env.effects(fx);
+    for txn in read_only {
+        settled(txn, CommitResult::Committed);
+    }
     let (batch, strays, config) = local?;
 
     // ---- flush + finish ---------------------------------------------------
@@ -288,10 +301,8 @@ fn settle<E: CommitEnv>(
 
     let (fate, failure) = match outcome {
         Ok(()) => {
-            for (m, sst) in parked(wave, &batch) {
-                if !sst.is_empty() {
-                    env.emit(m.home, TraceEvent::SstApplied { txn: m.txn });
-                }
+            for (m, _) in parked(wave, &batch) {
+                env.emit(m.home, TraceEvent::SstApplied { txn: m.txn });
             }
             // Labeled fault seam: the fused SST is durable but no member
             // has learned the outcome — the window where the commit

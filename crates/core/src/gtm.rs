@@ -877,7 +877,7 @@ impl Gtm {
                 // The paper's "link drops mid-reconcile": each resource's
                 // reconciliation is a separate arrival at the seam.
                 self.fault_check(FaultSite::Reconcile { shard: self.fault_shard }, now)?;
-                let (permanent, resource) = (self.perm(slot)?, self.id(slot));
+                let resource = self.id(slot);
                 let grant = self.rows[slot].holders.get_key_mut(&txn).ok_or_else(|| {
                     PstmError::internal(format!("{txn} committing {resource} without a row"))
                 })?;
@@ -885,6 +885,10 @@ impl Gtm {
                 if !grant.class.is_mutation() {
                     continue;
                 }
+                // Only a write reads the permanent value it reconciles with
+                // (`perm` inlined: `grant` still borrows `self.rows`).
+                let (_, b) = self.bindings.at(slot);
+                let permanent = self.db.get_col(b.table, b.row, b.column)?;
                 if let Some(new) = reconcile(grant.class, &grant.temp, &grant.read, &permanent)? {
                     writes.push((resource, new));
                     self.obs.emit(now, TraceEvent::Reconciled { txn, resource });

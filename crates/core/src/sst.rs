@@ -47,8 +47,8 @@ impl Sst {
         self.origin.sst_engine()
     }
 
-    /// Whether there is anything to write (read-only transactions produce
-    /// empty SSTs that are skipped).
+    /// Whether there is anything to write (the coordinator builds no SST
+    /// for a transaction without writes; an empty one executes as a no-op).
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.writes.is_empty()

@@ -1,9 +1,9 @@
 //! Commit-path coverage: the eq. 2 exactness regression, the per-(shard,
 //! txn) primitives and the one coordinator that drives them
 //! (`commit_wave`: fusion, the disjointness cut, per-member unwind, retry
-//! accounting, and a wave-shape × flush-outcome table), and failure-path
-//! bookkeeping (mid-loop reconciliation errors, admission headroom after
-//! SST aborts).
+//! accounting, a reader settled without a flush, and a wave-shape ×
+//! flush-outcome table), and failure-path bookkeeping (mid-loop
+//! reconciliation errors, admission headroom after SST aborts).
 
 use pstm_core::commit::{commit_wave, Member, Owned};
 use pstm_core::gtm::{CommitResult, Gtm, GtmConfig, LocalCommit};
@@ -322,6 +322,61 @@ fn wave_the_cut_leaves_one_member_of_flushes_ungrouped() {
         })
         .collect();
     assert_eq!(engine_commits, vec![t(1).sst_engine()]);
+}
+
+#[test]
+fn wave_settles_a_reader_in_the_local_phase_and_flushes_the_writer_alone() {
+    // A member with no mutation grant has nothing to flush: the local
+    // phase finishes it (its `Committed` precedes any flush event) and the
+    // batch is the writer alone — a batch of one, under the writer's own
+    // SST id, unannounced, one engine commit.
+    let (gtm, res) = setup(2, 100, GtmConfig::default());
+    let shard = RingSink::new(1 << 10);
+    let shard_trace = shard.handle();
+    let mut gtm = gtm.with_tracer(Tracer::with_sink(Box::new(shard)));
+    let engine = RingSink::new(1 << 10);
+    let engine_trace = engine.handle();
+    gtm.database().set_tracer(Tracer::with_sink(Box::new(engine)));
+    let (reader, writer) = (t(1), t(2));
+    for txn in [reader, writer] {
+        gtm.begin(txn, T0).unwrap();
+    }
+    for r in &res {
+        gtm.execute(reader, *r, ScalarOp::Read, T0).unwrap();
+    }
+    gtm.execute(writer, res[0], ScalarOp::Sub(Value::Int(1)), T0).unwrap();
+
+    let engine_commits = gtm.database().stats().commits;
+    let (fates, _) = commit_grouped(&mut gtm, &[reader, writer], ts(1.0));
+    assert_eq!(fates, vec![(reader, CommitResult::Committed), (writer, CommitResult::Committed)]);
+    assert_eq!(gtm.database().stats().commits, engine_commits + 1, "the writer's flush alone");
+    assert_eq!(value_of(&gtm, res[0]), Value::Int(99));
+
+    let trace = shard_trace.snapshot();
+    let at = |want: &dyn Fn(&TraceEvent) -> bool| trace.iter().position(|r| want(&r.event));
+    let attempts: Vec<(TxnId, u32)> = trace
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::SstAttempt { txn, writes } => Some((txn, writes)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(attempts, vec![(writer, 1)], "the reader joins no batch");
+    assert_eq!(at(&|e| matches!(e, TraceEvent::GroupCommit { .. })), None);
+    let reader_done = at(&|e| *e == TraceEvent::Committed { txn: reader }).unwrap();
+    let flush = at(&|e| matches!(e, TraceEvent::SstAttempt { .. })).unwrap();
+    assert!(reader_done < flush, "the reader settles before the flush");
+    let engine_commits: Vec<TxnId> = engine_trace
+        .snapshot()
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::EngineCommit { txn } => Some(txn),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(engine_commits, vec![writer.sst_engine()]);
+    gtm.verify_serializable().unwrap();
+    gtm.check_invariants().unwrap();
 }
 
 #[test]

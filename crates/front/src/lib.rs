@@ -341,14 +341,16 @@ struct FrontInner {
     groups: Vec<OwnLine<Mutex<CommitQueue>>>,
     /// Per-shard flush fences: one level *above* the shard mutexes in the
     /// lock order (fences ascending, then shard locks ascending; no path
-    /// acquires a fence while holding any shard). Every commit holds its
-    /// shards' fences across reconcile → SST flush → finish, so no commit
-    /// anywhere reconciles against permanent state while a flush to that
-    /// state is in flight (the lost-update window delta reconciliation
-    /// cannot close on its own). Grants, executes, and wakeups take only
-    /// the shard mutex and legitimately overlap a flush — that is the
-    /// whole point: the shard is released during the device round-trip
-    /// so waiting committers keep executing and fuse into the next wave.
+    /// acquires a fence while holding any shard). Every commit holding a
+    /// mutation grant holds its shards' fences across reconcile → SST
+    /// flush → finish, so no commit anywhere reconciles against permanent
+    /// state while a flush to that state is in flight (the lost-update
+    /// window delta reconciliation cannot close on its own). A read-only
+    /// commit reconciles nothing and takes none. Grants, executes, and
+    /// wakeups take only the shard mutex and legitimately overlap a flush
+    /// — that is the whole point: the shard is released during the device
+    /// round-trip so waiting committers keep executing and fuse into the
+    /// next wave.
     flush_fences: Vec<OwnLine<Mutex<()>>>,
     /// THE wake path: every resume/abort signal `deposit` routes goes
     /// through this registry to the one waiter it addresses (see
@@ -526,6 +528,7 @@ impl ShardedFront {
             begun: ShardSet::new(),
             finished: false,
             waited: false,
+            mutates: false,
             home: None,
             leaf: None,
             spans: SpanLedger::default(),
@@ -920,6 +923,10 @@ pub struct Session {
     /// wake registry hold an entry for it, so a session that never waited
     /// finishes without touching the registry.
     waited: bool,
+    /// Set once the session submitted a mutation: only then does its
+    /// commit have writes to flush, so only then does it queue at its
+    /// shard and take flush fences.
+    mutates: bool,
     /// The first shard this session touched. All of the session's spans
     /// belong to the home shard so the span tree stays in one trace;
     /// `None` until the first `execute` (a session that never touches a
@@ -1040,6 +1047,7 @@ impl Session {
     ) -> PstmResult<TryExec> {
         self.ensure_open()?;
         let shard = self.front.shard_of(resource);
+        self.mutates |= op.is_mutation();
         let (outcome, denied_admission) = {
             let mut gtm = self.front.inner.shards[shard].lock();
             // One reading, taken once the shard is held, for all the call
@@ -1161,19 +1169,21 @@ impl Session {
 
     /// Commits the session through the one coordinator
     /// ([`commit_wave`]), whatever the shard count, under the touched
-    /// shards' flush fences: shards locked in ascending order for
-    /// `commit_local` (reconciliation), all write sets folded into **one**
-    /// SST flushed with no shard held, shards re-locked for
-    /// `commit_finish`/`commit_abort`. A cross-shard session is the wave
+    /// shards' flush fences if it mutated anything: shards locked in
+    /// ascending order for `commit_local` (reconciliation), all write sets
+    /// folded into **one** SST flushed with no shard held, shards
+    /// re-locked for `commit_finish`/`commit_abort`. A cross-shard session is the wave
     /// of one. A single-shard session queues at its shard first, and
     /// whoever wins the fence next — this session or a concurrent
     /// committer — commits everything queued there as one wave: the
     /// coordinator takes the shard mutex only for its two brief
     /// bookkeeping phases, so sessions keep executing during the device
     /// round-trip and their commits pile onto the queue to fuse into the
-    /// next flush, while a lone committer is simply the wave of one.
-    /// Either way the `commit` span gets its `reconcile` and
-    /// `sst_attempt{n}` children from the coordinator.
+    /// next flush, while a lone committer is simply the wave of one. A
+    /// read-only session neither queues nor fences: the coordinator
+    /// finishes it in its local phase, with no flush. The `commit` span
+    /// gets its `reconcile` child, and a flush its `sst_attempt{n}`
+    /// children, from the coordinator.
     pub fn commit(&mut self) -> PstmResult<CommitResult> {
         self.ensure_open()?;
         self.finished = true;
@@ -1184,7 +1194,7 @@ impl Session {
         };
         // In line before the `commit` span opens: a trace that shows the
         // span shows a session the next fence holder will find queued.
-        let slot = (shards.len() == 1).then(|| {
+        let slot = (self.mutates && shards.len() == 1).then(|| {
             let slot = COMMIT_SLOT.with(Arc::clone);
             // Empty unless a commit of this thread unwound mid-wave.
             *slot.lock() = None;
@@ -1202,8 +1212,10 @@ impl Session {
             // Flush fences first (two-level lock order, see
             // `FrontInner::flush_fences`): reconciliation must not read
             // permanent state while a fused flush to any of these shards
-            // is in flight with the shard mutex released.
-            let _fences = self.front.lock_flush_fences(&shards, slot.is_some());
+            // is in flight with the shard mutex released. A read-only
+            // session reconciles nothing, so it fences nothing.
+            let fenced = if self.mutates { &shards[..] } else { &[] };
+            let _fences = self.front.lock_flush_fences(fenced, slot.is_some());
             let home = self.home.unwrap_or(first);
             let env = &mut FrontEnv::new(&self.front, (self.id, home), &mut self.spans);
             match slot {

@@ -2,7 +2,8 @@
 //! meet at a shard's flush fence fuse into one SST flush behind whoever
 //! holds the fence, with per-member outcomes, full counter accounting
 //! and clean crash unwind — and a committer that meets nobody is exactly
-//! the solo commit.
+//! the solo commit. A read-only committer meets nobody: it has nothing to
+//! flush, so it neither queues nor waits for the fence.
 
 use pstm_core::gtm::CommitResult;
 use pstm_faults::{FaultInjector, FaultPlan};
@@ -12,6 +13,7 @@ use pstm_types::{
     AbortReason, FaultDecision, FaultHook, FaultSite, ResourceId, ScalarOp, TxnId, Value,
 };
 use pstm_workload::counter_world;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
@@ -289,4 +291,56 @@ fn grouped_commit_span_has_reconcile_and_sst_attempt_children() {
     assert_eq!(commit.kind, pstm_obs::SpanKind::Commit);
     let children: Vec<&'static str> = commit.children.iter().map(|c| c.kind.phase()).collect();
     assert_eq!(children, vec!["reconcile", "sst_attempt"]);
+}
+
+/// Signals the first `pre-sst` arrival and proceeds: its committer holds
+/// the shard's flush fence from then until its flush applied.
+struct SignalPreSst(Mutex<Option<Sender<()>>>);
+
+impl FaultHook for SignalPreSst {
+    fn decide(&self, site: FaultSite) -> FaultDecision {
+        if site == FaultSite::PreSst {
+            if let Some(entered) = self.0.lock().unwrap().take() {
+                entered.send(()).unwrap();
+            }
+        }
+        FaultDecision::Proceed
+    }
+}
+
+/// A read-only session reconciles nothing, so it takes no flush fence: it
+/// commits while a writer's 200 ms flush to the same shard — of a counter
+/// the reader read — is still in flight.
+#[test]
+fn read_only_commit_does_not_wait_behind_a_flush_in_flight() {
+    let world = counter_world(2, INITIAL).unwrap();
+    let config = FrontConfig { shards: 1, ..FrontConfig::default() };
+    let front = ShardedFront::new(world.db.clone(), world.bindings.clone(), config);
+    world.db.set_apply_latency(std::time::Duration::from_millis(200));
+    let (entered_tx, entered) = channel();
+    front.set_fault_hook(Arc::new(SignalPreSst(Mutex::new(Some(entered_tx)))));
+
+    let mut writer = booked(&front, world.resources[0], 1);
+    let mut reader = front.session();
+    for r in &world.resources {
+        let read = reader.execute(*r, ScalarOp::Read).unwrap();
+        assert_eq!(read, SessionOutcome::Value(Value::Int(INITIAL)), "Read is compatible");
+    }
+    let flushed = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let fate = writer.commit().unwrap();
+            flushed.store(true, Ordering::SeqCst);
+            fate
+        });
+        entered.recv().unwrap();
+        assert_eq!(reader.commit().unwrap(), CommitResult::Committed);
+        assert!(!flushed.load(Ordering::SeqCst), "the reader waited for the writer's flush");
+        assert_eq!(writer.join().unwrap(), CommitResult::Committed);
+    });
+
+    front.verify_serializable().unwrap();
+    front.check_invariants().unwrap();
+    assert_eq!(front.resource_value(world.resources[0]).unwrap(), Value::Int(INITIAL - 1));
+    assert_eq!(front.stats().committed, 2);
 }

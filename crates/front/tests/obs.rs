@@ -7,7 +7,7 @@ use pstm_front::{FrontConfig, SessionOutcome, ShardedFront};
 use pstm_obs::{
     build_span_trees, Ctr, MetricsRegistry, RingHandle, RingSink, SpanKind, TraceEvent, Tracer,
 };
-use pstm_types::{ScalarOp, Value};
+use pstm_types::{ResourceId, ScalarOp, TxnId, Value};
 use pstm_workload::counter_world;
 
 const OBJECTS: usize = 8;
@@ -153,6 +153,90 @@ fn blocked_session_span_names_the_contended_resource() {
     let snap = front.fleet_snapshot();
     assert!(snap.registry.blocked_by_resource()[&r] > 0);
     assert!(snap.registry.phase_time()["blocked"] > 0);
+}
+
+/// A `read_mostly`-shaped stream, seeded: 95 % of its transactions read
+/// four distinct counters, 5 % assign one. Only the assigners have writes,
+/// so only they flush: `sst_attempts` and `reconciliations` both count the
+/// assigners exactly, dark and traced alike, and the traced front's
+/// records replay to its live registries. A reader's span tree is
+/// `session ⊃ {work, commit ⊃ reconcile}`; an assigner's commit keeps its
+/// `sst_attempt`.
+#[test]
+fn read_mostly_stream_flushes_only_its_writers() {
+    const SHARDS: usize = 4;
+    const COUNTERS: usize = 16;
+    /// Runs the stream; returns the assigners' ids.
+    fn stream(front: &ShardedFront, resources: &[ResourceId]) -> Vec<TxnId> {
+        let mut rng = 0x5EED_0033_u64;
+        let mut below = |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        let mut writers = Vec::new();
+        for _ in 0..400 {
+            let mut session = front.session();
+            if below(100) < 5 {
+                let c = below(COUNTERS);
+                session.execute(resources[c], ScalarOp::Assign(Value::Int(7))).unwrap();
+                writers.push(session.id());
+            } else {
+                let mut read = Vec::new();
+                while read.len() < 4 {
+                    let c = below(COUNTERS);
+                    if !read.contains(&c) {
+                        read.push(c);
+                        session.execute(resources[c], ScalarOp::Read).unwrap();
+                    }
+                }
+            }
+            assert_eq!(session.commit().unwrap(), CommitResult::Committed);
+        }
+        writers
+    }
+
+    let world = counter_world(COUNTERS, INITIAL).unwrap();
+    let config = FrontConfig { shards: SHARDS, ..FrontConfig::default() };
+    let dark = ShardedFront::new(world.db.clone(), world.bindings.clone(), config);
+    let writers = stream(&dark, &world.resources);
+    assert!(!writers.is_empty() && writers.len() < 40, "{} assigners in 400", writers.len());
+    let dark = dark.fleet_snapshot().registry;
+    let assigners = writers.len() as u64;
+    assert_eq!(dark.counter(Ctr::SstAttempts), assigners, "one flush per assigner, none else");
+    assert_eq!(dark.counter(Ctr::Reconciliations), assigners, "one assigned counter each");
+    assert_eq!(dark.counter(Ctr::GroupCommits), 0);
+
+    let (front, handles, world) = traced_front(SHARDS, COUNTERS);
+    assert_eq!(stream(&front, &world.resources), writers, "the same stream");
+    let fleet = front.fleet_snapshot();
+    for c in Ctr::ALL {
+        assert_eq!(dark.counter(*c), fleet.registry.counter(*c), "dark vs traced: {}", c.name());
+    }
+    let mut trees = std::collections::BTreeMap::new();
+    for (i, handle) in handles.iter().enumerate() {
+        let (records, dropped) = handle.snapshot_with_drops();
+        assert_eq!(dropped, 0, "shard {i}: ring too small for the stream");
+        let replayed = MetricsRegistry::from_records(&records);
+        for c in Ctr::ALL {
+            let live = fleet.per_shard[i].counter(*c);
+            assert_eq!(replayed.counter(*c), live, "shard {i}: replay vs live: {}", c.name());
+        }
+        trees.extend(build_span_trees(&records));
+    }
+    assert_eq!(trees.len(), 400, "every session has its tree in its home shard");
+    for (txn, roots) in &trees {
+        let [root] = &roots[..] else { panic!("{txn}: {} roots", roots.len()) };
+        let phases: Vec<&'static str> = root.children.iter().map(|c| c.kind.phase()).collect();
+        assert_eq!(phases, ["work", "commit"], "{txn}");
+        let commit = &root.children[1];
+        let children: Vec<&'static str> = commit.children.iter().map(|c| c.kind.phase()).collect();
+        match writers.contains(txn) {
+            true => assert_eq!(children, ["reconcile", "sst_attempt"], "assigner {txn}"),
+            false => assert_eq!(children, ["reconcile"], "reader {txn}"),
+        }
+    }
 }
 
 /// The satellite's 4-thread trace-integrity check: per-shard sequence
