@@ -1,7 +1,7 @@
 //! Source-level invariant lints.
 //!
 //! A self-contained scanner (no external parser) over the workspace
-//! source enforcing four review rules the compiler cannot:
+//! source enforcing five review rules the compiler cannot:
 //!
 //! - **`wall-clock`** — the identifiers `Instant` and `SystemTime` may
 //!   appear only in `pstm-obs`'s wall-clock seam — the epoch bridge
@@ -25,11 +25,12 @@
 //!   documents its panic.)
 //! - **`wal-seam`** — inside `crates/storage/src/wal.rs`, the log
 //!   buffer may be mutated only by `flush_staged` (the one durable-write
-//!   path, which consults the `FaultHook` seam; `append`, `append_batch`
-//!   and the engine's commit path all write through it) and the named
-//!   recovery/chaos helpers. A new function that grows the log without
-//!   passing through `flush_staged` would silently escape fault
-//!   injection — and the chaos suite's crash-recovery guarantees with it.
+//!   path, which asks the engine's fault seam about `wal-append`;
+//!   `append`, `append_batch` and the engine's commit path all write
+//!   through it) and the named recovery/chaos helpers. A new function
+//!   that grows the log without passing through `flush_staged` would
+//!   silently escape fault injection — and the chaos suite's
+//!   crash-recovery guarantees with it.
 //! - **`recorder-seam`** — the flight recorder's raw file plumbing (the
 //!   positional open-for-write and data-sync calls) may appear only in
 //!   `crates/obs/src/recorder.rs`. Every other crate talks to the
@@ -37,6 +38,11 @@
 //!   implementation is the one place torn-tail semantics, write-through
 //!   durability and drop accounting are decided. This rule ships with
 //!   **zero** allowlist entries — nothing is grandfathered.
+//! - **`fault-seam`** — a fault hook's `decide` may be called only in the
+//!   storage engine's seam (`crates/storage/src/fault.rs`), which holds
+//!   the one installed hook; every labeled site asks the engine. A second
+//!   caller would be a second hook that one install does not reach. No
+//!   allowlist entry can waive it: one would only ever be reported stale.
 //!
 //! Scanning is line-based: `//` comments are stripped (string-literal
 //! aware), `#[cfg(test)]` items are skipped by brace counting, and each
@@ -96,6 +102,13 @@ const RECORDER_SEAM_FILE: &str = "crates/obs/src/recorder.rs";
 /// `concat!` so this file never contains the banned tokens itself.
 const RECORDER_IO_TOKENS: [&str; 2] = [concat!("Open", "Options"), concat!("sync", "_data")];
 
+/// The fault seam: the only file allowed to ask a hook directly.
+const FAULT_SEAM_FILE: &str = "crates/storage/src/fault.rs";
+
+/// A call of `FaultHook::decide`, built with `concat!` so this file never
+/// contains it itself.
+const FAULT_DECIDE_TOKEN: &str = concat!(".dec", "ide(");
+
 /// The file the `wal-seam` rule applies to.
 const WAL_SEAM_FILE: &str = "crates/storage/src/wal.rs";
 
@@ -130,6 +143,8 @@ pub enum Rule {
     WalSeam,
     /// Recorder file I/O outside `crates/obs/src/recorder.rs`.
     RecorderSeam,
+    /// A fault hook asked outside `crates/storage/src/fault.rs`.
+    FaultSeam,
     /// An allowlist entry that matched nothing.
     StaleAllowlist,
 }
@@ -143,6 +158,7 @@ impl Rule {
             Rule::NoPanicCommitPath => "no-panic-commit-path",
             Rule::WalSeam => "wal-seam",
             Rule::RecorderSeam => "recorder-seam",
+            Rule::FaultSeam => "fault-seam",
             Rule::StaleAllowlist => "stale-allowlist",
         }
     }
@@ -393,6 +409,7 @@ struct Scope {
     no_panic: bool,
     wal_seam: bool,
     recorder_seam: bool,
+    fault_seam: bool,
 }
 
 fn scope_of(file: &str) -> Scope {
@@ -403,7 +420,8 @@ fn scope_of(file: &str) -> Scope {
             || file.starts_with("crates/front/src/");
     let wal_seam = file == WAL_SEAM_FILE;
     let recorder_seam = file != RECORDER_SEAM_FILE;
-    Scope { wall_clock, timing, no_panic, wal_seam, recorder_seam }
+    let fault_seam = file != FAULT_SEAM_FILE;
+    Scope { wall_clock, timing, no_panic, wal_seam, recorder_seam, fault_seam }
 }
 
 fn scan_file(file: &str, text: &str, allow: &mut Allowlist, out: &mut Vec<Violation>) {
@@ -413,6 +431,7 @@ fn scan_file(file: &str, text: &str, allow: &mut Allowlist, out: &mut Vec<Violat
         && !scope.no_panic
         && !scope.wal_seam
         && !scope.recorder_seam
+        && !scope.fault_seam
     {
         return;
     }
@@ -502,6 +521,9 @@ fn scan_file(file: &str, text: &str, allow: &mut Allowlist, out: &mut Vec<Violat
                     break;
                 }
             }
+        }
+        if scope.fault_seam && code.contains(FAULT_DECIDE_TOKEN) {
+            out.push(violation(Rule::FaultSeam, file, line_no, &current_fn, raw));
         }
     }
 }
@@ -705,6 +727,25 @@ mod tests {
         assert!(out.iter().all(|v| v.rule == Rule::RecorderSeam), "{out:?}");
         assert_eq!(out[0].func.as_deref(), Some("open_rec"));
         assert_eq!(out[1].func.as_deref(), Some("settle"));
+    }
+
+    #[test]
+    fn fault_hooks_are_asked_only_in_the_engine_seam() {
+        let src = concat!(
+            "fn fault_check(&self) { let d = hook.dec",
+            "ide(site); }\n#[cfg(test)]\nmod tests {\n    fn t() { hook.dec",
+            "ide(site); }\n}\n"
+        );
+        let mut allow =
+            Allowlist::parse("fault-seam crates/core/src/gtm.rs::fault_check\n").expect("parses");
+        let mut out = Vec::new();
+        scan_file(FAULT_SEAM_FILE, src, &mut allow, &mut out);
+        assert!(out.is_empty(), "the seam file itself must be exempt: {out:?}");
+        // Elsewhere the live call fires — an allowlist entry cannot waive
+        // it — and the test module's call does not.
+        scan_file("crates/core/src/gtm.rs", src, &mut allow, &mut out);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!((out[0].rule, out[0].func.as_deref()), (Rule::FaultSeam, Some("fault_check")));
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //!    are required, shard guards are the lost-update window PR 7 closed.
 //! 4. **Atomics discipline** (`atomics-relaxed`) — `Ordering::Relaxed`
 //!    may appear only in the declared seam files (prof slots, tracer
-//!    thread tags, the TxnId allocator), each site covered by a nearby
-//!    `relaxed:` justification comment, and seam files must pair
-//!    Acquire with Release (AcqRel counts as both).
+//!    thread tags, the fault seam's flag, the TxnId allocator), each site
+//!    covered by a nearby `relaxed:` justification comment, and seam
+//!    files must pair Acquire with Release (AcqRel counts as both).
 //! 5. **Blocking context** (`blocking-context`) — functions tagged
 //!    `pstm-lockgraph: event-loop` (the future async front-end's hot
 //!    paths, ROADMAP item 1) must not reach mutex acquisition,
@@ -137,8 +137,12 @@ impl fmt::Display for LgViolation {
 
 /// Declared atomics seams: the only files where `Ordering::Relaxed` is
 /// legal (each site still needs a `relaxed:` justification comment).
-pub const ATOMIC_SEAM_FILES: &[&str] =
-    &["crates/obs/src/prof.rs", "crates/obs/src/tracer.rs", "crates/types/src/ids.rs"];
+pub const ATOMIC_SEAM_FILES: &[&str] = &[
+    "crates/obs/src/prof.rs",
+    "crates/obs/src/tracer.rs",
+    "crates/storage/src/fault.rs",
+    "crates/types/src/ids.rs",
+];
 
 /// Helpers that return guards: `(fn name, lock class, guard type)`.
 /// `lock_shards_ascending` is the *only* sanctioned multi-shard path.
@@ -200,7 +204,6 @@ fn classify(file: &str, recv: &str, kind: AccessKind) -> Option<String> {
                 () if front && recv == "wakes" => "wake_registry",
                 () if front && recv == "cell" => "oneshot_cell",
                 () if front && matches!(recv, "slot" | "member_slot") => "commit_slot",
-                () if front && recv == "fault_hook" => "front_fault_hook",
                 () if front && recv == "recorder" => "front_recorder",
                 () if file == "crates/obs/src/tracer.rs" && recv == "inner" => "tracer_inner",
                 () if file == "crates/obs/src/sink.rs" && recv == "inner" => "sink_inner",
@@ -211,15 +214,11 @@ fn classify(file: &str, recv: &str, kind: AccessKind) -> Option<String> {
             }
             .to_string(),
         ),
-        AccessKind::Read | AccessKind::Write if file == "crates/storage/src/engine.rs" => {
-            match recv {
-                "inner" => Some("engine_inner"),
-                "fault_hook" => Some("engine_fault_hook"),
-                _ => None,
-            }
-            .map(str::to_string)
-        }
-        AccessKind::Read | AccessKind::Write => None,
+        AccessKind::Read | AccessKind::Write => match (file, recv) {
+            ("crates/storage/src/engine.rs", "inner") => Some("engine_inner".to_string()),
+            ("crates/storage/src/fault.rs", "hook") => Some("engine_fault_hook".to_string()),
+            _ => None,
+        },
     }
 }
 
@@ -230,8 +229,9 @@ pub fn class_level(class: &str) -> Option<u8> {
     match class {
         "flush_fence" => Some(0),
         "gtm_shard" => Some(1),
-        "group_queue" | "wake_registry" | "oneshot_cell" | "commit_slot" | "front_fault_hook"
-        | "front_recorder" => Some(2),
+        "group_queue" | "wake_registry" | "oneshot_cell" | "commit_slot" | "front_recorder" => {
+            Some(2)
+        }
         "engine_inner" | "engine_fault_hook" | "tracer_inner" | "sink_inner" | "recorder_dev"
         | "prof_slots" | "faults_state" => Some(3),
         _ => None,

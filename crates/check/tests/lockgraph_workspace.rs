@@ -76,10 +76,10 @@ fn coordinator_acquisitions_stay_visible_through_the_env_seam() {
     // The one commit coordinator reaches the front-end's locks only
     // through `CommitEnv` (generic dispatch). Pin that the analyzer still
     // charges them to the fence-holding caller: the shard mutexes via the
-    // `with_shards` scope, the fault-hook and wake-registry mutexes via the
-    // trait-typed `env` receiver resolving to every implementor.
+    // `with_shards` scope, the wake-registry mutex via the trait-typed
+    // `env` receiver resolving to every implementor.
     let report = report();
-    for to in ["gtm_shard", "front_fault_hook", "wake_registry"] {
+    for to in ["gtm_shard", "wake_registry"] {
         let site = report.edges.get(&("flush_fence".to_string(), to.to_string()));
         assert!(
             site.is_some_and(|s| s.contains("fn Session::commit")),
@@ -93,8 +93,8 @@ fn coordinator_acquisitions_stay_visible_through_the_env_seam() {
         assert!(!report.edges.contains_key(&edge), "gtm_shard -> {to}: {:?}", report.edges[&edge]);
     }
     // The certified graph, exactly: it cannot silently regrow.
-    assert_eq!(report.classes.len(), 18, "lock classes: {:?}", report.classes);
-    assert_eq!(report.edges.len(), 15, "lock-order edges: {:?}", report.edges.keys());
+    assert_eq!(report.classes.len(), 17, "lock classes: {:?}", report.classes);
+    assert_eq!(report.edges.len(), 19, "lock-order edges: {:?}", report.edges.keys());
 }
 
 #[test]

@@ -174,12 +174,14 @@ fn replay(plans: &[Plan], n_shards: usize, schedule: &[usize]) -> Vec<Value> {
         let p = &plans[c];
         match step {
             Step::Lock(_) | Step::Unlock => {} // modeled abstractly
-            Step::CommitLocal(s) => match shards[s].commit_local(p.txn, now).expect("local") {
-                LocalCommit::Prepared(w) => writes[c].extend(w),
-                LocalCommit::Aborted(reason, _) => {
-                    panic!("compatible add/sub commit_local aborted: {reason:?}")
+            Step::CommitLocal(s) => {
+                match shards[s].commit_local(p.txn, s as u32, now).expect("local") {
+                    LocalCommit::Prepared(w) => writes[c].extend(w),
+                    LocalCommit::Aborted(reason, _) => {
+                        panic!("compatible add/sub commit_local aborted: {reason:?}")
+                    }
                 }
-            },
+            }
             Step::Sst => {
                 if p.sst_fails {
                     sst_ok[c] = false;

@@ -13,19 +13,21 @@
 //! flush fence. A flush is *grouped* exactly when its batch holds more
 //! than one member ([`SstBatch::engine_txn`]), whoever submitted it.
 //! What differs between callers — how shards are reached, the clock, what
-//! a retry back-off costs, the fault seam, where effects and trace events
-//! go — lives behind [`CommitEnv`]. Its three implementors are [`Owned`]
-//! (virtual time over GTMs the caller owns: [`Gtm::commit`], the
-//! simulator), `pstm-front`'s locking wall-clock environment, and the
-//! chaos harness's ticking virtual clock.
+//! a retry back-off costs, where effects and trace events go — lives
+//! behind [`CommitEnv`]. Its three implementors are [`Owned`] (virtual
+//! time over GTMs the caller owns: [`Gtm::commit`], the simulator),
+//! `pstm-front`'s locking wall-clock environment, and the chaos harness's
+//! ticking virtual clock. The `pre-sst` and `pre-finish` seams are not
+//! theirs: like every labeled site they ask the engine
+//! ([`Database::fault`]).
 
 use crate::gtm::{CommitResult, Gtm, GtmConfig, LocalCommit};
 use crate::sst::{Sst, SstBatch, Writes};
 use pstm_obs::{SpanKind, TraceEvent};
 use pstm_storage::{BindingRegistry, Database};
 use pstm_types::{
-    AbortReason, Duration, FaultDecision, FaultSite, InlineVec, PstmError, PstmResult, ResourceId,
-    StepEffects, Timestamp, TxnId,
+    AbortReason, Duration, FaultSite, InlineVec, PstmError, PstmResult, ResourceId, StepEffects,
+    Timestamp, TxnId,
 };
 use std::borrow::Cow;
 
@@ -80,9 +82,6 @@ pub trait CommitEnv {
     /// One retry back-off of `delay`: a wall-clock park, or a charge of
     /// virtual time.
     fn backoff(&mut self, delay: Duration);
-
-    /// The coordinator's own fault seam (`pre-sst`, `pre-finish`).
-    fn fault(&mut self, site: FaultSite) -> FaultDecision;
 
     /// Emits `event` into shard `home`'s tracer, stamped with the
     /// environment's clock.
@@ -205,7 +204,7 @@ fn reconcile_member(
 ) -> PstmResult<Result<Writes, AbortReason>> {
     let mut writes = Writes::new();
     for (k, &s) in m.shards.iter().enumerate() {
-        match held.gtm(s)?.commit_local(m.txn, now)? {
+        match held.gtm(s)?.commit_local(m.txn, s as u32, now)? {
             LocalCommit::Prepared(w) if writes.is_empty() => writes = w,
             LocalCommit::Prepared(w) => writes.extend(w),
             LocalCommit::Aborted(reason, e) => {
@@ -252,15 +251,15 @@ fn settle<E: CommitEnv>(
     // injected I/O is a transient hiccup seeding the retry loop; a crash
     // kills the process with every member parked in `Committing` —
     // volatile state, so nothing of this wave may survive recovery.
-    let seeded = match env.fault(FaultSite::PreSst) {
-        FaultDecision::Proceed => None,
-        FaultDecision::Io => {
+    let seeded = match env.engine().0.fault(FaultSite::PreSst) {
+        None => None,
+        Some((action, e)) => {
             let site = FaultSite::PreSst.label();
-            env.emit(home, TraceEvent::FaultInjected { site, action: "io".into() });
-            Some(Err(PstmError::Io("injected pre-SST fault".into())))
-        }
-        FaultDecision::Crash | FaultDecision::Torn { .. } => {
-            return Err(crash(env, home, FaultSite::PreSst));
+            env.emit(home, TraceEvent::FaultInjected { site, action: action.into() });
+            if matches!(e, PstmError::Crashed(_)) {
+                return Err(e);
+            }
+            Some(Err(e))
         }
     };
     // Each member's attempt, then the group announcement: the order the
@@ -308,8 +307,11 @@ fn settle<E: CommitEnv>(
             // has learned the outcome — the window where the commit
             // decision lives only in the log. After a crash here recovery
             // must show every member's writes exactly once.
-            if env.fault(FaultSite::PreFinish) != FaultDecision::Proceed {
-                return Err(crash(env, home, FaultSite::PreFinish));
+            if env.engine().0.fault(FaultSite::PreFinish).is_some() {
+                let site = FaultSite::PreFinish.label();
+                let action = "crash".into();
+                env.emit(home, TraceEvent::FaultInjected { site: site.clone(), action });
+                return Err(PstmError::Crashed(site));
             }
             (CommitResult::Committed, None)
         }
@@ -360,13 +362,6 @@ fn settle<E: CommitEnv>(
     env.effects(fx);
     finished?;
     failure.map_or(Ok(()), Err)
-}
-
-/// Announces an injected crash at `site` — so a post-mortem over the
-/// recorder file can name the crash site — and builds its error.
-fn crash<E: CommitEnv>(env: &mut E, home: usize, site: FaultSite) -> PstmError {
-    env.emit(home, TraceEvent::FaultInjected { site: site.label(), action: "crash".into() });
-    PstmError::Crashed(site.label())
 }
 
 /// Every shard any of `members` touches, strictly ascending.
@@ -437,10 +432,6 @@ impl CommitEnv for Owned<'_> {
 
     fn backoff(&mut self, delay: Duration) {
         self.at += delay;
-    }
-
-    fn fault(&mut self, site: FaultSite) -> FaultDecision {
-        self.gtms[0].fault_hook.as_ref().map_or(FaultDecision::Proceed, |hook| hook.decide(site))
     }
 
     fn emit(&mut self, home: usize, event: TraceEvent) {

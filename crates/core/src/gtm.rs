@@ -34,8 +34,8 @@ use pstm_obs::prof::{self, CommitPhase};
 use pstm_obs::{AbortOrigin, Ctr, Emitter, MetricsRegistry, TraceEvent, Tracer};
 use pstm_storage::{BindingRegistry, Database};
 use pstm_types::{
-    AbortReason, CompatMatrix, Duration, ExecOutcome, FaultDecision, FaultSite, OpClass, PstmError,
-    PstmResult, ResourceId, ScalarOp, SharedFaultHook, StepEffects, Timestamp, TxnId, Value,
+    AbortReason, CompatMatrix, Duration, ExecOutcome, FaultSite, OpClass, PstmError, PstmResult,
+    ResourceId, ScalarOp, StepEffects, Timestamp, TxnId, Value,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -269,11 +269,6 @@ pub struct Gtm {
     /// exclusive access: an emit with no sink takes no lock.
     obs: Emitter,
     history: HistoryRecorder,
-    /// Seeded fault seam consulted at this manager's commit sites
-    /// (`commit-local`, `reconcile`); `None` outside chaos runs.
-    pub(crate) fault_hook: Option<SharedFaultHook>,
-    /// Shard index reported in this manager's fault-site labels.
-    fault_shard: u32,
     /// `(A_t_sleep, A)` of every sleeping transaction: the pruning
     /// horizon is its first entry, read without scanning `live`.
     sleepers: BTreeSet<(Timestamp, TxnId)>,
@@ -300,43 +295,19 @@ impl Gtm {
             config,
             dependence: DependenceMap::new(),
             obs: Emitter::default(),
-            fault_hook: None,
-            fault_shard: 0,
             sleepers: BTreeSet::new(),
             queued: BTreeSet::new(),
             spare: Vec::new(),
         }
     }
 
-    /// Installs a fault hook consulted at this manager's labeled commit
-    /// seams — the start of `commit_local` and each per-resource
-    /// reconciliation. `shard` tags the sites so plans can target one
-    /// shard of a sharded front-end; single-manager setups pass 0. The
-    /// engine's own seams (WAL append, SST apply) are installed
-    /// separately via `Database::set_fault_hook`.
-    pub fn set_fault_hook(&mut self, hook: SharedFaultHook, shard: u32) {
-        self.fault_hook = Some(hook);
-        self.fault_shard = shard;
-    }
-
-    /// Consults the fault seam at `site`. `Io` surfaces as a transient
-    /// `PstmError::Io` (the commit path's existing mapping turns it into
-    /// a clean `SstFailure` abort); `Crash`/`Torn` kill the simulated
-    /// process — `PstmError::Crashed` propagates raw and the manager must
-    /// be discarded.
+    /// Asks the engine's fault seam about `site` (see [`Database::fault`]).
+    /// A transient `Io` fails the local commit into a clean `SstFailure`
+    /// abort; a crash propagates raw and the manager must be discarded.
     fn fault_check(&mut self, site: FaultSite, now: Timestamp) -> PstmResult<()> {
-        let Some(hook) = self.fault_hook.as_ref() else { return Ok(()) };
-        let (action, err) = match hook.decide(site) {
-            FaultDecision::Proceed => return Ok(()),
-            FaultDecision::Io => {
-                ("io", PstmError::Io(format!("injected fault at {}", site.label())))
-            }
-            FaultDecision::Crash | FaultDecision::Torn { .. } => {
-                ("crash", PstmError::Crashed(site.label()))
-            }
-        };
+        let Some((action, e)) = self.db.fault(site) else { return Ok(()) };
         self.obs.emit(now, TraceEvent::FaultInjected { site: site.label(), action: action.into() });
-        Err(err)
+        Err(e)
     }
 
     /// Streams this manager's records to `tracer`. Builder-style; call
@@ -856,8 +827,15 @@ impl Gtm {
     /// transaction is *parked* — the coordinator owns it until it calls
     /// [`Gtm::commit_finish`] (SST applied) or [`Gtm::commit_abort`] (SST
     /// failed). A local failure aborts the transaction immediately — it
-    /// must never strand in `Committing`.
-    pub fn commit_local(&mut self, txn: TxnId, now: Timestamp) -> PstmResult<LocalCommit> {
+    /// must never strand in `Committing`. `shard` is this manager's index,
+    /// the tag of its `commit-local` and `reconcile` fault sites (0 for a
+    /// lone manager).
+    pub fn commit_local(
+        &mut self,
+        txn: TxnId,
+        shard: u32,
+        now: Timestamp,
+    ) -> PstmResult<LocalCommit> {
         // The whole local commit is the reconcile phase; a failed commit's
         // unwind (abort_internal) carves out its own AbortUnwind time.
         let _phase = prof::PhaseTimer::start(CommitPhase::Reconcile);
@@ -871,12 +849,12 @@ impl Gtm {
         // Any error here (a reconciliation overflow, an engine read
         // failure) aborts the transaction.
         let local_result: PstmResult<Writes> = (|| {
-            self.fault_check(FaultSite::CommitLocal { shard: self.fault_shard }, now)?;
+            self.fault_check(FaultSite::CommitLocal { shard }, now)?;
             let mut writes = Writes::new();
             for &slot in &touched {
                 // The paper's "link drops mid-reconcile": each resource's
                 // reconciliation is a separate arrival at the seam.
-                self.fault_check(FaultSite::Reconcile { shard: self.fault_shard }, now)?;
+                self.fault_check(FaultSite::Reconcile { shard }, now)?;
                 let resource = self.id(slot);
                 let grant = self.rows[slot].holders.get_key_mut(&txn).ok_or_else(|| {
                     PstmError::internal(format!("{txn} committing {resource} without a row"))

@@ -142,7 +142,7 @@ fn phased_commit_local_sst_finish_round_trip() {
     gtm.begin(t(1), T0).unwrap();
     gtm.execute(t(1), res[0], ScalarOp::Sub(Value::Int(1)), T0).unwrap();
 
-    let writes = match gtm.commit_local(t(1), ts(1.0)).unwrap() {
+    let writes = match gtm.commit_local(t(1), 0, ts(1.0)).unwrap() {
         LocalCommit::Prepared(w) => w,
         other => panic!("expected Prepared, got {other:?}"),
     };
@@ -152,7 +152,7 @@ fn phased_commit_local_sst_finish_round_trip() {
     // While parked, neither commit_finish-after-terminal nor a second
     // commit_local is possible.
     assert!(matches!(
-        gtm.commit_local(t(1), ts(1.0)),
+        gtm.commit_local(t(1), 0, ts(1.0)),
         Err(PstmError::InvalidState { action: "commit", .. })
     ));
 
@@ -177,7 +177,7 @@ fn phased_commit_abort_releases_and_promotes() {
     let (o, _) = gtm.execute(t(2), res[0], ScalarOp::Assign(Value::Int(8)), T0).unwrap();
     assert_eq!(o, ExecOutcome::Waiting);
 
-    match gtm.commit_local(t(1), ts(1.0)).unwrap() {
+    match gtm.commit_local(t(1), 0, ts(1.0)).unwrap() {
         LocalCommit::Prepared(_) => {}
         other => panic!("expected Prepared, got {other:?}"),
     }
@@ -453,8 +453,8 @@ enum Flush {
 
 #[test]
 fn wave_shape_by_flush_outcome_table() {
-    use pstm_faults::{FaultInjector, FaultPlan};
-    use pstm_types::FailNextSstApplies;
+    use pstm_faults::{FaultInjector, FaultPlan, FaultRule, SiteMatcher, Trigger};
+    use pstm_types::{FaultDecision, FaultSite};
 
     // Resource `i` lives on shard `i % 2`. Each shape lists its members
     // as (txn, resources); a member's shards follow from its resources.
@@ -498,7 +498,14 @@ fn wave_shape_by_flush_outcome_table() {
             }
             match flush {
                 Flush::Ok | Flush::Constraint => {}
-                Flush::IoRetried => db.set_fault_hook(FailNextSstApplies::hook(1)),
+                Flush::IoRetried => db.set_fault_hook(Arc::new(FaultInjector::new(
+                    FaultPlan::new(1).with_rule(FaultRule {
+                        site: SiteMatcher::Exact(FaultSite::SstApply),
+                        trigger: Trigger::EachPpm(1_000_000),
+                        action: FaultDecision::Io,
+                        max_fires: 1,
+                    }),
+                ))),
                 Flush::IoExhausted => db.set_fault_hook(Arc::new(FaultInjector::new(
                     FaultPlan::new(1).io_on_sst_apply_each(1_000_000),
                 ))),

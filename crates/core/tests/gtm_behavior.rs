@@ -4,12 +4,24 @@
 use pstm_core::gtm::{AwakeResult, CommitResult, Gtm, GtmConfig};
 use pstm_core::policy::{AdmissionPolicy, StarvationPolicy};
 use pstm_core::TxnState;
+use pstm_faults::{FaultInjector, FaultPlan, FaultRule, SiteMatcher, Trigger};
 use pstm_storage::{BindingRegistry, ColumnDef, Constraint, Database, Row, TableSchema};
 use pstm_types::{
-    AbortReason, CompatMatrix, ExecOutcome, FailNextSstApplies, MemberId, PstmError, ResourceId,
-    ScalarOp, Timestamp, TxnId, Value, ValueKind,
+    AbortReason, CompatMatrix, ExecOutcome, FaultDecision, FaultSite, MemberId, PstmError,
+    ResourceId, ScalarOp, SharedFaultHook, Timestamp, TxnId, Value, ValueKind,
 };
 use std::sync::Arc;
+
+/// Fails the next `n` SST applies with a transient I/O, then proceeds.
+fn fail_next_sst_applies(n: u32) -> SharedFaultHook {
+    let rule = FaultRule {
+        site: SiteMatcher::Exact(FaultSite::SstApply),
+        trigger: Trigger::EachPpm(1_000_000),
+        action: FaultDecision::Io,
+        max_fires: n,
+    };
+    Arc::new(FaultInjector::new(FaultPlan::new(0).with_rule(rule)))
+}
 
 fn t(i: u64) -> TxnId {
     TxnId(i)
@@ -640,7 +652,7 @@ fn sst_transient_failure_is_retried() {
     let (mut gtm, res) = setup(1, config);
     gtm.begin(t(1), T0).unwrap();
     gtm.execute(t(1), res[0], ScalarOp::Sub(Value::Int(1)), T0).unwrap();
-    gtm.database().set_fault_hook(FailNextSstApplies::hook(1));
+    gtm.database().set_fault_hook(fail_next_sst_applies(1));
     let (r, _) = gtm.commit(t(1), ts(1.0)).unwrap();
     assert_eq!(r, CommitResult::Committed);
     assert_eq!(gtm.stats().sst_retries, 1);
@@ -661,7 +673,7 @@ fn sst_persistent_failure_aborts_with_clean_state() {
     let (o, _) = gtm.execute(t(2), res[0], ScalarOp::Assign(Value::Int(8)), T0).unwrap();
     assert_eq!(o, ExecOutcome::Waiting);
 
-    gtm.database().set_fault_hook(FailNextSstApplies::hook(10));
+    gtm.database().set_fault_hook(fail_next_sst_applies(10));
     let (r, fx) = gtm.commit(t(1), ts(1.0)).unwrap();
     assert_eq!(r, CommitResult::Aborted(AbortReason::SstFailure));
     assert_eq!(gtm.stats().sst_retries, 1);
@@ -685,7 +697,7 @@ fn paper_default_sst_failure_is_immediately_fatal() {
     let (mut gtm, res) = setup(1, GtmConfig::default());
     gtm.begin(t(1), T0).unwrap();
     gtm.execute(t(1), res[0], ScalarOp::Sub(Value::Int(1)), T0).unwrap();
-    gtm.database().set_fault_hook(FailNextSstApplies::hook(1));
+    gtm.database().set_fault_hook(fail_next_sst_applies(1));
     let (r, _) = gtm.commit(t(1), ts(1.0)).unwrap();
     assert_eq!(r, CommitResult::Aborted(AbortReason::SstFailure));
     assert_eq!(gtm.stats().sst_retries, 0);

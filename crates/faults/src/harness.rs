@@ -46,8 +46,8 @@ use pstm_obs::recorder::{read_recorder, Recorder, ENGINE_SHARD};
 use pstm_obs::{RingHandle, RingSink, Sink, TeeSink, TraceEvent, Tracer};
 use pstm_storage::{BindingRegistry, Database};
 use pstm_types::{
-    AbortReason, Duration, ExecOutcome, FaultDecision, FaultHook, FaultSite, PstmError, PstmResult,
-    ResourceId, ScalarOp, StepEffects, Timestamp, TxnId, Value,
+    AbortReason, Duration, ExecOutcome, PstmError, PstmResult, ResourceId, ScalarOp, StepEffects,
+    Timestamp, TxnId, Value,
 };
 use pstm_workload::counter_world;
 use rand::prelude::*;
@@ -233,11 +233,11 @@ impl Chaos {
         r.object.0 as usize % self.config.shards
     }
 
-    /// Builds a fresh epoch: new ring sinks, new shard managers, hooks
-    /// re-installed (the engine keeps its hook across recovery, but the
-    /// managers are new objects). In recorder mode each epoch also opens
-    /// its own flight-recorder file — one file per process lifetime — and
-    /// every stream is teed into it alongside the in-memory rings.
+    /// Builds a fresh epoch: new ring sinks and new shard managers (the
+    /// engine keeps the one fault hook across recovery, and the managers
+    /// ask it). In recorder mode each epoch also opens its own
+    /// flight-recorder file — one file per process lifetime — and every
+    /// stream is teed into it alongside the in-memory rings.
     fn new_epoch(&mut self) -> PstmResult<Epoch> {
         self.recorder = match &self.config.recorder_dir {
             Some(dir) => {
@@ -277,10 +277,10 @@ impl Chaos {
                 sst_retry_delay: Duration::from_secs_f64(0.001),
                 ..GtmConfig::default()
             };
-            let mut gtm = Gtm::new(Arc::clone(&self.db), self.bindings.clone(), gtm_config)
-                .with_tracer(tracer);
-            gtm.set_fault_hook(Arc::clone(&self.injector) as _, i as u32);
-            gtms.push(gtm);
+            gtms.push(
+                Gtm::new(Arc::clone(&self.db), self.bindings.clone(), gtm_config)
+                    .with_tracer(tracer),
+            );
         }
         Ok(Epoch { gtms, shard_rings, engine_ring })
     }
@@ -400,8 +400,8 @@ impl Chaos {
 
 /// The chaos run as the coordinator's environment: shards are the
 /// epoch's owned managers, every phase ticks the virtual clock, a retry
-/// back-off charges it, the injector is the fault seam, and each flush
-/// records what is in flight for the ledger's crash check.
+/// back-off charges it, and each flush records what is in flight for the
+/// ledger's crash check.
 struct ChaosEnv<'a> {
     chaos: &'a mut Chaos,
     gtms: &'a mut [Gtm],
@@ -439,10 +439,6 @@ impl CommitEnv for ChaosEnv<'_> {
 
     fn backoff(&mut self, delay: Duration) {
         self.chaos.clock += delay.0;
-    }
-
-    fn fault(&mut self, site: FaultSite) -> FaultDecision {
-        self.chaos.injector.decide(site)
     }
 
     fn emit(&mut self, home: usize, event: TraceEvent) {

@@ -1,5 +1,5 @@
 //! The [`FaultInjector`]: a [`FaultPlan`] made executable as the one
-//! [`FaultHook`] shared by every layer of the stack.
+//! [`FaultHook`] every layer of the stack asks, through the engine.
 //!
 //! The injector is the only stateful piece of the fault subsystem: it
 //! counts arrivals per site *kind* (so `commit-local@0` and
@@ -41,8 +41,8 @@ struct InjectorState {
     armed: bool,
 }
 
-/// See the module docs. Shared as an `Arc<FaultInjector>` (it is a
-/// [`FaultHook`]) across the engine, every GTM shard and the front-end.
+/// See the module docs. Installed as the engine's one hook
+/// (`Database::set_fault_hook`), which every labeled site asks.
 pub struct FaultInjector {
     plan: FaultPlan,
     state: Mutex<InjectorState>,

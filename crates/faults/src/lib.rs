@@ -5,8 +5,8 @@
 //! adversary for that assumption: a seed-driven [`FaultPlan`] describes
 //! *where* in the commit/SST/WAL path faults fire (the labeled
 //! [`pstm_types::FaultSite`]s threaded through storage, the GTM and the
-//! sharded front-end), a [`FaultInjector`] turns the plan into an installed
-//! [`pstm_types::FaultHook`], and [`run_chaos`] drives a full
+//! commit coordinator), a [`FaultInjector`] turns the plan into the
+//! engine's [`pstm_types::FaultHook`], and [`run_chaos`] drives a full
 //! counter-workload through crashes and recoveries, checking two recovery
 //! invariants after every restart:
 //!

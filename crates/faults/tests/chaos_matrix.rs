@@ -18,6 +18,7 @@
 use proptest::prelude::*;
 use pstm_faults::plan::SITE_KINDS;
 use pstm_faults::{run_chaos, ChaosConfig, FaultPlan};
+use pstm_obs::frame::checksum;
 use std::path::PathBuf;
 
 /// Per-test scratch directory for flight-recorder files; recreated by
@@ -221,6 +222,41 @@ fn identical_seeds_replay_byte_identically() {
         assert_eq!(a.fingerprint, b.fingerprint, "seed {seed} diverged");
         assert_eq!(a.faults, b.faults, "seed {seed} fault schedule diverged");
     }
+}
+
+/// Every deterministic `(seed, plan)` run above — the crash at every
+/// labeled point, the torn-WAL prefixes and the random matrix, solo and
+/// grouped — folded into one digest of their fingerprints, pinned at the
+/// commit before the engine became the only holder of the fault hook. A
+/// change that moves one site arrival, shard tag or fired fault fails
+/// here. The recorder stays off: it does not touch the fingerprint.
+#[test]
+fn deterministic_runs_fold_to_the_pinned_digest() {
+    const PINNED: (usize, u32) = (48_841, 3_498_494_164);
+    let mut folded = String::new();
+    for group in [false, true] {
+        let base = if group { 5000 } else { 1000 };
+        let mut plans = Vec::new();
+        for (k, kind) in SITE_KINDS.iter().enumerate() {
+            for n in 1..=8u64 {
+                let seed = base + (k as u64) * 100 + n;
+                plans.push((seed, FaultPlan::new(seed).crash_at_kind(kind, n)));
+            }
+        }
+        for keep in 1..=16u32 {
+            let seed = base + 1000 + u64::from(keep);
+            plans.push((seed, FaultPlan::new(seed).torn_wal_append(1 + u64::from(keep % 5), keep)));
+        }
+        let random = if group { 100..148 } else { 0..96 };
+        plans.extend(random.map(|seed| (seed, FaultPlan::random(seed))));
+        for (seed, plan) in plans {
+            let config = ChaosConfig::new(seed, plan);
+            let config = if group { config.with_group_commit() } else { config };
+            folded.push_str(&run_chaos(&config).unwrap().fingerprint);
+            folded.push('\n');
+        }
+    }
+    assert_eq!((folded.len(), checksum(folded.as_bytes())), PINNED);
 }
 
 proptest! {

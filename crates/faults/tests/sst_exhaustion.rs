@@ -9,11 +9,13 @@
 //! (`lock_shards_ascending`'s guards must fully unwind, observed via
 //! [`ShardedFront::shards_unlocked`]).
 
-use pstm_core::gtm::CommitResult;
+use pstm_core::gtm::{CommitResult, Gtm, GtmConfig};
+use pstm_faults::plan::SITE_KINDS;
 use pstm_faults::{FaultInjector, FaultPlan, FaultRule, SiteMatcher, Trigger};
 use pstm_front::{FrontConfig, SessionOutcome, ShardedFront};
 use pstm_obs::{RingSink, Tracer};
-use pstm_types::{AbortReason, FaultDecision, PstmError, ScalarOp, Value};
+use pstm_storage::Database;
+use pstm_types::{AbortReason, FaultDecision, PstmError, ScalarOp, Timestamp, TxnId, Value};
 use pstm_workload::counter_world;
 use std::sync::Arc;
 
@@ -48,7 +50,7 @@ fn run_ops(front: &ShardedFront, resources: &[pstm_types::ResourceId]) -> pstm_f
 fn persistent_io_exhausts_retries_into_sst_failure_without_leaking_locks() {
     let (front, resources) = front_over(8, 1_000, 4);
     let injector = Arc::new(FaultInjector::new(FaultPlan::new(11).io_on_sst_apply_each(1_000_000)));
-    front.set_fault_hook(Arc::clone(&injector) as _);
+    front.database().set_fault_hook(Arc::clone(&injector) as _);
 
     for _ in 0..6 {
         let mut session = run_ops(&front, &resources);
@@ -101,7 +103,7 @@ fn constraint_violations_surface_as_typed_aborts_not_panics() {
 fn injected_crash_mid_commit_unwinds_the_locks_before_poisoning() {
     let (front, resources) = front_over(8, 1_000, 4);
     let injector = Arc::new(FaultInjector::new(FaultPlan::new(13).crash_at_kind("pre-sst", 1)));
-    front.set_fault_hook(Arc::clone(&injector) as _);
+    front.database().set_fault_hook(Arc::clone(&injector) as _);
 
     let mut session = run_ops(&front, &resources);
     match session.commit() {
@@ -139,7 +141,7 @@ fn pre_sst_io_is_a_retried_transient_on_grouped_and_solo_waves_alike() {
         max_fires: 1,
     };
     let injector = Arc::new(FaultInjector::new(FaultPlan::new(17).with_rule(io_once)));
-    front.set_fault_hook(Arc::clone(&injector) as _);
+    front.database().set_fault_hook(Arc::clone(&injector) as _);
 
     let mut session = front.session();
     session.execute(world.resources[0], ScalarOp::Sub(Value::Int(1))).unwrap();
@@ -150,4 +152,37 @@ fn pre_sst_io_is_a_retried_transient_on_grouped_and_solo_waves_alike() {
     assert_eq!(injector.schedule().len(), 1, "the seam fired exactly once");
     assert!(front.shards_unlocked());
     front.check_invariants().unwrap();
+}
+
+/// One install reaches all six labeled sites: for every site kind, a
+/// `crash_at_kind(kind, 1)` plan set on the engine alone kills both a
+/// cross-shard front-end commit and a lone manager's [`Gtm::commit`] at
+/// that site.
+#[test]
+fn one_engine_install_reaches_every_labeled_site() {
+    let crash_at = |db: &Database, kind| {
+        db.set_fault_hook(Arc::new(FaultInjector::new(FaultPlan::new(19).crash_at_kind(kind, 1))));
+    };
+    for kind in SITE_KINDS {
+        let world = counter_world(8, 1_000).unwrap();
+        let config = FrontConfig { shards: 4, ..FrontConfig::default() };
+        let front = ShardedFront::new(Arc::clone(&world.db), world.bindings.clone(), config);
+        crash_at(&world.db, kind);
+        let front_fate = run_ops(&front, &world.resources).commit();
+
+        let world = counter_world(1, 1_000).unwrap();
+        let mut gtm = Gtm::new(Arc::clone(&world.db), world.bindings.clone(), GtmConfig::default());
+        crash_at(&world.db, kind);
+        gtm.begin(TxnId(1), Timestamp(1)).unwrap();
+        gtm.execute(TxnId(1), world.resources[0], ScalarOp::Sub(Value::Int(1)), Timestamp(1))
+            .unwrap();
+        let gtm_fate = gtm.commit(TxnId(1), Timestamp(2)).map(|(fate, _)| fate);
+
+        for (path, fate) in [("front", front_fate), ("gtm", gtm_fate)] {
+            assert!(
+                matches!(&fate, Err(PstmError::Crashed(site)) if site.split('@').next() == Some(kind)),
+                "{path} commit under a crash at {kind}: {fate:?}"
+            );
+        }
+    }
 }

@@ -75,8 +75,8 @@ use pstm_obs::{
 };
 use pstm_storage::{BindingRegistry, Database};
 use pstm_types::{
-    AbortReason, Duration, ExecOutcome, FaultDecision, FaultSite, InlineVec, PstmError, PstmResult,
-    ResourceId, ScalarOp, SharedFaultHook, StepEffects, Timestamp, TxnId, TxnIdAllocator, Value,
+    AbortReason, Duration, ExecOutcome, InlineVec, PstmError, PstmResult, ResourceId, ScalarOp,
+    StepEffects, Timestamp, TxnId, TxnIdAllocator, Value,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -356,10 +356,6 @@ struct FrontInner {
     /// through this registry to the one waiter it addresses (see
     /// [`WakeSlot`]). Never locked with a shard mutex held.
     wakes: Mutex<BTreeMap<TxnId, WakeSlot>>,
-    /// Fault seam consulted at the front-end's own phased-commit sites
-    /// (`pre-sst`, `pre-finish`); `None` outside chaos runs. Lives here
-    /// rather than in [`FrontConfig`] (which is `Copy`).
-    fault_hook: Mutex<Option<SharedFaultHook>>,
     /// Attached flight recorder, if any: every [`fleet_snapshot`]
     /// appends a metrics-delta record to it and reports its device stats.
     /// Lives here rather than in [`FrontConfig`] (which is `Copy`).
@@ -436,7 +432,6 @@ impl ShardedFront {
                 groups,
                 flush_fences,
                 wakes: Mutex::new(BTreeMap::new()),
-                fault_hook: Mutex::new(None),
                 recorder: Mutex::new(None),
             }),
         }
@@ -472,19 +467,11 @@ impl ShardedFront {
         *self.inner.recorder.lock() = Some(recorder);
     }
 
-    /// Installs `hook` across the whole stack this front-end drives: the
-    /// shared engine (WAL + SST-apply seams), every GTM shard (commit
-    /// seams, tagged with the shard index), and this front-end's own
-    /// phased-commit seams (`pre-sst`, `pre-finish`). One fault plan then
-    /// counts arrivals at every labeled point a cross-shard commit passes
-    /// through. Install before sessions start; shards are visited one at
-    /// a time.
-    pub fn set_fault_hook(&self, hook: SharedFaultHook) {
-        self.inner.db.set_fault_hook(hook.clone());
-        for (i, shard) in self.inner.shards.iter().enumerate() {
-            shard.lock().set_fault_hook(hook.clone(), i as u32);
-        }
-        *self.inner.fault_hook.lock() = Some(hook);
+    /// The shared engine — where the one fault hook is installed
+    /// ([`Database::set_fault_hook`]).
+    #[must_use]
+    pub fn database(&self) -> &Database {
+        &self.inner.db
     }
 
     /// True when no shard mutex is currently held — what "no leaked shard
@@ -887,12 +874,6 @@ impl CommitEnv for FrontEnv<'_> {
         } else {
             std::thread::sleep(std::time::Duration::from_micros(delay.0));
         }
-    }
-
-    fn fault(&mut self, site: FaultSite) -> FaultDecision {
-        self.instant = None;
-        let hook = self.front.inner.fault_hook.lock();
-        hook.as_ref().map_or(FaultDecision::Proceed, |hook| hook.decide(site))
     }
 
     fn emit(&mut self, home: usize, event: TraceEvent) {

@@ -188,7 +188,7 @@ fn deferred_member_commits_in_a_later_round_without_losing_an_update() {
     );
     let (entered_tx, entered) = channel();
     let (release, release_rx) = channel();
-    front.set_fault_hook(Arc::new(HoldFirstApply {
+    front.database().set_fault_hook(Arc::new(HoldFirstApply {
         entered: Mutex::new(Some(entered_tx)),
         release: Mutex::new(release_rx),
     }));
@@ -252,7 +252,7 @@ fn grouped_constraint_violator_aborts_without_poisoning_the_group() {
 fn grouped_commit_crash_at_pre_sst_unwinds_cleanly() {
     let (front, world, _) = traced_front(1);
     let injector = Arc::new(FaultInjector::new(FaultPlan::new(3).crash_at_kind("pre-sst", 1)));
-    front.set_fault_hook(Arc::clone(&injector) as _);
+    front.database().set_fault_hook(Arc::clone(&injector) as _);
 
     let mut session = front.session();
     session.execute(world.resources[0], ScalarOp::Sub(Value::Int(1))).unwrap();
@@ -318,7 +318,7 @@ fn read_only_commit_does_not_wait_behind_a_flush_in_flight() {
     let front = ShardedFront::new(world.db.clone(), world.bindings.clone(), config);
     world.db.set_apply_latency(std::time::Duration::from_millis(200));
     let (entered_tx, entered) = channel();
-    front.set_fault_hook(Arc::new(SignalPreSst(Mutex::new(Some(entered_tx)))));
+    front.database().set_fault_hook(Arc::new(SignalPreSst(Mutex::new(Some(entered_tx)))));
 
     let mut writer = booked(&front, world.resources[0], 1);
     let mut reader = front.session();

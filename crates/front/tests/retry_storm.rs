@@ -24,7 +24,7 @@ fn stormy_front(retries: u32, delay: Duration) -> (ShardedFront, Vec<ResourceId>
     config.gtm.sst_retry_delay = delay;
     let front = ShardedFront::new(world.db, world.bindings, config);
     let injector = Arc::new(FaultInjector::new(FaultPlan::new(11).io_on_sst_apply_each(1_000_000)));
-    front.set_fault_hook(Arc::clone(&injector) as _);
+    front.database().set_fault_hook(Arc::clone(&injector) as _);
     (front, world.resources)
 }
 

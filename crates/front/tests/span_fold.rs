@@ -67,7 +67,7 @@ fn run(traced: bool) -> (Vec<MetricsRegistry>, Vec<RingHandle>) {
         },
     );
     let hook = Arc::new(Armed(AtomicU8::new(0)));
-    front.set_fault_hook(hook.clone());
+    front.database().set_fault_hook(hook.clone());
     let sub = || ScalarOp::Sub(Value::Int(1));
 
     // Committed, across both shards.

@@ -3,12 +3,25 @@
 //! per-shard invariant and serializability checks at the end.
 
 use pstm_core::gtm::CommitResult;
+use pstm_faults::{FaultInjector, FaultPlan, FaultRule, SiteMatcher, Trigger};
 use pstm_front::{FrontConfig, SessionOutcome, ShardedFront};
-use pstm_types::{AbortReason, FailNextSstApplies, ScalarOp, Value};
+use pstm_types::{AbortReason, FaultDecision, FaultSite, ScalarOp, SharedFaultHook, Value};
 use pstm_workload::counter_world;
+use std::sync::Arc;
 
 const OBJECTS: usize = 8;
 const INITIAL: i64 = 1_000_000;
+
+/// Fails the next `n` SST applies with a transient I/O, then proceeds.
+fn fail_next_sst_applies(n: u32) -> SharedFaultHook {
+    let rule = FaultRule {
+        site: SiteMatcher::Exact(FaultSite::SstApply),
+        trigger: Trigger::EachPpm(1_000_000),
+        action: FaultDecision::Io,
+        max_fires: n,
+    };
+    Arc::new(FaultInjector::new(FaultPlan::new(0).with_rule(rule)))
+}
 
 /// The two resources session `k` books — always on two *different*
 /// shards for a 4-shard front (3 is coprime to 4), so every session
@@ -239,7 +252,7 @@ fn cross_shard_commit_survives_transient_sst_faults_and_aborts_on_persistent_one
     let mut s1 = front.session();
     s1.execute(a, ScalarOp::Sub(Value::Int(1))).unwrap();
     s1.execute(b, ScalarOp::Sub(Value::Int(1))).unwrap();
-    world.db.set_fault_hook(FailNextSstApplies::hook(2));
+    world.db.set_fault_hook(fail_next_sst_applies(2));
     assert_eq!(s1.commit().unwrap(), CommitResult::Committed);
     assert_eq!(front.resource_value(a).unwrap(), Value::Int(99));
     assert_eq!(front.resource_value(b).unwrap(), Value::Int(99));
@@ -248,7 +261,7 @@ fn cross_shard_commit_survives_transient_sst_faults_and_aborts_on_persistent_one
     let mut s2 = front.session();
     s2.execute(a, ScalarOp::Sub(Value::Int(1))).unwrap();
     s2.execute(b, ScalarOp::Sub(Value::Int(1))).unwrap();
-    world.db.set_fault_hook(FailNextSstApplies::hook(5));
+    world.db.set_fault_hook(fail_next_sst_applies(5));
     assert_eq!(s2.commit().unwrap(), CommitResult::Aborted(AbortReason::SstFailure));
     assert_eq!(front.resource_value(a).unwrap(), Value::Int(99));
     assert_eq!(front.resource_value(b).unwrap(), Value::Int(99));

@@ -62,16 +62,6 @@ pub trait Backend {
 /// GTM adapter.
 pub struct GtmBackend(pub Gtm);
 
-impl GtmBackend {
-    /// Installs a fault hook on the wrapped manager *and* its engine, so
-    /// scripted simulations can inject commit-path faults (see
-    /// `pstm_types::fault`). Single-manager runs are shard 0.
-    pub fn set_fault_hook(&mut self, hook: pstm_types::SharedFaultHook) {
-        self.0.database().set_fault_hook(hook.clone());
-        self.0.set_fault_hook(hook, 0);
-    }
-}
-
 impl Backend for GtmBackend {
     fn name(&self) -> &'static str {
         "gtm"

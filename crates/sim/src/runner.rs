@@ -456,7 +456,10 @@ mod tests {
     use pstm_core::gtm::{Gtm, GtmConfig};
     use pstm_storage::{BindingRegistry, ColumnDef, Constraint, Database, Row, TableSchema};
     use pstm_twopl::{TwoPlConfig, TwoPlManager};
-    use pstm_types::{FailNextSstApplies, MemberId, ResourceId, ScalarOp, Value, ValueKind};
+    use pstm_types::{
+        FaultDecision, FaultHook, FaultSite, MemberId, ResourceId, ScalarOp, Value, ValueKind,
+    };
+    use std::sync::atomic::{AtomicU32, Ordering::SeqCst};
     use std::sync::Arc;
 
     fn build_world(objects: usize) -> (Arc<Database>, BindingRegistry, Vec<ResourceId>) {
@@ -509,28 +512,34 @@ mod tests {
         assert!(report.mean_exec_committed_s > 0.3);
     }
 
-    #[test]
-    fn injected_reconcile_faults_abort_cleanly_and_the_run_completes() {
-        use pstm_types::{FaultDecision, FaultHook, FaultSite};
-        use std::sync::atomic::{AtomicU32, Ordering};
+    /// Fails the first `n` arrivals at sites of `kind` with a transient
+    /// I/O, then proceeds.
+    struct IoOnFirst(&'static str, AtomicU32);
 
-        // Transient I/O at the first 3 arrivals of the reconcile seam:
-        // those commits abort as SstFailure; everything else commits.
-        struct IoOnFirstReconciles(AtomicU32);
-        impl FaultHook for IoOnFirstReconciles {
-            fn decide(&self, site: FaultSite) -> FaultDecision {
-                if site.kind() == "reconcile" && self.0.fetch_add(1, Ordering::SeqCst) < 3 {
-                    FaultDecision::Io
-                } else {
-                    FaultDecision::Proceed
-                }
+    impl IoOnFirst {
+        fn hook(kind: &'static str, n: u32) -> Arc<Self> {
+            Arc::new(IoOnFirst(kind, AtomicU32::new(n)))
+        }
+    }
+
+    impl FaultHook for IoOnFirst {
+        fn decide(&self, site: FaultSite) -> FaultDecision {
+            let take_one = |left: u32| left.checked_sub(1);
+            if site.kind() == self.0 && self.1.fetch_update(SeqCst, SeqCst, take_one).is_ok() {
+                FaultDecision::Io
+            } else {
+                FaultDecision::Proceed
             }
         }
+    }
 
+    #[test]
+    fn injected_reconcile_faults_abort_cleanly_and_the_run_completes() {
+        // Transient I/O at the first 3 arrivals of the reconcile seam:
+        // those commits abort as SstFailure; everything else commits.
         let (db, bindings, rs) = build_world(1);
-        let gtm = Gtm::new(db, bindings, GtmConfig::default());
-        let mut backend = GtmBackend(gtm);
-        backend.set_fault_hook(Arc::new(IoOnFirstReconciles(AtomicU32::new(0))));
+        db.set_fault_hook(IoOnFirst::hook("reconcile", 3));
+        let backend = GtmBackend(Gtm::new(db, bindings, GtmConfig::default()));
         let scripts: Vec<TxnScript> =
             (1..=10).map(|i| sub_script(i, 0.1 * i as f64, rs[0], None)).collect();
         let report = Runner::new(backend, scripts, RunnerConfig::default()).run().unwrap();
@@ -641,7 +650,7 @@ mod tests {
         // the committer's terminal instant out by the delay.
         let run = |faults: u32| {
             let (db, bindings, rs) = build_world(1);
-            db.set_fault_hook(FailNextSstApplies::hook(faults));
+            db.set_fault_hook(IoOnFirst::hook("sst-apply", faults));
             let config = GtmConfig {
                 sst_retries: 3,
                 sst_retry_delay: Duration::from_secs_f64(1.0),

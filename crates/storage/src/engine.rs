@@ -31,6 +31,7 @@ use crate::btree::BTreeIndex;
 use crate::catalog::{Catalog, TableId, TableMeta};
 use crate::codec::{encode_begin, encode_commit, encode_update, encoded_len};
 use crate::constraint::Constraint;
+use crate::fault::FaultSeam;
 use crate::heap::HeapFile;
 use crate::row::{Row, RowId};
 use crate::schema::TableSchema;
@@ -41,6 +42,7 @@ use pstm_types::{FaultDecision, FaultSite, PstmError, PstmResult, SharedFaultHoo
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One write against the database, as carried by a [`WriteSet`]. An SST
 /// only ever overwrites reconciled values, so there is one kind; rows
@@ -443,12 +445,13 @@ pub struct Database {
     /// Nanoseconds in an atomic: every commit reads it, nothing waits on
     /// it.
     apply_latency_ns: AtomicU64,
-    /// Seeded fault seam (see `pstm_types::fault`), consulted at
-    /// [`FaultSite::SstApply`] here and at [`FaultSite::WalAppend`] inside
-    /// the WAL. `None` outside chaos runs and SST-failure tests (the
-    /// paper's §VII asks what happens when an SST fails; this seam is how
-    /// the middleware's retry/abort path is exercised).
-    fault_hook: RwLock<Option<SharedFaultHook>>,
+    /// The one fault hook (see `pstm_types::fault`), asked at all six
+    /// labeled sites: here and in the WAL (which holds a handle), in the
+    /// managers' local commit and in the commit coordinator, both through
+    /// [`Database::fault`]. Unset outside chaos runs and SST-failure tests
+    /// (the paper's §VII asks what happens when an SST fails; this seam is
+    /// how the middleware's retry/abort path is exercised).
+    faults: Arc<FaultSeam>,
 }
 
 impl Default for Database {
@@ -464,12 +467,10 @@ impl Database {
         Database::over(Inner::new(Catalog::new(), Vec::new(), Wal::new(), None))
     }
 
-    fn over(inner: Inner) -> Self {
-        Database {
-            inner: RwLock::new(inner),
-            apply_latency_ns: AtomicU64::new(0),
-            fault_hook: RwLock::new(None),
-        }
+    fn over(mut inner: Inner) -> Self {
+        let faults = Arc::new(FaultSeam::default());
+        inner.wal.faults = Arc::clone(&faults);
+        Database { inner: RwLock::new(inner), apply_latency_ns: AtomicU64::new(0), faults }
     }
 
     /// Sets the modeled per-flush LDBS round-trip charged by
@@ -488,21 +489,34 @@ impl Database {
         inner.obs.set_tracer(tracer);
     }
 
-    /// Installs a seeded fault hook on the engine's labeled seams: every
-    /// WAL append (the one sanctioned durable-write path) and the entry
-    /// of [`Database::apply_write_set`]. Share the same hook with the
-    /// managers above so one fault plan counts site arrivals across the
+    /// Installs the fault hook every labeled site asks (see
+    /// `pstm_types::fault`): one plan then counts arrivals across the
     /// whole stack.
     pub fn set_fault_hook(&self, hook: SharedFaultHook) {
-        self.inner.write().wal.set_fault_hook(Some(hook.clone()));
-        *self.fault_hook.write() = Some(hook);
+        self.faults.set(Some(hook));
     }
 
     /// Removes the fault hook (bootstrap and teardown phases of a chaos
     /// run must not be faulted).
     pub fn clear_fault_hook(&self) {
-        self.inner.write().wal.set_fault_hook(None);
-        *self.fault_hook.write() = None;
+        self.faults.set(None);
+    }
+
+    /// Asks the fault hook about `site` — one relaxed load when none is
+    /// installed — and maps a fault the way every site that survives a
+    /// transient one does: `Io` becomes a transient [`PstmError::Io`],
+    /// `Crash` or `Torn` becomes [`PstmError::Crashed`]. `Some` carries the
+    /// action the site's `FaultInjected` event names and the error it
+    /// fails with.
+    #[must_use]
+    pub fn fault(&self, site: FaultSite) -> Option<(&'static str, PstmError)> {
+        match self.faults.ask(site) {
+            FaultDecision::Proceed => None,
+            FaultDecision::Io => Some(("io", PstmError::Io(format!("injected fault at {site}")))),
+            FaultDecision::Crash | FaultDecision::Torn { .. } => {
+                Some(("crash", PstmError::Crashed(site.label())))
+            }
+        }
     }
 
     /// Creates a table with its constraints. DDL is autocommitted and
@@ -787,30 +801,15 @@ impl Database {
         if device > 0 {
             std::thread::sleep(std::time::Duration::from_nanos(device));
         }
-        // Decided under the hook's guard: no `Arc` clone per commit.
-        let decision = self
-            .fault_hook
-            .read()
-            .as_ref()
-            .map_or(FaultDecision::Proceed, |hook| hook.decide(FaultSite::SstApply));
-        match decision {
-            FaultDecision::Proceed => {}
-            FaultDecision::Io => {
-                // Transient device error before any state is touched:
-                // the middleware's SST retry/abort machinery owns it.
-                self.inner.write().obs.emit_unclocked([TraceEvent::FaultInjected {
-                    site: FaultSite::SstApply.label(),
-                    action: "io".into(),
-                }]);
-                return Err(PstmError::Io("injected SST fault".into()));
-            }
-            FaultDecision::Crash | FaultDecision::Torn { .. } => {
-                self.inner.write().obs.emit_unclocked([TraceEvent::FaultInjected {
-                    site: FaultSite::SstApply.label(),
-                    action: "crash".into(),
-                }]);
-                return Err(PstmError::Crashed(FaultSite::SstApply.label()));
-            }
+        if let Some((action, e)) = self.fault(FaultSite::SstApply) {
+            // Before any state is touched: a transient device error is the
+            // middleware's SST retry/abort machinery's to handle.
+            let site = FaultSite::SstApply.label();
+            self.inner
+                .write()
+                .obs
+                .emit_unclocked([TraceEvent::FaultInjected { site, action: action.into() }]);
+            return Err(e);
         }
         let mut guard = self.inner.write();
         let inner = &mut *guard;

@@ -27,6 +27,7 @@ pub mod catalog;
 pub mod codec;
 pub mod constraint;
 pub mod engine;
+mod fault;
 pub mod heap;
 pub mod page;
 pub mod persist;

@@ -48,11 +48,13 @@
 
 use crate::catalog::TableId;
 use crate::codec::{decode_record, encode_record};
+use crate::fault::FaultSeam;
 use crate::row::{Row, RowId};
 use pstm_obs::frame::{next_frame, write_frame_with, FrameStep, FRAME_HEADER};
 use pstm_obs::{Emitter, MetricsRegistry, TraceEvent, Tracer};
-use pstm_types::{FaultDecision, FaultSite, PstmError, PstmResult, SharedFaultHook, TxnId, Value};
+use pstm_types::{FaultDecision, FaultSite, PstmError, PstmResult, TxnId, Value};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Log sequence number: the byte position of a record's frame since the
 /// log was created (forgetting a prefix does not renumber what follows).
@@ -164,9 +166,8 @@ pub struct Wal {
     scratch: Vec<u8>,
     /// The log's registry and trace stream.
     obs: Emitter,
-    /// Fault seam consulted on every append (see `pstm_types::fault`);
-    /// `None` outside chaos runs.
-    hook: Option<SharedFaultHook>,
+    /// The engine's fault seam, asked on every device write.
+    pub(crate) faults: Arc<FaultSeam>,
 }
 
 impl Wal {
@@ -185,15 +186,6 @@ impl Wal {
     #[must_use]
     pub fn metrics(&self) -> &MetricsRegistry {
         self.obs.registry()
-    }
-
-    /// Installs (or with `None`, removes) the fault seam consulted on
-    /// every append. Heap mutations are logged *after* they happen in
-    /// this engine, so a log write that fails cannot be survived by
-    /// retrying — every non-`Proceed` decision here is fatal (see
-    /// [`Wal::append`]).
-    pub fn set_fault_hook(&mut self, hook: Option<SharedFaultHook>) {
-        self.hook = hook;
     }
 
     /// Appends a record, returning its LSN.
@@ -272,11 +264,7 @@ impl Wal {
         if self.scratch.is_empty() {
             return Ok(Lsn(base));
         }
-        let decision = self
-            .hook
-            .as_ref()
-            .map_or(FaultDecision::Proceed, |hook| hook.decide(FaultSite::WalAppend));
-        let action = match decision {
+        let action = match self.faults.ask(FaultSite::WalAppend) {
             FaultDecision::Proceed => None,
             FaultDecision::Torn { keep } => {
                 // Clamp so the group is genuinely torn: at least the
@@ -285,9 +273,9 @@ impl Wal {
                 self.buf.extend_from_slice(&self.scratch[..keep]);
                 Some("torn")
             }
-            // The heap already mutated before a single-record append, so
-            // an unlogged-but-applied write cannot be tolerated: a
-            // failing log device means the process dies here.
+            // Heap mutations are logged after they happen, so an
+            // unlogged-but-applied write cannot be survived by retrying:
+            // a failing log device means the process dies here.
             FaultDecision::Io | FaultDecision::Crash => Some("crash"),
         };
         if let Some(action) = action {
@@ -604,7 +592,7 @@ mod tests {
     #[test]
     fn wal_append_crash_fault_writes_nothing() {
         let mut wal = Wal::new();
-        wal.set_fault_hook(Some(std::sync::Arc::new(DecideOnNth {
+        wal.faults.set(Some(std::sync::Arc::new(DecideOnNth {
             nth: std::sync::atomic::AtomicU64::new(3),
             decision: FaultDecision::Crash,
         })));
@@ -649,7 +637,7 @@ mod tests {
             probe.len_bytes()
         };
         let mut wal = Wal::new();
-        wal.set_fault_hook(Some(std::sync::Arc::new(DecideOnNth {
+        wal.faults.set(Some(std::sync::Arc::new(DecideOnNth {
             nth: std::sync::atomic::AtomicU64::new(1),
             decision: FaultDecision::Torn { keep: (first_frame + 3) as u32 },
         })));
@@ -667,7 +655,7 @@ mod tests {
     fn torn_batch_keep_clamps_so_the_tail_frame_is_always_torn() {
         let recs = sample_records();
         let mut wal = Wal::new();
-        wal.set_fault_hook(Some(std::sync::Arc::new(DecideOnNth {
+        wal.faults.set(Some(std::sync::Arc::new(DecideOnNth {
             nth: std::sync::atomic::AtomicU64::new(1),
             decision: FaultDecision::Torn { keep: u32::MAX },
         })));
@@ -683,7 +671,7 @@ mod tests {
         let mut wal = Wal::new();
         wal.append(&recs[0]).unwrap();
         let before = wal.len_bytes();
-        wal.set_fault_hook(Some(std::sync::Arc::new(DecideOnNth {
+        wal.faults.set(Some(std::sync::Arc::new(DecideOnNth {
             nth: std::sync::atomic::AtomicU64::new(1),
             decision: FaultDecision::Crash,
         })));
@@ -696,7 +684,7 @@ mod tests {
     #[test]
     fn wal_append_torn_fault_leaves_partial_frame() {
         let mut wal = Wal::new();
-        wal.set_fault_hook(Some(std::sync::Arc::new(DecideOnNth {
+        wal.faults.set(Some(std::sync::Arc::new(DecideOnNth {
             nth: std::sync::atomic::AtomicU64::new(2),
             decision: FaultDecision::Torn { keep: 11 },
         })));

@@ -1,5 +1,5 @@
 //! Fault-injection seams shared by the storage engine, the GTM and the
-//! sharded front-end.
+//! commit coordinator.
 //!
 //! The chaos harness in `pstm-faults` needs one hook type the whole stack
 //! can agree on without depending on each other, so the seam lives here at
@@ -9,11 +9,11 @@
 //! transient I/O error, or die on the spot (a simulated process crash,
 //! surfaced as [`crate::PstmError::Crashed`]).
 //!
-//! Production code paths pay nothing when no hook is installed: the seam is
-//! an `Option<Arc<dyn FaultHook>>` checked per labeled point.
+//! One hook serves the whole stack: the storage engine holds it
+//! (`Database::set_fault_hook`), and every site asks the engine. With none
+//! installed a site pays one relaxed load.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// A labeled point in the commit/SST/WAL path where a fault can fire.
@@ -44,12 +44,12 @@ pub enum FaultSite {
         /// The shard whose manager is reconciling.
         shard: u32,
     },
-    /// In the front-end's phased cross-shard commit: every shard has
-    /// reconciled (`commit_local` succeeded) but the fused SST has not
-    /// been submitted to the engine yet.
+    /// In the commit coordinator: every shard has reconciled
+    /// (`commit_local` succeeded) but the fused SST has not been
+    /// submitted to the engine yet.
     PreSst,
-    /// In the phased cross-shard commit: the fused SST is durable but no
-    /// shard has been told to `commit_finish` yet — the window where a
+    /// In the commit coordinator: the fused SST is durable but no shard
+    /// has been told to `commit_finish` yet — the window where a
     /// crash leaves the decision only in the log.
     PreFinish,
 }
@@ -97,9 +97,10 @@ pub enum FaultDecision {
     Proceed,
     /// Fail the operation with a *transient* `PstmError::Io`. The process
     /// survives; retry/abort machinery handles it (SST retries, abort
-    /// reason `SstFailure`). At [`FaultSite::WalAppend`] this is escalated
-    /// to a crash — a log device that fails mid-commit is not survivable
-    /// in this engine's redo-only model.
+    /// reason `SstFailure`). At [`FaultSite::WalAppend`] and
+    /// [`FaultSite::PreFinish`] this is escalated to a crash — a log
+    /// device that fails mid-commit is not survivable in this engine's
+    /// redo-only model, and a durable SST cannot be retried.
     Io,
     /// Kill the simulated process at this point: the layer returns
     /// `PstmError::Crashed`, which callers propagate raw. All volatile
@@ -144,33 +145,6 @@ pub trait FaultHook: Send + Sync {
 /// so site arrivals are counted globally across the stack.
 pub type SharedFaultHook = Arc<dyn FaultHook>;
 
-/// The smallest useful hook: fails the next `n` arrivals at
-/// [`FaultSite::SstApply`] with a transient [`FaultDecision::Io`], then
-/// proceeds forever. Exercises SST-failure recovery (retry, then
-/// `SstFailure` abort) without a fault plan.
-pub struct FailNextSstApplies(AtomicU32);
-
-impl FailNextSstApplies {
-    /// A hook that fails the next `n` SST applies.
-    #[must_use]
-    pub fn hook(n: u32) -> SharedFaultHook {
-        Arc::new(FailNextSstApplies(AtomicU32::new(n)))
-    }
-}
-
-impl FaultHook for FailNextSstApplies {
-    fn decide(&self, site: FaultSite) -> FaultDecision {
-        let take_one = |left: u32| left.checked_sub(1);
-        if site == FaultSite::SstApply
-            && self.0.fetch_update(Ordering::SeqCst, Ordering::SeqCst, take_one).is_ok()
-        {
-            FaultDecision::Io
-        } else {
-            FaultDecision::Proceed
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,15 +169,6 @@ mod tests {
     fn decision_names() {
         assert_eq!(FaultDecision::Proceed.name(), "proceed");
         assert_eq!(FaultDecision::Torn { keep: 5 }.name(), "torn");
-    }
-
-    #[test]
-    fn countdown_hook_fails_exactly_n_sst_applies() {
-        let hook = FailNextSstApplies::hook(2);
-        assert_eq!(hook.decide(FaultSite::WalAppend), FaultDecision::Proceed);
-        assert_eq!(hook.decide(FaultSite::SstApply), FaultDecision::Io);
-        assert_eq!(hook.decide(FaultSite::SstApply), FaultDecision::Io);
-        assert_eq!(hook.decide(FaultSite::SstApply), FaultDecision::Proceed);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod value;
 
 pub use compat::{CompatMatrix, OpClass};
 pub use error::{PstmError, PstmResult};
-pub use fault::{FailNextSstApplies, FaultDecision, FaultHook, FaultSite, SharedFaultHook};
+pub use fault::{FaultDecision, FaultHook, FaultSite, SharedFaultHook};
 pub use ids::{MemberId, ObjectId, ResourceId, TxnId, TxnIdAllocator};
 pub use inline::InlineVec;
 pub use op::ScalarOp;
