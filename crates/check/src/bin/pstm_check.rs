@@ -1,12 +1,11 @@
 //! `pstm_check` — command-line front end for the pstm-check analyses.
 //!
 //! ```text
-//! pstm_check lint [--root DIR]     # invariant lints over the workspace source
+//! pstm_check lint [--root DIR] [--dot FILE]
+//!                                  # every source rule from one parse; DOT of the lock order
 //! pstm_check verify FILE.rec...    # certify one run's recorded trace stream(s)
 //! pstm_check table                 # Table I small-scope commutativity proof
-//! pstm_check lockgraph [--root DIR] [--dot FILE]
-//!                                  # static lock-order graph + hold-across-flush
-//! pstm_check all [--root DIR]      # lint + table + lockgraph (verify needs traces)
+//! pstm_check all [--root DIR]      # lint + table (verify needs traces)
 //! ```
 //!
 //! Exit status is 0 when every requested analysis passes, 1 otherwise
@@ -16,12 +15,12 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use pstm_check::{check_table, run_lint, run_lockgraph, verify_trace_files, Verdict};
+use pstm_check::{check_table, run_lint, verify_trace_files, Verdict};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: pstm_check <lint [--root DIR] | verify FILE... | table | \
-         lockgraph [--root DIR] [--dot FILE] | all [--root DIR]>"
+        "usage: pstm_check <lint [--root DIR] [--dot FILE] | verify FILE... | table | \
+         all [--root DIR]>"
     );
     ExitCode::from(2)
 }
@@ -32,8 +31,8 @@ fn main() -> ExitCode {
         return usage();
     };
     match cmd.as_str() {
-        "lint" => match parse_root(&args[1..]) {
-            Some(root) => run_lint_cmd(&root),
+        "lint" => match parse_args(&args[1..]) {
+            Some((root, dot)) => run_lint_cmd(&root, dot.as_deref()),
             None => usage(),
         },
         "verify" => {
@@ -45,78 +44,25 @@ fn main() -> ExitCode {
             run_verify_cmd(&files)
         }
         "table" => run_table_cmd(),
-        "lockgraph" => match parse_lockgraph_args(&args[1..]) {
-            Some((root, dot)) => run_lockgraph_cmd(&root, dot.as_deref()),
-            None => usage(),
-        },
-        "all" => match parse_root(&args[1..]) {
-            Some(root) => {
-                let lint = run_lint_cmd(&root);
+        "all" => match parse_args(&args[1..]) {
+            Some((root, None)) => {
+                let lint = run_lint_cmd(&root, None);
                 let table = run_table_cmd();
-                let lockgraph = run_lockgraph_cmd(&root, None);
-                if lint == ExitCode::SUCCESS
-                    && table == ExitCode::SUCCESS
-                    && lockgraph == ExitCode::SUCCESS
-                {
+                if lint == ExitCode::SUCCESS && table == ExitCode::SUCCESS {
                     ExitCode::SUCCESS
                 } else {
                     ExitCode::FAILURE
                 }
             }
-            None => usage(),
+            _ => usage(),
         },
         _ => usage(),
     }
 }
 
-/// Parses an optional `--root DIR`; defaults to the workspace root
-/// inferred from this binary's manifest.
-fn parse_root(rest: &[String]) -> Option<PathBuf> {
-    match rest {
-        [] => Some(default_root()),
-        [flag, dir] if flag == "--root" => Some(PathBuf::from(dir)),
-        _ => None,
-    }
-}
-
-fn default_root() -> PathBuf {
-    // crates/check -> workspace root; falls back to cwd when the binary
-    // is run outside cargo.
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(Path::parent)
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
-
-fn run_lint_cmd(root: &Path) -> ExitCode {
-    let report = match run_lint(root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("pstm_check lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if report.is_clean() {
-        println!(
-            "pstm_check lint: clean ({} files scanned, root {})",
-            report.files_scanned,
-            root.display()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("{}", report.render());
-        eprintln!(
-            "pstm_check lint: {} violation(s). Fix them or add an entry to pstm-check.allow.",
-            report.violations.len()
-        );
-        ExitCode::FAILURE
-    }
-}
-
-/// Parses `[--root DIR] [--dot FILE]` in either order.
-fn parse_lockgraph_args(rest: &[String]) -> Option<(PathBuf, Option<PathBuf>)> {
+/// Parses `[--root DIR] [--dot FILE]` in either order; the root defaults
+/// to the workspace root inferred from this binary's manifest.
+fn parse_args(rest: &[String]) -> Option<(PathBuf, Option<PathBuf>)> {
     let mut root = None;
     let mut dot = None;
     let mut it = rest.iter();
@@ -131,37 +77,48 @@ fn parse_lockgraph_args(rest: &[String]) -> Option<(PathBuf, Option<PathBuf>)> {
     Some((root.unwrap_or_else(default_root), dot))
 }
 
-fn run_lockgraph_cmd(root: &Path, dot: Option<&Path>) -> ExitCode {
-    let report = match run_lockgraph(root) {
+fn default_root() -> PathBuf {
+    // crates/check -> workspace root; falls back to cwd when the binary
+    // is run outside cargo.
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    manifest
+        .parent()
+        .and_then(Path::parent)
+        .map(Path::to_path_buf)
+        .unwrap_or_else(|| PathBuf::from("."))
+}
+
+fn run_lint_cmd(root: &Path, dot: Option<&Path>) -> ExitCode {
+    let report = match run_lint(root) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("pstm_check lockgraph: {e}");
+            eprintln!("pstm_check lint: {e}");
             return ExitCode::from(2);
         }
     };
     if let Some(path) = dot {
         if let Err(e) = std::fs::write(path, report.dot()) {
-            eprintln!("pstm_check lockgraph: writing {}: {e}", path.display());
+            eprintln!("pstm_check lint: writing {}: {e}", path.display());
             return ExitCode::from(2);
         }
-        println!("pstm_check lockgraph: DOT written to {}", path.display());
+        println!("pstm_check lint: DOT written to {}", path.display());
     }
     if report.is_clean() {
         println!(
-            "pstm_check lockgraph: clean ({} classes, {} edges, {} flush points, {} fns, \
-             root {})",
+            "pstm_check lint: clean ({} files, {} fns; {} lock classes, {} edges, {} flush \
+             points; root {})",
+            report.files_scanned,
+            report.fns_scanned,
             report.classes.len(),
             report.edges.len(),
             report.flush_points.len(),
-            report.fns_scanned,
             root.display()
         );
         ExitCode::SUCCESS
     } else {
         eprintln!("{}", report.render());
         eprintln!(
-            "pstm_check lockgraph: {} violation(s). Fix them or add an entry to \
-             pstm-check.allow.",
+            "pstm_check lint: {} violation(s). Fix them or add an entry to pstm-check.allow.",
             report.violations.len()
         );
         ExitCode::FAILURE

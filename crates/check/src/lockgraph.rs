@@ -36,100 +36,30 @@
 //!    `thread::sleep`, or file I/O; violations carry the offending call
 //!    path.
 //!
-//! All five rules share `pstm-check.allow` (entries `<rule>
-//! <path>[::<fn>]`), and this analyzer runs its own stale pass over its
-//! rule names so a new rule's allowlist section starts empty-enforced.
-//! The graph exports as DOT in the same dialect as
-//! `pstm_obs::dot::waits_for_dot`, so the static order can be eyeballed
-//! against the runtime waits-for snapshots `pstm_top` captures.
+//! These are the structural half of the one source analyzer
+//! ([`crate::lint`], which owns the rule enum, the allowlist and the
+//! report); integration-test files are skipped. The graph exports as DOT
+//! in the same dialect as `pstm_obs::dot::waits_for_dot`
+//! ([`LintReport::dot`]), so the static order can be eyeballed against
+//! the runtime waits-for snapshots `pstm_top` captures.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fmt;
-use std::path::Path;
 
-use crate::lint::Allowlist;
-use crate::syntax::{self, AccessKind, Event, FnModel, SourceFile};
+use crate::lint::{LintReport, Rule, Violation};
+use crate::syntax::{AccessKind, Event, FnModel, SourceFile};
 
-/// Rule names owned by this analyzer (allowlist sections + stale pass).
+/// The one analysis under the names the lock-graph certification suites
+/// read it by.
+pub use crate::lint::{run_lint as run_lockgraph, LintReport as LockgraphReport};
+
+/// The structural rules' names.
 pub const RULE_NAMES: &[&str] = &[
     "lock-order-graph",
     "multi-shard-path",
     "hold-across-flush",
     "atomics-relaxed",
     "blocking-context",
-    "lockgraph-stale-allowlist",
 ];
-
-/// The lockgraph rules.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LgRule {
-    /// Cycle or up-level edge in the lock-order graph.
-    OrderGraph,
-    /// Shard mutex acquired while a shard guard is live, outside
-    /// `lock_shards_ascending`.
-    MultiShard,
-    /// Shard guard live across a flush-point call.
-    HoldAcrossFlush,
-    /// `Ordering::Relaxed` outside a declared seam, unjustified in one,
-    /// or unpaired Acquire/Release in a seam file.
-    Atomics,
-    /// Blocking operation reachable from an `event-loop`-tagged fn.
-    Blocking,
-    /// Allowlist entry for a lockgraph rule that matched nothing.
-    Stale,
-}
-
-impl LgRule {
-    /// Stable rule name, as used in the allowlist file and the report.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            LgRule::OrderGraph => "lock-order-graph",
-            LgRule::MultiShard => "multi-shard-path",
-            LgRule::HoldAcrossFlush => "hold-across-flush",
-            LgRule::Atomics => "atomics-relaxed",
-            LgRule::Blocking => "blocking-context",
-            LgRule::Stale => "lockgraph-stale-allowlist",
-        }
-    }
-}
-
-impl fmt::Display for LgRule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// One analyzer finding, with the witness path that makes it actionable.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LgViolation {
-    /// Which rule fired.
-    pub rule: LgRule,
-    /// Workspace-relative path, `/`-separated.
-    pub file: String,
-    /// 1-based line (0 for file-level findings).
-    pub line: usize,
-    /// Enclosing function, when there is one.
-    pub func: Option<String>,
-    /// One-line description of the defect.
-    pub detail: String,
-    /// Witness: the acquisition/call chain proving the finding.
-    pub path: Vec<String>,
-}
-
-impl fmt::Display for LgViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}\t{}:{}", self.rule, self.file, self.line)?;
-        if let Some(func) = &self.func {
-            write!(f, "\tfn {func}")?;
-        }
-        write!(f, "\t{}", self.detail)?;
-        for step in &self.path {
-            write!(f, "\n    via {step}")?;
-        }
-        Ok(())
-    }
-}
 
 // ---------------------------------------------------------------------
 // Lock classes and the declared level order
@@ -249,75 +179,6 @@ fn sanitize(s: &str) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Report
-// ---------------------------------------------------------------------
-
-/// The outcome of a lockgraph run.
-#[derive(Clone, Debug)]
-pub struct LockgraphReport {
-    /// All findings, sorted by `(file, line, rule)`.
-    pub violations: Vec<LgViolation>,
-    /// Every lock class seen.
-    pub classes: BTreeSet<String>,
-    /// Lock-order edges with one witness each.
-    pub edges: BTreeMap<(String, String), String>,
-    /// Discovered `flush-point` functions (`file::fn`).
-    pub flush_points: Vec<String>,
-    /// Functions tagged `event-loop`.
-    pub event_loop_fns: Vec<String>,
-    /// Number of files analyzed.
-    pub files_scanned: usize,
-    /// Number of functions analyzed.
-    pub fns_scanned: usize,
-}
-
-impl LockgraphReport {
-    /// True when nothing fired (stale allowlist entries included).
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// The diff-friendly report: sorted violations with witness paths,
-    /// then a one-line footer.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for v in &self.violations {
-            out.push_str(&v.to_string());
-            out.push('\n');
-        }
-        out.push_str(&format!(
-            "pstm-check lockgraph: {} violation(s); {} lock class(es), {} edge(s), \
-             {} flush point(s) over {} fn(s) in {} file(s)\n",
-            self.violations.len(),
-            self.classes.len(),
-            self.edges.len(),
-            self.flush_points.len(),
-            self.fns_scanned,
-            self.files_scanned,
-        ));
-        out
-    }
-
-    /// The lock-order graph as DOT, same dialect as
-    /// `pstm_obs::dot::waits_for_dot`: sorted nodes, sorted `a -> b;`
-    /// edges, `rankdir=LR`.
-    #[must_use]
-    pub fn dot(&self) -> String {
-        let mut out = String::from("digraph lock_order {\n  rankdir=LR;\n");
-        for class in &self.classes {
-            out.push_str(&format!("  {class};\n"));
-        }
-        for (from, to) in self.edges.keys() {
-            out.push_str(&format!("  {from} -> {to};\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-// ---------------------------------------------------------------------
 // Function summaries (interprocedural closure)
 // ---------------------------------------------------------------------
 
@@ -353,7 +214,7 @@ impl<'a> Analyzer<'a> {
         let mut by_name: HashMap<String, Vec<usize>> = HashMap::new();
         let mut by_type_name: HashMap<(String, String), Vec<usize>> = HashMap::new();
         let mut impl_types = HashSet::new();
-        for (fi, file) in files.iter().enumerate() {
+        for (fi, file) in files.iter().enumerate().filter(|(_, f)| !f.in_tests) {
             for (gi, f) in file.fns.iter().enumerate() {
                 let idx = fns.len();
                 fns.push((fi, gi));
@@ -623,11 +484,11 @@ impl LiveGuard {
     }
 }
 
-/// Runs the full analysis over pre-parsed sources with a caller-supplied
-/// allowlist (fixtures construct sources in memory).
-pub fn analyze(files: &[SourceFile], allow: &mut Allowlist) -> LockgraphReport {
+/// The structural rules over `files`' non-test sources: their findings
+/// and the lock-order graph, unfiltered by the allowlist.
+pub(crate) fn structural(files: &[SourceFile]) -> LintReport {
     let mut az = Analyzer::new(files);
-    let mut violations: Vec<LgViolation> = Vec::new();
+    let mut violations: Vec<Violation> = Vec::new();
     let mut classes: BTreeSet<String> = BTreeSet::new();
     let mut edges: BTreeMap<(String, String), String> = BTreeMap::new();
     let mut edge_paths: HashMap<(String, String), Vec<String>> = HashMap::new();
@@ -650,8 +511,8 @@ pub fn analyze(files: &[SourceFile], allow: &mut Allowlist) -> LockgraphReport {
             event_loop_fns.push(format!("{file}::{}", qual_name(&f)));
             let s = az.summary(idx, &mut Vec::new());
             if let Some(path) = s.blocking {
-                violations.push(LgViolation {
-                    rule: LgRule::Blocking,
+                violations.push(Violation {
+                    rule: Rule::Blocking,
                     file: file.clone(),
                     line: f.line,
                     func: Some(f.name.clone()),
@@ -803,8 +664,8 @@ pub fn analyze(files: &[SourceFile], allow: &mut Allowlist) -> LockgraphReport {
                                 let mut witness =
                                     vec![format!("{site} holds gtm_shard (from line {})", g.line)];
                                 witness.extend(flush_path.iter().cloned());
-                                violations.push(LgViolation {
-                                    rule: LgRule::HoldAcrossFlush,
+                                violations.push(Violation {
+                                    rule: Rule::HoldAcrossFlush,
                                     file: file.clone(),
                                     line: *line,
                                     func: Some(f.name.clone()),
@@ -841,8 +702,8 @@ pub fn analyze(files: &[SourceFile], allow: &mut Allowlist) -> LockgraphReport {
             let key = (pair[0].clone(), pair[1].clone());
             path.push(format!("{} -> {} ({})", key.0, key.1, edges[&key]));
         }
-        violations.push(LgViolation {
-            rule: LgRule::OrderGraph,
+        violations.push(Violation {
+            rule: Rule::OrderGraph,
             file: String::new(),
             line: 0,
             func: None,
@@ -853,8 +714,8 @@ pub fn analyze(files: &[SourceFile], allow: &mut Allowlist) -> LockgraphReport {
     for ((from, to), site) in &edges {
         if let (Some(a), Some(b)) = (class_level(from), class_level(to)) {
             if b < a {
-                violations.push(LgViolation {
-                    rule: LgRule::OrderGraph,
+                violations.push(Violation {
+                    rule: Rule::OrderGraph,
                     file: site_file(site),
                     line: site_line(site),
                     func: None,
@@ -867,24 +728,9 @@ pub fn analyze(files: &[SourceFile], allow: &mut Allowlist) -> LockgraphReport {
         }
     }
 
-    // Allowlist + its stale pass (this analyzer owns its rule names).
-    violations.retain(|v| !allow.allows_name(v.rule.name(), &v.file, v.func.as_deref()));
-    for (line, entry) in allow.stale_in(RULE_NAMES) {
-        violations.push(LgViolation {
-            rule: LgRule::Stale,
-            file: "pstm-check.allow".to_string(),
-            line,
-            func: None,
-            detail: format!("{entry} matches nothing — remove it"),
-            path: Vec::new(),
-        });
-    }
-
-    violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    violations.dedup();
     flush_points.sort();
     event_loop_fns.sort();
-    LockgraphReport {
+    LintReport {
         violations,
         classes,
         edges,
@@ -919,7 +765,7 @@ fn note_edge(
 /// The per-acquisition rules: multi-shard outside the helper.
 #[allow(clippy::too_many_arguments)]
 fn check_held_pair(
-    violations: &mut Vec<LgViolation>,
+    violations: &mut Vec<Violation>,
     file: &str,
     line: usize,
     func: &str,
@@ -929,8 +775,8 @@ fn check_held_pair(
     witness: &[String],
 ) {
     if held.class == "gtm_shard" && acquired == "gtm_shard" && !is_multi_helper {
-        violations.push(LgViolation {
-            rule: LgRule::MultiShard,
+        violations.push(Violation {
+            rule: Rule::MultiShard,
             file: file.to_string(),
             line,
             func: Some(func.to_string()),
@@ -944,8 +790,8 @@ fn check_held_pair(
 
 /// `Ordering::Relaxed` only in declared seams, justified; seam files
 /// must pair Acquire with Release (AcqRel counts as both).
-fn audit_atomics(files: &[SourceFile], violations: &mut Vec<LgViolation>) {
-    for file in files {
+fn audit_atomics(files: &[SourceFile], violations: &mut Vec<Violation>) {
+    for file in files.iter().filter(|f| !f.in_tests) {
         let in_seam = ATOMIC_SEAM_FILES.contains(&file.path.as_str());
         let mut acquires = 0usize;
         let mut releases = 0usize;
@@ -972,16 +818,16 @@ fn audit_atomics(files: &[SourceFile], violations: &mut Vec<LgViolation>) {
             for e in &f.body {
                 let Event::Atomic { ordering, line } = e else { continue };
                 match ordering.as_str() {
-                    "Relaxed" if !in_seam => violations.push(LgViolation {
-                        rule: LgRule::Atomics,
+                    "Relaxed" if !in_seam => violations.push(Violation {
+                        rule: Rule::Atomics,
                         file: file.path.clone(),
                         line: *line,
                         func: Some(f.name.clone()),
                         detail: "Ordering::Relaxed outside the declared seam files".to_string(),
                         path: vec![format!("declared seams: {}", ATOMIC_SEAM_FILES.join(", "))],
                     }),
-                    "Relaxed" if !justified => violations.push(LgViolation {
-                        rule: LgRule::Atomics,
+                    "Relaxed" if !justified => violations.push(Violation {
+                        rule: Rule::Atomics,
                         file: file.path.clone(),
                         line: *line,
                         func: Some(f.name.clone()),
@@ -1001,8 +847,8 @@ fn audit_atomics(files: &[SourceFile], violations: &mut Vec<LgViolation>) {
             }
         }
         if in_seam && ((acquires > 0) != (releases > 0)) {
-            violations.push(LgViolation {
-                rule: LgRule::Atomics,
+            violations.push(Violation {
+                rule: Rule::Atomics,
                 file: file.path.clone(),
                 line: 0,
                 func: None,
@@ -1074,17 +920,11 @@ fn site_line(site: &str) -> usize {
         .unwrap_or(0)
 }
 
-/// Runs the lockgraph analysis over the workspace rooted at `root`,
-/// loading the shared allowlist from `<root>/pstm-check.allow`.
-pub fn run_lockgraph(root: &Path) -> Result<LockgraphReport, String> {
-    let files = syntax::collect_workspace(root)?;
-    let mut allow = Allowlist::load(root)?;
-    Ok(analyze(&files, &mut allow))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lint::{analyze, Allowlist};
+    use crate::syntax;
 
     fn run(sources: &[(&str, &str)]) -> LockgraphReport {
         let files: Vec<SourceFile> =
@@ -1120,7 +960,7 @@ mod tests {
              }\n",
         )]);
         assert_eq!(r.violations.len(), 1, "{}", r.render());
-        assert_eq!(r.violations[0].rule, LgRule::OrderGraph);
+        assert_eq!(r.violations[0].rule, Rule::OrderGraph);
     }
 
     #[test]
@@ -1131,7 +971,7 @@ mod tests {
              fn ba(&self) { let _b = self.beta.lock(); self.alpha.lock(); }\n",
         )]);
         assert!(
-            r.violations.iter().any(|v| v.rule == LgRule::OrderGraph && v.detail.contains("cycle")),
+            r.violations.iter().any(|v| v.rule == Rule::OrderGraph && v.detail.contains("cycle")),
             "{}",
             r.render()
         );
@@ -1153,7 +993,7 @@ mod tests {
                }\n\
              }\n",
         )]);
-        let ms: Vec<_> = r.violations.iter().filter(|v| v.rule == LgRule::MultiShard).collect();
+        let ms: Vec<_> = r.violations.iter().filter(|v| v.rule == Rule::MultiShard).collect();
         assert_eq!(ms.len(), 1, "{}", r.render());
         assert_eq!(ms[0].func.as_deref(), Some("bad"));
     }
@@ -1180,7 +1020,7 @@ mod tests {
             ),
         ]);
         let hits: Vec<_> =
-            r.violations.iter().filter(|v| v.rule == LgRule::HoldAcrossFlush).collect();
+            r.violations.iter().filter(|v| v.rule == Rule::HoldAcrossFlush).collect();
         assert_eq!(hits.len(), 1, "{}", r.render());
         assert!(hits[0].path.iter().any(|s| s.contains("flush-point")), "{:?}", hits[0]);
     }
@@ -1223,7 +1063,7 @@ mod tests {
                  fn bump() { N.fetch_add(1, Ordering::Relaxed); }\n",
             ),
         ]);
-        let atomics: Vec<_> = r.violations.iter().filter(|v| v.rule == LgRule::Atomics).collect();
+        let atomics: Vec<_> = r.violations.iter().filter(|v| v.rule == Rule::Atomics).collect();
         assert_eq!(atomics.len(), 2, "{}", r.render());
         assert!(atomics.iter().any(|v| v.file.contains("front")));
         assert!(atomics.iter().any(|v| v.file.contains("tracer")));
@@ -1241,7 +1081,7 @@ mod tests {
                fn pure(&self) -> usize { 7 }\n\
              }\n",
         )]);
-        let hits: Vec<_> = r.violations.iter().filter(|v| v.rule == LgRule::Blocking).collect();
+        let hits: Vec<_> = r.violations.iter().filter(|v| v.rule == Rule::Blocking).collect();
         assert_eq!(hits.len(), 1, "{}", r.render());
         assert_eq!(hits[0].func.as_deref(), Some("tagged"));
         assert!(hits[0].path.iter().any(|s| s.contains("sleep")), "{:?}", hits[0]);
@@ -1269,6 +1109,6 @@ mod tests {
             Allowlist::parse("hold-across-flush crates/front/src/lib.rs::gone\n").unwrap();
         let r = analyze(&files, &mut allow);
         assert_eq!(r.violations.len(), 1, "{}", r.render());
-        assert_eq!(r.violations[0].rule, LgRule::Stale);
+        assert_eq!(r.violations[0].rule, Rule::StaleAllowlist);
     }
 }

@@ -1,15 +1,16 @@
-//! A dependency-free Rust lexer and item parser for whole-workspace
-//! concurrency analysis.
+//! A dependency-free Rust lexer and item parser: the one source reader
+//! every `pstm-check` source rule runs on.
 //!
 //! `rustc` knows everything about one crate but nothing about the
-//! review rules spanning this workspace, and the line-regex lints in
-//! [`crate::lint`] cannot see *structure*: which function a lock
-//! acquisition belongs to, how long its guard lives, or who calls whom.
-//! This module is the middle layer both need: a real token stream
-//! (comments, strings, raw strings, char-vs-lifetime disambiguation all
-//! handled), parsed just far enough to recover, per function:
+//! review rules spanning this workspace. This module reads just enough
+//! of it: a real token stream (comments, strings, raw strings,
+//! char-vs-lifetime disambiguation all handled), parsed far enough to
+//! recover, per file:
 //!
-//! - the function's name, enclosing `impl` type and parameter types;
+//! - the live code as tokens, `#[cfg(test)]` items dropped and each
+//!   token attributed to the fn whose item contains it — what the
+//!   pattern rules in [`crate::lint`] match token sequences against;
+//! - per function, its name, enclosing `impl` type and parameter types;
 //! - an ordered event stream of its body — block open/close, statement
 //!   ends, lock acquisitions (`.lock()` / zero-arg `.read()` /
 //!   `.write()`) with their receiver field and `let` binding, calls with
@@ -20,15 +21,18 @@
 //!   are declared in the source they govern).
 //!
 //! `#[cfg(test)]` items are skipped — test code may lock freely — and
-//! the offline shims are never parsed ([`collect_workspace`] reuses the
-//! lint's file-collection rules). [`acquisition_token_count`] exposes a
-//! raw token-level count (test code included) so a differential test can
-//! pin the lexer against an independent text oracle: parser drift fails
-//! loudly instead of silently under-reporting acquisition sites.
+//! [`collect_workspace`] never reads the offline shims. It does read
+//! integration-test directories, tagged [`SourceFile::in_tests`]: the
+//! pattern rules cover them, the structural rules do not.
+//! [`acquisition_token_count`] exposes a raw token-level count (test
+//! code included) so a differential test can pin the lexer against an
+//! independent text oracle: parser drift fails loudly instead of
+//! silently under-reporting acquisition sites.
 //!
-//! The model is consumed by [`crate::lockgraph`].
+//! The model is consumed by [`crate::lint`] and [`crate::lockgraph`].
 
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 
 // ---------------------------------------------------------------------
 // Lexer
@@ -163,7 +167,11 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Comment>) {
                 let mut j = i + 1;
                 while j < b.len() {
                     match b[j] {
-                        b'\\' => j += 2,
+                        b'\\' => {
+                            // An escaped newline (line continuation) is a line.
+                            line += usize::from(b.get(j + 1) == Some(&b'\n'));
+                            j += 2;
+                        }
                         b'\n' => {
                             line += 1;
                             j += 1;
@@ -186,7 +194,7 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Comment>) {
             b'\'' => {
                 // Lifetime (`'a`) vs char literal (`'a'`, `'\n'`).
                 if i + 1 < b.len() && b[i + 1] == b'\\' {
-                    let mut j = i + 2;
+                    let mut j = i + 3; // past the escaped character: `'\''`
                     while j < b.len() && b[j] != b'\'' {
                         j += 1;
                     }
@@ -218,10 +226,13 @@ pub fn lex(src: &str) -> (Vec<Tok>, Vec<Comment>) {
                 i = j;
             }
             _ if c.is_ascii_digit() => {
+                // A `.` continues the literal only before a digit: `1.5`,
+                // but `0..n`, `1.max(x)` and `self.0.lock()` split.
                 let mut j = i + 1;
                 while j < b.len()
-                    && (b[j].is_ascii_alphanumeric() || b[j] == b'_' || b[j] == b'.')
-                    && !(b[j] == b'.' && j + 1 < b.len() && b[j + 1] == b'.')
+                    && (b[j].is_ascii_alphanumeric()
+                        || b[j] == b'_'
+                        || (b[j] == b'.' && b.get(j + 1).is_some_and(u8::is_ascii_digit)))
                 {
                     j += 1;
                 }
@@ -393,6 +404,11 @@ pub struct FnModel {
 pub struct SourceFile {
     /// Workspace-relative path, `/`-separated.
     pub path: String,
+    /// True under an integration-test directory (a `tests` path segment).
+    pub in_tests: bool,
+    /// Tokens outside `#[cfg(test)]`, each with the name of the fn whose
+    /// item (signature and body) contains it; `None` at module level.
+    pub code: Vec<(Tok, Option<Rc<str>>)>,
     /// Functions outside `#[cfg(test)]`.
     pub fns: Vec<FnModel>,
     /// All comments (justification proximity checks need them).
@@ -408,6 +424,9 @@ pub const TAG_PREFIX: &str = "pstm-lockgraph:";
 pub fn parse_source(path: &str, src: &str) -> SourceFile {
     let (toks, comments) = lex(src);
     let mut fns = Vec::new();
+    // Per token: dropped with a `#[cfg(test)]` item, or the fn owning it.
+    let mut dropped = vec![false; toks.len()];
+    let mut owner: Vec<Option<Rc<str>>> = vec![None; toks.len()];
     let mut i = 0;
     // Stack of (enclosing impl, brace depth at which its body closes).
     let mut impl_stack: Vec<(ImplOf, usize)> = Vec::new();
@@ -431,7 +450,9 @@ pub fn parse_source(path: &str, src: &str) -> SourceFile {
                 // it decorates (fn, mod, impl, struct …) entirely.
                 let (end, is_cfg_test) = scan_attr(&toks, i);
                 if is_cfg_test {
-                    i = skip_item(&toks, end);
+                    let next = skip_item(&toks, end);
+                    dropped[i..next].fill(true);
+                    i = next;
                 } else {
                     i = end;
                 }
@@ -459,6 +480,9 @@ pub fn parse_source(path: &str, src: &str) -> SourceFile {
                     .find(|t| matches!(t.ch, '{' | '}' | ';'))
                     .map_or(0, |t| t.line);
                 let (f, next) = parse_fn(&toks, i, impl_of, path, &comments, floor);
+                if let Some(name) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) {
+                    owner[i..next].fill(Some(Rc::from(name.text.as_str())));
+                }
                 if let Some(f) = f {
                     fns.push(f);
                 }
@@ -467,7 +491,14 @@ pub fn parse_source(path: &str, src: &str) -> SourceFile {
             _ => i += 1,
         }
     }
-    SourceFile { path: path.to_string(), fns, comments }
+    let code = toks.into_iter().zip(owner).zip(dropped).filter(|(_, d)| !d).map(|(c, _)| c);
+    SourceFile {
+        path: path.to_string(),
+        in_tests: path.split('/').any(|seg| seg == "tests"),
+        code: code.collect(),
+        fns,
+        comments,
+    }
 }
 
 /// Scans an attribute starting at `#`; returns (index past `]`, cfg-test?).
@@ -1058,9 +1089,9 @@ fn receiver_chain(toks: &[Tok], dot: usize) -> (Option<String>, bool) {
 // Workspace collection
 // ---------------------------------------------------------------------
 
-/// Collects and parses every workspace `.rs` file (same skip rules as
-/// the lint: `target/`, `.git/`, `results/`, the offline shims, plus
-/// integration-test directories — test code may lock freely).
+/// Collects and parses every workspace `.rs` file, skipping build output,
+/// VCS internals, `results/` and the offline shims (third-party API
+/// stand-ins are not ours to check).
 pub fn collect_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
     let mut paths = Vec::new();
     collect_rs(root, root, &mut paths)?;
@@ -1083,7 +1114,7 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), Str
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if matches!(name.as_ref(), "target" | ".git" | "results" | "tests") {
+            if matches!(name.as_ref(), "target" | ".git" | "results") {
                 continue;
             }
             if name == "shims" && path.parent().is_some_and(|p| p.ends_with("crates")) {
@@ -1114,6 +1145,17 @@ fn f<'a>(x: &'a str) { let s = "a \" .lock() b"; let c = 'x'; g(s, c); }
         assert!(toks.iter().any(|t| t.kind == TokKind::Lifetime));
         assert!(toks.iter().any(|t| t.kind == TokKind::Char));
         assert_eq!(acquisition_token_count(src), 0, "strings/comments must not count");
+    }
+
+    #[test]
+    fn tuple_fields_escaped_quotes_and_continued_strings_lex_exactly() {
+        // `self.0.lock()` is a field access then a call, not a float.
+        assert_eq!(acquisition_token_count("fn f(&self) { self.0.lock(); }"), 1);
+        // `'\''` is one char literal, and a continued string keeps the
+        // line count.
+        let (toks, _) = lex("let q = '\\''; let s = \"a\\\nb\";\nx");
+        assert!(toks.iter().all(|t| t.kind != TokKind::Lifetime), "{toks:?}");
+        assert_eq!(toks.last().map(|t| t.line), Some(3));
     }
 
     #[test]

@@ -7,20 +7,19 @@
 //! act on. A sibling clean snippet per rule guards against the analyzer
 //! over-firing (a lint nobody trusts is a lint nobody runs).
 
-use pstm_check::lockgraph::{analyze, LgRule};
-use pstm_check::{parse_source, Allowlist, SourceFile};
+use pstm_check::{analyze, parse_source, Allowlist, Rule, SourceFile};
 
 fn empty_allow() -> Allowlist {
     Allowlist::parse("").expect("empty allowlist parses")
 }
 
-fn run(files: &[(&str, &str)]) -> pstm_check::LockgraphReport {
+fn run(files: &[(&str, &str)]) -> pstm_check::LintReport {
     let parsed: Vec<SourceFile> = files.iter().map(|(path, src)| parse_source(path, src)).collect();
     analyze(&parsed, &mut empty_allow())
 }
 
 /// Violations of one rule, as `(line, detail)` pairs.
-fn of_rule(report: &pstm_check::LockgraphReport, rule: LgRule) -> Vec<(usize, String)> {
+fn of_rule(report: &pstm_check::LintReport, rule: Rule) -> Vec<(usize, String)> {
     report
         .violations
         .iter()
@@ -46,7 +45,7 @@ fn inverted_fence_shard_order_is_caught() {
         }
         "#,
     )]);
-    let hits = of_rule(&report, LgRule::OrderGraph);
+    let hits = of_rule(&report, Rule::OrderGraph);
     assert_eq!(hits.len(), 1, "exactly the seeded inversion: {:?}", report.violations);
     assert_eq!(hits[0].0, 5, "anchored at the fence acquisition");
     assert!(
@@ -78,10 +77,10 @@ fn multi_shard_outside_helper_is_caught_and_helper_is_exempt() {
         }
         "#;
     let report = run(&[("crates/front/src/lib.rs", bad)]);
-    let hits = of_rule(&report, LgRule::MultiShard);
+    let hits = of_rule(&report, Rule::MultiShard);
     assert_eq!(hits.len(), 1, "only the path outside the helper fires: {:?}", report.violations);
     assert_eq!(hits[0].0, 5);
-    let v = report.violations.iter().find(|v| v.rule == LgRule::MultiShard).unwrap();
+    let v = report.violations.iter().find(|v| v.rule == Rule::MultiShard).unwrap();
     assert_eq!(v.func.as_deref(), Some("two_shards"));
 }
 
@@ -108,9 +107,9 @@ fn guard_across_flush_is_caught_through_a_call_edge() {
         }
         "#,
     )]);
-    let hits = of_rule(&report, LgRule::HoldAcrossFlush);
+    let hits = of_rule(&report, Rule::HoldAcrossFlush);
     assert_eq!(hits.len(), 1, "{:?}", report.violations);
-    let v = report.violations.iter().find(|v| v.rule == LgRule::HoldAcrossFlush).unwrap();
+    let v = report.violations.iter().find(|v| v.rule == Rule::HoldAcrossFlush).unwrap();
     assert_eq!(v.line, 5, "anchored at the call made while holding");
     assert!(v.detail.contains("persist"), "names the offending call: {}", v.detail);
     assert!(
@@ -138,7 +137,7 @@ fn guard_dropped_before_flush_is_clean() {
         }
         "#,
     )]);
-    assert!(of_rule(&report, LgRule::HoldAcrossFlush).is_empty(), "{:?}", report.violations);
+    assert!(of_rule(&report, Rule::HoldAcrossFlush).is_empty(), "{:?}", report.violations);
 }
 
 /// The commit coordinator reaches shards through the generic
@@ -174,9 +173,9 @@ fn coordinator_flush_inside_the_shard_access_scope_is_caught() {
 
     let bad = coordinator(true);
     let report = run(&[("crates/core/src/commit.rs", &bad), ("crates/core/src/sst.rs", sst)]);
-    let hits = of_rule(&report, LgRule::HoldAcrossFlush);
+    let hits = of_rule(&report, Rule::HoldAcrossFlush);
     assert_eq!(hits.len(), 1, "{:?}", report.violations);
-    let v = report.violations.iter().find(|v| v.rule == LgRule::HoldAcrossFlush).unwrap();
+    let v = report.violations.iter().find(|v| v.rule == Rule::HoldAcrossFlush).unwrap();
     assert_eq!(v.func.as_deref(), Some("commit_wave"));
     assert!(v.detail.contains("execute"), "names the offending call: {}", v.detail);
     assert!(
@@ -228,12 +227,12 @@ fn relaxed_outside_seam_and_unjustified_in_seam_are_caught() {
             "#,
         ),
     ]);
-    let hits = of_rule(&report, LgRule::Atomics);
+    let hits = of_rule(&report, Rule::Atomics);
     assert_eq!(hits.len(), 2, "{:?}", report.violations);
     let files: Vec<&str> = report
         .violations
         .iter()
-        .filter(|v| v.rule == LgRule::Atomics)
+        .filter(|v| v.rule == Rule::Atomics)
         .map(|v| v.file.as_str())
         .collect();
     assert!(files.contains(&"crates/core/src/gtm.rs"));
@@ -254,7 +253,7 @@ fn unpaired_acquire_in_seam_file_is_caught() {
         }
         "#,
     )]);
-    let hits = of_rule(&report, LgRule::Atomics);
+    let hits = of_rule(&report, Rule::Atomics);
     assert_eq!(hits.len(), 1, "{:?}", report.violations);
     assert!(hits[0].1.contains("Acquire"), "{}", hits[0].1);
 }
@@ -279,9 +278,9 @@ fn blocking_call_in_event_loop_context_is_caught() {
         }
         "#,
     )]);
-    let hits = of_rule(&report, LgRule::Blocking);
+    let hits = of_rule(&report, Rule::Blocking);
     assert_eq!(hits.len(), 1, "only the reaching fn fires: {:?}", report.violations);
-    let v = report.violations.iter().find(|v| v.rule == LgRule::Blocking).unwrap();
+    let v = report.violations.iter().find(|v| v.rule == Rule::Blocking).unwrap();
     assert_eq!(v.func.as_deref(), Some("route"));
     assert!(
         v.path.iter().any(|s| s.contains("sleep")),
@@ -305,7 +304,7 @@ fn lock_taken_in_event_loop_context_is_caught() {
         }
         "#,
     )]);
-    assert_eq!(of_rule(&report, LgRule::Blocking).len(), 1, "{:?}", report.violations);
+    assert_eq!(of_rule(&report, Rule::Blocking).len(), 1, "{:?}", report.violations);
 }
 
 #[test]
@@ -335,9 +334,9 @@ fn reactor_loop_fn_reaching_a_lock_through_a_helper_is_caught_exactly() {
         }
         "#,
     )]);
-    let hits = of_rule(&report, LgRule::Blocking);
+    let hits = of_rule(&report, Rule::Blocking);
     assert_eq!(hits.len(), 1, "only the lock-reaching loop fn fires: {:?}", report.violations);
-    let v = report.violations.iter().find(|v| v.rule == LgRule::Blocking).unwrap();
+    let v = report.violations.iter().find(|v| v.rule == Rule::Blocking).unwrap();
     assert_eq!(v.func.as_deref(), Some("route_wake"), "anchored at the tagged fn");
     assert!(
         v.path.iter().any(|s| s.contains("lookup_owner")),
@@ -376,12 +375,12 @@ fn reactor_loop_fn_reaching_sleep_or_file_io_is_caught() {
         }
         "#,
     )]);
-    let hits = of_rule(&report, LgRule::Blocking);
+    let hits = of_rule(&report, Rule::Blocking);
     assert_eq!(hits.len(), 2, "sleep and file I/O each fire once: {:?}", report.violations);
     let funcs: Vec<_> = report
         .violations
         .iter()
-        .filter(|v| v.rule == LgRule::Blocking)
+        .filter(|v| v.rule == Rule::Blocking)
         .map(|v| v.func.as_deref().unwrap_or(""))
         .collect();
     assert!(funcs.contains(&"idle"), "{funcs:?}");
@@ -416,7 +415,7 @@ fn cycle_report_is_minimal_and_names_both_edges() {
     let cycles: Vec<_> = report
         .violations
         .iter()
-        .filter(|v| v.rule == LgRule::OrderGraph && v.detail.contains("cycle"))
+        .filter(|v| v.rule == Rule::OrderGraph && v.detail.contains("cycle"))
         .collect();
     assert_eq!(cycles.len(), 1, "one minimal cycle, not one per edge: {:?}", report.violations);
     let v = cycles[0];
@@ -442,15 +441,15 @@ fn allowlist_suppresses_and_stale_entries_fail() {
     let mut allow =
         Allowlist::parse("multi-shard-path crates/front/src/lib.rs::two_shards\n").unwrap();
     let report = analyze(&parsed, &mut allow);
-    assert!(of_rule(&report, LgRule::MultiShard).is_empty(), "{:?}", report.violations);
-    assert!(of_rule(&report, LgRule::Stale).is_empty(), "{:?}", report.violations);
+    assert!(of_rule(&report, Rule::MultiShard).is_empty(), "{:?}", report.violations);
+    assert!(of_rule(&report, Rule::StaleAllowlist).is_empty(), "{:?}", report.violations);
 
     // An entry matching nothing is itself a violation — new-rule
     // sections start empty-enforced and cannot rot.
     let mut allow =
         Allowlist::parse("hold-across-flush crates/front/src/lib.rs::nonexistent\n").unwrap();
     let report = analyze(&parsed, &mut allow);
-    let stale = of_rule(&report, LgRule::Stale);
+    let stale = of_rule(&report, Rule::StaleAllowlist);
     assert_eq!(stale.len(), 1, "{:?}", report.violations);
     assert!(stale[0].1.contains("nonexistent"), "{}", stale[0].1);
 }

@@ -14,12 +14,11 @@
 //! than one member ([`SstBatch::engine_txn`]), whoever submitted it.
 //! What differs between callers — how shards are reached, the clock, what
 //! a retry back-off costs, where effects and trace events go — lives
-//! behind [`CommitEnv`]. Its three implementors are [`Owned`] (virtual
-//! time over GTMs the caller owns: [`Gtm::commit`], the simulator),
-//! `pstm-front`'s locking wall-clock environment, and the chaos harness's
-//! ticking virtual clock. The `pre-sst` and `pre-finish` seams are not
-//! theirs: like every labeled site they ask the engine
-//! ([`Database::fault`]).
+//! behind [`CommitEnv`]. Its two implementors are [`Owned`] (virtual time
+//! over GTMs the caller owns: [`Gtm::commit`], the simulator, the chaos
+//! harness) and `pstm-front`'s locking wall-clock environment. The
+//! `pre-sst` and `pre-finish` seams are not theirs: like every labeled
+//! site they ask the engine ([`Database::fault`]).
 
 use crate::gtm::{CommitResult, Gtm, GtmConfig, LocalCommit};
 use crate::sst::{Sst, SstBatch, Writes};
@@ -65,7 +64,7 @@ pub trait CommitEnv {
     /// Runs `f` with exclusive access to `shards` (strictly ascending) and
     /// the timestamp of the phase, sampled once access is held. `self`
     /// stays borrowed throughout, so no flush can run inside the scope.
-    // `pstm_check lockgraph` models a call to this as holding `gtm_shard`.
+    // `pstm_check lint` models a call to this as holding `gtm_shard`.
     fn with_shards<R>(
         &mut self,
         shards: &[usize],
@@ -376,14 +375,16 @@ fn shard_union<'a>(members: &[Member<'a>]) -> Cow<'a, [usize]> {
 }
 
 /// The environment of a coordinator that owns its managers outright —
-/// [`Gtm::commit`] and the simulator behind it: shard `i` is `gtms[i]`,
-/// time is virtual (a retry back-off *charges* its delay), trace events go
-/// to each manager's own tracer, and effects accumulate for the caller.
+/// [`Gtm::commit`], the simulator behind it, and the chaos harness: shard
+/// `i` is `gtms[i]`, time is virtual (a retry back-off *charges* its
+/// delay), trace events go to each manager's own tracer, and effects
+/// accumulate for the caller.
 pub struct Owned<'a> {
     gtms: &'a mut [Gtm],
     start: Timestamp,
     at: Timestamp,
-    flushed: bool,
+    /// The members the last flush attempt submitted.
+    flushed: InlineVec<TxnId, 4>,
     effects: StepEffects,
 }
 
@@ -391,7 +392,14 @@ impl<'a> Owned<'a> {
     /// An environment over `gtms` (at least one) whose clock starts at
     /// `now`.
     pub fn new(gtms: &'a mut [Gtm], now: Timestamp) -> Self {
-        Owned { gtms, start: now, at: now, flushed: false, effects: StepEffects::none() }
+        Owned { gtms, start: now, at: now, flushed: InlineVec::new(), effects: StepEffects::none() }
+    }
+
+    /// The members the last flush attempt submitted, in batch order;
+    /// empty when nothing was flushed.
+    #[must_use]
+    pub fn last_flush(&self) -> &[TxnId] {
+        &self.flushed
     }
 
     /// The merged effects of everything committed through this
@@ -401,7 +409,7 @@ impl<'a> Owned<'a> {
     /// attempt through the last retry.
     #[must_use]
     pub fn into_effects(mut self) -> StepEffects {
-        if self.flushed {
+        if !self.flushed.is_empty() {
             self.effects.merge(StepEffects {
                 sst_busy: self.at.since(self.start),
                 reconcile_span: Some((self.start, self.start)),
@@ -426,8 +434,8 @@ impl CommitEnv for Owned<'_> {
         (self.gtms[0].database(), self.gtms[0].bindings())
     }
 
-    fn flushing(&mut self, _batch: &SstBatch) {
-        self.flushed = true;
+    fn flushing(&mut self, batch: &SstBatch) {
+        self.flushed = batch.members.iter().map(|m| m.origin).collect();
     }
 
     fn backoff(&mut self, delay: Duration) {

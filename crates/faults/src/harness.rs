@@ -12,11 +12,11 @@
 //! lint exists for the same reason). The harness therefore drives the
 //! *same* coordinator ([`commit_wave`]: `commit_local` ascending, one
 //! fused SST between the `pre-sst`/`pre-finish` seams, then
-//! `commit_finish`/`commit_abort`) through its own [`CommitEnv`]: shards
-//! are owned managers, the clock is virtual and ticks per phase, a retry
-//! back-off charges virtual time, and the flush callback records the
-//! in-flight write intents. The front-end's environment is exercised
-//! under real threads by the `sst_exhaustion` integration tests.
+//! `commit_finish`/`commit_abort`) through [`Owned`], the environment
+//! over owned managers: the clock is virtual, a retry back-off charges
+//! virtual time, and [`Owned::last_flush`] names the members whose write
+//! intents are in flight. The front-end's environment is exercised under
+//! real threads by the `sst_exhaustion` integration tests.
 //!
 //! ## The invariant ledger
 //!
@@ -38,16 +38,15 @@
 use crate::injector::{FaultInjector, FiredFault};
 use crate::plan::FaultPlan;
 use pstm_check::{stitch_streams, verify_streams, TraceStream, Verdict};
-use pstm_core::commit::{commit_wave, CommitEnv, Member, Shards};
+use pstm_core::commit::{commit_wave, Member, Owned};
 use pstm_core::gtm::{CommitResult, Gtm, GtmConfig};
-use pstm_core::sst::SstBatch;
 use pstm_obs::postmortem::{analyze, Postmortem};
 use pstm_obs::recorder::{read_recorder, Recorder, ENGINE_SHARD};
-use pstm_obs::{RingHandle, RingSink, Sink, TeeSink, TraceEvent, Tracer};
+use pstm_obs::{RingHandle, RingSink, Sink, TeeSink, Tracer};
 use pstm_storage::{BindingRegistry, Database};
 use pstm_types::{
-    AbortReason, Duration, ExecOutcome, PstmError, PstmResult, ResourceId, ScalarOp, StepEffects,
-    Timestamp, TxnId, Value,
+    AbortReason, Duration, ExecOutcome, PstmError, PstmResult, ResourceId, ScalarOp, Timestamp,
+    TxnId, Value,
 };
 use pstm_workload::counter_world;
 use rand::prelude::*;
@@ -204,7 +203,7 @@ struct Chaos {
     /// Per-resource acknowledged `Sub` total.
     acked: Vec<i64>,
     /// Write intents (resource index → subs) of the last batch submitted
-    /// to the engine ([`ChaosEnv::flushing`]). For a fused group this is the
+    /// to the engine ([`Owned::last_flush`]). For a fused group this is the
     /// *union* of the batch members' intents: the batch applies as one
     /// all-or-nothing engine write, so invariant 2 sees one in-flight
     /// unit either fully absent or fully applied.
@@ -351,6 +350,23 @@ impl Chaos {
         }
     }
 
+    /// Records the unit a flush submitted (nothing when `members` is
+    /// empty): it applies as one all-or-nothing engine write, so its
+    /// intents are the union of its members'.
+    fn note_flush(&mut self, wave: &[WaveSession], members: &[TxnId]) {
+        if members.is_empty() {
+            return;
+        }
+        let mut intents: BTreeMap<usize, i64> = BTreeMap::new();
+        for (_, _, subs, _) in wave.iter().filter(|s| members.contains(&s.0)) {
+            for (&r, &n) in subs {
+                *intents.entry(r).or_insert(0) += n;
+            }
+        }
+        self.in_flight = Some(intents);
+        self.in_flight_txns = members.to_vec();
+    }
+
     /// The invariant check, run after every recovery and once at the end.
     /// `after_crash` selects whether an in-flight commit may have
     /// survived; outside a crash the ledger must match the engine
@@ -396,59 +412,6 @@ impl Chaos {
         }
         Ok(())
     }
-}
-
-/// The chaos run as the coordinator's environment: shards are the
-/// epoch's owned managers, every phase ticks the virtual clock, a retry
-/// back-off charges it, and each flush records what is in flight for the
-/// ledger's crash check.
-struct ChaosEnv<'a> {
-    chaos: &'a mut Chaos,
-    gtms: &'a mut [Gtm],
-    wave: &'a [WaveSession],
-}
-
-impl CommitEnv for ChaosEnv<'_> {
-    fn with_shards<R>(
-        &mut self,
-        _shards: &[usize],
-        f: impl FnOnce(&mut dyn Shards, Timestamp) -> R,
-    ) -> R {
-        let now = self.chaos.now();
-        f(&mut &mut *self.gtms, now)
-    }
-
-    fn engine(&self) -> (&Database, &BindingRegistry) {
-        (&self.chaos.db, &self.chaos.bindings)
-    }
-
-    /// The in-flight unit is the batch: it applies as one all-or-nothing
-    /// engine write, so its intents are the union of its members'.
-    fn flushing(&mut self, batch: &SstBatch) {
-        let mut intents: BTreeMap<usize, i64> = BTreeMap::new();
-        for m in &batch.members {
-            if let Some((_, _, subs, _)) = self.wave.iter().find(|s| s.0 == m.origin) {
-                for (&r, &n) in subs {
-                    *intents.entry(r).or_insert(0) += n;
-                }
-            }
-        }
-        self.chaos.in_flight = Some(intents);
-        self.chaos.in_flight_txns = batch.members.iter().map(|m| m.origin).collect();
-    }
-
-    fn backoff(&mut self, delay: Duration) {
-        self.chaos.clock += delay.0;
-    }
-
-    fn emit(&mut self, home: usize, event: TraceEvent) {
-        let now = self.chaos.now();
-        self.gtms[home].emit(now, event);
-    }
-
-    /// Sessions never wait on each other (`Sub`/`Sub` is compatible), so
-    /// there is nobody to notify.
-    fn effects(&mut self, _fx: StepEffects) {}
 }
 
 /// One session in a wave: txn id, its (sorted, deduped) shard set, its
@@ -583,8 +546,12 @@ pub fn run_chaos(config: &ChaosConfig) -> PstmResult<ChaosReport> {
                     .iter()
                     .map(|&i| Member { txn: wave[i].0, home: wave[i].1[0], shards: &wave[i].1 })
                     .collect();
-                let mut env = ChaosEnv { chaos: &mut chaos, gtms: &mut epoch.gtms, wave: &wave };
-                match commit_wave(&mut env, &members, &mut |txn, fate| fates.push((txn, fate))) {
+                let mut env = Owned::new(&mut epoch.gtms, chaos.now());
+                let done =
+                    commit_wave(&mut env, &members, &mut |txn, fate| fates.push((txn, fate)));
+                chaos.note_flush(&wave, env.last_flush());
+                chaos.clock += env.into_effects().sst_busy.0;
+                match done {
                     Ok(deferred) if deferred.is_empty() => break Ok(()),
                     // Deferred members overlapped the batch just flushed:
                     // they go round again, against post-flush state.

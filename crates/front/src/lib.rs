@@ -593,7 +593,7 @@ impl ShardedFront {
     }
 
     /// Acquires several shard locks at once — the **only** sanctioned
-    /// multi-shard acquisition path (enforced by `pstm_check lockgraph`'s
+    /// multi-shard acquisition path (enforced by `pstm_check lint`'s
     /// `multi-shard-path` rule). `shards` must be strictly ascending: every
     /// concurrent committer then acquires in the same global order, so
     /// no lock cycle can form between cross-shard commits.
@@ -648,11 +648,10 @@ impl ShardedFront {
         {
             let mut wakes = self.inner.wakes.lock();
             for (txn, signal) in resumed.chain(aborted) {
-                match wakes.remove(&txn) {
-                    Some(WakeSlot::Parked(waker)) => woken.push((waker, txn, signal)),
-                    _ => {
-                        wakes.insert(txn, WakeSlot::Held(signal));
-                    }
+                if let Some(WakeSlot::Parked(waker)) = wakes.remove(&txn) {
+                    woken.push((waker, txn, signal));
+                } else {
+                    wakes.insert(txn, WakeSlot::Held(signal));
                 }
             }
         }
@@ -666,14 +665,11 @@ impl ShardedFront {
     /// exactly that waiter — at once, if the signal is already held.
     pub(crate) fn park(&self, txn: TxnId, waker: Waker) {
         let mut wakes = self.inner.wakes.lock();
-        match wakes.remove(&txn) {
-            Some(WakeSlot::Held(signal)) => {
-                drop(wakes);
-                waker.wake(txn, signal, self.now());
-            }
-            _ => {
-                wakes.insert(txn, WakeSlot::Parked(waker));
-            }
+        if let Some(WakeSlot::Held(signal)) = wakes.remove(&txn) {
+            drop(wakes);
+            waker.wake(txn, signal, self.now());
+        } else {
+            wakes.insert(txn, WakeSlot::Parked(waker));
         }
     }
 
