@@ -15,7 +15,7 @@
 //!    held across a flush).
 
 use pstm_bench::profile::{merge_records, profile};
-use pstm_check::lockgraph::run_lockgraph;
+use pstm_check::lint::run_lint;
 use pstm_core::gtm::CommitResult;
 use pstm_front::{FrontConfig, ShardedFront};
 use pstm_obs::{RingHandle, RingSink, Tracer};
@@ -122,7 +122,7 @@ fn static_lock_order_and_runtime_waits_for_agree() {
 
     // --- static side: the analyzer over this very workspace ---
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap();
-    let report = run_lockgraph(&root).expect("lockgraph run");
+    let report = run_lint(&root).expect("lint run");
     assert!(report.is_clean(), "workspace not clean:\n{}", report.render());
 
     // 1. One grammar reads both artifacts.

@@ -48,19 +48,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use crate::lint::{LintReport, Rule, Violation};
 use crate::syntax::{AccessKind, Event, FnModel, SourceFile};
 
-/// The one analysis under the names the lock-graph certification suites
-/// read it by.
-pub use crate::lint::{run_lint as run_lockgraph, LintReport as LockgraphReport};
-
-/// The structural rules' names.
-pub const RULE_NAMES: &[&str] = &[
-    "lock-order-graph",
-    "multi-shard-path",
-    "hold-across-flush",
-    "atomics-relaxed",
-    "blocking-context",
-];
-
 // ---------------------------------------------------------------------
 // Lock classes and the declared level order
 // ---------------------------------------------------------------------
@@ -926,7 +913,7 @@ mod tests {
     use crate::lint::{analyze, Allowlist};
     use crate::syntax;
 
-    fn run(sources: &[(&str, &str)]) -> LockgraphReport {
+    fn run(sources: &[(&str, &str)]) -> LintReport {
         let files: Vec<SourceFile> =
             sources.iter().map(|(p, s)| syntax::parse_source(p, s)).collect();
         analyze(&files, &mut Allowlist::default())

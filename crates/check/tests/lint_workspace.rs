@@ -103,6 +103,27 @@ fn cfg_test_code_is_exempt_from_panic_rule() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A CHANGES.md entry is a `- PR` line and the indented lines under it:
+/// at most 15 lines, none over 170 characters. Git keeps the rest.
+#[test]
+fn changes_entries_stay_short() {
+    let text = fs::read_to_string(workspace_root().join("CHANGES.md")).expect("CHANGES.md");
+    let mut entry: Option<(&str, usize)> = None;
+    for line in text.lines() {
+        if line.starts_with("- PR") {
+            entry = Some((line, 0));
+        } else if !line.starts_with("  ") {
+            entry = None;
+        }
+        let Some((head, lines)) = entry.as_mut() else { continue };
+        *lines += 1;
+        let head = head.get(..40).unwrap_or(head);
+        assert!(*lines <= 15, "CHANGES entry `{head}…` runs over 15 lines");
+        let chars = line.chars().count();
+        assert!(chars <= 170, "CHANGES entry `{head}…` has a {chars}-character line");
+    }
+}
+
 fn write(path: &Path, content: &str) {
     fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
     fs::write(path, content).expect("write");

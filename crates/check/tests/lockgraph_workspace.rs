@@ -11,7 +11,7 @@
 //! lock-acquisition sites" agreeing over ~1k functions is the evidence
 //! that the parser the proofs stand on actually reads Rust.
 
-use pstm_check::lockgraph::{run_lockgraph, LockgraphReport, RULE_NAMES};
+use pstm_check::lint::{run_lint, LintReport};
 use pstm_check::{acquisition_token_count, collect_workspace};
 use pstm_obs::dot::waits_for_dot;
 use pstm_types::TxnId;
@@ -22,8 +22,8 @@ fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().expect("workspace root")
 }
 
-fn report() -> LockgraphReport {
-    run_lockgraph(&workspace_root()).expect("lockgraph run")
+fn report() -> LintReport {
+    run_lint(&workspace_root()).expect("lint run")
 }
 
 #[test]
@@ -41,17 +41,12 @@ fn workspace_concurrency_discipline_certifies_clean() {
 #[test]
 fn lockgraph_rules_carry_zero_allowlist_entries() {
     // The day-one findings were fixed in code, not waived; keep it that
-    // way. (The legacy regex lints above keep their documented entries —
-    // this gate covers only the analyzer's own rules.)
+    // way. The gate covers every rule: the allowlist has no entries.
     let text = fs::read_to_string(workspace_root().join("pstm-check.allow")).expect("allow file");
     for line in text.lines().map(str::trim) {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let rule = line.split_whitespace().next().unwrap_or("");
         assert!(
-            !RULE_NAMES.contains(&rule),
-            "lockgraph rule `{rule}` gained an allowlist entry: {line}"
+            line.is_empty() || line.starts_with('#'),
+            "pstm-check.allow gained an entry: {line}"
         );
     }
 }
@@ -185,19 +180,19 @@ fn static_dot_speaks_the_runtime_waits_for_dialect() {
 
 /// README.md shows the workspace's lock-order graph. It is checked, not
 /// copied: the `dot` block under its summary line is what `pstm_check
-/// lockgraph --dot` renders, byte for byte, and the summary line counts
+/// lint --dot` renders, byte for byte, and the summary line counts
 /// that graph's classes and edges.
 #[test]
 fn readme_lock_order_graph_is_the_rendered_one() {
     let readme = fs::read_to_string(workspace_root().join("README.md")).expect("README.md");
-    let summary = "<summary><code>pstm_check lockgraph --dot lock_order.dot</code> — ";
+    let summary = "<summary><code>pstm_check lint --dot lock_order.dot</code> — ";
     let (_, after) = readme.split_once(summary).expect("README keeps the lock-order summary");
     let (line, rest) = after.split_once('\n').expect("summary line");
     let block = rest.split_once("```dot\n").and_then(|(_, b)| b.split_once("```"));
     let (block, _) = block.expect("a dot block follows the summary");
 
     let dot = report().dot();
-    assert_eq!(block, dot, "README's lock-order DOT differs from `pstm_check lockgraph --dot`");
+    assert_eq!(block, dot, "README's lock-order DOT differs from `pstm_check lint --dot`");
     let shape = parse_dot(&dot);
     let counted =
         format!("{} classes, {} edges, acyclic</summary>", shape.nodes.len(), shape.edges.len());

@@ -1,8 +1,7 @@
-//! The table catalog: schemas, constraints and index definitions.
+//! The table catalog: schemas and constraints.
 //!
 //! The catalog is pure metadata (serializable for checkpoints); the engine
-//! pairs each entry with its physical [`crate::heap::HeapFile`] and
-//! [`crate::btree::BTreeIndex`]es.
+//! pairs each entry with its physical [`crate::heap::HeapFile`].
 
 use crate::constraint::Constraint;
 use crate::schema::TableSchema;
@@ -27,13 +26,6 @@ impl fmt::Display for TableId {
     }
 }
 
-/// Definition of a secondary index over one column.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct IndexDef {
-    /// Indexed column.
-    pub column: usize,
-}
-
 /// Metadata of one table.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TableMeta {
@@ -41,8 +33,6 @@ pub struct TableMeta {
     pub schema: TableSchema,
     /// CHECK constraints enforced on every write.
     pub constraints: Vec<Constraint>,
-    /// Secondary indexes.
-    pub indexes: Vec<IndexDef>,
 }
 
 /// The catalog: an ordered collection of table metadata with name lookup.
@@ -83,40 +73,14 @@ impl Catalog {
         }
         let id = TableId(self.tables.len() as u32);
         self.by_name.insert(schema.name.clone(), id);
-        self.tables.push(TableMeta { schema, constraints, indexes: Vec::new() });
+        self.tables.push(TableMeta { schema, constraints });
         Ok(id)
-    }
-
-    /// Adds a secondary index definition; returns its position among the
-    /// table's indexes.
-    pub fn create_index(&mut self, table: TableId, column: usize) -> PstmResult<usize> {
-        let meta = self.meta_mut(table)?;
-        if column >= meta.schema.arity() {
-            return Err(PstmError::NotFound(format!(
-                "column #{column} in table {}",
-                meta.schema.name
-            )));
-        }
-        if meta.indexes.iter().any(|i| i.column == column) {
-            return Err(PstmError::AlreadyExists(format!(
-                "index on column #{column} of table {}",
-                meta.schema.name
-            )));
-        }
-        meta.indexes.push(IndexDef { column });
-        Ok(meta.indexes.len() - 1)
     }
 
     /// Metadata of `table`.
     pub fn meta(&self, table: TableId) -> PstmResult<&TableMeta> {
         self.tables
             .get(table.0 as usize)
-            .ok_or_else(|| PstmError::NotFound(format!("table {table}")))
-    }
-
-    fn meta_mut(&mut self, table: TableId) -> PstmResult<&mut TableMeta> {
-        self.tables
-            .get_mut(table.0 as usize)
             .ok_or_else(|| PstmError::NotFound(format!("table {table}")))
     }
 
@@ -187,16 +151,6 @@ mod tests {
         let err =
             c.create_table(flight_schema(), vec![Constraint::non_negative("bad", 9)]).unwrap_err();
         assert!(matches!(err, PstmError::Internal(_)));
-    }
-
-    #[test]
-    fn index_creation_and_duplication() {
-        let mut c = Catalog::new();
-        let id = c.create_table(flight_schema(), vec![]).unwrap();
-        assert_eq!(c.create_index(id, 1).unwrap(), 0);
-        assert!(matches!(c.create_index(id, 1).unwrap_err(), PstmError::AlreadyExists(_)));
-        assert!(c.create_index(id, 7).is_err());
-        assert!(c.create_index(TableId(9), 0).is_err());
     }
 
     #[test]

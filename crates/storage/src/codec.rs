@@ -181,7 +181,6 @@ const REC_DELETE: u8 = 4;
 const REC_COMMIT: u8 = 5;
 const REC_ABORT: u8 = 6;
 const REC_CREATE_TABLE: u8 = 8;
-const REC_CREATE_INDEX: u8 = 9;
 
 /// Appends a record that is only a tag and its transaction
 /// (`Begin`/`Commit`/`Abort`).
@@ -259,11 +258,6 @@ pub fn encode_record(rec: &LogRecord, out: &mut Vec<u8>) -> PstmResult<()> {
                 .map_err(|e| PstmError::internal(format!("WAL serialize: {e}")))?;
             out.extend_from_slice(&body);
         }
-        LogRecord::CreateIndex { table, column } => {
-            out.push(REC_CREATE_INDEX);
-            out.extend_from_slice(&table.0.to_le_bytes());
-            encode_column(*column, out)?;
-        }
     }
     Ok(())
 }
@@ -308,11 +302,6 @@ pub fn decode_record(buf: &[u8]) -> PstmResult<LogRecord> {
                 .map_err(|e| PstmError::WalCorrupt(format!("bad DDL body: {e}")))?;
             pos = buf.len();
             LogRecord::CreateTable { schema, constraints }
-        }
-        REC_CREATE_INDEX => {
-            let table = TableId(take_u32(buf, &mut pos)?);
-            let column = take_u32(buf, &mut pos)? as usize;
-            LogRecord::CreateIndex { table, column }
         }
         other => return Err(PstmError::WalCorrupt(format!("unknown record tag {other}"))),
     };

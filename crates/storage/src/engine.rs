@@ -1,10 +1,10 @@
 //! The `Database` facade — the LDBS the middleware's Secure System
 //! Transactions run against.
 //!
-//! The engine owns the catalog, one heap file + index set per table, and
-//! the WAL. It enforces CHECK constraints on every write, logs
-//! before/after images, supports abort-by-undo at runtime, quiescent
-//! checkpoints, and crash recovery (see [`crate::recovery`]).
+//! The engine owns the catalog, one heap file per table, and the WAL. It
+//! enforces CHECK constraints on every write, logs before/after images,
+//! supports abort-by-undo at runtime, quiescent checkpoints, and crash
+//! recovery (see [`crate::recovery`]).
 //!
 //! The engine bounds its own log. At the end of every write that leaves
 //! no engine transaction active (`apply_write_set`, `commit`, `abort`)
@@ -27,8 +27,7 @@
 //! mirroring the paper's split where the middleware provides isolation and
 //! the LDBS provides consistency + durability.
 
-use crate::btree::BTreeIndex;
-use crate::catalog::{Catalog, TableId, TableMeta};
+use crate::catalog::{Catalog, TableId};
 use crate::codec::{encode_begin, encode_commit, encode_update, encoded_len};
 use crate::constraint::Constraint;
 use crate::fault::FaultSeam;
@@ -40,7 +39,6 @@ use parking_lot::RwLock;
 use pstm_obs::{Ctr, Emitter, MetricsRegistry, TraceEvent, Tracer};
 use pstm_types::{FaultDecision, FaultSite, PstmError, PstmResult, SharedFaultHook, TxnId, Value};
 use std::collections::HashMap;
-use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -104,57 +102,6 @@ impl std::ops::Deref for WriteSet {
     }
 }
 
-/// Physical storage of one table.
-pub(crate) struct TableStore {
-    pub(crate) heap: HeapFile,
-    pub(crate) indexes: Vec<BTreeIndex>,
-}
-
-impl TableStore {
-    /// A store over `heap` with every index of `meta` built from its rows.
-    pub(crate) fn over(heap: HeapFile, meta: &TableMeta) -> Self {
-        let mut store = TableStore { heap, indexes: Vec::new() };
-        for _ in &meta.indexes {
-            store.backfill(meta);
-        }
-        store
-    }
-
-    /// Builds the next index of `meta` from the heap's rows.
-    fn backfill(&mut self, meta: &TableMeta) {
-        let column = meta.indexes[self.indexes.len()].column;
-        let mut index = BTreeIndex::new();
-        for (rid, row) in self.heap.scan() {
-            if let Some(v) = row.get(column) {
-                index.insert(v.clone(), rid);
-            }
-        }
-        self.indexes.push(index);
-    }
-
-    /// Enters (`add`) or removes row `rid`'s values in every index.
-    fn index_row(&mut self, meta: &TableMeta, rid: RowId, row: &Row, add: bool) {
-        for (index, def) in self.indexes.iter_mut().zip(&meta.indexes) {
-            if let Some(v) = row.get(def.column) {
-                if add {
-                    index.insert(v.clone(), rid);
-                } else {
-                    index.remove(v, rid);
-                }
-            }
-        }
-    }
-
-    /// Moves row `rid` from `from` to `to` in the index on `column`, if
-    /// there is one.
-    fn reindex(&mut self, meta: &TableMeta, rid: RowId, column: usize, from: &Value, to: &Value) {
-        if let Some(i) = meta.indexes.iter().position(|d| d.column == column) {
-            self.indexes[i].remove(from, rid);
-            self.indexes[i].insert(to.clone(), rid);
-        }
-    }
-}
-
 /// Checkpoint image: serialized catalog + heap images.
 #[derive(Default)]
 pub(crate) struct CheckpointImage {
@@ -172,7 +119,7 @@ struct StagedRow {
 
 pub(crate) struct Inner {
     pub(crate) catalog: Catalog,
-    pub(crate) stores: Vec<TableStore>,
+    pub(crate) heaps: Vec<HeapFile>,
     pub(crate) wal: Wal,
     /// The last checkpoint: what recovery replays the log onto.
     pub(crate) image: Option<CheckpointImage>,
@@ -202,13 +149,13 @@ pub(crate) struct Inner {
 impl Inner {
     fn new(
         catalog: Catalog,
-        stores: Vec<TableStore>,
+        heaps: Vec<HeapFile>,
         wal: Wal,
         image: Option<CheckpointImage>,
     ) -> Self {
         Inner {
             catalog,
-            stores,
+            heaps,
             wal,
             catalog_stale: image.is_none(),
             image,
@@ -221,16 +168,16 @@ impl Inner {
         }
     }
 
-    fn store(&self, table: TableId) -> PstmResult<&TableStore> {
-        let store = self.stores.get(table.0 as usize);
-        store.ok_or_else(|| PstmError::NotFound(format!("table {table}")))
+    fn heap(&self, table: TableId) -> PstmResult<&HeapFile> {
+        let heap = self.heaps.get(table.0 as usize);
+        heap.ok_or_else(|| PstmError::NotFound(format!("table {table}")))
     }
 
     /// Bytes an image of the current state takes: every heap's pages
     /// plus the catalog JSON as of the last image.
     fn image_bytes(&self) -> usize {
         let catalog = self.image.as_ref().map_or(0, |image| image.catalog_json.len());
-        catalog + self.stores.iter().map(|s| s.heap.image_len()).sum::<usize>()
+        catalog + self.heaps.iter().map(HeapFile::image_len).sum::<usize>()
     }
 
     /// The one checkpoint routine: captures the image into the buffers
@@ -252,9 +199,9 @@ impl Inner {
         if let Some(json) = catalog_json {
             image.catalog_json = json;
         }
-        image.heaps.resize_with(self.stores.len(), Vec::new);
-        for (store, heap) in self.stores.iter().zip(&mut image.heaps) {
-            store.heap.write_image(heap);
+        image.heaps.resize_with(self.heaps.len(), Vec::new);
+        for (heap, bytes) in self.heaps.iter().zip(&mut image.heaps) {
+            heap.write_image(bytes);
         }
         self.catalog_stale = false;
         self.wal.forget();
@@ -299,7 +246,7 @@ impl Inner {
                     }
                     let staged = &mut self.staged_rows[self.staged];
                     (staged.table, staged.row_id) = (*table, *row_id);
-                    self.stores[table.0 as usize].heap.get_into(*row_id, &mut staged.row)?;
+                    self.heaps[table.0 as usize].get_into(*row_id, &mut staged.row)?;
                     self.staged += 1;
                     self.staged - 1
                 }
@@ -337,7 +284,7 @@ impl Inner {
             let same_page =
                 |(t, r, _): &(TableId, RowId, usize)| *t == table && r.page() == row_id.page();
             let need: usize = grows().filter(same_page).map(|(.., grow)| grow).sum();
-            let free = self.stores[table.0 as usize].heap.page_free(row_id)?;
+            let free = self.heaps[table.0 as usize].page_free(row_id)?;
             if need > free {
                 return Err(PstmError::ConstraintViolation {
                     constraint: format!("row {row_id} of {table} fits its page"),
@@ -529,21 +476,9 @@ impl Database {
         let mut inner = self.inner.write();
         let id = inner.catalog.create_table(schema.clone(), constraints.clone())?;
         inner.catalog_stale = true;
-        inner.stores.push(TableStore { heap: HeapFile::new(), indexes: Vec::new() });
+        inner.heaps.push(HeapFile::new());
         inner.wal.append(&LogRecord::CreateTable { schema, constraints })?;
         Ok(id)
-    }
-
-    /// Creates a secondary index, backfilling it from existing rows.
-    /// Autocommitted and WAL-logged like [`Database::create_table`].
-    pub fn create_index(&self, table: TableId, column: usize) -> PstmResult<()> {
-        let mut guard = self.inner.write();
-        let inner = &mut *guard;
-        inner.catalog.create_index(table, column)?;
-        inner.catalog_stale = true;
-        inner.wal.append(&LogRecord::CreateIndex { table, column })?;
-        inner.stores[table.0 as usize].backfill(inner.catalog.meta(table)?);
-        Ok(())
     }
 
     /// Resolves a table name.
@@ -576,7 +511,7 @@ impl Database {
             return Err(PstmError::UnknownTxn(txn));
         }
         for (table, row_id) in inner.pending_deletes.remove(&txn).unwrap_or_default() {
-            inner.stores[table.0 as usize].heap.purge(row_id)?;
+            inner.heaps[table.0 as usize].purge(row_id)?;
         }
         inner.wal.append(&LogRecord::Commit { txn })?;
         inner.checkpoint_if_due();
@@ -596,25 +531,19 @@ impl Database {
                 continue;
             }
             match rec {
-                LogRecord::Insert { table, row_id, row, .. } => {
-                    let store = &mut inner.stores[table.0 as usize];
-                    store.heap.delete(*row_id)?;
-                    store.index_row(inner.catalog.meta(*table)?, *row_id, row, false);
+                LogRecord::Insert { table, row_id, .. } => {
+                    inner.heaps[table.0 as usize].delete(*row_id)?;
                 }
-                LogRecord::Update { table, row_id, column, before, after, .. } => {
-                    let store = &mut inner.stores[table.0 as usize];
-                    let mut row = store.heap.get(*row_id)?;
+                LogRecord::Update { table, row_id, column, before, .. } => {
+                    let heap = &mut inner.heaps[table.0 as usize];
+                    let mut row = heap.get(*row_id)?;
                     row.set(*column, before.clone());
-                    store.heap.update(*row_id, &row)?;
-                    let meta = inner.catalog.meta(*table)?;
-                    store.reindex(meta, *row_id, *column, after, before);
+                    heap.update(*row_id, &row)?;
                 }
-                LogRecord::Delete { table, row_id, row, .. } => {
+                LogRecord::Delete { table, row_id, .. } => {
                     // The delete was only a logical mark; the bytes and
                     // slot are still reserved.
-                    let store = &mut inner.stores[table.0 as usize];
-                    store.heap.undelete(*row_id)?;
-                    store.index_row(inner.catalog.meta(*table)?, *row_id, row, true);
+                    inner.heaps[table.0 as usize].undelete(*row_id)?;
                 }
                 _ => {}
             }
@@ -644,9 +573,7 @@ impl Database {
         for c in &meta.constraints {
             c.check_row(row.values())?;
         }
-        let store = &mut inner.stores[table.0 as usize];
-        let rid = store.heap.insert(&row)?;
-        store.index_row(meta, rid, &row, true);
+        let rid = inner.heaps[table.0 as usize].insert(&row)?;
         inner.wal.append(&LogRecord::Insert { txn, table, row_id: rid, row })?;
         inner.obs.emit_unclocked([TraceEvent::EngineInsert { txn }]);
         Ok(rid)
@@ -671,15 +598,14 @@ impl Database {
                 c.check_value(&value)?;
             }
         }
-        let store = &mut inner.stores[table.0 as usize];
-        let mut row = store.heap.get(row_id)?;
+        let heap = &mut inner.heaps[table.0 as usize];
+        let mut row = heap.get(row_id)?;
         let before = row
             .get(column)
             .cloned()
             .ok_or_else(|| PstmError::NotFound(format!("column #{column} in {table}")))?;
         row.set(column, value.clone());
-        store.heap.update(row_id, &row)?;
-        store.reindex(meta, row_id, column, &before, &value);
+        heap.update(row_id, &row)?;
         inner.wal.append(&LogRecord::Update {
             txn,
             table,
@@ -697,13 +623,12 @@ impl Database {
         let mut guard = self.inner.write();
         let inner = &mut *guard;
         Self::require_active(inner, txn)?;
-        let store = &mut inner.stores[table.0 as usize];
-        let row = store.heap.get(row_id)?;
+        let heap = &mut inner.heaps[table.0 as usize];
+        let row = heap.get(row_id)?;
         // Deferred physical delete: mark now (readers no longer see the
         // row, but its space stays reserved), purge at commit, undelete
         // at abort.
-        store.heap.mark_deleted(row_id)?;
-        store.index_row(inner.catalog.meta(table)?, row_id, &row, false);
+        heap.mark_deleted(row_id)?;
         inner.pending_deletes.entry(txn).or_default().push((table, row_id));
         inner.wal.append(&LogRecord::Delete { txn, table, row_id, row })?;
         inner.obs.emit_unclocked([TraceEvent::EngineDelete { txn }]);
@@ -713,21 +638,22 @@ impl Database {
     /// Reads a full row (no transaction required: isolation is the
     /// managers' responsibility).
     pub fn get(&self, table: TableId, row_id: RowId) -> PstmResult<Row> {
-        self.inner.read().store(table)?.heap.get(row_id)
+        self.inner.read().heap(table)?.get(row_id)
     }
 
     /// Reads one column of a row, decoding that value alone.
     pub fn get_col(&self, table: TableId, row_id: RowId, column: usize) -> PstmResult<Value> {
-        let value = self.inner.read().store(table)?.heap.get_col(row_id, column)?;
+        let value = self.inner.read().heap(table)?.get_col(row_id, column)?;
         value.ok_or_else(|| PstmError::NotFound(format!("column #{column} in {table}")))
     }
 
     /// Full scan of a table.
     pub fn scan(&self, table: TableId) -> PstmResult<Vec<(RowId, Row)>> {
-        Ok(self.inner.read().store(table)?.heap.scan().collect())
+        Ok(self.inner.read().heap(table)?.scan().collect())
     }
 
-    /// Point lookup by column value, via index when one exists, else scan.
+    /// Point lookup by column value: the rows of `table` whose `column`
+    /// equals `value`, found by a scan in row-id order.
     pub fn lookup_eq(
         &self,
         table: TableId,
@@ -735,39 +661,10 @@ impl Database {
         value: &Value,
     ) -> PstmResult<Vec<RowId>> {
         let inner = self.inner.read();
-        let meta = inner.catalog.meta(table)?;
-        let store = &inner.stores[table.0 as usize];
-        if let Some(i) = meta.indexes.iter().position(|d| d.column == column) {
-            return Ok(store.indexes[i].get(value).to_vec());
-        }
-        Ok(store
-            .heap
+        Ok(inner
+            .heap(table)?
             .scan()
             .filter(|(_, row)| row.get(column) == Some(value))
-            .map(|(rid, _)| rid)
-            .collect())
-    }
-
-    /// Range lookup by column value via index when one exists, else scan.
-    pub fn lookup_range(
-        &self,
-        table: TableId,
-        column: usize,
-        lo: Bound<&Value>,
-        hi: Bound<&Value>,
-    ) -> PstmResult<Vec<RowId>> {
-        let inner = self.inner.read();
-        let meta = inner.catalog.meta(table)?;
-        let store = &inner.stores[table.0 as usize];
-        if let Some(i) = meta.indexes.iter().position(|d| d.column == column) {
-            return Ok(store.indexes[i].range(lo, hi).into_iter().map(|(_, r)| r).collect());
-        }
-        Ok(store
-            .heap
-            .scan()
-            .filter(|(_, row)| {
-                row.get(column).is_some_and(|v| crate::btree::value_in_bounds(v, lo, hi))
-            })
             .map(|(rid, _)| rid)
             .collect())
     }
@@ -822,12 +719,7 @@ impl Database {
             return Err(e);
         }
         for staged in &inner.staged_rows[..inner.staged] {
-            inner.stores[staged.table.0 as usize].heap.update(staged.row_id, &staged.row)?;
-        }
-        for (op, before) in ops.iter().zip(&inner.befores) {
-            let WriteOp::Update { table, row_id, column, value } = op;
-            let meta = inner.catalog.meta(*table)?;
-            inner.stores[table.0 as usize].reindex(meta, *row_id, *column, before, value);
+            inner.heaps[staged.table.0 as usize].update(staged.row_id, &staged.row)?;
         }
         inner.checkpoint_if_due();
         let updates = ops.iter().map(|_| TraceEvent::EngineUpdate { txn });
@@ -868,9 +760,9 @@ impl Database {
         // would stop at the tear and lose them — recovery must be
         // idempotent under double replay.
         inner.wal.trim_torn_tail();
-        let (catalog, stores, stats) = crate::recovery::recover(&inner.image, &inner.wal)?;
+        let (catalog, heaps, stats) = crate::recovery::recover(&inner.image, &inner.wal)?;
         inner.catalog = catalog;
-        inner.stores = stores;
+        inner.heaps = heaps;
         inner.obs.emit_unclocked([TraceEvent::Recovered {
             winners: stats.winners,
             records: stats.records,
@@ -891,14 +783,14 @@ impl Database {
 
     /// Opens a database previously written by [`Database::save_to`]. The
     /// image is validated (magic, per-section checksums) and loaded
-    /// through the same path crash recovery uses; indexes are rebuilt.
+    /// through the same path crash recovery uses.
     pub fn open_from(path: impl AsRef<std::path::Path>) -> PstmResult<Self> {
         let bytes = crate::persist::read_all(path.as_ref())?;
         let (catalog_json, heaps) = crate::persist::decode(&bytes)?;
         let image = Some(CheckpointImage { catalog_json, heaps });
         let wal = Wal::new();
-        let (catalog, stores, _stats) = crate::recovery::recover(&image, &wal)?;
-        Ok(Database::over(Inner::new(catalog, stores, wal, image)))
+        let (catalog, heaps, _stats) = crate::recovery::recover(&image, &wal)?;
+        Ok(Database::over(Inner::new(catalog, heaps, wal, image)))
     }
 
     /// Snapshot of the engine counters, projected from the obs registry
@@ -922,7 +814,7 @@ impl Database {
 
     /// Number of live rows in `table`.
     pub fn row_count(&self, table: TableId) -> PstmResult<usize> {
-        Ok(self.inner.read().store(table)?.heap.row_count())
+        Ok(self.inner.read().heap(table)?.row_count())
     }
 }
 
@@ -1028,7 +920,6 @@ mod tests {
     #[test]
     fn batched_commit_logs_chained_images_and_moves_indexes() {
         let (db, t) = setup();
-        db.create_index(t, 1).unwrap();
         db.begin(TxnId(1)).unwrap();
         let a = db.insert(TxnId(1), t, flight(1, 10, 1.0)).unwrap();
         let b = db.insert(TxnId(1), t, flight(2, 20, 2.0)).unwrap();
@@ -1107,7 +998,6 @@ mod tests {
     #[test]
     fn indexes_serve_lookups_and_stay_consistent() {
         let (db, t) = setup();
-        db.create_index(t, 1).unwrap();
         let txn = TxnId(1);
         db.begin(txn).unwrap();
         let r1 = db.insert(txn, t, flight(1, 7, 1.0)).unwrap();
@@ -1127,21 +1017,6 @@ mod tests {
 
         assert_eq!(db.lookup_eq(t, 1, &Value::Int(7)).unwrap(), vec![r2]);
         assert_eq!(db.lookup_eq(t, 1, &Value::Int(9)).unwrap(), vec![r1]);
-
-        let range =
-            db.lookup_range(t, 1, Bound::Included(&Value::Int(8)), Bound::Unbounded).unwrap();
-        assert_eq!(range, vec![r1]);
-    }
-
-    #[test]
-    fn index_backfills_existing_rows() {
-        let (db, t) = setup();
-        let txn = TxnId(1);
-        db.begin(txn).unwrap();
-        let rid = db.insert(txn, t, flight(1, 42, 1.0)).unwrap();
-        db.commit(txn).unwrap();
-        db.create_index(t, 1).unwrap();
-        assert_eq!(db.lookup_eq(t, 1, &Value::Int(42)).unwrap(), vec![rid]);
     }
 
     #[test]
@@ -1152,10 +1027,6 @@ mod tests {
         let rid = db.insert(txn, t, flight(1, 11, 1.0)).unwrap();
         db.commit(txn).unwrap();
         assert_eq!(db.lookup_eq(t, 1, &Value::Int(11)).unwrap(), vec![rid]);
-        let range = db
-            .lookup_range(t, 1, Bound::Excluded(&Value::Int(10)), Bound::Excluded(&Value::Int(12)))
-            .unwrap();
-        assert_eq!(range, vec![rid]);
     }
 
     #[test]

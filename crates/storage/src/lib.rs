@@ -8,7 +8,6 @@
 //!
 //! * a typed [`catalog`] of tables ([`schema`] definitions + [`constraint`]s),
 //! * rows stored in slotted [`page`]s organised into [`heap`] files,
-//! * secondary [`btree`] indexes,
 //! * a write-ahead log ([`wal`]) with checksummed records and
 //!   ARIES-flavoured [`recovery`] (redo winners, undo losers),
 //! * a [`engine::Database`] facade tying it together, enforcing CHECK
@@ -22,7 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod binding;
-pub mod btree;
 pub mod catalog;
 pub mod codec;
 pub mod constraint;

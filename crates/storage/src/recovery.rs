@@ -19,11 +19,10 @@
 //! image. Records of losers — transactions without a `Commit` — are
 //! skipped entirely, which both rolls back in-flight transactions lost in
 //! the crash and is consistent with runtime aborts (whose undo happened
-//! before their records would matter). Secondary indexes are rebuilt from
-//! the recovered heaps.
+//! before their records would matter).
 
 use crate::catalog::Catalog;
-use crate::engine::{CheckpointImage, TableStore};
+use crate::engine::CheckpointImage;
 use crate::heap::HeapFile;
 use crate::wal::{LogRecord, Wal};
 use pstm_types::{PstmError, PstmResult, TxnId};
@@ -39,11 +38,11 @@ pub(crate) struct RecoveryStats {
     pub(crate) records: u64,
 }
 
-/// Rebuilds catalog + table stores from a checkpoint image and the WAL.
+/// Rebuilds catalog + heaps from a checkpoint image and the WAL.
 pub(crate) fn recover(
     checkpoint: &Option<CheckpointImage>,
     wal: &Wal,
-) -> PstmResult<(Catalog, Vec<TableStore>, RecoveryStats)> {
+) -> PstmResult<(Catalog, Vec<HeapFile>, RecoveryStats)> {
     // Start from the checkpoint image, or empty state.
     let (mut catalog, mut heaps): (Catalog, Vec<HeapFile>) = match checkpoint {
         Some(cp) => {
@@ -74,17 +73,10 @@ pub(crate) fn recover(
     // Redo phase, in log order. DDL records are autocommitted and replay
     // unconditionally; DML replays only for winners.
     for (_, rec) in &records {
-        match rec {
-            LogRecord::CreateTable { schema, constraints } => {
-                catalog.create_table(schema.clone(), constraints.clone())?;
-                heaps.push(HeapFile::new());
-                continue;
-            }
-            LogRecord::CreateIndex { table, column } => {
-                catalog.create_index(*table, *column)?;
-                continue;
-            }
-            _ => {}
+        if let LogRecord::CreateTable { schema, constraints } = rec {
+            catalog.create_table(schema.clone(), constraints.clone())?;
+            heaps.push(HeapFile::new());
+            continue;
         }
         let Some(txn) = rec.txn() else { continue };
         if !winners.contains(&txn) {
@@ -127,15 +119,9 @@ pub(crate) fn recover(
             catalog.table_count()
         )));
     }
-
-    // Rebuild secondary indexes from the recovered heaps.
-    let mut stores = Vec::with_capacity(heaps.len());
-    for (tid, heap) in heaps.into_iter().enumerate() {
-        stores.push(TableStore::over(heap, catalog.meta(crate::catalog::TableId(tid as u32))?));
-    }
     catalog.rebuild_lookup();
     let stats = RecoveryStats { winners: winners.len() as u64, records: records.len() as u64 };
-    Ok((catalog, stores, stats))
+    Ok((catalog, heaps, stats))
 }
 
 #[cfg(test)]
@@ -157,7 +143,6 @@ mod tests {
         )
         .unwrap();
         let t = db.create_table(schema, vec![Constraint::non_negative("ft", 1)]).unwrap();
-        db.create_index(t, 0).unwrap();
         db.checkpoint().unwrap(); // capture DDL so recovery sees the catalog
         (db, t)
     }

@@ -38,7 +38,6 @@
 //! | 5 | `Commit` | `txn: u64` | 9 |
 //! | 6 | `Abort` | `txn: u64` | 9 |
 //! | 8 | `CreateTable` | JSON of `(schema, constraints)` — DDL is cold and nested | 1 + body |
-//! | 9 | `CreateIndex` | `table: u32 · column: u32` | 9 |
 //!
 //! With the 8-byte frame header a two-row integer commit
 //! (`Begin · Update · Update · Commit`) is 17 + 51 + 51 + 17 = 136 bytes.
@@ -126,13 +125,6 @@ pub enum LogRecord {
         /// Its CHECK constraints.
         constraints: Vec<crate::constraint::Constraint>,
     },
-    /// DDL: a secondary index was created.
-    CreateIndex {
-        /// The indexed table.
-        table: TableId,
-        /// The indexed column.
-        column: usize,
-    },
 }
 
 impl LogRecord {
@@ -146,7 +138,7 @@ impl LogRecord {
             | LogRecord::Delete { txn, .. }
             | LogRecord::Commit { txn }
             | LogRecord::Abort { txn } => Some(*txn),
-            LogRecord::CreateTable { .. } | LogRecord::CreateIndex { .. } => None,
+            LogRecord::CreateTable { .. } => None,
         }
     }
 }
@@ -538,7 +530,9 @@ mod tests {
     #[test]
     fn record_txn_accessor() {
         assert_eq!(LogRecord::Begin { txn: TxnId(3) }.txn(), Some(TxnId(3)));
-        assert_eq!(LogRecord::CreateIndex { table: TableId(0), column: 1 }.txn(), None);
+        let column = crate::schema::ColumnDef::new("id", pstm_types::ValueKind::Int);
+        let schema = crate::schema::TableSchema::new("t", vec![column]).unwrap();
+        assert_eq!(LogRecord::CreateTable { schema, constraints: vec![] }.txn(), None);
     }
 
     #[test]
@@ -769,10 +763,6 @@ mod codec_tests {
                 }
             ),
             arb_create_table(),
-            (any::<u32>(), 0usize..1_000).prop_map(|(table, column)| LogRecord::CreateIndex {
-                table: TableId(table),
-                column
-            }),
         ]
     }
 
@@ -841,8 +831,12 @@ mod codec_tests {
     #[test]
     fn garbage_payloads_are_rejected_not_panicked_on() {
         // Framed correctly, meaningless inside: the payload decoder is
-        // the last line of defence and must say so.
-        for payload in [&[][..], &[0], &[99, 1, 2], &[1, 7], &[3; 20], &[7, 0], &[8, b'{']] {
+        // the last line of defence and must say so. Tag 9 once named a
+        // well-formed `table · column` record; it is retired, not reread.
+        let retired = [9, 0, 0, 0, 0, 1, 0, 0, 0];
+        for payload in
+            [&[][..], &[0], &[99, 1, 2], &[1, 7], &[3; 20], &[7, 0], &[8, b'{'], &retired]
+        {
             let mut wal = Wal::new();
             pstm_obs::frame::write_frame(payload, &mut wal.buf);
             assert!(matches!(wal.records(), Err(PstmError::WalCorrupt(_))), "{payload:?}");

@@ -17,7 +17,6 @@ fn build() -> (Database, pstm_storage::TableId, Vec<pstm_storage::RowId>) {
     )
     .unwrap();
     let t = db.create_table(schema, vec![Constraint::non_negative("rooms>=0", 1)]).unwrap();
-    db.create_index(t, 0).unwrap();
     let boot = TxnId(1);
     db.begin(boot).unwrap();
     let rows: Vec<_> = (0..200)
@@ -179,7 +178,7 @@ fn committed_delete_frees_space_for_reuse() {
 }
 
 /// DDL after the last checkpoint (or with no checkpoint at all) survives
-/// a crash: CreateTable/CreateIndex are WAL-logged and replayed.
+/// a crash: CreateTable is WAL-logged and replayed.
 #[test]
 fn ddl_without_checkpoint_survives_crash() {
     let db = Database::new();
@@ -189,7 +188,6 @@ fn ddl_without_checkpoint_survives_crash() {
     )
     .unwrap();
     let t = db.create_table(schema, vec![Constraint::non_negative("v>=0", 1)]).unwrap();
-    db.create_index(t, 0).unwrap();
     let w = TxnId(1);
     db.begin(w).unwrap();
     let rid = db.insert(w, t, Row::new(vec![Value::Int(7), Value::Int(3)])).unwrap();

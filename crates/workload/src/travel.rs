@@ -52,7 +52,6 @@ impl TravelWorld {
                 schema,
                 vec![Constraint::non_negative(format!("{name}.free >= 0"), 1)],
             )?;
-            db.create_index(table, 0)?;
             for i in 0..per_category {
                 let row = db.insert(
                     boot,

@@ -18,7 +18,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vec![ColumnDef::new("id", ValueKind::Int), ColumnDef::new("free_tickets", ValueKind::Int)],
     )?;
     let table = db.create_table(schema, vec![Constraint::non_negative("free_tickets >= 0", 1)])?;
-    db.create_index(table, 0)?;
 
     // Load some flights and checkpoint (DDL + data become the recovery
     // baseline).
@@ -64,10 +63,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(db.get_col(table, rows[2], 1)?, Value::Int(100), "in-flight work rolled back");
     assert_eq!(db.get_col(table, rows[4], 1)?, Value::Int(100), "rejected SST left no trace");
 
-    // The index was rebuilt during recovery and still answers lookups.
+    // The recovered heap still answers lookups by column value.
     let hit = db.lookup_eq(table, 0, &Value::Int(2))?;
     assert_eq!(hit, vec![rows[2]]);
-    println!("\nsecondary index rebuilt: flight id 2 -> {:?}", hit[0]);
+    println!("\nlookup after recovery: flight id 2 -> {:?}", hit[0]);
     println!("recovery contract: committed work survives, losers vanish ✓");
     Ok(())
 }

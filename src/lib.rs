@@ -18,7 +18,7 @@
 //!   aborted;
 //! * [`twopl::TwoPlManager`] is the strict-2PL comparator;
 //! * [`storage::Database`] is the embedded LDBS both run against
-//!   (slotted pages, B-tree indexes, WAL + recovery, CHECK constraints);
+//!   (slotted pages, WAL + recovery, CHECK constraints);
 //! * [`sim`] and [`workload`] emulate the paper's mobile clients;
 //! * [`model`] is the closed-form §VI.A model (Figs. 1–2).
 
