@@ -124,6 +124,19 @@ fn changes_entries_stay_short() {
     }
 }
 
+/// README, EXPERIMENTS, CHANGES and DESIGN together stay within 180 KB
+/// (180 000 bytes): prose that grows past it has to be folded first.
+#[test]
+fn prose_stays_within_budget() {
+    const BUDGET: u64 = 180_000;
+    let sizes: Vec<(&str, u64)> = ["README.md", "EXPERIMENTS.md", "CHANGES.md", "DESIGN.md"]
+        .into_iter()
+        .map(|doc| (doc, fs::metadata(workspace_root().join(doc)).expect(doc).len()))
+        .collect();
+    let total: u64 = sizes.iter().map(|(_, bytes)| bytes).sum();
+    assert!(total <= BUDGET, "prose is {total} B, over the {BUDGET} B budget: {sizes:?}");
+}
+
 fn write(path: &Path, content: &str) {
     fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
     fs::write(path, content).expect("write");

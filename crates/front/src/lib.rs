@@ -57,8 +57,7 @@
 //!   spans and folds them into the home shard's registry once, at its
 //!   end; with a sink, each boundary is also streamed as it happens.
 //! - **Fleet view.** [`ShardedFront::fleet_snapshot`] merges every shard
-//!   registry (plus sink drop counts) into one [`FleetSnapshot`],
-//!   renderable in Prometheus text format.
+//!   registry (plus sink drop counts) into one [`FleetSnapshot`].
 
 #![warn(missing_docs)]
 
@@ -71,7 +70,7 @@ use pstm_core::gtm::{CommitResult, Gtm, GtmConfig, GtmStats};
 use pstm_obs::prof::{self, CommitPhase};
 use pstm_obs::wallclock::WallAnchor;
 use pstm_obs::{
-    expo, MetricsRegistry, Recorder, RecorderStats, SpanKind, SpanLedger, TraceEvent, Tracer,
+    MetricsRegistry, Recorder, RecorderStats, SpanKind, SpanLedger, TraceEvent, Tracer,
 };
 use pstm_storage::{BindingRegistry, Database};
 use pstm_types::{
@@ -241,8 +240,7 @@ pub enum AwakeOutcome {
 
 /// Fleet-wide metrics: every shard's registry merged into one, kept next
 /// to the per-shard views and the total trace loss. Produced by
-/// [`ShardedFront::fleet_snapshot`]; rendered for scrapers by
-/// [`FleetSnapshot::prometheus`].
+/// [`ShardedFront::fleet_snapshot`].
 #[derive(Clone, Debug)]
 pub struct FleetSnapshot {
     /// All shard registries merged ([`MetricsRegistry::merge`]).
@@ -255,16 +253,8 @@ pub struct FleetSnapshot {
     pub trace_dropped: u64,
     /// Flight-recorder device stats at snapshot time, when a recorder is
     /// attached ([`ShardedFront::attach_recorder`]); `None` when the
-    /// fleet flies dark. Rendered as `pstm_recorder_*` series.
+    /// fleet flies dark.
     pub recorder: Option<RecorderStats>,
-}
-
-impl FleetSnapshot {
-    /// Renders the merged view in Prometheus text exposition format.
-    #[must_use]
-    pub fn prometheus(&self) -> String {
-        expo::render_with_recorder(&self.registry, self.trace_dropped, self.recorder.as_ref())
-    }
 }
 
 /// A cache-line pair of its own for one hot, independently written word
@@ -535,6 +525,31 @@ impl ShardedFront {
     /// shards — a cross-shard commit's per-shard `Committed` events — may
     /// be caught mid-flight, and a live session's spans are not in yet;
     /// each shard's own numbers are internally consistent.
+    ///
+    /// ```
+    /// use pstm_front::{FrontConfig, ShardedFront};
+    /// use pstm_obs::Ctr;
+    /// use pstm_types::{ScalarOp, Value};
+    ///
+    /// let world = pstm_workload::counter_world(4, 100)?;
+    /// let config = FrontConfig { shards: 2, ..FrontConfig::default() };
+    /// let front = ShardedFront::new(world.db.clone(), world.bindings.clone(), config);
+    /// let mut s = front.session();
+    /// s.execute(world.resources[0], ScalarOp::Sub(Value::Int(1)))?; // shard 0
+    /// s.execute(world.resources[1], ScalarOp::Sub(Value::Int(1)))?; // shard 1
+    /// s.commit()?;
+    ///
+    /// let snap = front.fleet_snapshot();
+    /// // Each shard the transaction touched counts its commit...
+    /// let committed = |r: &pstm_obs::MetricsRegistry| r.counter(Ctr::Committed);
+    /// assert_eq!(snap.per_shard.iter().map(committed).collect::<Vec<_>>(), [1, 1]);
+    /// // ...and the merged registry sums them, spans folded in at the session's end.
+    /// assert_eq!(snap.registry.counter(Ctr::Committed), 2);
+    /// assert!(snap.registry.phase_time().contains_key("work"));
+    /// // No sink, so no trace record was lost to ring eviction.
+    /// assert_eq!(snap.trace_dropped, 0);
+    /// # Ok::<(), pstm_types::PstmError>(())
+    /// ```
     #[must_use]
     pub fn fleet_snapshot(&self) -> FleetSnapshot {
         let per_shard: Vec<MetricsRegistry> =
@@ -544,11 +559,6 @@ impl ShardedFront {
         for shard in &per_shard {
             registry.merge(shard);
         }
-        // Commit-path phase accounting is process-global (thread slots),
-        // not per-shard; each snapshot absorbs the current cumulative
-        // profile into the fresh merged registry, so repeated snapshots
-        // never double-count.
-        registry.absorb_phases(&prof::snapshot());
         // With a recorder attached, every fleet snapshot doubles as a
         // black-box heartbeat: the merged counters and phase profile go
         // into the ring as a delta record, so a post-mortem can replay

@@ -335,9 +335,6 @@ fn recorded_front_round_trips_through_postmortem() {
     let stats = snap.recorder.as_ref().expect("recorded front reports device stats");
     assert!(stats.frames > 0, "trace events must have reached the file");
     assert_eq!(stats.dropped, 0);
-    let page = snap.prometheus();
-    assert!(page.contains("pstm_recorder_frames_total"), "recorder series rendered");
-    assert!(page.contains("pstm_recorder_lag_bytes"));
 
     recorder.flush();
     let pm = analyze(&read_recorder(&path).unwrap());
@@ -351,7 +348,7 @@ fn recorded_front_round_trips_through_postmortem() {
 }
 
 #[test]
-fn fleet_snapshot_surfaces_ring_drops_and_renders_prometheus() {
+fn fleet_snapshot_surfaces_ring_drops() {
     let world = counter_world(2, INITIAL).unwrap();
     // Tiny rings: the workload must overflow them.
     let front = ShardedFront::with_shard_tracers(
@@ -371,11 +368,6 @@ fn fleet_snapshot_surfaces_ring_drops_and_renders_prometheus() {
     assert_eq!(snap.per_shard.len(), 2);
     // Registries never lose events to ring eviction — only sinks do.
     assert_eq!(snap.registry.counter(Ctr::Committed), 20);
-
-    let page = snap.prometheus();
-    assert!(page.contains(&format!("pstm_trace_dropped_total {}", snap.trace_dropped)));
-    assert!(page.contains("pstm_committed_total 20"));
-    assert!(page.contains("# TYPE pstm_commit_latency_us histogram"));
-    assert!(page.contains("pstm_phase_time_us_total{phase=\"work\"}"));
-    assert!(page.contains("pstm_phase_time_us_total{phase=\"sst_attempt\"}"));
+    let phases = snap.registry.phase_time();
+    assert!(phases.contains_key("work") && phases.contains_key("sst_attempt"), "{phases:?}");
 }

@@ -222,8 +222,7 @@ pub enum TraceEvent {
     ///
     /// `wall_us` is wall-clock microseconds on the emitter's epoch when
     /// the emitting layer has a real clock (the sharded front-end), and
-    /// `None` in purely virtual-time layers. Determinism comparisons must
-    /// ignore it — see [`crate::span::records_eq_ignoring_wall`].
+    /// `None` in purely virtual-time layers.
     SpanOpen {
         /// The transaction the span belongs to.
         txn: TxnId,

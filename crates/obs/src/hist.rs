@@ -116,18 +116,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// `(2^k − 1, observations ≤ 2^k − 1)` for `k` in `0..=40`. Exact:
-    /// every power of two starts a bucket.
-    pub(crate) fn octaves(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let (mut below, mut from) = (0, 0);
-        (0..=TOP_BITS).map(move |k| {
-            let to = index(1 << k);
-            below += self.counts[from..to].iter().sum::<u64>();
-            from = to;
-            ((1 << k) - 1, below)
-        })
-    }
-
     /// Number of recorded values.
     #[must_use]
     pub fn total(&self) -> u64 {

@@ -4,10 +4,12 @@
 //! stack: the pre-serialization GTM, the 2PL and OCC baselines, the lock
 //! table, the storage engine and WAL, and the mobile-network simulator.
 //! Each emitting component owns an [`Emitter`]: its [`MetricsRegistry`]
-//! (fixed counters plus virtual-time histograms), into which it folds
-//! every event it emits, and a cloneable [`Tracer`] which, when a
-//! [`Sink`] is attached, persists the sequenced records: the
-//! [`recorder`]'s frames are the durable store, JSONL a rendering of them.
+//! (fixed counters plus virtual-time phase and per-resource wait sums),
+//! into which it folds every event it emits, and a cloneable [`Tracer`]
+//! which, when a [`Sink`] is attached, persists the sequenced records:
+//! the [`recorder`]'s frames are the durable store, JSONL a rendering of
+//! them. Metrics are read in process (a merged registry, a
+//! [`ReactorSnapshot`]) or from those frames ([`postmortem`]).
 //!
 //! Design rules:
 //!
@@ -17,7 +19,7 @@
 //!   are equal by construction.
 //! - **Determinism.** Timestamps are *virtual* (simulator time), sinks
 //!   receive records in emission order with a sequence number, and
-//!   histograms use fixed buckets, so identical runs produce
+//!   histograms use one fixed layout, so identical runs produce
 //!   byte-identical artifacts.
 //! - **Dark means dark.** A registry lives under exclusive access its
 //!   owner already holds, and a tracer with no sink holds nothing, so an
@@ -29,7 +31,6 @@
 
 pub mod dot;
 pub mod event;
-pub mod expo;
 pub mod frame;
 pub mod hist;
 pub mod postmortem;
@@ -54,6 +55,6 @@ pub use recorder::{
 };
 pub use registry::{Ctr, MetricsRegistry, SpanLedger};
 pub use sink::{RingHandle, RingSink, Sink, TeeSink};
-pub use span::{build_span_trees, records_eq_ignoring_wall, strip_wall, SpanKind, SpanNode};
+pub use span::{build_span_trees, SpanKind, SpanNode};
 pub use tracer::{current_thread_tag, Emitter, Tracer};
 pub use wallclock::{wall_now_us, WallAnchor, WallEpoch};

@@ -23,8 +23,8 @@
 //!
 //! The profiler is **off by default** ([`set_enabled`]); when off, a
 //! timer start is a single relaxed atomic load. [`snapshot`] folds all
-//! thread slots into a [`PhaseProfile`], which in turn folds into
-//! [`crate::MetricsRegistry`] and the Prometheus exposition.
+//! thread slots into a [`PhaseProfile`], which the flight recorder's
+//! snapshot frames carry ([`crate::Recorder::snapshot_delta`]).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -283,12 +283,6 @@ impl Drop for PhaseTimer {
             t.last.set(Some(now));
         });
     }
-}
-
-/// Times `f` under `phase`; sugar for a scoped [`PhaseTimer`].
-pub fn time<T>(phase: CommitPhase, f: impl FnOnce() -> T) -> T {
-    let _timer = PhaseTimer::start(phase);
-    f()
 }
 
 /// Records a synthetic observation directly (tests and harnesses that

@@ -8,11 +8,9 @@
 //! while it sleeps, and the interesting quantities are *how deep the
 //! worker queues run* and *how long a wake sat enqueued before its
 //! worker delivered it*. This module is the seam between the two: the
-//! reactor publishes a [`ReactorSnapshot`] per scrape, rendered as
-//! `pstm_reactor_*` series next to the registry page.
+//! reactor publishes a [`ReactorSnapshot`] on request, read in process.
 
 use crate::hist::Histogram;
-use std::fmt::Write as _;
 
 /// Point-in-time census of a reactor's sessions, by lifecycle phase.
 /// The fleet claim "≥95% of sessions sleeping cost nothing" is checked
@@ -51,7 +49,7 @@ impl ReactorCensus {
 }
 
 /// One consistent view of a reactor's queues and wake path, produced by
-/// the front-end's reactor and rendered by [`ReactorSnapshot::prometheus`].
+/// the front-end's reactor.
 #[derive(Clone, Debug)]
 pub struct ReactorSnapshot {
     /// Messages enqueued but not yet delivered, per worker queue.
@@ -81,58 +79,6 @@ impl ReactorSnapshot {
             stale_wakes: 0,
         }
     }
-
-    /// Renders the snapshot as Prometheus text-format `pstm_reactor_*`
-    /// series, appendable to the registry page ([`crate::expo::render`]).
-    /// Deterministic: equal snapshots render byte-identical text.
-    #[must_use]
-    pub fn prometheus(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        let _ = writeln!(out, "# HELP pstm_reactor_queue_depth Undelivered messages per worker.");
-        let _ = writeln!(out, "# TYPE pstm_reactor_queue_depth gauge");
-        for (worker, depth) in self.queue_depth.iter().enumerate() {
-            let _ = writeln!(out, "pstm_reactor_queue_depth{{worker=\"{worker}\"}} {depth}");
-        }
-        let census: [(&str, u64); 4] = [
-            ("running", self.census.running),
-            ("waiting", self.census.waiting),
-            ("sleeping", self.census.sleeping),
-            ("finished", self.census.finished),
-        ];
-        let _ = writeln!(out, "# HELP pstm_reactor_sessions Sessions by lifecycle phase.");
-        let _ = writeln!(out, "# TYPE pstm_reactor_sessions gauge");
-        for (phase, n) in census {
-            let _ = writeln!(out, "pstm_reactor_sessions{{phase=\"{phase}\"}} {n}");
-        }
-        let _ = writeln!(out, "# HELP pstm_reactor_stale_wakes_total Wakes dropped as stale.");
-        let _ = writeln!(out, "# TYPE pstm_reactor_stale_wakes_total counter");
-        let _ = writeln!(out, "pstm_reactor_stale_wakes_total {}", self.stale_wakes);
-        for (name, help, hist) in [
-            (
-                "wake_latency_us",
-                "Enqueue-to-delivery latency of wake messages, microseconds.",
-                &self.wake_latency_us,
-            ),
-            (
-                "timer_lag_us",
-                "Timer firings past their deadline, microseconds.",
-                &self.timer_lag_us,
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP pstm_reactor_{name} {help}");
-            let _ = writeln!(out, "# TYPE pstm_reactor_{name} summary");
-            for (q, label) in [(0.5, "0.5"), (0.99, "0.99")] {
-                let _ = writeln!(
-                    out,
-                    "pstm_reactor_{name}{{quantile=\"{label}\"}} {}",
-                    hist.quantile(q)
-                );
-            }
-            let _ = writeln!(out, "pstm_reactor_{name}_sum {}", hist.sum());
-            let _ = writeln!(out, "pstm_reactor_{name}_count {}", hist.total());
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -145,49 +91,5 @@ mod tests {
         assert_eq!(census.live(), 100);
         assert!((census.sleeping_fraction() - 0.95).abs() < 1e-12);
         assert_eq!(ReactorCensus::default().sleeping_fraction(), 0.0);
-    }
-
-    #[test]
-    fn snapshot_renders_every_series() {
-        let mut snap = ReactorSnapshot::empty(2);
-        snap.queue_depth = vec![1, 7];
-        snap.census = ReactorCensus { running: 1, waiting: 2, sleeping: 3, finished: 4 };
-        snap.stale_wakes = 5;
-        snap.wake_latency_us.record(120);
-        snap.timer_lag_us.record(40);
-        let page = snap.prometheus();
-        for series in [
-            "pstm_reactor_queue_depth{worker=\"0\"} 1",
-            "pstm_reactor_queue_depth{worker=\"1\"} 7",
-            "pstm_reactor_sessions{phase=\"sleeping\"} 3",
-            "pstm_reactor_stale_wakes_total 5",
-            "pstm_reactor_wake_latency_us_count 1",
-            "pstm_reactor_timer_lag_us{quantile=\"0.5\"} 40",
-        ] {
-            assert!(page.contains(series), "missing `{series}` in:\n{page}");
-        }
-    }
-
-    #[test]
-    fn one_wake_reads_its_own_latency() {
-        for wake_us in [120, 1_234, 987_654] {
-            let mut snap = ReactorSnapshot::empty(1);
-            snap.wake_latency_us.record(wake_us);
-            let page = snap.prometheus();
-            for q in ["0.5", "0.99"] {
-                let series = format!("pstm_reactor_wake_latency_us{{quantile=\"{q}\"}} ");
-                let line = page.lines().find_map(|l| l.strip_prefix(series.as_str()));
-                let read: u64 = line.expect("quantile series").parse().expect("integer");
-                assert!(read.abs_diff(wake_us) * 100 <= wake_us, "{wake_us} µs read as {read}");
-            }
-        }
-    }
-
-    #[test]
-    fn rendering_is_deterministic() {
-        let mut a = ReactorSnapshot::empty(3);
-        a.wake_latency_us.record(9);
-        let b = a.clone();
-        assert_eq!(a.prometheus(), b.prometheus());
     }
 }

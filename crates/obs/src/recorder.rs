@@ -719,8 +719,8 @@ pub fn decode_entry(payload: &[u8]) -> Option<(u64, RecorderEntry)> {
 // The writer
 // ---------------------------------------------------------------------------
 
-/// Health counters of a live [`Recorder`] — also what the Prometheus expo
-/// publishes as `pstm_recorder_*`.
+/// Health counters of a live [`Recorder`], reported with every fleet
+/// snapshot taken while it is attached.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct RecorderStats {
     /// Frames successfully handed to the device.

@@ -1,13 +1,12 @@
-//! The metrics registry: a fixed counter array plus latency/depth
-//! histograms, all derived from the event stream by one `apply` mapping.
+//! The metrics registry: a fixed counter array plus virtual-time phase
+//! and per-resource wait sums, all derived from the event stream by one
+//! `apply` mapping.
 //!
 //! Every legacy `*Stats` struct in the workspace (GTM, 2PL, lock table,
 //! OCC, engine) is a projection of [`Ctr`] counters, so the stats can
 //! never drift from the trace: both are produced by the same events.
 
 use crate::event::{AbortOrigin, TraceEvent, TraceRecord};
-use crate::hist::Histogram;
-use crate::prof::PhaseProfile;
 use crate::span::SpanKind;
 use pstm_types::{AbortReason, ObjectId, ResourceId, Timestamp, TxnId};
 use serde::Serialize;
@@ -171,19 +170,11 @@ impl Ctr {
     }
 }
 
-/// Counters + histograms, maintained by replaying trace events through
-/// [`MetricsRegistry::apply`].
+/// Counters + phase and wait sums, maintained by replaying trace events
+/// through [`MetricsRegistry::apply`].
 #[derive(Clone, Debug)]
 pub struct MetricsRegistry {
     counters: [u64; Ctr::COUNT],
-    /// Virtual time spent between queuing an operation and its grant.
-    wait_time: Histogram,
-    /// Virtual time between `begin` and `commit`.
-    commit_latency: Histogram,
-    /// Queue depth sampled at every enqueue (scheduler + lock table).
-    queue_depth: Histogram,
-    /// Open transactions: begin timestamps awaiting their commit.
-    begin_at: BTreeMap<TxnId, Timestamp>,
     /// Open waits: enqueue timestamps awaiting their grant.
     wait_since: BTreeMap<(TxnId, ResourceId), Timestamp>,
     /// Open spans: open timestamps awaiting their close, keyed by
@@ -202,11 +193,6 @@ pub struct MetricsRegistry {
     /// Timestamp of the most recently applied event — the clock
     /// unclocked layers (the storage engine) stamp their events with.
     last_at: Timestamp,
-    /// Wall-nanosecond commit-path phase accounting absorbed from
-    /// `prof` snapshots. NOT event-derived: trace replay leaves it
-    /// empty (wall time is not replayable), so `from_records` equality
-    /// checks compare counters and virtual-time histograms only.
-    commit_phases: PhaseProfile,
 }
 
 impl Default for MetricsRegistry {
@@ -221,17 +207,12 @@ impl MetricsRegistry {
     pub fn new() -> Self {
         MetricsRegistry {
             counters: [0; Ctr::COUNT],
-            wait_time: Histogram::new(),
-            commit_latency: Histogram::new(),
-            queue_depth: Histogram::new(),
-            begin_at: BTreeMap::new(),
             wait_since: BTreeMap::new(),
             span_open: BTreeMap::new(),
             phase_time: [None; SpanKind::PHASES.len()],
             blocked_by_resource: BTreeMap::new(),
             wait_by_resource: BTreeMap::new(),
             last_at: Timestamp::ZERO,
-            commit_phases: PhaseProfile::empty(),
         }
     }
 
@@ -239,24 +220,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn counter(&self, c: Ctr) -> u64 {
         self.counters[c as usize]
-    }
-
-    /// The wait-time histogram (µs of virtual time).
-    #[must_use]
-    pub fn wait_time(&self) -> &Histogram {
-        &self.wait_time
-    }
-
-    /// The begin→commit latency histogram (µs of virtual time).
-    #[must_use]
-    pub fn commit_latency(&self) -> &Histogram {
-        &self.commit_latency
-    }
-
-    /// The queue-depth histogram.
-    #[must_use]
-    pub fn queue_depth(&self) -> &Histogram {
-        &self.queue_depth
     }
 
     /// Timestamp of the most recently applied event.
@@ -290,39 +253,17 @@ impl MetricsRegistry {
         &self.wait_by_resource
     }
 
-    /// Wall-ns commit-path phase accounting absorbed via
-    /// [`MetricsRegistry::absorb_phases`].
-    #[must_use]
-    pub fn commit_phases(&self) -> &PhaseProfile {
-        &self.commit_phases
-    }
-
-    /// Folds a `prof` snapshot into this registry — the bridge from
-    /// thread-local phase accounting to the exposition endpoint. Pass
-    /// each profile exactly once; absorption is additive.
-    pub fn absorb_phases(&mut self, profile: &PhaseProfile) {
-        self.commit_phases.merge(profile);
-    }
-
     /// Folds another registry into this one — the shard-aggregation
     /// primitive behind fleet snapshots.
     ///
-    /// Counters, histograms, and per-phase/per-resource accumulators sum;
-    /// `last_at` takes the later clock; open-transaction and open-wait
-    /// state unions (shards partition transactions and resources, so the
-    /// key sets are disjoint in practice — on a key collision the later
-    /// timestamp wins, keeping the merge commutative enough for
-    /// monitoring use).
+    /// Counters and per-phase/per-resource accumulators sum; `last_at`
+    /// takes the later clock; open-wait and open-span state unions
+    /// (shards partition transactions and resources, so the key sets are
+    /// disjoint in practice — on a key collision the later timestamp wins,
+    /// keeping the merge commutative enough for monitoring use).
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (mine, theirs) in self.counters.iter_mut().zip(other.counters.iter()) {
             *mine += theirs;
-        }
-        self.wait_time.merge(&other.wait_time);
-        self.commit_latency.merge(&other.commit_latency);
-        self.queue_depth.merge(&other.queue_depth);
-        for (txn, at) in &other.begin_at {
-            let slot = self.begin_at.entry(*txn).or_insert(*at);
-            *slot = (*slot).max(*at);
         }
         for (key, at) in &other.wait_since {
             let slot = self.wait_since.entry(*key).or_insert(*at);
@@ -342,7 +283,6 @@ impl MetricsRegistry {
             *self.wait_by_resource.entry(*res).or_insert(0) += us;
         }
         self.last_at = self.last_at.max(other.last_at);
-        self.commit_phases.merge(&other.commit_phases);
     }
 
     /// Folds in a session's spans: what applying each of its boundaries
@@ -384,7 +324,7 @@ impl MetricsRegistry {
         self.counters[c as usize] += n;
     }
 
-    /// Folds one event into the counters and histograms.
+    /// Folds one event into the counters and sums.
     ///
     /// This is the *single* mapping from events to metrics — the legacy
     /// stats structs project from the counters it maintains, and replay
@@ -393,10 +333,7 @@ impl MetricsRegistry {
     pub fn apply(&mut self, at: Timestamp, event: &TraceEvent) {
         self.last_at = at;
         match event {
-            TraceEvent::TxnBegin { txn } => {
-                self.bump(Ctr::Begun);
-                self.begin_at.insert(*txn, at);
-            }
+            TraceEvent::TxnBegin { .. } => self.bump(Ctr::Begun),
             TraceEvent::OpRequested { .. } => self.bump(Ctr::OpsRequested),
             TraceEvent::OpGranted { txn, resource, shared, bypassed_sleeper, .. } => {
                 self.bump(Ctr::OpsCompleted);
@@ -407,14 +344,11 @@ impl MetricsRegistry {
                     self.bump(Ctr::BypassedSleepers);
                 }
                 if let Some(since) = self.wait_since.remove(&(*txn, *resource)) {
-                    let waited = at.since(since).0;
-                    self.wait_time.record(waited);
-                    *self.wait_by_resource.entry(*resource).or_insert(0) += waited;
+                    *self.wait_by_resource.entry(*resource).or_insert(0) += at.since(since).0;
                 }
             }
-            TraceEvent::OpWaiting { txn, resource, queue_depth, .. } => {
+            TraceEvent::OpWaiting { txn, resource, .. } => {
                 self.bump(Ctr::OpsWaited);
-                self.queue_depth.record(u64::from(*queue_depth));
                 self.wait_since.insert((*txn, *resource), at);
             }
             TraceEvent::StarvationDenied { .. } => self.bump(Ctr::StarvationDenials),
@@ -430,9 +364,6 @@ impl MetricsRegistry {
             }
             TraceEvent::Committed { txn } => {
                 self.bump(Ctr::Committed);
-                if let Some(begun) = self.begin_at.remove(txn) {
-                    self.commit_latency.record(at.since(begun).0);
-                }
                 self.close_waits(*txn);
             }
             TraceEvent::Aborted { txn, reason, origin } => {
@@ -458,17 +389,13 @@ impl MetricsRegistry {
                         }
                     }
                 });
-                self.begin_at.remove(txn);
                 self.close_waits(*txn);
             }
             TraceEvent::TxnSlept { .. } => self.bump(Ctr::TxnsSlept),
             TraceEvent::TxnAwoke { .. } => self.bump(Ctr::TxnsAwoke),
             TraceEvent::LockGranted { .. } => self.bump(Ctr::LockImmediateGrants),
             TraceEvent::LockUpgrade { .. } => self.bump(Ctr::LockUpgrades),
-            TraceEvent::LockWaiting { queue_depth, .. } => {
-                self.bump(Ctr::LockWaits);
-                self.queue_depth.record(u64::from(*queue_depth));
-            }
+            TraceEvent::LockWaiting { .. } => self.bump(Ctr::LockWaits),
             TraceEvent::EngineInsert { .. } => self.bump(Ctr::EngineInserts),
             TraceEvent::EngineUpdate { .. } => self.bump(Ctr::EngineUpdates),
             TraceEvent::EngineDelete { .. } => self.bump(Ctr::EngineDeletes),
@@ -605,8 +532,7 @@ mod tests {
                 bypassed_sleeper: false,
             },
         );
-        assert_eq!(reg.wait_time().total(), 1);
-        assert_eq!(reg.wait_time().sum(), 250);
+        assert_eq!(reg.wait_by_resource(), &BTreeMap::from([(r, 250)]));
         assert_eq!(reg.counter(Ctr::OpsWaited), 1);
         assert_eq!(reg.counter(Ctr::OpsCompleted), 1);
     }
@@ -624,15 +550,7 @@ mod tests {
                 bypassed_sleeper: false,
             },
         );
-        assert_eq!(reg.wait_time().total(), 0);
-    }
-
-    #[test]
-    fn commit_latency_spans_begin_to_commit() {
-        let mut reg = MetricsRegistry::new();
-        reg.apply(Timestamp(1_000), &TraceEvent::TxnBegin { txn: TxnId(7) });
-        reg.apply(Timestamp(4_000), &TraceEvent::Committed { txn: TxnId(7) });
-        assert_eq!(reg.commit_latency().sum(), 3_000);
+        assert!(reg.wait_by_resource().is_empty());
     }
 
     #[test]
@@ -662,7 +580,7 @@ mod tests {
                 bypassed_sleeper: false,
             },
         );
-        assert_eq!(reg.wait_time().total(), 0);
+        assert!(reg.wait_by_resource().is_empty());
         assert_eq!(reg.counter(Ctr::AbortedDeadlock), 1);
     }
 
@@ -758,37 +676,10 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counter(Ctr::Begun), 2);
         assert_eq!(a.counter(Ctr::Committed), 2);
-        assert_eq!(a.commit_latency().total(), 2);
-        assert_eq!(a.commit_latency().sum(), 3_000 + 7_000);
         assert_eq!(a.wait_by_resource()[&res(5)], 300);
         assert_eq!(a.last_at(), Timestamp(9_400));
         // The merge source is untouched.
         assert_eq!(b.counter(Ctr::Begun), 1);
-    }
-
-    #[test]
-    fn absorbed_phases_survive_merge() {
-        use crate::prof::CommitPhase;
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        let mut pa = PhaseProfile::empty();
-        pa.record(CommitPhase::Reconcile, 1_000);
-        pa.record(CommitPhase::WalAppend, 250);
-        let mut pb = PhaseProfile::empty();
-        pb.record(CommitPhase::Reconcile, 3_000);
-        a.absorb_phases(&pa);
-        b.absorb_phases(&pb);
-        a.merge(&b);
-        assert_eq!(a.commit_phases().ns(CommitPhase::Reconcile), 4_000);
-        assert_eq!(a.commit_phases().ops(CommitPhase::Reconcile), 2);
-        assert_eq!(a.commit_phases().ns(CommitPhase::WalAppend), 250);
-        assert_eq!(a.commit_phases().hist(CommitPhase::Reconcile).total(), 2);
-        // Absorbing the combined profile directly gives the same fold.
-        let mut c = MetricsRegistry::new();
-        let mut both = pa.clone();
-        both.merge(&pb);
-        c.absorb_phases(&both);
-        assert_eq!(c.commit_phases(), a.commit_phases());
     }
 
     /// The registry as it was before its span keys became integers: open
@@ -797,10 +688,6 @@ mod tests {
     #[derive(Default)]
     struct TreeRegistry {
         counters: BTreeMap<&'static str, u64>,
-        wait_time: Histogram,
-        commit_latency: Histogram,
-        queue_depth: Histogram,
-        begin_at: BTreeMap<TxnId, Timestamp>,
         wait_since: BTreeMap<(TxnId, ResourceId), Timestamp>,
         span_open: BTreeMap<(TxnId, &'static str), Timestamp>,
         phase_time: BTreeMap<&'static str, u64>,
@@ -819,25 +706,15 @@ mod tests {
                 *self.counters.entry(name).or_insert(0) += n;
             }
             match event {
-                TraceEvent::TxnBegin { txn } => {
-                    self.begin_at.insert(*txn, at);
-                }
-                TraceEvent::OpWaiting { txn, resource, queue_depth, .. } => {
-                    self.queue_depth.record(u64::from(*queue_depth));
+                TraceEvent::OpWaiting { txn, resource, .. } => {
                     self.wait_since.insert((*txn, *resource), at);
                 }
                 TraceEvent::OpGranted { txn, resource, .. } => {
                     if let Some(since) = self.wait_since.remove(&(*txn, *resource)) {
-                        self.wait_time.record(at.since(since).0);
                         *self.wait_by_resource.entry(*resource).or_insert(0) += at.since(since).0;
                     }
                 }
                 TraceEvent::Committed { txn } | TraceEvent::Aborted { txn, .. } => {
-                    if let Some(begun) = self.begin_at.remove(txn) {
-                        if matches!(event, TraceEvent::Committed { .. }) {
-                            self.commit_latency.record(at.since(begun).0);
-                        }
-                    }
                     self.wait_since.retain(|(t, _), _| t != txn);
                 }
                 TraceEvent::SpanOpen { txn, kind, .. } => {
@@ -860,13 +737,6 @@ mod tests {
             for (name, n) in &other.counters {
                 *self.counters.entry(name).or_insert(0) += n;
             }
-            self.wait_time.merge(&other.wait_time);
-            self.commit_latency.merge(&other.commit_latency);
-            self.queue_depth.merge(&other.queue_depth);
-            for (txn, at) in &other.begin_at {
-                let slot = self.begin_at.entry(*txn).or_insert(*at);
-                *slot = (*slot).max(*at);
-            }
             for (key, at) in &other.wait_since {
                 let slot = self.wait_since.entry(*key).or_insert(*at);
                 *slot = (*slot).max(*at);
@@ -888,9 +758,6 @@ mod tests {
 
         fn answers_like(&self, reg: &MetricsRegistry) -> bool {
             self.counters == reg.counters_map()
-                && self.wait_time == reg.wait_time
-                && self.commit_latency == reg.commit_latency
-                && self.queue_depth == reg.queue_depth
                 && self.phase_time == reg.phase_time()
                 && self.blocked_by_resource == reg.blocked_by_resource
                 && self.wait_by_resource == reg.wait_by_resource
@@ -946,9 +813,9 @@ mod tests {
 
     proptest! {
         /// Two registries fed interleaved streams, then merged, answer as
-        /// the tree-keyed reference does — counters, the three
-        /// histograms, phase time (zero-width closes included) and both
-        /// per-resource maps — after every event and after the merge.
+        /// the tree-keyed reference does — counters, phase time (zero-width
+        /// closes included) and both per-resource maps — after every event
+        /// and after the merge.
         #[test]
         fn prop_the_registry_is_the_tree_keyed_reference(
             a in prop::collection::vec(event(), 0..300),

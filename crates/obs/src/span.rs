@@ -8,8 +8,7 @@
 //! `reconcile` and `sst_attempt` sub-spans. Every span carries the virtual
 //! timestamp of its record *and* an optional wall-clock field, so the same
 //! schema serves the deterministic simulator (wall absent) and the
-//! wall-clock sharded front-end (wall present). Determinism comparisons
-//! must ignore the wall fields — see [`records_eq_ignoring_wall`].
+//! wall-clock sharded front-end (wall present).
 
 use crate::event::{TraceEvent, TraceRecord};
 use pstm_types::{ResourceId, Timestamp, TxnId};
@@ -194,32 +193,6 @@ pub fn build_span_trees(records: &[TraceRecord]) -> BTreeMap<TxnId, Vec<SpanNode
     done
 }
 
-/// Compares two record streams for determinism, ignoring the wall-clock
-/// fields of span events (wall time legitimately differs between
-/// otherwise identical runs; everything else must match exactly).
-#[must_use]
-pub fn records_eq_ignoring_wall(a: &[TraceRecord], b: &[TraceRecord]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(ra, rb)| {
-            ra.seq == rb.seq
-                && ra.at == rb.at
-                && strip_wall(ra.event.clone()) == strip_wall(rb.event.clone())
-        })
-}
-
-/// Clears the wall-clock field of span events; identity on everything
-/// else. The determinism contract covers exactly what this keeps.
-#[must_use]
-pub fn strip_wall(event: TraceEvent) -> TraceEvent {
-    match event {
-        TraceEvent::SpanOpen { txn, kind, .. } => TraceEvent::SpanOpen { txn, kind, wall_us: None },
-        TraceEvent::SpanClose { txn, kind, .. } => {
-            TraceEvent::SpanClose { txn, kind, wall_us: None }
-        }
-        other => other,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,18 +263,5 @@ mod tests {
     fn close_without_open_is_ignored() {
         let records = vec![close(1, SpanKind::Work, 5, 0)];
         assert!(build_span_trees(&records).is_empty());
-    }
-
-    #[test]
-    fn wall_fields_are_excluded_from_determinism_comparison() {
-        let a = vec![open(1, SpanKind::Session, 0, 0)];
-        let mut b = a.clone();
-        let TraceEvent::SpanOpen { wall_us, .. } = &mut b[0].event else { unreachable!() };
-        *wall_us = Some(999);
-        assert_ne!(a, b, "raw records differ");
-        assert!(records_eq_ignoring_wall(&a, &b), "wall time must not break determinism");
-        // But virtual-time divergence must.
-        b[0].at = Timestamp(1);
-        assert!(!records_eq_ignoring_wall(&a, &b));
     }
 }

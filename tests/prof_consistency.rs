@@ -2,8 +2,8 @@
 //! model: the nanoseconds the commit-path phase timers bank must fit
 //! inside the wall-clock session spans the front-end emits (exclusive
 //! accounting means the per-phase sums are disjoint slices of the same
-//! timeline), and phase totals must fold into `MetricsRegistry`
-//! identically whether absorbed live or after a trace replay.
+//! timeline), and phase totals must fold to the same profile however the
+//! observations are split.
 //!
 //! The phase profiler is process-global (thread-local slots folded into
 //! one static table), so every assertion that touches its state lives in
@@ -14,7 +14,7 @@ use preserial::gtm::CommitResult;
 use proptest::prelude::*;
 use pstm_front::{FrontConfig, SessionOutcome, ShardedFront};
 use pstm_obs::prof::{self, CommitPhase, PhaseProfile};
-use pstm_obs::{build_span_trees, MetricsRegistry, RingSink, SpanKind, Tracer};
+use pstm_obs::{build_span_trees, RingSink, SpanKind, Tracer};
 use pstm_types::{ResourceId, ScalarOp, Value};
 use pstm_workload::counter_world;
 
@@ -131,18 +131,6 @@ fn phase_totals_fit_inside_session_spans_and_survive_replay() {
         slack_ns
     );
 
-    // --- replayed totals == live totals --------------------------------
-    // Phase counters are absorbed, not event-derived: a replayed
-    // registry starts with an empty profile, and folding the same
-    // snapshot into it must land exactly where the live fleet snapshot
-    // (which absorbs the same global profile) landed.
-    let snap = front.fleet_snapshot();
-    assert_eq!(snap.registry.commit_phases(), &profile);
-    let mut replayed = pstm_obs::MetricsRegistry::from_records(&records);
-    assert!(replayed.commit_phases().is_empty(), "replay must not invent phase time");
-    replayed.absorb_phases(&profile);
-    assert_eq!(replayed.commit_phases(), snap.registry.commit_phases());
-
     // --- reset really zeroes the table ---------------------------------
     prof::reset();
     assert!(prof::snapshot().is_empty(), "reset must clear every slot");
@@ -152,7 +140,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Folding algebra: however a stream of observations is split across
-    /// profiles and registries, merging recovers the same totals.
+    /// profiles, merging recovers the same totals.
     #[test]
     fn prop_phase_totals_survive_registry_merges(
         obs in prop::collection::vec((0usize..CommitPhase::COUNT, 1u64..2_000_000_000), 1..80),
@@ -172,14 +160,5 @@ proptest! {
         merged.merge(&right);
         prop_assert_eq!(&merged, &whole);
         prop_assert_eq!(merged.total_ns(), whole.total_ns());
-
-        // Registry absorption commutes with registry merge.
-        let (mut ra, mut rb) = (MetricsRegistry::new(), MetricsRegistry::new());
-        ra.absorb_phases(&left);
-        rb.absorb_phases(&right);
-        ra.merge(&rb);
-        let mut direct = MetricsRegistry::new();
-        direct.absorb_phases(&whole);
-        prop_assert_eq!(ra.commit_phases(), direct.commit_phases());
     }
 }
