@@ -28,7 +28,7 @@ use crate::history::HistoryRecorder;
 use crate::policy::{AdmissionPolicy, StarvationPolicy};
 use crate::reconcile::reconcile;
 use crate::sst::Writes;
-use crate::state::{Grant, Phase, ResourceState, TxnRecord, TxnState, WaitEntry};
+use crate::state::{Grant, Phase, ResourceState, Tombstones, TxnRecord, TxnState, WaitEntry};
 use pstm_lock::WaitsForGraph;
 use pstm_obs::prof::{self, CommitPhase};
 use pstm_obs::{AbortOrigin, Ctr, Emitter, MetricsRegistry, TraceEvent, Tracer};
@@ -174,8 +174,8 @@ fn op_decrements(op: &ScalarOp) -> bool {
 
 /// Why an event on `txn` is refused when it is not in flight: by its final
 /// state if the tombstone index knows it, as unknown otherwise.
-fn refusal(finished: &BTreeMap<TxnId, TxnState>, txn: TxnId, action: &'static str) -> PstmError {
-    match finished.get(&txn) {
+fn refusal(finished: &Tombstones, txn: TxnId, action: &'static str) -> PstmError {
+    match finished.get(txn) {
         Some(state) => PstmError::InvalidState { txn, action, state: state.name() },
         None => PstmError::UnknownTxn(txn),
     }
@@ -257,9 +257,9 @@ pub struct Gtm {
     /// table an event handler looks its transaction up in.
     live: BTreeMap<TxnId, TxnRecord>,
     /// The tombstone index: the final state of every finished
-    /// transaction. Read only to refuse an event on a finished id, to
-    /// reject `begin` of a known id, and by [`Gtm::state`].
-    finished: BTreeMap<TxnId, TxnState>,
+    /// transaction, two bits an id. Read only to refuse an event on a
+    /// finished id, to reject `begin` of a known id, and by [`Gtm::state`].
+    finished: Tombstones,
     /// One row per bound resource, by its slot in `bindings` (found by an
     /// event's one binding lookup), so rows iterate in resource order.
     rows: Vec<ResourceState>,
@@ -291,7 +291,7 @@ impl Gtm {
             history: HistoryRecorder::over(bindings.resources()),
             bindings,
             live: BTreeMap::new(),
-            finished: BTreeMap::new(),
+            finished: Tombstones::default(),
             config,
             dependence: DependenceMap::new(),
             obs: Emitter::default(),
@@ -371,7 +371,7 @@ impl Gtm {
     /// Current state of `txn` (`A_state`), if known.
     #[must_use]
     pub fn state(&self, txn: TxnId) -> Option<TxnState> {
-        self.live.get(&txn).map(|record| record.state).or_else(|| self.finished.get(&txn).copied())
+        self.live.get(&txn).map(|record| record.state).or_else(|| self.finished.get(txn))
     }
 
     /// The recorded history (for serializability checking).
@@ -508,7 +508,7 @@ impl Gtm {
 
     /// Starts a transaction; postcondition `A_state = Active`.
     pub fn begin(&mut self, txn: TxnId, now: Timestamp) -> PstmResult<()> {
-        if self.live.contains_key(&txn) || self.finished.contains_key(&txn) {
+        if self.live.contains_key(&txn) || self.finished.get(txn).is_some() {
             return Err(PstmError::InvalidState { txn, action: "begin", state: "already known" });
         }
         if txn.0 >= crate::sst::SST_ID_BASE {
@@ -1298,19 +1298,11 @@ impl Gtm {
     /// tests after every event.
     pub fn check_invariants(&self) -> Result<(), String> {
         let live = |t: &TxnId| {
-            self.live.get(t).ok_or_else(|| match self.finished.get(t) {
+            self.live.get(t).ok_or_else(|| match self.finished.get(*t) {
                 Some(state) => format!("terminal ({state}) {t} still referenced"),
                 None => format!("{t} unknown"),
             })
         };
-        for (t, state) in &self.finished {
-            if self.live.contains_key(t) {
-                return Err(format!("{t} is live and in the tombstone index ({state})"));
-            }
-            if !state.is_terminal() {
-                return Err(format!("tombstone of {t} in non-terminal state {state}"));
-            }
-        }
         for (slot, rs) in self.rows.iter().enumerate() {
             let resource = self.id(slot);
             for (t, grant) in &rs.holders {
@@ -1343,6 +1335,9 @@ impl Gtm {
             }
         }
         for (t, record) in &self.live {
+            if let Some(state) = self.finished.get(*t) {
+                return Err(format!("{t} is live and in the tombstone index ({state})"));
+            }
             let held: Vec<ResourceId> = record.held.iter().map(|s| self.id(*s)).collect();
             if !record.held.windows(2).all(|pair| pair[0] < pair[1]) {
                 return Err(format!("{t} holds {held:?}, not in resource order"));
@@ -1705,10 +1700,10 @@ mod tests {
         // Nothing left but the final state: the op log moved out (to the
         // history, if it committed) and the rows are gone.
         assert!(g.live.is_empty());
-        assert_eq!(g.finished[&committed], TxnState::Committed);
-        assert_eq!(g.finished[&aborted], TxnState::Aborted);
+        assert_eq!(g.finished.get(committed), Some(TxnState::Committed));
+        assert_eq!(g.finished.get(aborted), Some(TxnState::Aborted));
         assert!(g.rows.iter().all(|rs| rs.holders.is_empty()));
-        assert_eq!(g.history().commit_order().len(), 1);
+        assert_eq!(g.history().commit_order().0, 1);
         g.check_invariants().unwrap();
         // A tombstone refuses every event by its final state.
         let err = g.execute(committed, resources[0], sub_one(), now).unwrap_err();
@@ -1761,22 +1756,20 @@ mod tests {
         g.begin(elder, now).unwrap();
         g.execute(elder, resources[1], sub_one(), now).unwrap();
         assert_eq!(g.commit(elder, now).unwrap().0, CommitResult::Committed);
-        assert_eq!(g.finished.keys().copied().collect::<Vec<_>>(), [elder, committed, aborted]);
+        assert_eq!(g.finished.ids().collect::<Vec<_>>(), [elder, committed, aborted]);
         g.check_invariants().unwrap();
         g.verify_serializable().unwrap();
     }
 
     #[test]
-    fn check_invariants_catches_an_id_in_both_maps_and_a_tombstone_that_is_not_final() {
+    fn check_invariants_catches_an_id_both_live_and_finished() {
         let (mut g, resources) = gtm(1);
         let now = Timestamp(1);
         g.begin(TxnId(1), now).unwrap();
         g.execute(TxnId(1), resources[0], sub_one(), now).unwrap();
         g.finished.insert(TxnId(1), TxnState::Committed);
         assert!(g.check_invariants().unwrap_err().contains("live and in the tombstone index"));
-        g.finished.clear();
+        g.finished = Tombstones::default();
         g.check_invariants().unwrap();
-        g.finished.insert(TxnId(2), TxnState::Committing);
-        assert!(g.check_invariants().unwrap_err().contains("non-terminal"));
     }
 }

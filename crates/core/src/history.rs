@@ -11,10 +11,13 @@
 //! state match that image — final-state equivalence to the serial schedule
 //! in commit order.
 //!
-//! The replay is a fold, so nothing it has consumed is kept: per commit
-//! the recorder retains the `TxnId` in the commit order (8 bytes), per
-//! resource one value of the serial image, in a `Vec` by resource slot.
+//! The replay is a fold, so nothing it has consumed is kept: per resource
+//! one value of the serial image, in a `Vec` by resource slot. The commit
+//! order is serialization order (commitment ordering), so it is kept as
+//! a count and a running checksum over each committed id's little-endian
+//! bytes: a commit retains nothing, and an order is still told apart.
 
+use pstm_obs::frame::ChecksumStream;
 use pstm_types::{PstmError, PstmResult, ResourceId, ScalarOp, TxnId, Value};
 use std::collections::BTreeMap;
 
@@ -27,7 +30,10 @@ pub struct HistoryRecorder {
     /// By slot: the resource's initial value with every committed
     /// mutation since applied, in commit order; `None` until observed.
     serial: Vec<Option<Value>>,
-    order: Vec<TxnId>,
+    /// How many transactions committed.
+    commits: u64,
+    /// The committed ids' little-endian bytes, in commit order.
+    order: ChecksumStream,
     /// The first error the replay met; it stops there.
     failed: Option<PstmError>,
 }
@@ -53,7 +59,8 @@ impl HistoryRecorder {
     /// order): replays `ops` (by slot), in issue order, onto the serial
     /// image. An op on a resource never observed is a replay error.
     pub fn record_commit(&mut self, txn: TxnId, ops: &[(usize, ScalarOp)]) {
-        self.order.push(txn);
+        self.commits += 1;
+        self.order.update(&txn.0.to_le_bytes());
         if self.failed.is_none() {
             self.failed = self.replay(ops).err();
         }
@@ -73,10 +80,12 @@ impl HistoryRecorder {
         Ok(())
     }
 
-    /// The commit order.
+    /// The commit order: how many committed and the checksum
+    /// ([`pstm_obs::frame::checksum`]) of their ids' little-endian bytes,
+    /// in commit order.
     #[must_use]
-    pub fn commit_order(&self) -> Vec<TxnId> {
-        self.order.clone()
+    pub fn commit_order(&self) -> (u64, u32) {
+        (self.commits, self.order.clone().finish())
     }
 
     /// Every resource any committed transaction (or initial observation)
@@ -116,10 +125,10 @@ impl HistoryRecorder {
                 _ => expected == actual,
             };
             if !equal {
+                let (commits, digest) = self.commit_order();
                 return Err(format!(
                     "{resource}: serial replay gives {expected}, database holds {actual} \
-                     (commit order {:?})",
-                    self.commit_order()
+                     ({commits} commits, order digest {digest:#010x})"
                 ));
             }
         }
@@ -131,6 +140,7 @@ impl HistoryRecorder {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use pstm_obs::frame::checksum;
     use pstm_types::{ObjectId, ResourceId};
 
     fn r(i: u32) -> ResourceId {
@@ -139,6 +149,12 @@ mod tests {
 
     fn t(i: u64) -> TxnId {
         TxnId(i)
+    }
+
+    /// What `commit_order` answers for `ids` committed in that order.
+    fn order_of(ids: &[TxnId]) -> (u64, u32) {
+        let bytes: Vec<u8> = ids.iter().flat_map(|t| t.0.to_le_bytes()).collect();
+        (ids.len() as u64, checksum(&bytes))
     }
 
     /// A history over `r(0)..=r(OBSERVED)`: slot `i` is `r(i)`.
@@ -157,8 +173,8 @@ mod tests {
         h.record_commit(t(2), &[(1, ScalarOp::Add(Value::Int(2)))]);
         let state = h.replay_serial().unwrap();
         assert_eq!(state[&r(1)], Value::Int(106));
-        assert_eq!(h.commit_order(), vec![t(1), t(2)]);
-        assert_eq!(h.commit_order().len(), 2);
+        assert_eq!(h.commit_order(), order_of(&[t(1), t(2)]));
+        assert_ne!(h.commit_order(), order_of(&[t(2), t(1)]), "the digest tells orders apart");
     }
 
     #[test]
@@ -259,9 +275,10 @@ mod tests {
                 };
                 if !equal {
                     let order: Vec<TxnId> = self.committed.iter().map(|c| c.0).collect();
+                    let (commits, digest) = order_of(&order);
                     return Err(format!(
                         "{resource}: serial replay gives {expected}, database holds {actual} \
-                         (commit order {order:?})"
+                         ({commits} commits, order digest {digest:#010x})"
                     ));
                 }
             }
@@ -326,10 +343,9 @@ mod tests {
                 list.committed.push((t(i as u64), ops));
                 prop_assert_eq!(fold.replay_serial(), list.replay_serial());
             }
-            prop_assert_eq!(fold.commit_order().len(), list.committed.len());
             prop_assert_eq!(
                 fold.commit_order(),
-                list.committed.iter().map(|c| c.0).collect::<Vec<_>>()
+                order_of(&list.committed.iter().map(|c| c.0).collect::<Vec<_>>())
             );
             prop_assert_eq!(
                 fold.touched_resources(),

@@ -1,9 +1,11 @@
 //! Retention has a ceiling: what a finished transaction leaves behind in
-//! the manager is a tombstone-index entry and (if it committed) its id in
-//! the commit order — not a record, not an op log, and not its WAL
-//! records: the engine forgets its log once an image covers it. Measured
-//! with a counting allocator, so this file is a test binary of its own
-//! with one test.
+//! the manager is two bits of the tombstone index (its block of 64 ids
+//! is shared with its neighbours) and one step of the commit order's
+//! count and checksum — not a record, not an op log, not its id in a
+//! list, and not its WAL records: the engine forgets its log once an
+//! image covers it. Ids 64 or more apart pay a block each, which has a
+//! ceiling of its own. Measured with a counting allocator, so this file
+//! is a test binary of its own with one test.
 
 use pstm_core::gtm::{CommitResult, Gtm, GtmConfig};
 use pstm_core::TxnState;
@@ -43,20 +45,26 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 const TXNS: u64 = 20_000;
-/// Per finished transaction: the tombstone (9 B of payload in B-tree
-/// leaves 6/11 full) and 8 B of commit order in a `Vec` that doubles.
-const CEILING_PER_TXN: usize = 64;
+/// Per finished transaction with dense ids: a 24 B block entry per 64
+/// ids, under 1 B (0 B measured, rounded down). 64 B before the index
+/// became a bitmap and the commit order a count and a checksum.
+const CEILING_PER_TXN: usize = 2;
+/// Per finished transaction with ids 64 apart: a block entry each (48 B
+/// measured). The dense ceiling before the bitmap.
+const STRIDED_CEILING_PER_TXN: usize = 64;
 
-/// Commits `TXNS` transactions of `ops(i)` each, ids from `first`, and
-/// returns how many heap bytes stayed allocated per transaction.
+/// Commits `TXNS` transactions of `ops(i)` each, ids `first`, `first +
+/// stride`, …, and returns how many heap bytes stayed allocated per
+/// transaction.
 fn retained_per_txn(
     g: &mut Gtm,
     first: u64,
+    stride: u64,
     ops: impl Fn(u64) -> Vec<(ResourceId, ScalarOp)>,
 ) -> usize {
     let before = LIVE_BYTES.load(Ordering::Relaxed);
     for i in 0..TXNS {
-        let (txn, now) = (TxnId(first + i), Timestamp(first + i));
+        let (txn, now) = (TxnId(first + i * stride), Timestamp(first + i));
         g.begin(txn, now).unwrap();
         for (resource, op) in ops(i) {
             g.execute(txn, resource, op, now).unwrap();
@@ -73,13 +81,13 @@ fn a_finished_transaction_retains_a_tombstone_not_a_record() {
     let at = |i: u64| world.resources[i as usize % world.resources.len()];
     // Touch every resource once so the per-resource state (and the serial
     // image's entry) is not counted against the transactions below.
-    let retained = retained_per_txn(&mut g, 1, |i| vec![(at(i), ScalarOp::Read)]);
+    let retained = retained_per_txn(&mut g, 1, 1, |i| vec![(at(i), ScalarOp::Read)]);
     println!("warm-up: {retained} B per transaction");
 
     // Read-only transactions write no WAL record: all they leave is in
     // the manager.
     let wal = world.db.stats().wal_bytes;
-    let reads = retained_per_txn(&mut g, TXNS + 1, |i| {
+    let reads = retained_per_txn(&mut g, TXNS + 1, 1, |i| {
         (0..4).map(|k| (at(i * 7 + k * 131), ScalarOp::Read)).collect()
     });
     println!("read-only: {reads} B per transaction");
@@ -90,7 +98,7 @@ fn a_finished_transaction_retains_a_tombstone_not_a_record() {
     // 136 B, and the engine checkpoints itself whenever the log holds an
     // image's worth, so no allowance is made for the log.
     let one = || ScalarOp::Sub(Value::Int(1));
-    let rmw = retained_per_txn(&mut g, 2 * TXNS + 1, |i| {
+    let rmw = retained_per_txn(&mut g, 2 * TXNS + 1, 1, |i| {
         let (a, b) = (at(i * 7), at(i * 7 + 131));
         vec![(a, ScalarOp::Read), (a, one()), (b, one())]
     });
@@ -104,7 +112,24 @@ fn a_finished_transaction_retains_a_tombstone_not_a_record() {
 
     // Nothing was forgotten to get there.
     assert_eq!(g.state(TxnId(1)), Some(TxnState::Committed));
-    assert_eq!(g.history().commit_order().len() as u64, 3 * TXNS);
+    assert_eq!(g.history().commit_order().0, 3 * TXNS);
     g.check_invariants().unwrap();
     g.verify_serializable().unwrap();
+
+    ids_64_apart_retain_a_block_each_within_the_old_ceiling();
+}
+
+/// The one shape that costs more than a map entry: one shard of a front
+/// that deals ids round-robin over 64 shards.
+fn ids_64_apart_retain_a_block_each_within_the_old_ceiling() {
+    let world = counter_world(64, i64::MAX / 2).unwrap();
+    let mut g = Gtm::new(world.db.clone(), world.bindings.clone(), GtmConfig::default());
+    let at = |i: u64| world.resources[i as usize % world.resources.len()];
+    retained_per_txn(&mut g, 1, 1, |i| vec![(at(i), ScalarOp::Read)]);
+    let strided = retained_per_txn(&mut g, 64 * TXNS, 64, |i| vec![(at(i), ScalarOp::Read)]);
+    println!("ids 64 apart: {strided} B per transaction");
+    assert!(strided <= STRIDED_CEILING_PER_TXN, "{strided} B retained per strided transaction");
+    assert_eq!(g.state(TxnId(64 * TXNS + 64 * (TXNS - 1))), Some(TxnState::Committed));
+    assert_eq!(g.state(TxnId(64 * TXNS + 1)), None);
+    g.check_invariants().unwrap();
 }

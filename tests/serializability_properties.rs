@@ -37,7 +37,7 @@ fn run_and_verify(workload: &PaperWorkload, config: GtmConfig) {
     assert_eq!(dropped, 0, "ring too small for the run");
     match verify_records(&records) {
         Verdict::Serializable(cert) => {
-            assert_eq!(cert.committed, backend.0.history().commit_order().len());
+            assert_eq!(cert.committed as u64, backend.0.history().commit_order().0);
         }
         Verdict::NotSerializable(cycle) => panic!("verifier rejected a GTM history:\n{cycle}"),
     }

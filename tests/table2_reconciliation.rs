@@ -3,6 +3,7 @@
 //! API (world builder → GTM → storage engine).
 
 use preserial::gtm::{CommitResult, Gtm, GtmConfig};
+use pstm_obs::frame::checksum;
 use pstm_types::{ExecOutcome, ScalarOp, Timestamp, TxnId, Value};
 use pstm_workload::counter_world;
 
@@ -53,7 +54,11 @@ fn table_two_full_trace() {
 
     // The trace is final-state equivalent to the serial order A; B.
     gtm.verify_serializable().unwrap();
-    assert_eq!(gtm.history().commit_order(), vec![a, bt]);
+    // Two commits, A's id then B's: the digest of the other order differs.
+    let digest =
+        |first: TxnId, second: TxnId| checksum(&[first.0, second.0].map(u64::to_le_bytes).concat());
+    assert_eq!(gtm.history().commit_order(), (2, digest(a, bt)));
+    assert_ne!(digest(a, bt), digest(bt, a));
 }
 
 #[test]
